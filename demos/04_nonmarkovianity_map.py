@@ -37,11 +37,12 @@ print()
 # closed form for the coherence branch
 print("coherence branch has a closed form (completed half-periods + partial rise):")
 for om, t_max in ((1.0, math.pi), (8.0, 5.0)):
-    quad = backflow_integral(
+    intervals = backflow_integral(
         BranchKind.OMEGA, DimensionlessConfig(0.1, om, t_max), t_max
-    ).n_value
-    print(f"  omega_hat={om}, T={t_max:.4f}: quadrature {quad:.6f}, "
-          f"closed form {analytic_n_omega(om, t_max):.6f}")
+    ).intervals
+    rises = sum(abs(math.cos(om * b)) - abs(math.cos(om * a)) for a, b in intervals)
+    print(f"  omega_hat={om}, T={t_max:.4f}: {len(intervals)} rise(s) of |cos| add up to "
+          f"{rises:.6f}, closed form {analytic_n_omega(om, t_max):.6f}")
 print()
 
 # regime map

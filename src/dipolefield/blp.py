@@ -9,11 +9,22 @@ of an antipodal pure pair evolves as
 
 with env = exp(-tau) in "derived" mode and exp(-tau/2) in "as-printed"
 mode. Whenever D increases, distinguishability flows back; the measure
-integrates the positive part of dD/dtau and maximizes over theta. The
-maximum splits into two physical branches:
+adds up the rises of D (the integral of the positive part of dD/dtau) and
+maximizes over theta. On an interval where the rate is positive that
+integral is exactly D(b) - D(a), so the engine telescopes wherever the
+rate is the derivative of D. The maximum splits into two physical branches:
 
 * omega branch  -- coherence pair: D = |cos(omega_hat tau)|, undamped;
-* lambda branch -- inversion pair: D = env(tau) * |cos(lambda_hat tau)|.
+  every completed rise adds 1 (closed form ``analytic_n_omega``);
+* lambda branch -- inversion pair: D = env(tau) * |cos(lambda_hat tau)|;
+  each rise starts at a zero of the cosine and ends after
+  atan2(lambda_hat, c)/lambda_hat (c = 1 or 1/2, the envelope rate).
+
+Interior angles locate the positivity intervals of the rate on the
+quarter-period grid of both cosines, refined by Brent root-finding. Only
+the "as-printed" interior rate, evaluated verbatim and not the derivative
+of the printed distance, is integrated by adaptive quadrature, as is the
+pointwise maximum of ``literal_pointwise_max``.
 
 The "as-printed" expressions keep the original theta labels, which attach
 theta = 0 to the coherence integrand; branch identity is therefore tracked
@@ -35,7 +46,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from .dynamics import FormulaSource, _check_mode
+from .dynamics import FormulaSource, _check_mode, _pair_distance
 from .model import DimensionlessConfig, SystemParams, nondimensionalize
 
 __all__ = [
@@ -69,10 +80,20 @@ ArrayLike = Union[float, np.ndarray]
 
 
 class BranchKind(str, Enum):
-    """Physical branch of the backflow: coherence (omega) or inversion (lambda)."""
+    """Physical branch of the backflow: coherence (omega) or inversion (lambda).
+
+    Members iterate in that order, omega first.
+    """
 
     OMEGA = "omega"
     LAMBDA = "lambda"
+
+
+#: physical branch at theta = 0 and at theta = pi/2, per mode
+_ENDPOINT_BRANCHES = {
+    "derived": (BranchKind.LAMBDA, BranchKind.OMEGA),
+    "as-printed": (BranchKind.OMEGA, BranchKind.LAMBDA),
+}
 
 
 class QuadratureError(RuntimeError):
@@ -104,9 +125,44 @@ def _envelope_decay(mode: str) -> float:
     return 1.0 if mode == "derived" else 0.5
 
 
+def _winner(n_omega: float, n_lambda: float) -> BranchKind:
+    """The lambda branch iff it beats the omega branch by more than TIE_TOL."""
+    return BranchKind.LAMBDA if n_lambda > n_omega + TIE_TOL else BranchKind.OMEGA
+
+
 # ---------------------------------------------------------------------------
 # rate of change of the trace distance
 # ---------------------------------------------------------------------------
+
+def _rate_numerator(u: float, tau: ArrayLike, lam: float, om: float, mode: str) -> ArrayLike:
+    """Numerator of the rate num / (2 sqrt(den2)); it carries the rate's sign.
+
+    Derived mode: d(D^2)/dtau. As-printed mode: minus the printed bracket,
+    evaluated verbatim with gamma = 1. Scalars go through ``math`` (the
+    root-finder and quadrature loops), arrays through numpy.
+    """
+    xp = np if isinstance(tau, np.ndarray) else math
+    if mode == "derived":
+        cl = xp.cos(lam * tau)
+        da = -xp.exp(-2.0 * tau) * (2.0 * cl * cl + lam * xp.sin(2.0 * lam * tau))
+        db = -om * xp.sin(2.0 * om * tau)
+        return u * da + (1.0 - u) * db
+    return -(
+        xp.exp(0.5 * tau) * u * om * xp.sin(2.0 * om * tau)
+        + xp.exp(-0.5 * tau) * u * (xp.sin(lam * tau) ** 2 + lam * xp.sin(2.0 * lam * tau))
+    )
+
+
+def _rate_parts(u: float, tau: float, lam: float, om: float, mode: str) -> tuple[float, float]:
+    """Numerator and squared denominator of the rate num / (2 sqrt(den2))."""
+    num = _rate_numerator(u, tau, lam, om, mode)
+    if mode == "derived":
+        return num, _pair_distance(u, 1.0, lam * lam, om, tau) ** 2
+    # the printed denominator attaches the damping to the coherence cosine
+    co = math.cos(om * tau)
+    cl = math.cos(lam * tau)
+    return num, math.exp(tau) * u * co * co + (1.0 - u) * cl * cl
+
 
 def sigma_rate(
     theta: float,
@@ -129,41 +185,23 @@ def sigma_rate(
         raise ValueError("side must be '+' or '-'")
     lam, om = cfg.lambda_hat, cfg.omega_hat
     u = math.cos(theta) ** 2
-    cl = math.cos(lam * tau)
-    co = math.cos(om * tau)
-    if mode == "derived":
-        e2 = math.exp(-2.0 * tau)
-        d2 = u * e2 * cl * cl + (1.0 - u) * co * co
-        if d2 > _KINK_TOL**2:
-            dist = math.sqrt(d2)
-            da = -e2 * (2.0 * cl * cl + lam * math.sin(2.0 * lam * tau))
-            db = -om * math.sin(2.0 * om * tau)
-            return (u * da + (1.0 - u) * db) / (2.0 * dist)
-        warnings.warn(
-            f"trace distance vanishes at tau={tau}; returning {side} one-sided rate",
-            KinkWarning,
-            stacklevel=2,
-        )
-        slope = math.sqrt(
-            u * e2 * lam**2 * math.sin(lam * tau) ** 2
-            + (1.0 - u) * om**2 * math.sin(om * tau) ** 2
-        )
-        return slope if side == "+" else -slope
-    # as-printed: sigma = -bracket / (2 S), evaluated verbatim with gamma = 1
-    s2 = math.exp(tau) * u * co * co + (1.0 - u) * cl * cl
-    bracket = math.exp(0.5 * tau) * u * om * math.sin(2.0 * om * tau) + math.exp(
-        -0.5 * tau
-    ) * u * (math.sin(lam * tau) ** 2 + lam * math.sin(2.0 * lam * tau))
-    if s2 > _KINK_TOL**2:
-        return -bracket / (2.0 * math.sqrt(s2))
+    num, den2 = _rate_parts(u, tau, lam, om, mode)
+    if den2 > _KINK_TOL**2:
+        return num / (2.0 * math.sqrt(den2))
     warnings.warn(
         f"rate denominator vanishes at tau={tau}; returning {side} one-sided limit",
         KinkWarning,
         stacklevel=2,
     )
-    if bracket == 0.0:
+    if mode == "derived":
+        slope = math.sqrt(
+            u * math.exp(-2.0 * tau) * lam**2 * math.sin(lam * tau) ** 2
+            + (1.0 - u) * om**2 * math.sin(om * tau) ** 2
+        )
+        return slope if side == "+" else -slope
+    if num == 0.0:
         return 0.0
-    return math.copysign(math.inf, -bracket)
+    return math.copysign(math.inf, num)
 
 
 # ---------------------------------------------------------------------------
@@ -212,111 +250,99 @@ def branch_integrand_lambda(
 # positivity-interval location
 # ---------------------------------------------------------------------------
 
-def _omega_rise_intervals(omega_hat: float, t_max: float) -> list[tuple[float, float]]:
-    """Rising stretches of |cos(omega_hat tau)|: ((2k+1)h, (2k+2)h), h = pi/(2 om)."""
-    if omega_hat <= 0.0 or t_max <= 0.0:
-        return []
-    h = math.pi / (2.0 * omega_hat)
-    out = []
-    k = 0
-    while (2 * k + 1) * h < t_max:
-        out.append(((2 * k + 1) * h, min((2 * k + 2) * h, t_max)))
-        k += 1
-    return out
+def _rise_intervals(
+    freq: float, decay: float, t_max: float
+) -> tuple[tuple[float, float], ...]:
+    """Rising stretches of exp(-decay tau)|cos(freq tau)| within [0, t_max].
 
-
-def _lambda_rise_intervals(
-    lambda_hat: float, t_max: float, c_decay: float
-) -> list[tuple[float, float]]:
-    """Rising stretches of exp(-c tau)|cos(lambda tau)|.
-
-    Each starts exactly at a zero of the cosine; the end is the root of
-    lam*cos(lam (tau-z)) - c*sin(lam (tau-z)) on the following quarter
-    period, refined by Brent root-finding.
+    Each starts exactly at a zero z of the cosine and ends where
+    freq*cos(freq (tau-z)) = decay*sin(freq (tau-z)), i.e. at
+    z + atan2(freq, decay)/freq: a quarter period for the undamped cosine.
     """
-    if lambda_hat <= 0.0 or t_max <= 0.0:
-        return []
-    quarter = math.pi / (2.0 * lambda_hat)
-    out = []
-    k = 0
-    while True:
-        z = (2 * k + 1) * quarter
-        if z >= t_max:
-            break
-
-        def crit(tau: float, z0: float = z) -> float:
-            phase = lambda_hat * (tau - z0)
-            return lambda_hat * math.cos(phase) - c_decay * math.sin(phase)
-
-        end = brentq(crit, z, z + quarter, xtol=1e-13, rtol=8.9e-16)
-        out.append((z, min(end, t_max)))
-        k += 1
-    return out
+    if freq <= 0.0 or t_max <= 0.0:
+        return ()
+    quarter = math.pi / (2.0 * freq)
+    zeros = (2 * np.arange(int(t_max / (2.0 * quarter)) + 1) + 1) * quarter
+    zeros = zeros[zeros < t_max]
+    ends = np.minimum(zeros + math.atan2(freq, decay) / freq, t_max)
+    return tuple(zip(zeros.tolist(), ends.tolist()))
 
 
-def _breakpoints(lam: float, om: float, t_max: float) -> list[float]:
+def _breakpoints(lam: float, om: float, t_max: float) -> np.ndarray:
     """Quarter-period grid of both frequencies, bounding every sign change."""
-    pts = {0.0, t_max}
+    pts = [np.array([0.0, t_max])]
     for f in (lam, om):
         if f > 0.0:
             step = math.pi / (2.0 * f)
-            k = 1
-            while k * step < t_max:
-                pts.add(k * step)
-                k += 1
-    return sorted(pts)
+            pts.append(np.arange(1, int(t_max / step) + 2) * step)
+    grid = np.unique(np.concatenate(pts))
+    return grid[grid <= t_max]
+
+
+def _numerator_curvature(
+    u: float, lam: float, om: float, mode: str, lo: np.ndarray, hi: np.ndarray
+) -> np.ndarray:
+    """Bound on |d^2/dtau^2| of ``_rate_numerator`` over [lo, hi].
+
+    The numerator is a sum of terms a e^{-r tau} cos(f tau + phi), each of
+    whose second derivatives is at most a (r^2 + f^2) e^{-r tau}.
+    """
+    if mode == "derived":
+        # -u e^{-2 tau} (1 + cos 2 lam tau + lam sin 2 lam tau) - (1 - u) om sin 2 om tau
+        damped = u * (4.0 + math.hypot(1.0, lam) * (4.0 + 4.0 * lam * lam))
+        return damped * np.exp(-2.0 * lo) + (1.0 - u) * 4.0 * om**3
+    # -u e^{tau/2} om sin 2 om tau - u e^{-tau/2} (1/2 - cos(2 lam tau)/2 + lam sin 2 lam tau)
+    growing = u * om * (0.25 + 4.0 * om * om)
+    damped = u * (0.125 + math.hypot(0.5, lam) * (0.25 + 4.0 * lam * lam))
+    return growing * np.exp(0.5 * hi) + damped * np.exp(-0.5 * lo)
 
 
 def _sign_intervals(
-    h: Callable[[float], float], lam: float, om: float, t_max: float, samples: int = 9
+    u: float, lam: float, om: float, t_max: float, mode: str, samples: int = 9
 ) -> list[tuple[float, float]]:
-    """Intervals of [0, t_max] where the smooth sign function h is positive."""
+    """Intervals of [0, t_max] where the interior-theta rate is positive.
+
+    The rate numerator h is sampled at ``samples`` points per gap of the
+    quarter-period grid in one array call; each sign change is refined by
+    Brent root-finding. A gap whose ends share a sign hides a root pair
+    only if min(|h(lo)|, |h(hi)|) <= max|h''| (hi - lo)^2 / 8, so such gaps
+    are halved until ``_numerator_curvature`` clears them or they are
+    narrower than 1e-7.
+    """
+    if mode != "derived" and u <= 0.0:
+        return []  # the verbatim rate vanishes identically at theta = pi/2
+
+    def h(tau: ArrayLike) -> ArrayLike:
+        return _rate_numerator(u, tau, lam, om, mode)
+
     grid = _breakpoints(lam, om, t_max)
+    xs = np.linspace(grid[:-1], grid[1:], samples, axis=1)
+    hs = h(xs)
+    lo, hi = xs[:, :-1].ravel(), xs[:, 1:].ravel()
+    h_lo, h_hi = hs[:, :-1].ravel(), hs[:, 1:].ravel()
     roots: list[float] = []
-    for lo, hi in zip(grid[:-1], grid[1:]):
-        xs = np.linspace(lo, hi, samples)
-        hs = [h(x) for x in xs]
-        for x0, x1, h0, h1 in zip(xs[:-1], xs[1:], hs[:-1], hs[1:]):
-            if h0 == 0.0:
-                roots.append(float(x0))
-            elif h0 * h1 < 0.0:
-                roots.append(float(brentq(h, x0, x1, xtol=1e-13, rtol=8.9e-16)))
-    pts = sorted({0.0, t_max, *roots})
-    out = []
-    for a, b in zip(pts[:-1], pts[1:]):
-        if b - a > 1e-14 and h(0.5 * (a + b)) > 0.0:
-            out.append((a, b))
-    return out
-
-
-def _interior_intervals(
-    u: float, lam: float, om: float, t_max: float, mode: str
-) -> list[tuple[float, float]]:
-    """Positivity intervals of the interior-theta rate (smooth, no kinks)."""
-    if mode == "derived":
-
-        def h(tau: float) -> float:
-            cl = math.cos(lam * tau)
-            da = -math.exp(-2.0 * tau) * (2.0 * cl * cl + lam * math.sin(2.0 * lam * tau))
-            db = -om * math.sin(2.0 * om * tau)
-            return u * da + (1.0 - u) * db
-
-    else:
-        if u <= 0.0:
-            return []  # the verbatim rate vanishes identically at theta = pi/2
-
-        def h(tau: float) -> float:
-            return -(
-                math.exp(0.5 * tau) * om * math.sin(2.0 * om * tau)
-                + math.exp(-0.5 * tau)
-                * (math.sin(lam * tau) ** 2 + lam * math.sin(2.0 * lam * tau))
-            )
-
-    return _sign_intervals(h, lam, om, t_max)
+    while lo.size:
+        roots.extend(lo[h_lo == 0.0].tolist())
+        change = h_lo * h_hi < 0.0
+        for x0, x1 in zip(lo[change], hi[change]):
+            roots.append(brentq(h, x0, x1, xtol=1e-13, rtol=8.9e-16))
+        width = hi - lo
+        bound = _numerator_curvature(u, lam, om, mode, lo, hi) * width**2 / 8.0
+        hidden = np.minimum(abs(h_lo), abs(h_hi)) <= bound
+        split = (h_lo * h_hi > 0.0) & hidden & (width > 1e-7)
+        lo, hi, h_lo, h_hi = lo[split], hi[split], h_lo[split], h_hi[split]
+        mid = 0.5 * (lo + hi)
+        h_mid = h(mid)
+        lo, hi = np.concatenate((lo, mid)), np.concatenate((mid, hi))
+        h_lo, h_hi = np.concatenate((h_lo, h_mid)), np.concatenate((h_mid, h_hi))
+    pts = np.unique(np.array([0.0, t_max, *roots]))
+    a, b = pts[:-1], pts[1:]
+    keep = (b - a > 1e-14) & (h(0.5 * (a + b)) > 0.0)
+    return list(zip(a[keep].tolist(), b[keep].tolist()))
 
 
 # ---------------------------------------------------------------------------
-# quadrature
+# backflow values: telescoped rises, quadrature for the as-printed rate
 # ---------------------------------------------------------------------------
 
 def _quad_interval(f: Callable[[float], float], a: float, b: float) -> float:
@@ -330,13 +356,14 @@ def _quad_interval(f: Callable[[float], float], a: float, b: float) -> float:
     return value
 
 
-def _integrate_intervals(
-    f: Callable[[float], float], intervals: Sequence[tuple[float, float]]
+def _rise_total(
+    u: float, lam: float, om: float, intervals: Sequence[tuple[float, float]], mode: str
 ) -> float:
-    total = 0.0
-    for a, b in intervals:
-        total += _quad_interval(f, a, b)
-    return max(total, 0.0)
+    """Sum of D(b) - D(a) over intervals on which D rises."""
+    if not intervals:
+        return 0.0
+    d = _pair_distance(u, _envelope_decay(mode), lam * lam, om, np.asarray(intervals))
+    return max(float(np.sum(d[:, 1] - d[:, 0])), 0.0)
 
 
 def _branch_result(
@@ -344,28 +371,14 @@ def _branch_result(
 ) -> BackflowResult:
     lam, om = cfg.lambda_hat, cfg.omega_hat
     if branch is BranchKind.OMEGA:
-        intervals = _omega_rise_intervals(om, t_max)
-
-        def f(tau: float) -> float:
-            return om * abs(math.sin(om * tau))
-
-        theta_star = math.pi / 2 if mode == "derived" else 0.0
+        intervals = _rise_intervals(om, 0.0, t_max)
+        value = analytic_n_omega(om, t_max)
     else:
-        c_decay = _envelope_decay(mode)
-        intervals = _lambda_rise_intervals(lam, t_max, c_decay)
-
-        def f(tau: float) -> float:
-            return math.exp(-c_decay * tau) * (
-                lam * abs(math.sin(lam * tau)) - c_decay * abs(math.cos(lam * tau))
-            )
-
-        theta_star = 0.0 if mode == "derived" else math.pi / 2
-    value = _integrate_intervals(f, intervals)
+        intervals = _rise_intervals(lam, _envelope_decay(mode), t_max)
+        value = _rise_total(1.0, lam, om, intervals, mode)
+    theta_star = 0.0 if _ENDPOINT_BRANCHES[mode][0] is branch else math.pi / 2
     return BackflowResult(
-        n_value=value,
-        winning_branch=branch,
-        theta_star=theta_star,
-        intervals=tuple(intervals),
+        n_value=value, winning_branch=branch, theta_star=theta_star, intervals=intervals
     )
 
 
@@ -374,30 +387,16 @@ def _interior_result(
 ) -> BackflowResult:
     lam, om = cfg.lambda_hat, cfg.omega_hat
     u = math.cos(theta) ** 2
-    intervals = _interior_intervals(u, lam, om, t_max, mode)
+    intervals = _sign_intervals(u, lam, om, t_max, mode)
     if mode == "derived":
-
-        def f(tau: float) -> float:
-            cl = math.cos(lam * tau)
-            co = math.cos(om * tau)
-            e2 = math.exp(-2.0 * tau)
-            dist = math.sqrt(u * e2 * cl * cl + (1.0 - u) * co * co)
-            da = -e2 * (2.0 * cl * cl + lam * math.sin(2.0 * lam * tau))
-            db = -om * math.sin(2.0 * om * tau)
-            return (u * da + (1.0 - u) * db) / (2.0 * dist)
-
+        value = _rise_total(u, lam, om, intervals, mode)
     else:
 
-        def f(tau: float) -> float:
-            cl = math.cos(lam * tau)
-            co = math.cos(om * tau)
-            s = math.sqrt(math.exp(tau) * u * co * co + (1.0 - u) * cl * cl)
-            bracket = math.exp(0.5 * tau) * u * om * math.sin(2.0 * om * tau) + math.exp(
-                -0.5 * tau
-            ) * u * (math.sin(lam * tau) ** 2 + lam * math.sin(2.0 * lam * tau))
-            return -bracket / (2.0 * s)
+        def rate(tau: float) -> float:
+            num, den2 = _rate_parts(u, tau, lam, om, mode)
+            return num / (2.0 * math.sqrt(den2))
 
-    value = _integrate_intervals(f, intervals)
+        value = max(sum(_quad_interval(rate, a, b) for a, b in intervals), 0.0)
     return BackflowResult(
         n_value=value, winning_branch=None, theta_star=theta, intervals=tuple(intervals)
     )
@@ -412,9 +411,11 @@ def backflow_integral(
     """Integral of the positive part of the distance rate over [0, t_max].
 
     ``target`` selects a physical branch (``BranchKind``) or a mixing angle
-    theta in [0, pi/2]. Positivity intervals are bracketed on the
-    quarter-period grid of both cosines, refined by root-finding, and each
-    interval is integrated adaptively to 1e-8 absolute tolerance.
+    theta in [0, pi/2]. The branch values are closed forms. Interior
+    positivity intervals are bracketed on the quarter-period grid of both
+    cosines and refined by root-finding; in "derived" mode each interval
+    contributes D(b) - D(a) exactly, while the verbatim "as-printed" rate
+    is integrated adaptively to 1e-8 absolute tolerance per interval.
 
     Endpoint angles are routed to the branch integrands: in "derived" mode
     theta = 0 is the inversion (lambda) pair and theta = pi/2 the coherence
@@ -430,14 +431,9 @@ def backflow_integral(
     if not (0.0 <= theta <= math.pi / 2):
         raise ValueError(f"theta must lie in [0, pi/2], got {theta}")
     eps = 1e-12
-    if theta < eps:
-        branch = BranchKind.LAMBDA if mode == "derived" else BranchKind.OMEGA
-        res = _branch_result(branch, cfg, t_max, mode)
-        return BackflowResult(res.n_value, res.winning_branch, 0.0, res.intervals)
-    if theta > math.pi / 2 - eps:
-        branch = BranchKind.OMEGA if mode == "derived" else BranchKind.LAMBDA
-        res = _branch_result(branch, cfg, t_max, mode)
-        return BackflowResult(res.n_value, res.winning_branch, math.pi / 2, res.intervals)
+    if theta < eps or theta > math.pi / 2 - eps:
+        branch = _ENDPOINT_BRANCHES[mode][int(theta > eps)]
+        return _branch_result(branch, cfg, t_max, mode)
     return _interior_result(theta, cfg, t_max, mode)
 
 
@@ -485,35 +481,19 @@ def n_measure(
     _check_mode(mode)
     if theta_grid_size < 2:
         raise ValueError("theta_grid_size must be at least 2")
-    res_omega = _branch_result(BranchKind.OMEGA, cfg, t_max, mode)
-    res_lambda = _branch_result(BranchKind.LAMBDA, cfg, t_max, mode)
-    endpoint = {
-        0.0: res_lambda if mode == "derived" else res_omega,
-        math.pi / 2: res_omega if mode == "derived" else res_lambda,
-    }
+    by_branch = {b: _branch_result(b, cfg, t_max, mode) for b in BranchKind}
+    first, last = (by_branch[b] for b in _ENDPOINT_BRANCHES[mode])
     thetas = np.linspace(0.0, math.pi / 2, theta_grid_size)
-    best: BackflowResult | None = None
-    best_theta = 0.0
-    for theta in thetas:
-        if theta == 0.0 or theta == thetas[-1]:
-            res = endpoint[0.0 if theta == 0.0 else math.pi / 2]
-        else:
-            res = _interior_result(float(theta), cfg, t_max, mode)
-        if best is None or res.n_value > best.n_value:
-            best = res
-            best_theta = float(theta)
-    assert best is not None
-    if res_lambda.n_value > res_omega.n_value + TIE_TOL:
-        winner = BranchKind.LAMBDA
-    else:
-        winner = BranchKind.OMEGA
+    scan = [first, *(_interior_result(float(t), cfg, t_max, mode) for t in thetas[1:-1]), last]
+    k = max(range(theta_grid_size), key=lambda i: scan[i].n_value)  # first maximum
+    n_omega, n_lambda = (by_branch[b].n_value for b in BranchKind)
     return BackflowResult(
-        n_value=best.n_value,
-        winning_branch=winner,
-        theta_star=best_theta,
-        intervals=best.intervals,
-        n_omega_branch=res_omega.n_value,
-        n_lambda_branch=res_lambda.n_value,
+        n_value=scan[k].n_value,
+        winning_branch=_winner(n_omega, n_lambda),
+        theta_star=float(thetas[k]),
+        intervals=scan[k].intervals,
+        n_omega_branch=n_omega,
+        n_lambda_branch=n_lambda,
     )
 
 
@@ -540,25 +520,12 @@ def literal_pointwise_max(
     """
     _check_mode(mode)
     lam, om = cfg.lambda_hat, cfg.omega_hat
-    c_decay = _envelope_decay(mode)
 
     def f(tau: float) -> float:
-        x = om * tau
-        s, c = math.sin(x), math.cos(x)
-        g_om = om * abs(s) if s * c < 0.0 else 0.0
-        xl = lam * tau
-        sl, cl = math.sin(xl), math.cos(xl)
-        sgn = (cl > 0.0) - (cl < 0.0)
-        g_lam = math.exp(-c_decay * tau) * max(
-            0.0, -lam * sl * sgn - c_decay * abs(cl)
-        )
-        return max(g_om, g_lam)
+        return max(branch_integrand_omega(tau, om), branch_integrand_lambda(tau, lam, mode))
 
-    total = 0.0
     grid = _breakpoints(lam, om, t_max)
-    for a, b in zip(grid[:-1], grid[1:]):
-        total += _quad_interval(f, a, b)
-    return max(total, 0.0)
+    return max(sum(_quad_interval(f, a, b) for a, b in zip(grid[:-1], grid[1:])), 0.0)
 
 
 def dominant_regime(
@@ -573,9 +540,8 @@ def dominant_regime(
     branch by more than 1e-10; ties resolve to the omega branch.
     """
     cfg = DimensionlessConfig(lambda_hat=lambda_hat, omega_hat=omega_hat, t_max=t_max)
-    n_om = _branch_result(BranchKind.OMEGA, cfg, t_max, mode).n_value
-    n_lam = _branch_result(BranchKind.LAMBDA, cfg, t_max, mode).n_value
-    return BranchKind.LAMBDA if n_lam > n_om + TIE_TOL else BranchKind.OMEGA
+    res_omega, res_lambda = (_branch_result(b, cfg, t_max, mode) for b in BranchKind)
+    return _winner(res_omega.n_value, res_lambda.n_value)
 
 
 # ---------------------------------------------------------------------------
@@ -603,11 +569,7 @@ def sweep_grid(
     ts: Sequence[float],
     mode: FormulaSource = "derived",
 ) -> list[SweepPoint]:
-    """Evaluate both branch integrals on the full grid, lambda outermost.
-
-    A quadrature failure at a grid point is recorded in-row (NaN values,
-    winning_branch = "quadrature_failure") and the sweep continues.
-    """
+    """Evaluate both branch integrals on the full grid, lambda outermost."""
     _check_mode(mode)
     rows: list[SweepPoint] = []
     for lam in lambdas:
@@ -616,27 +578,12 @@ def sweep_grid(
                 cfg = DimensionlessConfig(
                     lambda_hat=float(lam), omega_hat=float(om), t_max=float(t_max)
                 )
-                try:
-                    r_om = _branch_result(BranchKind.OMEGA, cfg, float(t_max), mode)
-                    r_lam = _branch_result(BranchKind.LAMBDA, cfg, float(t_max), mode)
-                except QuadratureError:
-                    rows.append(
-                        SweepPoint(
-                            float(lam), float(om), float(t_max),
-                            math.nan, math.nan, math.nan, "quadrature_failure",
-                        )
-                    )
-                    continue
-                n_max = max(r_om.n_value, r_lam.n_value)
-                winner = (
-                    BranchKind.LAMBDA
-                    if r_lam.n_value > r_om.n_value + TIE_TOL
-                    else BranchKind.OMEGA
-                )
+                r_om, r_lam = (_branch_result(b, cfg, float(t_max), mode) for b in BranchKind)
                 rows.append(
                     SweepPoint(
                         float(lam), float(om), float(t_max),
-                        r_om.n_value, r_lam.n_value, n_max, winner.value,
+                        r_om.n_value, r_lam.n_value, max(r_om.n_value, r_lam.n_value),
+                        _winner(r_om.n_value, r_lam.n_value).value,
                         r_om.intervals, r_lam.intervals,
                     )
                 )

@@ -126,6 +126,20 @@ def _damped_sinc(gamma: float, lambda_sq: float, t: ArrayLike) -> ArrayLike:
     return out if out.ndim else float(out)
 
 
+def _pair_distance(
+    u: float, decay: float, lambda_sq: float, omega: float, t: ArrayLike
+) -> ArrayLike:
+    """sqrt(u (e^{-decay t} cos(lambda t))^2 + (1 - u) cos^2(omega t)), u = cos^2(theta).
+
+    The one distance kernel: ``trace_distance`` calls it with physical rates,
+    the backflow engine with rates in units of the damping rate.
+    """
+    t = np.asarray(t, dtype=float)
+    damped = _damped_cos(decay, lambda_sq, t)
+    out = np.sqrt(u * np.square(damped) + (1.0 - u) * np.square(np.cos(omega * t)))
+    return out if out.ndim else float(out)
+
+
 # ---------------------------------------------------------------------------
 # ensemble observables
 # ---------------------------------------------------------------------------
@@ -217,15 +231,9 @@ def trace_distance(
     subtraction, so the steady-state offset and sine coefficient drop out.
     """
     _check_mode(mode)
-    u = math.cos(pair.theta) ** 2
-    t = np.asarray(t, dtype=float)
-    if mode == "derived":
-        damped = _damped_cos(d.gamma, d.lambda_sq, t)
-    else:
-        # single e^{-gamma t} on the squared cosine == squared half-rate envelope
-        damped = _damped_cos(0.5 * d.gamma, d.lambda_sq, t)
-    out = np.sqrt(u * np.square(damped) + (1.0 - u) * np.square(np.cos(p.omega * t)))
-    return out if out.ndim else float(out)
+    # single e^{-gamma t} on the squared cosine == squared half-rate envelope
+    decay = d.gamma if mode == "derived" else 0.5 * d.gamma
+    return _pair_distance(math.cos(pair.theta) ** 2, decay, d.lambda_sq, p.omega, t)
 
 
 def write_timeseries(

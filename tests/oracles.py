@@ -2,8 +2,10 @@
 
 These deliberately avoid the library's own evaluation paths: the inversion
 oracle integrates the memory-kernel closure as a small ODE system, the
-backflow oracles enumerate envelope rises analytically, and derivatives
-come from Richardson-extrapolated finite differences.
+backflow oracles enumerate envelope rises analytically, integrate the
+branch integrand by adaptive quadrature, or walk the critical points of
+the trace distance, and derivatives come from Richardson-extrapolated
+finite differences.
 """
 
 from __future__ import annotations
@@ -11,8 +13,10 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import quad, solve_ivp
+from scipy.optimize import brentq
 
+from dipolefield.blp import branch_integrand_omega
 from dipolefield.model import SystemParams
 
 
@@ -87,6 +91,95 @@ def lambda_rises(lambda_hat: float, t_max: float, decay: float = 1.0) -> float:
         total += env(min(z + rise_len, t_max))
         k += 1
     return total
+
+
+def omega_branch_quadrature(omega_hat: float, t_max: float) -> float:
+    """Coherence-branch backflow: adaptive quadrature of ``branch_integrand_omega``.
+
+    Integrates over each rise ((2k+1)h, (2k+2)h), h = pi/(2 omega_hat), of
+    |cos(omega_hat tau)| cut at t_max, independently of the closed form.
+    """
+    if omega_hat <= 0 or t_max <= 0:
+        return 0.0
+    h = math.pi / (2.0 * omega_hat)
+    total = 0.0
+    k = 0
+    while (2 * k + 1) * h < t_max:
+        a = (2 * k + 1) * h
+        b = min((2 * k + 2) * h, t_max)
+        total += quad(branch_integrand_omega, a, b, args=(omega_hat,),
+                      epsabs=1e-11, epsrel=1e-11, limit=200)[0]
+        k += 1
+    return total
+
+
+def distance_rises(
+    theta: float, lambda_hat: float, omega_hat: float, t_max: float,
+    decay: float = 1.0, n_grid: int = 200_001,
+) -> float:
+    """Total rise of the interior-theta trace distance on [0, t_max].
+
+    D^2 = u e^{-2 decay tau} cos^2(lambda tau) + (1-u) cos^2(omega tau)
+    with u = cos^2(theta). The critical points of D are the sign changes of
+    d(D^2)/dtau on a dense grid, each bisected to machine precision; D is
+    monotone between consecutive critical points, so the rise is the sum of
+    the positive increments of D across them. Unlike a plain grid total
+    variation, this does not undershoot near sharp dips of D.
+    """
+    u = math.cos(theta) ** 2
+
+    def dist(t):
+        return np.sqrt(u * np.exp(-2.0 * decay * t) * np.cos(lambda_hat * t) ** 2
+                       + (1.0 - u) * np.cos(omega_hat * t) ** 2)
+
+    def slope_sq(t):
+        cl, sl = np.cos(lambda_hat * t), np.sin(lambda_hat * t)
+        co, so = np.cos(omega_hat * t), np.sin(omega_hat * t)
+        return (-2.0 * u * np.exp(-2.0 * decay * t) * cl * (decay * cl + lambda_hat * sl)
+                - 2.0 * (1.0 - u) * omega_hat * co * so)
+
+    ts = np.linspace(0.0, t_max, n_grid)
+    g = np.sign(slope_sq(ts))
+    idx = np.nonzero(g[:-1] * g[1:] < 0)[0]
+    lo, hi, g_lo = ts[idx], ts[idx + 1], g[idx]
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        left = np.sign(slope_sq(mid)) == g_lo
+        lo, hi = np.where(left, mid, lo), np.where(left, hi, mid)
+    crit = np.sort(np.concatenate(([0.0, t_max], 0.5 * (lo + hi), ts[g == 0.0])))
+    return float(np.sum(np.maximum(np.diff(dist(crit)), 0.0)))
+
+
+def tangency_angle(
+    lambda_hat: float, omega_hat: float, start: float, decay: float = 1.0
+) -> tuple[float, float] | None:
+    """(theta, tau) at which d(D^2)/dtau has a double root, or None.
+
+    With d(D^2)/dtau = u A(tau) + (1 - u) B(tau), a double root at tau
+    needs A B' = A' B there and u = B / (B - A) in (0, 1). The first root
+    of A B' - A' B within half a period of omega after ``start`` is taken.
+    """
+    def a_term(t):
+        c = math.cos(lambda_hat * t)
+        s = math.sin(lambda_hat * t)
+        return -2.0 * math.exp(-2.0 * decay * t) * c * (decay * c + lambda_hat * s)
+
+    def b_term(t):
+        return -omega_hat * math.sin(2.0 * omega_hat * t)
+
+    def wronskian(t):
+        return (a_term(t) * richardson_derivative(b_term, t, 1e-4)
+                - richardson_derivative(a_term, t, 1e-4) * b_term(t))
+
+    ts = np.linspace(start, start + math.pi / omega_hat, 400)
+    ws = [wronskian(t) for t in ts]
+    for t0, t1, w0, w1 in zip(ts[:-1], ts[1:], ws[:-1], ws[1:]):
+        if w0 * w1 < 0:
+            tau = brentq(wronskian, t0, t1, xtol=1e-14)
+            b, a = b_term(tau), a_term(tau)
+            u = b / (b - a) if b != a else -1.0
+            return (math.acos(math.sqrt(u)), tau) if 0.0 < u < 1.0 else None
+    return None
 
 
 def positive_part_trapezoid(fn, a: float, b: float, n: int = 200_001) -> float:

@@ -28,7 +28,7 @@ from dipolefield.dynamics import (
 from dipolefield.model import DimensionlessConfig, SystemParams, derive_params, nondimensionalize
 from dipolefield.stochastic import derive_seed, ensemble_average, estimate_spectrum, sample_field
 
-from oracles import params_for_rates
+from oracles import omega_branch_quadrature, params_for_rates
 
 
 def report(num: int, ok: bool, detail: str) -> None:
@@ -45,7 +45,7 @@ def test_criterion_01_closed_form_vs_quadrature():
     worst = 0.0
     for om in np.linspace(0.1, 5.0, 50):
         for t_max in np.linspace(0.1, 5.0, 50):
-            quad_val = backflow_integral(BranchKind.OMEGA, cfg_of(0.1, om), t_max).n_value
+            quad_val = omega_branch_quadrature(om, t_max)
             worst = max(worst, abs(quad_val - analytic_n_omega(om, t_max)))
     elapsed = time.time() - start
     report(

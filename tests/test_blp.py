@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from dipolefield.blp import (
     BranchKind,
@@ -24,7 +26,15 @@ from dipolefield.blp import (
 from dipolefield.dynamics import StatePair, trace_distance
 from dipolefield.model import DimensionlessConfig, derive_params, nondimensionalize
 
-from oracles import lambda_rises, omega_rises, positive_part_trapezoid, params_for_rates
+from oracles import (
+    distance_rises,
+    lambda_rises,
+    omega_branch_quadrature,
+    omega_rises,
+    params_for_rates,
+    positive_part_trapezoid,
+    tangency_angle,
+)
 
 
 def cfg_of(lam, om, t_max=10.0):
@@ -267,6 +277,67 @@ def test_backflow_lambda_as_printed_decays_slower():
     assert printed == pytest.approx(lambda_rises(1.5, 8.0, decay=0.5), abs=1e-7)
 
 
+def test_backflow_interior_near_dip_regression():
+    # D dips to ~3e-6 near tau = 7.9; adaptive quadrature of the rate
+    # missed the narrow spike and returned 7.1438876897 (2.4e-5 high)
+    cfg = cfg_of(0.656, 2.984, 7.982)
+    got = backflow_integral(1.4682, cfg, 7.982).n_value
+    assert got == pytest.approx(distance_rises(1.4682, 0.656, 2.984, 7.982), abs=1e-9)
+    assert got == pytest.approx(7.1438635104, abs=1e-9)
+
+
+def test_backflow_interior_close_root_pair_regression():
+    # the rate turns positive only on (2.4763, 2.4948), inside one of the
+    # nine-sample gaps of the quarter-period grid
+    theta, lam = 0.050699596194789566, 0.6034405640065522
+    om, t_max = 1.2212100317101389, 3.574557963036592
+    res = backflow_integral(theta, cfg_of(lam, om, t_max), t_max)
+    assert len(res.intervals) == 1
+    assert res.intervals[0] == pytest.approx((2.4763388001, 2.4948069804), abs=1e-9)
+    assert res.n_value == pytest.approx(distance_rises(theta, lam, om, t_max), abs=1e-9)
+    assert res.n_value > 1e-7
+
+
+_ANGLES = st.floats(0.01, math.pi / 2 - 0.01)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(theta=_ANGLES, lam=st.floats(0.05, 4.0), om=st.floats(0.05, 4.0),
+       t_max=st.floats(0.3, 10.0))
+def test_interior_backflow_is_total_rise(theta, lam, om, t_max):
+    got = backflow_integral(theta, cfg_of(lam, om, t_max), t_max).n_value
+    assert got == pytest.approx(distance_rises(theta, lam, om, t_max), abs=1e-9)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(theta=_ANGLES, om=st.floats(0.3, 3.0), k=st.integers(0, 3), m=st.integers(0, 3),
+       detune=st.floats(-1e-3, 1e-3), extra=st.floats(0.05, 3.0))
+def test_interior_backflow_is_total_rise_near_kinks(theta, om, k, m, detune, extra):
+    # both cosines nearly vanish at tau0, so D dips close to zero there
+    tau0 = (2 * k + 1) * math.pi / (2 * om)
+    lam = (2 * m + 1) * math.pi / (2 * tau0) * (1 + detune)
+    assume(lam <= 6.0)
+    t_max = tau0 + extra
+    got = backflow_integral(theta, cfg_of(lam, om, t_max), t_max).n_value
+    assert got == pytest.approx(distance_rises(theta, lam, om, t_max), abs=1e-9)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(lam=st.floats(0.2, 3.0), om=st.floats(0.2, 3.0), start=st.floats(0.1, 5.0),
+       nudge=st.floats(-1e-2, 1e-2))
+def test_interior_backflow_is_total_rise_near_double_roots(lam, om, start, nudge):
+    # the rate touches zero at tau0 for this theta; nudging the angle splits
+    # the double root into a close pair or removes it
+    found = tangency_angle(lam, om, start)
+    assume(found is not None)
+    theta, tau0 = found
+    theta *= 1 + nudge
+    assume(0.0 < theta < math.pi / 2)
+    t_max = tau0 + 0.5
+    got = backflow_integral(theta, cfg_of(lam, om, t_max), t_max).n_value
+    assert got == pytest.approx(distance_rises(theta, lam, om, t_max), abs=1e-9)
+
+
 def test_quadrature_error_is_distinct():
     with pytest.raises(QuadratureError):
         _quad_interval(lambda t: math.sin(1.0 / (1e-9 + abs(t))) / (1e-9 + abs(t)), 0.0, 1.0)
@@ -298,8 +369,10 @@ def test_analytic_matches_quadrature_sample():
     for _ in range(40):
         om = rng.uniform(0.1, 5)
         t_max = rng.uniform(0.1, 5)
-        quad_val = backflow_integral(BranchKind.OMEGA, cfg_of(0.1, om), t_max).n_value
+        quad_val = omega_branch_quadrature(om, t_max)
         assert quad_val == pytest.approx(analytic_n_omega(om, t_max), abs=1e-7)
+        engine = backflow_integral(BranchKind.OMEGA, cfg_of(0.1, om), t_max).n_value
+        assert engine == pytest.approx(quad_val, abs=1e-7)
 
 
 # ---------------------------------------------------------------------------
