@@ -7,101 +7,49 @@ The library has four layers:
 * ``dynamics``   -- closed-form ensemble evolution and trace distances;
 * ``blp``        -- the backflow (non-Markovianity) measure and its engine;
 * ``stochastic`` -- the Monte Carlo trajectory oracle validating the forms.
+
+The package namespace re-exports the entry points used in the demos;
+everything else is imported from its module.
 """
 
-from .model import (
-    BlochState,
-    ConfigError,
-    DerivedParams,
-    DimensionlessConfig,
-    SystemParams,
-    derive_params,
-    nondimensionalize,
-    read_params,
-)
+from .model import DimensionlessConfig, SystemParams, derive_params, nondimensionalize
 from .dynamics import (
-    FormulaSource,
     InitialCondition,
     StatePair,
-    evolved_state,
-    mean_dipole,
     mean_inversion,
-    purity,
     trace_distance,
     write_timeseries,
 )
 from .blp import (
-    BackflowResult,
     BranchKind,
-    KinkWarning,
-    QuadratureError,
     analytic_n_omega,
     backflow_integral,
-    branch_integrand_lambda,
-    branch_integrand_omega,
     dominant_regime,
-    literal_pointwise_max,
     n_measure,
-    n_measure_physical,
     sigma_rate,
-    sweep_grid,
 )
-from .stochastic import (
-    EnsembleReport,
-    FieldRealization,
-    SpectrumEstimate,
-    SpectrumFitError,
-    TrajectoryDivergenceError,
-    TrajectoryState,
-    ensemble_average,
-    estimate_spectrum,
-    sample_field,
-    simulate_trajectory,
-)
+from .stochastic import ensemble_average, estimate_spectrum, sample_field
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BlochState",
-    "ConfigError",
-    "DerivedParams",
     "DimensionlessConfig",
     "SystemParams",
     "derive_params",
     "nondimensionalize",
-    "read_params",
-    "FormulaSource",
     "InitialCondition",
     "StatePair",
-    "evolved_state",
-    "mean_dipole",
     "mean_inversion",
-    "purity",
     "trace_distance",
     "write_timeseries",
-    "BackflowResult",
     "BranchKind",
-    "KinkWarning",
-    "QuadratureError",
     "analytic_n_omega",
     "backflow_integral",
-    "branch_integrand_lambda",
-    "branch_integrand_omega",
     "dominant_regime",
-    "literal_pointwise_max",
     "n_measure",
-    "n_measure_physical",
     "sigma_rate",
-    "sweep_grid",
-    "EnsembleReport",
-    "FieldRealization",
-    "SpectrumEstimate",
-    "SpectrumFitError",
-    "TrajectoryDivergenceError",
-    "TrajectoryState",
     "ensemble_average",
     "estimate_spectrum",
     "sample_field",
-    "simulate_trajectory",
     "__version__",
 ]

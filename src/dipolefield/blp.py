@@ -20,11 +20,13 @@ rate is the derivative of D. The maximum splits into two physical branches:
   each rise starts at a zero of the cosine and ends after
   atan2(lambda_hat, c)/lambda_hat (c = 1 or 1/2, the envelope rate).
 
-Interior angles locate the positivity intervals of the rate on the
-quarter-period grid of both cosines, refined by Brent root-finding. Only
-the "as-printed" interior rate, evaluated verbatim and not the derivative
-of the printed distance, is integrated by adaptive quadrature, as is the
-pointwise maximum of ``literal_pointwise_max``.
+All interior angles are scanned in one array computation: the positivity
+intervals of the rate are bracketed on the quarter-period grid of both
+cosines and refined by one vectorised Chandrupatla root solve. Only the
+"as-printed" interior rate, evaluated verbatim and not the derivative of
+the printed distance, is integrated numerically, by tanh-sinh quadrature
+on the intervals cut at that grid; the pointwise maximum of
+``literal_pointwise_max`` keeps adaptive Gauss-Kronrod quadrature.
 
 The "as-printed" expressions keep the original theta labels, which attach
 theta = 0 to the coherence integrand; branch identity is therefore tracked
@@ -43,8 +45,8 @@ from pathlib import Path
 from typing import Callable, Sequence, Union
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
+from scipy.integrate import quad, tanhsinh
+from scipy.optimize.elementwise import find_root
 
 from .dynamics import FormulaSource, _check_mode, _pair_distance
 from .model import DimensionlessConfig, SystemParams, nondimensionalize
@@ -69,7 +71,7 @@ __all__ = [
     "write_sweep_json",
 ]
 
-#: absolute tolerance of each per-interval quadrature
+#: absolute tolerance of each quadrature piece (Gauss-Kronrod or tanh-sinh)
 QUAD_ABS_TOL = 1e-8
 #: ties between branch integrals within this margin resolve to the omega branch
 TIE_TOL = 1e-10
@@ -134,34 +136,31 @@ def _winner(n_omega: float, n_lambda: float) -> BranchKind:
 # rate of change of the trace distance
 # ---------------------------------------------------------------------------
 
-def _rate_numerator(u: float, tau: ArrayLike, lam: float, om: float, mode: str) -> ArrayLike:
-    """Numerator of the rate num / (2 sqrt(den2)); it carries the rate's sign.
+def _rate_numerator(u: ArrayLike, tau: ArrayLike, lam: float, om: float, mode: str) -> ArrayLike:
+    """Numerator of the rate num / den; it carries the rate's sign.
 
     Derived mode: d(D^2)/dtau. As-printed mode: minus the printed bracket,
-    evaluated verbatim with gamma = 1. Scalars go through ``math`` (the
-    root-finder and quadrature loops), arrays through numpy.
+    evaluated verbatim with gamma = 1. ``u`` and ``tau`` broadcast.
     """
-    xp = np if isinstance(tau, np.ndarray) else math
     if mode == "derived":
-        cl = xp.cos(lam * tau)
-        da = -xp.exp(-2.0 * tau) * (2.0 * cl * cl + lam * xp.sin(2.0 * lam * tau))
-        db = -om * xp.sin(2.0 * om * tau)
+        cl = np.cos(lam * tau)
+        da = -np.exp(-2.0 * tau) * (2.0 * cl * cl + lam * np.sin(2.0 * lam * tau))
+        db = -om * np.sin(2.0 * om * tau)
         return u * da + (1.0 - u) * db
-    return -(
-        xp.exp(0.5 * tau) * u * om * xp.sin(2.0 * om * tau)
-        + xp.exp(-0.5 * tau) * u * (xp.sin(lam * tau) ** 2 + lam * xp.sin(2.0 * lam * tau))
+    return -u * (
+        np.exp(0.5 * tau) * om * np.sin(2.0 * om * tau)
+        + np.exp(-0.5 * tau) * (np.sin(lam * tau) ** 2 + lam * np.sin(2.0 * lam * tau))
     )
 
 
-def _rate_parts(u: float, tau: float, lam: float, om: float, mode: str) -> tuple[float, float]:
-    """Numerator and squared denominator of the rate num / (2 sqrt(den2))."""
+def _rate_parts(u: ArrayLike, tau: ArrayLike, lam: float, om: float, mode: str) -> tuple:
+    """Numerator and denominator of the rate num / den."""
     num = _rate_numerator(u, tau, lam, om, mode)
     if mode == "derived":
-        return num, _pair_distance(u, 1.0, lam * lam, om, tau) ** 2
+        return num, 2.0 * _pair_distance(u, 1.0, lam * lam, om, tau)
     # the printed denominator attaches the damping to the coherence cosine
-    co = math.cos(om * tau)
-    cl = math.cos(lam * tau)
-    return num, math.exp(tau) * u * co * co + (1.0 - u) * cl * cl
+    den2 = np.exp(tau) * u * np.cos(om * tau) ** 2 + (1.0 - u) * np.cos(lam * tau) ** 2
+    return num, 2.0 * np.sqrt(den2)
 
 
 def sigma_rate(
@@ -185,9 +184,9 @@ def sigma_rate(
         raise ValueError("side must be '+' or '-'")
     lam, om = cfg.lambda_hat, cfg.omega_hat
     u = math.cos(theta) ** 2
-    num, den2 = _rate_parts(u, tau, lam, om, mode)
-    if den2 > _KINK_TOL**2:
-        return num / (2.0 * math.sqrt(den2))
+    num, den = _rate_parts(u, tau, lam, om, mode)
+    if den > 2.0 * _KINK_TOL:
+        return float(num / den)
     warnings.warn(
         f"rate denominator vanishes at tau={tau}; returning {side} one-sided limit",
         KinkWarning,
@@ -279,66 +278,88 @@ def _breakpoints(lam: float, om: float, t_max: float) -> np.ndarray:
     return grid[grid <= t_max]
 
 
+def _numerator_terms(u: np.ndarray, lam: float, om: float, mode: str) -> tuple:
+    """(a, r, f) of the terms a e^{-r tau} cos(f tau + phi) summing to ``_rate_numerator``."""
+    if mode == "derived":
+        # -u e^{-2 tau} (1 + cos 2 lam tau + lam sin 2 lam tau) - (1 - u) om sin 2 om tau
+        return ((u, 2.0, 0.0), (u * math.hypot(1.0, lam), 2.0, 2.0 * lam),
+                ((1.0 - u) * om, 0.0, 2.0 * om))
+    # -u e^{tau/2} om sin 2 om tau - u e^{-tau/2} (1/2 - cos(2 lam tau)/2 + lam sin 2 lam tau)
+    return ((u * om, -0.5, 2.0 * om), (0.5 * u, 0.5, 0.0),
+            (u * math.hypot(0.5, lam), 0.5, 2.0 * lam))
+
+
 def _numerator_curvature(
-    u: float, lam: float, om: float, mode: str, lo: np.ndarray, hi: np.ndarray
+    u: np.ndarray, lam: float, om: float, mode: str, lo: np.ndarray, hi: np.ndarray
 ) -> np.ndarray:
     """Bound on |d^2/dtau^2| of ``_rate_numerator`` over [lo, hi].
 
-    The numerator is a sum of terms a e^{-r tau} cos(f tau + phi), each of
-    whose second derivatives is at most a (r^2 + f^2) e^{-r tau}.
+    Each term's second derivative is at most a (r^2 + f^2) e^{-r tau},
+    largest at lo for a decaying term and at hi for a growing one.
     """
-    if mode == "derived":
-        # -u e^{-2 tau} (1 + cos 2 lam tau + lam sin 2 lam tau) - (1 - u) om sin 2 om tau
-        damped = u * (4.0 + math.hypot(1.0, lam) * (4.0 + 4.0 * lam * lam))
-        return damped * np.exp(-2.0 * lo) + (1.0 - u) * 4.0 * om**3
-    # -u e^{tau/2} om sin 2 om tau - u e^{-tau/2} (1/2 - cos(2 lam tau)/2 + lam sin 2 lam tau)
-    growing = u * om * (0.25 + 4.0 * om * om)
-    damped = u * (0.125 + math.hypot(0.5, lam) * (0.25 + 4.0 * lam * lam))
-    return growing * np.exp(0.5 * hi) + damped * np.exp(-0.5 * lo)
+    return sum(a * (r * r + f * f) * np.exp(-r * (lo if r > 0 else hi))
+               for a, r, f in _numerator_terms(u, lam, om, mode))
 
 
 def _sign_intervals(
-    u: float, lam: float, om: float, t_max: float, mode: str, samples: int = 9
-) -> list[tuple[float, float]]:
-    """Intervals of [0, t_max] where the interior-theta rate is positive.
+    u: np.ndarray, lam: float, om: float, t_max: float, mode: str, samples: int = 9
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Intervals (a, b) of [0, t_max] where the rate is positive, for every u at once.
 
-    The rate numerator h is sampled at ``samples`` points per gap of the
-    quarter-period grid in one array call; each sign change is refined by
-    Brent root-finding. A gap whose ends share a sign hides a root pair
-    only if min(|h(lo)|, |h(hi)|) <= max|h''| (hi - lo)^2 / 8, so such gaps
-    are halved until ``_numerator_curvature`` clears them or they are
-    narrower than 1e-7.
+    Returns the interval ends and each interval's index into ``u``, sorted
+    by index, then by time. The rate numerator h is sampled at ``samples``
+    points per gap of the quarter-period grid, for all u in one array call.
+    A value within its rounding error of zero is a root. A gap whose ends
+    share a sign hides a root pair only if
+    min(|h(lo)|, |h(hi)|) <= max|h''| (hi - lo)^2 / 8, so such gaps are
+    halved until ``_numerator_curvature`` clears them or they are narrower
+    than 1e-7. All sign changes are refined in one Chandrupatla solve.
     """
-    if mode != "derived" and u <= 0.0:
-        return []  # the verbatim rate vanishes identically at theta = pi/2
+    terms = _numerator_terms(u, lam, om, mode)
 
-    def h(tau: ArrayLike) -> ArrayLike:
-        return _rate_numerator(u, tau, lam, om, mode)
+    def h(tau: np.ndarray, k: np.ndarray) -> np.ndarray:
+        # rounding: a few ulps of each term a e^{-r tau}, plus what the
+        # rounding of its argument f tau carries into the cosine
+        noise = sum(a[k] * np.exp(-r * tau) * (1.0 + f * tau) for a, r, f in terms)
+        val = _rate_numerator(u[k], tau, lam, om, mode)
+        return np.where(abs(val) <= 16.0 * np.finfo(float).eps * noise, 0.0, val)
 
     grid = _breakpoints(lam, om, t_max)
     xs = np.linspace(grid[:-1], grid[1:], samples, axis=1)
-    hs = h(xs)
-    lo, hi = xs[:, :-1].ravel(), xs[:, 1:].ravel()
-    h_lo, h_hi = hs[:, :-1].ravel(), hs[:, 1:].ravel()
-    roots: list[float] = []
-    while lo.size:
-        roots.extend(lo[h_lo == 0.0].tolist())
+    k = np.broadcast_to(np.arange(u.size)[:, None, None], (u.size, *xs.shape))
+    xs = np.broadcast_to(xs, k.shape)
+    hs = h(xs, k)
+    points, owners = [xs[hs == 0.0]], [k[hs == 0.0]]
+    lo, hi, kk = xs[..., :-1].ravel(), xs[..., 1:].ravel(), k[..., 1:].ravel()
+    h_lo, h_hi = hs[..., :-1].ravel(), hs[..., 1:].ravel()
+    brackets = []
+    while True:
         change = h_lo * h_hi < 0.0
-        for x0, x1 in zip(lo[change], hi[change]):
-            roots.append(brentq(h, x0, x1, xtol=1e-13, rtol=8.9e-16))
+        brackets.append((lo[change], hi[change], kk[change]))
         width = hi - lo
-        bound = _numerator_curvature(u, lam, om, mode, lo, hi) * width**2 / 8.0
+        bound = _numerator_curvature(u[kk], lam, om, mode, lo, hi) * width**2 / 8.0
         hidden = np.minimum(abs(h_lo), abs(h_hi)) <= bound
         split = (h_lo * h_hi > 0.0) & hidden & (width > 1e-7)
-        lo, hi, h_lo, h_hi = lo[split], hi[split], h_lo[split], h_hi[split]
+        lo, hi, h_lo, h_hi, kk = (x[split] for x in (lo, hi, h_lo, h_hi, kk))
+        if not lo.size:
+            break
         mid = 0.5 * (lo + hi)
-        h_mid = h(mid)
-        lo, hi = np.concatenate((lo, mid)), np.concatenate((mid, hi))
+        h_mid = h(mid, kk)
+        points.append(mid[h_mid == 0.0])
+        owners.append(kk[h_mid == 0.0])
+        lo, hi, kk = np.concatenate((lo, mid)), np.concatenate((mid, hi)), np.concatenate((kk, kk))
         h_lo, h_hi = np.concatenate((h_lo, h_mid)), np.concatenate((h_mid, h_hi))
-    pts = np.unique(np.array([0.0, t_max, *roots]))
-    a, b = pts[:-1], pts[1:]
-    keep = (b - a > 1e-14) & (h(0.5 * (a + b)) > 0.0)
-    return list(zip(a[keep].tolist(), b[keep].tolist()))
+    lo, hi, kk = (np.concatenate(c) for c in zip(*brackets))
+    roots = find_root(lambda x, uk: _rate_numerator(uk, x, lam, om, mode), (lo, hi), args=(u[kk],))
+    every = np.arange(u.size)
+    pts = np.concatenate((np.zeros(u.size), np.full(u.size, t_max), roots.x, *points))
+    owner = np.concatenate((every, every, kk, *owners))
+    order = np.lexsort((pts, owner))
+    pts, owner = pts[order], owner[order]
+    keep = (owner[:-1] == owner[1:]) & (np.diff(pts) > 1e-14)
+    a, b, owner = pts[:-1][keep], pts[1:][keep], owner[:-1][keep]
+    keep = _rate_numerator(u[owner], 0.5 * (a + b), lam, om, mode) > 0.0
+    return a[keep], b[keep], owner[keep]
 
 
 # ---------------------------------------------------------------------------
@@ -382,24 +403,42 @@ def _branch_result(
     )
 
 
-def _interior_result(
-    theta: float, cfg: DimensionlessConfig, t_max: float, mode: str
-) -> BackflowResult:
+def _interior_scan(
+    thetas: np.ndarray, cfg: DimensionlessConfig, t_max: float, mode: str
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Backflow at each interior angle, with the positivity intervals (a, b, angle index)."""
     lam, om = cfg.lambda_hat, cfg.omega_hat
-    u = math.cos(theta) ** 2
-    intervals = _sign_intervals(u, lam, om, t_max, mode)
+    u = np.cos(thetas) ** 2
+    a, b, owner = _sign_intervals(u, lam, om, t_max, mode)
     if mode == "derived":
-        value = _rise_total(u, lam, om, intervals, mode)
+        d = _pair_distance(u[owner], 1.0, lam * lam, om, np.stack((a, b)))
+        totals = np.bincount(owner, d[1] - d[0], minlength=u.size)
     else:
-
-        def rate(tau: float) -> float:
-            num, den2 = _rate_parts(u, tau, lam, om, mode)
-            return num / (2.0 * math.sqrt(den2))
-
-        value = max(sum(_quad_interval(rate, a, b) for a, b in intervals), 0.0)
-    return BackflowResult(
-        n_value=value, winning_branch=None, theta_star=theta, intervals=tuple(intervals)
-    )
+        # where one cosine vanishes the printed denominator falls to the other
+        # term, within a layer as narrow as ~1e-5; cutting at the grid puts
+        # each such dip at a piece end, where tanh-sinh clusters its nodes
+        grid = _breakpoints(lam, om, t_max)
+        first = np.searchsorted(grid, a, side="right")
+        n = np.searchsorted(grid, b, side="left") - first + 1  # pieces per interval
+        piece = np.repeat(np.arange(a.size), n)
+        cut = first[piece] + np.arange(piece.size) - np.repeat(np.cumsum(n) - n, n)
+        lo = np.where(cut == first[piece], a[piece], grid[cut - 1])
+        hi = np.where(cut == first[piece] + n[piece] - 1, b[piece], grid[cut])
+        u_piece, integral, status = u[owner[piece]], np.empty(lo.size), np.empty(lo.size, int)
+        # blocks of 128 pieces: the first call evaluates 259 nodes per piece,
+        # and one call over all pieces of a scan can take ~40 MB
+        for s in (slice(i, i + 128) for i in range(0, lo.size, 128)):
+            # minlevel=4: the error estimate compares successive levels, and at
+            # the default 2 both can miss a layer and agree, leaving ~1e-5 off
+            res = tanhsinh(lambda tau, uk: np.divide(*_rate_parts(uk, tau, lam, om, mode)),
+                           lo[s], hi[s], args=(u_piece[s],), minlevel=4, atol=QUAD_ABS_TOL)
+            integral[s], status[s] = res.integral, res.status
+        if np.any(status):
+            i = int(np.argmax(status != 0))
+            raise QuadratureError(f"tanh-sinh quadrature on [{lo[i]:.6g}, {hi[i]:.6g}] "
+                                  f"did not converge (status {status[i]})")
+        totals = np.bincount(owner[piece], integral, minlength=u.size)
+    return np.maximum(totals, 0.0), a, b, owner
 
 
 def backflow_integral(
@@ -413,9 +452,11 @@ def backflow_integral(
     ``target`` selects a physical branch (``BranchKind``) or a mixing angle
     theta in [0, pi/2]. The branch values are closed forms. Interior
     positivity intervals are bracketed on the quarter-period grid of both
-    cosines and refined by root-finding; in "derived" mode each interval
+    cosines and refined by root-finding, in the computation ``n_measure``
+    runs over all its angles at once. In "derived" mode each interval
     contributes D(b) - D(a) exactly, while the verbatim "as-printed" rate
-    is integrated adaptively to 1e-8 absolute tolerance per interval.
+    is integrated by tanh-sinh quadrature on the intervals cut at that
+    grid, to 1e-8 absolute tolerance per piece.
 
     Endpoint angles are routed to the branch integrands: in "derived" mode
     theta = 0 is the inversion (lambda) pair and theta = pi/2 the coherence
@@ -434,7 +475,9 @@ def backflow_integral(
     if theta < eps or theta > math.pi / 2 - eps:
         branch = _ENDPOINT_BRANCHES[mode][int(theta > eps)]
         return _branch_result(branch, cfg, t_max, mode)
-    return _interior_result(theta, cfg, t_max, mode)
+    values, a, b, _ = _interior_scan(np.array([theta]), cfg, t_max, mode)
+    return BackflowResult(n_value=float(values[0]), winning_branch=None, theta_star=theta,
+                          intervals=tuple(zip(a.tolist(), b.tolist())))
 
 
 # ---------------------------------------------------------------------------
@@ -484,14 +527,19 @@ def n_measure(
     by_branch = {b: _branch_result(b, cfg, t_max, mode) for b in BranchKind}
     first, last = (by_branch[b] for b in _ENDPOINT_BRANCHES[mode])
     thetas = np.linspace(0.0, math.pi / 2, theta_grid_size)
-    scan = [first, *(_interior_result(float(t), cfg, t_max, mode) for t in thetas[1:-1]), last]
-    k = max(range(theta_grid_size), key=lambda i: scan[i].n_value)  # first maximum
+    inner, a, b, owner = _interior_scan(thetas[1:-1], cfg, t_max, mode)
+    values = np.concatenate(([first.n_value], inner, [last.n_value]))
+    k = int(np.argmax(values))  # first maximum
+    sel = owner == k - 1
+    intervals = {0: first.intervals, theta_grid_size - 1: last.intervals}.get(
+        k, tuple(zip(a[sel].tolist(), b[sel].tolist()))
+    )
     n_omega, n_lambda = (by_branch[b].n_value for b in BranchKind)
     return BackflowResult(
-        n_value=scan[k].n_value,
+        n_value=float(values[k]),
         winning_branch=_winner(n_omega, n_lambda),
         theta_star=float(thetas[k]),
-        intervals=scan[k].intervals,
+        intervals=intervals,
         n_omega_branch=n_omega,
         n_lambda_branch=n_lambda,
     )

@@ -150,6 +150,61 @@ def distance_rises(
     return float(np.sum(np.maximum(np.diff(dist(crit)), 0.0)))
 
 
+def printed_interior_integral(
+    theta: float, lambda_hat: float, omega_hat: float, t_max: float,
+    n_grid: int = 200_001, halvings: int = 48, nodes: int = 12,
+) -> float:
+    """Integral of the positive part of the verbatim as-printed interior rate.
+
+    The rate is, with u = cos^2(theta),
+
+        -u [e^{tau/2} om sin(2 om tau) + e^{-tau/2} (sin^2(lam tau) + lam sin(2 lam tau))]
+        / (2 sqrt(e^tau u cos^2(om tau) + (1 - u) cos^2(lam tau))).
+
+    Its positivity intervals come from the sign changes of the numerator
+    on a dense grid, each bisected to machine precision. Where one cosine
+    vanishes the denominator falls to the other term, within a layer as
+    narrow as ~e^{-tau/2}/om when e^{tau/2} is large, so the intervals are
+    also cut at the zeros of both cosines. Each piece is split into cells
+    that halve in width toward both ends, and each cell is integrated by
+    Gauss-Legendre.
+    """
+    u = math.cos(theta) ** 2
+
+    def numerator(t):
+        return -u * (np.exp(0.5 * t) * omega_hat * np.sin(2.0 * omega_hat * t)
+                     + np.exp(-0.5 * t) * (np.sin(lambda_hat * t) ** 2
+                                           + lambda_hat * np.sin(2.0 * lambda_hat * t)))
+
+    def rate(t):
+        den = (np.exp(t) * u * np.cos(omega_hat * t) ** 2
+               + (1.0 - u) * np.cos(lambda_hat * t) ** 2)
+        return numerator(t) / (2.0 * np.sqrt(den))
+
+    ts = np.linspace(0.0, t_max, n_grid)
+    g = np.sign(numerator(ts))
+    idx = np.nonzero(g[:-1] * g[1:] < 0)[0]
+    lo, hi, g_lo = ts[idx], ts[idx + 1], g[idx]
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        left = np.sign(numerator(mid)) == g_lo
+        lo, hi = np.where(left, mid, lo), np.where(left, hi, mid)
+    dips = [(2 * np.arange(int(f * t_max / math.pi) + 1) + 1) * math.pi / (2.0 * f)
+            for f in (lambda_hat, omega_hat) if f > 0.0]
+    cuts = np.unique(np.concatenate(([0.0, t_max], 0.5 * (lo + hi), ts[g == 0.0], *dips)))
+    cuts = cuts[cuts <= t_max]
+    a, b = cuts[:-1], cuts[1:]
+    keep = numerator(0.5 * (a + b)) > 0.0
+    a, b = a[keep, None], b[keep, None]
+    halves = 0.5 ** np.arange(halvings, 0, -1)
+    edges = np.concatenate(([0.0], halves, 1.0 - halves[::-1][1:], [1.0]))
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    left, width = edges[:-1, None], np.diff(edges)[:, None]
+    frac = (left + 0.5 * width * (x + 1.0)).ravel()
+    weight = (0.5 * width * w).ravel()
+    return float(np.sum((b - a) * weight * rate(a + (b - a) * frac)))
+
+
 def tangency_angle(
     lambda_hat: float, omega_hat: float, start: float, decay: float = 1.0
 ) -> tuple[float, float] | None:

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -5,10 +6,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import dipolefield.blp as blp
 from dipolefield.blp import (
     BranchKind,
     KinkWarning,
     QuadratureError,
+    _interior_scan,
     _quad_interval,
     analytic_n_omega,
     backflow_integral,
@@ -33,6 +36,7 @@ from oracles import (
     omega_rises,
     params_for_rates,
     positive_part_trapezoid,
+    printed_interior_integral,
     tangency_angle,
 )
 
@@ -341,6 +345,94 @@ def test_interior_backflow_is_total_rise_near_double_roots(lam, om, start, nudge
 def test_quadrature_error_is_distinct():
     with pytest.raises(QuadratureError):
         _quad_interval(lambda t: math.sin(1.0 / (1e-9 + abs(t))) / (1e-9 + abs(t)), 0.0, 1.0)
+
+
+def test_interior_quadrature_failure_raises(monkeypatch):
+    # one tanh-sinh level cannot converge: the status must surface as an error
+    monkeypatch.setattr(blp, "tanhsinh", functools.partial(blp.tanhsinh, maxlevel=1))
+    with pytest.raises(QuadratureError, match="did not converge"):
+        backflow_integral(0.7, cfg_of(1.3, 2.1, 5.0), 5.0, mode="as-printed")
+
+
+# ---------------------------------------------------------------------------
+# as-printed interior rate and the batched theta scan
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "theta, lam, om, t_max, reference",
+    [
+        # Gauss-Kronrod returned 14.5941696343 here
+        (math.pi / 16, 0.926081485894418, 2.6721814930631127, 18.423801256360935,
+         14.5940853969),
+        # and did not converge here
+        (math.pi / 32, 1.0639404656002296, 2.088830335488228, 20.11563339314566,
+         12.4356020243),
+    ],
+)
+def test_backflow_interior_as_printed_boundary_layer_regression(theta, lam, om, t_max, reference):
+    # once e^{tau/2} is large the printed denominator turns over within
+    # ~1e-5 of each zero of cos(om tau); references are mpmath values
+    got = backflow_integral(theta, cfg_of(lam, om, t_max), t_max, mode="as-printed").n_value
+    assert got == pytest.approx(printed_interior_integral(theta, lam, om, t_max), abs=1e-8)
+    assert got == pytest.approx(reference, abs=1e-9)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(theta=st.floats(1e-6, math.pi / 2 - 1e-6), lam=st.floats(0.5, 3.0),
+       om=st.floats(0.5, 3.0), t_max=st.floats(1.0, 26.0))
+def test_interior_as_printed_backflow_matches_oracle(theta, lam, om, t_max):
+    got = backflow_integral(theta, cfg_of(lam, om, t_max), t_max, mode="as-printed").n_value
+    assert got == pytest.approx(printed_interior_integral(theta, lam, om, t_max), abs=1e-8)
+
+
+def test_rounding_level_zeros_need_no_halving(monkeypatch):
+    # with lam/om = 2/3 the as-printed numerator vanishes exactly at multiples
+    # of pi/2, on the grid, where it evaluates to ~1e-14; such values are
+    # roots, and the gaps next to them are not halved toward the width floor
+    rounds = []
+    curvature = blp._numerator_curvature
+
+    def counted(*args):
+        rounds.append(1)
+        return curvature(*args)
+
+    monkeypatch.setattr(blp, "_numerator_curvature", counted)
+    counts = []
+    for lam in (2.0, 2.0001):
+        rounds.clear()
+        n_measure(cfg_of(lam, 3.0, 5.0), 5.0, mode="as-printed")
+        counts.append(len(rounds))
+    assert counts[0] <= counts[1]
+    for theta in (0.3, 0.7, 1.2):
+        got = backflow_integral(theta, cfg_of(2.0, 3.0, 5.0), 5.0, mode="as-printed").n_value
+        assert got == pytest.approx(printed_interior_integral(theta, 2.0, 3.0, 5.0), abs=1e-8)
+
+
+@pytest.mark.parametrize("mode", ["derived", "as-printed"])
+def test_batched_scan_matches_single_angles(mode):
+    cfg = cfg_of(1.7, 2.3, 9.0)
+    thetas = np.linspace(0.0, math.pi / 2, 17)[1:-1]
+    values, a, b, owner = _interior_scan(thetas, cfg, 9.0, mode)
+    for k, theta in enumerate(thetas):
+        alone = backflow_integral(float(theta), cfg, 9.0, mode=mode)
+        assert values[k] == pytest.approx(alone.n_value, abs=1e-13)
+        assert alone.intervals == tuple(zip(a[owner == k].tolist(), b[owner == k].tolist()))
+
+
+def test_reported_intervals_are_merged_positivity_intervals():
+    # as-printed interior winner: the integration pieces are cut at the
+    # quarter-period grid, the reported intervals only at roots of the rate
+    cfg = cfg_of(2.948, 2.151, 8.155)
+    res = n_measure(cfg, 8.155, mode="as-printed", theta_grid_size=17)
+    assert 0.0 < res.theta_star < math.pi / 2
+    alone = backflow_integral(res.theta_star, cfg, 8.155, mode="as-printed")
+    assert res.intervals == alone.intervals and res.n_value == alone.n_value
+    grid = np.concatenate([np.arange(1, 40) * math.pi / (2 * f) for f in (2.948, 2.151)])
+    assert any(np.any((a < grid) & (grid < b)) for a, b in res.intervals)
+    for a, b in res.intervals:
+        for end in (a, b):
+            if end < 8.155:
+                assert abs(sigma_rate(res.theta_star, cfg, end, mode="as-printed")) < 1e-9
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
+import functools
 import json
 import math
 
 import pytest
 
+import dipolefield.blp as blp
 from dipolefield.cli import main
 
 
@@ -125,6 +127,15 @@ def test_nonmark_reports_measure(config, tmp_path, capsys):
     assert payload["T"] == pytest.approx(5.0)
     assert payload["literal_pointwise_max"] >= payload["n_value"] - 1e-8
     assert payload["winning_branch"] in ("omega", "lambda")
+
+
+def test_nonmark_quadrature_failure_exits_3(config, monkeypatch, capsys):
+    # one tanh-sinh level cannot converge on the as-printed interior rate
+    monkeypatch.setattr(blp, "tanhsinh", functools.partial(blp.tanhsinh, maxlevel=1))
+    code = main(["nonmark", "--config", config(REFERENCE), "--mode", "as-printed",
+                 "--tmax", "5", "--theta-grid", "9"])
+    assert code == 3
+    assert "quadrature failure" in capsys.readouterr().err
 
 
 def test_sweep_deterministic_output(config, tmp_path):
