@@ -22,11 +22,12 @@ rate is the derivative of D. The maximum splits into two physical branches:
 
 All interior angles are scanned in one array computation: the positivity
 intervals of the rate are bracketed on the quarter-period grid of both
-cosines and refined by one vectorised Chandrupatla root solve. Only the
-"as-printed" interior rate, evaluated verbatim and not the derivative of
-the printed distance, is integrated numerically, by tanh-sinh quadrature
-on the intervals cut at that grid; the pointwise maximum of
-``literal_pointwise_max`` keeps adaptive Gauss-Kronrod quadrature.
+cosines and refined by one vectorised Chandrupatla root solve. The same
+locator finds where the two branch rates cross, so the pointwise maximum
+of ``literal_pointwise_max`` telescopes too. Only the "as-printed"
+interior rate, evaluated verbatim and not the derivative of the printed
+distance, is integrated numerically, by tanh-sinh quadrature on the
+intervals cut at that grid.
 
 The "as-printed" expressions keep the original theta labels, which attach
 theta = 0 to the coherence integrand; branch identity is therefore tracked
@@ -45,7 +46,7 @@ from pathlib import Path
 from typing import Callable, Sequence, Union
 
 import numpy as np
-from scipy.integrate import quad, tanhsinh
+from scipy.integrate import tanhsinh
 from scipy.optimize.elementwise import find_root
 
 from .dynamics import FormulaSource, _check_mode, _pair_distance
@@ -71,7 +72,7 @@ __all__ = [
     "write_sweep_json",
 ]
 
-#: absolute tolerance of each quadrature piece (Gauss-Kronrod or tanh-sinh)
+#: absolute tolerance of each tanh-sinh piece of the as-printed interior rate
 QUAD_ABS_TOL = 1e-8
 #: ties between branch integrals within this margin resolve to the omega branch
 TIE_TOL = 1e-10
@@ -214,12 +215,7 @@ def branch_integrand_omega(tau: ArrayLike, omega_hat: float) -> ArrayLike:
     away from the zeros of the cosine; at those zeros the jump is resolved
     one-sidedly to the rising-onset value omega_hat*|sin x|.
     """
-    tau = np.asarray(tau, dtype=float)
-    x = omega_hat * tau
-    s, c = np.sin(x), np.cos(x)
-    rising = s * c < 0.0
-    out = np.where(rising | (c == 0.0), omega_hat * np.abs(s), 0.0)
-    return out if out.ndim else float(out)
+    return _rise_rate(tau, omega_hat, 0.0)
 
 
 def branch_integrand_lambda(
@@ -235,23 +231,21 @@ def branch_integrand_lambda(
     a monotone envelope carries no backflow.
     """
     _check_mode(mode)
-    c_decay = _envelope_decay(mode)
+    return _rise_rate(tau, lambda_hat, _envelope_decay(mode))
+
+
+def _rise_rate(tau: ArrayLike, freq: float, decay: float) -> ArrayLike:
+    """Positive part of d/dtau of exp(-decay tau)|cos(freq tau)|, right-sided at its zeros."""
     tau = np.asarray(tau, dtype=float)
-    x = lambda_hat * tau
+    x = freq * tau
     s, c = np.sin(x), np.cos(x)
-    body = np.maximum(0.0, -lambda_hat * s * np.sign(c) - c_decay * np.abs(c))
-    body = np.where(c == 0.0, lambda_hat * np.abs(s), body)
-    out = np.exp(-c_decay * tau) * body
+    body = np.maximum(-freq * s * np.sign(c) - decay * np.abs(c), 0.0)  # x first: -0.0 -> 0.0
+    body = np.where(c == 0.0, freq * np.abs(s), body)
+    out = np.exp(-decay * tau) * body
     return out if out.ndim else float(out)
 
 
-# ---------------------------------------------------------------------------
-# positivity-interval location
-# ---------------------------------------------------------------------------
-
-def _rise_intervals(
-    freq: float, decay: float, t_max: float
-) -> tuple[tuple[float, float], ...]:
+def _rise_intervals(freq: float, decay: float, t_max: float) -> tuple[tuple[float, float], ...]:
     """Rising stretches of exp(-decay tau)|cos(freq tau)| within [0, t_max].
 
     Each starts exactly at a zero z of the cosine and ends where
@@ -266,6 +260,10 @@ def _rise_intervals(
     ends = np.minimum(zeros + math.atan2(freq, decay) / freq, t_max)
     return tuple(zip(zeros.tolist(), ends.tolist()))
 
+
+# ---------------------------------------------------------------------------
+# positivity-interval location
+# ---------------------------------------------------------------------------
 
 def _breakpoints(lam: float, om: float, t_max: float) -> np.ndarray:
     """Quarter-period grid of both frequencies, bounding every sign change."""
@@ -289,44 +287,42 @@ def _numerator_terms(u: np.ndarray, lam: float, om: float, mode: str) -> tuple:
             (u * math.hypot(0.5, lam), 0.5, 2.0 * lam))
 
 
-def _numerator_curvature(
-    u: np.ndarray, lam: float, om: float, mode: str, lo: np.ndarray, hi: np.ndarray
-) -> np.ndarray:
-    """Bound on |d^2/dtau^2| of ``_rate_numerator`` over [lo, hi].
+def _numerator_curvature(terms: tuple, k: np.ndarray, lo: np.ndarray,
+                         hi: np.ndarray) -> np.ndarray:
+    """Bound on |d^2/dtau^2| over [lo, hi] of the sum of a term table, for owners k.
 
     Each term's second derivative is at most a (r^2 + f^2) e^{-r tau},
     largest at lo for a decaying term and at hi for a growing one.
     """
-    return sum(a * (r * r + f * f) * np.exp(-r * (lo if r > 0 else hi))
-               for a, r, f in _numerator_terms(u, lam, om, mode))
+    return sum(a[k] * (r * r + f * f) * np.exp(-r * (lo if r > 0 else hi))
+               for a, r, f in terms)
 
 
-def _sign_intervals(
-    u: np.ndarray, lam: float, om: float, t_max: float, mode: str, samples: int = 9
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Intervals (a, b) of [0, t_max] where the rate is positive, for every u at once.
+def _sign_intervals(fn: Callable, terms: tuple, grid: np.ndarray,
+                    samples: int = 9) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Intervals (a, b) of [grid[0], grid[-1]] where fn(tau, k) > 0, for every owner k at once.
 
-    Returns the interval ends and each interval's index into ``u``, sorted
-    by index, then by time. The rate numerator h is sampled at ``samples``
-    points per gap of the quarter-period grid, for all u in one array call.
-    A value within its rounding error of zero is a root. A gap whose ends
-    share a sign hides a root pair only if
-    min(|h(lo)|, |h(hi)|) <= max|h''| (hi - lo)^2 / 8, so such gaps are
+    fn is a sum of terms a e^{-r tau} cos(f tau + phi), listed in ``terms``
+    as (a, r, f) with one amplitude a per owner. Returns the interval ends
+    and each interval's owner, sorted by owner, then by time. fn is sampled
+    at ``samples`` points per gap of ``grid``, for all owners in one array
+    call. A value within its rounding error of zero is a root. A gap whose
+    ends share a sign hides a root pair only if
+    min(|fn(lo)|, |fn(hi)|) <= max|fn''| (hi - lo)^2 / 8, so such gaps are
     halved until ``_numerator_curvature`` clears them or they are narrower
     than 1e-7. All sign changes are refined in one Chandrupatla solve.
     """
-    terms = _numerator_terms(u, lam, om, mode)
+    size = terms[0][0].size
 
     def h(tau: np.ndarray, k: np.ndarray) -> np.ndarray:
         # rounding: a few ulps of each term a e^{-r tau}, plus what the
         # rounding of its argument f tau carries into the cosine
         noise = sum(a[k] * np.exp(-r * tau) * (1.0 + f * tau) for a, r, f in terms)
-        val = _rate_numerator(u[k], tau, lam, om, mode)
+        val = fn(tau, k)
         return np.where(abs(val) <= 16.0 * np.finfo(float).eps * noise, 0.0, val)
 
-    grid = _breakpoints(lam, om, t_max)
     xs = np.linspace(grid[:-1], grid[1:], samples, axis=1)
-    k = np.broadcast_to(np.arange(u.size)[:, None, None], (u.size, *xs.shape))
+    k = np.broadcast_to(np.arange(size)[:, None, None], (size, *xs.shape))
     xs = np.broadcast_to(xs, k.shape)
     hs = h(xs, k)
     points, owners = [xs[hs == 0.0]], [k[hs == 0.0]]
@@ -337,7 +333,7 @@ def _sign_intervals(
         change = h_lo * h_hi < 0.0
         brackets.append((lo[change], hi[change], kk[change]))
         width = hi - lo
-        bound = _numerator_curvature(u[kk], lam, om, mode, lo, hi) * width**2 / 8.0
+        bound = _numerator_curvature(terms, kk, lo, hi) * width**2 / 8.0
         hidden = np.minimum(abs(h_lo), abs(h_hi)) <= bound
         split = (h_lo * h_hi > 0.0) & hidden & (width > 1e-7)
         lo, hi, h_lo, h_hi, kk = (x[split] for x in (lo, hi, h_lo, h_hi, kk))
@@ -350,42 +346,21 @@ def _sign_intervals(
         lo, hi, kk = np.concatenate((lo, mid)), np.concatenate((mid, hi)), np.concatenate((kk, kk))
         h_lo, h_hi = np.concatenate((h_lo, h_mid)), np.concatenate((h_mid, h_hi))
     lo, hi, kk = (np.concatenate(c) for c in zip(*brackets))
-    roots = find_root(lambda x, uk: _rate_numerator(uk, x, lam, om, mode), (lo, hi), args=(u[kk],))
-    every = np.arange(u.size)
-    pts = np.concatenate((np.zeros(u.size), np.full(u.size, t_max), roots.x, *points))
+    roots = find_root(fn, (lo, hi), args=(kk,))
+    every = np.arange(size)
+    pts = np.concatenate((np.full(size, grid[0]), np.full(size, grid[-1]), roots.x, *points))
     owner = np.concatenate((every, every, kk, *owners))
     order = np.lexsort((pts, owner))
     pts, owner = pts[order], owner[order]
     keep = (owner[:-1] == owner[1:]) & (np.diff(pts) > 1e-14)
     a, b, owner = pts[:-1][keep], pts[1:][keep], owner[:-1][keep]
-    keep = _rate_numerator(u[owner], 0.5 * (a + b), lam, om, mode) > 0.0
+    keep = fn(0.5 * (a + b), owner) > 0.0
     return a[keep], b[keep], owner[keep]
 
 
 # ---------------------------------------------------------------------------
 # backflow values: telescoped rises, quadrature for the as-printed rate
 # ---------------------------------------------------------------------------
-
-def _quad_interval(f: Callable[[float], float], a: float, b: float) -> float:
-    value, _abserr, info, *rest = quad(
-        f, a, b, epsabs=QUAD_ABS_TOL, epsrel=1e-10, limit=200, full_output=1
-    )
-    if rest:
-        raise QuadratureError(
-            f"quadrature on [{a:.6g}, {b:.6g}] did not converge: {rest[-1]}"
-        )
-    return value
-
-
-def _rise_total(
-    u: float, lam: float, om: float, intervals: Sequence[tuple[float, float]], mode: str
-) -> float:
-    """Sum of D(b) - D(a) over intervals on which D rises."""
-    if not intervals:
-        return 0.0
-    d = _pair_distance(u, _envelope_decay(mode), lam * lam, om, np.asarray(intervals))
-    return max(float(np.sum(d[:, 1] - d[:, 0])), 0.0)
-
 
 def _branch_result(
     branch: BranchKind, cfg: DimensionlessConfig, t_max: float, mode: str
@@ -396,7 +371,10 @@ def _branch_result(
         value = analytic_n_omega(om, t_max)
     else:
         intervals = _rise_intervals(lam, _envelope_decay(mode), t_max)
-        value = _rise_total(1.0, lam, om, intervals, mode)
+        value = 0.0
+        if intervals:  # D(b) - D(a) over each rise
+            d = _pair_distance(1.0, _envelope_decay(mode), lam * lam, om, np.asarray(intervals))
+            value = max(float(np.sum(d[:, 1] - d[:, 0])), 0.0)
     theta_star = 0.0 if _ENDPOINT_BRANCHES[mode][0] is branch else math.pi / 2
     return BackflowResult(
         n_value=value, winning_branch=branch, theta_star=theta_star, intervals=intervals
@@ -409,7 +387,9 @@ def _interior_scan(
     """Backflow at each interior angle, with the positivity intervals (a, b, angle index)."""
     lam, om = cfg.lambda_hat, cfg.omega_hat
     u = np.cos(thetas) ** 2
-    a, b, owner = _sign_intervals(u, lam, om, t_max, mode)
+    grid = _breakpoints(lam, om, t_max)
+    a, b, owner = _sign_intervals(lambda tau, k: _rate_numerator(u[k], tau, lam, om, mode),
+                                  _numerator_terms(u, lam, om, mode), grid)
     if mode == "derived":
         d = _pair_distance(u[owner], 1.0, lam * lam, om, np.stack((a, b)))
         totals = np.bincount(owner, d[1] - d[0], minlength=u.size)
@@ -417,7 +397,6 @@ def _interior_scan(
         # where one cosine vanishes the printed denominator falls to the other
         # term, within a layer as narrow as ~1e-5; cutting at the grid puts
         # each such dip at a piece end, where tanh-sinh clusters its nodes
-        grid = _breakpoints(lam, om, t_max)
         first = np.searchsorted(grid, a, side="right")
         n = np.searchsorted(grid, b, side="left") - first + 1  # pieces per interval
         piece = np.repeat(np.arange(a.size), n)
@@ -565,15 +544,36 @@ def literal_pointwise_max(
     measure; the max-of-integrals semantics of ``n_measure`` is the one
     matching the two-surface figures. Both are exposed so they can be
     compared; this one is always >= max of the branch integrals.
+
+    The larger integrand is the rate of the faster-rising branch distance,
+    so the integral telescopes. [0, t_max] is cut at the quarter-period
+    grid, the lambda-rise ends, and the sign changes of the squared rates'
+    difference h = om^2 sin^2(om tau) - e^{-2c tau}(lam sin lam tau + c cos lam tau)^2
+    (located as in the theta scan). Each piece adds the rise D(b) - D(a) of
+    the branch with the larger rate at its midpoint, if that rate is positive.
     """
     _check_mode(mode)
-    lam, om = cfg.lambda_hat, cfg.omega_hat
-
-    def f(tau: float) -> float:
-        return max(branch_integrand_omega(tau, om), branch_integrand_lambda(tau, lam, mode))
-
+    lam, om, c = cfg.lambda_hat, cfg.omega_hat, _envelope_decay(mode)
     grid = _breakpoints(lam, om, t_max)
-    return max(sum(_quad_interval(f, a, b) for a, b in zip(grid[:-1], grid[1:])), 0.0)
+    # h = w (1 - cos 2 om tau) - v e^{-2 c tau} (1 - cos(2 lam tau + phi))
+    w, v = 0.5 * om * om, 0.5 * (lam * lam + c * c)
+    terms = tuple((np.full(1, a), r, f) for a, r, f in
+                  ((w, 0.0, 0.0), (w, 0.0, 2.0 * om), (v, 2.0 * c, 0.0), (v, 2.0 * c, 2.0 * lam)))
+
+    def h(tau: np.ndarray, _k: np.ndarray) -> np.ndarray:
+        lam_rate = np.exp(-c * tau) * (lam * np.sin(lam * tau) + c * np.cos(lam * tau))
+        return (om * np.sin(om * tau)) ** 2 - lam_rate**2
+
+    a, b, _ = _sign_intervals(h, terms, grid)
+    rise_ends = np.reshape(_rise_intervals(lam, c, t_max), (-1, 2))[:, 1]
+    cuts = np.unique(np.concatenate((grid, rise_ends, a, b)))
+    lo, hi = cuts[:-1], cuts[1:]
+    mid = 0.5 * (lo + hi)
+    rate_om, rate_lam = _rise_rate(mid, om, 0.0), _rise_rate(mid, lam, c)
+    # u = 1 selects the lambda-branch distance, u = 0 the omega one
+    d = _pair_distance((rate_lam > rate_om).astype(float), c, lam * lam, om, np.stack((lo, hi)))
+    rises = np.where(np.maximum(rate_om, rate_lam) > 0.0, d[1] - d[0], 0.0)
+    return max(float(np.sum(rises)), 0.0)
 
 
 def dominant_regime(

@@ -81,7 +81,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--literal-eq-nt", action="store_true",
                    help="also report the pointwise-max single-integral variant")
     p.add_argument("--out", help="write the result as JSON")
-    p.add_argument("--format", choices=("json",), default="json")
 
     p = sub.add_parser("sweep", help="branch integrals over a dimensionless grid")
     p.add_argument("--mode", choices=dynamics.MODES, default="derived")

@@ -205,6 +205,67 @@ def printed_interior_integral(
     return float(np.sum((b - a) * weight * rate(a + (b - a) * frac)))
 
 
+def literal_max_reference(
+    lambda_hat: float, omega_hat: float, t_max: float, decay: float = 1.0,
+    n_scan: int = 2001,
+) -> float:
+    """Integral over [0, t_max] of the pointwise maximum of the two branch rates' positive parts.
+
+    The rates, written out here, are
+
+        r_om  = -om sin(om tau) sgn cos(om tau),
+        r_lam = -e^{-decay tau} (lam sin(lam tau) + decay cos(lam tau)) sgn cos(lam tau).
+
+    Between consecutive multiples of pi/(2 om) and pi/(2 lam) both signs
+    are fixed, so each rate is smooth there. On each such piece a dense
+    sign scan of r_om - r_lam and of r_lam finds the crossings and the
+    lambda-rise ends, each bisected to machine precision, and adaptive
+    quadrature integrates max(0, r_om, r_lam) between them.
+    """
+    lam, om = lambda_hat, omega_hat
+
+    def rates(t, s_om, s_lam):
+        r_om = -om * np.sin(om * t) * s_om
+        r_lam = -np.exp(-decay * t) * (lam * np.sin(lam * t) + decay * np.cos(lam * t)) * s_lam
+        return r_om, r_lam
+
+    grid = [np.array([0.0, t_max])]
+    grid += [np.arange(1, int(2.0 * f * t_max / math.pi) + 1) * math.pi / (2.0 * f)
+             for f in (lam, om) if f > 0.0]
+    grid = np.unique(np.concatenate(grid))
+    grid = grid[grid <= t_max]
+    p, q = grid[:-1, None], grid[1:, None]
+    mid = 0.5 * (p + q)
+    s_om, s_lam = np.sign(np.cos(om * mid)), np.sign(np.cos(lam * mid))
+    ts = p + (q - p) * np.linspace(0.0, 1.0, n_scan)
+    cuts = [grid]
+    for pick in (lambda a, b: a - b, lambda a, b: b):
+        g = np.sign(pick(*rates(ts, s_om, s_lam)))
+        row, col = np.nonzero(g[:, :-1] * g[:, 1:] < 0)
+        lo, hi, g_lo = ts[row, col], ts[row, col + 1], g[row, col]
+        for _ in range(60):
+            m = 0.5 * (lo + hi)
+            left = np.sign(pick(*rates(m, s_om[row, 0], s_lam[row, 0]))) == g_lo
+            lo, hi = np.where(left, m, lo), np.where(left, hi, m)
+        cuts.append(0.5 * (lo + hi))
+    cuts = np.unique(np.concatenate(cuts))
+
+    def integrand(t):
+        r_om, r_lam = rates(t, math.copysign(1.0, math.cos(om * t)),
+                            math.copysign(1.0, math.cos(lam * t)))
+        return max(0.0, r_om, r_lam)
+
+    total = 0.0
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        # full output: on slivers next to a crossing quad warns of bad
+        # behaviour while its error estimate is ~1e-28; the estimate is checked
+        value, abserr = quad(integrand, a, b, epsabs=1e-12, epsrel=1e-12, limit=200,
+                             full_output=1)[:2]
+        assert abserr < 1e-11, (a, b, abserr)
+        total += value
+    return total
+
+
 def tangency_angle(
     lambda_hat: float, omega_hat: float, start: float, decay: float = 1.0
 ) -> tuple[float, float] | None:

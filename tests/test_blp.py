@@ -12,7 +12,6 @@ from dipolefield.blp import (
     KinkWarning,
     QuadratureError,
     _interior_scan,
-    _quad_interval,
     analytic_n_omega,
     backflow_integral,
     branch_integrand_lambda,
@@ -32,6 +31,7 @@ from dipolefield.model import DimensionlessConfig, derive_params, nondimensional
 from oracles import (
     distance_rises,
     lambda_rises,
+    literal_max_reference,
     omega_branch_quadrature,
     omega_rises,
     params_for_rates,
@@ -342,11 +342,6 @@ def test_interior_backflow_is_total_rise_near_double_roots(lam, om, start, nudge
     assert got == pytest.approx(distance_rises(theta, lam, om, t_max), abs=1e-9)
 
 
-def test_quadrature_error_is_distinct():
-    with pytest.raises(QuadratureError):
-        _quad_interval(lambda t: math.sin(1.0 / (1e-9 + abs(t))) / (1e-9 + abs(t)), 0.0, 1.0)
-
-
 def test_interior_quadrature_failure_raises(monkeypatch):
     # one tanh-sinh level cannot converge: the status must surface as an error
     monkeypatch.setattr(blp, "tanhsinh", functools.partial(blp.tanhsinh, maxlevel=1))
@@ -502,6 +497,28 @@ def test_n_measure_monotone_in_horizon():
     assert all(b >= a - 1e-9 for a, b in zip(values, values[1:]))
 
 
+@pytest.mark.parametrize("mode", ["derived", "as-printed"])
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(lam=st.floats(0.2, 4.0), om=st.floats(0.2, 4.0), t_max=st.floats(0.1, 15.0),
+       extra=st.floats(0.0, 5.0))
+def test_n_measure_nondecreasing_in_horizon(mode, lam, om, t_max, extra):
+    # every N(theta) integrates a nonnegative rate, and so does their maximum;
+    # as-printed pieces carry up to QUAD_ABS_TOL of quadrature error
+    short = n_measure(cfg_of(lam, om, t_max), t_max, mode=mode, theta_grid_size=9).n_value
+    long = n_measure(cfg_of(lam, om, t_max + extra), t_max + extra, mode=mode,
+                     theta_grid_size=9).n_value
+    assert long >= short - blp.QUAD_ABS_TOL
+
+
+@pytest.mark.parametrize("mode", ["derived", "as-printed"])
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(lam=st.floats(0.05, 5.0), om=st.floats(0.05, 5.0), frac=st.floats(1e-3, 1.0))
+def test_n_measure_zero_before_first_cosine_zero(mode, lam, om, frac):
+    # up to the first zero of both cosines every factor of D is decreasing
+    t_max = frac * min(math.pi / (2 * lam), math.pi / (2 * om))
+    assert n_measure(cfg_of(lam, om, t_max), t_max, mode=mode, theta_grid_size=17).n_value == 0.0
+
+
 def test_n_measure_physical_consistency():
     p = params_for_rates(gamma=0.8, lam=1.2, omega=3.0)
     cfg = nondimensionalize(p, 4.0)
@@ -520,6 +537,28 @@ def test_literal_pointwise_max_bounds():
     assert literal_pointwise_max(cfg2, 6.0) == pytest.approx(
         analytic_n_omega(1.1, 6.0), abs=1e-6
     )
+
+
+def test_literal_pointwise_max_as_printed_regression():
+    # Gauss-Kronrod over the grid pieces returned 39.4920741664 here (3.2e-6
+    # low, no error raised); 39.4920773378 is a piecewise 10-point
+    # Gauss-Legendre sum over 20000 cells per grid piece
+    lam, om, t_max = 2.1205324272200645, 4.898443542548282, 25.336602323735057
+    got = literal_pointwise_max(cfg_of(lam, om, t_max), t_max, mode="as-printed")
+    assert got == pytest.approx(literal_max_reference(lam, om, t_max, decay=0.5), abs=1e-10)
+    assert got == pytest.approx(39.4920773378, abs=1e-8)
+
+
+@pytest.mark.parametrize("mode", ["derived", "as-printed"])
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(lam=st.floats(0.0, 4.0), om=st.floats(0.05, 5.0), t_max=st.floats(0.3, 26.0))
+def test_literal_pointwise_max_matches_oracle(mode, lam, om, t_max):
+    cfg = cfg_of(lam, om, t_max)
+    got = literal_pointwise_max(cfg, t_max, mode=mode)
+    decay = 1.0 if mode == "derived" else 0.5
+    assert got == pytest.approx(literal_max_reference(lam, om, t_max, decay), abs=1e-9)
+    n_om, n_lam = (backflow_integral(b, cfg, t_max, mode=mode).n_value for b in BranchKind)
+    assert max(n_om, n_lam) - 1e-12 <= got <= n_om + n_lam + 1e-12
 
 
 def test_dominant_regime():
