@@ -28,7 +28,7 @@ from .blp import (
     n_measure,
     sigma_rate,
 )
-from .stochastic import ensemble_average, estimate_spectrum, sample_field
+from .stochastic import ensemble_average, estimate_spectrum, sample_field, sample_fields
 
 __version__ = "0.1.0"
 
@@ -51,5 +51,6 @@ __all__ = [
     "ensemble_average",
     "estimate_spectrum",
     "sample_field",
+    "sample_fields",
     "__version__",
 ]

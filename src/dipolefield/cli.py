@@ -248,13 +248,15 @@ def _cmd_mc_verify(args) -> int:
 
 def _cmd_spectrum(args) -> int:
     p = read_params(args.config)
+    if args.n < 2:
+        raise ValueError(f"--n {args.n}: need at least 2 realizations")
+    if args.duration is not None and not (math.isfinite(args.duration) and args.duration > 0):
+        raise ValueError(f"--duration {args.duration}: must be finite and positive")
     duration = args.duration if args.duration is not None else 200.0 / p.beta
     dt = stochastic.max_field_dt(p)
     n_steps = max(2, int(round(duration / dt)))
-    fields = [
-        stochastic.sample_field(p, dt, n_steps, stochastic.derive_seed(args.seed, i))
-        for i in range(args.n)
-    ]
+    seeds = [stochastic.derive_seed(args.seed, i) for i in range(args.n)]
+    fields = stochastic.sample_fields(p, dt, n_steps, seeds)
     if args.dump_field:
         stochastic.write_field_csv(fields[0], args.dump_field)
         print(f"wrote {args.dump_field}")

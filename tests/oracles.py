@@ -4,7 +4,8 @@ These deliberately avoid the library's own evaluation paths: the inversion
 oracle integrates the memory-kernel closure as a small ODE system, the
 backflow oracles enumerate envelope rises analytically, integrate the
 branch integrand by adaptive quadrature, or walk the critical points of
-the trace distance, and derivatives come from Richardson-extrapolated
+the trace distance, the AR(1) oracle steps the field recurrence one
+sample at a time, and derivatives come from Richardson-extrapolated
 finite differences.
 """
 
@@ -296,6 +297,20 @@ def tangency_angle(
             u = b / (b - a) if b != a else -1.0
             return (math.acos(math.sqrt(u)), tau) if 0.0 < u < 1.0 else None
     return None
+
+
+def ar1_reference(normals: np.ndarray, rho: float, sigma_st: float) -> np.ndarray:
+    """Exact-discretization AR(1) paths along the last axis, one step at a time.
+
+    x_0 = sigma_st z_0 and x_{k+1} = rho x_k + sigma_st sqrt(1 - rho^2) z_{k+1}
+    (Gillespie, PRE 54, 2084 (1996)), written into a new array.
+    """
+    s_inn = sigma_st * math.sqrt(max(0.0, 1.0 - rho * rho))
+    paths = np.empty_like(normals)
+    paths[..., 0] = sigma_st * normals[..., 0]
+    for k in range(normals.shape[-1] - 1):
+        paths[..., k + 1] = rho * paths[..., k] + s_inn * normals[..., k + 1]
+    return paths
 
 
 def positive_part_trapezoid(fn, a: float, b: float, n: int = 200_001) -> float:

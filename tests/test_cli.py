@@ -1,9 +1,15 @@
 import functools
+import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import dipolefield
 import dipolefield.blp as blp
 from dipolefield.cli import main
 
@@ -31,6 +37,8 @@ ZERO_FIELD = (
     "i0 = 0.0\n"
     "beta = 1.0\n"
 )
+
+SPECTRUM = "omega = 10.0\nkappa = 1.0\nbeta_s = 0.0\ni0 = 1.0\nbeta = 1.0\n"
 
 STRONG = (
     "omega = 2.0\n"
@@ -229,11 +237,8 @@ def test_mc_verify_reports_are_byte_identical(config, tmp_path):
 def test_spectrum_command(config, tmp_path, capsys):
     out = tmp_path / "spec.csv"
     dump = tmp_path / "field.csv"
-    cfg = config(
-        "omega = 10.0\nkappa = 1.0\nbeta_s = 0.0\ni0 = 1.0\nbeta = 1.0\n"
-    )
     code = main(
-        ["spectrum", "--config", cfg, "--n", "20", "--seed", "2",
+        ["spectrum", "--config", config(SPECTRUM), "--n", "20", "--seed", "2",
          "--duration", "60", "--out", str(out), "--dump-field", str(dump)]
     )
     assert code == 0
@@ -241,3 +246,60 @@ def test_spectrum_command(config, tmp_path, capsys):
     assert "peak_omega" in text
     assert out.read_text().splitlines()[0] == "omega,power"
     assert dump.read_text().splitlines()[0] == "t,E"
+    # pinned bytes, produced by sampling one realization at a time
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "de88d80209c64b085dc9f7830b7288dc012717df1eeadf968a3c9b0c7663293b"
+    )
+    assert hashlib.sha256(dump.read_bytes()).hexdigest() == (
+        "da2608ffc8acf04962658b5f10d2c750b7779988fbb57b7080d7384cb1d341a0"
+    )
+    assert text.splitlines()[2:] == [
+        "peak_omega = 10.1198 (target 10)",
+        "hwhm = 1.03657 (target 1)",
+        "peak_height = 3.09005 (implied i0 = 0.983593)",
+    ]
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--n", "0"],
+    ["spectrum", "--n", "1"],
+    ["spectrum", "--duration", "inf"],
+    ["spectrum", "--duration", "nan"],
+    ["spectrum", "--duration", "-5"],
+    ["spectrum", "--duration", "0"],
+    ["mc-verify", "--dt", "0"],
+    ["mc-verify", "--dt", "-0.01"],
+    ["mc-verify", "--dt", "nan"],
+    ["mc-verify", "--horizon", "inf"],
+    ["mc-verify", "--horizon", "-1"],
+], ids=lambda argv: f"{argv[0]}{argv[1]}={argv[2]}")
+def test_invalid_step_count_or_length_exits_2(config, tmp_path, capsys, argv):
+    dump = tmp_path / "field.csv"
+    out = tmp_path / "out"
+    if argv[0] == "spectrum":
+        extra = ["--config", config(SPECTRUM), "--dump-field", str(dump), "--out", str(out)]
+    else:
+        extra = ["--config", config(WEAK), "--n", "4", "--out", str(out)]
+    assert main(argv + extra) == 2
+    assert "invalid input" in capsys.readouterr().err
+    assert not dump.exists() and not out.exists()
+
+
+def test_commands_do_not_import_scipy_signal(config, tmp_path):
+    # scipy.signal costs about 0.6 s of import and 23 MB of memory per process
+    script = "\n".join([
+        "import sys",
+        "from dipolefield.cli import main",
+        f"assert main(['spectrum', '--config', {config(SPECTRUM, 's.cfg')!r}, '--n', '4',"
+        " '--duration', '30']) == 0",
+        f"assert main(['mc-verify', '--config', {config(ZERO_FIELD, 'z.cfg')!r}, '--n', '4',"
+        " '--dt', '0.01', '--horizon', '2', '--out', 'r.json']) == 0",
+        "assert 'scipy.signal' not in sys.modules, 'scipy.signal was imported'",
+    ])
+    src = str(Path(dipolefield.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", script], cwd=tmp_path, capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": path}, timeout=300,
+    )
+    assert result.returncode == 0, result.stderr

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from dipolefield import stochastic
 from dipolefield.dynamics import InitialCondition, mean_inversion
 from dipolefield.model import SystemParams, derive_params
 from dipolefield.stochastic import (
@@ -15,9 +16,11 @@ from dipolefield.stochastic import (
     field_variance,
     max_field_dt,
     sample_field,
+    sample_fields,
     simulate_trajectory,
     write_field_csv,
 )
+from oracles import ar1_reference
 
 
 WEAK = SystemParams(omega=5.0, kappa=1.0, beta_s=0.2, i0=0.1 / math.pi, beta=1.0)
@@ -33,6 +36,42 @@ def test_sample_field_rejects_coarse_step():
     with pytest.raises(ValueError, match="too coarse"):
         sample_field(p, 2.0 * limit, 100, seed=1)
     sample_field(p, limit, 100, seed=1)  # boundary step is accepted
+
+
+@pytest.mark.parametrize("dt", [0.0, -0.01, math.nan, math.inf])
+def test_sample_fields_rejects_nonpositive_or_nonfinite_step(dt):
+    with pytest.raises(ValueError, match="finite and positive"):
+        sample_fields(WEAK, dt, 100, [1, 2])
+
+
+@pytest.mark.parametrize("shape", [(2, 301), (3, 2, 301)])
+def test_quadrature_paths_match_stepwise_reference(shape):
+    normals = np.random.default_rng(21).standard_normal(shape)
+    rho, sigma_st = math.exp(-0.05), 1.7
+    expected = ar1_reference(normals, rho, sigma_st)
+    np.testing.assert_array_equal(
+        stochastic._quadrature_paths(normals.copy(), rho, sigma_st), expected
+    )
+
+
+def test_sample_fields_match_per_seed_sampling(monkeypatch):
+    p = SystemParams(omega=10.0, kappa=1.0, beta_s=0.0, i0=1.0, beta=1.0)
+    dt, n_steps = max_field_dt(p), 100
+    # blocks of 3 realizations, so 7 seeds leave a partial last block
+    monkeypatch.setattr(stochastic, "FIELD_BLOCK_BYTES", 3 * 2 * 8 * (n_steps + 1))
+    seeds = [derive_seed(17, i) for i in range(7)]
+    fields = sample_fields(p, dt, n_steps, seeds)
+    assert [f.seed for f in fields] == seeds
+    t = dt * np.arange(n_steps + 1)
+    rho = math.exp(-p.beta * dt)
+    for f, seed in zip(fields, seeds):
+        np.testing.assert_array_equal(f.values, sample_field(p, dt, n_steps, seed).values)
+        # the same field built from the stepwise oracle
+        z = np.random.default_rng(seed).standard_normal((2, n_steps + 1))
+        x = ar1_reference(z, rho, math.sqrt(field_variance(p)))
+        np.testing.assert_array_equal(
+            f.values, x[0] * np.cos(p.omega * t) + x[1] * np.sin(p.omega * t)
+        )
 
 
 def test_field_zero_mean():
@@ -87,7 +126,7 @@ def test_spectrum_lorentzian_fit():
     p = SystemParams(omega=10.0, kappa=1.0, beta_s=0.0, i0=1.0, beta=1.0)
     dt = max_field_dt(p)
     n_steps = int(round(200.0 / p.beta / dt))
-    fields = [sample_field(p, dt, n_steps, derive_seed(100, i)) for i in range(200)]
+    fields = sample_fields(p, dt, n_steps, [derive_seed(100, i) for i in range(200)])
     est = estimate_spectrum(fields)
     assert est.fit is not None
     assert est.fit.peak_omega == pytest.approx(p.omega, rel=0.02)
@@ -284,3 +323,12 @@ def test_ensemble_steady_state():
 def test_ensemble_validation():
     with pytest.raises(ValueError, match="at least 2"):
         ensemble_average(InitialCondition(0, 1), WEAK, 1, 0.05, 1.0, 0)
+
+
+@pytest.mark.parametrize("dt, horizon", [
+    (0.0, 1.0), (-0.01, 1.0), (math.nan, 1.0), (math.inf, 1.0),
+    (0.05, 0.0), (0.05, -1.0), (0.05, math.nan), (0.05, math.inf),
+])
+def test_ensemble_rejects_nonpositive_or_nonfinite_step_and_horizon(dt, horizon):
+    with pytest.raises(ValueError, match="finite and positive"):
+        ensemble_average(InitialCondition(0, 1), WEAK, 2, dt, horizon, 0)
