@@ -36,8 +36,6 @@ by ``BranchKind`` (physical pair), never by theta.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 import warnings
 from dataclasses import dataclass
@@ -617,57 +615,87 @@ def sweep_grid(
     ts: Sequence[float],
     mode: FormulaSource = "derived",
 ) -> list[SweepPoint]:
-    """Evaluate both branch integrals on the full grid, lambda outermost."""
+    """Evaluate both branch integrals on the full grid, lambda outermost.
+
+    The branches separate: N_omega depends only on (omega_hat, T) and
+    N_lambda only on (lambda_hat, T). Each branch is therefore evaluated
+    once per (frequency, T) pair, and the rows are assembled from the two
+    tables, sharing their interval tuples. Every axis value goes through
+    ``DimensionlessConfig``; the first invalid cell in row order raises.
+    """
     _check_mode(mode)
-    rows: list[SweepPoint] = []
-    for lam in lambdas:
-        for om in omegas:
-            for t_max in ts:
-                cfg = DimensionlessConfig(
-                    lambda_hat=float(lam), omega_hat=float(om), t_max=float(t_max)
-                )
-                r_om, r_lam = (_branch_result(b, cfg, float(t_max), mode) for b in BranchKind)
-                rows.append(
-                    SweepPoint(
-                        float(lam), float(om), float(t_max),
-                        r_om.n_value, r_lam.n_value, max(r_om.n_value, r_lam.n_value),
-                        _winner(r_om.n_value, r_lam.n_value).value,
-                        r_om.intervals, r_lam.intervals,
-                    )
-                )
-    return rows
+    if not (len(lambdas) and len(omegas) and len(ts)):
+        return []
+
+    def branch(kind: BranchKind, lam: float, om: float, t_max: float) -> tuple:
+        cfg = DimensionlessConfig(lambda_hat=lam, omega_hat=om, t_max=t_max)
+        return cfg, _branch_result(kind, cfg, t_max, mode)
+
+    # the omega table walks the first lambda's cells, so it meets an invalid
+    # omega or T where a cell-by-cell loop would; omega_hat = 0 keeps the
+    # lambda branch free of the omega term that u = 1 multiplies by zero
+    lam0 = float(lambdas[0])
+    by_om = [[branch(BranchKind.OMEGA, lam0, float(om), float(t)) for t in ts] for om in omegas]
+    by_lam = [[branch(BranchKind.LAMBDA, float(lam), 0.0, float(t)) for t in ts]
+              for lam in lambdas]
+    return [
+        SweepPoint(
+            c_lam.lambda_hat, c_om.omega_hat, c_om.t_max,
+            r_om.n_value, r_lam.n_value, max(r_om.n_value, r_lam.n_value),
+            _winner(r_om.n_value, r_lam.n_value).value,
+            r_om.intervals, r_lam.intervals,
+        )
+        for lam_row in by_lam
+        for om_row in by_om
+        for (c_lam, r_lam), (c_om, r_om) in zip(lam_row, om_row)
+    ]
 
 
 def write_sweep_csv(rows: Sequence[SweepPoint], path: str | Path) -> None:
-    """CSV with header lambda,omega,T,n_omega_branch,n_lambda_branch,n_max,winning_branch."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["lambda", "omega", "T", "n_omega_branch", "n_lambda_branch", "n_max",
-             "winning_branch"]
-        )
-        for r in rows:
-            writer.writerow(
-                [f"{r.lambda_hat:.12g}", f"{r.omega_hat:.12g}", f"{r.t_max:.12g}",
-                 f"{r.n_omega_branch:.12g}", f"{r.n_lambda_branch:.12g}",
-                 f"{r.n_max:.12g}", r.winning_branch]
-            )
+    """CSV with header lambda,omega,T,n_omega_branch,n_lambda_branch,n_max,winning_branch.
+
+    Values print as %.12g, lines end in \\r\\n (the csv module's default
+    dialect, which never needs quoting for these fields).
+    """
+    lines = ["lambda,omega,T,n_omega_branch,n_lambda_branch,n_max,winning_branch\r\n"]
+    lines += [
+        f"{r.lambda_hat:.12g},{r.omega_hat:.12g},{r.t_max:.12g},{r.n_omega_branch:.12g},"
+        f"{r.n_lambda_branch:.12g},{r.n_max:.12g},{r.winning_branch}\r\n"
+        for r in rows
+    ]
+    Path(path).write_text("".join(lines), newline="")
 
 
 def write_sweep_json(rows: Sequence[SweepPoint], path: str | Path) -> None:
-    """JSON variant of the sweep: same fields plus the positivity intervals."""
-    payload = [
-        {
-            "lambda": r.lambda_hat,
-            "omega": r.omega_hat,
-            "T": r.t_max,
-            "n_omega_branch": r.n_omega_branch,
-            "n_lambda_branch": r.n_lambda_branch,
-            "n_max": r.n_max,
-            "winning_branch": r.winning_branch,
-            "intervals_omega": [list(iv) for iv in r.intervals_omega],
-            "intervals_lambda": [list(iv) for iv in r.intervals_lambda],
-        }
+    """JSON variant of the sweep: same fields plus the positivity intervals.
+
+    The text is that of ``json.dumps(payload, indent=2)`` plus a newline,
+    written by hand: with ``indent`` set the json module falls back to its
+    pure-Python encoder. Numbers print through ``float.__repr__`` as there
+    (every value of a sweep is finite), and each distinct interval tuple
+    is rendered once.
+    """
+    num = float.__repr__
+    rendered: dict[tuple, str] = {}
+
+    def intervals(ivs: tuple[tuple[float, float], ...]) -> str:
+        text = rendered.get(ivs)
+        if text is None:
+            items = ",\n".join(f"      [\n        {num(a)},\n        {num(b)}\n      ]"
+                               for a, b in ivs)
+            text = rendered[ivs] = f"[\n{items}\n    ]" if ivs else "[]"
+        return text
+
+    body = ",\n".join(
+        f'  {{\n    "lambda": {num(r.lambda_hat)},\n'
+        f'    "omega": {num(r.omega_hat)},\n'
+        f'    "T": {num(r.t_max)},\n'
+        f'    "n_omega_branch": {num(r.n_omega_branch)},\n'
+        f'    "n_lambda_branch": {num(r.n_lambda_branch)},\n'
+        f'    "n_max": {num(r.n_max)},\n'
+        f'    "winning_branch": "{r.winning_branch}",\n'
+        f'    "intervals_omega": {intervals(r.intervals_omega)},\n'
+        f'    "intervals_lambda": {intervals(r.intervals_lambda)}\n  }}'
         for r in rows
-    ]
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n")
+    )
+    Path(path).write_text(f"[\n{body}\n]\n" if rows else "[]\n")

@@ -253,8 +253,13 @@ def _cmd_spectrum(args) -> int:
     if args.duration is not None and not (math.isfinite(args.duration) and args.duration > 0):
         raise ValueError(f"--duration {args.duration}: must be finite and positive")
     duration = args.duration if args.duration is not None else 200.0 / p.beta
+    if duration <= 2.0 * math.pi / p.beta:
+        raise ValueError(f"--duration {duration:.6g}: the record must be longer than "
+                         f"2*pi/beta = {2.0 * math.pi / p.beta:.6g} to resolve the linewidth")
     dt = stochastic.max_field_dt(p)
-    n_steps = max(2, int(round(duration / dt)))
+    # a ratio beyond the cap (even an overflowing one) is clamped, then rejected
+    n_steps = int(round(min(duration / dt, stochastic.MAX_FIELD_SAMPLES)))
+    stochastic._check_size(args.n, n_steps)
     seeds = [stochastic.derive_seed(args.seed, i) for i in range(args.n)]
     fields = stochastic.sample_fields(p, dt, n_steps, seeds)
     if args.dump_field:

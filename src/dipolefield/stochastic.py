@@ -63,6 +63,11 @@ DIVERGENCE_LIMIT = 1e3
 #: 20 realizations at the 6367-sample records of the spectrum check
 FIELD_BLOCK_BYTES = 2 * 2**20
 
+#: cap on n_realizations * (n_steps + 1) field samples per call, checked
+#: before anything is allocated; an ensemble run holds several arrays of
+#: that many doubles (about 1 GB at the cap)
+MAX_FIELD_SAMPLES = 2**24
+
 
 class TrajectoryDivergenceError(RuntimeError):
     """A trajectory left the admissible state region (too-coarse step or bug)."""
@@ -205,6 +210,18 @@ def _check_step(p: SystemParams, dt: float) -> None:
         )
 
 
+def _check_size(n_realizations: int, n_steps: int) -> None:
+    """Reject runs of more than ``MAX_FIELD_SAMPLES`` samples in all.
+
+    Callers clamp ``n_steps`` at the cap, so a step count there stands for
+    any longer record.
+    """
+    if n_realizations * (n_steps + 1) > MAX_FIELD_SAMPLES:
+        per = n_steps + 1 if n_steps < MAX_FIELD_SAMPLES else f"over {MAX_FIELD_SAMPLES}"
+        raise ValueError(f"{n_realizations} realizations x {per} samples exceed the cap of "
+                         f"{MAX_FIELD_SAMPLES} field samples")
+
+
 def _draw_normals(seeds: Sequence[int], n_steps: int) -> np.ndarray:
     """Standard-normal draws, shape (len(seeds), 2, n_steps + 1), one stream per seed."""
     normals = np.empty((len(seeds), 2, n_steps + 1))
@@ -253,11 +270,13 @@ def sample_fields(
     once per block rather than once per realization. Each realization is
     bit-identical to ``sample_field`` with its seed. Rejects steps that
     are not finite and positive or too coarse to resolve the envelope or
-    the carrier (dt must not exceed ``max_field_dt``).
+    the carrier (dt must not exceed ``max_field_dt``), and more than
+    ``MAX_FIELD_SAMPLES`` samples in all, before anything is allocated.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be at least 1")
     _check_step(p, dt)
+    _check_size(len(seeds), n_steps)
     block = max(1, FIELD_BLOCK_BYTES // (2 * 8 * (n_steps + 1)))
     out = []
     for start in range(0, len(seeds), block):
@@ -377,14 +396,17 @@ def ensemble_average(
     index), so the report is bit-identical across runs and independent of
     any execution interleaving; the reduction is a fixed index-ordered
     mean. Residuals are taken against the closed-form dipole and
-    inversion on the same grid.
+    inversion on the same grid. Runs of more than ``MAX_FIELD_SAMPLES``
+    samples in all are rejected before any seed is derived.
     """
     if n_realizations < 2:
         raise ValueError("n_realizations must be at least 2")
     if not (math.isfinite(horizon) and horizon > 0):
         raise ValueError(f"horizon={horizon} must be finite and positive")
     _check_step(p, dt)
-    n_steps = max(1, math.ceil(horizon / dt - 1e-12))
+    # a ratio beyond the cap (even an overflowing one) is clamped, then rejected
+    n_steps = max(1, math.ceil(min(horizon / dt, MAX_FIELD_SAMPLES) - 1e-12))
+    _check_size(n_realizations, n_steps)
 
     seeds = tuple(derive_seed(master_seed, i) for i in range(n_realizations))
     fields = _field_from_normals(p, dt, _draw_normals(seeds, n_steps))

@@ -5,20 +5,24 @@ oracle integrates the memory-kernel closure as a small ODE system, the
 backflow oracles enumerate envelope rises analytically, integrate the
 branch integrand by adaptive quadrature, or walk the critical points of
 the trace distance, the AR(1) oracle steps the field recurrence one
-sample at a time, and derivatives come from Richardson-extrapolated
-finite differences.
+sample at a time, the sweep reference evaluates every grid cell on its
+own and writes with the standard-library encoders, and derivatives come
+from Richardson-extrapolated finite differences.
 """
 
 from __future__ import annotations
 
+import csv
+import io
+import json
 import math
 
 import numpy as np
 from scipy.integrate import quad, solve_ivp
 from scipy.optimize import brentq
 
-from dipolefield.blp import branch_integrand_omega
-from dipolefield.model import SystemParams
+from dipolefield.blp import BranchKind, backflow_integral, branch_integrand_omega
+from dipolefield.model import DimensionlessConfig, SystemParams
 
 
 def closure_inversion_ode(
@@ -311,6 +315,37 @@ def ar1_reference(normals: np.ndarray, rho: float, sigma_st: float) -> np.ndarra
     for k in range(normals.shape[-1] - 1):
         paths[..., k + 1] = rho * paths[..., k] + s_inn * normals[..., k + 1]
     return paths
+
+
+def sweep_payload_reference(lambdas, omegas, ts, mode: str = "derived") -> tuple:
+    """Sweep rows and CSV/JSON file bytes, one cell at a time.
+
+    Each cell (lambda outer, omega, T inner) calls ``backflow_integral`` for
+    both branches on its own config; the files are written by ``csv.writer``
+    and ``json.dumps(indent=2)``. Rows are tuples in ``SweepPoint`` field
+    order.
+    """
+    rows = []
+    for lam in lambdas:
+        for om in omegas:
+            for t_max in ts:
+                cfg = DimensionlessConfig(lambda_hat=float(lam), omega_hat=float(om),
+                                          t_max=float(t_max))
+                r_om, r_lam = (backflow_integral(b, cfg, cfg.t_max, mode) for b in BranchKind)
+                winner = "lambda" if r_lam.n_value > r_om.n_value + 1e-10 else "omega"
+                rows.append((cfg.lambda_hat, cfg.omega_hat, cfg.t_max, r_om.n_value,
+                             r_lam.n_value, max(r_om.n_value, r_lam.n_value), winner,
+                             r_om.intervals, r_lam.intervals))
+    text = io.StringIO(newline="")
+    writer = csv.writer(text)
+    writer.writerow(["lambda", "omega", "T", "n_omega_branch", "n_lambda_branch", "n_max",
+                     "winning_branch"])
+    writer.writerows([f"{x:.12g}" for x in row[:6]] + [row[6]] for row in rows)
+    keys = ("lambda", "omega", "T", "n_omega_branch", "n_lambda_branch", "n_max",
+            "winning_branch")
+    payload = [dict(zip(keys, row[:7]), intervals_omega=[list(iv) for iv in row[7]],
+                    intervals_lambda=[list(iv) for iv in row[8]]) for row in rows]
+    return rows, text.getvalue().encode(), (json.dumps(payload, indent=2) + "\n").encode()
 
 
 def positive_part_trapezoid(fn, a: float, b: float, n: int = 200_001) -> float:

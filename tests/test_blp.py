@@ -1,5 +1,7 @@
 import functools
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,6 +39,7 @@ from oracles import (
     params_for_rates,
     positive_part_trapezoid,
     printed_interior_integral,
+    sweep_payload_reference,
     tangency_angle,
 )
 
@@ -609,3 +612,57 @@ def test_sweep_grid_order_and_writers(tmp_path):
     payload = json.loads(json_path.read_text())
     assert len(payload) == 8
     assert "intervals_omega" in payload[0] and "intervals_lambda" in payload[0]
+
+
+_axis = st.lists(st.floats(-3.0, 8.0), max_size=4)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(lams=_axis, oms=_axis, ts=st.lists(st.floats(0.0, 12.0), max_size=3),
+       mode=st.sampled_from(["derived", "as-printed"]))
+def test_sweep_matches_per_cell_reference(lams, oms, ts, mode):
+    # rows and file bytes equal a cell-by-cell evaluation written by the
+    # csv and json modules, empty and single-point axes included
+    rows = sweep_grid(lams, oms, ts, mode=mode)
+    ref_rows, ref_csv, ref_json = sweep_payload_reference(lams, oms, ts, mode)
+    assert [(r.lambda_hat, r.omega_hat, r.t_max, r.n_omega_branch, r.n_lambda_branch,
+             r.n_max, r.winning_branch, r.intervals_omega, r.intervals_lambda)
+            for r in rows] == ref_rows
+    with tempfile.TemporaryDirectory() as tmp:
+        write_sweep_csv(rows, Path(tmp) / "sweep.csv")
+        write_sweep_json(rows, Path(tmp) / "sweep.json")
+        assert (Path(tmp) / "sweep.csv").read_bytes() == ref_csv
+        assert (Path(tmp) / "sweep.json").read_bytes() == ref_json
+
+
+def test_sweep_rejects_the_first_invalid_cell():
+    # the first invalid cell in row order decides the error, as cell by cell
+    for lams, oms, ts, message in (
+        ([1.0, math.nan], [1.0], [-1.0], "t_max must be nonnegative"),
+        ([1.0, 2.0, math.inf], [1.0], [1.0], "lambda_hat must be finite"),
+        ([1.0], [math.inf, 2.0], [1.0, -2.0], "omega_hat must be finite"),
+        ([math.nan], [math.nan], [math.nan], "lambda_hat must be finite"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            sweep_grid(lams, oms, ts)
+    assert sweep_grid([], [1.0], [math.nan]) == []
+    assert sweep_grid([math.nan], [1.0], []) == []
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(lam=st.floats(0.05, 8.0), om=st.floats(0.05, 8.0),
+       ts=st.lists(st.floats(0.0, 40.0), min_size=2, max_size=8, unique=True),
+       mode=st.sampled_from(["derived", "as-printed"]))
+def test_sweep_branches_grow_or_saturate_in_time(lam, om, ts, mode):
+    # the omega branch grows without bound while the damped lambda branch
+    # saturates at the geometric sum of its rises s e^{-c(q + r)} rho^k
+    rows = sweep_grid([lam], [om], sorted(ts), mode=mode)
+    c = 1.0 if mode == "derived" else 0.5
+    q, r = math.pi / (2.0 * lam), math.atan2(lam, c) / lam
+    rho = math.exp(-c * math.pi / lam)
+    saturation = lam / math.hypot(lam, c) * math.exp(-c * (q + r)) / (1.0 - rho)
+    n_lam = [row.n_lambda_branch for row in rows]
+    assert all(b >= a - 1e-12 for a, b in zip(n_lam, n_lam[1:]))
+    assert max(n_lam) <= saturation * (1.0 + 1e-12)
+    for row in rows:
+        assert row.n_omega_branch >= math.floor(om * row.t_max / math.pi)

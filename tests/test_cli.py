@@ -178,6 +178,33 @@ def test_sweep_json_variant(config, tmp_path):
     assert isinstance(payload[0]["intervals_omega"], list)
 
 
+#: SHA-256 of sweep outputs, written cell by cell through csv.writer and
+#: json.dumps(indent=2): a grid with rises in both branches, and one with a
+#: single-point lambda axis, negative omegas and T = 0
+SWEEP_SHA256 = {
+    ("rises", "derived", "csv"): "9da401af55f6474ef9a704f78a5f2c3d5a40737abd334d3f76d6126c60940411",
+    ("rises", "derived", "json"): "67483abaa50ea06a99a3f27c4305316a88a3e570b0d2e006c33c2556fc6d7136",
+    ("rises", "as-printed", "csv"): "88f00fdc8024e26e2580a20c5363c83616441c11a01ac287275c7aae97f1b42f",
+    ("rises", "as-printed", "json"): "9554a29404eec96c33562718516be65b64b0bccfb35804c2636be3fd446e1ed9",
+    ("edges", "derived", "csv"): "1cc91ccca659e862b031b4b6be6fa81e7323047bcad92aa73abc45e2f1d1e7a4",
+    ("edges", "derived", "json"): "0fdf321850874a6b6ccff28ef0bcedb720258593356758654433a066e49ec382",
+    ("edges", "as-printed", "csv"): "a29315a2bd0caecadbe64a3b25fea4bd89d99b632cb480a45d4c5aefa9adb418",
+    ("edges", "as-printed", "json"): "e63e5f429ac60d163dfefd45f97d5774aa332e84bb1f55af162dabe1f9efcbc0",
+}
+SWEEP_GRIDS = {
+    "rises": ["--lambda", "0:5:9", "--omega", "0:5:7", "--tmax", "1:5:3"],
+    "edges": ["--lambda", "2.5:2.5:1", "--omega=-3:4:8", "--tmax", "0:12:5"],
+}
+
+
+@pytest.mark.parametrize("grid, mode, fmt", sorted(SWEEP_SHA256))
+def test_sweep_output_bytes_pinned(tmp_path, grid, mode, fmt):
+    out = tmp_path / f"sweep.{fmt}"
+    assert main(["sweep", "--mode", mode, *SWEEP_GRIDS[grid], "--format", fmt,
+                 "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == SWEEP_SHA256[grid, mode, fmt]
+
+
 def test_sweep_bad_range_exits_2(config, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["sweep", "--lambda", "0:2", "--omega", "1:1:1", "--tmax", "1:1:1",
@@ -267,11 +294,15 @@ def test_spectrum_command(config, tmp_path, capsys):
     ["spectrum", "--duration", "nan"],
     ["spectrum", "--duration", "-5"],
     ["spectrum", "--duration", "0"],
+    ["spectrum", "--duration", "0.01"],
+    ["spectrum", "--duration", "0.5"],
+    ["spectrum", "--duration", "1e12"],
     ["mc-verify", "--dt", "0"],
     ["mc-verify", "--dt", "-0.01"],
     ["mc-verify", "--dt", "nan"],
     ["mc-verify", "--horizon", "inf"],
     ["mc-verify", "--horizon", "-1"],
+    ["mc-verify", "--horizon", "1e9"],
 ], ids=lambda argv: f"{argv[0]}{argv[1]}={argv[2]}")
 def test_invalid_step_count_or_length_exits_2(config, tmp_path, capsys, argv):
     dump = tmp_path / "field.csv"

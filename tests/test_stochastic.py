@@ -44,6 +44,25 @@ def test_sample_fields_rejects_nonpositive_or_nonfinite_step(dt):
         sample_fields(WEAK, dt, 100, [1, 2])
 
 
+def test_sample_fields_and_ensemble_cap_their_size(monkeypatch):
+    ic, dt = InitialCondition(0, 1), max_field_dt(WEAK)
+    # far beyond the cap, or with an overflowing horizon/dt: rejected, never allocated
+    with pytest.raises(ValueError, match="exceed the cap"):
+        sample_fields(WEAK, dt, 2**40, [1, 2])
+    with pytest.raises(ValueError, match="exceed the cap"):
+        ensemble_average(ic, WEAK, 4, dt, 1e12, 0)
+    with pytest.raises(ValueError, match="exceed the cap"):
+        ensemble_average(ic, WEAK, 2, 1e-300, 1e300, 0)
+    # the cap is on n * (K + 1) samples, inclusive
+    monkeypatch.setattr(stochastic, "MAX_FIELD_SAMPLES", 2 * 51)
+    assert len(sample_fields(WEAK, dt, 50, [1, 2])) == 2
+    assert ensemble_average(ic, WEAK, 2, dt, 50 * dt, 0).t.size == 51
+    with pytest.raises(ValueError, match="2 realizations x 52 samples"):
+        sample_fields(WEAK, dt, 51, [1, 2])
+    with pytest.raises(ValueError, match="2 realizations x 52 samples"):
+        ensemble_average(ic, WEAK, 2, dt, 51 * dt, 0)
+
+
 @pytest.mark.parametrize("shape", [(2, 301), (3, 2, 301)])
 def test_quadrature_paths_match_stepwise_reference(shape):
     normals = np.random.default_rng(21).standard_normal(shape)
