@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from dipolefield import SystemParams, estimate_spectrum, sample_field, sample_fields
-from dipolefield.stochastic import derive_seed, field_variance, max_field_dt
+from dipolefield.stochastic import derive_seed, derive_seeds, field_variance, max_field_dt
 
 p = SystemParams(omega=10.0, kappa=1.0, beta_s=0.0, i0=1.0, beta=1.0)
 dt = max_field_dt(p)
@@ -32,7 +32,7 @@ expected = field_variance(p) * math.exp(-1.0) * math.cos(p.omega * lag * dt)
 print(f"  autocovariance at lag 1/beta = {acf:+.4f} (target {expected:+.4f})")
 print()
 
-fields = sample_fields(p, dt, n_steps, [derive_seed(3, i) for i in range(150)])
+fields = sample_fields(p, dt, n_steps, derive_seeds(3, range(150)))
 est = estimate_spectrum(fields)
 print(f"averaged periodogram over {len(fields)} realizations:")
 print(f"  fitted peak at {est.fit.peak_omega:.4f} (transition frequency {p.omega})")

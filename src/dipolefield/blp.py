@@ -76,6 +76,9 @@ QUAD_ABS_TOL = 1e-8
 TIE_TOL = 1e-10
 #: distances below this are treated as exact zeros (kinks) of D
 _KINK_TOL = 1e-12
+#: cap on the quarter periods of one frequency up to the horizon, checked
+#: before the rise and breakpoint grids (8 bytes a quarter period) are built
+MAX_QUARTER_PERIODS = 2**20
 
 ArrayLike = Union[float, np.ndarray]
 
@@ -243,6 +246,13 @@ def _rise_rate(tau: ArrayLike, freq: float, decay: float) -> ArrayLike:
     return out if out.ndim else float(out)
 
 
+def _check_quarters(freq: float, t_max: float) -> None:
+    quarters = t_max / (math.pi / (2.0 * freq))
+    if not quarters <= MAX_QUARTER_PERIODS:
+        raise ValueError(f"frequency {freq:.6g} up to T = {t_max:.6g} spans {quarters:.3g} quarter "
+                         f"periods, over the cap of {MAX_QUARTER_PERIODS}")
+
+
 def _rise_intervals(freq: float, decay: float, t_max: float) -> tuple[tuple[float, float], ...]:
     """Rising stretches of exp(-decay tau)|cos(freq tau)| within [0, t_max].
 
@@ -253,6 +263,7 @@ def _rise_intervals(freq: float, decay: float, t_max: float) -> tuple[tuple[floa
     if freq <= 0.0 or t_max <= 0.0:
         return ()
     quarter = math.pi / (2.0 * freq)
+    _check_quarters(freq, t_max)
     zeros = (2 * np.arange(int(t_max / (2.0 * quarter)) + 1) + 1) * quarter
     zeros = zeros[zeros < t_max]
     ends = np.minimum(zeros + math.atan2(freq, decay) / freq, t_max)
@@ -269,6 +280,7 @@ def _breakpoints(lam: float, om: float, t_max: float) -> np.ndarray:
     for f in (lam, om):
         if f > 0.0:
             step = math.pi / (2.0 * f)
+            _check_quarters(f, t_max)
             pts.append(np.arange(1, int(t_max / step) + 2) * step)
     grid = np.unique(np.concatenate(pts))
     return grid[grid <= t_max]

@@ -260,7 +260,7 @@ def _cmd_spectrum(args) -> int:
     # a ratio beyond the cap (even an overflowing one) is clamped, then rejected
     n_steps = int(round(min(duration / dt, stochastic.MAX_FIELD_SAMPLES)))
     stochastic._check_size(args.n, n_steps)
-    seeds = [stochastic.derive_seed(args.seed, i) for i in range(args.n)]
+    seeds = stochastic.derive_seeds(args.seed, range(args.n))
     fields = stochastic.sample_fields(p, dt, n_steps, seeds)
     if args.dump_field:
         stochastic.write_field_csv(fields[0], args.dump_field)

@@ -28,6 +28,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -67,6 +68,10 @@ FIELD_BLOCK_BYTES = 2 * 2**20
 #: before anything is allocated; an ensemble run holds several arrays of
 #: that many doubles (about 1 GB at the cap)
 MAX_FIELD_SAMPLES = 2**24
+
+_MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
+#: multiplier of PCG64's 128-bit linear congruential step
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
 class TrajectoryDivergenceError(RuntimeError):
@@ -194,9 +199,66 @@ def max_field_dt(p: SystemParams) -> float:
     return min(0.05 / p.beta, 0.05 * 2.0 * math.pi / p.omega)
 
 
+def _seed_state(words: np.ndarray, lengths, n_out: int) -> np.ndarray:
+    """``SeedSequence(entropy).generate_state(n_out, np.uint64)`` for every row at once.
+
+    Row i holds its entropy as little-endian uint32 words, the first
+    ``lengths[i]`` of which count; entropy shorter than the 4-word pool is
+    zero padded, as ``SeedSequence`` does itself.
+    """
+    const, mult = 0x43B0D7E5, 0x931E8875
+
+    def hashmix(value: np.ndarray) -> np.ndarray:  # advances the running constant
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * mult & _MASK32
+        value = value * np.uint32(const)
+        return value ^ (value >> 16)
+
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        r = x * np.uint32(0xCA01F9DD) - y * np.uint32(0x4973F715)
+        return r ^ (r >> 16)
+
+    words = np.pad(words, ((0, 0), (0, max(0, 4 - words.shape[1]))))
+    pool = [hashmix(words[:, j]) for j in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for src in range(4, words.shape[1]):
+        for dst in range(4):
+            pool[dst] = np.where(src < lengths, mix(pool[dst], hashmix(words[:, src])), pool[dst])
+    const, mult = 0x8B51F9DD, 0x58F38DED
+    out = np.stack([hashmix(pool[k % 4]) for k in range(2 * n_out)], axis=1)
+    return out.astype("<u4").view("<u8").astype(np.uint64)
+
+
+def _words(values: Sequence[int]) -> np.ndarray:
+    """Integers in [0, 2**64) as rows of two little-endian uint32 words."""
+    try:
+        return np.array(values, dtype=np.uint64).reshape(-1, 1).astype("<u8").view("<u4")
+    except OverflowError:
+        raise ValueError("seeds and seed indices must be integers in [0, 2**64)") from None
+
+
+def derive_seeds(master_seed: int, indices: Sequence[int]) -> list[int]:
+    """Seeds ``SeedSequence([master_seed, i]).generate_state(1, np.uint64)[0]`` of all indices.
+
+    Bit-identical to numpy's, for any nonnegative master seed and indices
+    in [0, 2**64).
+    """
+    master_seed = operator.index(master_seed)
+    if master_seed < 0:
+        raise ValueError(f"master seed {master_seed} must be nonnegative")
+    head = [master_seed >> s & _MASK32 for s in range(0, max(master_seed.bit_length(), 1), 32)]
+    idx = _words(indices)
+    words = np.hstack((np.broadcast_to(np.uint32(head), (len(idx), len(head))), idx))
+    return _seed_state(words, len(head) + 1 + (idx[:, 1] > 0), 1)[:, 0].tolist()
+
+
 def derive_seed(master_seed: int, index: int) -> int:
-    """Deterministic per-trajectory seed from (master seed, counter)."""
-    return int(np.random.SeedSequence([master_seed, index]).generate_state(1, np.uint64)[0])
+    """Deterministic per-trajectory seed from (master seed, counter); see ``derive_seeds``."""
+    return derive_seeds(master_seed, [index])[0]
 
 
 def _check_step(p: SystemParams, dt: float) -> None:
@@ -223,10 +285,23 @@ def _check_size(n_realizations: int, n_steps: int) -> None:
 
 
 def _draw_normals(seeds: Sequence[int], n_steps: int) -> np.ndarray:
-    """Standard-normal draws, shape (len(seeds), 2, n_steps + 1), one stream per seed."""
-    normals = np.empty((len(seeds), 2, n_steps + 1))
-    for row, seed in zip(normals, seeds):
-        np.random.default_rng(seed).standard_normal(out=row)
+    """Standard-normal draws, shape (len(seeds), 2, n_steps + 1), one stream per seed.
+
+    Row i equals ``np.random.default_rng(seeds[i]).standard_normal`` for seeds
+    in [0, 2**64): PCG64 states seeded in bulk, loaded into one generator.
+    """
+    states = _seed_state(_words(seeds), 2, 4)
+    bits = np.random.PCG64(0)
+    gen = np.random.Generator(bits)
+    normals = np.empty((len(states), 2, n_steps + 1))
+    for row, words in zip(normals, states):
+        s0, s1, q0, q1 = words.tolist()
+        # inc = 2 initseq + 1; two LCG steps from state 0, adding initstate between them
+        inc = ((q0 << 64 | q1) << 1 | 1) & _MASK128
+        state = ((inc + (s0 << 64 | s1)) * _PCG64_MULT + inc) & _MASK128
+        bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                      "has_uint32": 0, "uinteger": 0}
+        gen.standard_normal(out=row)
     return normals
 
 
@@ -408,7 +483,7 @@ def ensemble_average(
     n_steps = max(1, math.ceil(min(horizon / dt, MAX_FIELD_SAMPLES) - 1e-12))
     _check_size(n_realizations, n_steps)
 
-    seeds = tuple(derive_seed(master_seed, i) for i in range(n_realizations))
+    seeds = tuple(derive_seeds(master_seed, range(n_realizations)))
     fields = _field_from_normals(p, dt, _draw_normals(seeds, n_steps))
     m, _md, w = _rk4_paths(ic, p, fields, dt, seeds=seeds)
 

@@ -261,6 +261,28 @@ def test_mc_verify_reports_are_byte_identical(config, tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+#: SHA-256 of mc-verify reports, computed with one SeedSequence and one
+#: default_rng per trajectory: criterion 09's config, and a small run whose
+#: master seed of 2**40 + 7 takes two entropy words
+MC_REPORT_SHA256 = {
+    "criterion-09": "9535269e8fb73b97059d9930c6387185acd8c10a852260530bcf5a00a31b95a7",
+    "wide-seed": "f6fec4b2d3a682ef0214d71833f84842e2f75bf698474a9bb0fec891b4703ded",
+}
+MC_REPORT_ARGS = {
+    "criterion-09": ["--n", "10000", "--seed", "99"],
+    "wide-seed": ["--n", "40", "--seed", str(2**40 + 7), "--m0", "0.3", "--w0", "0.5",
+                  "--horizon", "2"],
+}
+
+
+@pytest.mark.parametrize("run", sorted(MC_REPORT_SHA256))
+def test_mc_verify_report_bytes_pinned(config, tmp_path, run):
+    out = tmp_path / "report.json"
+    assert main(["mc-verify", "--config", config(WEAK), *MC_REPORT_ARGS[run],
+                 "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == MC_REPORT_SHA256[run]
+
+
 def test_spectrum_command(config, tmp_path, capsys):
     out = tmp_path / "spec.csv"
     dump = tmp_path / "field.csv"
@@ -303,6 +325,8 @@ def test_spectrum_command(config, tmp_path, capsys):
     ["mc-verify", "--horizon", "inf"],
     ["mc-verify", "--horizon", "-1"],
     ["mc-verify", "--horizon", "1e9"],
+    ["mc-verify", "--seed", "-1"],
+    ["spectrum", "--seed", "-1"],
 ], ids=lambda argv: f"{argv[0]}{argv[1]}={argv[2]}")
 def test_invalid_step_count_or_length_exits_2(config, tmp_path, capsys, argv):
     dump = tmp_path / "field.csv"
@@ -334,3 +358,28 @@ def test_commands_do_not_import_scipy_signal(config, tmp_path):
         env={**os.environ, "PYTHONPATH": path}, timeout=300,
     )
     assert result.returncode == 0, result.stderr
+
+
+@pytest.mark.parametrize("axes", [
+    ["--lambda", "0:1e12:2", "--omega", "1:1:1", "--tmax", "1:1:1"],
+    ["--lambda", "1:1:1", "--omega", "1e300:1e300:1", "--tmax", "10:10:1"],
+], ids=["lambda-1e12", "omega-1e300"])
+def test_sweep_beyond_the_period_cap_exits_2_under_a_memory_limit(tmp_path, axes):
+    # the process caps its own address space at 1 GiB above what it holds
+    # after import, so an unbounded grid would fail in numpy, not exhaust memory
+    script = "\n".join([
+        "import resource, sys",
+        "from dipolefield.cli import main",
+        "held = int(open('/proc/self/statm').read().split()[0]) * resource.getpagesize()",
+        "resource.setrlimit(resource.RLIMIT_AS, (held + 2**30, held + 2**30))",
+        f"sys.exit(main(['sweep', *{axes!r}, '--out', 'sweep.csv']))",
+    ])
+    src = str(Path(dipolefield.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", script], cwd=tmp_path, capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": path}, timeout=300,
+    )
+    assert result.returncode == 2, result.stderr
+    assert f"over the cap of {blp.MAX_QUARTER_PERIODS}" in result.stderr
+    assert not (tmp_path / "sweep.csv").exists()

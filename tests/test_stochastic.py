@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dipolefield import stochastic
 from dipolefield.dynamics import InitialCondition, mean_inversion
@@ -11,6 +13,7 @@ from dipolefield.stochastic import (
     SpectrumFitError,
     TrajectoryDivergenceError,
     derive_seed,
+    derive_seeds,
     ensemble_average,
     estimate_spectrum,
     field_variance,
@@ -61,6 +64,44 @@ def test_sample_fields_and_ensemble_cap_their_size(monkeypatch):
         sample_fields(WEAK, dt, 51, [1, 2])
     with pytest.raises(ValueError, match="2 realizations x 52 samples"):
         ensemble_average(ic, WEAK, 2, dt, 51 * dt, 0)
+
+
+# ---------------------------------------------------------------------------
+# seeding: bulk SeedSequence and PCG64 against numpy itself
+# ---------------------------------------------------------------------------
+
+_INDICES = st.lists(st.one_of(st.integers(0, 2**32 + 8), st.integers(2**32 - 4, 2**64 - 1)),
+                    min_size=1, max_size=8)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(master=st.one_of(st.integers(0, 2**32 + 2), st.integers(0, 2**130 - 1)), indices=_INDICES)
+def test_derive_seeds_equal_seed_sequence(master, indices):
+    expected = [int(np.random.SeedSequence([master, i]).generate_state(1, np.uint64)[0])
+                for i in indices]
+    assert derive_seeds(master, indices) == expected
+    assert derive_seed(master, indices[0]) == expected[0]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(seeds=st.lists(st.one_of(st.integers(0, 2**32 + 2), st.integers(0, 2**64 - 1)),
+                      min_size=1, max_size=6),
+       n_steps=st.integers(1, 40))
+def test_draw_normals_equal_default_rng(seeds, n_steps):
+    expected = [np.random.default_rng(s).standard_normal((2, n_steps + 1)) for s in seeds]
+    np.testing.assert_array_equal(stochastic._draw_normals(seeds, n_steps), expected)
+
+
+def test_seed_edges_and_negative_seeds():
+    edges = [0, 2**32 - 1, 2**32, 2**64 - 1]
+    expected = [np.random.default_rng(s).standard_normal((2, 5)) for s in edges]
+    np.testing.assert_array_equal(stochastic._draw_normals(edges, 4), expected)
+    assert derive_seeds(7, range(3)) == [derive_seed(7, i) for i in range(3)]
+    for call in (lambda: derive_seed(-1, 0), lambda: derive_seed(0, -1),
+                 lambda: derive_seeds(-5, range(4)), lambda: stochastic._draw_normals([3, -1], 4),
+                 lambda: sample_field(WEAK, 0.05, 10, seed=-1)):
+        with pytest.raises(ValueError):
+            call()
 
 
 @pytest.mark.parametrize("shape", [(2, 301), (3, 2, 301)])
