@@ -26,8 +26,10 @@ cosines and refined by one vectorised Chandrupatla root solve. The same
 locator finds where the two branch rates cross, so the pointwise maximum
 of ``literal_pointwise_max`` telescopes too. Only the "as-printed"
 interior rate, evaluated verbatim and not the derivative of the printed
-distance, is integrated numerically, by tanh-sinh quadrature on the
-intervals cut at that grid.
+distance, is integrated numerically. Its numerator is cos^2(theta) times
+a function of tau alone, so every angle shares one set of intervals,
+located once; they are cut at that grid, and a vectorised tanh-sinh rule
+integrates every (angle, piece) pair on shared nodes.
 
 The "as-printed" expressions keep the original theta labels, which attach
 theta = 0 to the coherence integrand; branch identity is therefore tracked
@@ -36,6 +38,7 @@ by ``BranchKind`` (physical pair), never by theta.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -44,7 +47,6 @@ from pathlib import Path
 from typing import Callable, Sequence, Union
 
 import numpy as np
-from scipy.integrate import tanhsinh
 from scipy.optimize.elementwise import find_root
 
 from .dynamics import FormulaSource, _check_mode, _pair_distance
@@ -70,8 +72,15 @@ __all__ = [
     "write_sweep_json",
 ]
 
-#: absolute tolerance of each tanh-sinh piece of the as-printed interior rate
+#: absolute error target of each tanh-sinh piece of the as-printed interior
+#: rate; a piece also stops once its relative error estimate is below eps**0.75
 QUAD_ABS_TOL = 1e-8
+#: tanh-sinh levels: every piece starts with all nodes up to QUAD_MIN_LEVEL
+#: (258) and refines to at most QUAD_MAX_LEVEL. The error estimate compares
+#: successive levels; started lower, both can miss a layer and agree.
+QUAD_MIN_LEVEL, QUAD_MAX_LEVEL = 4, 10
+#: bytes of one (angle, piece, node) array of the quadrature
+QUAD_BLOCK_BYTES = 2**20
 #: ties between branch integrals within this margin resolve to the omega branch
 TIE_TOL = 1e-10
 #: distances below this are treated as exact zeros (kinks) of D
@@ -79,6 +88,10 @@ _KINK_TOL = 1e-12
 #: cap on the quarter periods of one frequency up to the horizon, checked
 #: before the rise and breakpoint grids (8 bytes a quarter period) are built
 MAX_QUARTER_PERIODS = 2**20
+#: cap on the (owner, gap, sample) values of one positivity-interval scan,
+#: checked before they are allocated; each value costs about 80 bytes of
+#: peak memory (a 65-angle derived scan of 2**21 values peaks near 250 MB)
+MAX_SCAN_SAMPLES = 2**21
 
 ArrayLike = Union[float, np.ndarray]
 
@@ -149,20 +162,27 @@ def _rate_numerator(u: ArrayLike, tau: ArrayLike, lam: float, om: float, mode: s
         da = -np.exp(-2.0 * tau) * (2.0 * cl * cl + lam * np.sin(2.0 * lam * tau))
         db = -om * np.sin(2.0 * om * tau)
         return u * da + (1.0 - u) * db
-    return -u * (
-        np.exp(0.5 * tau) * om * np.sin(2.0 * om * tau)
-        + np.exp(-0.5 * tau) * (np.sin(lam * tau) ** 2 + lam * np.sin(2.0 * lam * tau))
-    )
+    return u * _printed_factors(tau, lam, om)[0]
+
+
+def _printed_factors(tau: ArrayLike, lam: float, om: float) -> tuple:
+    """(P, Q, R) of the printed rate u P / (2 sqrt(u Q + (1 - u) R)), u = cos^2(theta).
+
+    P is minus the printed bracket; the printed denominator attaches the
+    damping to the coherence cosine, Q = e^tau cos^2(om tau), R = cos^2(lam tau).
+    """
+    p = -(np.exp(0.5 * tau) * om * np.sin(2.0 * om * tau)
+          + np.exp(-0.5 * tau) * (np.sin(lam * tau) ** 2 + lam * np.sin(2.0 * lam * tau)))
+    return p, np.exp(tau) * np.cos(om * tau) ** 2, np.cos(lam * tau) ** 2
 
 
 def _rate_parts(u: ArrayLike, tau: ArrayLike, lam: float, om: float, mode: str) -> tuple:
-    """Numerator and denominator of the rate num / den."""
-    num = _rate_numerator(u, tau, lam, om, mode)
+    """Numerator and denominator of the rate num / den; ``u`` and ``tau`` broadcast."""
     if mode == "derived":
+        num = _rate_numerator(u, tau, lam, om, mode)
         return num, 2.0 * _pair_distance(u, 1.0, lam * lam, om, tau)
-    # the printed denominator attaches the damping to the coherence cosine
-    den2 = np.exp(tau) * u * np.cos(om * tau) ** 2 + (1.0 - u) * np.cos(lam * tau) ** 2
-    return num, 2.0 * np.sqrt(den2)
+    p, q, r = _printed_factors(tau, lam, om)
+    return u * p, 2.0 * np.sqrt(u * q + (1.0 - u) * r)
 
 
 def sigma_rate(
@@ -321,8 +341,14 @@ def _sign_intervals(fn: Callable, terms: tuple, grid: np.ndarray,
     min(|fn(lo)|, |fn(hi)|) <= max|fn''| (hi - lo)^2 / 8, so such gaps are
     halved until ``_numerator_curvature`` clears them or they are narrower
     than 1e-7. All sign changes are refined in one Chandrupatla solve.
+    Raises ValueError past ``MAX_SCAN_SAMPLES`` owners x gaps x samples.
     """
     size = terms[0][0].size
+    values = size * (grid.size - 1) * samples
+    if values > MAX_SCAN_SAMPLES:
+        raise ValueError(f"the positivity scan needs {size} owners x {grid.size - 1} gaps x "
+                         f"{samples} samples = {values:.3g} values, over the cap of "
+                         f"{MAX_SCAN_SAMPLES} (blp.MAX_SCAN_SAMPLES)")
 
     def h(tau: np.ndarray, k: np.ndarray) -> np.ndarray:
         # rounding: a few ulps of each term a e^{-r tau}, plus what the
@@ -369,6 +395,139 @@ def _sign_intervals(fn: Callable, terms: tuple, grid: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
+# tanh-sinh quadrature
+# ---------------------------------------------------------------------------
+
+#: level-0 step: at 8 steps the node complement 1 - x_j falls to four times
+#: the smallest normal float
+_TS_H0 = math.asinh(math.log(2.0 / (4.0 * np.finfo(float).smallest_normal) - 1.0) / math.pi) / 8
+
+
+@functools.cache
+def _tanh_sinh_level(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Complements 1 - x_j and weights w_j of the nodes level k adds on [-1, 1].
+
+    Level 0 holds j = 0..8, the node x = 0 at half weight on each side, and
+    level k > 0 the odd j up to 8 2^k, at step h0 / 2^k.
+    """
+    jh = (np.arange(9) if k == 0 else np.arange(1, 8 * 2**k + 1, 2)) * (_TS_H0 / 2**k)
+    u1, u2 = np.pi / 2 * np.cosh(jh), np.pi / 2 * np.sinh(jh)
+    with np.errstate(over="ignore"):  # the outermost weights underflow to zero
+        w = u1 / np.cosh(u2) ** 2
+        xc = 1.0 / (np.exp(u2) * np.cosh(u2))
+    if k == 0:
+        w[0] /= 2.0
+    xc.flags.writeable = w.flags.writeable = False  # cached, shared by every call
+    return xc, w
+
+
+def _tanh_sinh_nodes(xc: np.ndarray, wj: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple:
+    """Nodes and weights on [a, b] (columns), the right half first.
+
+    A node that rounds onto an end gets weight zero.
+    """
+    half = (b - a) / 2
+    x = np.concatenate((-half * xc + b, half * xc + a), axis=-1)
+    w = np.concatenate((wj * half,) * 2, axis=-1)
+    w[(x <= a) | (x >= b)] = 0.0
+    return x, w
+
+
+def _tanh_sinh(f: Callable, a: np.ndarray, b: np.ndarray, owners: int = 1) -> np.ndarray:
+    """Integrals of f over [a_j, b_j] for every owner k < ``owners``, shape (owners, pieces).
+
+    f(tau, k) is the integrand of owners k, an index array broadcasting
+    against tau. The rule, its error estimate and its stopping test are
+    those of scipy's ``tanhsinh`` (Takahasi & Mori 1974; Bailey, Jeyabalan
+    & Li 2005). Every (owner, piece) pair starts with the nodes of levels
+    0..QUAD_MIN_LEVEL, which all owners of a piece share. A pair that has
+    not converged adds the next level's nodes, up to QUAD_MAX_LEVEL. It
+    converges once its error estimate is below QUAD_ABS_TOL or below
+    eps**0.75 of its value. A non-finite or unconverged pair raises
+    ``QuadratureError``. Pieces run in blocks of about QUAD_BLOCK_BYTES an array.
+    """
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    nodes = 2 * (8 * 2**QUAD_MIN_LEVEL + 1)
+    step = max(1, QUAD_BLOCK_BYTES // (8 * max(owners, 1) * nodes))
+    out = np.empty((owners, a.size))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for i in range(0, a.size, step):
+            out[:, i:i + step] = _tanh_sinh_block(f, a[i:i + step], b[i:i + step], owners)
+    return out
+
+
+def _tanh_sinh_block(f: Callable, a: np.ndarray, b: np.ndarray, owners: int) -> np.ndarray:
+    """``_tanh_sinh`` on one block of pieces; pair p is owner p // a.size, piece p % a.size."""
+    size, eps = owners * a.size, np.finfo(float).eps
+    total, prev, err = np.zeros(size), np.zeros(size), np.full(size, np.nan)
+    done = np.zeros(size, dtype=bool)
+    # per end (right, left): signed abscissa, value and weight of the node
+    # nearest that end with a finite value and a nonzero weight
+    ends = tuple((np.full(size, -np.inf), np.full(size, np.nan), np.zeros(size)) for _ in "rl")
+
+    def fail(p: int, why: str) -> QuadratureError:
+        return QuadratureError(f"tanh-sinh quadrature on [{a[p % a.size]:.6g}, "
+                               f"{b[p % a.size]:.6g}] did not converge ({why})")
+
+    def add_level(p, x, w, fx, level):
+        """Add one level to the pairs p: nodes x and weights w broadcast against values fx."""
+        half = x.shape[-1] // 2
+        finite = np.isfinite(fx)
+        bad = w == 0.0 if finite.all() else ~finite | (w == 0.0)
+        for sign, cols, (x0, f0, w0) in zip((1.0, -1.0), (slice(None, half), slice(half, None)),
+                                            ends):
+            xs = np.where(bad[..., cols], -np.inf, sign * x[..., cols])
+            i = np.argmax(xs, axis=-1)[..., None]
+            near = [np.broadcast_to(np.take_along_axis(v, i, -1)[..., 0], p.shape)
+                    for v in (xs, fx[..., cols], w[..., cols])]
+            new = near[0] > x0[p]
+            for store, v in zip((x0, f0, w0), near):
+                store[p[new]] = v[new]
+        if not finite.all():  # the value nearest its end stands in for a non-finite one
+            fx = np.where(finite, fx, np.repeat(np.stack([f0[p] for _, f0, _ in ends], -1),
+                                                half, -1))
+        fw = fx * w
+        h = _TS_H0 / 2**level
+        if level == QUAD_MIN_LEVEL:
+            # the estimates at steps 2h and 4h use the nodes of the coarser
+            # levels, 8 2^k + 1 a side up to level k
+            s = fw.sum(axis=-1) * h
+            s1, s2 = (np.concatenate((fw[..., :n], fw[..., half:half + n]), -1).sum(axis=-1)
+                      * (h * c) for n, c in ((4 * 2**level + 1, 2), (2 * 2**level + 1, 4)))
+        else:
+            s1, s2 = total[p], prev[p]
+            s = s1 / 2 + fw.sum(axis=-1) * h
+        d1, d2 = abs(s - s1), abs(s - s2)
+        d0 = np.where(d1 > 0, d1 ** (np.log(d1) / np.log(d2)), 0.0)
+        d4 = np.maximum(*(abs(f0[p] * w0[p]) for _, f0, w0 in ends))
+        e = np.clip(np.max((d0, d1**2, eps * abs(fw).max(axis=-1), d4), axis=0), eps * abs(s), d1)
+        ok = (e < QUAD_ABS_TOL) | (e / abs(s) < eps**0.75)
+        blown = ~ok & ~np.isfinite(s)
+        if blown.any():
+            raise fail(int(p[blown][0]), "non-finite value")
+        total[p], prev[p], err[p], done[p] = s, s1, e, ok
+
+    for level in range(QUAD_MIN_LEVEL, QUAD_MAX_LEVEL + 1):
+        if level == QUAD_MIN_LEVEL:  # all owners of a piece share its nodes
+            xc, wj = (np.concatenate(c) for c in zip(*map(_tanh_sinh_level, range(level + 1))))
+            x, w = _tanh_sinh_nodes(xc, wj, a[:, None], b[:, None])
+            fx = np.broadcast_to(f(x, np.arange(owners)[:, None, None]), (owners, *x.shape))
+            add_level(np.arange(size).reshape(owners, a.size), x[None], w[None], fx, level)
+            continue
+        live = np.flatnonzero(~done)
+        xc, wj = _tanh_sinh_level(level)
+        chunk = max(1, QUAD_BLOCK_BYTES // (16 * xc.size))
+        for i in range(0, live.size, chunk):
+            p = live[i:i + chunk]
+            x, w = _tanh_sinh_nodes(xc, wj, a[p % a.size, None], b[p % a.size, None])
+            add_level(p, x, w, np.broadcast_to(f(x, (p // a.size)[:, None]), x.shape), level)
+    if not done.all():
+        p = int(np.argmin(done))
+        raise fail(p, f"error estimate {err[p]:.3g} after level {QUAD_MAX_LEVEL}")
+    return total.reshape(owners, a.size)
+
+
+# ---------------------------------------------------------------------------
 # backflow values: telescoped rises, quadrature for the as-printed rate
 # ---------------------------------------------------------------------------
 
@@ -398,8 +557,12 @@ def _interior_scan(
     lam, om = cfg.lambda_hat, cfg.omega_hat
     u = np.cos(thetas) ** 2
     grid = _breakpoints(lam, om, t_max)
-    a, b, owner = _sign_intervals(lambda tau, k: _rate_numerator(u[k], tau, lam, om, mode),
-                                  _numerator_terms(u, lam, om, mode), grid)
+    # the printed numerator is u times a function of tau alone, and the locator's
+    # sign, rounding and curvature tests all scale with u: one owner (u = 1)
+    # finds the intervals of every angle
+    u_loc = u if mode == "derived" else np.ones(1)
+    a, b, owner = _sign_intervals(lambda tau, k: _rate_numerator(u_loc[k], tau, lam, om, mode),
+                                  _numerator_terms(u_loc, lam, om, mode), grid)
     if mode == "derived":
         d = _pair_distance(u[owner], 1.0, lam * lam, om, np.stack((a, b)))
         totals = np.bincount(owner, d[1] - d[0], minlength=u.size)
@@ -413,20 +576,11 @@ def _interior_scan(
         cut = first[piece] + np.arange(piece.size) - np.repeat(np.cumsum(n) - n, n)
         lo = np.where(cut == first[piece], a[piece], grid[cut - 1])
         hi = np.where(cut == first[piece] + n[piece] - 1, b[piece], grid[cut])
-        u_piece, integral, status = u[owner[piece]], np.empty(lo.size), np.empty(lo.size, int)
-        # blocks of 128 pieces: the first call evaluates 259 nodes per piece,
-        # and one call over all pieces of a scan can take ~40 MB
-        for s in (slice(i, i + 128) for i in range(0, lo.size, 128)):
-            # minlevel=4: the error estimate compares successive levels, and at
-            # the default 2 both can miss a layer and agree, leaving ~1e-5 off
-            res = tanhsinh(lambda tau, uk: np.divide(*_rate_parts(uk, tau, lam, om, mode)),
-                           lo[s], hi[s], args=(u_piece[s],), minlevel=4, atol=QUAD_ABS_TOL)
-            integral[s], status[s] = res.integral, res.status
-        if np.any(status):
-            i = int(np.argmax(status != 0))
-            raise QuadratureError(f"tanh-sinh quadrature on [{lo[i]:.6g}, {hi[i]:.6g}] "
-                                  f"did not converge (status {status[i]})")
-        totals = np.bincount(owner[piece], integral, minlength=u.size)
+        integrals = _tanh_sinh(lambda tau, k: np.divide(*_rate_parts(u[k], tau, lam, om, mode)),
+                               lo, hi, u.size)
+        totals = integrals.sum(axis=1)
+        owner = np.repeat(np.arange(u.size), a.size)
+        a, b = np.tile(a, u.size), np.tile(b, u.size)
     return np.maximum(totals, 0.0), a, b, owner
 
 
@@ -443,9 +597,11 @@ def backflow_integral(
     positivity intervals are bracketed on the quarter-period grid of both
     cosines and refined by root-finding, in the computation ``n_measure``
     runs over all its angles at once. In "derived" mode each interval
-    contributes D(b) - D(a) exactly, while the verbatim "as-printed" rate
-    is integrated by tanh-sinh quadrature on the intervals cut at that
-    grid, to 1e-8 absolute tolerance per piece.
+    contributes D(b) - D(a) exactly. The verbatim "as-printed" rate has the
+    same intervals at every angle; they are cut at that grid and each piece
+    is integrated by ``_tanh_sinh`` (scipy's tanh-sinh rule and error
+    estimate, vectorised over angles and pieces) to an estimated absolute
+    error of 1e-8.
 
     Endpoint angles are routed to the branch integrands: in "derived" mode
     theta = 0 is the inversion (lambda) pair and theta = pi/2 the coherence

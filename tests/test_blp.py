@@ -1,4 +1,3 @@
-import functools
 import math
 import tempfile
 from pathlib import Path
@@ -346,8 +345,9 @@ def test_interior_backflow_is_total_rise_near_double_roots(lam, om, start, nudge
 
 
 def test_interior_quadrature_failure_raises(monkeypatch):
-    # one tanh-sinh level cannot converge: the status must surface as an error
-    monkeypatch.setattr(blp, "tanhsinh", functools.partial(blp.tanhsinh, maxlevel=1))
+    # with the level cap below the first level no piece can converge, and
+    # that must surface as an error
+    monkeypatch.setattr(blp, "QUAD_MAX_LEVEL", blp.QUAD_MIN_LEVEL - 1)
     with pytest.raises(QuadratureError, match="did not converge"):
         backflow_integral(0.7, cfg_of(1.3, 2.1, 5.0), 5.0, mode="as-printed")
 
@@ -415,6 +415,103 @@ def test_batched_scan_matches_single_angles(mode):
         alone = backflow_integral(float(theta), cfg, 9.0, mode=mode)
         assert values[k] == pytest.approx(alone.n_value, abs=1e-13)
         assert alone.intervals == tuple(zip(a[owner == k].tolist(), b[owner == k].tolist()))
+
+
+@pytest.mark.parametrize("f, a, b, exact", [
+    (lambda x, k: np.exp(x), 0.0, 1.0, math.e - 1.0),
+    # integrable endpoint singularities
+    (lambda x, k: 1.0 / np.sqrt(x), 0.0, 1.0, 2.0),
+    (lambda x, k: np.log(x), 0.0, 1.0, -1.0),
+    # layers of width 1e-4 at either end, like the printed denominator's dips
+    (lambda x, k: 1e-4 / (x * x + 1e-8), 0.0, 1.0, math.atan(1e4)),
+    (lambda x, k: 1e-4 / ((3.0 - x) ** 2 + 1e-8), 2.0, 3.0, math.atan(1e4)),
+    # a layer of width 0.01 inside, which takes the rule to level 8 or 9
+    (lambda x, k: 0.01 / ((x - 0.3) ** 2 + 1e-4), 0.0, 1.0,
+     math.atan(70.0) + math.atan(30.0)),
+], ids=["exp", "inv-sqrt", "log", "left-layer", "right-layer", "inner-layer"])
+def test_tanh_sinh_known_integrals(f, a, b, exact):
+    got = blp._tanh_sinh(f, np.array([a]), np.array([b]))
+    assert got.shape == (1, 1)
+    assert got[0, 0] == pytest.approx(exact, abs=1e-10)
+
+
+def test_tanh_sinh_owners_share_pieces():
+    # owner k integrates (k + 1) x^k: 1 on [0, 1] and 2^(k+1) - 1 on [1, 2]
+    got = blp._tanh_sinh(lambda x, k: (k + 1) * x**k, np.array([0.0, 1.0]),
+                         np.array([1.0, 2.0]), owners=4)
+    expected = np.array([[1.0, 2.0**k - 1.0] for k in range(1, 5)])
+    assert np.allclose(got, expected, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("f, why", [
+    (lambda x, k: 1e-4 / ((x - 0.5) ** 2 + 1e-8), "after level"),
+    (lambda x, k: np.full_like(x, np.nan), "non-finite"),
+], ids=["inner-spike", "nan"])
+def test_tanh_sinh_failures_raise(f, why):
+    with pytest.raises(QuadratureError, match=f"did not converge \\(.*{why}"):
+        blp._tanh_sinh(f, np.array([0.0]), np.array([1.0]))
+
+
+def test_tanh_sinh_matches_scipy_on_printed_pieces():
+    from scipy.integrate import tanhsinh
+
+    rng = np.random.default_rng(8)
+    for _ in range(12):
+        lam, om = rng.uniform(0.5, 3.0, 2)
+        t_max = rng.uniform(1.0, 26.0)
+        u = np.cos(rng.uniform(0.01, math.pi / 2 - 0.01, 5)) ** 2
+        grid = blp._breakpoints(lam, om, t_max)
+        lo, hi = grid[:-1], grid[1:]
+
+        def rate(tau, uk):
+            return np.divide(*blp._rate_parts(uk, tau, lam, om, "as-printed"))
+
+        got = blp._tanh_sinh(lambda tau, k: rate(tau, u[k]), lo, hi, u.size)
+        ref = tanhsinh(rate, lo, hi, args=(u[:, None],), minlevel=blp.QUAD_MIN_LEVEL,
+                       maxlevel=blp.QUAD_MAX_LEVEL, atol=blp.QUAD_ABS_TOL)
+        assert np.all(ref.status == 0)
+        assert np.max(abs(got - ref.integral)) <= 1e-10
+    # inner layers that stop at levels 5 to 9: each pair must stop where scipy's does
+    width, a = np.array([0.1, 0.03, 0.01, 0.005]), np.array([-0.3, -0.5, -0.77])
+
+    def layer(x, w):
+        return w / (x * x + w * w)
+
+    ref = tanhsinh(layer, a, a + 1.0, args=(width[:, None],), minlevel=blp.QUAD_MIN_LEVEL,
+                   maxlevel=blp.QUAD_MAX_LEVEL, atol=blp.QUAD_ABS_TOL)
+    assert np.all(ref.status == 0) and set(ref.maxlevel.ravel()) >= {5, 9}
+    got = blp._tanh_sinh(lambda x, k: layer(x, width[k]), a, a + 1.0, width.size)
+    assert np.max(abs(got - ref.integral)) <= 1e-13
+
+
+@pytest.mark.parametrize("lam, om, t_max", [
+    (1.7, 2.3, 9.0),
+    (2.0, 3.0, 5.0),  # zeros of the numerator on the quarter-period grid
+    (0.926081485894418, 2.6721814930631127, 18.423801256360935),
+    (1.0639404656002296, 2.088830335488228, 20.11563339314566),
+])
+def test_as_printed_intervals_are_shared_by_every_angle(lam, om, t_max):
+    thetas = np.linspace(0.0, math.pi / 2, 65)[1:-1]
+    _, a, b, owner = _interior_scan(thetas, cfg_of(lam, om, t_max), t_max, "as-printed")
+    first = owner == 0
+    u = np.cos(thetas) ** 2
+    # the locator run with one owner per angle, as each angle alone would be
+    alone_a, alone_b, alone_owner = blp._sign_intervals(
+        lambda tau, k: blp._rate_numerator(u[k], tau, lam, om, "as-printed"),
+        blp._numerator_terms(u, lam, om, "as-printed"), blp._breakpoints(lam, om, t_max))
+    for k in range(thetas.size):
+        mine, alone = owner == k, alone_owner == k
+        assert np.array_equal(a[mine], a[first]) and np.array_equal(b[mine], b[first])
+        assert mine.sum() == alone.sum()
+        assert np.max(abs(a[mine] - alone_a[alone]), initial=0.0) <= 1e-13
+        assert np.max(abs(b[mine] - alone_b[alone]), initial=0.0) <= 1e-13
+
+
+@pytest.mark.parametrize("mode", ["derived", "as-printed"])
+def test_n_measure_without_interior_angles(mode):
+    cfg = cfg_of(1.3, 2.1, 5.0)
+    res = n_measure(cfg, 5.0, mode=mode, theta_grid_size=2)
+    assert res.n_value == max(res.n_omega_branch, res.n_lambda_branch)
 
 
 def test_reported_intervals_are_merged_positivity_intervals():

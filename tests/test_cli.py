@@ -1,4 +1,3 @@
-import functools
 import hashlib
 import json
 import math
@@ -138,8 +137,9 @@ def test_nonmark_reports_measure(config, tmp_path, capsys):
 
 
 def test_nonmark_quadrature_failure_exits_3(config, monkeypatch, capsys):
-    # one tanh-sinh level cannot converge on the as-printed interior rate
-    monkeypatch.setattr(blp, "tanhsinh", functools.partial(blp.tanhsinh, maxlevel=1))
+    # with the level cap below the first level no piece of the as-printed
+    # interior rate can converge
+    monkeypatch.setattr(blp, "QUAD_MAX_LEVEL", blp.QUAD_MIN_LEVEL - 1)
     code = main(["nonmark", "--config", config(REFERENCE), "--mode", "as-printed",
                  "--tmax", "5", "--theta-grid", "9"])
     assert code == 3
@@ -383,3 +383,46 @@ def test_sweep_beyond_the_period_cap_exits_2_under_a_memory_limit(tmp_path, axes
     assert result.returncode == 2, result.stderr
     assert f"over the cap of {blp.MAX_QUARTER_PERIODS}" in result.stderr
     assert not (tmp_path / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize("mode, tmax", [("derived", "1e5"), ("as-printed", "5e5")])
+def test_nonmark_beyond_the_scan_cap_exits_2_under_a_memory_limit(config, tmp_path, mode, tmax):
+    # the positivity scan samples owners x gaps x 9 values: about 1.3e5 gaps
+    # for 63 angles (derived) or 9.5e5 gaps for one shared owner (as-printed)
+    # would need gigabytes, so the process caps its address space at 1 GiB
+    # above what it holds after import and the scan must refuse first
+    script = "\n".join([
+        "import resource, sys",
+        "from dipolefield.cli import main",
+        "held = int(open('/proc/self/statm').read().split()[0]) * resource.getpagesize()",
+        "resource.setrlimit(resource.RLIMIT_AS, (held + 2**30, held + 2**30))",
+        f"sys.exit(main(['nonmark', '--config', {config(REFERENCE)!r}, '--mode', {mode!r},"
+        f" '--tmax', {tmax!r}, '--out', 'n.json']))",
+    ])
+    src = str(Path(dipolefield.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", script], cwd=tmp_path, capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": path}, timeout=300,
+    )
+    assert result.returncode == 2, result.stderr
+    assert f"over the cap of {blp.MAX_SCAN_SAMPLES}" in result.stderr
+    assert not (tmp_path / "n.json").exists()
+
+
+def test_as_printed_nonmark_does_not_import_scipy_integrate(config, tmp_path):
+    # the as-printed interior rate is integrated by blp's own tanh-sinh rule
+    script = "\n".join([
+        "import sys",
+        "from dipolefield.cli import main",
+        f"assert main(['nonmark', '--config', {config(REFERENCE)!r}, '--mode', 'as-printed',"
+        " '--tmax', '5', '--theta-grid', '9', '--literal-eq-nt', '--out', 'n.json']) == 0",
+        "assert 'scipy.integrate' not in sys.modules, 'scipy.integrate was imported'",
+    ])
+    src = str(Path(dipolefield.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", script], cwd=tmp_path, capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": path}, timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
