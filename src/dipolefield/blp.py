@@ -22,7 +22,9 @@ rate is the derivative of D. The maximum splits into two physical branches:
 
 All interior angles are scanned in one array computation: the positivity
 intervals of the rate are bracketed on the quarter-period grid of both
-cosines and refined by one vectorised Chandrupatla root solve. The same
+cosines and refined by one vectorised Chandrupatla root solve: a kernel in
+this module that keeps the rule of scipy's ``find_root`` (steps, tolerances,
+stopping tests), so its roots equal scipy's bit for bit. The same
 locator finds where the two branch rates cross, so the pointwise maximum
 of ``literal_pointwise_max`` telescopes too. Only the "as-printed"
 interior rate, evaluated verbatim and not the derivative of the printed
@@ -47,7 +49,6 @@ from pathlib import Path
 from typing import Callable, Sequence, Union
 
 import numpy as np
-from scipy.optimize.elementwise import find_root
 
 from .dynamics import FormulaSource, _check_mode, _pair_distance
 from .model import DimensionlessConfig, SystemParams, nondimensionalize
@@ -366,12 +367,13 @@ def _sign_intervals(fn: Callable, terms: tuple, grid: np.ndarray,
     h_lo, h_hi = hs[..., :-1].ravel(), hs[..., 1:].ravel()
     brackets = []
     while True:
-        change = h_lo * h_hi < 0.0
+        sign = np.sign(h_lo) * np.sign(h_hi)  # h_lo * h_hi can overflow
+        change = sign < 0.0
         brackets.append((lo[change], hi[change], kk[change]))
         width = hi - lo
         bound = _numerator_curvature(terms, kk, lo, hi) * width**2 / 8.0
         hidden = np.minimum(abs(h_lo), abs(h_hi)) <= bound
-        split = (h_lo * h_hi > 0.0) & hidden & (width > 1e-7)
+        split = (sign > 0.0) & hidden & (width > 1e-7)
         lo, hi, h_lo, h_hi, kk = (x[split] for x in (lo, hi, h_lo, h_hi, kk))
         if not lo.size:
             break
@@ -382,9 +384,9 @@ def _sign_intervals(fn: Callable, terms: tuple, grid: np.ndarray,
         lo, hi, kk = np.concatenate((lo, mid)), np.concatenate((mid, hi)), np.concatenate((kk, kk))
         h_lo, h_hi = np.concatenate((h_lo, h_mid)), np.concatenate((h_mid, h_hi))
     lo, hi, kk = (np.concatenate(c) for c in zip(*brackets))
-    roots = find_root(fn, (lo, hi), args=(kk,))
+    roots = _chandrupatla(fn, lo, hi, kk)
     every = np.arange(size)
-    pts = np.concatenate((np.full(size, grid[0]), np.full(size, grid[-1]), roots.x, *points))
+    pts = np.concatenate((np.full(size, grid[0]), np.full(size, grid[-1]), roots, *points))
     owner = np.concatenate((every, every, kk, *owners))
     order = np.lexsort((pts, owner))
     pts, owner = pts[order], owner[order]
@@ -392,6 +394,58 @@ def _sign_intervals(fn: Callable, terms: tuple, grid: np.ndarray,
     a, b, owner = pts[:-1][keep], pts[1:][keep], owner[:-1][keep]
     keep = fn(0.5 * (a + b), owner) > 0.0
     return a[keep], b[keep], owner[keep]
+
+
+def _chandrupatla(fn: Callable, lo: np.ndarray, hi: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Root of fn(tau, k) in each bracket [lo, hi], by Chandrupatla's method.
+
+    Chandrupatla, Adv. Eng. Softw. 28, 145 (1997), with the steps, tolerances
+    and stopping tests of scipy's ``find_root`` at its defaults, so the roots
+    equal its ``x`` bit for bit. Each step takes the inverse quadratic
+    interpolant through the last three points where its acceptance test
+    holds, else the midpoint, kept at least half the tolerance from either
+    end. An element stops at the end with the smaller |f| once that |f| is at
+    most tiny; with NaN once its ends share a sign, an end is not finite or
+    both values are NaN; else once the bracket is narrower than
+    4 tiny + 4 eps |root|. Stopped elements leave the arrays. At most 2046
+    steps, scipy's cap: the bisections from the largest normal float down to
+    the smallest.
+    """
+    tiny, eps = np.finfo(float).smallest_normal, np.finfo(float).eps
+    x1, x2 = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    f1, f2 = fn(x1, k), fn(x2, k)
+    ftol = tiny + 0.0 * np.minimum(abs(f1), abs(f2))  # NaN for an infinite end, as in scipy
+    x3, f3, idx, t = x2, f2, np.arange(x1.size), 0.5
+    out = np.empty(x1.size)
+    for step in range(2047):
+        near = abs(f1) < abs(f2)
+        xmin, fmin = np.where(near, x1, x2), np.where(near, f1, f2)
+        met = abs(fmin) <= ftol
+        failed = ~met & ((np.sign(f1) == np.sign(f2)) | ~(np.isfinite(x1) & np.isfinite(x2))
+                         | (np.isnan(f1) & np.isnan(f2)))
+        xmin[failed] = np.nan
+        dx, tol = abs(x2 - x1), abs(xmin) * (4.0 * eps) + 4.0 * tiny
+        go = ~(met | failed | (dx < tol))
+        out[idx] = xmin
+        if step == 2046 or not go.any():
+            return out
+        x1, f1, x2, f2, x3, f3, k, idx, ftol, dx, tol = (
+            v[go] for v in (x1, f1, x2, f2, x3, f3, k, idx, ftol, dx, tol))
+        if step:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                xi1, phi1 = (x1 - x2) / (x3 - x2), (f1 - f2) / (f3 - f2)
+                alpha = (x3 - x1) / (x2 - x1)
+                iqi = ((1 - np.sqrt(1 - xi1)) < phi1) & (phi1 < np.sqrt(xi1))
+                t = np.where(iqi, f1 / (f1 - f2) * f3 / (f3 - f2)
+                             - alpha * f1 / (f3 - f1) * f2 / (f2 - f3), 0.5)
+            tl = 0.5 * tol / dx
+            t = np.clip(t, tl, 1 - tl)
+        x = x1 + t * (x2 - x1)
+        f = fn(x, k)
+        same = np.sign(f) == np.sign(f1)
+        x3, f3 = np.where(same, x1, x2), np.where(same, f1, f2)
+        x2, f2 = np.where(same, x2, x1), np.where(same, f2, f1)
+        x1, f1 = x, f
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ quadrature failure, 4 acceptance-band violation.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -48,7 +49,12 @@ def _add_common(sub: argparse.ArgumentParser, config: bool = True) -> None:
     sub.add_argument("--mode", choices=dynamics.MODES, default="derived")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process.
+
+    Every ``parse_args`` call returns a new namespace, so nothing carries over.
+    """
     ap = argparse.ArgumentParser(
         prog="dipolefield",
         description="Ensemble dynamics and information backflow of a dipole-coupled "
@@ -298,8 +304,7 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
     except ConfigError as exc:

@@ -507,6 +507,103 @@ def test_as_printed_intervals_are_shared_by_every_angle(lam, om, t_max):
         assert np.max(abs(b[mine] - alone_b[alone]), initial=0.0) <= 1e-13
 
 
+# ---------------------------------------------------------------------------
+# the Chandrupatla root solve
+# ---------------------------------------------------------------------------
+
+def _scipy_roots(fn, lo, hi, k):
+    from scipy.optimize.elementwise import find_root
+
+    return find_root(fn, (lo, hi), args=(k,)).x
+
+
+_MODES = st.sampled_from(["derived", "as-printed"])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(mode=_MODES, lam=st.floats(0.05, 4.0), om=st.floats(0.05, 4.0), t_max=st.floats(0.3, 26.0))
+def test_chandrupatla_matches_scipy_on_located_brackets(mode, lam, om, t_max):
+    # every bracket the locator hands the solver, in the theta scan and for
+    # the pointwise-max difference h, must give scipy's root bit for bit
+    kernel, calls = blp._chandrupatla, []
+
+    def recorded(fn, lo, hi, k):
+        calls.append((fn, lo, hi, k))
+        return kernel(fn, lo, hi, k)
+
+    cfg = cfg_of(lam, om, t_max)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(blp, "_chandrupatla", recorded)
+        _interior_scan(np.linspace(0.0, math.pi / 2, 9)[1:-1], cfg, t_max, mode)
+        literal_pointwise_max(cfg, t_max, mode)
+    assert len(calls) == 2
+    for fn, lo, hi, k in calls:
+        assert np.array_equal(kernel(fn, lo, hi, k), _scipy_roots(fn, lo, hi, k))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(mode=_MODES, lam=st.floats(0.05, 4.0), om=st.floats(0.05, 4.0), theta=_ANGLES,
+       start=st.sampled_from([0.0, 690.0]), w=st.floats(1e-300, 1e-2))
+def test_chandrupatla_matches_scipy_on_edge_brackets(mode, lam, om, theta, start, w):
+    u = np.array([math.cos(theta) ** 2])
+
+    def fn(tau, k):
+        return blp._rate_numerator(u[k], tau, lam, om, mode)
+
+    # sign changes on a grid of [start, start + 10]: near tau = 700 the
+    # as-printed numerator is ~1e150
+    xs = np.linspace(start, start + 10.0, 1001)
+    fs = fn(xs, 0)
+    i = np.flatnonzero(np.sign(fs[:-1]) * np.sign(fs[1:]) < 0.0)
+    lo, hi = xs[i], xs[i + 1]
+    k = np.zeros(i.size, dtype=int)
+    root = blp._chandrupatla(fn, lo, hi, k)
+    # the same brackets halved to width below 1e-7, like the locator's floor
+    nlo, nhi = lo, hi
+    while np.max(nhi - nlo, initial=0.0) > 1e-7:
+        mid = 0.5 * (nlo + nhi)
+        left = np.sign(fn(mid, k)) == np.sign(fn(nlo, k))
+        nlo, nhi = np.where(left, mid, nlo), np.where(left, nhi, mid)
+    # and cut to end within rounding of the root (some of these no longer
+    # bracket it, which both must report as NaN)
+    below, above = np.nextafter(root, -np.inf), np.nextafter(root, np.inf)
+    lo = np.concatenate((lo, nlo, below, lo, root))
+    hi = np.concatenate((hi, nhi, hi, above, hi))
+    k = np.zeros(lo.size, dtype=int)
+    assert np.array_equal(blp._chandrupatla(fn, lo, hi, k), _scipy_roots(fn, lo, hi, k),
+                          equal_nan=True)
+
+    # the printed numerator vanishes exactly at tau = 0, so a root there
+    # converges on the absolute tolerance alone
+    def printed(tau, k):
+        return blp._rate_numerator(u[k], tau, lam, om, "as-printed")
+
+    lo, hi, k = np.array([-w, -w, -1e-2]), np.array([w, 1e-2, w]), np.zeros(3, dtype=int)
+    got = blp._chandrupatla(printed, lo, hi, k)
+    assert np.array_equal(got, _scipy_roots(printed, lo, hi, k))
+    assert np.all(abs(got) <= w)
+
+
+@pytest.mark.parametrize("f", [
+    lambda x, c: (x - c) / (1.0 - x),  # +inf at x = 1
+    lambda x, c: 1e-300 * (x - c) ** 3 / (1.0 - x),  # and below tiny near its root
+    lambda x, c: np.log(x) + c,  # -inf at x = 0
+    lambda x, c: np.sqrt(x) - c,  # NaN below 0
+    lambda x, c: np.arctan(x) - c,  # finite at x = inf
+], ids=["pole", "flat-pole", "log", "sqrt", "atan"])
+def test_chandrupatla_matches_scipy_on_non_finite_values(f):
+    # an infinite end value voids the function tolerance (0 * inf is NaN);
+    # NaN values, infinite ends and broken brackets stop with NaN, and a
+    # bracket with a zero at both ends (the last) stops at once
+    lo = np.array([0.0, 0.0, -1.0, 0.5, 0.0, -np.inf, 0.0, 0.2, 0.25])
+    hi = np.array([1.0, 0.5, 1.0, 1.0, np.inf, np.inf, 1.0, 0.3, 0.25])
+    c = np.array([0.1, 0.5, 0.9, 0.7, 0.3, 0.3, 1.0, 0.6, 0.25])
+    with np.errstate(all="ignore"):
+        got, ref = blp._chandrupatla(f, lo, hi, c), _scipy_roots(f, lo, hi, c)
+    assert np.array_equal(got, ref, equal_nan=True)
+    assert np.isnan(got).any() and not np.isnan(got).all()
+
+
 @pytest.mark.parametrize("mode", ["derived", "as-printed"])
 def test_n_measure_without_interior_angles(mode):
     cfg = cfg_of(1.3, 2.1, 5.0)

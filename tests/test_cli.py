@@ -4,13 +4,14 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
 
 import dipolefield
 import dipolefield.blp as blp
-from dipolefield.cli import main
+from dipolefield.cli import build_parser, main
 
 
 REFERENCE = (
@@ -38,6 +39,26 @@ ZERO_FIELD = (
 )
 
 SPECTRUM = "omega = 10.0\nkappa = 1.0\nbeta_s = 0.0\ni0 = 1.0\nbeta = 1.0\n"
+
+#: (lambda_hat, omega_hat, T) = (2, 3, 5) at --tmax 5: the rate's zeros fall
+#: on the quarter-period grid of both cosines
+COMMENSURATE = (
+    "omega = 3.0\n"
+    "kappa = 1.0\n"
+    "beta_s = 1.0\n"
+    f"i0 = {8.0 / math.pi!r}\n"
+    "beta = 1.0\n"
+)
+
+#: (lambda_hat, omega_hat, T) ~ (2.73, 1.44, 3.4) at --tmax 3.4: an interior
+#: angle wins in as-printed mode, so its intervals are the solver's roots
+INTERIOR = (
+    "omega = 1.44\n"
+    "kappa = 1.0\n"
+    "beta_s = 1.0\n"
+    f"i0 = {2.0 * 2.73**2 / math.pi!r}\n"
+    "beta = 1.0\n"
+)
 
 STRONG = (
     "omega = 2.0\n"
@@ -144,6 +165,101 @@ def test_nonmark_quadrature_failure_exits_3(config, monkeypatch, capsys):
                  "--tmax", "5", "--theta-grid", "9"])
     assert code == 3
     assert "quadrature failure" in capsys.readouterr().err
+
+
+#: SHA-256 of nonmark's --out JSON and stdout with --literal-eq-nt, computed
+#: with scipy's find_root refining the sign changes: the commensurate config,
+#: the reference config at --tmax 20, and an as-printed interior winner
+NONMARK_SHA256 = {
+    ("commensurate", "derived"): (
+        "22e74cf78d48978d41cc07e752b7bbb3a02af2995cbe331cd3873f404ed100b6",
+        "95e9245ec124bb35a65eb9030e95f216e4875bbc4c2099be0da05f475b8f90ba",
+    ),
+    ("commensurate", "as-printed"): (
+        "7340dfad7ce8764a1f3b3e8a50245e887358d6d7ae30df846f853da3e6fd30e8",
+        "d2a1f7ec47b2765d7e5db049ab74c216f6e2cb91e3263f66b9ac71ca0298054d",
+    ),
+    ("tmax-20", "derived"): (
+        "b4d8538a70303250386afbe7479bb85e734f880fbd0cb209b772045ef9c9acb3",
+        "f49d2b470e8a19d39ce7cc0a78801b88a7d7e6822bd088270cca1b828707695c",
+    ),
+    ("tmax-20", "as-printed"): (
+        "0c1b0804691352b85deadb6ff86c9ca052a522a081db111912e073ffefc21d73",
+        "aeeac97bc7bd08e4f95f6fcc87cf2e583c2c9fe9adb660385b614bd6f8410fb0",
+    ),
+    ("interior", "derived"): (
+        "a2f574f34a8246faaba52dddf471157b0fca8124e21161556ab492dc8b77eadd",
+        "044769d7a674e9e3787300c3218040d321f3a5a2c36fee54830ec25f2ff684c4",
+    ),
+    ("interior", "as-printed"): (
+        "ce987853e816bf7d9384e1958179055a7701402f6717d032ae3ad6888dd800fb",
+        "b82768e330c64b829b976ef7d023b12957ee0ee4031bf6f503a8a88851e600d1",
+    ),
+}
+NONMARK_RUNS = {"commensurate": (COMMENSURATE, "5"), "tmax-20": (REFERENCE, "20"),
+                "interior": (INTERIOR, "3.4")}
+
+
+@pytest.mark.parametrize("run, mode", sorted(NONMARK_SHA256))
+def test_nonmark_output_bytes_pinned(config, tmp_path, monkeypatch, capsys, run, mode):
+    text, tmax = NONMARK_RUNS[run]
+    monkeypatch.chdir(tmp_path)
+    assert main(["nonmark", "--config", config(text), "--mode", mode, "--tmax", tmax,
+                 "--literal-eq-nt", "--out", "n.json"]) == 0
+    got = (Path("n.json").read_bytes(), capsys.readouterr().out.encode())
+    assert tuple(hashlib.sha256(b).hexdigest() for b in got) == NONMARK_SHA256[run, mode]
+
+
+def test_nonmark_long_horizon_sign_tests_do_not_overflow(config, capsys):
+    # at T = 709 the printed numerator reaches ~1e154, and the product of two
+    # samples overflowed where the locator compared their signs
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["nonmark", "--config", config(REFERENCE), "--mode", "as-printed",
+                     "--tmax", "709", "--literal-eq-nt"]) == 0
+    assert "n_value = 451" in capsys.readouterr().out
+
+
+def test_parser_is_built_once_and_keeps_no_state(config, tmp_path, monkeypatch, capsys):
+    # one process runs a sequence of commands on the shared parser; each must
+    # match the same command run on a freshly built parser
+    cfg, spec = config(REFERENCE), config(SPECTRUM, "s.cfg")
+    commands = [
+        ["nonmark", "--config", cfg, "--tmax", "5", "--theta-grid", "9", "--literal-eq-nt",
+         "--out", "A.json"],
+        ["nonmark", "--config", cfg, "--tmax", "5", "--theta-grid", "9"],
+        ["nonmark", "--config", cfg, "--tmax", "5", "--theta-grid", "nine"],
+        ["sweep", "--lambda", "0:2:3", "--omega", "0.5:1.5:2", "--tmax", "1:5:2",
+         "--out", "s.csv"],
+        ["spectrum", "--config", spec, "--n", "4", "--duration", "30", "--out", "p.csv"],
+    ]
+
+    def run(fresh):
+        where = tmp_path / ("fresh" if fresh else "shared")
+        where.mkdir()
+        monkeypatch.chdir(where)
+        seen = []
+        for argv in commands:
+            if fresh:
+                build_parser.cache_clear()
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            seen.append((code, *capsys.readouterr()))
+        return seen, {p.name: p.read_bytes() for p in sorted(where.iterdir())}
+
+    build_parser.cache_clear()
+    shared = run(fresh=False)
+    assert build_parser.cache_info()[:2] == (len(commands) - 1, 1)  # hits, misses
+    assert shared == run(fresh=True)
+    seen, files = shared
+    assert [code for code, _, _ in seen] == [0, 0, 2, 0, 0]
+    assert sorted(files) == ["A.json", "p.csv", "s.csv"]
+    assert "literal_pointwise_max" in seen[0][1]
+    assert "literal_pointwise_max" not in seen[1][1] and "wrote" not in seen[1][1]
+    args = build_parser().parse_args(commands[1])
+    assert args.out is None and not args.literal_eq_nt
 
 
 def test_sweep_deterministic_output(config, tmp_path):
