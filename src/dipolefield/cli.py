@@ -267,12 +267,12 @@ def _cmd_spectrum(args) -> int:
     n_steps = int(round(min(duration / dt, stochastic.MAX_FIELD_SAMPLES)))
     stochastic._check_size(args.n, n_steps)
     seeds = stochastic.derive_seeds(args.seed, range(args.n))
-    fields = stochastic.sample_fields(p, dt, n_steps, seeds)
+    omega, power, first = stochastic.sample_periodogram(p, dt, n_steps, seeds)
     if args.dump_field:
-        stochastic.write_field_csv(fields[0], args.dump_field)
+        stochastic.write_field_csv(first, args.dump_field)
         print(f"wrote {args.dump_field}")
     try:
-        est = stochastic.estimate_spectrum(fields)
+        est = stochastic.fit_spectrum(omega, power)
     except stochastic.SpectrumFitError as exc:
         print(f"spectrum fit failed: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

@@ -31,7 +31,7 @@ import math
 import operator
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 from scipy.optimize import curve_fit
@@ -54,19 +54,26 @@ __all__ = [
     "simulate_trajectory",
     "ensemble_average",
     "estimate_spectrum",
+    "sample_periodogram",
+    "fit_spectrum",
     "write_field_csv",
 ]
 
 #: state magnitude beyond which a trajectory is declared divergent
 DIVERGENCE_LIMIT = 1e3
 
-#: bytes of unit normals synthesized at once by ``sample_fields``; about
-#: 20 realizations at the 6367-sample records of the spectrum check
-FIELD_BLOCK_BYTES = 2 * 2**20
+#: bytes of unit normals synthesized at once, the one memory budget of field
+#: synthesis: 41 realizations at the 6367-sample records of the spectrum
+#: check, whose streamed periodogram then peaks under two blocks (the
+#: normals and their transform) whatever the number of realizations
+FIELD_BLOCK_BYTES = 4 * 2**20
+
+#: records drawn contiguously before they are transposed into a time-major block
+_TRANSPOSE_SEEDS = 16
 
 #: cap on n_realizations * (n_steps + 1) field samples per call, checked
-#: before anything is allocated; an ensemble run holds several arrays of
-#: that many doubles (about 1 GB at the cap)
+#: before anything is allocated; an ensemble run holds three arrays of
+#: that many doubles (field, m and w: about 0.5 GB at the cap)
 MAX_FIELD_SAMPLES = 2**24
 
 _MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
@@ -262,7 +269,9 @@ def derive_seed(master_seed: int, index: int) -> int:
 
 
 def _check_step(p: SystemParams, dt: float) -> None:
-    """Reject a non-finite, non-positive or too coarse field step."""
+    """Reject a non-finite field variance and a non-finite, non-positive or too coarse step."""
+    if not math.isfinite(field_variance(p)):
+        raise ValueError(f"field variance pi*beta*i0 = pi*{p.beta:g}*{p.i0:g} is not finite")
     if not (math.isfinite(dt) and dt > 0):
         raise ValueError(f"dt={dt} must be finite and positive")
     limit = max_field_dt(p)
@@ -284,55 +293,83 @@ def _check_size(n_realizations: int, n_steps: int) -> None:
                          f"{MAX_FIELD_SAMPLES} field samples")
 
 
-def _draw_normals(seeds: Sequence[int], n_steps: int) -> np.ndarray:
-    """Standard-normal draws, shape (len(seeds), 2, n_steps + 1), one stream per seed.
+def _check_fields(p: SystemParams, dt: float, n_steps: int, n_realizations: int) -> None:
+    """Reject a field grid or run size before anything is allocated."""
+    if n_steps < 1:
+        raise ValueError("n_steps must be at least 1")
+    _check_step(p, dt)
+    _check_size(n_realizations, n_steps)
 
-    Row i equals ``np.random.default_rng(seeds[i]).standard_normal`` for seeds
-    in [0, 2**64): PCG64 states seeded in bulk, loaded into one generator.
+
+def _draw_normals(seeds: Sequence[int], out: np.ndarray) -> np.ndarray:
+    """Fill a time-major (K+1, len(seeds), 2) array with standard normals, one stream per seed.
+
+    ``out[:, i].T`` equals ``np.random.default_rng(seeds[i]).standard_normal((2, K + 1))``
+    for seeds in [0, 2**64): PCG64 states seeded in bulk, loaded into one
+    generator, which fills ``_TRANSPOSE_SEEDS`` records at a time that are
+    then transposed into place.
     """
     states = _seed_state(_words(seeds), 2, 4)
     bits = np.random.PCG64(0)
     gen = np.random.Generator(bits)
-    normals = np.empty((len(states), 2, n_steps + 1))
-    for row, words in zip(normals, states):
-        s0, s1, q0, q1 = words.tolist()
-        # inc = 2 initseq + 1; two LCG steps from state 0, adding initstate between them
-        inc = ((q0 << 64 | q1) << 1 | 1) & _MASK128
-        state = ((inc + (s0 << 64 | s1)) * _PCG64_MULT + inc) & _MASK128
-        bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                      "has_uint32": 0, "uinteger": 0}
-        gen.standard_normal(out=row)
-    return normals
+    records = np.empty((min(_TRANSPOSE_SEEDS, len(states)), 2, out.shape[0]))
+    for start in range(0, len(states), _TRANSPOSE_SEEDS):
+        rows = records[:len(states) - start]
+        for row, words in zip(rows, states[start:start + _TRANSPOSE_SEEDS]):
+            s0, s1, q0, q1 = words.tolist()
+            # inc = 2 initseq + 1; two LCG steps from state 0, adding initstate between them
+            inc = ((q0 << 64 | q1) << 1 | 1) & _MASK128
+            state = ((inc + (s0 << 64 | s1)) * _PCG64_MULT + inc) & _MASK128
+            bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                          "has_uint32": 0, "uinteger": 0}
+            gen.standard_normal(out=row)
+        out[:, start:start + len(rows)] = rows.transpose(2, 0, 1)
+    return out
 
 
 def _quadrature_paths(normals: np.ndarray, rho: float, sigma_st: float) -> np.ndarray:
-    """Exact-discretization AR(1) paths from unit normals, overwriting them.
+    """Exact-discretization AR(1) paths from time-major unit normals, overwriting them.
 
-    ``normals[..., 0]`` seeds the stationary initial value; subsequent
-    columns are the innovations. Works batched over leading axes. Each
-    step rounds ``rho * x_k`` and ``s_inn * z_{k+1}`` and then their sum.
+    ``normals[0]`` seeds the stationary initial value; subsequent rows are
+    the innovations, and trailing axes are independent lanes. Each step
+    rounds ``rho * x_k`` and ``s_inn * z_{k+1}`` and then their sum, on one
+    contiguous row of lanes.
     """
     s_inn = sigma_st * math.sqrt(max(0.0, 1.0 - rho * rho))
-    normals[..., 0] *= sigma_st
-    normals[..., 1:] *= s_inn
-    step = np.empty(normals.shape[:-1])
-    for k in range(normals.shape[-1] - 1):
-        np.multiply(normals[..., k], rho, out=step)
-        normals[..., k + 1] += step
+    normals[0] *= sigma_st
+    normals[1:] *= s_inn
+    step = np.empty(normals.shape[1:])
+    for k in range(normals.shape[0] - 1):
+        np.multiply(normals[k], rho, out=step)
+        normals[k + 1] += step
     return normals
 
 
-def _field_from_normals(
-    p: SystemParams, dt: float, normals: np.ndarray
-) -> np.ndarray:
-    """Field samples E(k dt) from unit normals of shape (..., 2, K+1), consumed in place."""
+def _field_blocks(
+    p: SystemParams, dt: float, n_steps: int, seeds: Sequence[int]
+) -> Iterator[np.ndarray]:
+    """Field samples E(k dt) of one realization per seed, as time-major (K+1, b) blocks.
+
+    Column j of the blocks, in order, is the realization of ``seeds[j]``.
+    The blocks are views into one buffer of about ``FIELD_BLOCK_BYTES`` of
+    normals, which the AR(1) recurrence and the carrier modulation
+    overwrite in place, so a block is valid only until the next one is
+    drawn. Callers check the grid and the run size first.
+    """
     sigma_st = math.sqrt(field_variance(p))
     rho = math.exp(-p.beta * dt)
-    paths = _quadrature_paths(normals, rho, sigma_st)
-    t = dt * np.arange(normals.shape[-1])
-    paths[..., 0, :] *= np.cos(p.omega * t)
-    paths[..., 1, :] *= np.sin(p.omega * t)
-    return paths[..., 0, :] + paths[..., 1, :]
+    t = dt * np.arange(n_steps + 1)
+    cos, sin = np.cos(p.omega * t)[:, None], np.sin(p.omega * t)[:, None]
+    block = max(1, FIELD_BLOCK_BYTES // (2 * 8 * (n_steps + 1)))
+    normals = np.empty((n_steps + 1, min(block, len(seeds)), 2))
+    for start in range(0, len(seeds), block):
+        chunk = seeds[start:start + block]
+        paths = _quadrature_paths(_draw_normals(chunk, normals[:, :len(chunk)]), rho, sigma_st)
+        field, quad = paths[..., 0], paths[..., 1]
+        field *= cos
+        quad *= sin
+        field += quad
+        yield field
 
 
 def sample_fields(
@@ -340,25 +377,17 @@ def sample_fields(
 ) -> list[FieldRealization]:
     """Sample one field realization per seed on a grid of n_steps + 1 points.
 
-    Realizations are synthesized a block at a time, the block holding
-    about ``FIELD_BLOCK_BYTES`` of normals, so the AR(1) recurrence runs
-    once per block rather than once per realization. Each realization is
-    bit-identical to ``sample_field`` with its seed. Rejects steps that
-    are not finite and positive or too coarse to resolve the envelope or
-    the carrier (dt must not exceed ``max_field_dt``), and more than
+    Realizations are synthesized a block at a time (see ``_field_blocks``),
+    so the AR(1) recurrence runs once per block rather than once per
+    realization. Each realization is bit-identical to ``sample_field`` with
+    its seed. Rejects steps that are not finite and positive or too coarse
+    to resolve the envelope or the carrier (dt must not exceed
+    ``max_field_dt``), a non-finite field variance, and more than
     ``MAX_FIELD_SAMPLES`` samples in all, before anything is allocated.
     """
-    if n_steps < 1:
-        raise ValueError("n_steps must be at least 1")
-    _check_step(p, dt)
-    _check_size(len(seeds), n_steps)
-    block = max(1, FIELD_BLOCK_BYTES // (2 * 8 * (n_steps + 1)))
-    out = []
-    for start in range(0, len(seeds), block):
-        chunk = seeds[start:start + block]
-        values = _field_from_normals(p, dt, _draw_normals(chunk, n_steps))
-        out.extend(FieldRealization(dt=dt, values=v, seed=s) for v, s in zip(values, chunk))
-    return out
+    _check_fields(p, dt, n_steps, len(seeds))
+    columns = (col.copy() for block in _field_blocks(p, dt, n_steps, seeds) for col in block.T)
+    return [FieldRealization(dt=dt, values=v, seed=s) for v, s in zip(columns, seeds)]
 
 
 def sample_field(p: SystemParams, dt: float, n_steps: int, seed: int) -> FieldRealization:
@@ -385,31 +414,36 @@ def _rk4_paths(
     field: np.ndarray,
     dt: float,
     seeds: Sequence[int] | None = None,
+    keep_mdot: bool = False,
 ):
     """Fixed-step RK4 of (m, mdot, w) driven by sampled fields.
 
-    ``field`` has shape (..., K+1); leading axes are independent
-    trajectories. Field values at half-steps are linear interpolants.
-    Returns (m, mdot, w) arrays of the same shape as ``field``.
+    ``field`` is time-major, shape (K+1, ...); trailing axes are independent
+    trajectories, and each step reads one row and writes one row of each
+    output. Field values at half-steps are linear interpolants. Returns
+    time-major (m, mdot, w) of the shape of ``field``; mdot is stored only
+    with ``keep_mdot`` and is None otherwise.
     """
     om, kap, bs = p.omega, p.kappa, p.beta_s
     k_fast = kap * om
     k_slow = kap / om
     om2 = om * om
 
-    shape = field.shape
-    n_steps = shape[-1] - 1
-    m = np.full(shape[:-1], float(ic.m0))
-    md = np.full(shape[:-1], float(ic.mdot0))
-    w = np.full(shape[:-1], float(ic.w0))
-    out_m = np.empty(shape)
-    out_md = np.empty(shape)
-    out_w = np.empty(shape)
-    out_m[..., 0], out_md[..., 0], out_w[..., 0] = m, md, w
+    lanes = field.shape[1:]
+    n_steps = field.shape[0] - 1
+    m = np.full(lanes, float(ic.m0))
+    md = np.full(lanes, float(ic.mdot0))
+    w = np.full(lanes, float(ic.w0))
+    out_m = np.empty(field.shape)
+    out_md = np.empty(field.shape) if keep_mdot else None
+    out_w = np.empty(field.shape)
+    out_m[0], out_w[0] = m, w
+    if keep_mdot:
+        out_md[0] = md
 
     for k in range(n_steps):
-        e0 = field[..., k]
-        e1 = field[..., k + 1]
+        e0 = field[k]
+        e1 = field[k + 1]
         eh = 0.5 * (e0 + e1)
 
         def rhs(mm, pp, ww, ee):
@@ -422,7 +456,9 @@ def _rk4_paths(
         m = m + (dt / 6.0) * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
         md = md + (dt / 6.0) * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
         w = w + (dt / 6.0) * (c1 + 2.0 * c2 + 2.0 * c3 + c4)
-        out_m[..., k + 1], out_md[..., k + 1], out_w[..., k + 1] = m, md, w
+        out_m[k + 1], out_w[k + 1] = m, w
+        if keep_mdot:
+            out_md[k + 1] = md
 
         peak = max(np.max(np.abs(m)), np.max(np.abs(md)), np.max(np.abs(w)))
         if not (peak <= DIVERGENCE_LIMIT):
@@ -453,7 +489,7 @@ def simulate_trajectory(
     inversion to pure exponential relaxation toward the ground state;
     with kappa = 0 the dipole decouples from the field entirely.
     """
-    m, md, w = _rk4_paths(ic, p, field.values, field.dt, seeds=[field.seed])
+    m, md, w = _rk4_paths(ic, p, field.values, field.dt, seeds=[field.seed], keep_mdot=True)
     return TrajectoryState(t=field.times, m=m, mdot=md, w=w)
 
 
@@ -484,8 +520,17 @@ def ensemble_average(
     _check_size(n_realizations, n_steps)
 
     seeds = tuple(derive_seeds(master_seed, range(n_realizations)))
-    fields = _field_from_normals(p, dt, _draw_normals(seeds, n_steps))
-    m, _md, w = _rk4_paths(ic, p, fields, dt, seeds=seeds)
+    field = np.empty((n_steps + 1, n_realizations))
+    start = 0
+    for block in _field_blocks(p, dt, n_steps, seeds):
+        field[:, start:start + block.shape[1]] = block
+        start += block.shape[1]
+    m, _, w = _rk4_paths(ic, p, field, dt, seeds=seeds)
+    del field
+    # record-major copies, one at a time: the reductions then sum the
+    # trajectories in index order, and at most three n x (K+1) arrays are held
+    m = np.ascontiguousarray(m.T)
+    w = np.ascontiguousarray(w.T)
 
     t = dt * np.arange(n_steps + 1)
     mean_m = m.mean(axis=0)
@@ -520,6 +565,13 @@ def _lorentzian(omega, height, center, hwhm):
     return height * hwhm**2 / ((omega - center) ** 2 + hwhm**2)
 
 
+def _add_periodograms(power: np.ndarray, block: np.ndarray, dt: float) -> None:
+    """Add dt |FFT|^2 / N of each column of a time-major (N, b) block to ``power``, in order."""
+    terms = (dt / block.shape[0]) * np.abs(np.fft.rfft(block, axis=0)) ** 2
+    for term in terms.T:
+        power += term
+
+
 def estimate_spectrum(realizations: Sequence[FieldRealization]) -> SpectrumEstimate:
     """Averaged two-sided periodogram with a least-squares Lorentzian fit.
 
@@ -527,7 +579,8 @@ def estimate_spectrum(realizations: Sequence[FieldRealization]) -> SpectrumEstim
     the convention P(omega) = dt |FFT|^2 / N, under which the expected
     peak height is C(0)/beta = pi * i0. Fit non-convergence raises
     ``SpectrumFitError``; an identically zero field yields a zero spectrum
-    with no fit.
+    with no fit. ``sample_periodogram`` and then ``fit_spectrum`` give the
+    same result on the realizations they sample, without holding them.
     """
     if len(realizations) < 2:
         raise ValueError("need at least 2 realizations")
@@ -539,11 +592,42 @@ def estimate_spectrum(realizations: Sequence[FieldRealization]) -> SpectrumEstim
 
     power = np.zeros(n // 2 + 1)
     for r in realizations:
-        spec = np.fft.rfft(r.values)
-        power += (dt / n) * np.abs(spec) ** 2
+        _add_periodograms(power, r.values[:, None], dt)
     power /= len(realizations)
-    omega = 2.0 * math.pi * np.fft.rfftfreq(n, d=dt)
+    return fit_spectrum(2.0 * math.pi * np.fft.rfftfreq(n, d=dt), power)
 
+
+def sample_periodogram(
+    p: SystemParams, dt: float, n_steps: int, seeds: Sequence[int]
+) -> tuple[np.ndarray, np.ndarray, FieldRealization]:
+    """Averaged periodogram (omega, power) of one field realization per seed, and realization 0.
+
+    The realizations are those of ``sample_fields``, and the power equals
+    that of ``estimate_spectrum`` on them bit for bit, but each block of
+    realizations is transformed as it is synthesized and then dropped, so
+    memory is set by the block (``FIELD_BLOCK_BYTES`` of normals and their
+    transform), not by the number of seeds. Rejects what ``sample_fields``
+    rejects, and fewer than 2 seeds.
+    """
+    if len(seeds) < 2:
+        raise ValueError("need at least 2 realizations")
+    _check_fields(p, dt, n_steps, len(seeds))
+    power = np.zeros((n_steps + 1) // 2 + 1)
+    first = None
+    for block in _field_blocks(p, dt, n_steps, seeds):
+        if first is None:
+            first = FieldRealization(dt=dt, values=block[:, 0].copy(), seed=seeds[0])
+        _add_periodograms(power, block, dt)
+    power /= len(seeds)
+    return 2.0 * math.pi * np.fft.rfftfreq(n_steps + 1, d=dt), power, first
+
+
+def fit_spectrum(omega: np.ndarray, power: np.ndarray) -> SpectrumEstimate:
+    """Least-squares Lorentzian fit of an averaged periodogram on rfft frequencies ``omega``.
+
+    Non-convergence raises ``SpectrumFitError``; a zero spectrum is
+    returned with no fit.
+    """
     if np.max(power) <= 0.0:
         return SpectrumEstimate(omega=omega, power=power, fit=None,
                                 message="zero spectrum; no peak to fit")

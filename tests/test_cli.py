@@ -11,6 +11,7 @@ import pytest
 
 import dipolefield
 import dipolefield.blp as blp
+import dipolefield.stochastic as stochastic
 from dipolefield.cli import build_parser, main
 
 
@@ -39,6 +40,9 @@ ZERO_FIELD = (
 )
 
 SPECTRUM = "omega = 10.0\nkappa = 1.0\nbeta_s = 0.0\ni0 = 1.0\nbeta = 1.0\n"
+
+#: a field variance pi*beta*i0 that overflows
+HUGE_VARIANCE = "omega = 1.0\nkappa = 1.0\nbeta_s = 0.0\ni0 = 1e308\nbeta = 10.0\n"
 
 #: (lambda_hat, omega_hat, T) = (2, 3, 5) at --tmax 5: the rate's zeros fall
 #: on the quarter-period grid of both cosines
@@ -423,6 +427,50 @@ def test_spectrum_command(config, tmp_path, capsys):
         "hwhm = 1.03657 (target 1)",
         "peak_height = 3.09005 (implied i0 = 0.983593)",
     ]
+
+
+#: SHA-256 of the --out and --dump-field files of ``spectrum --n 45 --seed 7``
+#: at the default record length (6367 samples, several synthesis blocks),
+#: computed with every realization held in memory before the periodogram
+SPECTRUM_45_SHA256 = (
+    "715a7e1519db9409402a2379ac1b15f841a6c32bb0cf4217dfa22c439ef04880",
+    "ceb609e932382336c4928b641d80deb62ac9d72048a36365f6a0b327b30e69c2",
+)
+
+
+def test_spectrum_bytes_do_not_depend_on_block_size(config, tmp_path, capsys, monkeypatch):
+    cfg = config(SPECTRUM)
+    record = 2 * 8 * 6367  # bytes of normals per realization
+    # the default budget, then blocks of 1 and of 3 records (a partial last block)
+    for budget in (stochastic.FIELD_BLOCK_BYTES, record, 3 * record):
+        monkeypatch.setattr(stochastic, "FIELD_BLOCK_BYTES", budget)
+        where = tmp_path / str(budget)
+        where.mkdir()
+        monkeypatch.chdir(where)
+        assert main(["spectrum", "--config", cfg, "--n", "45", "--seed", "7",
+                     "--out", "p.csv", "--dump-field", "f.csv"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "wrote f.csv",
+            "wrote p.csv",
+            "peak_omega = 10.0087 (target 10)",
+            "hwhm = 1.03879 (target 1)",
+            "peak_height = 3.04752 (implied i0 = 0.970057)",
+        ]
+        digests = tuple(hashlib.sha256((where / f).read_bytes()).hexdigest()
+                        for f in ("p.csv", "f.csv"))
+        assert digests == SPECTRUM_45_SHA256
+
+
+@pytest.mark.parametrize("argv", [["spectrum"], ["mc-verify", "--force"]])
+def test_non_finite_field_variance_exits_2_without_warnings(config, tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([*argv, "--config", config(HUGE_VARIANCE), "--n", "4",
+                     "--out", str(out)]) == 2
+    assert "invalid input: field variance pi*beta*i0 = pi*10*1e+308 is not finite" in (
+        capsys.readouterr().err)
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -17,9 +19,11 @@ from dipolefield.stochastic import (
     ensemble_average,
     estimate_spectrum,
     field_variance,
+    fit_spectrum,
     max_field_dt,
     sample_field,
     sample_fields,
+    sample_periodogram,
     simulate_trajectory,
     write_field_csv,
 )
@@ -83,32 +87,44 @@ def test_derive_seeds_equal_seed_sequence(master, indices):
     assert derive_seed(master, indices[0]) == expected[0]
 
 
+def _draw_normals(seeds, n_steps):
+    """Draws of ``stochastic._draw_normals`` as (len(seeds), 2, n_steps + 1) records."""
+    out = stochastic._draw_normals(seeds, np.empty((n_steps + 1, len(seeds), 2)))
+    return out.transpose(1, 2, 0)
+
+
+# lists longer than the transposition tile of 16 records, with partial last tiles
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(seeds=st.lists(st.one_of(st.integers(0, 2**32 + 2), st.integers(0, 2**64 - 1)),
-                      min_size=1, max_size=6),
+                      min_size=1, max_size=40),
        n_steps=st.integers(1, 40))
 def test_draw_normals_equal_default_rng(seeds, n_steps):
     expected = [np.random.default_rng(s).standard_normal((2, n_steps + 1)) for s in seeds]
-    np.testing.assert_array_equal(stochastic._draw_normals(seeds, n_steps), expected)
+    np.testing.assert_array_equal(_draw_normals(seeds, n_steps), expected)
 
 
 def test_seed_edges_and_negative_seeds():
     edges = [0, 2**32 - 1, 2**32, 2**64 - 1]
     expected = [np.random.default_rng(s).standard_normal((2, 5)) for s in edges]
-    np.testing.assert_array_equal(stochastic._draw_normals(edges, 4), expected)
+    np.testing.assert_array_equal(_draw_normals(edges, 4), expected)
     assert derive_seeds(7, range(3)) == [derive_seed(7, i) for i in range(3)]
     for call in (lambda: derive_seed(-1, 0), lambda: derive_seed(0, -1),
-                 lambda: derive_seeds(-5, range(4)), lambda: stochastic._draw_normals([3, -1], 4),
+                 lambda: derive_seeds(-5, range(4)), lambda: _draw_normals([3, -1], 4),
                  lambda: sample_field(WEAK, 0.05, 10, seed=-1)):
         with pytest.raises(ValueError):
             call()
 
 
-@pytest.mark.parametrize("shape", [(2, 301), (3, 2, 301)])
-def test_quadrature_paths_match_stepwise_reference(shape):
-    normals = np.random.default_rng(21).standard_normal(shape)
-    rho, sigma_st = math.exp(-0.05), 1.7
-    expected = ar1_reference(normals, rho, sigma_st)
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(n_steps=st.integers(1, 400),
+       lanes=st.one_of(st.just(()), st.tuples(st.integers(1, 9)),
+                       st.tuples(st.integers(1, 9), st.just(2))),
+       beta_dt=st.floats(1e-4, 0.05), seed=st.integers(0, 2**32 - 1))
+def test_quadrature_paths_match_stepwise_reference(n_steps, lanes, beta_dt, seed):
+    # time-major (K+1, ...) normals, one lane or several, each row of lanes a step
+    normals = np.random.default_rng(seed).standard_normal((n_steps + 1, *lanes))
+    rho, sigma_st = math.exp(-beta_dt), 1.7
+    expected = np.moveaxis(ar1_reference(np.moveaxis(normals, 0, -1), rho, sigma_st), -1, 0)
     np.testing.assert_array_equal(
         stochastic._quadrature_paths(normals.copy(), rho, sigma_st), expected
     )
@@ -132,6 +148,53 @@ def test_sample_fields_match_per_seed_sampling(monkeypatch):
         np.testing.assert_array_equal(
             f.values, x[0] * np.cos(p.omega * t) + x[1] * np.sin(p.omega * t)
         )
+
+
+def test_streams_do_not_depend_on_block_size(monkeypatch):
+    ic, dt, n_steps = InitialCondition(0.3, 0.5), max_field_dt(WEAK), 300
+    seeds = derive_seeds(17, range(7))
+    spectrum = estimate_spectrum([sample_field(WEAK, dt, n_steps, s) for s in seeds])
+    report = ensemble_average(ic, WEAK, 7, dt, n_steps * dt, 17).to_dict()
+    # blocks of 1 and of 3 records (a partial last block), then the default
+    record = 2 * 8 * (n_steps + 1)
+    for budget in (record, 3 * record, stochastic.FIELD_BLOCK_BYTES):
+        monkeypatch.setattr(stochastic, "FIELD_BLOCK_BYTES", budget)
+        omega, power, first = sample_periodogram(WEAK, dt, n_steps, seeds)
+        np.testing.assert_array_equal(omega, spectrum.omega)
+        np.testing.assert_array_equal(power, spectrum.power)
+        assert fit_spectrum(omega, power).fit == spectrum.fit
+        assert first.seed == seeds[0]
+        np.testing.assert_array_equal(first.values, sample_field(WEAK, dt, n_steps, seeds[0]).values)
+        assert ensemble_average(ic, WEAK, 7, dt, n_steps * dt, 17).to_dict() == report
+
+
+def test_streamed_periodogram_memory_does_not_grow_with_realizations():
+    p = SystemParams(omega=10.0, kappa=1.0, beta_s=0.0, i0=1.0, beta=1.0)
+    dt = max_field_dt(p)
+    n_steps = int(round(200.0 / p.beta / dt))  # criterion 10's record: 41 realizations a block
+    peaks = []
+    for n in (20, 200):
+        seeds = derive_seeds(3, range(n))
+        tracemalloc.start()
+        try:
+            sample_periodogram(p, dt, n_steps, seeds)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) < stochastic.FIELD_BLOCK_BYTES
+
+
+def test_non_finite_field_variance_is_rejected_before_sampling():
+    p = SystemParams(omega=1.0, kappa=1.0, beta_s=0.0, i0=1e308, beta=10.0)
+    assert field_variance(p) == math.inf
+    calls = [lambda: sample_fields(p, 0.005, 10, [1, 2]),
+             lambda: sample_periodogram(p, 0.005, 10, [1, 2]),
+             lambda: ensemble_average(InitialCondition(0, 1), p, 2, 0.005, 1.0, 0)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in calls:
+            with pytest.raises(ValueError, match="variance .* is not finite"):
+                call()
 
 
 def test_field_zero_mean():
