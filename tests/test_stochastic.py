@@ -115,12 +115,24 @@ def test_seed_edges_and_negative_seeds():
             call()
 
 
+@pytest.mark.parametrize("shape", [(2, 301), (3, 2, 301)])
+def test_quadrature_paths_match_stepwise_reference(shape):
+    # the records are drawn record-major, then laid out time-major as the sampler uses them
+    normals = np.random.default_rng(21).standard_normal(shape)
+    rho, sigma_st = math.exp(-0.05), 1.7
+    expected = np.moveaxis(ar1_reference(normals, rho, sigma_st), -1, 0)
+    time_major = np.ascontiguousarray(np.moveaxis(normals, -1, 0))
+    np.testing.assert_array_equal(
+        stochastic._quadrature_paths(time_major, rho, sigma_st), expected
+    )
+
+
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(n_steps=st.integers(1, 400),
        lanes=st.one_of(st.just(()), st.tuples(st.integers(1, 9)),
                        st.tuples(st.integers(1, 9), st.just(2))),
        beta_dt=st.floats(1e-4, 0.05), seed=st.integers(0, 2**32 - 1))
-def test_quadrature_paths_match_stepwise_reference(n_steps, lanes, beta_dt, seed):
+def test_quadrature_paths_match_stepwise_reference_on_any_shape(n_steps, lanes, beta_dt, seed):
     # time-major (K+1, ...) normals, one lane or several, each row of lanes a step
     normals = np.random.default_rng(seed).standard_normal((n_steps + 1, *lanes))
     rho, sigma_st = math.exp(-beta_dt), 1.7
