@@ -49,6 +49,7 @@ from pathlib import Path
 from typing import Callable, Sequence, Union
 
 import numpy as np
+import numpy.ma  # noqa: F401  np.unique loads it on first use; load it with the module
 
 from .dynamics import FormulaSource, _check_mode, _pair_distance
 from .model import DimensionlessConfig, SystemParams, nondimensionalize

@@ -34,7 +34,8 @@ from pathlib import Path
 from typing import Iterator, Sequence
 
 import numpy as np
-from scipy.optimize import curve_fit
+import numpy.fft  # noqa: F401  numpy loads these on first use; loading them here
+import numpy.random  # noqa: F401  keeps that out of the first command's time
 
 from .dynamics import InitialCondition, mean_dipole, mean_inversion
 from .model import DerivedParams, SystemParams, derive_params
@@ -76,9 +77,17 @@ _TRANSPOSE_SEEDS = 16
 #: that many doubles (field, m and w: about 0.5 GB at the cap)
 MAX_FIELD_SAMPLES = 2**24
 
+#: cap on the field variance pi*beta*i0, far from overflow in the periodogram's
+#: squared sums of field samples and in the field's fourth power in an RK4 step
+MAX_FIELD_VARIANCE = 1e100
+
 _MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
 #: multiplier of PCG64's 128-bit linear congruential step
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+#: steps of the Lorentzian fit before it fails, and the relative parameter
+#: step at which it has converged
+FIT_MAX_ITER, FIT_XTOL = 200, 1e-12
 
 
 class TrajectoryDivergenceError(RuntimeError):
@@ -269,9 +278,11 @@ def derive_seed(master_seed: int, index: int) -> int:
 
 
 def _check_step(p: SystemParams, dt: float) -> None:
-    """Reject a non-finite field variance and a non-finite, non-positive or too coarse step."""
-    if not math.isfinite(field_variance(p)):
+    """Reject a non-finite or too large field variance and a bad or too coarse step."""
+    if not math.isfinite(variance := field_variance(p)):
         raise ValueError(f"field variance pi*beta*i0 = pi*{p.beta:g}*{p.i0:g} is not finite")
+    if variance > MAX_FIELD_VARIANCE:
+        raise ValueError(f"field variance pi*beta*i0 = {variance:g} exceeds {MAX_FIELD_VARIANCE:g}")
     if not (math.isfinite(dt) and dt > 0):
         raise ValueError(f"dt={dt} must be finite and positive")
     limit = max_field_dt(p)
@@ -577,10 +588,13 @@ def estimate_spectrum(realizations: Sequence[FieldRealization]) -> SpectrumEstim
 
     All realizations must share the grid. The reported power density uses
     the convention P(omega) = dt |FFT|^2 / N, under which the expected
-    peak height is C(0)/beta = pi * i0. Fit non-convergence raises
-    ``SpectrumFitError``; an identically zero field yields a zero spectrum
-    with no fit. ``sample_periodogram`` and then ``fit_spectrum`` give the
-    same result on the realizations they sample, without holding them.
+    peak height is C(0)/beta = pi * i0. The fit is ``fit_spectrum``'s:
+    damped Newton steps to the least-squares minimiser, stopped when no
+    parameter moves by more than ``FIT_XTOL`` of its value; its failure
+    raises ``SpectrumFitError``. An identically zero field yields a zero
+    spectrum with no fit. ``sample_periodogram`` and then ``fit_spectrum``
+    give the same result on the realizations they sample, without holding
+    them.
     """
     if len(realizations) < 2:
         raise ValueError("need at least 2 realizations")
@@ -622,12 +636,62 @@ def sample_periodogram(
     return 2.0 * math.pi * np.fft.rfftfreq(n_steps + 1, d=dt), power, first
 
 
+def _lorentzian_derivatives(omega, height, center, hwhm):
+    """Jacobian (n, 3) and second derivatives (3, 3, n) of ``_lorentzian`` in its parameters."""
+    d, w2 = omega - center, hwhm * hwhm
+    den = d * d + w2
+    g, dw = w2 / den, 2.0 * hwhm * d * d / den**2
+    dc, dcc = 2.0 * g * d / den, 2.0 * g * (3.0 * d * d - w2) / den**2
+    dcw, dww = 4.0 * hwhm * d * (d * d - w2) / den**3, 2.0 * d * d * (d * d - 3.0 * w2) / den**3
+    hess = np.array([[np.zeros_like(g), dc, dw], [dc, height * dcc, height * dcw],
+                     [dw, height * dcw, height * dww]])
+    return np.stack([g, height * dc, height * dw], axis=1), hess
+
+
+def _fit_lorentzian(omega: np.ndarray, power: np.ndarray, p0) -> np.ndarray:
+    """Least-squares (height, center, hwhm) from ``p0`` by the steps of ``fit_spectrum``."""
+    p = np.array(p0, dtype=float)
+    r = _lorentzian(omega, *p) - power
+    cost, mu = r @ r, 1e-3
+    for _ in range(FIT_MAX_ITER):
+        jac, hess = _lorentzian_derivatives(omega, *p)
+        a = jac.T @ jac
+        damped = a + hess @ r + mu * np.diag(np.diag(a))
+        try:
+            np.linalg.cholesky(damped)
+        except np.linalg.LinAlgError:  # not positive definite: damp harder
+            mu *= 10.0
+            continue
+        step = np.linalg.solve(damped, -(jac.T @ r))
+        r_trial = _lorentzian(omega, *(p + step)) - power
+        slack = 4.0 * np.finfo(float).eps * (np.abs(r) @ np.abs(power))
+        if (cost_trial := r_trial @ r_trial) <= cost + slack:
+            p, r, cost, mu = p + step, r_trial, cost_trial, mu / 10.0
+        else:
+            mu *= 10.0
+        if np.all(np.abs(step) <= FIT_XTOL * np.abs(p)):
+            return p
+    raise SpectrumFitError(f"Lorentzian fit did not converge in {FIT_MAX_ITER} iterations")
+
+
 def fit_spectrum(omega: np.ndarray, power: np.ndarray) -> SpectrumEstimate:
     """Least-squares Lorentzian fit of an averaged periodogram on rfft frequencies ``omega``.
 
-    Non-convergence raises ``SpectrumFitError``; a zero spectrum is
-    returned with no fit.
+    The window spans 8 half-widths either side of the highest non-DC bin.
+    From that bin, each step solves (H + mu diag(J^T J)) step = -J^T r,
+    with H the exact Hessian of half the squared residual (Levenberg 1944;
+    Marquardt 1963, plus the residual curvature, which keeps the last steps
+    quadratic in noisy data). mu grows tenfold while that matrix is not
+    positive definite or a step raises the cost by more than its rounding
+    error, and is cut tenfold when a step is taken. The fit stops once a
+    step moves no parameter by more than ``FIT_XTOL`` of its value: at the
+    minimiser to rounding, where a cost tolerance stops ~sqrt(eps) short.
+    Non-finite power, ``FIT_MAX_ITER`` steps without that, and a negative
+    height or center raise ``SpectrumFitError``; the half-width is
+    reported as |hwhm|. A zero spectrum has no fit.
     """
+    if not np.all(np.isfinite(power)):
+        raise SpectrumFitError("Lorentzian fit failed: the power is not finite")
     if np.max(power) <= 0.0:
         return SpectrumEstimate(omega=omega, power=power, fit=None,
                                 message="zero spectrum; no peak to fit")
@@ -638,19 +702,12 @@ def fit_spectrum(omega: np.ndarray, power: np.ndarray) -> SpectrumEstimate:
     width_bins = max(3, int(np.sum(power[1:] >= half) / 2))
     lo = max(1, ipk - 8 * width_bins)
     hi = min(omega.size, ipk + 8 * width_bins + 1)
-    w_win, p_win = omega[lo:hi], power[lo:hi]
     hwhm_guess = max(width_bins * (omega[1] - omega[0]), omega[1] - omega[0])
-    try:
-        popt, _ = curve_fit(
-            _lorentzian,
-            w_win,
-            p_win,
-            p0=[power[ipk], omega[ipk], hwhm_guess],
-            bounds=([0.0, 0.0, 0.0], [np.inf, np.inf, np.inf]),
-            maxfev=10000,
-        )
-    except (RuntimeError, ValueError) as exc:
-        raise SpectrumFitError(f"Lorentzian fit failed: {exc}") from exc
-    fit = LorentzianFit(peak_omega=float(popt[1]), peak_height=float(popt[0]),
-                        hwhm=float(popt[2]))
+    height, center, hwhm = _fit_lorentzian(omega[lo:hi], power[lo:hi],
+                                           [power[ipk], omega[ipk], hwhm_guess])
+    if height < 0.0 or center < 0.0:
+        raise SpectrumFitError(f"Lorentzian fit failed: negative height {height:.6g} "
+                               f"or center {center:.6g}")
+    fit = LorentzianFit(peak_omega=float(center), peak_height=float(height),
+                        hwhm=float(abs(hwhm)))
     return SpectrumEstimate(omega=omega, power=power, fit=fit)

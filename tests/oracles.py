@@ -6,8 +6,10 @@ backflow oracles enumerate envelope rises analytically, integrate the
 branch integrand by adaptive quadrature, or walk the critical points of
 the trace distance, the AR(1) oracle steps the field recurrence one
 sample at a time, the sweep reference evaluates every grid cell on its
-own and writes with the standard-library encoders, and derivatives come
-from Richardson-extrapolated finite differences.
+own and writes with the standard-library encoders, the Lorentzian fit is
+scipy's trust-region least squares on complex-step derivatives polished
+by a root solve of its gradient, and derivatives come from
+Richardson-extrapolated finite differences.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import math
 
 import numpy as np
 from scipy.integrate import quad, solve_ivp
-from scipy.optimize import brentq
+from scipy.optimize import brentq, least_squares, root
 
 from dipolefield.blp import BranchKind, backflow_integral, branch_integrand_omega
 from dipolefield.model import DimensionlessConfig, SystemParams
@@ -315,6 +317,28 @@ def ar1_reference(normals: np.ndarray, rho: float, sigma_st: float) -> np.ndarra
     for k in range(normals.shape[-1] - 1):
         paths[..., k + 1] = rho * paths[..., k] + s_inn * normals[..., k + 1]
     return paths
+
+
+def lorentzian_lsq(omega: np.ndarray, power: np.ndarray, p0) -> np.ndarray:
+    """Least-squares (height, center, |hwhm|) of h g^2 / ((omega - c)^2 + g^2) from ``p0``.
+
+    scipy's ``least_squares`` (trust-region reflective, xtol = ftol = gtol
+    = 1e-15) with a complex-step Jacobian (Squire & Trapp 1998), exact to
+    rounding. Its ftol stop compares costs, which leaves it about
+    sqrt(eps) ~ 1e-8 short of the minimiser, so MINPACK's hybrid Powell
+    root finder then solves J^T r = 0 from there to rounding level.
+    """
+    def residual(q):
+        return q[0] * q[2] ** 2 / ((omega - q[1]) ** 2 + q[2] ** 2) - power
+
+    def jacobian(q, h=1e-200):
+        return np.stack([residual(q + 1j * h * e).imag / h for e in np.eye(3)], axis=1)
+
+    q = least_squares(residual, np.asarray(p0, dtype=float), jac=jacobian,
+                      xtol=1e-15, ftol=1e-15, gtol=1e-15).x
+    sol = root(lambda q: jacobian(q).T @ residual(q), q, method="hybr", options={"xtol": 1e-10})
+    assert sol.success, sol.message
+    return np.array([sol.x[0], sol.x[1], abs(sol.x[2])])
 
 
 def sweep_payload_reference(lambdas, omegas, ts, mode: str = "derived") -> tuple:

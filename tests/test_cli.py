@@ -44,6 +44,9 @@ SPECTRUM = "omega = 10.0\nkappa = 1.0\nbeta_s = 0.0\ni0 = 1.0\nbeta = 1.0\n"
 #: a field variance pi*beta*i0 that overflows
 HUGE_VARIANCE = "omega = 1.0\nkappa = 1.0\nbeta_s = 0.0\ni0 = 1e308\nbeta = 10.0\n"
 
+#: a finite field variance pi*beta*i0 whose periodogram would overflow
+OVERFLOWING_VARIANCE = "omega = 1.0\nkappa = 1.0\nbeta_s = 0.0\ni0 = 5e306\nbeta = 10.0\n"
+
 #: (lambda_hat, omega_hat, T) = (2, 3, 5) at --tmax 5: the rate's zeros fall
 #: on the quarter-period grid of both cosines
 COMMENSURATE = (
@@ -425,7 +428,7 @@ def test_spectrum_command(config, tmp_path, capsys):
     assert text.splitlines()[2:] == [
         "peak_omega = 10.1198 (target 10)",
         "hwhm = 1.03657 (target 1)",
-        "peak_height = 3.09005 (implied i0 = 0.983593)",
+        "peak_height = 3.09005 (implied i0 = 0.983592)",
     ]
 
 
@@ -473,6 +476,28 @@ def test_non_finite_field_variance_exits_2_without_warnings(config, tmp_path, ca
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [["spectrum"], ["mc-verify", "--force"]])
+def test_overflowing_field_variance_exits_2_without_warnings(config, tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([*argv, "--config", config(OVERFLOWING_VARIANCE), "--n", "4",
+                     "--out", str(out)]) == 2
+    assert (f"invalid input: field variance pi*beta*i0 = 1.5708e+308 exceeds "
+            f"{stochastic.MAX_FIELD_VARIANCE:g}") in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_spectrum_fit_failure_exits_3(config, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(stochastic, "FIT_MAX_ITER", 0)
+    out = tmp_path / "p.csv"
+    assert main(["spectrum", "--config", config(SPECTRUM), "--n", "4", "--duration", "30",
+                 "--out", str(out)]) == 3
+    assert "spectrum fit failed: Lorentzian fit did not converge in 0 iterations" in (
+        capsys.readouterr().err)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["spectrum", "--n", "0"],
     ["spectrum", "--n", "1"],
@@ -502,26 +527,6 @@ def test_invalid_step_count_or_length_exits_2(config, tmp_path, capsys, argv):
     assert main(argv + extra) == 2
     assert "invalid input" in capsys.readouterr().err
     assert not dump.exists() and not out.exists()
-
-
-def test_commands_do_not_import_scipy_signal(config, tmp_path):
-    # scipy.signal costs about 0.6 s of import and 23 MB of memory per process
-    script = "\n".join([
-        "import sys",
-        "from dipolefield.cli import main",
-        f"assert main(['spectrum', '--config', {config(SPECTRUM, 's.cfg')!r}, '--n', '4',"
-        " '--duration', '30']) == 0",
-        f"assert main(['mc-verify', '--config', {config(ZERO_FIELD, 'z.cfg')!r}, '--n', '4',"
-        " '--dt', '0.01', '--horizon', '2', '--out', 'r.json']) == 0",
-        "assert 'scipy.signal' not in sys.modules, 'scipy.signal was imported'",
-    ])
-    src = str(Path(dipolefield.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    result = subprocess.run(
-        [sys.executable, "-c", script], cwd=tmp_path, capture_output=True, text=True,
-        env={**os.environ, "PYTHONPATH": path}, timeout=300,
-    )
-    assert result.returncode == 0, result.stderr
 
 
 @pytest.mark.parametrize("axes", [
@@ -574,14 +579,27 @@ def test_nonmark_beyond_the_scan_cap_exits_2_under_a_memory_limit(config, tmp_pa
     assert not (tmp_path / "n.json").exists()
 
 
-def test_as_printed_nonmark_does_not_import_scipy_integrate(config, tmp_path):
-    # the as-printed interior rate is integrated by blp's own tanh-sinh rule
+def test_commands_do_not_import_scipy(config, tmp_path):
+    # importing scipy.optimize alone took 0.6 s per process; no command needs scipy
+    ref, spec = config(REFERENCE, "r.cfg"), config(SPECTRUM, "s.cfg")
+    runs = [
+        ["derive", "--config", ref],
+        ["evolve", "--config", ref, "--tmax", "2", "--out", "e.csv"],
+        ["distance", "--config", ref, "--tmax", "2", "--out", "d.csv"],
+        *(["nonmark", "--config", ref, "--mode", mode, "--tmax", "5", "--theta-grid", "9",
+           "--literal-eq-nt", "--out", "n.json"] for mode in ("derived", "as-printed")),
+        ["sweep", "--lambda", "0.5:2:3", "--omega", "0.5:2:3", "--tmax", "1:5:2", "--out", "s.csv"],
+        ["mc-verify", "--config", config(ZERO_FIELD, "z.cfg"), "--n", "4", "--dt", "0.01",
+         "--horizon", "2", "--out", "r.json"],
+        ["spectrum", "--config", spec, "--n", "4", "--duration", "30", "--out", "p.csv"],
+    ]
     script = "\n".join([
         "import sys",
         "from dipolefield.cli import main",
-        f"assert main(['nonmark', '--config', {config(REFERENCE)!r}, '--mode', 'as-printed',"
-        " '--tmax', '5', '--theta-grid', '9', '--literal-eq-nt', '--out', 'n.json']) == 0",
-        "assert 'scipy.integrate' not in sys.modules, 'scipy.integrate was imported'",
+        f"for argv in {runs!r}:",
+        "    assert main(argv) == 0, argv",
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')",
+        "assert not loaded, loaded[:5]",
     ])
     src = str(Path(dipolefield.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))

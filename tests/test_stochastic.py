@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import curve_fit
 
 from dipolefield import stochastic
 from dipolefield.dynamics import InitialCondition, mean_inversion
@@ -27,7 +28,7 @@ from dipolefield.stochastic import (
     simulate_trajectory,
     write_field_csv,
 )
-from oracles import ar1_reference
+from oracles import ar1_reference, lorentzian_lsq
 
 
 WEAK = SystemParams(omega=5.0, kappa=1.0, beta_s=0.2, i0=0.1 / math.pi, beta=1.0)
@@ -268,6 +269,79 @@ def test_spectrum_lorentzian_fit():
     assert est.fit.hwhm == pytest.approx(p.beta, rel=0.10)
     # two-sided density peak is C(0)/beta = pi * i0
     assert est.fit.peak_height == pytest.approx(math.pi * p.i0, rel=0.25)
+
+
+def _assert_fit_is_the_minimiser(omega, power):
+    """``fit_spectrum`` equals the oracle on its own window and start, and beats curve_fit."""
+    seen = []
+    fit = stochastic._fit_lorentzian
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(stochastic, "_fit_lorentzian", lambda *args: seen.append(args) or fit(*args))
+        est = fit_spectrum(omega, power).fit
+    (x, y, p0), = seen
+    got = np.array([est.peak_height, est.peak_omega, est.hwhm])
+    # both reach the minimiser to ~1e-15; a fit stopped by a cost comparison lands ~1e-9 away
+    np.testing.assert_allclose(got, lorentzian_lsq(x, y, p0), rtol=1e-10, atol=0)
+    # the fit it replaces: trust-region reflective, stopped at a 1e-8 cost tolerance
+    old, _ = curve_fit(stochastic._lorentzian, x, y, p0=p0, bounds=([0.0] * 3, [np.inf] * 3),
+                       maxfev=10000)
+
+    def cost(q):
+        r = stochastic._lorentzian(x, *q) - y
+        return r @ r
+
+    assert cost(got) <= cost(old) * (1.0 + 1e-12)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), log_height=st.floats(-3.0, 3.0),
+       hwhm=st.floats(0.3, 3.0), bins_per_hwhm=st.floats(2.0, 20.0),
+       center_hwhms=st.floats(10.0, 30.0), n_avg=st.integers(2, 60))
+def test_fit_is_the_minimiser_on_noisy_lorentzians(seed, log_height, hwhm, bins_per_hwhm,
+                                                   center_hwhms, n_avg):
+    # an average of n_avg exponential periodogram ordinates is Gamma(n_avg, 1/n_avg) noise
+    step = hwhm / bins_per_hwhm
+    omega = step * np.arange(int((center_hwhms + 40.0) * bins_per_hwhm))
+    rng = np.random.default_rng(seed)
+    power = stochastic._lorentzian(omega, 10.0**log_height, center_hwhms * hwhm, hwhm)
+    _assert_fit_is_the_minimiser(omega, power * rng.gamma(n_avg, 1.0 / n_avg, omega.size))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), omega=st.floats(3.0, 20.0), beta=st.floats(0.3, 2.0),
+       log_i0=st.floats(-3.0, 3.0), n=st.integers(2, 40), beta_duration=st.floats(8.0, 80.0))
+def test_fit_is_the_minimiser_on_sampled_periodograms(seed, omega, beta, log_i0, n,
+                                                      beta_duration):
+    p = SystemParams(omega=omega, kappa=1.0, beta_s=0.0, i0=10.0**log_i0, beta=beta)
+    dt = max_field_dt(p)
+    n_steps = int(round(beta_duration / beta / dt))
+    freqs, power, _ = sample_periodogram(p, dt, n_steps, derive_seeds(seed, range(n)))
+    _assert_fit_is_the_minimiser(freqs, power)
+
+
+def test_fit_rejects_non_finite_power():
+    omega = 0.1 * np.arange(200)
+    for bad in (np.nan, np.inf):
+        power = stochastic._lorentzian(omega, 1.0, 10.0, 1.0)
+        power[50] = bad
+        with pytest.raises(SpectrumFitError, match="not finite"):
+            fit_spectrum(omega, power)
+
+
+def test_fit_rejects_a_negative_center():
+    # the positive-frequency tail of a peak centred at -0.5
+    omega = 0.1 * np.arange(200)
+    with pytest.raises(SpectrumFitError, match="negative height .* or center -0.5"):
+        fit_spectrum(omega, stochastic._lorentzian(omega, 1.0, -0.5, 1.0))
+
+
+def test_fit_raises_at_the_iteration_cap(monkeypatch):
+    omega = 0.1 * np.arange(200)
+    power = stochastic._lorentzian(omega, 1.0, 10.0, 1.0)
+    assert fit_spectrum(omega, power).fit.peak_omega == pytest.approx(10.0, rel=1e-12)
+    monkeypatch.setattr(stochastic, "FIT_MAX_ITER", 0)
+    with pytest.raises(SpectrumFitError, match="did not converge in 0 iterations"):
+        fit_spectrum(omega, power)
 
 
 def test_spectrum_zero_field():
