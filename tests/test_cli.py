@@ -529,6 +529,26 @@ def test_invalid_step_count_or_length_exits_2(config, tmp_path, capsys, argv):
     assert not dump.exists() and not out.exists()
 
 
+def test_commands_do_not_import_scipy_signal(config, tmp_path):
+    # scipy.signal costs about 0.6 s of import and 23 MB of memory per process
+    script = "\n".join([
+        "import sys",
+        "from dipolefield.cli import main",
+        f"assert main(['spectrum', '--config', {config(SPECTRUM, 's.cfg')!r}, '--n', '4',"
+        " '--duration', '30']) == 0",
+        f"assert main(['mc-verify', '--config', {config(ZERO_FIELD, 'z.cfg')!r}, '--n', '4',"
+        " '--dt', '0.01', '--horizon', '2', '--out', 'r.json']) == 0",
+        "assert 'scipy.signal' not in sys.modules, 'scipy.signal was imported'",
+    ])
+    src = str(Path(dipolefield.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", script], cwd=tmp_path, capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": path}, timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+
+
 @pytest.mark.parametrize("axes", [
     ["--lambda", "0:1e12:2", "--omega", "1:1:1", "--tmax", "1:1:1"],
     ["--lambda", "1:1:1", "--omega", "1e300:1e300:1", "--tmax", "10:10:1"],
@@ -577,6 +597,24 @@ def test_nonmark_beyond_the_scan_cap_exits_2_under_a_memory_limit(config, tmp_pa
     assert result.returncode == 2, result.stderr
     assert f"over the cap of {blp.MAX_SCAN_SAMPLES}" in result.stderr
     assert not (tmp_path / "n.json").exists()
+
+
+def test_as_printed_nonmark_does_not_import_scipy_integrate(config, tmp_path):
+    # the as-printed interior rate is integrated by blp's own tanh-sinh rule
+    script = "\n".join([
+        "import sys",
+        "from dipolefield.cli import main",
+        f"assert main(['nonmark', '--config', {config(REFERENCE)!r}, '--mode', 'as-printed',"
+        " '--tmax', '5', '--theta-grid', '9', '--literal-eq-nt', '--out', 'n.json']) == 0",
+        "assert 'scipy.integrate' not in sys.modules, 'scipy.integrate was imported'",
+    ])
+    src = str(Path(dipolefield.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", script], cwd=tmp_path, capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": path}, timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
 
 
 def test_commands_do_not_import_scipy(config, tmp_path):
