@@ -69,6 +69,7 @@ __all__ = [
     "literal_pointwise_max",
     "dominant_regime",
     "SweepPoint",
+    "SweepGrid",
     "sweep_grid",
     "write_sweep_csv",
     "write_sweep_json",
@@ -144,9 +145,14 @@ def _envelope_decay(mode: str) -> float:
     return 1.0 if mode == "derived" else 0.5
 
 
+def _lambda_wins(n_omega: ArrayLike, n_lambda: ArrayLike) -> ArrayLike:
+    """The winner rule, on floats or arrays: the lambda branch wins iff it
+    beats the omega branch by more than TIE_TOL."""
+    return n_lambda > n_omega + TIE_TOL
+
+
 def _winner(n_omega: float, n_lambda: float) -> BranchKind:
-    """The lambda branch iff it beats the omega branch by more than TIE_TOL."""
-    return BranchKind.LAMBDA if n_lambda > n_omega + TIE_TOL else BranchKind.OMEGA
+    return BranchKind.LAMBDA if _lambda_wins(n_omega, n_lambda) else BranchKind.OMEGA
 
 
 # ---------------------------------------------------------------------------
@@ -832,93 +838,123 @@ class SweepPoint:
     intervals_lambda: tuple[tuple[float, float], ...] = ()
 
 
-def sweep_grid(
-    lambdas: Sequence[float],
-    omegas: Sequence[float],
-    ts: Sequence[float],
-    mode: FormulaSource = "derived",
-) -> list[SweepPoint]:
-    """Evaluate both branch integrals on the full grid, lambda outermost.
+@dataclass(frozen=True, eq=False)
+class SweepGrid(Sequence[SweepPoint]):
+    """A sweep as its axes and two branch tables, value and intervals per (omega, T)
+    and per (lambda, T); as a sequence, its cells as read-only ``SweepPoint`` rows,
+    lambda outermost and T innermost, built when indexed. Empty, it equals ``[]``."""
+
+    lambdas: tuple[float, ...]
+    omegas: tuple[float, ...]
+    ts: tuple[float, ...]
+    n_omega: np.ndarray  # [omega, T]
+    intervals_omega: tuple  # [omega][T]
+    n_lambda: np.ndarray  # [lambda, T]
+    intervals_lambda: tuple  # [lambda][T]
+
+    def __len__(self) -> int:
+        return len(self.lambdas) * len(self.omegas) * len(self.ts)
+
+    def __getitem__(self, index: int | slice) -> SweepPoint | list[SweepPoint]:
+        cell = range(len(self))[index]
+        if isinstance(cell, range):
+            return [self[c] for c in cell]
+        rest, k = divmod(cell, len(self.ts))
+        i, j = divmod(rest, len(self.omegas))
+        n_om, n_lam = float(self.n_omega[j, k]), float(self.n_lambda[i, k])
+        return SweepPoint(self.lambdas[i], self.omegas[j], self.ts[k], n_om, n_lam,
+                          max(n_om, n_lam), _winner(n_om, n_lam).value,
+                          self.intervals_omega[j][k], self.intervals_lambda[i][k])
+
+    def __eq__(self, other) -> bool:
+        return list(self) == other if isinstance(other, (list, SweepGrid)) else NotImplemented
+
+
+def sweep_grid(lambdas: Sequence[float], omegas: Sequence[float], ts: Sequence[float],
+               mode: FormulaSource = "derived") -> SweepGrid:
+    """Evaluate both branch integrals on the full grid, as its two branch tables.
 
     The branches separate: N_omega depends only on (omega_hat, T) and
     N_lambda only on (lambda_hat, T). Each branch is therefore evaluated
-    once per (frequency, T) pair, and the rows are assembled from the two
-    tables, sharing their interval tuples. Every axis value goes through
-    ``DimensionlessConfig``; the first invalid cell in row order raises.
+    once per (frequency, T) pair, and no per-cell object is built. Every
+    axis value goes through ``DimensionlessConfig``; the first invalid cell
+    in row order raises. A grid with an empty axis is empty.
     """
     _check_mode(mode)
-    if not (len(lambdas) and len(omegas) and len(ts)):
-        return []
+    lambdas, omegas, ts = (tuple(map(float, axis)) for axis in (lambdas, omegas, ts))
+    if not (lambdas and omegas and ts):
+        lambdas = omegas = ts = ()
 
-    def branch(kind: BranchKind, lam: float, om: float, t_max: float) -> tuple:
-        cfg = DimensionlessConfig(lambda_hat=lam, omega_hat=om, t_max=t_max)
-        return cfg, _branch_result(kind, cfg, t_max, mode)
+    def table(kind: BranchKind, rows: list) -> tuple[np.ndarray, tuple]:
+        res = [[_branch_result(kind, DimensionlessConfig(lambda_hat=lam, omega_hat=om, t_max=t),
+                               t, mode) for t in ts] for lam, om in rows]
+        values = np.array([[r.n_value for r in row] for row in res]).reshape(len(res), len(ts))
+        return values, tuple(tuple(r.intervals for r in row) for row in res)
 
     # the omega table walks the first lambda's cells, so it meets an invalid
     # omega or T where a cell-by-cell loop would; omega_hat = 0 keeps the
     # lambda branch free of the omega term that u = 1 multiplies by zero
-    lam0 = float(lambdas[0])
-    by_om = [[branch(BranchKind.OMEGA, lam0, float(om), float(t)) for t in ts] for om in omegas]
-    by_lam = [[branch(BranchKind.LAMBDA, float(lam), 0.0, float(t)) for t in ts]
-              for lam in lambdas]
-    return [
-        SweepPoint(
-            c_lam.lambda_hat, c_om.omega_hat, c_om.t_max,
-            r_om.n_value, r_lam.n_value, max(r_om.n_value, r_lam.n_value),
-            _winner(r_om.n_value, r_lam.n_value).value,
-            r_om.intervals, r_lam.intervals,
-        )
-        for lam_row in by_lam
-        for om_row in by_om
-        for (c_lam, r_lam), (c_om, r_om) in zip(lam_row, om_row)
-    ]
+    omega_table = table(BranchKind.OMEGA, [(lambdas[0], om) for om in omegas])
+    lambda_table = table(BranchKind.LAMBDA, [(lam, 0.0) for lam in lambdas])
+    return SweepGrid(lambdas, omegas, ts, *omega_table, *lambda_table)
 
 
-def write_sweep_csv(rows: Sequence[SweepPoint], path: str | Path) -> None:
+#: format(value, spec) per element, into an object array; spec "" gives repr
+_format = np.frompyfunc(format, 2, 1)
+
+
+def _cells(grid: SweepGrid, lead: tuple, n_texts: tuple, winners: tuple, tail=()) -> list:
+    """Each cell's pieces in row order, broadcast to (lambda, omega, T): ``lead``, then n_max
+    and the winner picked from ``n_texts`` and ``winners`` (omega's, lambda's), then ``tail``."""
+    n_om, n_lam = grid.n_omega[None], grid.n_lambda[:, None]
+    # where(n_lam > n_om, n_lam, n_om) is Python's max(n_om, n_lam): a tie keeps
+    # the omega value, so a 0.0/-0.0 tie prints as a cell-by-cell max does
+    n_max = np.where(n_lam > n_om, n_texts[1][:, None], n_texts[0])
+    winner = np.take(np.array(winners, dtype=object), _lambda_wins(n_om, n_lam))
+    return np.stack(np.broadcast_arrays(*lead, n_max, winner, *tail), axis=-1).ravel().tolist()
+
+
+def write_sweep_csv(grid: SweepGrid, path: str | Path) -> None:
     """CSV with header lambda,omega,T,n_omega_branch,n_lambda_branch,n_max,winning_branch.
 
     Values print as %.12g, lines end in \\r\\n (the csv module's default
-    dialect, which never needs quoting for these fields).
+    dialect, which never needs quoting for these fields). Each axis value
+    and table entry is formatted once; the rows are joined from those texts.
     """
-    lines = ["lambda,omega,T,n_omega_branch,n_lambda_branch,n_max,winning_branch\r\n"]
-    lines += [
-        f"{r.lambda_hat:.12g},{r.omega_hat:.12g},{r.t_max:.12g},{r.n_omega_branch:.12g},"
-        f"{r.n_lambda_branch:.12g},{r.n_max:.12g},{r.winning_branch}\r\n"
-        for r in rows
-    ]
-    Path(path).write_text("".join(lines), newline="")
+    lam, om, t, n_om, n_lam = (_format(v, ".12g") for v in
+                               (grid.lambdas, grid.omegas, grid.ts, grid.n_omega, grid.n_lambda))
+    lead = ((lam + ",")[:, None, None], om[:, None] + "," + t + "," + n_om + ",",
+            (n_lam + ",")[:, None])
+    cells = _cells(grid, lead, (n_om, n_lam), tuple(f",{b.value}\r\n" for b in BranchKind))
+    header = "lambda,omega,T,n_omega_branch,n_lambda_branch,n_max,winning_branch\r\n"
+    Path(path).write_text("".join([header, *cells]), newline="")
 
 
-def write_sweep_json(rows: Sequence[SweepPoint], path: str | Path) -> None:
+def write_sweep_json(grid: SweepGrid, path: str | Path) -> None:
     """JSON variant of the sweep: same fields plus the positivity intervals.
 
     The text is that of ``json.dumps(payload, indent=2)`` plus a newline,
     written by hand: with ``indent`` set the json module falls back to its
     pure-Python encoder. Numbers print through ``float.__repr__`` as there
-    (every value of a sweep is finite), and each distinct interval tuple
-    is rendered once.
+    (every value of a sweep is finite); each axis value, table entry and
+    interval list is rendered once.
     """
-    num = float.__repr__
-    rendered: dict[tuple, str] = {}
+    lam, om, t, n_om, n_lam = (_format(v, "") for v in
+                               (grid.lambdas, grid.omegas, grid.ts, grid.n_omega, grid.n_lambda))
 
-    def intervals(ivs: tuple[tuple[float, float], ...]) -> str:
-        text = rendered.get(ivs)
-        if text is None:
-            items = ",\n".join(f"      [\n        {num(a)},\n        {num(b)}\n      ]"
-                               for a, b in ivs)
-            text = rendered[ivs] = f"[\n{items}\n    ]" if ivs else "[]"
-        return text
+    def intervals(table: tuple) -> np.ndarray:
+        texts = [["[\n" + ",\n".join(f"      [\n        {a!r},\n        {b!r}\n      ]"
+                                     for a, b in ivs) + "\n    ]" if ivs else "[]" for ivs in row]
+                 for row in table]
+        return np.array(texts, dtype=object).reshape(len(table), len(grid.ts))
 
-    body = ",\n".join(
-        f'  {{\n    "lambda": {num(r.lambda_hat)},\n'
-        f'    "omega": {num(r.omega_hat)},\n'
-        f'    "T": {num(r.t_max)},\n'
-        f'    "n_omega_branch": {num(r.n_omega_branch)},\n'
-        f'    "n_lambda_branch": {num(r.n_lambda_branch)},\n'
-        f'    "n_max": {num(r.n_max)},\n'
-        f'    "winning_branch": "{r.winning_branch}",\n'
-        f'    "intervals_omega": {intervals(r.intervals_omega)},\n'
-        f'    "intervals_lambda": {intervals(r.intervals_lambda)}\n  }}'
-        for r in rows
-    )
-    Path(path).write_text(f"[\n{body}\n]\n" if rows else "[]\n")
+    lead = (('  {\n    "lambda": ' + lam + ',\n    "omega": ')[:, None, None],
+            om[:, None] + ',\n    "T": ' + t + ',\n    "n_omega_branch": ' + n_om
+            + ',\n    "n_lambda_branch": ', (n_lam + ',\n    "n_max": ')[:, None])
+    winners = tuple(f',\n    "winning_branch": "{b.value}",\n    "intervals_omega": '
+                    for b in BranchKind)
+    tail = (intervals(grid.intervals_omega) + ',\n    "intervals_lambda": ',
+            (intervals(grid.intervals_lambda) + "\n  }")[:, None], np.array(",\n", dtype=object))
+    cells = _cells(grid, lead, (n_om, n_lam), winners, tail)
+    # every cell ends in the ",\n" separator; the last one is left out
+    Path(path).write_text("".join(["[\n", *cells[:-1], "\n]\n"]) if cells else "[]\n")

@@ -196,13 +196,13 @@ def _cmd_nonmark(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    rows = blp.sweep_grid(np.linspace(*args.lam), np.linspace(*args.omega),
+    grid = blp.sweep_grid(np.linspace(*args.lam), np.linspace(*args.omega),
                           np.linspace(*args.tmax), mode=args.mode)
     if args.format == "csv":
-        blp.write_sweep_csv(rows, args.out)
+        blp.write_sweep_csv(grid, args.out)
     else:
-        blp.write_sweep_json(rows, args.out)
-    print(f"wrote {args.out} ({len(rows)} rows)")
+        blp.write_sweep_json(grid, args.out)
+    print(f"wrote {args.out} ({len(grid)} rows)")
     return EXIT_OK
 
 

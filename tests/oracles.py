@@ -345,9 +345,8 @@ def sweep_payload_reference(lambdas, omegas, ts, mode: str = "derived") -> tuple
     """Sweep rows and CSV/JSON file bytes, one cell at a time.
 
     Each cell (lambda outer, omega, T inner) calls ``backflow_integral`` for
-    both branches on its own config; the files are written by ``csv.writer``
-    and ``json.dumps(indent=2)``. Rows are tuples in ``SweepPoint`` field
-    order.
+    both branches on its own config; the files are written by
+    ``sweep_files_reference``. Rows are tuples in ``SweepPoint`` field order.
     """
     rows = []
     for lam in lambdas:
@@ -360,6 +359,12 @@ def sweep_payload_reference(lambdas, omegas, ts, mode: str = "derived") -> tuple
                 rows.append((cfg.lambda_hat, cfg.omega_hat, cfg.t_max, r_om.n_value,
                              r_lam.n_value, max(r_om.n_value, r_lam.n_value), winner,
                              r_om.intervals, r_lam.intervals))
+    return (rows, *sweep_files_reference(rows))
+
+
+def sweep_files_reference(rows: list) -> tuple[bytes, bytes]:
+    """CSV and JSON file bytes of sweep rows (tuples in ``SweepPoint`` field
+    order), written by ``csv.writer`` and ``json.dumps(indent=2)``."""
     text = io.StringIO(newline="")
     writer = csv.writer(text)
     writer.writerow(["lambda", "omega", "T", "n_omega_branch", "n_lambda_branch", "n_max",
@@ -369,7 +374,7 @@ def sweep_payload_reference(lambdas, omegas, ts, mode: str = "derived") -> tuple
             "winning_branch")
     payload = [dict(zip(keys, row[:7]), intervals_omega=[list(iv) for iv in row[7]],
                     intervals_lambda=[list(iv) for iv in row[8]]) for row in rows]
-    return rows, text.getvalue().encode(), (json.dumps(payload, indent=2) + "\n").encode()
+    return text.getvalue().encode(), (json.dumps(payload, indent=2) + "\n").encode()
 
 
 def positive_part_trapezoid(fn, a: float, b: float, n: int = 200_001) -> float:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tempfile
 from pathlib import Path
@@ -38,6 +39,7 @@ from oracles import (
     params_for_rates,
     positive_part_trapezoid,
     printed_interior_integral,
+    sweep_files_reference,
     sweep_payload_reference,
     tangency_angle,
 )
@@ -841,6 +843,58 @@ def test_sweep_rejects_the_first_invalid_cell():
             sweep_grid(lams, oms, ts)
     assert sweep_grid([], [1.0], [math.nan]) == []
     assert sweep_grid([math.nan], [1.0], []) == []
+
+
+@pytest.mark.parametrize("mode", ["derived", "as-printed"])
+def test_sweep_grid_is_the_sequence_of_its_rows(mode):
+    # indexing, negative indices, slices and iteration give the rows of a
+    # cell-by-cell evaluation in row order (lambda outer, T inner)
+    lams, oms, ts = [0.0, 1.5, 3.0], [0.5, 2.0], [1.0, 2.5, 4.0]
+    grid = sweep_grid(lams, oms, ts, mode=mode)
+    ref_rows = sweep_payload_reference(lams, oms, ts, mode)[0]
+    n = len(ref_rows)
+    assert len(grid) == n == 18
+    assert [dataclasses.astuple(grid[c]) for c in range(n)] == ref_rows
+    assert [dataclasses.astuple(grid[c]) for c in range(-n, 0)] == ref_rows
+    assert grid[-1] == grid[n - 1]
+    for k in (0, 4, n, n + 3):
+        assert grid[:k] == list(grid)[:k] == [grid[c] for c in range(min(k, n))]
+    assert grid[1::4] == [grid[c] for c in range(1, n, 4)]
+    assert grid == list(grid) and list(grid) == grid
+    for c in (n, -n - 1):
+        with pytest.raises(IndexError):
+            grid[c]
+    for empty in (sweep_grid([], oms, ts), sweep_grid(lams, [], ts), sweep_grid(lams, oms, [])):
+        assert len(empty) == 0 and empty == [] and list(empty) == []
+
+
+def test_sweep_writers_keep_the_per_cell_tie_rule(monkeypatch, tmp_path):
+    # branch values at the tie edges, crossed on a grid: equal values, a lead
+    # of exactly TIE_TOL, one ulp more, and 0.0/-0.0 in both orders; n_max is
+    # max(n_omega, n_lambda) and lambda wins iff n_lambda > n_omega + 1e-10
+    edge = 0.25 + blp.TIE_TOL
+    values = [1.5, 0.25, edge, float(np.nextafter(edge, np.inf)), 0.0, -0.0]
+
+    def branch_result(kind, cfg, t_max, mode):
+        index = cfg.omega_hat if kind is BranchKind.OMEGA else cfg.lambda_hat
+        return blp.BackflowResult(values[int(index)], kind, 0.0, ((0.0, index),))
+
+    monkeypatch.setattr(blp, "_branch_result", branch_result)
+    axis = [float(i) for i in range(len(values))]
+    grid = sweep_grid(axis, axis, [1.0])
+    rows = [(lam, om, 1.0, values[int(om)], values[int(lam)],
+             max(values[int(om)], values[int(lam)]),
+             "lambda" if values[int(lam)] > values[int(om)] + 1e-10 else "omega",
+             ((0.0, om),), ((0.0, lam),))
+            for lam in axis for om in axis]
+    assert {r[6] for r in rows} == {"omega", "lambda"}
+    assert [dataclasses.astuple(r) for r in grid] == rows
+    ref_csv, ref_json = sweep_files_reference(rows)
+    write_sweep_csv(grid, tmp_path / "sweep.csv")
+    write_sweep_json(grid, tmp_path / "sweep.json")
+    assert (tmp_path / "sweep.csv").read_bytes() == ref_csv
+    assert (tmp_path / "sweep.json").read_bytes() == ref_json
+    assert b",0,-0,0,omega" in ref_csv and b",-0,0,-0,omega" in ref_csv
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
