@@ -366,9 +366,9 @@ def _sign_intervals(fn: Callable, terms: tuple, grid: np.ndarray,
         return np.where(abs(val) <= 16.0 * np.finfo(float).eps * noise, 0.0, val)
 
     xs = np.linspace(grid[:-1], grid[1:], samples, axis=1)
-    k = np.broadcast_to(np.arange(size)[:, None, None], (size, *xs.shape))
-    xs = np.broadcast_to(xs, k.shape)
-    hs = h(xs, k)
+    hs = h(xs, np.arange(size)[:, None, None])  # time factors once per (gap, sample)
+    xs = np.broadcast_to(xs, hs.shape)
+    k = np.broadcast_to(np.arange(size)[:, None, None], hs.shape)
     points, owners = [xs[hs == 0.0]], [k[hs == 0.0]]
     lo, hi, kk = xs[..., :-1].ravel(), xs[..., 1:].ravel(), k[..., 1:].ravel()
     h_lo, h_hi = hs[..., :-1].ravel(), hs[..., 1:].ravel()

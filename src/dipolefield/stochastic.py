@@ -73,8 +73,8 @@ FIELD_BLOCK_BYTES = 4 * 2**20
 _TRANSPOSE_SEEDS = 16
 
 #: cap on n_realizations * (n_steps + 1) field samples per call, checked
-#: before anything is allocated; an ensemble run holds three arrays of
-#: that many doubles (field, m and w: about 0.5 GB at the cap)
+#: before anything is allocated; an ensemble run holds one array of that
+#: many doubles, the field (about 0.17 GB at the cap)
 MAX_FIELD_SAMPLES = 2**24
 
 #: cap on the field variance pi*beta*i0, far from overflow in the periodogram's
@@ -425,15 +425,13 @@ def _rk4_paths(
     field: np.ndarray,
     dt: float,
     seeds: Sequence[int] | None = None,
-    keep_mdot: bool = False,
-):
-    """Fixed-step RK4 of (m, mdot, w) driven by sampled fields.
+) -> Iterator[tuple]:
+    """Fixed-step RK4 of (m, mdot, w) driven by sampled fields, one time row at a time.
 
     ``field`` is time-major, shape (K+1, ...); trailing axes are independent
-    trajectories, and each step reads one row and writes one row of each
-    output. Field values at half-steps are linear interpolants. Returns
-    time-major (m, mdot, w) of the shape of ``field``; mdot is stored only
-    with ``keep_mdot`` and is None otherwise.
+    trajectories. Yields the state rows (m, mdot, w) at t = 0, dt, ..., K dt,
+    each of the shape of one field row; nothing else is stored. Field
+    values at half-steps are linear interpolants.
     """
     om, kap, bs = p.omega, p.kappa, p.beta_s
     k_fast = kap * om
@@ -441,18 +439,12 @@ def _rk4_paths(
     om2 = om * om
 
     lanes = field.shape[1:]
-    n_steps = field.shape[0] - 1
     m = np.full(lanes, float(ic.m0))
     md = np.full(lanes, float(ic.mdot0))
     w = np.full(lanes, float(ic.w0))
-    out_m = np.empty(field.shape)
-    out_md = np.empty(field.shape) if keep_mdot else None
-    out_w = np.empty(field.shape)
-    out_m[0], out_w[0] = m, w
-    if keep_mdot:
-        out_md[0] = md
+    yield m, md, w
 
-    for k in range(n_steps):
+    for k in range(field.shape[0] - 1):
         e0 = field[k]
         e1 = field[k + 1]
         eh = 0.5 * (e0 + e1)
@@ -467,9 +459,6 @@ def _rk4_paths(
         m = m + (dt / 6.0) * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
         md = md + (dt / 6.0) * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
         w = w + (dt / 6.0) * (c1 + 2.0 * c2 + 2.0 * c3 + c4)
-        out_m[k + 1], out_w[k + 1] = m, w
-        if keep_mdot:
-            out_md[k + 1] = md
 
         peak = max(np.max(np.abs(m)), np.max(np.abs(md)), np.max(np.abs(w)))
         if not (peak <= DIVERGENCE_LIMIT):
@@ -488,7 +477,7 @@ def _rk4_paths(
                 seed=seed,
                 time=t_bad,
             )
-    return out_m, out_md, out_w
+        yield m, md, w
 
 
 def simulate_trajectory(
@@ -500,7 +489,8 @@ def simulate_trajectory(
     inversion to pure exponential relaxation toward the ground state;
     with kappa = 0 the dipole decouples from the field entirely.
     """
-    m, md, w = _rk4_paths(ic, p, field.values, field.dt, seeds=[field.seed], keep_mdot=True)
+    rows = _rk4_paths(ic, p, field.values, field.dt, seeds=[field.seed])
+    m, md, w = (np.array(x) for x in zip(*rows))
     return TrajectoryState(t=field.times, m=m, mdot=md, w=w)
 
 
@@ -516,8 +506,11 @@ def ensemble_average(
 
     Per-trajectory seeds derive deterministically from (master_seed,
     index), so the report is bit-identical across runs and independent of
-    any execution interleaving; the reduction is a fixed index-ordered
-    mean. Residuals are taken against the closed-form dipole and
+    any execution interleaving. The trajectories are never stored: each
+    time row of m and w is reduced as RK4 yields it, by index-ordered sums
+    that equal ``mean(axis=0)`` and ``std(axis=0, ddof=1)`` of the
+    stacked trajectories bit for bit, so the run holds only the n x (K+1)
+    field. Residuals are taken against the closed-form dipole and
     inversion on the same grid. Runs of more than ``MAX_FIELD_SAMPLES``
     samples in all are rejected before any seed is derived.
     """
@@ -536,18 +529,17 @@ def ensemble_average(
     for block in _field_blocks(p, dt, n_steps, seeds):
         field[:, start:start + block.shape[1]] = block
         start += block.shape[1]
-    m, _, w = _rk4_paths(ic, p, field, dt, seeds=seeds)
-    del field
-    # record-major copies, one at a time: the reductions then sum the
-    # trajectories in index order, and at most three n x (K+1) arrays are held
-    m = np.ascontiguousarray(m.T)
-    w = np.ascontiguousarray(w.T)
+
+    n = n_realizations
+    mean_m, mean_w, se_m, se_w = np.empty((4, n_steps + 1))
+    for k, (m, _, w) in enumerate(_rk4_paths(ic, p, field, dt, seeds=seeds)):
+        # cumsum adds in index order, as mean(axis=0) and std(axis=0, ddof=1)
+        # of the record-major trajectories do; np.sum would add pairwise
+        for x, mean, se in ((m, mean_m, se_m), (w, mean_w, se_w)):
+            mean[k] = np.cumsum(x)[-1] / n
+            se[k] = math.sqrt(np.cumsum((x - mean[k]) ** 2)[-1] / (n - 1)) / math.sqrt(n)
 
     t = dt * np.arange(n_steps + 1)
-    mean_m = m.mean(axis=0)
-    mean_w = w.mean(axis=0)
-    se_m = m.std(axis=0, ddof=1) / math.sqrt(n_realizations)
-    se_w = w.std(axis=0, ddof=1) / math.sqrt(n_realizations)
     d = derive_params(p)
     residual_m = mean_m - np.asarray(mean_dipole(ic, p, t))
     residual_w = mean_w - np.asarray(mean_inversion(ic, d, p, t))

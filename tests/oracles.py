@@ -5,11 +5,13 @@ oracle integrates the memory-kernel closure as a small ODE system, the
 backflow oracles enumerate envelope rises analytically, integrate the
 branch integrand by adaptive quadrature, or walk the critical points of
 the trace distance, the AR(1) oracle steps the field recurrence one
-sample at a time, the sweep reference evaluates every grid cell on its
-own and writes with the standard-library encoders, the Lorentzian fit is
-scipy's trust-region least squares on complex-step derivatives polished
-by a root solve of its gradient, and derivatives come from
-Richardson-extrapolated finite differences.
+sample at a time, the ensemble oracle steps each trajectory's RK4 in
+Python floats and reduces the stacked trajectories with numpy's axis
+statistics, the sweep reference evaluates every grid cell on its own and
+writes with the standard-library encoders, the Lorentzian fit is scipy's
+trust-region least squares on complex-step derivatives polished by a root
+solve of its gradient, and derivatives come from Richardson-extrapolated
+finite differences.
 """
 
 from __future__ import annotations
@@ -317,6 +319,47 @@ def ar1_reference(normals: np.ndarray, rho: float, sigma_st: float) -> np.ndarra
     for k in range(normals.shape[-1] - 1):
         paths[..., k + 1] = rho * paths[..., k] + s_inn * normals[..., k + 1]
     return paths
+
+
+def ensemble_reference(ic, p: SystemParams, fields: list, dt: float) -> tuple:
+    """(mean_m, mean_w, se_m, se_w) of RK4 trajectories, one plain loop per field.
+
+    Each field's trajectory steps
+
+        m' = mdot,  mdot' = -omega^2 m - kappa omega w E,
+        w' = -beta_s (w + 1) + (kappa/omega) mdot E
+
+    in Python floats by classic RK4, the field at a half step being the
+    mean of its ends, with the operations grouped as the stochastic
+    module groups them. The trajectories are stacked record-major and
+    reduced by ``mean(axis=0)`` and ``std(axis=0, ddof=1) / sqrt(n)``.
+    """
+    om2, k_fast, k_slow, bs = p.omega * p.omega, p.kappa * p.omega, p.kappa / p.omega, p.beta_s
+
+    def rhs(m, md, w, e):
+        return md, -om2 * m - k_fast * w * e, -bs * (w + 1.0) + k_slow * md * e
+
+    ms, ws = [], []
+    for field in fields:
+        m, md, w = float(ic.m0), float(ic.mdot0), float(ic.w0)
+        path_m, path_w = [m], [w]
+        for e0, e1 in zip(field[:-1].tolist(), field[1:].tolist()):
+            eh = 0.5 * (e0 + e1)
+            a1, b1, c1 = rhs(m, md, w, e0)
+            a2, b2, c2 = rhs(m + 0.5 * dt * a1, md + 0.5 * dt * b1, w + 0.5 * dt * c1, eh)
+            a3, b3, c3 = rhs(m + 0.5 * dt * a2, md + 0.5 * dt * b2, w + 0.5 * dt * c2, eh)
+            a4, b4, c4 = rhs(m + dt * a3, md + dt * b3, w + dt * c3, e1)
+            m, md, w = (m + (dt / 6.0) * (a1 + 2.0 * a2 + 2.0 * a3 + a4),
+                        md + (dt / 6.0) * (b1 + 2.0 * b2 + 2.0 * b3 + b4),
+                        w + (dt / 6.0) * (c1 + 2.0 * c2 + 2.0 * c3 + c4))
+            path_m.append(m)
+            path_w.append(w)
+        ms.append(path_m)
+        ws.append(path_w)
+    m, w = np.array(ms), np.array(ws)
+    root_n = math.sqrt(len(fields))
+    return (m.mean(axis=0), w.mean(axis=0),
+            m.std(axis=0, ddof=1) / root_n, w.std(axis=0, ddof=1) / root_n)
 
 
 def lorentzian_lsq(omega: np.ndarray, power: np.ndarray, p0) -> np.ndarray:

@@ -76,6 +76,16 @@ STRONG = (
 )
 
 
+#: strong coupling: at --n 8 --seed 5 trajectory 2 of 8 diverges at step 31
+DIVERGENT = (
+    "omega = 2.0\n"
+    "kappa = 12.0\n"
+    "beta_s = 1.0\n"
+    "i0 = 2.0\n"
+    "beta = 1.0\n"
+)
+
+
 @pytest.fixture
 def config(tmp_path):
     def write(text, name="params.cfg"):
@@ -382,6 +392,18 @@ def test_mc_verify_reports_are_byte_identical(config, tmp_path):
     assert main(args + ["--out", str(out1)]) == 0
     assert main(args + ["--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_mc_verify_divergence_exits_3_with_seed_and_time(config, tmp_path, capsys):
+    # the divergence is raised mid-run, between yielded RK4 rows
+    out = tmp_path / "r.json"
+    assert main(["mc-verify", "--config", config(DIVERGENT), "--n", "8", "--seed", "5",
+                 "--force", "--out", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        "divergent trajectory: trajectory diverged at t=1.55 (|state| > 1000, "
+        "seed=4160164373342109173)\n"
+    )
+    assert not out.exists()
 
 
 #: SHA-256 of mc-verify reports, computed with one SeedSequence and one

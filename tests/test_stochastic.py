@@ -28,7 +28,7 @@ from dipolefield.stochastic import (
     simulate_trajectory,
     write_field_csv,
 )
-from oracles import ar1_reference, lorentzian_lsq
+from oracles import ar1_reference, ensemble_reference, lorentzian_lsq
 
 
 WEAK = SystemParams(omega=5.0, kappa=1.0, beta_s=0.2, i0=0.1 / math.pi, beta=1.0)
@@ -472,6 +472,43 @@ def test_ensemble_reproducible_and_matches_single(tmp_path):
     again = tmp_path / "report2.json"
     r2.write_json(again)
     assert path.read_bytes() == again.read_bytes()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(2, 40), n_steps=st.integers(1, 30),
+       radius=st.floats(0.0, 1.0), angle=st.floats(0.0, 2.0 * math.pi),
+       omega=st.floats(5.0, 20.0), kappa=st.floats(0.1, 2.0), beta_s=st.floats(0.0, 1.0),
+       weight=st.floats(0.0, 0.25), dt_frac=st.floats(0.1, 1.0), seed=st.integers(0, 2**32 - 1))
+def test_streamed_statistics_equal_stacked_reference(n, n_steps, radius, angle, omega, kappa,
+                                                     beta_s, weight, dt_frac, seed):
+    # weak coupling, pi i0 kappa^2 <= beta / 4 with beta = 1: the statistics are
+    # reduced row by row as RK4 runs, and equal those of the stacked trajectories
+    p = SystemParams(omega=omega, kappa=kappa, beta_s=beta_s,
+                     i0=weight / (math.pi * kappa**2), beta=1.0)
+    ic = InitialCondition(m0=radius * math.cos(angle), w0=radius * math.sin(angle))
+    dt = dt_frac * max_field_dt(p)
+    report = ensemble_average(ic, p, n, dt, n_steps * dt, seed)
+    assert report.t.size == n_steps + 1
+    fields = [f.values for f in sample_fields(p, dt, n_steps, report.seeds)]
+    expected = ensemble_reference(ic, p, fields, dt)
+    for got, want in zip((report.mean_m, report.mean_w, report.se_m, report.se_w), expected):
+        np.testing.assert_array_equal(got, want)
+
+
+def test_ensemble_memory_grows_only_by_the_field():
+    # the trajectories are reduced as they are integrated: only the n x (K+1)
+    # field grows with n, not stored m and w paths or their transposes
+    ic, dt, n_steps = InitialCondition(0.0, 1.0), max_field_dt(WEAK), 167
+    sizes, peaks = (2000, 10000), []
+    for n in sizes:
+        tracemalloc.start()
+        try:
+            ensemble_average(ic, WEAK, n, dt, n_steps * dt, 99)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    field_bytes = 8 * (n_steps + 1) * (sizes[1] - sizes[0])
+    assert peaks[1] - peaks[0] < 1.5 * field_bytes
 
 
 def test_ensemble_weak_coupling_band():
