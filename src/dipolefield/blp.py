@@ -26,12 +26,16 @@ cosines and refined by one vectorised Chandrupatla root solve: a kernel in
 this module that keeps the rule of scipy's ``find_root`` (steps, tolerances,
 stopping tests), so its roots equal scipy's bit for bit. The same
 locator finds where the two branch rates cross, so the pointwise maximum
-of ``literal_pointwise_max`` telescopes too. Only the "as-printed"
-interior rate, evaluated verbatim and not the derivative of the printed
-distance, is integrated numerically. Its numerator is cos^2(theta) times
-a function of tau alone, so every angle shares one set of intervals,
-located once; they are cut at that grid, and a vectorised tanh-sinh rule
-integrates every (angle, piece) pair on shared nodes.
+of ``literal_pointwise_max`` telescopes too.
+
+Only "derived" mode scans interior angles. The printed interior rate is
+not the derivative of any printed distance, and its backflow has no
+grid-independent maximum over theta: it grows like c ln(1/theta) as
+theta -> 0, and where c = 0 its limit there is not the theta = 0 value
+(see the README's "Known model limits"). "as-printed" mode therefore
+reports the larger of its two branch values, as ``sweep_grid`` and
+``dominant_regime`` do; ``sigma_rate`` still evaluates the printed rate
+verbatim.
 
 The "as-printed" expressions keep the original theta labels, which attach
 theta = 0 to the coherence integrand; branch identity is therefore tracked
@@ -40,7 +44,6 @@ by ``BranchKind`` (physical pair), never by theta.
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -57,7 +60,6 @@ from .model import DimensionlessConfig, SystemParams, nondimensionalize
 __all__ = [
     "BranchKind",
     "BackflowResult",
-    "QuadratureError",
     "KinkWarning",
     "sigma_rate",
     "branch_integrand_omega",
@@ -75,15 +77,6 @@ __all__ = [
     "write_sweep_json",
 ]
 
-#: absolute error target of each tanh-sinh piece of the as-printed interior
-#: rate; a piece also stops once its relative error estimate is below eps**0.75
-QUAD_ABS_TOL = 1e-8
-#: tanh-sinh levels: every piece starts with all nodes up to QUAD_MIN_LEVEL
-#: (258) and refines to at most QUAD_MAX_LEVEL. The error estimate compares
-#: successive levels; started lower, both can miss a layer and agree.
-QUAD_MIN_LEVEL, QUAD_MAX_LEVEL = 4, 10
-#: bytes of one (angle, piece, node) array of the quadrature
-QUAD_BLOCK_BYTES = 2**20
 #: ties between branch integrals within this margin resolve to the omega branch
 TIE_TOL = 1e-10
 #: distances below this are treated as exact zeros (kinks) of D
@@ -114,10 +107,6 @@ _ENDPOINT_BRANCHES = {
     "derived": (BranchKind.LAMBDA, BranchKind.OMEGA),
     "as-printed": (BranchKind.OMEGA, BranchKind.LAMBDA),
 }
-
-
-class QuadratureError(RuntimeError):
-    """Adaptive quadrature failed to reach the requested tolerance."""
 
 
 class KinkWarning(UserWarning):
@@ -159,18 +148,13 @@ def _winner(n_omega: float, n_lambda: float) -> BranchKind:
 # rate of change of the trace distance
 # ---------------------------------------------------------------------------
 
-def _rate_numerator(u: ArrayLike, tau: ArrayLike, lam: float, om: float, mode: str) -> ArrayLike:
-    """Numerator of the rate num / den; it carries the rate's sign.
-
-    Derived mode: d(D^2)/dtau. As-printed mode: minus the printed bracket,
-    evaluated verbatim with gamma = 1. ``u`` and ``tau`` broadcast.
-    """
-    if mode == "derived":
-        cl = np.cos(lam * tau)
-        da = -np.exp(-2.0 * tau) * (2.0 * cl * cl + lam * np.sin(2.0 * lam * tau))
-        db = -om * np.sin(2.0 * om * tau)
-        return u * da + (1.0 - u) * db
-    return u * _printed_factors(tau, lam, om)[0]
+def _rate_numerator(u: ArrayLike, tau: ArrayLike, lam: float, om: float) -> ArrayLike:
+    """Numerator d(D^2)/dtau of the derived rate num / den; it carries the
+    rate's sign. ``u`` and ``tau`` broadcast."""
+    cl = np.cos(lam * tau)
+    da = -np.exp(-2.0 * tau) * (2.0 * cl * cl + lam * np.sin(2.0 * lam * tau))
+    db = -om * np.sin(2.0 * om * tau)
+    return u * da + (1.0 - u) * db
 
 
 def _printed_factors(tau: ArrayLike, lam: float, om: float) -> tuple:
@@ -187,8 +171,7 @@ def _printed_factors(tau: ArrayLike, lam: float, om: float) -> tuple:
 def _rate_parts(u: ArrayLike, tau: ArrayLike, lam: float, om: float, mode: str) -> tuple:
     """Numerator and denominator of the rate num / den; ``u`` and ``tau`` broadcast."""
     if mode == "derived":
-        num = _rate_numerator(u, tau, lam, om, mode)
-        return num, 2.0 * _pair_distance(u, 1.0, lam * lam, om, tau)
+        return _rate_numerator(u, tau, lam, om), 2.0 * _pair_distance(u, 1.0, lam * lam, om, tau)
     p, q, r = _printed_factors(tau, lam, om)
     return u * p, 2.0 * np.sqrt(u * q + (1.0 - u) * r)
 
@@ -314,15 +297,11 @@ def _breakpoints(lam: float, om: float, t_max: float) -> np.ndarray:
     return grid[grid <= t_max]
 
 
-def _numerator_terms(u: np.ndarray, lam: float, om: float, mode: str) -> tuple:
+def _numerator_terms(u: np.ndarray, lam: float, om: float) -> tuple:
     """(a, r, f) of the terms a e^{-r tau} cos(f tau + phi) summing to ``_rate_numerator``."""
-    if mode == "derived":
-        # -u e^{-2 tau} (1 + cos 2 lam tau + lam sin 2 lam tau) - (1 - u) om sin 2 om tau
-        return ((u, 2.0, 0.0), (u * math.hypot(1.0, lam), 2.0, 2.0 * lam),
-                ((1.0 - u) * om, 0.0, 2.0 * om))
-    # -u e^{tau/2} om sin 2 om tau - u e^{-tau/2} (1/2 - cos(2 lam tau)/2 + lam sin 2 lam tau)
-    return ((u * om, -0.5, 2.0 * om), (0.5 * u, 0.5, 0.0),
-            (u * math.hypot(0.5, lam), 0.5, 2.0 * lam))
+    # -u e^{-2 tau} (1 + cos 2 lam tau + lam sin 2 lam tau) - (1 - u) om sin 2 om tau
+    return ((u, 2.0, 0.0), (u * math.hypot(1.0, lam), 2.0, 2.0 * lam),
+            ((1.0 - u) * om, 0.0, 2.0 * om))
 
 
 def _numerator_curvature(terms: tuple, k: np.ndarray, lo: np.ndarray,
@@ -456,140 +435,7 @@ def _chandrupatla(fn: Callable, lo: np.ndarray, hi: np.ndarray, k: np.ndarray) -
 
 
 # ---------------------------------------------------------------------------
-# tanh-sinh quadrature
-# ---------------------------------------------------------------------------
-
-#: level-0 step: at 8 steps the node complement 1 - x_j falls to four times
-#: the smallest normal float
-_TS_H0 = math.asinh(math.log(2.0 / (4.0 * np.finfo(float).smallest_normal) - 1.0) / math.pi) / 8
-
-
-@functools.cache
-def _tanh_sinh_level(k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Complements 1 - x_j and weights w_j of the nodes level k adds on [-1, 1].
-
-    Level 0 holds j = 0..8, the node x = 0 at half weight on each side, and
-    level k > 0 the odd j up to 8 2^k, at step h0 / 2^k.
-    """
-    jh = (np.arange(9) if k == 0 else np.arange(1, 8 * 2**k + 1, 2)) * (_TS_H0 / 2**k)
-    u1, u2 = np.pi / 2 * np.cosh(jh), np.pi / 2 * np.sinh(jh)
-    with np.errstate(over="ignore"):  # the outermost weights underflow to zero
-        w = u1 / np.cosh(u2) ** 2
-        xc = 1.0 / (np.exp(u2) * np.cosh(u2))
-    if k == 0:
-        w[0] /= 2.0
-    xc.flags.writeable = w.flags.writeable = False  # cached, shared by every call
-    return xc, w
-
-
-def _tanh_sinh_nodes(xc: np.ndarray, wj: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple:
-    """Nodes and weights on [a, b] (columns), the right half first.
-
-    A node that rounds onto an end gets weight zero.
-    """
-    half = (b - a) / 2
-    x = np.concatenate((-half * xc + b, half * xc + a), axis=-1)
-    w = np.concatenate((wj * half,) * 2, axis=-1)
-    w[(x <= a) | (x >= b)] = 0.0
-    return x, w
-
-
-def _tanh_sinh(f: Callable, a: np.ndarray, b: np.ndarray, owners: int = 1) -> np.ndarray:
-    """Integrals of f over [a_j, b_j] for every owner k < ``owners``, shape (owners, pieces).
-
-    f(tau, k) is the integrand of owners k, an index array broadcasting
-    against tau. The rule, its error estimate and its stopping test are
-    those of scipy's ``tanhsinh`` (Takahasi & Mori 1974; Bailey, Jeyabalan
-    & Li 2005). Every (owner, piece) pair starts with the nodes of levels
-    0..QUAD_MIN_LEVEL, which all owners of a piece share. A pair that has
-    not converged adds the next level's nodes, up to QUAD_MAX_LEVEL. It
-    converges once its error estimate is below QUAD_ABS_TOL or below
-    eps**0.75 of its value. A non-finite or unconverged pair raises
-    ``QuadratureError``. Pieces run in blocks of about QUAD_BLOCK_BYTES an array.
-    """
-    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    nodes = 2 * (8 * 2**QUAD_MIN_LEVEL + 1)
-    step = max(1, QUAD_BLOCK_BYTES // (8 * max(owners, 1) * nodes))
-    out = np.empty((owners, a.size))
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for i in range(0, a.size, step):
-            out[:, i:i + step] = _tanh_sinh_block(f, a[i:i + step], b[i:i + step], owners)
-    return out
-
-
-def _tanh_sinh_block(f: Callable, a: np.ndarray, b: np.ndarray, owners: int) -> np.ndarray:
-    """``_tanh_sinh`` on one block of pieces; pair p is owner p // a.size, piece p % a.size."""
-    size, eps = owners * a.size, np.finfo(float).eps
-    total, prev, err = np.zeros(size), np.zeros(size), np.full(size, np.nan)
-    done = np.zeros(size, dtype=bool)
-    # per end (right, left): signed abscissa, value and weight of the node
-    # nearest that end with a finite value and a nonzero weight
-    ends = tuple((np.full(size, -np.inf), np.full(size, np.nan), np.zeros(size)) for _ in "rl")
-
-    def fail(p: int, why: str) -> QuadratureError:
-        return QuadratureError(f"tanh-sinh quadrature on [{a[p % a.size]:.6g}, "
-                               f"{b[p % a.size]:.6g}] did not converge ({why})")
-
-    def add_level(p, x, w, fx, level):
-        """Add one level to the pairs p: nodes x and weights w broadcast against values fx."""
-        half = x.shape[-1] // 2
-        finite = np.isfinite(fx)
-        bad = w == 0.0 if finite.all() else ~finite | (w == 0.0)
-        for sign, cols, (x0, f0, w0) in zip((1.0, -1.0), (slice(None, half), slice(half, None)),
-                                            ends):
-            xs = np.where(bad[..., cols], -np.inf, sign * x[..., cols])
-            i = np.argmax(xs, axis=-1)[..., None]
-            near = [np.broadcast_to(np.take_along_axis(v, i, -1)[..., 0], p.shape)
-                    for v in (xs, fx[..., cols], w[..., cols])]
-            new = near[0] > x0[p]
-            for store, v in zip((x0, f0, w0), near):
-                store[p[new]] = v[new]
-        if not finite.all():  # the value nearest its end stands in for a non-finite one
-            fx = np.where(finite, fx, np.repeat(np.stack([f0[p] for _, f0, _ in ends], -1),
-                                                half, -1))
-        fw = fx * w
-        h = _TS_H0 / 2**level
-        if level == QUAD_MIN_LEVEL:
-            # the estimates at steps 2h and 4h use the nodes of the coarser
-            # levels, 8 2^k + 1 a side up to level k
-            s = fw.sum(axis=-1) * h
-            s1, s2 = (np.concatenate((fw[..., :n], fw[..., half:half + n]), -1).sum(axis=-1)
-                      * (h * c) for n, c in ((4 * 2**level + 1, 2), (2 * 2**level + 1, 4)))
-        else:
-            s1, s2 = total[p], prev[p]
-            s = s1 / 2 + fw.sum(axis=-1) * h
-        d1, d2 = abs(s - s1), abs(s - s2)
-        d0 = np.where(d1 > 0, d1 ** (np.log(d1) / np.log(d2)), 0.0)
-        d4 = np.maximum(*(abs(f0[p] * w0[p]) for _, f0, w0 in ends))
-        e = np.clip(np.max((d0, d1**2, eps * abs(fw).max(axis=-1), d4), axis=0), eps * abs(s), d1)
-        ok = (e < QUAD_ABS_TOL) | (e / abs(s) < eps**0.75)
-        blown = ~ok & ~np.isfinite(s)
-        if blown.any():
-            raise fail(int(p[blown][0]), "non-finite value")
-        total[p], prev[p], err[p], done[p] = s, s1, e, ok
-
-    for level in range(QUAD_MIN_LEVEL, QUAD_MAX_LEVEL + 1):
-        if level == QUAD_MIN_LEVEL:  # all owners of a piece share its nodes
-            xc, wj = (np.concatenate(c) for c in zip(*map(_tanh_sinh_level, range(level + 1))))
-            x, w = _tanh_sinh_nodes(xc, wj, a[:, None], b[:, None])
-            fx = np.broadcast_to(f(x, np.arange(owners)[:, None, None]), (owners, *x.shape))
-            add_level(np.arange(size).reshape(owners, a.size), x[None], w[None], fx, level)
-            continue
-        live = np.flatnonzero(~done)
-        xc, wj = _tanh_sinh_level(level)
-        chunk = max(1, QUAD_BLOCK_BYTES // (16 * xc.size))
-        for i in range(0, live.size, chunk):
-            p = live[i:i + chunk]
-            x, w = _tanh_sinh_nodes(xc, wj, a[p % a.size, None], b[p % a.size, None])
-            add_level(p, x, w, np.broadcast_to(f(x, (p // a.size)[:, None]), x.shape), level)
-    if not done.all():
-        p = int(np.argmin(done))
-        raise fail(p, f"error estimate {err[p]:.3g} after level {QUAD_MAX_LEVEL}")
-    return total.reshape(owners, a.size)
-
-
-# ---------------------------------------------------------------------------
-# backflow values: telescoped rises, quadrature for the as-printed rate
+# backflow values: telescoped rises
 # ---------------------------------------------------------------------------
 
 def _branch_result(
@@ -612,36 +458,15 @@ def _branch_result(
 
 
 def _interior_scan(
-    thetas: np.ndarray, cfg: DimensionlessConfig, t_max: float, mode: str
+    thetas: np.ndarray, cfg: DimensionlessConfig, t_max: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Backflow at each interior angle, with the positivity intervals (a, b, angle index)."""
+    """Derived backflow at each interior angle, and the positivity intervals (a, b, angle index)."""
     lam, om = cfg.lambda_hat, cfg.omega_hat
     u = np.cos(thetas) ** 2
-    grid = _breakpoints(lam, om, t_max)
-    # the printed numerator is u times a function of tau alone, and the locator's
-    # sign, rounding and curvature tests all scale with u: one owner (u = 1)
-    # finds the intervals of every angle
-    u_loc = u if mode == "derived" else np.ones(1)
-    a, b, owner = _sign_intervals(lambda tau, k: _rate_numerator(u_loc[k], tau, lam, om, mode),
-                                  _numerator_terms(u_loc, lam, om, mode), grid)
-    if mode == "derived":
-        d = _pair_distance(u[owner], 1.0, lam * lam, om, np.stack((a, b)))
-        totals = np.bincount(owner, d[1] - d[0], minlength=u.size)
-    else:
-        # where one cosine vanishes the printed denominator falls to the other
-        # term, within a layer as narrow as ~1e-5; cutting at the grid puts
-        # each such dip at a piece end, where tanh-sinh clusters its nodes
-        first = np.searchsorted(grid, a, side="right")
-        n = np.searchsorted(grid, b, side="left") - first + 1  # pieces per interval
-        piece = np.repeat(np.arange(a.size), n)
-        cut = first[piece] + np.arange(piece.size) - np.repeat(np.cumsum(n) - n, n)
-        lo = np.where(cut == first[piece], a[piece], grid[cut - 1])
-        hi = np.where(cut == first[piece] + n[piece] - 1, b[piece], grid[cut])
-        integrals = _tanh_sinh(lambda tau, k: np.divide(*_rate_parts(u[k], tau, lam, om, mode)),
-                               lo, hi, u.size)
-        totals = integrals.sum(axis=1)
-        owner = np.repeat(np.arange(u.size), a.size)
-        a, b = np.tile(a, u.size), np.tile(b, u.size)
+    a, b, owner = _sign_intervals(lambda tau, k: _rate_numerator(u[k], tau, lam, om),
+                                  _numerator_terms(u, lam, om), _breakpoints(lam, om, t_max))
+    d = _pair_distance(u[owner], 1.0, lam * lam, om, np.stack((a, b)))
+    totals = np.bincount(owner, d[1] - d[0], minlength=u.size)
     return np.maximum(totals, 0.0), a, b, owner
 
 
@@ -657,17 +482,15 @@ def backflow_integral(
     theta in [0, pi/2]. The branch values are closed forms. Interior
     positivity intervals are bracketed on the quarter-period grid of both
     cosines and refined by root-finding, in the computation ``n_measure``
-    runs over all its angles at once. In "derived" mode each interval
-    contributes D(b) - D(a) exactly. The verbatim "as-printed" rate has the
-    same intervals at every angle; they are cut at that grid and each piece
-    is integrated by ``_tanh_sinh`` (scipy's tanh-sinh rule and error
-    estimate, vectorised over angles and pieces) to an estimated absolute
-    error of 1e-8.
+    runs over all its angles at once, and each interval contributes
+    D(b) - D(a) exactly.
 
     Endpoint angles are routed to the branch integrands: in "derived" mode
     theta = 0 is the inversion (lambda) pair and theta = pi/2 the coherence
     (omega) pair; "as-printed" mode keeps the original swapped labels
-    (theta = 0 -> omega integrand, theta = pi/2 -> lambda integrand).
+    (theta = 0 -> omega integrand, theta = pi/2 -> lambda integrand). An
+    interior theta in "as-printed" mode raises ``ValueError``: the printed
+    interior rate is not the derivative of any printed distance.
     """
     _check_mode(mode)
     if t_max < 0:
@@ -681,7 +504,12 @@ def backflow_integral(
     if theta < eps or theta > math.pi / 2 - eps:
         branch = _ENDPOINT_BRANCHES[mode][int(theta > eps)]
         return _branch_result(branch, cfg, t_max, mode)
-    values, a, b, _ = _interior_scan(np.array([theta]), cfg, t_max, mode)
+    if mode != "derived":
+        raise ValueError(f"theta = {theta} is interior: the as-printed interior rate is not the "
+                         "derivative of any printed distance, and its backflow has no "
+                         "grid-independent maximum over theta; only theta = 0 and pi/2 "
+                         "(the two branches) are defined in as-printed mode")
+    values, a, b, _ = _interior_scan(np.array([theta]), cfg, t_max)
     return BackflowResult(n_value=float(values[0]), winning_branch=None, theta_star=theta,
                           intervals=tuple(zip(a.tolist(), b.tolist())))
 
@@ -721,23 +549,28 @@ def n_measure(
 ) -> BackflowResult:
     """Backflow measure maximized over the pair angle theta.
 
-    theta runs over a uniform grid of [0, pi/2] including both endpoints
-    (which reduce to the two branch integrands). The result carries the
-    grid maximum, the maximizing angle, both endpoint-branch values, and
-    the positivity intervals of the winner. ``winning_branch`` compares the
-    two branch surfaces, resolving ties within 1e-10 to the omega branch.
+    In "derived" mode theta runs over a uniform grid of [0, pi/2] including
+    both endpoints (which reduce to the two branch integrands). "as-printed"
+    mode scores only its two endpoint angles, as its interior rate has no
+    grid-independent maximum (see ``backflow_integral``): its value is the
+    larger branch value, and ``theta_grid_size`` is checked but unused. The
+    result carries the maximum (the first one, so a tie keeps theta = 0),
+    the maximizing angle, both endpoint-branch values, and the positivity
+    intervals of the winner. ``winning_branch`` compares the two branch
+    surfaces, resolving ties within 1e-10 to the omega branch.
     """
     _check_mode(mode)
     if theta_grid_size < 2:
         raise ValueError("theta_grid_size must be at least 2")
     by_branch = {b: _branch_result(b, cfg, t_max, mode) for b in BranchKind}
     first, last = (by_branch[b] for b in _ENDPOINT_BRANCHES[mode])
-    thetas = np.linspace(0.0, math.pi / 2, theta_grid_size)
-    inner, a, b, owner = _interior_scan(thetas[1:-1], cfg, t_max, mode)
+    thetas = np.linspace(0.0, math.pi / 2, theta_grid_size if mode == "derived" else 2)
+    inner, a, b, owner = (_interior_scan(thetas[1:-1], cfg, t_max) if thetas.size > 2
+                          else (np.empty(0),) * 4)
     values = np.concatenate(([first.n_value], inner, [last.n_value]))
     k = int(np.argmax(values))  # first maximum
     sel = owner == k - 1
-    intervals = {0: first.intervals, theta_grid_size - 1: last.intervals}.get(
+    intervals = {0: first.intervals, thetas.size - 1: last.intervals}.get(
         k, tuple(zip(a[sel].tolist(), b[sel].tolist()))
     )
     n_omega, n_lambda = (by_branch[b].n_value for b in BranchKind)

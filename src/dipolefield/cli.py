@@ -1,8 +1,8 @@
 """Batch command-line front end.
 
 Subcommands: derive, evolve, distance, nonmark, sweep, mc-verify, spectrum.
-Exit codes: 0 success, 2 usage/config error, 3 numerical divergence or
-quadrature failure, 4 acceptance-band violation.
+Exit codes: 0 success, 2 usage/config error, 3 numerical divergence (a
+divergent trajectory or spectrum fit), 4 acceptance-band violation.
 """
 
 from __future__ import annotations
@@ -313,9 +313,6 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except blp.QuadratureError as exc:
-        print(f"quadrature failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_USAGE

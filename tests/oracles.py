@@ -214,6 +214,31 @@ def printed_interior_integral(
     return float(np.sum((b - a) * weight * rate(a + (b - a) * frac)))
 
 
+def printed_log_slope_reference(lambda_hat: float, omega_hat: float, t_max: float) -> float:
+    """Slope c of the as-printed interior backflow against ln(1/theta) as theta -> 0.
+
+    As u = cos^2(theta) -> 1 the printed denominator
+    2 sqrt(u e^tau cos^2(om tau) + (1 - u) cos^2(lam tau)) tends to
+    2 e^{tau/2} |cos(om tau)|, which vanishes linearly, with slope
+    e^{tau_0/2} om, at each zero tau_0 = (k + 1/2) pi / om. There the om term
+    of the numerator vanishes with sin(2 om tau_0), leaving
+
+        P(tau_0) = -e^{-tau_0/2} (sin^2(lam tau_0) + lam sin(2 lam tau_0)).
+
+    Where P(tau_0) > 0 the rate is about P / (2 e^{tau_0/2} om |tau - tau_0|)
+    on both sides of tau_0, down to a width of order theta |cos(lam tau_0)|,
+    so each such zero adds P(tau_0) e^{-tau_0/2} / om per unit of ln(1/theta).
+    """
+    c, k = 0.0, 0
+    while (tau0 := (k + 0.5) * math.pi / omega_hat) < t_max:
+        p = -math.exp(-0.5 * tau0) * (math.sin(lambda_hat * tau0) ** 2
+                                      + lambda_hat * math.sin(2.0 * lambda_hat * tau0))
+        if p > 0.0:
+            c += p * math.exp(-0.5 * tau0) / omega_hat
+        k += 1
+    return c
+
+
 def literal_max_reference(
     lambda_hat: float, omega_hat: float, t_max: float, decay: float = 1.0,
     n_scan: int = 2001,

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,6 @@ import dipolefield.blp as blp
 from dipolefield.blp import (
     BranchKind,
     KinkWarning,
-    QuadratureError,
     _interior_scan,
     analytic_n_omega,
     backflow_integral,
@@ -39,6 +39,7 @@ from oracles import (
     params_for_rates,
     positive_part_trapezoid,
     printed_interior_integral,
+    printed_log_slope_reference,
     sweep_files_reference,
     sweep_payload_reference,
     tangency_angle,
@@ -346,47 +347,69 @@ def test_interior_backflow_is_total_rise_near_double_roots(lam, om, start, nudge
     assert got == pytest.approx(distance_rises(theta, lam, om, t_max), abs=1e-9)
 
 
-def test_interior_quadrature_failure_raises(monkeypatch):
-    # with the level cap below the first level no piece can converge, and
-    # that must surface as an error
-    monkeypatch.setattr(blp, "QUAD_MAX_LEVEL", blp.QUAD_MIN_LEVEL - 1)
-    with pytest.raises(QuadratureError, match="did not converge"):
-        backflow_integral(0.7, cfg_of(1.3, 2.1, 5.0), 5.0, mode="as-printed")
-
-
 # ---------------------------------------------------------------------------
-# as-printed interior rate and the batched theta scan
+# as-printed mode: the two branches, and the interior rate it leaves out
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize(
-    "theta, lam, om, t_max, reference",
-    [
-        # Gauss-Kronrod returned 14.5941696343 here
-        (math.pi / 16, 0.926081485894418, 2.6721814930631127, 18.423801256360935,
-         14.5940853969),
-        # and did not converge here
-        (math.pi / 32, 1.0639404656002296, 2.088830335488228, 20.11563339314566,
-         12.4356020243),
-    ],
-)
-def test_backflow_interior_as_printed_boundary_layer_regression(theta, lam, om, t_max, reference):
-    # once e^{tau/2} is large the printed denominator turns over within
-    # ~1e-5 of each zero of cos(om tau); references are mpmath values
-    got = backflow_integral(theta, cfg_of(lam, om, t_max), t_max, mode="as-printed").n_value
-    assert got == pytest.approx(printed_interior_integral(theta, lam, om, t_max), abs=1e-8)
-    assert got == pytest.approx(reference, abs=1e-9)
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(lam=st.floats(0.05, 4.0), om=st.floats(0.05, 4.0), t_max=st.floats(0.3, 20.0),
+       grid_size=st.sampled_from([2, 3, 9, 65]))
+def test_as_printed_measure_is_the_branch_maximum(lam, om, t_max, grid_size):
+    cfg = cfg_of(lam, om, t_max)
+    res = n_measure(cfg, t_max, mode="as-printed", theta_grid_size=grid_size)
+    n_om, n_lam = res.n_omega_branch, res.n_lambda_branch
+    assert res.n_value == max(n_om, n_lam)
+    # the first maximum wins, so a tie keeps theta = 0, the as-printed omega branch
+    branch = BranchKind.OMEGA if n_om >= n_lam else BranchKind.LAMBDA
+    assert res.theta_star == (0.0 if branch is BranchKind.OMEGA else math.pi / 2)
+    assert res.intervals == backflow_integral(branch, cfg, t_max, mode="as-printed").intervals
+    assert res.intervals == backflow_integral(res.theta_star, cfg, t_max,
+                                              mode="as-printed").intervals
+    assert res.winning_branch is dominant_regime(lam, om, t_max, mode="as-printed")
+    (cell,) = sweep_grid([lam], [om], [t_max], mode="as-printed")
+    assert cell.n_max == res.n_value
+    assert (cell.n_omega_branch, cell.n_lambda_branch) == (n_om, n_lam)
 
 
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
-@given(theta=st.floats(1e-6, math.pi / 2 - 1e-6), lam=st.floats(0.5, 3.0),
-       om=st.floats(0.5, 3.0), t_max=st.floats(1.0, 26.0))
-def test_interior_as_printed_backflow_matches_oracle(theta, lam, om, t_max):
-    got = backflow_integral(theta, cfg_of(lam, om, t_max), t_max, mode="as-printed").n_value
-    assert got == pytest.approx(printed_interior_integral(theta, lam, om, t_max), abs=1e-8)
+def test_backflow_interior_as_printed_raises():
+    cfg = cfg_of(1.3, 2.1, 5.0)
+    for theta in (1e-11, 0.7, math.pi / 2 - 1e-11):
+        with pytest.raises(ValueError, match="not the derivative of any printed distance"):
+            backflow_integral(theta, cfg, 5.0, mode="as-printed")
+    # within 1e-12 of an endpoint theta still routes to its branch
+    for theta, branch in ((1e-13, BranchKind.OMEGA), (math.pi / 2 - 1e-13, BranchKind.LAMBDA)):
+        got = backflow_integral(theta, cfg, 5.0, mode="as-printed")
+        assert got == backflow_integral(branch, cfg, 5.0, mode="as-printed")
+
+
+def test_printed_interior_backflow_grows_like_c_log_inverse_theta():
+    # as theta -> 0 the printed denominator falls to e^{tau/2}|cos(om tau)|, and
+    # each zero tau_0 of that cosine with P(tau_0) > 0 adds a layer of width
+    # ~theta, worth P(tau_0) e^{-tau_0/2} / om per unit of ln(1/theta)
+    lam, om, t_max = 3.5658, 2.4126, 5.4732
+    c = printed_log_slope_reference(lam, om, t_max)
+    assert c == pytest.approx(0.696288, abs=1e-6)
+    rise = (printed_interior_integral(1e-6, lam, om, t_max)
+            - printed_interior_integral(1e-4, lam, om, t_max))
+    assert rise == pytest.approx(c * math.log(100.0), rel=1e-4)
+
+
+def printed_sign_intervals(lam, om, t_max, u=np.ones(1)):
+    """Positivity intervals (a, b, owner) of u P on [0, t_max], by blp's locator, one owner per u.
+
+    P = -(e^{tau/2} om sin 2 om tau + e^{-tau/2} (sin^2 lam tau + lam sin 2 lam tau))
+    is the printed numerator, with a term that grows like e^{tau/2};
+    ``sigma_rate`` evaluates it verbatim.
+    """
+    # -e^{tau/2} om sin 2 om tau - e^{-tau/2} (1/2 - cos(2 lam tau)/2 + lam sin 2 lam tau)
+    terms = ((u * om, -0.5, 2.0 * om), (0.5 * u, 0.5, 0.0),
+             (u * math.hypot(0.5, lam), 0.5, 2.0 * lam))
+    return blp._sign_intervals(lambda tau, k: u[k] * blp._printed_factors(tau, lam, om)[0],
+                               terms, blp._breakpoints(lam, om, t_max))
 
 
 def test_rounding_level_zeros_need_no_halving(monkeypatch):
-    # with lam/om = 2/3 the as-printed numerator vanishes exactly at multiples
+    # with lam/om = 2/3 the printed numerator vanishes exactly at multiples
     # of pi/2, on the grid, where it evaluates to ~1e-14; such values are
     # roots, and the gaps next to them are not halved toward the width floor
     rounds = []
@@ -400,90 +423,28 @@ def test_rounding_level_zeros_need_no_halving(monkeypatch):
     counts = []
     for lam in (2.0, 2.0001):
         rounds.clear()
-        n_measure(cfg_of(lam, 3.0, 5.0), 5.0, mode="as-printed")
+        a, b, _ = printed_sign_intervals(lam, 3.0, 5.0)
         counts.append(len(rounds))
     assert counts[0] <= counts[1]
-    for theta in (0.3, 0.7, 1.2):
-        got = backflow_integral(theta, cfg_of(2.0, 3.0, 5.0), 5.0, mode="as-printed").n_value
-        assert got == pytest.approx(printed_interior_integral(theta, 2.0, 3.0, 5.0), abs=1e-8)
+    # the intervals of lam = 2 are where P > 0: their ends are roots, and a
+    # dense sample finds P positive inside them and nowhere else
+    a, b, _ = printed_sign_intervals(2.0, 3.0, 5.0)
+    ends = np.concatenate((a, b))
+    assert np.all(abs(blp._printed_factors(ends[ends < 5.0], 2.0, 3.0)[0]) < 1e-12)
+    ts = np.linspace(0.0, 5.0, 100_001)
+    p = blp._printed_factors(ts, 2.0, 3.0)[0]
+    inside = ((a[:, None] < ts) & (ts < b[:, None])).any(axis=0)
+    outside = ~((a[:, None] <= ts) & (ts <= b[:, None])).any(axis=0)
+    assert np.all(p[inside] > 0.0) and np.all(p[outside] <= 1e-12)
 
 
-@pytest.mark.parametrize("mode", ["derived", "as-printed"])
-def test_batched_scan_matches_single_angles(mode):
-    cfg = cfg_of(1.7, 2.3, 9.0)
-    thetas = np.linspace(0.0, math.pi / 2, 17)[1:-1]
-    values, a, b, owner = _interior_scan(thetas, cfg, 9.0, mode)
-    for k, theta in enumerate(thetas):
-        alone = backflow_integral(float(theta), cfg, 9.0, mode=mode)
-        assert values[k] == pytest.approx(alone.n_value, abs=1e-13)
-        assert alone.intervals == tuple(zip(a[owner == k].tolist(), b[owner == k].tolist()))
-
-
-@pytest.mark.parametrize("f, a, b, exact", [
-    (lambda x, k: np.exp(x), 0.0, 1.0, math.e - 1.0),
-    # integrable endpoint singularities
-    (lambda x, k: 1.0 / np.sqrt(x), 0.0, 1.0, 2.0),
-    (lambda x, k: np.log(x), 0.0, 1.0, -1.0),
-    # layers of width 1e-4 at either end, like the printed denominator's dips
-    (lambda x, k: 1e-4 / (x * x + 1e-8), 0.0, 1.0, math.atan(1e4)),
-    (lambda x, k: 1e-4 / ((3.0 - x) ** 2 + 1e-8), 2.0, 3.0, math.atan(1e4)),
-    # a layer of width 0.01 inside, which takes the rule to level 8 or 9
-    (lambda x, k: 0.01 / ((x - 0.3) ** 2 + 1e-4), 0.0, 1.0,
-     math.atan(70.0) + math.atan(30.0)),
-], ids=["exp", "inv-sqrt", "log", "left-layer", "right-layer", "inner-layer"])
-def test_tanh_sinh_known_integrals(f, a, b, exact):
-    got = blp._tanh_sinh(f, np.array([a]), np.array([b]))
-    assert got.shape == (1, 1)
-    assert got[0, 0] == pytest.approx(exact, abs=1e-10)
-
-
-def test_tanh_sinh_owners_share_pieces():
-    # owner k integrates (k + 1) x^k: 1 on [0, 1] and 2^(k+1) - 1 on [1, 2]
-    got = blp._tanh_sinh(lambda x, k: (k + 1) * x**k, np.array([0.0, 1.0]),
-                         np.array([1.0, 2.0]), owners=4)
-    expected = np.array([[1.0, 2.0**k - 1.0] for k in range(1, 5)])
-    assert np.allclose(got, expected, rtol=0.0, atol=1e-12)
-
-
-@pytest.mark.parametrize("f, why", [
-    (lambda x, k: 1e-4 / ((x - 0.5) ** 2 + 1e-8), "after level"),
-    (lambda x, k: np.full_like(x, np.nan), "non-finite"),
-], ids=["inner-spike", "nan"])
-def test_tanh_sinh_failures_raise(f, why):
-    with pytest.raises(QuadratureError, match=f"did not converge \\(.*{why}"):
-        blp._tanh_sinh(f, np.array([0.0]), np.array([1.0]))
-
-
-def test_tanh_sinh_matches_scipy_on_printed_pieces():
-    from scipy.integrate import tanhsinh
-
-    rng = np.random.default_rng(8)
-    for _ in range(12):
-        lam, om = rng.uniform(0.5, 3.0, 2)
-        t_max = rng.uniform(1.0, 26.0)
-        u = np.cos(rng.uniform(0.01, math.pi / 2 - 0.01, 5)) ** 2
-        grid = blp._breakpoints(lam, om, t_max)
-        lo, hi = grid[:-1], grid[1:]
-
-        def rate(tau, uk):
-            return np.divide(*blp._rate_parts(uk, tau, lam, om, "as-printed"))
-
-        got = blp._tanh_sinh(lambda tau, k: rate(tau, u[k]), lo, hi, u.size)
-        ref = tanhsinh(rate, lo, hi, args=(u[:, None],), minlevel=blp.QUAD_MIN_LEVEL,
-                       maxlevel=blp.QUAD_MAX_LEVEL, atol=blp.QUAD_ABS_TOL)
-        assert np.all(ref.status == 0)
-        assert np.max(abs(got - ref.integral)) <= 1e-10
-    # inner layers that stop at levels 5 to 9: each pair must stop where scipy's does
-    width, a = np.array([0.1, 0.03, 0.01, 0.005]), np.array([-0.3, -0.5, -0.77])
-
-    def layer(x, w):
-        return w / (x * x + w * w)
-
-    ref = tanhsinh(layer, a, a + 1.0, args=(width[:, None],), minlevel=blp.QUAD_MIN_LEVEL,
-                   maxlevel=blp.QUAD_MAX_LEVEL, atol=blp.QUAD_ABS_TOL)
-    assert np.all(ref.status == 0) and set(ref.maxlevel.ravel()) >= {5, 9}
-    got = blp._tanh_sinh(lambda x, k: layer(x, width[k]), a, a + 1.0, width.size)
-    assert np.max(abs(got - ref.integral)) <= 1e-13
+def test_sign_tests_do_not_overflow_on_the_printed_numerator():
+    # at tau = 709 the printed numerator reaches ~1e154, and the product of
+    # two samples overflowed where the locator compared their signs
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        a, b, _ = printed_sign_intervals(1.0, 2.0, 709.0)
+    assert a.size > 400 and np.all(a < b)
 
 
 @pytest.mark.parametrize("lam, om, t_max", [
@@ -493,20 +454,28 @@ def test_tanh_sinh_matches_scipy_on_printed_pieces():
     (1.0639404656002296, 2.088830335488228, 20.11563339314566),
 ])
 def test_as_printed_intervals_are_shared_by_every_angle(lam, om, t_max):
-    thetas = np.linspace(0.0, math.pi / 2, 65)[1:-1]
-    _, a, b, owner = _interior_scan(thetas, cfg_of(lam, om, t_max), t_max, "as-printed")
-    first = owner == 0
-    u = np.cos(thetas) ** 2
-    # the locator run with one owner per angle, as each angle alone would be
-    alone_a, alone_b, alone_owner = blp._sign_intervals(
-        lambda tau, k: blp._rate_numerator(u[k], tau, lam, om, "as-printed"),
-        blp._numerator_terms(u, lam, om, "as-printed"), blp._breakpoints(lam, om, t_max))
-    for k in range(thetas.size):
-        mine, alone = owner == k, alone_owner == k
-        assert np.array_equal(a[mine], a[first]) and np.array_equal(b[mine], b[first])
-        assert mine.sum() == alone.sum()
-        assert np.max(abs(a[mine] - alone_a[alone]), initial=0.0) <= 1e-13
-        assert np.max(abs(b[mine] - alone_b[alone]), initial=0.0) <= 1e-13
+    # the locator's sign, rounding and curvature tests all scale with an
+    # owner's amplitude, so the owners u P of 63 angles, located together,
+    # each find the intervals of P itself
+    a1, b1, _ = printed_sign_intervals(lam, om, t_max)
+    u = np.cos(np.linspace(0.0, math.pi / 2, 65)[1:-1]) ** 2
+    a, b, owner = printed_sign_intervals(lam, om, t_max, u)
+    for k in range(u.size):
+        mine = owner == k
+        assert mine.sum() == a1.size
+        assert np.max(abs(a[mine] - a1), initial=0.0) <= 1e-13
+        assert np.max(abs(b[mine] - b1), initial=0.0) <= 1e-13
+
+
+@pytest.mark.parametrize("mode", ["derived"])
+def test_batched_scan_matches_single_angles(mode):
+    cfg = cfg_of(1.7, 2.3, 9.0)
+    thetas = np.linspace(0.0, math.pi / 2, 17)[1:-1]
+    values, a, b, owner = _interior_scan(thetas, cfg, 9.0)
+    for k, theta in enumerate(thetas):
+        alone = backflow_integral(float(theta), cfg, 9.0, mode=mode)
+        assert values[k] == pytest.approx(alone.n_value, abs=1e-13)
+        assert alone.intervals == tuple(zip(a[owner == k].tolist(), b[owner == k].tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -525,8 +494,9 @@ _MODES = st.sampled_from(["derived", "as-printed"])
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(mode=_MODES, lam=st.floats(0.05, 4.0), om=st.floats(0.05, 4.0), t_max=st.floats(0.3, 26.0))
 def test_chandrupatla_matches_scipy_on_located_brackets(mode, lam, om, t_max):
-    # every bracket the locator hands the solver, in the theta scan and for
-    # the pointwise-max difference h, must give scipy's root bit for bit
+    # every bracket the locator hands the solver, in the theta scan (or, in
+    # as-printed mode, for the printed numerator) and for the pointwise-max
+    # difference h, must give scipy's root bit for bit
     kernel, calls = blp._chandrupatla, []
 
     def recorded(fn, lo, hi, k):
@@ -536,7 +506,10 @@ def test_chandrupatla_matches_scipy_on_located_brackets(mode, lam, om, t_max):
     cfg = cfg_of(lam, om, t_max)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(blp, "_chandrupatla", recorded)
-        _interior_scan(np.linspace(0.0, math.pi / 2, 9)[1:-1], cfg, t_max, mode)
+        if mode == "derived":
+            _interior_scan(np.linspace(0.0, math.pi / 2, 9)[1:-1], cfg, t_max)
+        else:
+            printed_sign_intervals(lam, om, t_max)
         literal_pointwise_max(cfg, t_max, mode)
     assert len(calls) == 2
     for fn, lo, hi, k in calls:
@@ -549,8 +522,11 @@ def test_chandrupatla_matches_scipy_on_located_brackets(mode, lam, om, t_max):
 def test_chandrupatla_matches_scipy_on_edge_brackets(mode, lam, om, theta, start, w):
     u = np.array([math.cos(theta) ** 2])
 
+    def printed(tau, k):
+        return u[k] * blp._printed_factors(tau, lam, om)[0]
+
     def fn(tau, k):
-        return blp._rate_numerator(u[k], tau, lam, om, mode)
+        return blp._rate_numerator(u[k], tau, lam, om) if mode == "derived" else printed(tau, k)
 
     # sign changes on a grid of [start, start + 10]: near tau = 700 the
     # as-printed numerator is ~1e150
@@ -577,9 +553,6 @@ def test_chandrupatla_matches_scipy_on_edge_brackets(mode, lam, om, theta, start
 
     # the printed numerator vanishes exactly at tau = 0, so a root there
     # converges on the absolute tolerance alone
-    def printed(tau, k):
-        return blp._rate_numerator(u[k], tau, lam, om, "as-printed")
-
     lo, hi, k = np.array([-w, -w, -1e-2]), np.array([w, 1e-2, w]), np.zeros(3, dtype=int)
     got = blp._chandrupatla(printed, lo, hi, k)
     assert np.array_equal(got, _scipy_roots(printed, lo, hi, k))
@@ -614,19 +587,18 @@ def test_n_measure_without_interior_angles(mode):
 
 
 def test_reported_intervals_are_merged_positivity_intervals():
-    # as-printed interior winner: the integration pieces are cut at the
-    # quarter-period grid, the reported intervals only at roots of the rate
+    # the locator brackets sign changes on the quarter-period grid, but the
+    # reported intervals are cut only at roots of the rate
     cfg = cfg_of(2.948, 2.151, 8.155)
-    res = n_measure(cfg, 8.155, mode="as-printed", theta_grid_size=17)
-    assert 0.0 < res.theta_star < math.pi / 2
-    alone = backflow_integral(res.theta_star, cfg, 8.155, mode="as-printed")
-    assert res.intervals == alone.intervals and res.n_value == alone.n_value
     grid = np.concatenate([np.arange(1, 40) * math.pi / (2 * f) for f in (2.948, 2.151)])
-    assert any(np.any((a < grid) & (grid < b)) for a, b in res.intervals)
-    for a, b in res.intervals:
-        for end in (a, b):
-            if end < 8.155:
-                assert abs(sigma_rate(res.theta_star, cfg, end, mode="as-printed")) < 1e-9
+    for theta in (0.2, 0.7, 1.3):
+        res = backflow_integral(theta, cfg, 8.155)
+        assert res.intervals
+        assert all(np.any((a < grid) & (grid < b)) for a, b in res.intervals)
+        for a, b in res.intervals:
+            for end in (a, b):
+                if end < 8.155:
+                    assert abs(sigma_rate(theta, cfg, end)) < 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -701,12 +673,11 @@ def test_n_measure_monotone_in_horizon():
 @given(lam=st.floats(0.2, 4.0), om=st.floats(0.2, 4.0), t_max=st.floats(0.1, 15.0),
        extra=st.floats(0.0, 5.0))
 def test_n_measure_nondecreasing_in_horizon(mode, lam, om, t_max, extra):
-    # every N(theta) integrates a nonnegative rate, and so does their maximum;
-    # as-printed pieces carry up to QUAD_ABS_TOL of quadrature error
+    # every N(theta) integrates a nonnegative rate, and so does their maximum
     short = n_measure(cfg_of(lam, om, t_max), t_max, mode=mode, theta_grid_size=9).n_value
     long = n_measure(cfg_of(lam, om, t_max + extra), t_max + extra, mode=mode,
                      theta_grid_size=9).n_value
-    assert long >= short - blp.QUAD_ABS_TOL
+    assert long >= short - 1e-12
 
 
 @pytest.mark.parametrize("mode", ["derived", "as-printed"])

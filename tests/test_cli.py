@@ -57,8 +57,9 @@ COMMENSURATE = (
     "beta = 1.0\n"
 )
 
-#: (lambda_hat, omega_hat, T) ~ (2.73, 1.44, 3.4) at --tmax 3.4: an interior
-#: angle wins in as-printed mode, so its intervals are the solver's roots
+#: (lambda_hat, omega_hat, T) ~ (2.73, 1.44, 3.4) at --tmax 3.4: the printed
+#: interior rate at the first grid angle beats both branches, and as-printed
+#: mode still reports the larger branch, the omega one
 INTERIOR = (
     "omega = 1.44\n"
     "kappa = 1.0\n"
@@ -174,19 +175,9 @@ def test_nonmark_reports_measure(config, tmp_path, capsys):
     assert payload["winning_branch"] in ("omega", "lambda")
 
 
-def test_nonmark_quadrature_failure_exits_3(config, monkeypatch, capsys):
-    # with the level cap below the first level no piece of the as-printed
-    # interior rate can converge
-    monkeypatch.setattr(blp, "QUAD_MAX_LEVEL", blp.QUAD_MIN_LEVEL - 1)
-    code = main(["nonmark", "--config", config(REFERENCE), "--mode", "as-printed",
-                 "--tmax", "5", "--theta-grid", "9"])
-    assert code == 3
-    assert "quadrature failure" in capsys.readouterr().err
-
-
 #: SHA-256 of nonmark's --out JSON and stdout with --literal-eq-nt, computed
 #: with scipy's find_root refining the sign changes: the commensurate config,
-#: the reference config at --tmax 20, and an as-printed interior winner
+#: the reference config at --tmax 20, and the interior config above
 NONMARK_SHA256 = {
     ("commensurate", "derived"): (
         "22e74cf78d48978d41cc07e752b7bbb3a02af2995cbe331cd3873f404ed100b6",
@@ -209,8 +200,8 @@ NONMARK_SHA256 = {
         "044769d7a674e9e3787300c3218040d321f3a5a2c36fee54830ec25f2ff684c4",
     ),
     ("interior", "as-printed"): (
-        "ce987853e816bf7d9384e1958179055a7701402f6717d032ae3ad6888dd800fb",
-        "b82768e330c64b829b976ef7d023b12957ee0ee4031bf6f503a8a88851e600d1",
+        "07e3bf82bef836394f833e16252ddeb2aa6c00b5ea6732af81a7cc8427451a29",
+        "f1b2ed8d37b8e4a0a9d214c0b7914106f01c853c78ec0fa0039527b3e8d05848",
     ),
 }
 NONMARK_RUNS = {"commensurate": (COMMENSURATE, "5"), "tmax-20": (REFERENCE, "20"),
@@ -228,8 +219,9 @@ def test_nonmark_output_bytes_pinned(config, tmp_path, monkeypatch, capsys, run,
 
 
 def test_nonmark_long_horizon_sign_tests_do_not_overflow(config, capsys):
-    # at T = 709 the printed numerator reaches ~1e154, and the product of two
-    # samples overflowed where the locator compared their signs
+    # a long horizon end to end: the branch closed forms and the pointwise-max
+    # locator run without a warning (the locator's own overflow test, on the
+    # printed numerator, is in test_blp)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main(["nonmark", "--config", config(REFERENCE), "--mode", "as-printed",
@@ -596,19 +588,23 @@ def test_sweep_beyond_the_period_cap_exits_2_under_a_memory_limit(tmp_path, axes
     assert not (tmp_path / "sweep.csv").exists()
 
 
-@pytest.mark.parametrize("mode, tmax", [("derived", "1e5"), ("as-printed", "5e5")])
-def test_nonmark_beyond_the_scan_cap_exits_2_under_a_memory_limit(config, tmp_path, mode, tmax):
+@pytest.mark.parametrize("mode, tmax, extra", [("derived", "1e5", []),
+                                               ("as-printed", "5e5", ["--literal-eq-nt"])],
+                         ids=["derived-1e5", "as-printed-5e5"])
+def test_nonmark_beyond_the_scan_cap_exits_2_under_a_memory_limit(config, tmp_path, mode, tmax,
+                                                                  extra):
     # the positivity scan samples owners x gaps x 9 values: about 1.3e5 gaps
-    # for 63 angles (derived) or 9.5e5 gaps for one shared owner (as-printed)
-    # would need gigabytes, so the process caps its address space at 1 GiB
-    # above what it holds after import and the scan must refuse first
+    # for 63 angles (the derived theta scan) or 6.4e5 gaps for one owner (the
+    # pointwise-max crossings; as-printed mode scans no angles) would need
+    # gigabytes, so the process caps its address space at 1 GiB above what it
+    # holds after import and the scan must refuse first
     script = "\n".join([
         "import resource, sys",
         "from dipolefield.cli import main",
         "held = int(open('/proc/self/statm').read().split()[0]) * resource.getpagesize()",
         "resource.setrlimit(resource.RLIMIT_AS, (held + 2**30, held + 2**30))",
         f"sys.exit(main(['nonmark', '--config', {config(REFERENCE)!r}, '--mode', {mode!r},"
-        f" '--tmax', {tmax!r}, '--out', 'n.json']))",
+        f" '--tmax', {tmax!r}, *{extra!r}, '--out', 'n.json']))",
     ])
     src = str(Path(dipolefield.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -622,7 +618,7 @@ def test_nonmark_beyond_the_scan_cap_exits_2_under_a_memory_limit(config, tmp_pa
 
 
 def test_as_printed_nonmark_does_not_import_scipy_integrate(config, tmp_path):
-    # the as-printed interior rate is integrated by blp's own tanh-sinh rule
+    # as-printed nonmark reads its measure off the branch closed forms
     script = "\n".join([
         "import sys",
         "from dipolefield.cli import main",
