@@ -315,6 +315,14 @@ def _numerator_curvature(terms: tuple, k: np.ndarray, lo: np.ndarray,
                for a, r, f in terms)
 
 
+def _check_scan(owners: int, gaps: int, samples: int = 9) -> None:
+    """Reject a positivity scan of more than ``MAX_SCAN_SAMPLES`` owners x gaps x samples."""
+    if (values := owners * gaps * samples) > MAX_SCAN_SAMPLES:
+        raise ValueError(f"the positivity scan needs {owners} owners x {gaps} gaps x "
+                         f"{samples} samples = {values:.3g} values, over the cap of "
+                         f"{MAX_SCAN_SAMPLES} (blp.MAX_SCAN_SAMPLES)")
+
+
 def _sign_intervals(fn: Callable, terms: tuple, grid: np.ndarray,
                     samples: int = 9) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Intervals (a, b) of [grid[0], grid[-1]] where fn(tau, k) > 0, for every owner k at once.
@@ -331,11 +339,7 @@ def _sign_intervals(fn: Callable, terms: tuple, grid: np.ndarray,
     Raises ValueError past ``MAX_SCAN_SAMPLES`` owners x gaps x samples.
     """
     size = terms[0][0].size
-    values = size * (grid.size - 1) * samples
-    if values > MAX_SCAN_SAMPLES:
-        raise ValueError(f"the positivity scan needs {size} owners x {grid.size - 1} gaps x "
-                         f"{samples} samples = {values:.3g} values, over the cap of "
-                         f"{MAX_SCAN_SAMPLES} (blp.MAX_SCAN_SAMPLES)")
+    _check_scan(size, grid.size - 1, samples)
 
     def h(tau: np.ndarray, k: np.ndarray) -> np.ndarray:
         # rounding: a few ulps of each term a e^{-r tau}, plus what the
@@ -557,13 +561,17 @@ def n_measure(
     result carries the maximum (the first one, so a tie keeps theta = 0),
     the maximizing angle, both endpoint-branch values, and the positivity
     intervals of the winner. ``winning_branch`` compares the two branch
-    surfaces, resolving ties within 1e-10 to the omega branch.
+    surfaces, resolving ties within 1e-10 to the omega branch. A derived
+    scan past ``MAX_SCAN_SAMPLES`` raises ValueError before its angles are built.
     """
     _check_mode(mode)
     if theta_grid_size < 2:
         raise ValueError("theta_grid_size must be at least 2")
     by_branch = {b: _branch_result(b, cfg, t_max, mode) for b in BranchKind}
     first, last = (by_branch[b] for b in _ENDPOINT_BRANCHES[mode])
+    if mode == "derived":  # refuse a scan over the cap before its angles are built
+        gaps = _breakpoints(cfg.lambda_hat, cfg.omega_hat, t_max).size - 1
+        _check_scan(theta_grid_size - 2, max(gaps, 1))
     thetas = np.linspace(0.0, math.pi / 2, theta_grid_size if mode == "derived" else 2)
     inner, a, b, owner = (_interior_scan(thetas[1:-1], cfg, t_max) if thetas.size > 2
                           else (np.empty(0),) * 4)

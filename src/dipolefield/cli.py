@@ -89,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write the result as JSON")
 
     p = sub.add_parser("sweep", help="branch integrals over a dimensionless grid")
-    p.add_argument("--mode", choices=dynamics.MODES, default="derived")
+    _add_common(p, config=False)
     p.add_argument("--lambda", dest="lam", type=_parse_range, required=True,
                    metavar="MIN:MAX:N")
     p.add_argument("--omega", type=_parse_range, required=True, metavar="MIN:MAX:N")
@@ -137,11 +137,21 @@ def _cmd_derive(args) -> int:
     return EXIT_OK
 
 
+def _time_grid(args) -> np.ndarray:
+    """The ``--steps`` + 1 uniform times of [0, ``--tmax``], checked before they are built."""
+    if not (math.isfinite(args.tmax) and args.tmax >= 0):
+        raise ValueError(f"--tmax {args.tmax}: must be finite and nonnegative")
+    if not 0 <= args.steps < stochastic.MAX_FIELD_SAMPLES:
+        raise ValueError(f"--steps {args.steps}: must be nonnegative, with at most "
+                         f"{stochastic.MAX_FIELD_SAMPLES} times in all")
+    return np.linspace(0.0, args.tmax, args.steps + 1)
+
+
 def _cmd_evolve(args) -> int:
     p = read_params(args.config)
     d = derive_params(p)
     ic = dynamics.InitialCondition(m0=args.m0, w0=args.w0)
-    times = np.linspace(0.0, args.tmax, args.steps + 1)
+    times = _time_grid(args)
     dynamics.write_timeseries(args.out, ic, d, p, times, mode=args.mode)
     print(f"wrote {args.out}")
     return EXIT_OK
@@ -151,7 +161,7 @@ def _cmd_distance(args) -> int:
     p = read_params(args.config)
     d = derive_params(p)
     pair = dynamics.StatePair(theta=args.theta)
-    times = np.linspace(0.0, args.tmax, args.steps + 1)
+    times = _time_grid(args)
     dist = np.asarray(dynamics.trace_distance(pair, d, p, times, mode=args.mode))
     with open(args.out, "w") as fh:
         fh.write("t,distance\n")

@@ -29,7 +29,7 @@ import csv
 import json
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields, is_dataclass
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -38,7 +38,7 @@ import numpy.fft  # noqa: F401  numpy loads these on first use; loading them her
 import numpy.random  # noqa: F401  keeps that out of the first command's time
 
 from .dynamics import InitialCondition, mean_dipole, mean_inversion
-from .model import DerivedParams, SystemParams, derive_params
+from .model import SystemParams, derive_params
 
 __all__ = [
     "FieldRealization",
@@ -154,31 +154,18 @@ class EnsembleReport:
     ic: InitialCondition
 
     def to_dict(self) -> dict:
-        return {
-            "t": self.t.tolist(),
-            "mean_m": self.mean_m.tolist(),
-            "mean_w": self.mean_w.tolist(),
-            "se_m": self.se_m.tolist(),
-            "se_w": self.se_w.tolist(),
-            "residual_m": self.residual_m.tolist(),
-            "residual_w": self.residual_w.tolist(),
-            "n_realizations": self.n_realizations,
-            "dt": self.dt,
-            "master_seed": self.master_seed,
-            "seeds": [int(s) for s in self.seeds],
-            "params": {
-                "omega": self.params.omega,
-                "kappa": self.params.kappa,
-                "beta_s": self.params.beta_s,
-                "i0": self.params.i0,
-                "beta": self.params.beta,
-            },
-            "initial_condition": {
-                "m0": self.ic.m0,
-                "w0": self.ic.w0,
-                "mdot0": self.ic.mdot0,
-            },
-        }
+        """JSON-ready fields in declaration order, ``ic`` under the key ``initial_condition``."""
+        out = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, np.ndarray):
+                value = value.tolist()
+            elif isinstance(value, tuple):
+                value = list(value)
+            elif is_dataclass(value):
+                value = asdict(value)
+            out["initial_condition" if f.name == "ic" else f.name] = value
+        return out
 
     def write_json(self, path: str | Path) -> None:
         Path(path).write_text(json.dumps(self.to_dict(), indent=2) + "\n")
@@ -420,64 +407,42 @@ def write_field_csv(field: FieldRealization, path: str | Path) -> None:
 # ---------------------------------------------------------------------------
 
 def _rk4_paths(
-    ic: InitialCondition,
-    p: SystemParams,
-    field: np.ndarray,
-    dt: float,
-    seeds: Sequence[int] | None = None,
+    ic: InitialCondition, p: SystemParams, field: np.ndarray, dt: float, seeds: Sequence[int]
 ) -> Iterator[tuple]:
     """Fixed-step RK4 of (m, mdot, w) driven by sampled fields, one time row at a time.
 
-    ``field`` is time-major, shape (K+1, ...); trailing axes are independent
-    trajectories. Yields the state rows (m, mdot, w) at t = 0, dt, ..., K dt,
-    each of the shape of one field row; nothing else is stored. Field
-    values at half-steps are linear interpolants.
+    ``field`` is time-major, shape (K+1, n); column j drives the trajectory
+    of ``seeds[j]``, which a divergence reports. Yields the state (m, mdot, w)
+    at t = 0, dt, ..., K dt, each of shape (n,); nothing else is stored.
+    Field values at half-steps are linear interpolants.
     """
     om, kap, bs = p.omega, p.kappa, p.beta_s
-    k_fast = kap * om
-    k_slow = kap / om
-    om2 = om * om
+    k_fast, k_slow, om2 = kap * om, kap / om, om * om
 
-    lanes = field.shape[1:]
-    m = np.full(lanes, float(ic.m0))
-    md = np.full(lanes, float(ic.mdot0))
-    w = np.full(lanes, float(ic.w0))
-    yield m, md, w
+    def rhs(x, ee):
+        mm, pp, ww = x
+        return pp, -om2 * mm - k_fast * ww * ee, -bs * (ww + 1.0) + k_slow * pp * ee
+
+    x = tuple(np.full(field.shape[1], float(v)) for v in (ic.m0, ic.mdot0, ic.w0))
+    yield x
 
     for k in range(field.shape[0] - 1):
-        e0 = field[k]
-        e1 = field[k + 1]
+        e0, e1 = field[k], field[k + 1]
         eh = 0.5 * (e0 + e1)
+        a = rhs(x, e0)
+        b = rhs([xi + 0.5 * dt * di for xi, di in zip(x, a)], eh)
+        c = rhs([xi + 0.5 * dt * di for xi, di in zip(x, b)], eh)
+        d = rhs([xi + dt * di for xi, di in zip(x, c)], e1)
+        x = tuple(xi + (dt / 6.0) * (ai + 2.0 * bi + 2.0 * ci + di)
+                  for xi, ai, bi, ci, di in zip(x, a, b, c, d))
 
-        def rhs(mm, pp, ww, ee):
-            return pp, -om2 * mm - k_fast * ww * ee, -bs * (ww + 1.0) + k_slow * pp * ee
-
-        a1, b1, c1 = rhs(m, md, w, e0)
-        a2, b2, c2 = rhs(m + 0.5 * dt * a1, md + 0.5 * dt * b1, w + 0.5 * dt * c1, eh)
-        a3, b3, c3 = rhs(m + 0.5 * dt * a2, md + 0.5 * dt * b2, w + 0.5 * dt * c2, eh)
-        a4, b4, c4 = rhs(m + dt * a3, md + dt * b3, w + dt * c3, e1)
-        m = m + (dt / 6.0) * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
-        md = md + (dt / 6.0) * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-        w = w + (dt / 6.0) * (c1 + 2.0 * c2 + 2.0 * c3 + c4)
-
-        peak = max(np.max(np.abs(m)), np.max(np.abs(md)), np.max(np.abs(w)))
-        if not (peak <= DIVERGENCE_LIMIT):
+        if not (max(np.max(np.abs(xi)) for xi in x) <= DIVERGENCE_LIMIT):
             t_bad = dt * (k + 1)
-            seed = None
-            if field.ndim > 1 and seeds is not None:
-                flat = np.nanmax(
-                    np.stack([np.abs(m), np.abs(md), np.abs(w)]), axis=0
-                ).reshape(-1)
-                seed = int(seeds[int(np.argmax(flat))])
-            elif seeds is not None:
-                seed = int(seeds[0])
+            seed = int(seeds[int(np.argmax(np.nanmax(np.abs(np.stack(x)), axis=0)))])
             raise TrajectoryDivergenceError(
                 f"trajectory diverged at t={t_bad:.6g} (|state| > {DIVERGENCE_LIMIT:g}, "
-                f"seed={seed})",
-                seed=seed,
-                time=t_bad,
-            )
-        yield m, md, w
+                f"seed={seed})", seed=seed, time=t_bad)
+        yield x
 
 
 def simulate_trajectory(
@@ -485,12 +450,13 @@ def simulate_trajectory(
 ) -> TrajectoryState:
     """Integrate one realization over the full field grid.
 
-    With a zero field the dipole reduces to free oscillation and the
-    inversion to pure exponential relaxation toward the ground state;
-    with kappa = 0 the dipole decouples from the field entirely.
+    The realization is the one column of a ``_rk4_paths`` run. With a zero
+    field the dipole reduces to free oscillation and the inversion to pure
+    exponential relaxation toward the ground state; with kappa = 0 the
+    dipole decouples from the field entirely.
     """
-    rows = _rk4_paths(ic, p, field.values, field.dt, seeds=[field.seed])
-    m, md, w = (np.array(x) for x in zip(*rows))
+    rows = _rk4_paths(ic, p, field.values[:, None], field.dt, [field.seed])
+    m, md, w = (np.array(x)[:, 0] for x in zip(*rows))
     return TrajectoryState(t=field.times, m=m, mdot=md, w=w)
 
 
@@ -532,7 +498,7 @@ def ensemble_average(
 
     n = n_realizations
     mean_m, mean_w, se_m, se_w = np.empty((4, n_steps + 1))
-    for k, (m, _, w) in enumerate(_rk4_paths(ic, p, field, dt, seeds=seeds)):
+    for k, (m, _, w) in enumerate(_rk4_paths(ic, p, field, dt, seeds)):
         # cumsum adds in index order, as mean(axis=0) and std(axis=0, ddof=1)
         # of the record-major trajectories do; np.sum would add pairwise
         for x, mean, se in ((m, mean_m, se_m), (w, mean_w, se_w)):
@@ -540,23 +506,12 @@ def ensemble_average(
             se[k] = math.sqrt(np.cumsum((x - mean[k]) ** 2)[-1] / (n - 1)) / math.sqrt(n)
 
     t = dt * np.arange(n_steps + 1)
-    d = derive_params(p)
-    residual_m = mean_m - np.asarray(mean_dipole(ic, p, t))
-    residual_w = mean_w - np.asarray(mean_inversion(ic, d, p, t))
     return EnsembleReport(
-        t=t,
-        mean_m=mean_m,
-        mean_w=mean_w,
-        se_m=se_m,
-        se_w=se_w,
-        residual_m=residual_m,
-        residual_w=residual_w,
-        n_realizations=n_realizations,
-        dt=dt,
-        master_seed=master_seed,
-        seeds=seeds,
-        params=p,
-        ic=ic,
+        t=t, mean_m=mean_m, mean_w=mean_w, se_m=se_m, se_w=se_w,
+        residual_m=mean_m - np.asarray(mean_dipole(ic, p, t)),
+        residual_w=mean_w - np.asarray(mean_inversion(ic, derive_params(p), p, t)),
+        n_realizations=n_realizations, dt=dt, master_seed=master_seed, seeds=seeds,
+        params=p, ic=ic,
     )
 
 

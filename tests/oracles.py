@@ -159,6 +159,21 @@ def distance_rises(
     return float(np.sum(np.maximum(np.diff(dist(crit)), 0.0)))
 
 
+def printed_numerator(t, u: float, lambda_hat: float, omega_hat: float):
+    """Numerator of ``printed_rate`` at u = cos^2(theta); it carries the rate's sign."""
+    return -u * (np.exp(0.5 * t) * omega_hat * np.sin(2.0 * omega_hat * t)
+                 + np.exp(-0.5 * t) * (np.sin(lambda_hat * t) ** 2
+                                       + lambda_hat * np.sin(2.0 * lambda_hat * t)))
+
+
+def printed_rate(t, theta: float, lambda_hat: float, omega_hat: float):
+    """The verbatim as-printed interior rate at angle theta; see ``printed_interior_integral``."""
+    u = math.cos(theta) ** 2
+    den = (np.exp(t) * u * np.cos(omega_hat * t) ** 2
+           + (1.0 - u) * np.cos(lambda_hat * t) ** 2)
+    return printed_numerator(t, u, lambda_hat, omega_hat) / (2.0 * np.sqrt(den))
+
+
 def printed_interior_integral(
     theta: float, lambda_hat: float, omega_hat: float, t_max: float,
     n_grid: int = 200_001, halvings: int = 48, nodes: int = 12,
@@ -179,31 +194,21 @@ def printed_interior_integral(
     Gauss-Legendre.
     """
     u = math.cos(theta) ** 2
-
-    def numerator(t):
-        return -u * (np.exp(0.5 * t) * omega_hat * np.sin(2.0 * omega_hat * t)
-                     + np.exp(-0.5 * t) * (np.sin(lambda_hat * t) ** 2
-                                           + lambda_hat * np.sin(2.0 * lambda_hat * t)))
-
-    def rate(t):
-        den = (np.exp(t) * u * np.cos(omega_hat * t) ** 2
-               + (1.0 - u) * np.cos(lambda_hat * t) ** 2)
-        return numerator(t) / (2.0 * np.sqrt(den))
-
+    args = (u, lambda_hat, omega_hat)
     ts = np.linspace(0.0, t_max, n_grid)
-    g = np.sign(numerator(ts))
+    g = np.sign(printed_numerator(ts, *args))
     idx = np.nonzero(g[:-1] * g[1:] < 0)[0]
     lo, hi, g_lo = ts[idx], ts[idx + 1], g[idx]
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        left = np.sign(numerator(mid)) == g_lo
+        left = np.sign(printed_numerator(mid, *args)) == g_lo
         lo, hi = np.where(left, mid, lo), np.where(left, hi, mid)
     dips = [(2 * np.arange(int(f * t_max / math.pi) + 1) + 1) * math.pi / (2.0 * f)
             for f in (lambda_hat, omega_hat) if f > 0.0]
     cuts = np.unique(np.concatenate(([0.0, t_max], 0.5 * (lo + hi), ts[g == 0.0], *dips)))
     cuts = cuts[cuts <= t_max]
     a, b = cuts[:-1], cuts[1:]
-    keep = numerator(0.5 * (a + b)) > 0.0
+    keep = printed_numerator(0.5 * (a + b), *args) > 0.0
     a, b = a[keep, None], b[keep, None]
     halves = 0.5 ** np.arange(halvings, 0, -1)
     edges = np.concatenate(([0.0], halves, 1.0 - halves[::-1][1:], [1.0]))
@@ -211,7 +216,8 @@ def printed_interior_integral(
     left, width = edges[:-1, None], np.diff(edges)[:, None]
     frac = (left + 0.5 * width * (x + 1.0)).ravel()
     weight = (0.5 * width * w).ravel()
-    return float(np.sum((b - a) * weight * rate(a + (b - a) * frac)))
+    return float(np.sum((b - a) * weight
+                        * printed_rate(a + (b - a) * frac, theta, lambda_hat, omega_hat)))
 
 
 def printed_log_slope_reference(lambda_hat: float, omega_hat: float, t_max: float) -> float:

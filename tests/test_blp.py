@@ -40,6 +40,8 @@ from oracles import (
     positive_part_trapezoid,
     printed_interior_integral,
     printed_log_slope_reference,
+    printed_numerator,
+    printed_rate,
     sweep_files_reference,
     sweep_payload_reference,
     tangency_angle,
@@ -102,6 +104,27 @@ def test_sigma_rate_kink_one_sided():
         left = sigma_rate(math.pi / 2, cfg, tau, side="-")
     assert right == pytest.approx(1.0, rel=1e-9)   # omega_hat * |sin| = 1
     assert left == pytest.approx(-1.0, rel=1e-9)
+
+
+@pytest.mark.parametrize("theta, tau, lam, om", [
+    (0.7, 1.1, 1.3, 2.1), (0.2, 0.3, 0.5, 3.0), (1.3, 2.7, 2.2, 0.9), (math.pi / 2, 1.9, 1.7, 1.1),
+    (0.0, 0.4, 1.3, 2.1),
+])
+def test_sigma_rate_as_printed_is_the_printed_rate(theta, tau, lam, om):
+    got = sigma_rate(theta, cfg_of(lam, om), tau, mode="as-printed")
+    assert got == pytest.approx(printed_rate(tau, theta, lam, om), rel=1e-12)
+
+
+def test_sigma_rate_as_printed_kink_limit_is_infinite():
+    # at theta = 0 the printed denominator is 2 e^{tau/2} |cos(om tau)|, zero at
+    # tau = pi/(2 om), where the numerator is not: both one-sided limits are
+    # infinite, with the sign of the numerator
+    lam, om = 1.3, 2.1
+    tau = math.pi / (2.0 * om)
+    assert printed_numerator(tau, 1.0, lam, om) < 0.0
+    for side in ("+", "-"):
+        with pytest.warns(KinkWarning):
+            assert sigma_rate(0.0, cfg_of(lam, om), tau, mode="as-printed", side=side) == -math.inf
 
 
 def test_sigma_rate_scaling_identity():

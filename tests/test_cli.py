@@ -158,6 +158,33 @@ def test_distance_writes_csv(config, tmp_path):
     assert first == pytest.approx(1.0)
 
 
+
+@pytest.mark.parametrize("command", ["evolve", "distance"])
+@pytest.mark.parametrize("grid", [
+    ["--steps", "-1"],
+    ["--steps", "-2"],
+    ["--steps", str(stochastic.MAX_FIELD_SAMPLES)],
+    ["--steps", "100000000000"],
+    ["--tmax", "-4"],
+    ["--tmax", "nan"],
+    ["--tmax", "inf"],
+], ids=lambda grid: f"{grid[0]}={grid[1]}")
+def test_bad_time_grid_exits_2(config, tmp_path, capsys, command, grid):
+    out = tmp_path / "out.csv"
+    argv = [command, "--config", config(REFERENCE), "--tmax", "4", *grid, "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"invalid input: {grid[0]} {grid[1]}" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["evolve", "distance"])
+def test_single_time_grid_is_accepted(config, tmp_path, command):
+    out = tmp_path / "out.csv"
+    assert main([command, "--config", config(REFERENCE), "--tmax", "0", "--steps", "0",
+                 "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 2
+
 def test_nonmark_reports_measure(config, tmp_path, capsys):
     out = tmp_path / "nonmark.json"
     code = main(
@@ -589,8 +616,11 @@ def test_sweep_beyond_the_period_cap_exits_2_under_a_memory_limit(tmp_path, axes
 
 
 @pytest.mark.parametrize("mode, tmax, extra", [("derived", "1e5", []),
-                                               ("as-printed", "5e5", ["--literal-eq-nt"])],
-                         ids=["derived-1e5", "as-printed-5e5"])
+                                               ("as-printed", "5e5", ["--literal-eq-nt"]),
+                                               ("derived", "5", ["--theta-grid", "200000000"]),
+                                               ("derived", "0", ["--theta-grid", "200000000"])],
+                         ids=["derived-1e5", "as-printed-5e5", "derived-theta-grid-2e8",
+                              "derived-theta-grid-2e8-at-T-0"])
 def test_nonmark_beyond_the_scan_cap_exits_2_under_a_memory_limit(config, tmp_path, mode, tmax,
                                                                   extra):
     # the positivity scan samples owners x gaps x 9 values: about 1.3e5 gaps
@@ -616,6 +646,14 @@ def test_nonmark_beyond_the_scan_cap_exits_2_under_a_memory_limit(config, tmp_pa
     assert f"over the cap of {blp.MAX_SCAN_SAMPLES}" in result.stderr
     assert not (tmp_path / "n.json").exists()
 
+
+
+def test_as_printed_nonmark_accepts_any_theta_grid(config, tmp_path):
+    # as-printed mode scores only its two endpoint angles and builds no grid
+    out = tmp_path / "n.json"
+    assert main(["nonmark", "--config", config(REFERENCE), "--mode", "as-printed",
+                 "--tmax", "5", "--theta-grid", "200000000", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["theta_star"] in (0.0, math.pi / 2)
 
 def test_as_printed_nonmark_does_not_import_scipy_integrate(config, tmp_path):
     # as-printed nonmark reads its measure off the branch closed forms

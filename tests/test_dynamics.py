@@ -105,6 +105,19 @@ def test_mean_inversion_matches_closure_ode():
         np.testing.assert_allclose(got, oracle, atol=5e-9)
 
 
+
+def test_mean_inversion_at_critical_damping_matches_closure_ode():
+    # pi*i0*kappa^2 = 0.5 puts lambda_sq exactly at zero, where the sine
+    # envelope is t e^{-gamma t}; w0 != 0 gives it a nonzero coefficient
+    p = SystemParams(omega=5.0, kappa=1.0, beta_s=0.0, i0=0.5 / math.pi, beta=1.0)
+    d = derive_params(p)
+    assert d.lambda_sq == 0.0
+    for w0 in (1.0, -0.6):
+        assert d.c_sine + 0.5 * (p.beta - p.beta_s) * 0.5 * p.omega * w0 != 0.0
+        ts = np.linspace(0.0, 8.0 / d.gamma, 120)
+        got = np.asarray(mean_inversion(InitialCondition(0.0, w0), d, p, ts))
+        np.testing.assert_allclose(got, closure_inversion_ode(w0, p, ts), rtol=0, atol=1e-9)
+
 def test_mean_inversion_modes_agree_when_symmetric():
     # the variants differ only through the (beta - beta_s) * w0 sine term
     rng = np.random.default_rng(24)

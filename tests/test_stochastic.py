@@ -52,6 +52,19 @@ def test_sample_fields_rejects_nonpositive_or_nonfinite_step(dt):
         sample_fields(WEAK, dt, 100, [1, 2])
 
 
+
+@pytest.mark.parametrize("dt, values, match", [
+    (0.0, np.zeros(3), "dt must be positive"),
+    (-0.1, np.zeros(3), "dt must be positive"),
+    (0.1, np.zeros((3, 2)), "1-D array"),
+    (0.1, np.zeros(1), "at least 2 samples"),
+    (0.1, np.array([0.0, math.nan, 1.0]), "finite"),
+    (0.1, np.array([0.0, math.inf]), "finite"),
+], ids=["zero-dt", "negative-dt", "2-D", "one-sample", "nan", "inf"])
+def test_field_realization_rejects_bad_grids_and_samples(dt, values, match):
+    with pytest.raises(ValueError, match=match):
+        FieldRealization(dt=dt, values=values, seed=0)
+
 def test_sample_fields_and_ensemble_cap_their_size(monkeypatch):
     ic, dt = InitialCondition(0, 1), max_field_dt(WEAK)
     # far beyond the cap, or with an overflowing horizon/dt: rejected, never allocated
