@@ -44,7 +44,7 @@ for tau in (0.2, 0.8, 1.8, 2.4):
 
 print()
 for branch in (BranchKind.OMEGA, BranchKind.LAMBDA):
-    res = backflow_integral(branch, cfg, 8.0)
+    res = backflow_integral(branch, cfg)
     ivs = ", ".join(f"[{a:.3f}, {b:.3f}]" for a, b in res.intervals[:4])
     more = " ..." if len(res.intervals) > 4 else ""
     print(f"{branch.value:6s} branch: backflow = {res.n_value:.6f} over "

@@ -28,8 +28,8 @@ from dipolefield.blp import sweep_grid, write_sweep_csv
 print("growth of the measure with the horizon T (theta-maximized):")
 print(f"{'T':>5} {'sharp (om=4, lam=0.1)':>24} {'broad (om=0.1, lam=4)':>24}")
 for t_max in (1.0, 2.0, 3.0, 4.0, 5.0):
-    sharp = n_measure(DimensionlessConfig(0.1, 4.0, t_max), t_max, theta_grid_size=9)
-    broad = n_measure(DimensionlessConfig(4.0, 0.1, t_max), t_max, theta_grid_size=9)
+    sharp = n_measure(DimensionlessConfig(0.1, 4.0, t_max), theta_grid_size=9)
+    broad = n_measure(DimensionlessConfig(4.0, 0.1, t_max), theta_grid_size=9)
     print(f"{t_max:5.1f} {sharp.n_value:24.5f} {broad.n_value:24.5f}")
 print("the sharp-spectrum column tracks omega*T/pi; the broad one saturates")
 print()
@@ -37,9 +37,7 @@ print()
 # closed form for the coherence branch
 print("coherence branch has a closed form (completed half-periods + partial rise):")
 for om, t_max in ((1.0, math.pi), (8.0, 5.0)):
-    intervals = backflow_integral(
-        BranchKind.OMEGA, DimensionlessConfig(0.1, om, t_max), t_max
-    ).intervals
+    intervals = backflow_integral(BranchKind.OMEGA, DimensionlessConfig(0.1, om, t_max)).intervals
     rises = sum(abs(math.cos(om * b)) - abs(math.cos(om * a)) for a, b in intervals)
     print(f"  omega_hat={om}, T={t_max:.4f}: {len(intervals)} rise(s) of |cos| add up to "
           f"{rises:.6f}, closed form {analytic_n_omega(om, t_max):.6f}")

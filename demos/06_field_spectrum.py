@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from dipolefield import SystemParams, estimate_spectrum, sample_field, sample_fields
+from dipolefield import SystemParams, fit_spectrum, sample_field, sample_periodogram
 from dipolefield.stochastic import derive_seed, derive_seeds, field_variance, max_field_dt
 
 p = SystemParams(omega=10.0, kappa=1.0, beta_s=0.0, i0=1.0, beta=1.0)
@@ -32,9 +32,10 @@ expected = field_variance(p) * math.exp(-1.0) * math.cos(p.omega * lag * dt)
 print(f"  autocovariance at lag 1/beta = {acf:+.4f} (target {expected:+.4f})")
 print()
 
-fields = sample_fields(p, dt, n_steps, derive_seeds(3, range(150)))
-est = estimate_spectrum(fields)
-print(f"averaged periodogram over {len(fields)} realizations:")
+seeds = derive_seeds(3, range(150))
+omega, power, _ = sample_periodogram(p, dt, n_steps, seeds)
+est = fit_spectrum(omega, power)
+print(f"averaged periodogram over {len(seeds)} realizations:")
 print(f"  fitted peak at {est.fit.peak_omega:.4f} (transition frequency {p.omega})")
 print(f"  fitted HWHM    {est.fit.hwhm:.4f} (spectral half-width {p.beta})")
 print(f"  peak height    {est.fit.peak_height:.4f} -> implied i0 = "

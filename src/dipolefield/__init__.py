@@ -28,7 +28,7 @@ from .blp import (
     n_measure,
     sigma_rate,
 )
-from .stochastic import ensemble_average, estimate_spectrum, sample_field, sample_fields
+from .stochastic import ensemble_average, fit_spectrum, sample_field, sample_periodogram
 
 __version__ = "0.1.0"
 
@@ -49,8 +49,8 @@ __all__ = [
     "n_measure",
     "sigma_rate",
     "ensemble_average",
-    "estimate_spectrum",
+    "fit_spectrum",
     "sample_field",
-    "sample_fields",
+    "sample_periodogram",
     "__version__",
 ]

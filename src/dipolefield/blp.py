@@ -54,8 +54,8 @@ from typing import Callable, Sequence, Union
 import numpy as np
 import numpy.ma  # noqa: F401  np.unique loads it on first use; load it with the module
 
-from .dynamics import FormulaSource, _check_mode, _pair_distance
-from .model import DimensionlessConfig, SystemParams, nondimensionalize
+from .dynamics import FormulaSource, _check_mode, _check_theta, _pair_distance
+from .model import DimensionlessConfig
 
 __all__ = [
     "BranchKind",
@@ -67,7 +67,6 @@ __all__ = [
     "backflow_integral",
     "analytic_n_omega",
     "n_measure",
-    "n_measure_physical",
     "literal_pointwise_max",
     "dominant_regime",
     "SweepPoint",
@@ -88,6 +87,8 @@ MAX_QUARTER_PERIODS = 2**20
 #: checked before they are allocated; each value costs about 80 bytes of
 #: peak memory (a 65-angle derived scan of 2**21 values peaks near 250 MB)
 MAX_SCAN_SAMPLES = 2**21
+#: samples per gap of the breakpoint grid in a positivity-interval scan
+_SCAN_SAMPLES = 9
 
 ArrayLike = Union[float, np.ndarray]
 
@@ -191,10 +192,14 @@ def sigma_rate(
     issued. In "as-printed" mode the rate expression is evaluated verbatim
     (including its swapped theta labels), and its kink limits can be
     infinite because numerator and denominator vanish at different points.
+    Raises ValueError for theta outside [0, pi/2] and for a non-finite tau.
     """
     _check_mode(mode)
+    _check_theta(theta)
     if side not in ("+", "-"):
         raise ValueError("side must be '+' or '-'")
+    if not math.isfinite(tau):
+        raise ValueError(f"tau must be finite, got {tau}")
     lam, om = cfg.lambda_hat, cfg.omega_hat
     u = math.cos(theta) ** 2
     num, den = _rate_parts(u, tau, lam, om, mode)
@@ -315,22 +320,22 @@ def _numerator_curvature(terms: tuple, k: np.ndarray, lo: np.ndarray,
                for a, r, f in terms)
 
 
-def _check_scan(owners: int, gaps: int, samples: int = 9) -> None:
+def _check_scan(owners: int, gaps: int) -> None:
     """Reject a positivity scan of more than ``MAX_SCAN_SAMPLES`` owners x gaps x samples."""
-    if (values := owners * gaps * samples) > MAX_SCAN_SAMPLES:
+    if (values := owners * gaps * _SCAN_SAMPLES) > MAX_SCAN_SAMPLES:
         raise ValueError(f"the positivity scan needs {owners} owners x {gaps} gaps x "
-                         f"{samples} samples = {values:.3g} values, over the cap of "
+                         f"{_SCAN_SAMPLES} samples = {values:.3g} values, over the cap of "
                          f"{MAX_SCAN_SAMPLES} (blp.MAX_SCAN_SAMPLES)")
 
 
-def _sign_intervals(fn: Callable, terms: tuple, grid: np.ndarray,
-                    samples: int = 9) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _sign_intervals(fn: Callable, terms: tuple,
+                    grid: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Intervals (a, b) of [grid[0], grid[-1]] where fn(tau, k) > 0, for every owner k at once.
 
     fn is a sum of terms a e^{-r tau} cos(f tau + phi), listed in ``terms``
     as (a, r, f) with one amplitude a per owner. Returns the interval ends
     and each interval's owner, sorted by owner, then by time. fn is sampled
-    at ``samples`` points per gap of ``grid``, for all owners in one array
+    at ``_SCAN_SAMPLES`` points per gap of ``grid``, for all owners in one array
     call. A value within its rounding error of zero is a root. A gap whose
     ends share a sign hides a root pair only if
     min(|fn(lo)|, |fn(hi)|) <= max|fn''| (hi - lo)^2 / 8, so such gaps are
@@ -339,7 +344,7 @@ def _sign_intervals(fn: Callable, terms: tuple, grid: np.ndarray,
     Raises ValueError past ``MAX_SCAN_SAMPLES`` owners x gaps x samples.
     """
     size = terms[0][0].size
-    _check_scan(size, grid.size - 1, samples)
+    _check_scan(size, grid.size - 1)
 
     def h(tau: np.ndarray, k: np.ndarray) -> np.ndarray:
         # rounding: a few ulps of each term a e^{-r tau}, plus what the
@@ -348,7 +353,7 @@ def _sign_intervals(fn: Callable, terms: tuple, grid: np.ndarray,
         val = fn(tau, k)
         return np.where(abs(val) <= 16.0 * np.finfo(float).eps * noise, 0.0, val)
 
-    xs = np.linspace(grid[:-1], grid[1:], samples, axis=1)
+    xs = np.linspace(grid[:-1], grid[1:], _SCAN_SAMPLES, axis=1)
     hs = h(xs, np.arange(size)[:, None, None])  # time factors once per (gap, sample)
     xs = np.broadcast_to(xs, hs.shape)
     k = np.broadcast_to(np.arange(size)[:, None, None], hs.shape)
@@ -442,10 +447,8 @@ def _chandrupatla(fn: Callable, lo: np.ndarray, hi: np.ndarray, k: np.ndarray) -
 # backflow values: telescoped rises
 # ---------------------------------------------------------------------------
 
-def _branch_result(
-    branch: BranchKind, cfg: DimensionlessConfig, t_max: float, mode: str
-) -> BackflowResult:
-    lam, om = cfg.lambda_hat, cfg.omega_hat
+def _branch_result(branch: BranchKind, cfg: DimensionlessConfig, mode: str) -> BackflowResult:
+    lam, om, t_max = cfg.lambda_hat, cfg.omega_hat, cfg.t_max
     if branch is BranchKind.OMEGA:
         intervals = _rise_intervals(om, 0.0, t_max)
         value = analytic_n_omega(om, t_max)
@@ -462,10 +465,10 @@ def _branch_result(
 
 
 def _interior_scan(
-    thetas: np.ndarray, cfg: DimensionlessConfig, t_max: float
+    thetas: np.ndarray, cfg: DimensionlessConfig
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Derived backflow at each interior angle, and the positivity intervals (a, b, angle index)."""
-    lam, om = cfg.lambda_hat, cfg.omega_hat
+    lam, om, t_max = cfg.lambda_hat, cfg.omega_hat, cfg.t_max
     u = np.cos(thetas) ** 2
     a, b, owner = _sign_intervals(lambda tau, k: _rate_numerator(u[k], tau, lam, om),
                                   _numerator_terms(u, lam, om), _breakpoints(lam, om, t_max))
@@ -477,10 +480,9 @@ def _interior_scan(
 def backflow_integral(
     target: Union[BranchKind, float],
     cfg: DimensionlessConfig,
-    t_max: float,
     mode: FormulaSource = "derived",
 ) -> BackflowResult:
-    """Integral of the positive part of the distance rate over [0, t_max].
+    """Integral of the positive part of the distance rate over [0, cfg.t_max].
 
     ``target`` selects a physical branch (``BranchKind``) or a mixing angle
     theta in [0, pi/2]. The branch values are closed forms. Interior
@@ -497,23 +499,19 @@ def backflow_integral(
     interior rate is not the derivative of any printed distance.
     """
     _check_mode(mode)
-    if t_max < 0:
-        raise ValueError("t_max must be nonnegative")
     if isinstance(target, BranchKind):
-        return _branch_result(target, cfg, t_max, mode)
-    theta = float(target)
-    if not (0.0 <= theta <= math.pi / 2):
-        raise ValueError(f"theta must lie in [0, pi/2], got {theta}")
+        return _branch_result(target, cfg, mode)
+    theta = _check_theta(float(target))
     eps = 1e-12
     if theta < eps or theta > math.pi / 2 - eps:
         branch = _ENDPOINT_BRANCHES[mode][int(theta > eps)]
-        return _branch_result(branch, cfg, t_max, mode)
+        return _branch_result(branch, cfg, mode)
     if mode != "derived":
         raise ValueError(f"theta = {theta} is interior: the as-printed interior rate is not the "
                          "derivative of any printed distance, and its backflow has no "
                          "grid-independent maximum over theta; only theta = 0 and pi/2 "
                          "(the two branches) are defined in as-printed mode")
-    values, a, b, _ = _interior_scan(np.array([theta]), cfg, t_max)
+    values, a, b, _ = _interior_scan(np.array([theta]), cfg)
     return BackflowResult(n_value=float(values[0]), winning_branch=None, theta_star=theta,
                           intervals=tuple(zip(a.tolist(), b.tolist())))
 
@@ -547,11 +545,10 @@ def analytic_n_omega(omega_hat: float, t_max: float) -> float:
 
 def n_measure(
     cfg: DimensionlessConfig,
-    t_max: float,
     mode: FormulaSource = "derived",
     theta_grid_size: int = 65,
 ) -> BackflowResult:
-    """Backflow measure maximized over the pair angle theta.
+    """Backflow measure over [0, cfg.t_max], maximized over the pair angle theta.
 
     In "derived" mode theta runs over a uniform grid of [0, pi/2] including
     both endpoints (which reduce to the two branch integrands). "as-printed"
@@ -567,13 +564,13 @@ def n_measure(
     _check_mode(mode)
     if theta_grid_size < 2:
         raise ValueError("theta_grid_size must be at least 2")
-    by_branch = {b: _branch_result(b, cfg, t_max, mode) for b in BranchKind}
+    by_branch = {b: _branch_result(b, cfg, mode) for b in BranchKind}
     first, last = (by_branch[b] for b in _ENDPOINT_BRANCHES[mode])
     if mode == "derived":  # refuse a scan over the cap before its angles are built
-        gaps = _breakpoints(cfg.lambda_hat, cfg.omega_hat, t_max).size - 1
+        gaps = _breakpoints(cfg.lambda_hat, cfg.omega_hat, cfg.t_max).size - 1
         _check_scan(theta_grid_size - 2, max(gaps, 1))
     thetas = np.linspace(0.0, math.pi / 2, theta_grid_size if mode == "derived" else 2)
-    inner, a, b, owner = (_interior_scan(thetas[1:-1], cfg, t_max) if thetas.size > 2
+    inner, a, b, owner = (_interior_scan(thetas[1:-1], cfg) if thetas.size > 2
                           else (np.empty(0),) * 4)
     values = np.concatenate(([first.n_value], inner, [last.n_value]))
     k = int(np.argmax(values))  # first maximum
@@ -592,21 +589,8 @@ def n_measure(
     )
 
 
-def n_measure_physical(
-    p: SystemParams,
-    t_max: float,
-    mode: FormulaSource = "derived",
-    theta_grid_size: int = 65,
-) -> BackflowResult:
-    """``n_measure`` for dimensionful inputs: rescale, then run dimensionless."""
-    cfg = nondimensionalize(p, t_max)
-    return n_measure(cfg, cfg.t_max, mode=mode, theta_grid_size=theta_grid_size)
-
-
-def literal_pointwise_max(
-    cfg: DimensionlessConfig, t_max: float, mode: FormulaSource = "derived"
-) -> float:
-    """Integral of the pointwise maximum of the two branch integrands.
+def literal_pointwise_max(cfg: DimensionlessConfig, mode: FormulaSource = "derived") -> float:
+    """Integral over [0, cfg.t_max] of the pointwise maximum of the two branch integrands.
 
     This is the literal reading of the single-integral form of the
     measure; the max-of-integrals semantics of ``n_measure`` is the one
@@ -621,7 +605,7 @@ def literal_pointwise_max(
     the branch with the larger rate at its midpoint, if that rate is positive.
     """
     _check_mode(mode)
-    lam, om, c = cfg.lambda_hat, cfg.omega_hat, _envelope_decay(mode)
+    lam, om, t_max, c = cfg.lambda_hat, cfg.omega_hat, cfg.t_max, _envelope_decay(mode)
     grid = _breakpoints(lam, om, t_max)
     # h = w (1 - cos 2 om tau) - v e^{-2 c tau} (1 - cos(2 lam tau + phi))
     w, v = 0.5 * om * om, 0.5 * (lam * lam + c * c)
@@ -656,7 +640,7 @@ def dominant_regime(
     branch by more than 1e-10; ties resolve to the omega branch.
     """
     cfg = DimensionlessConfig(lambda_hat=lambda_hat, omega_hat=omega_hat, t_max=t_max)
-    res_omega, res_lambda = (_branch_result(b, cfg, t_max, mode) for b in BranchKind)
+    res_omega, res_lambda = (_branch_result(b, cfg, mode) for b in BranchKind)
     return _winner(res_omega.n_value, res_lambda.n_value)
 
 
@@ -728,7 +712,7 @@ def sweep_grid(lambdas: Sequence[float], omegas: Sequence[float], ts: Sequence[f
 
     def table(kind: BranchKind, rows: list) -> tuple[np.ndarray, tuple]:
         res = [[_branch_result(kind, DimensionlessConfig(lambda_hat=lam, omega_hat=om, t_max=t),
-                               t, mode) for t in ts] for lam, om in rows]
+                               mode) for t in ts] for lam, om in rows]
         values = np.array([[r.n_value for r in row] for row in res]).reshape(len(res), len(ts))
         return values, tuple(tuple(r.intervals for r in row) for row in res)
 

@@ -174,8 +174,7 @@ def _cmd_distance(args) -> int:
 def _cmd_nonmark(args) -> int:
     p = read_params(args.config)
     cfg = nondimensionalize(p, args.tmax)
-    result = blp.n_measure(cfg, cfg.t_max, mode=args.mode,
-                           theta_grid_size=args.theta_grid)
+    result = blp.n_measure(cfg, mode=args.mode, theta_grid_size=args.theta_grid)
     payload = {
         "lambda_hat": cfg.lambda_hat,
         "omega_hat": cfg.omega_hat,
@@ -189,9 +188,7 @@ def _cmd_nonmark(args) -> int:
         "intervals": [list(iv) for iv in result.intervals],
     }
     if args.literal_eq_nt:
-        payload["literal_pointwise_max"] = blp.literal_pointwise_max(
-            cfg, cfg.t_max, mode=args.mode
-        )
+        payload["literal_pointwise_max"] = blp.literal_pointwise_max(cfg, mode=args.mode)
     for key in ("lambda_hat", "omega_hat", "T", "n_value", "theta_star"):
         print(f"{key} = {payload[key]:.12g}")
     print(f"winning_branch = {payload['winning_branch']}")

@@ -54,6 +54,12 @@ def _check_mode(mode: str) -> str:
     return mode
 
 
+def _check_theta(theta: float) -> float:
+    if not (0.0 <= theta <= math.pi / 2):
+        raise ValueError(f"theta must lie in [0, pi/2], got {theta}")
+    return theta
+
+
 @dataclass(frozen=True)
 class InitialCondition:
     """Initial Bloch data: dipole m0, inversion w0, and the dipole rate.
@@ -88,8 +94,7 @@ class StatePair:
     theta: float
 
     def __post_init__(self):
-        if not (0.0 <= self.theta <= math.pi / 2):
-            raise ValueError(f"theta must lie in [0, pi/2], got {self.theta}")
+        _check_theta(self.theta)
 
 
 # ---------------------------------------------------------------------------

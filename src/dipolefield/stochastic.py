@@ -42,7 +42,6 @@ from .model import SystemParams, derive_params
 
 __all__ = [
     "FieldRealization",
-    "TrajectoryState",
     "EnsembleReport",
     "LorentzianFit",
     "SpectrumEstimate",
@@ -52,9 +51,7 @@ __all__ = [
     "max_field_dt",
     "sample_field",
     "sample_fields",
-    "simulate_trajectory",
     "ensemble_average",
-    "estimate_spectrum",
     "sample_periodogram",
     "fit_spectrum",
     "write_field_csv",
@@ -123,16 +120,6 @@ class FieldRealization:
     @property
     def times(self) -> np.ndarray:
         return self.dt * np.arange(self.values.size)
-
-
-@dataclass(frozen=True)
-class TrajectoryState:
-    """Time series of one integrated trajectory (dimensionless components)."""
-
-    t: np.ndarray
-    m: np.ndarray
-    mdot: np.ndarray
-    w: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -445,21 +432,6 @@ def _rk4_paths(
         yield x
 
 
-def simulate_trajectory(
-    ic: InitialCondition, p: SystemParams, field: FieldRealization
-) -> TrajectoryState:
-    """Integrate one realization over the full field grid.
-
-    The realization is the one column of a ``_rk4_paths`` run. With a zero
-    field the dipole reduces to free oscillation and the inversion to pure
-    exponential relaxation toward the ground state; with kappa = 0 the
-    dipole decouples from the field entirely.
-    """
-    rows = _rk4_paths(ic, p, field.values[:, None], field.dt, [field.seed])
-    m, md, w = (np.array(x)[:, 0] for x in zip(*rows))
-    return TrajectoryState(t=field.times, m=m, mdot=md, w=w)
-
-
 def ensemble_average(
     ic: InitialCondition,
     p: SystemParams,
@@ -530,45 +502,19 @@ def _add_periodograms(power: np.ndarray, block: np.ndarray, dt: float) -> None:
         power += term
 
 
-def estimate_spectrum(realizations: Sequence[FieldRealization]) -> SpectrumEstimate:
-    """Averaged two-sided periodogram with a least-squares Lorentzian fit.
-
-    All realizations must share the grid. The reported power density uses
-    the convention P(omega) = dt |FFT|^2 / N, under which the expected
-    peak height is C(0)/beta = pi * i0. The fit is ``fit_spectrum``'s:
-    damped Newton steps to the least-squares minimiser, stopped when no
-    parameter moves by more than ``FIT_XTOL`` of its value; its failure
-    raises ``SpectrumFitError``. An identically zero field yields a zero
-    spectrum with no fit. ``sample_periodogram`` and then ``fit_spectrum``
-    give the same result on the realizations they sample, without holding
-    them.
-    """
-    if len(realizations) < 2:
-        raise ValueError("need at least 2 realizations")
-    dt = realizations[0].dt
-    n = realizations[0].values.size
-    for r in realizations[1:]:
-        if r.dt != dt or r.values.size != n:
-            raise ValueError("realizations must share a common grid")
-
-    power = np.zeros(n // 2 + 1)
-    for r in realizations:
-        _add_periodograms(power, r.values[:, None], dt)
-    power /= len(realizations)
-    return fit_spectrum(2.0 * math.pi * np.fft.rfftfreq(n, d=dt), power)
-
-
 def sample_periodogram(
     p: SystemParams, dt: float, n_steps: int, seeds: Sequence[int]
 ) -> tuple[np.ndarray, np.ndarray, FieldRealization]:
     """Averaged periodogram (omega, power) of one field realization per seed, and realization 0.
 
-    The realizations are those of ``sample_fields``, and the power equals
-    that of ``estimate_spectrum`` on them bit for bit, but each block of
-    realizations is transformed as it is synthesized and then dropped, so
-    memory is set by the block (``FIELD_BLOCK_BYTES`` of normals and their
-    transform), not by the number of seeds. Rejects what ``sample_fields``
-    rejects, and fewer than 2 seeds.
+    The realizations are those of ``sample_fields``. The power uses the
+    convention P(omega) = dt |FFT|^2 / N, under which the expected peak
+    height is C(0)/beta = pi * i0; the periodograms are summed in seed order
+    and then divided by the number of seeds. Each block of realizations is
+    transformed as it is synthesized and then dropped, so memory is set by
+    the block (``FIELD_BLOCK_BYTES`` of normals and their transform), not by
+    the number of seeds. ``fit_spectrum`` fits the Lorentzian peak. Rejects
+    what ``sample_fields`` rejects, and fewer than 2 seeds.
     """
     if len(seeds) < 2:
         raise ValueError("need at least 2 realizations")

@@ -2,10 +2,11 @@
 
 These deliberately avoid the library's own evaluation paths: the inversion
 oracle integrates the memory-kernel closure as a small ODE system, the
-backflow oracles enumerate envelope rises analytically, integrate the
-branch integrand by adaptive quadrature, or walk the critical points of
-the trace distance, the AR(1) oracle steps the field recurrence one
-sample at a time, the ensemble oracle steps each trajectory's RK4 in
+backflow oracles enumerate envelope rises analytically, integrate their
+own coherence-branch rate by adaptive quadrature, or walk the critical
+points of the trace distance, the AR(1) oracle steps the field recurrence
+one sample at a time, the periodogram reference transforms one
+realization at a time, the ensemble oracle steps each trajectory's RK4 in
 Python floats and reduces the stacked trajectories with numpy's axis
 statistics, the sweep reference evaluates every grid cell on its own and
 writes with the standard-library encoders, the Lorentzian fit is scipy's
@@ -25,7 +26,7 @@ import numpy as np
 from scipy.integrate import quad, solve_ivp
 from scipy.optimize import brentq, least_squares, root
 
-from dipolefield.blp import BranchKind, backflow_integral, branch_integrand_omega
+from dipolefield.blp import BranchKind, backflow_integral
 from dipolefield.model import DimensionlessConfig, SystemParams
 
 
@@ -103,21 +104,27 @@ def lambda_rises(lambda_hat: float, t_max: float, decay: float = 1.0) -> float:
 
 
 def omega_branch_quadrature(omega_hat: float, t_max: float) -> float:
-    """Coherence-branch backflow: adaptive quadrature of ``branch_integrand_omega``.
+    """Coherence-branch backflow: adaptive quadrature of the rise rate of |cos(omega_hat tau)|.
 
-    Integrates over each rise ((2k+1)h, (2k+2)h), h = pi/(2 omega_hat), of
-    |cos(omega_hat tau)| cut at t_max, independently of the closed form.
+    Integrates the positive part of d|cos(omega_hat tau)|/dtau,
+    max(0, -omega_hat sin(x) sgn(cos x)) with x = omega_hat tau, over each
+    rise ((2k+1)h, (2k+2)h), h = pi/(2 omega_hat), cut at t_max,
+    independently of the closed form and of the engine's integrands.
     """
     if omega_hat <= 0 or t_max <= 0:
         return 0.0
+
+    def rate(tau):
+        x = omega_hat * tau
+        return max(0.0, -omega_hat * math.sin(x) * math.copysign(1.0, math.cos(x)))
+
     h = math.pi / (2.0 * omega_hat)
     total = 0.0
     k = 0
     while (2 * k + 1) * h < t_max:
         a = (2 * k + 1) * h
         b = min((2 * k + 2) * h, t_max)
-        total += quad(branch_integrand_omega, a, b, args=(omega_hat,),
-                      epsabs=1e-11, epsrel=1e-11, limit=200)[0]
+        total += quad(rate, a, b, epsabs=1e-11, epsrel=1e-11, limit=200)[0]
         k += 1
     return total
 
@@ -352,6 +359,18 @@ def ar1_reference(normals: np.ndarray, rho: float, sigma_st: float) -> np.ndarra
     return paths
 
 
+def periodogram_reference(values, dt: float) -> np.ndarray:
+    """Averaged periodogram dt |FFT|^2 / N of realizations ``values``, one 1-D record each.
+
+    One ``np.fft.rfft`` per realization, the terms summed in order, then
+    divided by the number of realizations.
+    """
+    power = 0.0
+    for v in values:
+        power = power + (dt / len(v)) * np.abs(np.fft.rfft(v)) ** 2
+    return power / len(values)
+
+
 def ensemble_reference(ic, p: SystemParams, fields: list, dt: float) -> tuple:
     """(mean_m, mean_w, se_m, se_w) of RK4 trajectories, one plain loop per field.
 
@@ -428,7 +447,7 @@ def sweep_payload_reference(lambdas, omegas, ts, mode: str = "derived") -> tuple
             for t_max in ts:
                 cfg = DimensionlessConfig(lambda_hat=float(lam), omega_hat=float(om),
                                           t_max=float(t_max))
-                r_om, r_lam = (backflow_integral(b, cfg, cfg.t_max, mode) for b in BranchKind)
+                r_om, r_lam = (backflow_integral(b, cfg, mode) for b in BranchKind)
                 winner = "lambda" if r_lam.n_value > r_om.n_value + 1e-10 else "omega"
                 rows.append((cfg.lambda_hat, cfg.omega_hat, cfg.t_max, r_om.n_value,
                              r_lam.n_value, max(r_om.n_value, r_lam.n_value), winner,

@@ -3,6 +3,10 @@
 Run with ``pytest -v -s tests/test_acceptance.py`` to see the lines.
 """
 
+import contextlib
+import dataclasses
+import io
+import json
 import math
 import time
 
@@ -15,7 +19,6 @@ from dipolefield.blp import (
     backflow_integral,
     dominant_regime,
     n_measure,
-    n_measure_physical,
     sigma_rate,
 )
 from dipolefield.dynamics import (
@@ -26,7 +29,8 @@ from dipolefield.dynamics import (
     trace_distance,
 )
 from dipolefield.model import DimensionlessConfig, SystemParams, derive_params, nondimensionalize
-from dipolefield.stochastic import derive_seed, ensemble_average, estimate_spectrum, sample_field
+from dipolefield.cli import main
+from dipolefield.stochastic import derive_seeds, ensemble_average, fit_spectrum, sample_periodogram
 
 from oracles import omega_branch_quadrature, params_for_rates
 
@@ -56,9 +60,9 @@ def test_criterion_01_closed_form_vs_quadrature():
 
 
 def test_criterion_02_spot_values():
-    v_pi = backflow_integral(BranchKind.OMEGA, cfg_of(0.1, 1.0), math.pi).n_value
-    v_09 = backflow_integral(BranchKind.OMEGA, cfg_of(0.1, 1.0), 0.9 * math.pi).n_value
-    v_85 = backflow_integral(BranchKind.OMEGA, cfg_of(0.1, 8.0), 5.0).n_value
+    v_pi = backflow_integral(BranchKind.OMEGA, cfg_of(0.1, 1.0, math.pi)).n_value
+    v_09 = backflow_integral(BranchKind.OMEGA, cfg_of(0.1, 1.0, 0.9 * math.pi)).n_value
+    v_85 = backflow_integral(BranchKind.OMEGA, cfg_of(0.1, 8.0, 5.0)).n_value
     ok = (
         abs(v_pi - 1.0) < 1e-6
         and abs(v_09 - 0.9510565162951535) < 1e-6
@@ -84,7 +88,7 @@ def test_criterion_03_markovian_onset():
         lam = rng.uniform(0.05, 6.0)
         om = rng.uniform(0.05, 6.0)
         t_max = 0.999 * min(math.pi / (2 * om), math.pi / (2 * lam))
-        res = n_measure(cfg_of(lam, om), t_max)
+        res = n_measure(cfg_of(lam, om, t_max))
         worst = max(worst, res.n_value)
     report(3, worst == 0.0, f"100 random (lambda, omega): max N before first zero = {worst}")
 
@@ -97,10 +101,10 @@ def test_criterion_04_monotonicity():
     for i, lam in enumerate(lams):
         for j, om in enumerate(oms):
             for k, t_max in enumerate(ts):
-                cfg = cfg_of(lam, om)
+                cfg = cfg_of(lam, om, t_max)
                 n[i, j, k] = max(
-                    backflow_integral(BranchKind.OMEGA, cfg, t_max).n_value,
-                    backflow_integral(BranchKind.LAMBDA, cfg, t_max).n_value,
+                    backflow_integral(BranchKind.OMEGA, cfg).n_value,
+                    backflow_integral(BranchKind.LAMBDA, cfg).n_value,
                 )
     tol = 1e-9
     ok_t = np.all(np.diff(n, axis=2) >= -tol)
@@ -125,8 +129,8 @@ def test_criterion_05_figure_2_qualitative():
             curves_om[om] = np.array(
                 [
                     max(
-                        backflow_integral(BranchKind.OMEGA, cfg_of(0.1, om), t, mode).n_value,
-                        backflow_integral(BranchKind.LAMBDA, cfg_of(0.1, om), t, mode).n_value,
+                        backflow_integral(BranchKind.OMEGA, cfg_of(0.1, om, t), mode).n_value,
+                        backflow_integral(BranchKind.LAMBDA, cfg_of(0.1, om, t), mode).n_value,
                     )
                     for t in ts
                 ]
@@ -142,8 +146,8 @@ def test_criterion_05_figure_2_qualitative():
             curves_lam[lam] = np.array(
                 [
                     max(
-                        backflow_integral(BranchKind.OMEGA, cfg_of(lam, 0.1), t, mode).n_value,
-                        backflow_integral(BranchKind.LAMBDA, cfg_of(lam, 0.1), t, mode).n_value,
+                        backflow_integral(BranchKind.OMEGA, cfg_of(lam, 0.1, t), mode).n_value,
+                        backflow_integral(BranchKind.LAMBDA, cfg_of(lam, 0.1, t), mode).n_value,
                     )
                     for t in ts
                 ]
@@ -180,7 +184,7 @@ def test_criterion_06_no_threshold():
     values = {}
     ok = True
     for lam in (0.05, 0.1, 0.5, 1.0, 2.0):
-        v = backflow_integral(BranchKind.LAMBDA, cfg_of(lam, 1.0), math.pi / lam).n_value
+        v = backflow_integral(BranchKind.LAMBDA, cfg_of(lam, 1.0, math.pi / lam)).n_value
         values[lam] = v
         ok &= v > 0.0
     report(
@@ -199,7 +203,7 @@ def test_criterion_07_endpoint_maximum_audit():
         lam = rng.uniform(0.05, 4.0)
         om = rng.uniform(0.05, 4.0)
         t_max = rng.uniform(0.3, 5.0)
-        res = n_measure(cfg_of(lam, om), t_max, theta_grid_size=65)
+        res = n_measure(cfg_of(lam, om, t_max), theta_grid_size=65)
         endpoint_max = max(res.n_omega_branch, res.n_lambda_branch)
         excess = res.n_value - endpoint_max
         worst_excess = max(worst_excess, excess)
@@ -257,8 +261,8 @@ def test_criterion_10_spectrum_fidelity():
     p = SystemParams(omega=10.0, kappa=1.0, beta_s=0.0, i0=1.0, beta=1.0)
     dt = min(0.05 / p.beta, 0.05 * 2 * math.pi / p.omega)
     n_steps = int(round(200.0 / p.beta / dt))
-    fields = [sample_field(p, dt, n_steps, derive_seed(42, i)) for i in range(200)]
-    est = estimate_spectrum(fields)
+    omega, power, _ = sample_periodogram(p, dt, n_steps, derive_seeds(42, range(200)))
+    est = fit_spectrum(omega, power)
     ok = (
         est.fit is not None
         and abs(est.fit.peak_omega - p.omega) <= 0.02 * p.omega
@@ -272,7 +276,7 @@ def test_criterion_10_spectrum_fidelity():
     )
 
 
-def test_criterion_11_scaling_identity():
+def test_criterion_11_scaling_identity(tmp_path):
     rng = np.random.default_rng(111)
     worst = 0.0
     checked = 0
@@ -298,9 +302,14 @@ def test_criterion_11_scaling_identity():
         checked += 1
     # dimensionful entry point agrees with the dimensionless engine
     p = params_for_rates(0.7, 1.3, 2.4)
-    n_dim = n_measure_physical(p, 6.0, theta_grid_size=9).n_value
-    cfg = nondimensionalize(p, 6.0)
-    n_dimless = n_measure(cfg, cfg.t_max, theta_grid_size=9).n_value
+    config, out = tmp_path / "params.cfg", tmp_path / "nonmark.json"
+    config.write_text("".join(f"{f.name} = {getattr(p, f.name)!r}\n"
+                              for f in dataclasses.fields(p)))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["nonmark", "--config", str(config), "--tmax", "6.0",
+                     "--theta-grid", "9", "--out", str(out)]) == 0
+    n_dim = json.loads(out.read_text())["n_value"]
+    n_dimless = n_measure(nondimensionalize(p, 6.0), theta_grid_size=9).n_value
     ok = worst <= 1e-9 and n_dim == pytest.approx(n_dimless, rel=1e-12)
     report(
         11,

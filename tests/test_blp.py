@@ -21,14 +21,13 @@ from dipolefield.blp import (
     dominant_regime,
     literal_pointwise_max,
     n_measure,
-    n_measure_physical,
     sigma_rate,
     sweep_grid,
     write_sweep_csv,
     write_sweep_json,
 )
 from dipolefield.dynamics import StatePair, trace_distance
-from dipolefield.model import DimensionlessConfig, derive_params, nondimensionalize
+from dipolefield.model import DimensionlessConfig, derive_params
 
 from oracles import (
     distance_rises,
@@ -127,6 +126,20 @@ def test_sigma_rate_as_printed_kink_limit_is_infinite():
             assert sigma_rate(0.0, cfg_of(lam, om), tau, mode="as-printed", side=side) == -math.inf
 
 
+@pytest.mark.parametrize("mode", ["derived", "as-printed"])
+@pytest.mark.parametrize("theta, tau", [
+    (-1.0, 1.0), (5.0, 1.0), (math.nan, 1.0), (0.7, math.nan), (0.7, math.inf), (0.7, -math.inf),
+])
+def test_sigma_rate_rejects_bad_theta_and_tau(mode, theta, tau):
+    # a KinkWarning turned into an error would escape pytest.raises(ValueError)
+    cfg = cfg_of(1.0, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="theta must lie|tau must be finite"):
+            sigma_rate(theta, cfg, tau, mode=mode)
+        assert math.isfinite(sigma_rate(0.7, cfg, -1.0, mode=mode))  # a negative time is fine
+
+
 def test_sigma_rate_scaling_identity():
     # sigma(t; gamma, lambda, omega, theta) = gamma * sigma(gamma t; 1, ...)
     # with the left side obtained from the dimensionful trace distance
@@ -183,7 +196,7 @@ def test_branch_integrand_omega_unit_integral():
     # carries an O(h) error from the kink at pi/2
     brute = positive_part_trapezoid(lambda t: branch_integrand_omega(t, 1.0), 0.0, math.pi)
     assert brute == pytest.approx(1.0, abs=2e-5)
-    res = backflow_integral(BranchKind.OMEGA, cfg_of(1.0, 1.0), math.pi)
+    res = backflow_integral(BranchKind.OMEGA, cfg_of(1.0, 1.0, math.pi))
     assert res.n_value == pytest.approx(1.0, abs=1e-8)
 
 
@@ -199,7 +212,7 @@ def test_branch_integrand_lambda_onset_and_integral():
     # first positive stretch opens at the first cosine zero (pi/2 for lam=1)
     assert branch_integrand_lambda(math.pi / 2 - 1e-6, 1.0) == 0.0
     assert branch_integrand_lambda(math.pi / 2 + 1e-6, 1.0) > 0.0
-    res = backflow_integral(BranchKind.LAMBDA, cfg_of(1.0, 1.0), math.pi)
+    res = backflow_integral(BranchKind.LAMBDA, cfg_of(1.0, 1.0, math.pi))
     oracle = lambda_rises(1.0, math.pi)          # e^{-3 pi/4} sin(pi/4)
     assert oracle == pytest.approx(math.exp(-3 * math.pi / 4) * math.sin(math.pi / 4), rel=1e-14)
     assert res.n_value == pytest.approx(oracle, abs=1e-8)
@@ -249,34 +262,30 @@ def test_backflow_zero_before_first_zero():
     rng = np.random.default_rng(36)
     for _ in range(50):
         lam, om = rng.uniform(0.1, 5, size=2)
-        cfg = cfg_of(lam, om)
         t_short = 0.999 * min(math.pi / (2 * om), math.pi / (2 * lam))
-        assert backflow_integral(BranchKind.OMEGA, cfg, t_short).n_value == 0.0
-        assert backflow_integral(BranchKind.LAMBDA, cfg, t_short).n_value == 0.0
+        cfg = cfg_of(lam, om, t_short)
+        assert backflow_integral(BranchKind.OMEGA, cfg).n_value == 0.0
+        assert backflow_integral(BranchKind.LAMBDA, cfg).n_value == 0.0
 
 
 def test_backflow_omega_spot_values():
-    cfg = cfg_of(0.1, 1.0)
-    assert backflow_integral(BranchKind.OMEGA, cfg, math.pi).n_value == pytest.approx(
-        1.0, abs=1e-8
-    )
-    assert backflow_integral(BranchKind.OMEGA, cfg, 0.9 * math.pi).n_value == pytest.approx(
-        0.9510565162951535, abs=1e-6
-    )
+    full = backflow_integral(BranchKind.OMEGA, cfg_of(0.1, 1.0, math.pi)).n_value
+    part = backflow_integral(BranchKind.OMEGA, cfg_of(0.1, 1.0, 0.9 * math.pi)).n_value
+    assert full == pytest.approx(1.0, abs=1e-8)
+    assert part == pytest.approx(0.9510565162951535, abs=1e-6)
 
 
 def test_backflow_additivity_over_rises():
     # every full rise of |cos| contributes exactly 1
     for om in (0.5, 1.0, 2.0, 4.0):
         for t_max in (0.7, 1.9, 3.3, 5.0):
-            got = backflow_integral(BranchKind.OMEGA, cfg_of(1.0, om), t_max).n_value
+            got = backflow_integral(BranchKind.OMEGA, cfg_of(1.0, om, t_max)).n_value
             assert got == pytest.approx(omega_rises(om, t_max), abs=1e-7)
 
 
 def test_backflow_interior_theta_between_endpoints():
-    cfg = cfg_of(1.3, 2.1)
     t_max = 5.0
-    res = backflow_integral(0.7, cfg, t_max)
+    res = backflow_integral(0.7, cfg_of(1.3, 2.1, t_max))
     assert res.n_value >= 0
     assert res.theta_star == 0.7
     assert res.winning_branch is None
@@ -285,26 +294,26 @@ def test_backflow_interior_theta_between_endpoints():
 
 
 def test_backflow_endpoint_routing_derived():
-    cfg = cfg_of(1.0, 2.0)
-    lam_res = backflow_integral(BranchKind.LAMBDA, cfg, 6.0)
-    om_res = backflow_integral(BranchKind.OMEGA, cfg, 6.0)
-    assert backflow_integral(0.0, cfg, 6.0).n_value == lam_res.n_value
-    assert backflow_integral(math.pi / 2, cfg, 6.0).n_value == om_res.n_value
+    cfg = cfg_of(1.0, 2.0, 6.0)
+    lam_res = backflow_integral(BranchKind.LAMBDA, cfg)
+    om_res = backflow_integral(BranchKind.OMEGA, cfg)
+    assert backflow_integral(0.0, cfg).n_value == lam_res.n_value
+    assert backflow_integral(math.pi / 2, cfg).n_value == om_res.n_value
 
 
 def test_backflow_endpoint_routing_as_printed():
     # the fixed expressions label the coherence integrand with theta = 0
-    cfg = cfg_of(1.0, 2.0)
-    om_res = backflow_integral(BranchKind.OMEGA, cfg, 6.0, mode="as-printed")
-    lam_res = backflow_integral(BranchKind.LAMBDA, cfg, 6.0, mode="as-printed")
-    assert backflow_integral(0.0, cfg, 6.0, mode="as-printed").n_value == om_res.n_value
-    assert backflow_integral(math.pi / 2, cfg, 6.0, mode="as-printed").n_value == lam_res.n_value
+    cfg = cfg_of(1.0, 2.0, 6.0)
+    om_res = backflow_integral(BranchKind.OMEGA, cfg, mode="as-printed")
+    lam_res = backflow_integral(BranchKind.LAMBDA, cfg, mode="as-printed")
+    assert backflow_integral(0.0, cfg, mode="as-printed").n_value == om_res.n_value
+    assert backflow_integral(math.pi / 2, cfg, mode="as-printed").n_value == lam_res.n_value
 
 
 def test_backflow_lambda_as_printed_decays_slower():
-    cfg = cfg_of(1.5, 0.3)
-    derived = backflow_integral(BranchKind.LAMBDA, cfg, 8.0, mode="derived").n_value
-    printed = backflow_integral(BranchKind.LAMBDA, cfg, 8.0, mode="as-printed").n_value
+    cfg = cfg_of(1.5, 0.3, 8.0)
+    derived = backflow_integral(BranchKind.LAMBDA, cfg, mode="derived").n_value
+    printed = backflow_integral(BranchKind.LAMBDA, cfg, mode="as-printed").n_value
     assert printed > derived > 0
     assert printed == pytest.approx(lambda_rises(1.5, 8.0, decay=0.5), abs=1e-7)
 
@@ -313,7 +322,7 @@ def test_backflow_interior_near_dip_regression():
     # D dips to ~3e-6 near tau = 7.9; adaptive quadrature of the rate
     # missed the narrow spike and returned 7.1438876897 (2.4e-5 high)
     cfg = cfg_of(0.656, 2.984, 7.982)
-    got = backflow_integral(1.4682, cfg, 7.982).n_value
+    got = backflow_integral(1.4682, cfg).n_value
     assert got == pytest.approx(distance_rises(1.4682, 0.656, 2.984, 7.982), abs=1e-9)
     assert got == pytest.approx(7.1438635104, abs=1e-9)
 
@@ -323,7 +332,7 @@ def test_backflow_interior_close_root_pair_regression():
     # nine-sample gaps of the quarter-period grid
     theta, lam = 0.050699596194789566, 0.6034405640065522
     om, t_max = 1.2212100317101389, 3.574557963036592
-    res = backflow_integral(theta, cfg_of(lam, om, t_max), t_max)
+    res = backflow_integral(theta, cfg_of(lam, om, t_max))
     assert len(res.intervals) == 1
     assert res.intervals[0] == pytest.approx((2.4763388001, 2.4948069804), abs=1e-9)
     assert res.n_value == pytest.approx(distance_rises(theta, lam, om, t_max), abs=1e-9)
@@ -337,7 +346,7 @@ _ANGLES = st.floats(0.01, math.pi / 2 - 0.01)
 @given(theta=_ANGLES, lam=st.floats(0.05, 4.0), om=st.floats(0.05, 4.0),
        t_max=st.floats(0.3, 10.0))
 def test_interior_backflow_is_total_rise(theta, lam, om, t_max):
-    got = backflow_integral(theta, cfg_of(lam, om, t_max), t_max).n_value
+    got = backflow_integral(theta, cfg_of(lam, om, t_max)).n_value
     assert got == pytest.approx(distance_rises(theta, lam, om, t_max), abs=1e-9)
 
 
@@ -350,7 +359,7 @@ def test_interior_backflow_is_total_rise_near_kinks(theta, om, k, m, detune, ext
     lam = (2 * m + 1) * math.pi / (2 * tau0) * (1 + detune)
     assume(lam <= 6.0)
     t_max = tau0 + extra
-    got = backflow_integral(theta, cfg_of(lam, om, t_max), t_max).n_value
+    got = backflow_integral(theta, cfg_of(lam, om, t_max)).n_value
     assert got == pytest.approx(distance_rises(theta, lam, om, t_max), abs=1e-9)
 
 
@@ -366,7 +375,7 @@ def test_interior_backflow_is_total_rise_near_double_roots(lam, om, start, nudge
     theta *= 1 + nudge
     assume(0.0 < theta < math.pi / 2)
     t_max = tau0 + 0.5
-    got = backflow_integral(theta, cfg_of(lam, om, t_max), t_max).n_value
+    got = backflow_integral(theta, cfg_of(lam, om, t_max)).n_value
     assert got == pytest.approx(distance_rises(theta, lam, om, t_max), abs=1e-9)
 
 
@@ -379,15 +388,14 @@ def test_interior_backflow_is_total_rise_near_double_roots(lam, om, start, nudge
        grid_size=st.sampled_from([2, 3, 9, 65]))
 def test_as_printed_measure_is_the_branch_maximum(lam, om, t_max, grid_size):
     cfg = cfg_of(lam, om, t_max)
-    res = n_measure(cfg, t_max, mode="as-printed", theta_grid_size=grid_size)
+    res = n_measure(cfg, mode="as-printed", theta_grid_size=grid_size)
     n_om, n_lam = res.n_omega_branch, res.n_lambda_branch
     assert res.n_value == max(n_om, n_lam)
     # the first maximum wins, so a tie keeps theta = 0, the as-printed omega branch
     branch = BranchKind.OMEGA if n_om >= n_lam else BranchKind.LAMBDA
     assert res.theta_star == (0.0 if branch is BranchKind.OMEGA else math.pi / 2)
-    assert res.intervals == backflow_integral(branch, cfg, t_max, mode="as-printed").intervals
-    assert res.intervals == backflow_integral(res.theta_star, cfg, t_max,
-                                              mode="as-printed").intervals
+    assert res.intervals == backflow_integral(branch, cfg, mode="as-printed").intervals
+    assert res.intervals == backflow_integral(res.theta_star, cfg, mode="as-printed").intervals
     assert res.winning_branch is dominant_regime(lam, om, t_max, mode="as-printed")
     (cell,) = sweep_grid([lam], [om], [t_max], mode="as-printed")
     assert cell.n_max == res.n_value
@@ -398,11 +406,11 @@ def test_backflow_interior_as_printed_raises():
     cfg = cfg_of(1.3, 2.1, 5.0)
     for theta in (1e-11, 0.7, math.pi / 2 - 1e-11):
         with pytest.raises(ValueError, match="not the derivative of any printed distance"):
-            backflow_integral(theta, cfg, 5.0, mode="as-printed")
+            backflow_integral(theta, cfg, mode="as-printed")
     # within 1e-12 of an endpoint theta still routes to its branch
     for theta, branch in ((1e-13, BranchKind.OMEGA), (math.pi / 2 - 1e-13, BranchKind.LAMBDA)):
-        got = backflow_integral(theta, cfg, 5.0, mode="as-printed")
-        assert got == backflow_integral(branch, cfg, 5.0, mode="as-printed")
+        got = backflow_integral(theta, cfg, mode="as-printed")
+        assert got == backflow_integral(branch, cfg, mode="as-printed")
 
 
 def test_printed_interior_backflow_grows_like_c_log_inverse_theta():
@@ -494,9 +502,9 @@ def test_as_printed_intervals_are_shared_by_every_angle(lam, om, t_max):
 def test_batched_scan_matches_single_angles(mode):
     cfg = cfg_of(1.7, 2.3, 9.0)
     thetas = np.linspace(0.0, math.pi / 2, 17)[1:-1]
-    values, a, b, owner = _interior_scan(thetas, cfg, 9.0)
+    values, a, b, owner = _interior_scan(thetas, cfg)
     for k, theta in enumerate(thetas):
-        alone = backflow_integral(float(theta), cfg, 9.0, mode=mode)
+        alone = backflow_integral(float(theta), cfg, mode=mode)
         assert values[k] == pytest.approx(alone.n_value, abs=1e-13)
         assert alone.intervals == tuple(zip(a[owner == k].tolist(), b[owner == k].tolist()))
 
@@ -530,10 +538,10 @@ def test_chandrupatla_matches_scipy_on_located_brackets(mode, lam, om, t_max):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(blp, "_chandrupatla", recorded)
         if mode == "derived":
-            _interior_scan(np.linspace(0.0, math.pi / 2, 9)[1:-1], cfg, t_max)
+            _interior_scan(np.linspace(0.0, math.pi / 2, 9)[1:-1], cfg)
         else:
             printed_sign_intervals(lam, om, t_max)
-        literal_pointwise_max(cfg, t_max, mode)
+        literal_pointwise_max(cfg, mode)
     assert len(calls) == 2
     for fn, lo, hi, k in calls:
         assert np.array_equal(kernel(fn, lo, hi, k), _scipy_roots(fn, lo, hi, k))
@@ -605,7 +613,7 @@ def test_chandrupatla_matches_scipy_on_non_finite_values(f):
 @pytest.mark.parametrize("mode", ["derived", "as-printed"])
 def test_n_measure_without_interior_angles(mode):
     cfg = cfg_of(1.3, 2.1, 5.0)
-    res = n_measure(cfg, 5.0, mode=mode, theta_grid_size=2)
+    res = n_measure(cfg, mode=mode, theta_grid_size=2)
     assert res.n_value == max(res.n_omega_branch, res.n_lambda_branch)
 
 
@@ -615,7 +623,7 @@ def test_reported_intervals_are_merged_positivity_intervals():
     cfg = cfg_of(2.948, 2.151, 8.155)
     grid = np.concatenate([np.arange(1, 40) * math.pi / (2 * f) for f in (2.948, 2.151)])
     for theta in (0.2, 0.7, 1.3):
-        res = backflow_integral(theta, cfg, 8.155)
+        res = backflow_integral(theta, cfg)
         assert res.intervals
         assert all(np.any((a < grid) & (grid < b)) for a, b in res.intervals)
         for a, b in res.intervals:
@@ -652,7 +660,7 @@ def test_analytic_matches_quadrature_sample():
         t_max = rng.uniform(0.1, 5)
         quad_val = omega_branch_quadrature(om, t_max)
         assert quad_val == pytest.approx(analytic_n_omega(om, t_max), abs=1e-7)
-        engine = backflow_integral(BranchKind.OMEGA, cfg_of(0.1, om), t_max).n_value
+        engine = backflow_integral(BranchKind.OMEGA, cfg_of(0.1, om, t_max)).n_value
         assert engine == pytest.approx(quad_val, abs=1e-7)
 
 
@@ -661,14 +669,14 @@ def test_analytic_matches_quadrature_sample():
 # ---------------------------------------------------------------------------
 
 def test_n_measure_zero_at_short_times():
-    cfg = cfg_of(1.0, 1.0)
-    res = n_measure(cfg, 0.9 * math.pi / 2, theta_grid_size=17)
+    cfg = cfg_of(1.0, 1.0, 0.9 * math.pi / 2)
+    res = n_measure(cfg, theta_grid_size=17)
     assert res.n_value == 0.0
 
 
 def test_n_measure_omega_dominated():
-    cfg = cfg_of(0.1, 8.0)
-    res = n_measure(cfg, 5.0, theta_grid_size=17)
+    cfg = cfg_of(0.1, 8.0, 5.0)
+    res = n_measure(cfg, theta_grid_size=17)
     assert res.winning_branch is BranchKind.OMEGA
     assert res.n_value == pytest.approx(12.667, abs=1e-3)
     assert res.theta_star == pytest.approx(math.pi / 2)
@@ -678,16 +686,16 @@ def test_n_measure_omega_dominated():
 
 def test_n_measure_as_printed_labels():
     # same maximum, but the winning angle label follows the printed map
-    cfg = cfg_of(0.1, 8.0)
-    res = n_measure(cfg, 5.0, mode="as-printed", theta_grid_size=17)
+    cfg = cfg_of(0.1, 8.0, 5.0)
+    res = n_measure(cfg, mode="as-printed", theta_grid_size=17)
     assert res.winning_branch is BranchKind.OMEGA
     assert res.theta_star == 0.0
     assert res.n_omega_branch == pytest.approx(12.667, abs=1e-3)
 
 
 def test_n_measure_monotone_in_horizon():
-    cfg = cfg_of(1.2, 2.4)
-    values = [n_measure(cfg, t, theta_grid_size=9).n_value for t in (1.0, 2.0, 3.5, 5.0)]
+    values = [n_measure(cfg_of(1.2, 2.4, t), theta_grid_size=9).n_value
+              for t in (1.0, 2.0, 3.5, 5.0)]
     assert all(b >= a - 1e-9 for a, b in zip(values, values[1:]))
 
 
@@ -697,9 +705,8 @@ def test_n_measure_monotone_in_horizon():
        extra=st.floats(0.0, 5.0))
 def test_n_measure_nondecreasing_in_horizon(mode, lam, om, t_max, extra):
     # every N(theta) integrates a nonnegative rate, and so does their maximum
-    short = n_measure(cfg_of(lam, om, t_max), t_max, mode=mode, theta_grid_size=9).n_value
-    long = n_measure(cfg_of(lam, om, t_max + extra), t_max + extra, mode=mode,
-                     theta_grid_size=9).n_value
+    short = n_measure(cfg_of(lam, om, t_max), mode=mode, theta_grid_size=9).n_value
+    long = n_measure(cfg_of(lam, om, t_max + extra), mode=mode, theta_grid_size=9).n_value
     assert long >= short - 1e-12
 
 
@@ -709,25 +716,17 @@ def test_n_measure_nondecreasing_in_horizon(mode, lam, om, t_max, extra):
 def test_n_measure_zero_before_first_cosine_zero(mode, lam, om, frac):
     # up to the first zero of both cosines every factor of D is decreasing
     t_max = frac * min(math.pi / (2 * lam), math.pi / (2 * om))
-    assert n_measure(cfg_of(lam, om, t_max), t_max, mode=mode, theta_grid_size=17).n_value == 0.0
-
-
-def test_n_measure_physical_consistency():
-    p = params_for_rates(gamma=0.8, lam=1.2, omega=3.0)
-    cfg = nondimensionalize(p, 4.0)
-    direct = n_measure(cfg, cfg.t_max, theta_grid_size=9)
-    via_params = n_measure_physical(p, 4.0, theta_grid_size=9)
-    assert via_params.n_value == pytest.approx(direct.n_value, rel=1e-12)
+    assert n_measure(cfg_of(lam, om, t_max), mode=mode, theta_grid_size=17).n_value == 0.0
 
 
 def test_literal_pointwise_max_bounds():
-    cfg = cfg_of(1.5, 1.1)
-    res = n_measure(cfg, 6.0, theta_grid_size=9)
-    literal = literal_pointwise_max(cfg, 6.0)
+    cfg = cfg_of(1.5, 1.1, 6.0)
+    res = n_measure(cfg, theta_grid_size=9)
+    literal = literal_pointwise_max(cfg)
     assert literal >= max(res.n_omega_branch, res.n_lambda_branch) - 1e-8
     # with a negligible lambda branch the two collapse
-    cfg2 = cfg_of(1e-3, 1.1)
-    assert literal_pointwise_max(cfg2, 6.0) == pytest.approx(
+    cfg2 = cfg_of(1e-3, 1.1, 6.0)
+    assert literal_pointwise_max(cfg2) == pytest.approx(
         analytic_n_omega(1.1, 6.0), abs=1e-6
     )
 
@@ -737,7 +736,7 @@ def test_literal_pointwise_max_as_printed_regression():
     # low, no error raised); 39.4920773378 is a piecewise 10-point
     # Gauss-Legendre sum over 20000 cells per grid piece
     lam, om, t_max = 2.1205324272200645, 4.898443542548282, 25.336602323735057
-    got = literal_pointwise_max(cfg_of(lam, om, t_max), t_max, mode="as-printed")
+    got = literal_pointwise_max(cfg_of(lam, om, t_max), mode="as-printed")
     assert got == pytest.approx(literal_max_reference(lam, om, t_max, decay=0.5), abs=1e-10)
     assert got == pytest.approx(39.4920773378, abs=1e-8)
 
@@ -747,10 +746,10 @@ def test_literal_pointwise_max_as_printed_regression():
 @given(lam=st.floats(0.0, 4.0), om=st.floats(0.05, 5.0), t_max=st.floats(0.3, 26.0))
 def test_literal_pointwise_max_matches_oracle(mode, lam, om, t_max):
     cfg = cfg_of(lam, om, t_max)
-    got = literal_pointwise_max(cfg, t_max, mode=mode)
+    got = literal_pointwise_max(cfg, mode=mode)
     decay = 1.0 if mode == "derived" else 0.5
     assert got == pytest.approx(literal_max_reference(lam, om, t_max, decay), abs=1e-9)
-    n_om, n_lam = (backflow_integral(b, cfg, t_max, mode=mode).n_value for b in BranchKind)
+    n_om, n_lam = (backflow_integral(b, cfg, mode=mode).n_value for b in BranchKind)
     assert max(n_om, n_lam) - 1e-12 <= got <= n_om + n_lam + 1e-12
 
 
@@ -766,7 +765,7 @@ def test_dominant_regime():
 def test_no_threshold_property():
     for lam in (0.05, 0.1, 0.5, 1.0, 2.0):
         t_max = math.pi / lam
-        got = backflow_integral(BranchKind.LAMBDA, cfg_of(lam, 1.0), t_max).n_value
+        got = backflow_integral(BranchKind.LAMBDA, cfg_of(lam, 1.0, t_max)).n_value
         assert got > 0.0
         assert got == pytest.approx(lambda_rises(lam, t_max), rel=1e-4, abs=1e-12)
 
@@ -869,7 +868,7 @@ def test_sweep_writers_keep_the_per_cell_tie_rule(monkeypatch, tmp_path):
     edge = 0.25 + blp.TIE_TOL
     values = [1.5, 0.25, edge, float(np.nextafter(edge, np.inf)), 0.0, -0.0]
 
-    def branch_result(kind, cfg, t_max, mode):
+    def branch_result(kind, cfg, mode):
         index = cfg.omega_hat if kind is BranchKind.OMEGA else cfg.lambda_hat
         return blp.BackflowResult(values[int(index)], kind, 0.0, ((0.0, index),))
 

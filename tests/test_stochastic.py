@@ -18,20 +18,25 @@ from dipolefield.stochastic import (
     derive_seed,
     derive_seeds,
     ensemble_average,
-    estimate_spectrum,
     field_variance,
     fit_spectrum,
     max_field_dt,
     sample_field,
     sample_fields,
     sample_periodogram,
-    simulate_trajectory,
     write_field_csv,
 )
-from oracles import ar1_reference, ensemble_reference, lorentzian_lsq
+from oracles import ar1_reference, ensemble_reference, lorentzian_lsq, periodogram_reference
 
 
 WEAK = SystemParams(omega=5.0, kappa=1.0, beta_s=0.2, i0=0.1 / math.pi, beta=1.0)
+
+
+def trajectory(ic, p, field):
+    """(t, m, w) of one realization: the one column of a ``_rk4_paths`` run."""
+    rows = stochastic._rk4_paths(ic, p, field.values[:, None], field.dt, [field.seed])
+    m, _, w = (np.array(x)[:, 0] for x in zip(*rows))
+    return field.times, m, w
 
 
 # ---------------------------------------------------------------------------
@@ -179,16 +184,16 @@ def test_sample_fields_match_per_seed_sampling(monkeypatch):
 def test_streams_do_not_depend_on_block_size(monkeypatch):
     ic, dt, n_steps = InitialCondition(0.3, 0.5), max_field_dt(WEAK), 300
     seeds = derive_seeds(17, range(7))
-    spectrum = estimate_spectrum([sample_field(WEAK, dt, n_steps, s) for s in seeds])
+    fields = [sample_field(WEAK, dt, n_steps, s).values for s in seeds]
+    reference = periodogram_reference(fields, dt)
     report = ensemble_average(ic, WEAK, 7, dt, n_steps * dt, 17).to_dict()
     # blocks of 1 and of 3 records (a partial last block), then the default
     record = 2 * 8 * (n_steps + 1)
     for budget in (record, 3 * record, stochastic.FIELD_BLOCK_BYTES):
         monkeypatch.setattr(stochastic, "FIELD_BLOCK_BYTES", budget)
         omega, power, first = sample_periodogram(WEAK, dt, n_steps, seeds)
-        np.testing.assert_array_equal(omega, spectrum.omega)
-        np.testing.assert_array_equal(power, spectrum.power)
-        assert fit_spectrum(omega, power).fit == spectrum.fit
+        np.testing.assert_array_equal(omega, 2.0 * math.pi * np.fft.rfftfreq(n_steps + 1, d=dt))
+        np.testing.assert_array_equal(power, reference)
         assert first.seed == seeds[0]
         np.testing.assert_array_equal(first.values, sample_field(WEAK, dt, n_steps, seeds[0]).values)
         assert ensemble_average(ic, WEAK, 7, dt, n_steps * dt, 17).to_dict() == report
@@ -275,8 +280,8 @@ def test_spectrum_lorentzian_fit():
     p = SystemParams(omega=10.0, kappa=1.0, beta_s=0.0, i0=1.0, beta=1.0)
     dt = max_field_dt(p)
     n_steps = int(round(200.0 / p.beta / dt))
-    fields = sample_fields(p, dt, n_steps, [derive_seed(100, i) for i in range(200)])
-    est = estimate_spectrum(fields)
+    omega, power, _ = sample_periodogram(p, dt, n_steps, derive_seeds(100, range(200)))
+    est = fit_spectrum(omega, power)
     assert est.fit is not None
     assert est.fit.peak_omega == pytest.approx(p.omega, rel=0.02)
     assert est.fit.hwhm == pytest.approx(p.beta, rel=0.10)
@@ -359,18 +364,10 @@ def test_fit_raises_at_the_iteration_cap(monkeypatch):
 
 def test_spectrum_zero_field():
     p = SystemParams(omega=5.0, kappa=1.0, beta_s=0.0, i0=0.0, beta=1.0)
-    fields = [sample_field(p, 0.05, 500, derive_seed(5, i)) for i in range(3)]
-    est = estimate_spectrum(fields)
+    omega, power, _ = sample_periodogram(p, 0.05, 500, derive_seeds(5, range(3)))
+    est = fit_spectrum(omega, power)
     assert est.fit is None
     assert np.all(est.power == 0.0)
-
-
-def test_spectrum_requires_common_grid():
-    p = WEAK
-    f1 = sample_field(p, 0.05, 100, seed=1)
-    f2 = sample_field(p, 0.05, 120, seed=2)
-    with pytest.raises(ValueError, match="common grid"):
-        estimate_spectrum([f1, f2])
 
 
 # ---------------------------------------------------------------------------
@@ -382,13 +379,12 @@ def test_trajectory_zero_field_exact():
     ic = InitialCondition(m0=0.4, w0=0.3, mdot0=1.0)
     field = sample_field(p, 1e-3, 5000, seed=6)
     assert np.all(field.values == 0.0)
-    traj = simulate_trajectory(ic, p, field)
-    t = traj.t
+    t, m, w = trajectory(ic, p, field)
     np.testing.assert_allclose(
-        traj.w, -1.0 + (ic.w0 + 1.0) * np.exp(-p.beta_s * t), atol=1e-8
+        w, -1.0 + (ic.w0 + 1.0) * np.exp(-p.beta_s * t), atol=1e-8
     )
     np.testing.assert_allclose(
-        traj.m,
+        m,
         ic.m0 * np.cos(p.omega * t) + (ic.mdot0 / p.omega) * np.sin(p.omega * t),
         atol=1e-8,
     )
@@ -399,10 +395,10 @@ def test_trajectory_zero_coupling_decouples_dipole():
     ic = InitialCondition(m0=0.8, w0=0.0)
     field = sample_field(p, 1e-3, 4000, seed=7)
     assert np.any(field.values != 0.0)
-    traj = simulate_trajectory(ic, p, field)
-    np.testing.assert_allclose(traj.m, ic.m0 * np.cos(p.omega * traj.t), atol=1e-8)
+    t, m, w = trajectory(ic, p, field)
+    np.testing.assert_allclose(m, ic.m0 * np.cos(p.omega * t), atol=1e-8)
     np.testing.assert_allclose(
-        traj.w, -1.0 + np.exp(-p.beta_s * traj.t), atol=1e-8
+        w, -1.0 + np.exp(-p.beta_s * t), atol=1e-8
     )
 
 
@@ -424,8 +420,8 @@ def test_trajectory_fourth_order_convergence():
     for factor in (1, 2, 4):
         values = refine(np.asarray(base.values), factor)
         f = FieldRealization(dt=dt / factor, values=values, seed=base.seed)
-        traj = simulate_trajectory(ic, p, f)
-        results[factor] = (traj.m[:: factor], traj.w[:: factor])
+        _, m, w = trajectory(ic, p, f)
+        results[factor] = (m[:: factor], w[:: factor])
 
     err1 = max(
         np.max(np.abs(results[1][0] - results[2][0])),
@@ -443,7 +439,7 @@ def test_trajectory_divergence_error():
     ic = InitialCondition(m0=0.0, w0=1.0)
     field = sample_field(p, max_field_dt(p), 2000, seed=11)
     with pytest.raises(TrajectoryDivergenceError) as err:
-        simulate_trajectory(ic, p, field)
+        trajectory(ic, p, field)
     assert err.value.seed == field.seed
     assert err.value.time is not None
 
@@ -473,12 +469,12 @@ def test_ensemble_reproducible_and_matches_single(tmp_path):
     # trajectory 2 of the batch equals the standalone integration
     n_steps = r1.t.size - 1
     f = sample_field(p, 0.05, n_steps, r1.seeds[2])
-    traj = simulate_trajectory(ic, p, f)
+    _, _, w = trajectory(ic, p, f)
     batch = ensemble_average(ic, p, 3, dt=0.05, horizon=2.0, master_seed=42)
     # means over k trajectories reconstruct each member: check via two runs
     sum3 = batch.mean_w * 3
     sum2 = ensemble_average(ic, p, 2, dt=0.05, horizon=2.0, master_seed=42).mean_w * 2
-    np.testing.assert_allclose(sum3 - sum2, traj.w, atol=1e-12)
+    np.testing.assert_allclose(sum3 - sum2, w, atol=1e-12)
 
     path = tmp_path / "report.json"
     r1.write_json(path)
@@ -561,8 +557,8 @@ def test_ensemble_energy_bound_weak_coupling():
     worst = 0.0
     for i in range(50):
         f = sample_field(p, 0.05, 170, derive_seed(123, i))
-        traj = simulate_trajectory(ic, p, f)
-        worst = max(worst, float(np.max(np.abs(traj.w))))
+        _, _, w = trajectory(ic, p, f)
+        worst = max(worst, float(np.max(np.abs(w))))
     assert worst <= 1.05
 
 
