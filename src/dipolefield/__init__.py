@@ -28,7 +28,7 @@ from .blp import (
     n_measure,
     sigma_rate,
 )
-from .stochastic import ensemble_average, fit_spectrum, sample_field, sample_periodogram
+from .stochastic import ensemble_average, fit_spectrum, sample_fields, sample_periodogram
 
 __version__ = "0.1.0"
 
@@ -50,7 +50,7 @@ __all__ = [
     "sigma_rate",
     "ensemble_average",
     "fit_spectrum",
-    "sample_field",
+    "sample_fields",
     "sample_periodogram",
     "__version__",
 ]

@@ -203,6 +203,7 @@ def _cmd_nonmark(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    blp._check_sweep(args.lam[2], args.omega[2], args.tmax[2])
     grid = blp.sweep_grid(np.linspace(*args.lam), np.linspace(*args.omega),
                           np.linspace(*args.tmax), mode=args.mode)
     if args.format == "csv":
@@ -276,26 +277,26 @@ def _cmd_spectrum(args) -> int:
     seeds = stochastic.derive_seeds(args.seed, range(args.n))
     omega, power, first = stochastic.sample_periodogram(p, dt, n_steps, seeds)
     if args.dump_field:
-        stochastic.write_field_csv(first, args.dump_field)
+        stochastic.write_field_csv(first, dt, args.dump_field)
         print(f"wrote {args.dump_field}")
     try:
-        est = stochastic.fit_spectrum(omega, power)
+        fit = stochastic.fit_spectrum(omega, power)
     except stochastic.SpectrumFitError as exc:
         print(f"spectrum fit failed: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     if args.out:
         with open(args.out, "w") as fh:
             fh.write("omega,power\n")
-            for w_val, p_val in zip(est.omega, est.power):
+            for w_val, p_val in zip(omega, power):
                 fh.write(f"{w_val:.12g},{p_val:.12g}\n")
         print(f"wrote {args.out}")
-    if est.fit is None:
-        print(f"no fit: {est.message}")
+    if fit is None:
+        print("no fit: zero spectrum; no peak to fit")
     else:
-        print(f"peak_omega = {est.fit.peak_omega:.6g} (target {p.omega:.6g})")
-        print(f"hwhm = {est.fit.hwhm:.6g} (target {p.beta:.6g})")
-        print(f"peak_height = {est.fit.peak_height:.6g} "
-              f"(implied i0 = {est.fit.peak_height / math.pi:.6g})")
+        print(f"peak_omega = {fit.peak_omega:.6g} (target {p.omega:.6g})")
+        print(f"hwhm = {fit.hwhm:.6g} (target {p.beta:.6g})")
+        print(f"peak_height = {fit.peak_height:.6g} "
+              f"(implied i0 = {fit.peak_height / math.pi:.6g})")
     return EXIT_OK
 
 

@@ -131,7 +131,6 @@ class DimensionlessConfig:
     lambda_hat: float
     omega_hat: float
     t_max: float
-    oscillatory: bool = True
 
     def __post_init__(self):
         for name in ("lambda_hat", "omega_hat", "t_max"):
@@ -139,6 +138,11 @@ class DimensionlessConfig:
                 raise ValueError(f"{name} must be finite")
         if self.t_max < 0:
             raise ValueError("t_max must be nonnegative")
+
+    @property
+    def oscillatory(self) -> bool:
+        """Whether the inversion oscillates: lambda_hat > 0."""
+        return self.lambda_hat > 0
 
 
 def derive_params(p: SystemParams) -> DerivedParams:
@@ -173,8 +177,8 @@ def derive_params(p: SystemParams) -> DerivedParams:
 def nondimensionalize(p: SystemParams, t_max: float) -> DimensionlessConfig:
     """Express (lambda, omega, horizon) in units of the damping rate.
 
-    In the overdamped regime the oscillation frequency is reported as 0 and
-    the flag is cleared; the damped envelope is then monotone and carries no
+    In the overdamped regime the oscillation frequency is reported as 0 (not
+    ``oscillatory``); the damped envelope is then monotone and carries no
     backflow, so the dimensionless engine may treat it as frequency zero.
     """
     if t_max < 0:
@@ -184,7 +188,6 @@ def nondimensionalize(p: SystemParams, t_max: float) -> DimensionlessConfig:
         lambda_hat=d.lambda_value / d.gamma,
         omega_hat=p.omega / d.gamma,
         t_max=d.gamma * t_max,
-        oscillatory=d.oscillatory,
     )
 
 

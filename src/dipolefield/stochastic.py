@@ -41,15 +41,12 @@ from .dynamics import InitialCondition, mean_dipole, mean_inversion
 from .model import SystemParams, derive_params
 
 __all__ = [
-    "FieldRealization",
     "EnsembleReport",
     "LorentzianFit",
-    "SpectrumEstimate",
     "TrajectoryDivergenceError",
     "SpectrumFitError",
     "field_variance",
     "max_field_dt",
-    "sample_field",
     "sample_fields",
     "ensemble_average",
     "sample_periodogram",
@@ -101,28 +98,6 @@ class SpectrumFitError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class FieldRealization:
-    """One sampled realization of the classical field on a uniform grid."""
-
-    dt: float
-    values: np.ndarray
-    seed: int
-
-    def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
-        if self.values.ndim != 1 or self.values.size < 2:
-            raise ValueError("values must be a 1-D array with at least 2 samples")
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("field samples must be finite")
-        self.values.flags.writeable = False
-
-    @property
-    def times(self) -> np.ndarray:
-        return self.dt * np.arange(self.values.size)
-
-
-@dataclass(frozen=True)
 class EnsembleReport:
     """Ensemble averages with standard errors and closed-form residuals."""
 
@@ -163,16 +138,6 @@ class LorentzianFit:
     peak_omega: float
     peak_height: float
     hwhm: float
-
-
-@dataclass(frozen=True)
-class SpectrumEstimate:
-    """Averaged periodogram with an optional fitted Lorentzian peak."""
-
-    omega: np.ndarray
-    power: np.ndarray
-    fit: LorentzianFit | None
-    message: str = ""
 
 
 # ---------------------------------------------------------------------------
@@ -357,35 +322,30 @@ def _field_blocks(
         yield field
 
 
-def sample_fields(
-    p: SystemParams, dt: float, n_steps: int, seeds: Sequence[int]
-) -> list[FieldRealization]:
-    """Sample one field realization per seed on a grid of n_steps + 1 points.
+def sample_fields(p: SystemParams, dt: float, n_steps: int, seeds: Sequence[int]) -> np.ndarray:
+    """Field samples E(k dt), k = 0..n_steps, one realization per seed, as a (K+1, n) array.
 
-    Realizations are synthesized a block at a time (see ``_field_blocks``),
-    so the AR(1) recurrence runs once per block rather than once per
-    realization. Each realization is bit-identical to ``sample_field`` with
-    its seed. Rejects steps that are not finite and positive or too coarse
-    to resolve the envelope or the carrier (dt must not exceed
-    ``max_field_dt``), a non-finite field variance, and more than
+    Column j is the realization of ``seeds[j]``, bit-identical to sampling
+    that seed alone; the columns are synthesized in blocks (``_field_blocks``).
+    Rejects n_steps < 1, a step that is not finite and positive or exceeds
+    ``max_field_dt``, a non-finite field variance, and more than
     ``MAX_FIELD_SAMPLES`` samples in all, before anything is allocated.
     """
     _check_fields(p, dt, n_steps, len(seeds))
-    columns = (col.copy() for block in _field_blocks(p, dt, n_steps, seeds) for col in block.T)
-    return [FieldRealization(dt=dt, values=v, seed=s) for v, s in zip(columns, seeds)]
+    field = np.empty((n_steps + 1, len(seeds)))
+    start = 0
+    for block in _field_blocks(p, dt, n_steps, seeds):
+        field[:, start:start + block.shape[1]] = block
+        start += block.shape[1]
+    return field
 
 
-def sample_field(p: SystemParams, dt: float, n_steps: int, seed: int) -> FieldRealization:
-    """Sample one field realization on a grid of n_steps + 1 points (see ``sample_fields``)."""
-    return sample_fields(p, dt, n_steps, [seed])[0]
-
-
-def write_field_csv(field: FieldRealization, path: str | Path) -> None:
-    """Dump a realization as CSV with header ``t,E`` for spectral audits."""
+def write_field_csv(values: np.ndarray, dt: float, path: str | Path) -> None:
+    """Dump one realization, sampled at t = k dt, as CSV with header ``t,E``."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t", "E"])
-        for t, e in zip(field.times, field.values):
+        for t, e in zip(dt * np.arange(len(values)), values):
             writer.writerow([f"{t:.12g}", f"{e:.12g}"])
 
 
@@ -448,9 +408,9 @@ def ensemble_average(
     time row of m and w is reduced as RK4 yields it, by index-ordered sums
     that equal ``mean(axis=0)`` and ``std(axis=0, ddof=1)`` of the
     stacked trajectories bit for bit, so the run holds only the n x (K+1)
-    field. Residuals are taken against the closed-form dipole and
-    inversion on the same grid. Runs of more than ``MAX_FIELD_SAMPLES``
-    samples in all are rejected before any seed is derived.
+    field of ``sample_fields``. Residuals are taken against the closed-form
+    dipole and inversion on the same grid. Runs of more than
+    ``MAX_FIELD_SAMPLES`` samples in all are rejected before any seed is derived.
     """
     if n_realizations < 2:
         raise ValueError("n_realizations must be at least 2")
@@ -462,11 +422,7 @@ def ensemble_average(
     _check_size(n_realizations, n_steps)
 
     seeds = tuple(derive_seeds(master_seed, range(n_realizations)))
-    field = np.empty((n_steps + 1, n_realizations))
-    start = 0
-    for block in _field_blocks(p, dt, n_steps, seeds):
-        field[:, start:start + block.shape[1]] = block
-        start += block.shape[1]
+    field = sample_fields(p, dt, n_steps, seeds)
 
     n = n_realizations
     mean_m, mean_w, se_m, se_w = np.empty((4, n_steps + 1))
@@ -504,10 +460,11 @@ def _add_periodograms(power: np.ndarray, block: np.ndarray, dt: float) -> None:
 
 def sample_periodogram(
     p: SystemParams, dt: float, n_steps: int, seeds: Sequence[int]
-) -> tuple[np.ndarray, np.ndarray, FieldRealization]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Averaged periodogram (omega, power) of one field realization per seed, and realization 0.
 
-    The realizations are those of ``sample_fields``. The power uses the
+    The realizations are the columns of ``sample_fields``; realization 0
+    comes back as a 1-D array of its n_steps + 1 samples. The power uses the
     convention P(omega) = dt |FFT|^2 / N, under which the expected peak
     height is C(0)/beta = pi * i0; the periodograms are summed in seed order
     and then divided by the number of seeds. Each block of realizations is
@@ -523,7 +480,7 @@ def sample_periodogram(
     first = None
     for block in _field_blocks(p, dt, n_steps, seeds):
         if first is None:
-            first = FieldRealization(dt=dt, values=block[:, 0].copy(), seed=seeds[0])
+            first = block[:, 0].copy()
         _add_periodograms(power, block, dt)
     power /= len(seeds)
     return 2.0 * math.pi * np.fft.rfftfreq(n_steps + 1, d=dt), power, first
@@ -567,7 +524,7 @@ def _fit_lorentzian(omega: np.ndarray, power: np.ndarray, p0) -> np.ndarray:
     raise SpectrumFitError(f"Lorentzian fit did not converge in {FIT_MAX_ITER} iterations")
 
 
-def fit_spectrum(omega: np.ndarray, power: np.ndarray) -> SpectrumEstimate:
+def fit_spectrum(omega: np.ndarray, power: np.ndarray) -> LorentzianFit | None:
     """Least-squares Lorentzian fit of an averaged periodogram on rfft frequencies ``omega``.
 
     The window spans 8 half-widths either side of the highest non-DC bin.
@@ -581,13 +538,12 @@ def fit_spectrum(omega: np.ndarray, power: np.ndarray) -> SpectrumEstimate:
     minimiser to rounding, where a cost tolerance stops ~sqrt(eps) short.
     Non-finite power, ``FIT_MAX_ITER`` steps without that, and a negative
     height or center raise ``SpectrumFitError``; the half-width is
-    reported as |hwhm|. A zero spectrum has no fit.
+    reported as |hwhm|. A zero spectrum has no peak to fit: it returns None.
     """
     if not np.all(np.isfinite(power)):
         raise SpectrumFitError("Lorentzian fit failed: the power is not finite")
     if np.max(power) <= 0.0:
-        return SpectrumEstimate(omega=omega, power=power, fit=None,
-                                message="zero spectrum; no peak to fit")
+        return None
 
     # fit window around the positive-frequency peak (skip the DC bin)
     ipk = 1 + int(np.argmax(power[1:]))
@@ -601,6 +557,5 @@ def fit_spectrum(omega: np.ndarray, power: np.ndarray) -> SpectrumEstimate:
     if height < 0.0 or center < 0.0:
         raise SpectrumFitError(f"Lorentzian fit failed: negative height {height:.6g} "
                                f"or center {center:.6g}")
-    fit = LorentzianFit(peak_omega=float(center), peak_height=float(height),
-                        hwhm=float(abs(hwhm)))
-    return SpectrumEstimate(omega=omega, power=power, fit=fit)
+    return LorentzianFit(peak_omega=float(center), peak_height=float(height),
+                         hwhm=float(abs(hwhm)))

@@ -262,17 +262,17 @@ def test_criterion_10_spectrum_fidelity():
     dt = min(0.05 / p.beta, 0.05 * 2 * math.pi / p.omega)
     n_steps = int(round(200.0 / p.beta / dt))
     omega, power, _ = sample_periodogram(p, dt, n_steps, derive_seeds(42, range(200)))
-    est = fit_spectrum(omega, power)
+    fit = fit_spectrum(omega, power)
     ok = (
-        est.fit is not None
-        and abs(est.fit.peak_omega - p.omega) <= 0.02 * p.omega
-        and abs(est.fit.hwhm - p.beta) <= 0.10 * p.beta
+        fit is not None
+        and abs(fit.peak_omega - p.omega) <= 0.02 * p.omega
+        and abs(fit.hwhm - p.beta) <= 0.10 * p.beta
     )
     report(
         10,
         ok,
-        f"fitted peak {est.fit.peak_omega:.4f} (target {p.omega}), "
-        f"HWHM {est.fit.hwhm:.4f} (target {p.beta}), 200 realizations",
+        f"fitted peak {fit.peak_omega:.4f} (target {p.omega}), "
+        f"HWHM {fit.hwhm:.4f} (target {p.beta}), 200 realizations",
     )
 
 

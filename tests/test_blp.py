@@ -838,6 +838,17 @@ def test_sweep_rejects_the_first_invalid_cell():
     assert sweep_grid([math.nan], [1.0], []) == []
 
 
+def test_sweep_grid_caps_its_cells(monkeypatch):
+    # refused on the axis lengths, before any cell is evaluated
+    with pytest.raises(ValueError, match="513 x 512 x 1 = 262656 cells, over the cap of 262144"):
+        sweep_grid(np.zeros(513), np.zeros(512), [1.0])
+    # the cap is inclusive
+    monkeypatch.setattr(blp, "MAX_SWEEP_CELLS", 6)
+    assert len(sweep_grid([1.0, 2.0], [1.0], [1.0, 2.0, 3.0])) == 6
+    with pytest.raises(ValueError, match="over the cap of 6"):
+        sweep_grid([1.0, 2.0], [1.0], [1.0, 2.0, 3.0, 4.0])
+
+
 @pytest.mark.parametrize("mode", ["derived", "as-printed"])
 def test_sweep_grid_is_the_sequence_of_its_rows(mode):
     # indexing, negative indices, slices and iteration give the rows of a

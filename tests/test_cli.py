@@ -505,6 +505,24 @@ def test_spectrum_bytes_do_not_depend_on_block_size(config, tmp_path, capsys, mo
         assert digests == SPECTRUM_45_SHA256
 
 
+def test_spectrum_zero_field_has_no_fit(config, tmp_path, capsys):
+    out, dump = tmp_path / "p.csv", tmp_path / "f.csv"
+    assert main(["spectrum", "--config", config(ZERO_FIELD), "--n", "3", "--duration", "20",
+                 "--out", str(out), "--dump-field", str(dump)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "no fit: zero spectrum; no peak to fit"
+    rows = out.read_text().splitlines()
+    assert rows[0] == "omega,power"
+    assert all(float(row.split(",")[1]) == 0.0 for row in rows[1:])
+    assert dump.read_text().splitlines()[0] == "t,E"
+    # pinned bytes, produced when the spectrum's fit object carried the no-fit message
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "bc49cb1097bfc01f881ebceeea24a670c4b7fad6ec85a2b0c48b00316ef977be"
+    )
+    assert hashlib.sha256(dump.read_bytes()).hexdigest() == (
+        "05e16b2028cc8a9c98d266d26afedc26979e4be3957aa8e7a306814a3324ec3d"
+    )
+
+
 @pytest.mark.parametrize("argv", [["spectrum"], ["mc-verify", "--force"]])
 def test_non_finite_field_variance_exits_2_without_warnings(config, tmp_path, capsys, argv):
     out = tmp_path / "out"
@@ -590,29 +608,48 @@ def test_commands_do_not_import_scipy_signal(config, tmp_path):
     assert result.returncode == 0, result.stderr
 
 
-@pytest.mark.parametrize("axes", [
-    ["--lambda", "0:1e12:2", "--omega", "1:1:1", "--tmax", "1:1:1"],
-    ["--lambda", "1:1:1", "--omega", "1e300:1e300:1", "--tmax", "10:10:1"],
-], ids=["lambda-1e12", "omega-1e300"])
-def test_sweep_beyond_the_period_cap_exits_2_under_a_memory_limit(tmp_path, axes):
-    # the process caps its own address space at 1 GiB above what it holds
-    # after import, so an unbounded grid would fail in numpy, not exhaust memory
+def _main_under_memory_limit(tmp_path, argv):
+    """Run ``main(argv)`` in a subprocess whose address space is capped at 1 GiB above
+    what it holds after import, so an unbounded allocation fails in numpy rather than
+    exhausting memory."""
     script = "\n".join([
         "import resource, sys",
         "from dipolefield.cli import main",
         "held = int(open('/proc/self/statm').read().split()[0]) * resource.getpagesize()",
         "resource.setrlimit(resource.RLIMIT_AS, (held + 2**30, held + 2**30))",
-        f"sys.exit(main(['sweep', *{axes!r}, '--out', 'sweep.csv']))",
+        f"sys.exit(main({argv!r}))",
     ])
     src = str(Path(dipolefield.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    result = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-c", script], cwd=tmp_path, capture_output=True, text=True,
         env={**os.environ, "PYTHONPATH": path}, timeout=300,
     )
+
+
+@pytest.mark.parametrize("axes", [
+    ["--lambda", "0:1e12:2", "--omega", "1:1:1", "--tmax", "1:1:1"],
+    ["--lambda", "1:1:1", "--omega", "1e300:1e300:1", "--tmax", "10:10:1"],
+], ids=["lambda-1e12", "omega-1e300"])
+def test_sweep_beyond_the_period_cap_exits_2_under_a_memory_limit(tmp_path, axes):
+    result = _main_under_memory_limit(tmp_path, ["sweep", *axes, "--out", "sweep.csv"])
     assert result.returncode == 2, result.stderr
     assert f"over the cap of {blp.MAX_QUARTER_PERIODS}" in result.stderr
     assert not (tmp_path / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize("axes", [
+    ["--lambda", "0:1:1000", "--omega", "0:1:1000", "--tmax", "1:5:10"],
+    ["--lambda", "0:1:1000000000", "--omega", "1:1:1", "--tmax", "1:1:1"],
+], ids=["grid-1e7", "axis-1e9"])
+def test_sweep_beyond_the_cell_cap_exits_2_under_a_memory_limit(tmp_path, axes):
+    # 10**7 cells would need about 13 GB as JSON, and an axis of 10**9 values
+    # 8 GB before any cell: both are refused before any axis is built
+    result = _main_under_memory_limit(tmp_path, ["sweep", *axes, "--format", "json",
+                                                 "--out", "sweep.json"])
+    assert result.returncode == 2, result.stderr
+    assert f"over the cap of {blp.MAX_SWEEP_CELLS}" in result.stderr
+    assert not (tmp_path / "sweep.json").exists()
 
 
 @pytest.mark.parametrize("mode, tmax, extra", [("derived", "1e5", []),
@@ -626,26 +663,13 @@ def test_nonmark_beyond_the_scan_cap_exits_2_under_a_memory_limit(config, tmp_pa
     # the positivity scan samples owners x gaps x 9 values: about 1.3e5 gaps
     # for 63 angles (the derived theta scan) or 6.4e5 gaps for one owner (the
     # pointwise-max crossings; as-printed mode scans no angles) would need
-    # gigabytes, so the process caps its address space at 1 GiB above what it
-    # holds after import and the scan must refuse first
-    script = "\n".join([
-        "import resource, sys",
-        "from dipolefield.cli import main",
-        "held = int(open('/proc/self/statm').read().split()[0]) * resource.getpagesize()",
-        "resource.setrlimit(resource.RLIMIT_AS, (held + 2**30, held + 2**30))",
-        f"sys.exit(main(['nonmark', '--config', {config(REFERENCE)!r}, '--mode', {mode!r},"
-        f" '--tmax', {tmax!r}, *{extra!r}, '--out', 'n.json']))",
-    ])
-    src = str(Path(dipolefield.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    result = subprocess.run(
-        [sys.executable, "-c", script], cwd=tmp_path, capture_output=True, text=True,
-        env={**os.environ, "PYTHONPATH": path}, timeout=300,
-    )
+    # gigabytes, so the scan must refuse first
+    result = _main_under_memory_limit(tmp_path, [
+        "nonmark", "--config", config(REFERENCE), "--mode", mode, "--tmax", tmax, *extra,
+        "--out", "n.json"])
     assert result.returncode == 2, result.stderr
     assert f"over the cap of {blp.MAX_SCAN_SAMPLES}" in result.stderr
     assert not (tmp_path / "n.json").exists()
-
 
 
 def test_as_printed_nonmark_accepts_any_theta_grid(config, tmp_path):

@@ -6,6 +6,7 @@ import pytest
 from dipolefield.model import (
     BlochState,
     ConfigError,
+    DimensionlessConfig,
     SystemParams,
     derive_params,
     nondimensionalize,
@@ -150,6 +151,14 @@ def test_nondimensionalize_overdamped():
     assert not cfg.oscillatory
     assert cfg.omega_hat == pytest.approx(3.0)
     assert cfg.t_max == pytest.approx(4.0)
+
+
+def test_oscillatory_follows_lambda_hat_and_cannot_be_set():
+    # a flag stored beside lambda_hat could contradict it
+    with pytest.raises(TypeError):
+        DimensionlessConfig(3.0, 1.0, 5.0, oscillatory=False)
+    assert DimensionlessConfig(3.0, 1.0, 5.0).oscillatory
+    assert not DimensionlessConfig(0.0, 1.0, 5.0).oscillatory
 
 
 def test_bloch_state_ball():

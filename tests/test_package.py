@@ -15,7 +15,8 @@ import dipolefield
 DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("0*.py"))
 
 #: entry points that no longer exist; nothing may export them again
-DELETED = ("estimate_spectrum", "simulate_trajectory", "TrajectoryState", "n_measure_physical")
+DELETED = ("estimate_spectrum", "simulate_trajectory", "TrajectoryState", "n_measure_physical",
+           "FieldRealization", "sample_field", "SpectrumEstimate")
 
 
 @pytest.mark.parametrize("name", ["dipolefield"] + [

@@ -12,7 +12,6 @@ from dipolefield import stochastic
 from dipolefield.dynamics import InitialCondition, mean_inversion
 from dipolefield.model import SystemParams, derive_params
 from dipolefield.stochastic import (
-    FieldRealization,
     SpectrumFitError,
     TrajectoryDivergenceError,
     derive_seed,
@@ -21,7 +20,6 @@ from dipolefield.stochastic import (
     field_variance,
     fit_spectrum,
     max_field_dt,
-    sample_field,
     sample_fields,
     sample_periodogram,
     write_field_csv,
@@ -32,11 +30,16 @@ from oracles import ar1_reference, ensemble_reference, lorentzian_lsq, periodogr
 WEAK = SystemParams(omega=5.0, kappa=1.0, beta_s=0.2, i0=0.1 / math.pi, beta=1.0)
 
 
-def trajectory(ic, p, field):
-    """(t, m, w) of one realization: the one column of a ``_rk4_paths`` run."""
-    rows = stochastic._rk4_paths(ic, p, field.values[:, None], field.dt, [field.seed])
+def one_field(p, dt, n_steps, seed):
+    """The realization of one seed, as a 1-D array of n_steps + 1 samples."""
+    return sample_fields(p, dt, n_steps, [seed])[:, 0]
+
+
+def trajectory(ic, p, field, dt, seed):
+    """(t, m, w) of one realization sampled at t = k dt: the one column of a ``_rk4_paths`` run."""
+    rows = stochastic._rk4_paths(ic, p, field[:, None], dt, [seed])
     m, _, w = (np.array(x)[:, 0] for x in zip(*rows))
-    return field.times, m, w
+    return dt * np.arange(field.size), m, w
 
 
 # ---------------------------------------------------------------------------
@@ -47,8 +50,10 @@ def test_sample_field_rejects_coarse_step():
     p = SystemParams(omega=5.0, kappa=1.0, beta_s=0.0, i0=1.0, beta=1.0)
     limit = max_field_dt(p)
     with pytest.raises(ValueError, match="too coarse"):
-        sample_field(p, 2.0 * limit, 100, seed=1)
-    sample_field(p, limit, 100, seed=1)  # boundary step is accepted
+        sample_fields(p, 2.0 * limit, 100, [1])
+    assert sample_fields(p, limit, 100, [1]).shape == (101, 1)  # boundary step is accepted
+    with pytest.raises(ValueError, match="at least 1"):  # a grid of one sample
+        sample_fields(p, limit, 0, [1])
 
 
 @pytest.mark.parametrize("dt", [0.0, -0.01, math.nan, math.inf])
@@ -57,18 +62,6 @@ def test_sample_fields_rejects_nonpositive_or_nonfinite_step(dt):
         sample_fields(WEAK, dt, 100, [1, 2])
 
 
-
-@pytest.mark.parametrize("dt, values, match", [
-    (0.0, np.zeros(3), "dt must be positive"),
-    (-0.1, np.zeros(3), "dt must be positive"),
-    (0.1, np.zeros((3, 2)), "1-D array"),
-    (0.1, np.zeros(1), "at least 2 samples"),
-    (0.1, np.array([0.0, math.nan, 1.0]), "finite"),
-    (0.1, np.array([0.0, math.inf]), "finite"),
-], ids=["zero-dt", "negative-dt", "2-D", "one-sample", "nan", "inf"])
-def test_field_realization_rejects_bad_grids_and_samples(dt, values, match):
-    with pytest.raises(ValueError, match=match):
-        FieldRealization(dt=dt, values=values, seed=0)
 
 def test_sample_fields_and_ensemble_cap_their_size(monkeypatch):
     ic, dt = InitialCondition(0, 1), max_field_dt(WEAK)
@@ -81,7 +74,7 @@ def test_sample_fields_and_ensemble_cap_their_size(monkeypatch):
         ensemble_average(ic, WEAK, 2, 1e-300, 1e300, 0)
     # the cap is on n * (K + 1) samples, inclusive
     monkeypatch.setattr(stochastic, "MAX_FIELD_SAMPLES", 2 * 51)
-    assert len(sample_fields(WEAK, dt, 50, [1, 2])) == 2
+    assert sample_fields(WEAK, dt, 50, [1, 2]).shape == (51, 2)
     assert ensemble_average(ic, WEAK, 2, dt, 50 * dt, 0).t.size == 51
     with pytest.raises(ValueError, match="2 realizations x 52 samples"):
         sample_fields(WEAK, dt, 51, [1, 2])
@@ -129,7 +122,7 @@ def test_seed_edges_and_negative_seeds():
     assert derive_seeds(7, range(3)) == [derive_seed(7, i) for i in range(3)]
     for call in (lambda: derive_seed(-1, 0), lambda: derive_seed(0, -1),
                  lambda: derive_seeds(-5, range(4)), lambda: _draw_normals([3, -1], 4),
-                 lambda: sample_field(WEAK, 0.05, 10, seed=-1)):
+                 lambda: sample_fields(WEAK, 0.05, 10, [-1])):
         with pytest.raises(ValueError):
             call()
 
@@ -168,23 +161,23 @@ def test_sample_fields_match_per_seed_sampling(monkeypatch):
     monkeypatch.setattr(stochastic, "FIELD_BLOCK_BYTES", 3 * 2 * 8 * (n_steps + 1))
     seeds = [derive_seed(17, i) for i in range(7)]
     fields = sample_fields(p, dt, n_steps, seeds)
-    assert [f.seed for f in fields] == seeds
+    assert fields.shape == (n_steps + 1, len(seeds))
     t = dt * np.arange(n_steps + 1)
     rho = math.exp(-p.beta * dt)
-    for f, seed in zip(fields, seeds):
-        np.testing.assert_array_equal(f.values, sample_field(p, dt, n_steps, seed).values)
+    for column, seed in zip(fields.T, seeds):
+        np.testing.assert_array_equal(column, one_field(p, dt, n_steps, seed))
         # the same field built from the stepwise oracle
         z = np.random.default_rng(seed).standard_normal((2, n_steps + 1))
         x = ar1_reference(z, rho, math.sqrt(field_variance(p)))
         np.testing.assert_array_equal(
-            f.values, x[0] * np.cos(p.omega * t) + x[1] * np.sin(p.omega * t)
+            column, x[0] * np.cos(p.omega * t) + x[1] * np.sin(p.omega * t)
         )
 
 
 def test_streams_do_not_depend_on_block_size(monkeypatch):
     ic, dt, n_steps = InitialCondition(0.3, 0.5), max_field_dt(WEAK), 300
     seeds = derive_seeds(17, range(7))
-    fields = [sample_field(WEAK, dt, n_steps, s).values for s in seeds]
+    fields = [one_field(WEAK, dt, n_steps, s) for s in seeds]
     reference = periodogram_reference(fields, dt)
     report = ensemble_average(ic, WEAK, 7, dt, n_steps * dt, 17).to_dict()
     # blocks of 1 and of 3 records (a partial last block), then the default
@@ -194,8 +187,8 @@ def test_streams_do_not_depend_on_block_size(monkeypatch):
         omega, power, first = sample_periodogram(WEAK, dt, n_steps, seeds)
         np.testing.assert_array_equal(omega, 2.0 * math.pi * np.fft.rfftfreq(n_steps + 1, d=dt))
         np.testing.assert_array_equal(power, reference)
-        assert first.seed == seeds[0]
-        np.testing.assert_array_equal(first.values, sample_field(WEAK, dt, n_steps, seeds[0]).values)
+        np.testing.assert_array_equal(first, fields[0])
+        np.testing.assert_array_equal(sample_fields(WEAK, dt, n_steps, seeds), np.stack(fields, 1))
         assert ensemble_average(ic, WEAK, 7, dt, n_steps * dt, 17).to_dict() == report
 
 
@@ -230,18 +223,18 @@ def test_non_finite_field_variance_is_rejected_before_sampling():
 
 def test_field_zero_mean():
     p = SystemParams(omega=5.0, kappa=1.0, beta_s=0.0, i0=2.0, beta=1.0)
-    f = sample_field(p, 0.05, 100_000, seed=2)
+    f = one_field(p, 0.05, 100_000, 2)
     # effective sample count ~ record length * beta; generous 4-sigma band
-    bound = 4.0 * math.sqrt(field_variance(p) / (f.values.size * f.dt * p.beta))
-    assert abs(float(np.mean(f.values))) < bound
+    bound = 4.0 * math.sqrt(field_variance(p) / (f.size * 0.05 * p.beta))
+    assert abs(float(np.mean(f))) < bound
 
 
 def test_field_variance_convention():
     # stationary variance C(0) = pi * beta * i0 (the normalization under
     # which the trajectory closure reproduces the closed-form constants)
     p = SystemParams(omega=5.0, kappa=1.0, beta_s=0.0, i0=2.0, beta=1.0)
-    f = sample_field(p, 0.05, 200_000, seed=3)
-    var = float(np.var(f.values))
+    f = one_field(p, 0.05, 200_000, 3)
+    var = float(np.var(f))
     assert var == pytest.approx(field_variance(p), rel=0.1)
     assert field_variance(p) == pytest.approx(2.0 * math.pi)
 
@@ -250,10 +243,10 @@ def test_field_autocorrelation_demodulated():
     # lagged product estimate ~ C(0) e^{-beta tau} cos(omega tau) at tau = 1/beta
     p = SystemParams(omega=10.0, kappa=1.0, beta_s=0.0, i0=1.0, beta=1.0)
     dt = max_field_dt(p)
-    f = sample_field(p, dt, 400_000, seed=4)
+    f = one_field(p, dt, 400_000, 4)
     lag = int(round(1.0 / (p.beta * dt)))
     tau = lag * dt
-    est = float(np.mean(f.values[:-lag] * f.values[lag:]))
+    est = float(np.mean(f[:-lag] * f[lag:]))
     carrier = math.cos(p.omega * tau)
     assert abs(carrier) > 0.3  # lag chosen away from a carrier zero
     demod = est / carrier
@@ -262,14 +255,15 @@ def test_field_autocorrelation_demodulated():
 
 def test_field_reproducible_and_csv(tmp_path):
     p = WEAK
-    f1 = sample_field(p, 0.05, 50, seed=9)
-    f2 = sample_field(p, 0.05, 50, seed=9)
-    np.testing.assert_array_equal(f1.values, f2.values)
+    f1 = one_field(p, 0.05, 50, 9)
+    f2 = one_field(p, 0.05, 50, 9)
+    np.testing.assert_array_equal(f1, f2)
     path = tmp_path / "field.csv"
-    write_field_csv(f1, path)
+    write_field_csv(f1, 0.05, path)
     lines = path.read_text().splitlines()
     assert lines[0] == "t,E"
     assert len(lines) == 52
+    assert lines[-1] == f"2.5,{f1[-1]:.12g}"
 
 
 # ---------------------------------------------------------------------------
@@ -281,12 +275,12 @@ def test_spectrum_lorentzian_fit():
     dt = max_field_dt(p)
     n_steps = int(round(200.0 / p.beta / dt))
     omega, power, _ = sample_periodogram(p, dt, n_steps, derive_seeds(100, range(200)))
-    est = fit_spectrum(omega, power)
-    assert est.fit is not None
-    assert est.fit.peak_omega == pytest.approx(p.omega, rel=0.02)
-    assert est.fit.hwhm == pytest.approx(p.beta, rel=0.10)
+    fit = fit_spectrum(omega, power)
+    assert fit is not None
+    assert fit.peak_omega == pytest.approx(p.omega, rel=0.02)
+    assert fit.hwhm == pytest.approx(p.beta, rel=0.10)
     # two-sided density peak is C(0)/beta = pi * i0
-    assert est.fit.peak_height == pytest.approx(math.pi * p.i0, rel=0.25)
+    assert fit.peak_height == pytest.approx(math.pi * p.i0, rel=0.25)
 
 
 def _assert_fit_is_the_minimiser(omega, power):
@@ -295,7 +289,7 @@ def _assert_fit_is_the_minimiser(omega, power):
     fit = stochastic._fit_lorentzian
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(stochastic, "_fit_lorentzian", lambda *args: seen.append(args) or fit(*args))
-        est = fit_spectrum(omega, power).fit
+        est = fit_spectrum(omega, power)
     (x, y, p0), = seen
     got = np.array([est.peak_height, est.peak_omega, est.hwhm])
     # both reach the minimiser to ~1e-15; a fit stopped by a cost comparison lands ~1e-9 away
@@ -356,7 +350,7 @@ def test_fit_rejects_a_negative_center():
 def test_fit_raises_at_the_iteration_cap(monkeypatch):
     omega = 0.1 * np.arange(200)
     power = stochastic._lorentzian(omega, 1.0, 10.0, 1.0)
-    assert fit_spectrum(omega, power).fit.peak_omega == pytest.approx(10.0, rel=1e-12)
+    assert fit_spectrum(omega, power).peak_omega == pytest.approx(10.0, rel=1e-12)
     monkeypatch.setattr(stochastic, "FIT_MAX_ITER", 0)
     with pytest.raises(SpectrumFitError, match="did not converge in 0 iterations"):
         fit_spectrum(omega, power)
@@ -365,9 +359,8 @@ def test_fit_raises_at_the_iteration_cap(monkeypatch):
 def test_spectrum_zero_field():
     p = SystemParams(omega=5.0, kappa=1.0, beta_s=0.0, i0=0.0, beta=1.0)
     omega, power, _ = sample_periodogram(p, 0.05, 500, derive_seeds(5, range(3)))
-    est = fit_spectrum(omega, power)
-    assert est.fit is None
-    assert np.all(est.power == 0.0)
+    assert fit_spectrum(omega, power) is None
+    assert np.all(power == 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -377,9 +370,9 @@ def test_spectrum_zero_field():
 def test_trajectory_zero_field_exact():
     p = SystemParams(omega=5.0, kappa=1.0, beta_s=0.5, i0=0.0, beta=1.0)
     ic = InitialCondition(m0=0.4, w0=0.3, mdot0=1.0)
-    field = sample_field(p, 1e-3, 5000, seed=6)
-    assert np.all(field.values == 0.0)
-    t, m, w = trajectory(ic, p, field)
+    field = one_field(p, 1e-3, 5000, 6)
+    assert np.all(field == 0.0)
+    t, m, w = trajectory(ic, p, field, 1e-3, 6)
     np.testing.assert_allclose(
         w, -1.0 + (ic.w0 + 1.0) * np.exp(-p.beta_s * t), atol=1e-8
     )
@@ -393,9 +386,9 @@ def test_trajectory_zero_field_exact():
 def test_trajectory_zero_coupling_decouples_dipole():
     p = SystemParams(omega=4.0, kappa=0.0, beta_s=0.3, i0=2.0, beta=1.0)
     ic = InitialCondition(m0=0.8, w0=0.0)
-    field = sample_field(p, 1e-3, 4000, seed=7)
-    assert np.any(field.values != 0.0)
-    t, m, w = trajectory(ic, p, field)
+    field = one_field(p, 1e-3, 4000, 7)
+    assert np.any(field != 0.0)
+    t, m, w = trajectory(ic, p, field, 1e-3, 7)
     np.testing.assert_allclose(m, ic.m0 * np.cos(p.omega * t), atol=1e-8)
     np.testing.assert_allclose(
         w, -1.0 + np.exp(-p.beta_s * t), atol=1e-8
@@ -408,7 +401,7 @@ def test_trajectory_fourth_order_convergence():
     p = WEAK
     ic = InitialCondition(m0=0.6, w0=0.8)
     dt = 0.04
-    base = sample_field(p, dt, 100, seed=8)
+    base = one_field(p, dt, 100, 8)
 
     def refine(field_values, factor):
         n = field_values.size
@@ -418,9 +411,7 @@ def test_trajectory_fourth_order_convergence():
 
     results = {}
     for factor in (1, 2, 4):
-        values = refine(np.asarray(base.values), factor)
-        f = FieldRealization(dt=dt / factor, values=values, seed=base.seed)
-        _, m, w = trajectory(ic, p, f)
+        _, m, w = trajectory(ic, p, refine(base, factor), dt / factor, 8)
         results[factor] = (m[:: factor], w[:: factor])
 
     err1 = max(
@@ -437,10 +428,10 @@ def test_trajectory_fourth_order_convergence():
 def test_trajectory_divergence_error():
     p = SystemParams(omega=5.0, kappa=60.0, beta_s=0.0, i0=10.0, beta=1.0)
     ic = InitialCondition(m0=0.0, w0=1.0)
-    field = sample_field(p, max_field_dt(p), 2000, seed=11)
+    field = one_field(p, max_field_dt(p), 2000, 11)
     with pytest.raises(TrajectoryDivergenceError) as err:
-        trajectory(ic, p, field)
-    assert err.value.seed == field.seed
+        trajectory(ic, p, field, max_field_dt(p), 11)
+    assert err.value.seed == 11
     assert err.value.time is not None
 
 
@@ -468,8 +459,8 @@ def test_ensemble_reproducible_and_matches_single(tmp_path):
 
     # trajectory 2 of the batch equals the standalone integration
     n_steps = r1.t.size - 1
-    f = sample_field(p, 0.05, n_steps, r1.seeds[2])
-    _, _, w = trajectory(ic, p, f)
+    f = one_field(p, 0.05, n_steps, r1.seeds[2])
+    _, _, w = trajectory(ic, p, f, 0.05, r1.seeds[2])
     batch = ensemble_average(ic, p, 3, dt=0.05, horizon=2.0, master_seed=42)
     # means over k trajectories reconstruct each member: check via two runs
     sum3 = batch.mean_w * 3
@@ -498,8 +489,7 @@ def test_streamed_statistics_equal_stacked_reference(n, n_steps, radius, angle, 
     dt = dt_frac * max_field_dt(p)
     report = ensemble_average(ic, p, n, dt, n_steps * dt, seed)
     assert report.t.size == n_steps + 1
-    fields = [f.values for f in sample_fields(p, dt, n_steps, report.seeds)]
-    expected = ensemble_reference(ic, p, fields, dt)
+    expected = ensemble_reference(ic, p, sample_fields(p, dt, n_steps, report.seeds).T, dt)
     for got, want in zip((report.mean_m, report.mean_w, report.se_m, report.se_w), expected):
         np.testing.assert_array_equal(got, want)
 
@@ -556,8 +546,8 @@ def test_ensemble_energy_bound_weak_coupling():
     ic = InitialCondition(m0=0.0, w0=1.0)
     worst = 0.0
     for i in range(50):
-        f = sample_field(p, 0.05, 170, derive_seed(123, i))
-        _, _, w = trajectory(ic, p, f)
+        seed = derive_seed(123, i)
+        _, _, w = trajectory(ic, p, one_field(p, 0.05, 170, seed), 0.05, seed)
         worst = max(worst, float(np.max(np.abs(w))))
     assert worst <= 1.05
 
