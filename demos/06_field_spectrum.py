@@ -16,13 +16,13 @@ from pathlib import Path
 import numpy as np
 
 from dipolefield import SystemParams, fit_spectrum, sample_fields, sample_periodogram
-from dipolefield.stochastic import derive_seed, derive_seeds, field_variance, max_field_dt
+from dipolefield.stochastic import derive_seeds, field_variance, max_field_dt
 
 p = SystemParams(omega=10.0, kappa=1.0, beta_s=0.0, i0=1.0, beta=1.0)
 dt = max_field_dt(p)
 n_steps = int(round(120.0 / p.beta / dt))
 
-one = sample_fields(p, dt, n_steps, [derive_seed(3, 0)])[:, 0]
+one = sample_fields(p, dt, n_steps, derive_seeds(3, [0]))[:, 0]
 print(f"one realization: {one.size} samples at dt = {dt:.4f}")
 print(f"  sample mean     = {np.mean(one):+.4f} (target 0)")
 print(f"  sample variance = {np.var(one):.4f} "

@@ -62,8 +62,6 @@ __all__ = [
     "BackflowResult",
     "KinkWarning",
     "sigma_rate",
-    "branch_integrand_omega",
-    "branch_integrand_lambda",
     "backflow_integral",
     "analytic_n_omega",
     "n_measure",
@@ -185,22 +183,19 @@ def sigma_rate(
     cfg: DimensionlessConfig,
     tau: float,
     mode: FormulaSource = "derived",
-    side: str = "+",
 ) -> float:
     """dD/dtau of the pair distance at mixing angle theta (units of gamma).
 
     At isolated zeros of D, which occur only along the endpoint branches,
-    the two-sided derivative does not exist; the one-sided limit chosen by
-    ``side`` ("+" right, "-" left) is returned and a ``KinkWarning`` is
-    issued. In "as-printed" mode the rate expression is evaluated verbatim
+    the two-sided derivative does not exist; the right-sided limit, the one
+    the backflow integrates, is returned and a ``KinkWarning`` is issued.
+    In "as-printed" mode the rate expression is evaluated verbatim
     (including its swapped theta labels), and its kink limits can be
     infinite because numerator and denominator vanish at different points.
     Raises ValueError for theta outside [0, pi/2] and for a non-finite tau.
     """
     _check_mode(mode)
     _check_theta(theta)
-    if side not in ("+", "-"):
-        raise ValueError("side must be '+' or '-'")
     if not math.isfinite(tau):
         raise ValueError(f"tau must be finite, got {tau}")
     lam, om = cfg.lambda_hat, cfg.omega_hat
@@ -209,16 +204,15 @@ def sigma_rate(
     if den > 2.0 * _KINK_TOL:
         return float(num / den)
     warnings.warn(
-        f"rate denominator vanishes at tau={tau}; returning {side} one-sided limit",
+        f"rate denominator vanishes at tau={tau}; returning the right-sided limit",
         KinkWarning,
         stacklevel=2,
     )
     if mode == "derived":
-        slope = math.sqrt(
+        return math.sqrt(
             u * math.exp(-2.0 * tau) * lam**2 * math.sin(lam * tau) ** 2
             + (1.0 - u) * om**2 * math.sin(om * tau) ** 2
         )
-        return slope if side == "+" else -slope
     if num == 0.0:
         return 0.0
     return math.copysign(math.inf, num)
@@ -228,34 +222,12 @@ def sigma_rate(
 # branch integrands (positive parts of the endpoint-branch rates)
 # ---------------------------------------------------------------------------
 
-def branch_integrand_omega(tau: ArrayLike, omega_hat: float) -> ArrayLike:
-    """Positive part of d|cos(omega_hat tau)|/dtau.
-
-    Equals (omega_hat/4)(|sin 2x| - sin 2x)/|cos x| with x = omega_hat*tau
-    away from the zeros of the cosine; at those zeros the jump is resolved
-    one-sidedly to the rising-onset value omega_hat*|sin x|.
-    """
-    return _rise_rate(tau, omega_hat, 0.0)
-
-
-def branch_integrand_lambda(
-    tau: ArrayLike, lambda_hat: float, mode: FormulaSource = "derived"
-) -> ArrayLike:
-    """Positive part of the inversion-branch distance rate.
-
-    The distance envelope is exp(-c tau)*|cos(lambda_hat tau)| with c = 1
-    in "derived" mode and c = 1/2 in "as-printed" mode (whose published
-    quotient form, with the corrected |cos(lambda tau)| denominator, this
-    reproduces). The value at an envelope zero is the right-sided onset
-    exp(-c tau)*lambda_hat*|sin|. Identically zero when lambda_hat == 0:
-    a monotone envelope carries no backflow.
-    """
-    _check_mode(mode)
-    return _rise_rate(tau, lambda_hat, _envelope_decay(mode))
-
-
 def _rise_rate(tau: ArrayLike, freq: float, decay: float) -> ArrayLike:
-    """Positive part of d/dtau of exp(-decay tau)|cos(freq tau)|, right-sided at its zeros."""
+    """Positive part of d/dtau of exp(-decay tau)|cos(freq tau)|, right-sided at its zeros.
+
+    The branch integrands: freq = omega_hat with decay 0 for the omega branch,
+    freq = lambda_hat with the envelope rate for the lambda branch.
+    """
     tau = np.asarray(tau, dtype=float)
     x = freq * tau
     s, c = np.sin(x), np.cos(x)
@@ -669,15 +641,15 @@ class SweepPoint:
     n_lambda_branch: float
     n_max: float
     winning_branch: str
-    intervals_omega: tuple[tuple[float, float], ...] = ()
-    intervals_lambda: tuple[tuple[float, float], ...] = ()
+    intervals_omega: tuple[tuple[float, float], ...]
+    intervals_lambda: tuple[tuple[float, float], ...]
 
 
 @dataclass(frozen=True, eq=False)
 class SweepGrid(Sequence[SweepPoint]):
     """A sweep as its axes and two branch tables, value and intervals per (omega, T)
     and per (lambda, T); as a sequence, its cells as read-only ``SweepPoint`` rows,
-    lambda outermost and T innermost, built when indexed. Empty, it equals ``[]``."""
+    lambda outermost and T innermost, built when indexed by an integer."""
 
     lambdas: tuple[float, ...]
     omegas: tuple[float, ...]
@@ -690,19 +662,13 @@ class SweepGrid(Sequence[SweepPoint]):
     def __len__(self) -> int:
         return len(self.lambdas) * len(self.omegas) * len(self.ts)
 
-    def __getitem__(self, index: int | slice) -> SweepPoint | list[SweepPoint]:
-        cell = range(len(self))[index]
-        if isinstance(cell, range):
-            return [self[c] for c in cell]
-        rest, k = divmod(cell, len(self.ts))
+    def __getitem__(self, index: int) -> SweepPoint:
+        rest, k = divmod(range(len(self))[index], len(self.ts))
         i, j = divmod(rest, len(self.omegas))
         n_om, n_lam = float(self.n_omega[j, k]), float(self.n_lambda[i, k])
         return SweepPoint(self.lambdas[i], self.omegas[j], self.ts[k], n_om, n_lam,
                           max(n_om, n_lam), _winner(n_om, n_lam).value,
                           self.intervals_omega[j][k], self.intervals_lambda[i][k])
-
-    def __eq__(self, other) -> bool:
-        return list(self) == other if isinstance(other, (list, SweepGrid)) else NotImplemented
 
 
 def sweep_grid(lambdas: Sequence[float], omegas: Sequence[float], ts: Sequence[float],

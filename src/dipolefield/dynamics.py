@@ -16,7 +16,7 @@ from typing import Literal, Union
 
 import numpy as np
 
-from .model import BALL_ATOL, BlochState, DerivedParams, SystemParams
+from .model import DerivedParams, SystemParams
 
 __all__ = [
     "FormulaSource",
@@ -25,8 +25,6 @@ __all__ = [
     "StatePair",
     "mean_dipole",
     "mean_inversion",
-    "evolved_state",
-    "purity",
     "trace_distance",
     "write_timeseries",
 ]
@@ -46,6 +44,9 @@ FormulaSource = Literal["derived", "as-printed"]
 MODES: tuple[str, ...] = ("derived", "as-printed")
 
 ArrayLike = Union[float, np.ndarray]
+
+#: tolerance on Bloch-ball membership; larger violations are hard errors
+BALL_ATOL = 1e-9
 
 
 def _check_mode(mode: str) -> str:
@@ -192,31 +193,6 @@ def mean_inversion(
     return out if out.ndim else float(out)
 
 
-def evolved_state(
-    ic: InitialCondition,
-    d: DerivedParams,
-    p: SystemParams,
-    t: float,
-    mode: FormulaSource = "derived",
-) -> BlochState:
-    """Evolved Bloch state at time t.
-
-    Raises ValueError if the resulting point leaves the Bloch ball by more
-    than 1e-9. Note the model damps the inversion while leaving the dipole
-    amplitude untouched, so initial states carrying coherence (m0 != 0)
-    with beta_s > 0 genuinely exit the ball at late times; the error is
-    then a property of the model, not of the caller.
-    """
-    m = mean_dipole(ic, p, float(t))
-    w = mean_inversion(ic, d, p, float(t), mode=mode)
-    return BlochState(m=m, w=w)
-
-
-def purity(s: BlochState) -> float:
-    """Tr[rho^2] = (1 + m^2 + w^2)/2; 1/2 for maximally mixed, 1 for pure."""
-    return 0.5 * (1.0 + s.m * s.m + s.w * s.w)
-
-
 def trace_distance(
     pair: StatePair,
     d: DerivedParams,
@@ -259,7 +235,7 @@ def write_timeseries(
     times = np.asarray(times, dtype=float)
     m = np.asarray(mean_dipole(ic, p, times))
     w = np.asarray(mean_inversion(ic, d, p, times, mode=mode))
-    pur = 0.5 * (1.0 + m * m + w * w)
+    pur = 0.5 * (1.0 + m * m + w * w)  # Tr[rho^2] of rho = (I + w sigma_3 + m sigma_1)/2
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t", "m", "w", "purity"])

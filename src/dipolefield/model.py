@@ -16,7 +16,6 @@ __all__ = [
     "ConfigError",
     "SystemParams",
     "DerivedParams",
-    "BlochState",
     "DimensionlessConfig",
     "derive_params",
     "nondimensionalize",
@@ -25,9 +24,6 @@ __all__ = [
 
 #: keys accepted in a flat key=value parameter file
 CONFIG_KEYS = ("omega", "kappa", "beta_s", "i0", "beta")
-
-#: tolerance on Bloch-ball membership; larger violations are hard errors
-BALL_ATOL = 1e-9
 
 
 class ConfigError(ValueError):
@@ -96,7 +92,11 @@ class DerivedParams:
     gamma: float
     lambda_sq: float
     c_sine: float
-    oscillatory: bool
+
+    @property
+    def oscillatory(self) -> bool:
+        """Whether the inversion oscillates: lambda_sq > 0."""
+        return self.lambda_sq > 0
 
     @property
     def lambda_value(self) -> float:
@@ -105,39 +105,25 @@ class DerivedParams:
 
 
 @dataclass(frozen=True)
-class BlochState:
-    """Dimensionless Bloch components (dipole m along x, inversion w along z).
-
-    The associated density matrix is (I + w*sigma_3 + m*sigma_1)/2, so
-    membership in the Bloch ball, m**2 + w**2 <= 1, is required.
-    """
-
-    m: float
-    w: float
-
-    def __post_init__(self):
-        r2 = self.m * self.m + self.w * self.w
-        if r2 > 1.0 + BALL_ATOL:
-            raise ValueError(
-                f"Bloch vector (m={self.m}, w={self.w}) outside the unit ball "
-                f"by {r2 - 1.0:.3e}"
-            )
-
-
-@dataclass(frozen=True)
 class DimensionlessConfig:
-    """Rates in units of the damping rate, times in units of its inverse."""
+    """Rates in units of the damping rate, times in units of its inverse.
+
+    Both rates are magnitudes (sqrt(lambda_sq)/gamma and omega/gamma), so
+    negative values are rejected like non-finite ones.
+    """
 
     lambda_hat: float
     omega_hat: float
     t_max: float
 
     def __post_init__(self):
-        for name in ("lambda_hat", "omega_hat", "t_max"):
+        names = ("lambda_hat", "omega_hat", "t_max")
+        for name in names:
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
-        if self.t_max < 0:
-            raise ValueError("t_max must be nonnegative")
+        for name in names:
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be nonnegative")
 
     @property
     def oscillatory(self) -> bool:
@@ -170,7 +156,6 @@ def derive_params(p: SystemParams) -> DerivedParams:
         gamma=gamma,
         lambda_sq=lambda_sq,
         c_sine=c_sine,
-        oscillatory=lambda_sq > 0,
     )
 
 

@@ -45,6 +45,7 @@ __all__ = [
     "LorentzianFit",
     "TrajectoryDivergenceError",
     "SpectrumFitError",
+    "derive_seeds",
     "field_variance",
     "max_field_dt",
     "sample_fields",
@@ -209,11 +210,6 @@ def derive_seeds(master_seed: int, indices: Sequence[int]) -> list[int]:
     idx = _words(indices)
     words = np.hstack((np.broadcast_to(np.uint32(head), (len(idx), len(head))), idx))
     return _seed_state(words, len(head) + 1 + (idx[:, 1] > 0), 1)[:, 0].tolist()
-
-
-def derive_seed(master_seed: int, index: int) -> int:
-    """Deterministic per-trajectory seed from (master seed, counter); see ``derive_seeds``."""
-    return derive_seeds(master_seed, [index])[0]
 
 
 def _check_step(p: SystemParams, dt: float) -> None:

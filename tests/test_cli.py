@@ -332,20 +332,20 @@ def test_sweep_json_variant(config, tmp_path):
 
 #: SHA-256 of sweep outputs, written cell by cell through csv.writer and
 #: json.dumps(indent=2): a grid with rises in both branches, and one with a
-#: single-point lambda axis, negative omegas and T = 0
+#: single-point lambda axis, omega = 0 and T = 0
 SWEEP_SHA256 = {
     ("rises", "derived", "csv"): "9da401af55f6474ef9a704f78a5f2c3d5a40737abd334d3f76d6126c60940411",
     ("rises", "derived", "json"): "67483abaa50ea06a99a3f27c4305316a88a3e570b0d2e006c33c2556fc6d7136",
     ("rises", "as-printed", "csv"): "88f00fdc8024e26e2580a20c5363c83616441c11a01ac287275c7aae97f1b42f",
     ("rises", "as-printed", "json"): "9554a29404eec96c33562718516be65b64b0bccfb35804c2636be3fd446e1ed9",
-    ("edges", "derived", "csv"): "1cc91ccca659e862b031b4b6be6fa81e7323047bcad92aa73abc45e2f1d1e7a4",
-    ("edges", "derived", "json"): "0fdf321850874a6b6ccff28ef0bcedb720258593356758654433a066e49ec382",
-    ("edges", "as-printed", "csv"): "a29315a2bd0caecadbe64a3b25fea4bd89d99b632cb480a45d4c5aefa9adb418",
-    ("edges", "as-printed", "json"): "e63e5f429ac60d163dfefd45f97d5774aa332e84bb1f55af162dabe1f9efcbc0",
+    ("edges", "derived", "csv"): "e07cc278e2ae1c4510acc988861041facdb8a30f401a0508278796064b692676",
+    ("edges", "derived", "json"): "68ab3fcd6dc80c81f30cc1d584d6beb21be4c97deccf87f269104986af07039e",
+    ("edges", "as-printed", "csv"): "46ff456a2987e1f4feed83598055e10bbb6b50acb48037fd4c6c8e59e0b710a1",
+    ("edges", "as-printed", "json"): "855df1de025daf628c3aa43f3f5d90ade6c669dacc672729b5b86864ce8d2fbc",
 }
 SWEEP_GRIDS = {
     "rises": ["--lambda", "0:5:9", "--omega", "0:5:7", "--tmax", "1:5:3"],
-    "edges": ["--lambda", "2.5:2.5:1", "--omega=-3:4:8", "--tmax", "0:12:5"],
+    "edges": ["--lambda", "2.5:2.5:1", "--omega", "0:7:8", "--tmax", "0:12:5"],
 }
 
 
@@ -362,6 +362,17 @@ def test_sweep_bad_range_exits_2(config, capsys):
         main(["sweep", "--lambda", "0:2", "--omega", "1:1:1", "--tmax", "1:1:1",
               "--out", "x.csv"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("axes", [["--lambda=-1:2:4", "--omega", "0:2:3"],
+                                  ["--lambda", "0:2:3", "--omega=-3:4:8"]],
+                         ids=["lambda", "omega"])
+def test_sweep_negative_frequency_exits_2(tmp_path, capsys, axes):
+    # both frequencies are magnitudes; the measure is even in each of them
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", *axes, "--tmax", "1:5:2", "--out", str(out)]) == 2
+    assert "must be nonnegative" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_mc_verify_zero_field_passes(config, tmp_path, capsys):

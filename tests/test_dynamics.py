@@ -7,14 +7,12 @@ import pytest
 from dipolefield.dynamics import (
     InitialCondition,
     StatePair,
-    evolved_state,
     mean_dipole,
     mean_inversion,
-    purity,
     trace_distance,
     write_timeseries,
 )
-from dipolefield.model import BlochState, SystemParams, derive_params
+from dipolefield.model import SystemParams, derive_params
 
 from oracles import closure_inversion_ode, params_for_rates
 
@@ -184,17 +182,21 @@ def test_differencing_identity_symmetric_rates():
 
 
 # ---------------------------------------------------------------------------
-# evolved state and purity
+# Bloch-ball membership and the evolved state (m, w)
 # ---------------------------------------------------------------------------
+
+def test_initial_condition_ball():
+    InitialCondition(m0=0.6, w0=0.8)  # boundary is fine
+    with pytest.raises(ValueError, match="outside the Bloch ball"):
+        InitialCondition(m0=0.8, w0=0.7)
+
 
 def test_evolved_state_identity_at_zero():
     p = SystemParams(omega=3.0, kappa=1.0, beta_s=0.4, i0=0.7, beta=1.2)
     d = derive_params(p)
     ic = InitialCondition(0.6, 0.8)
-    s = evolved_state(ic, d, p, 0.0)
-    assert s.m == pytest.approx(0.6, abs=1e-14)
-    assert s.w == pytest.approx(0.8, abs=1e-14)
-    assert purity(s) == pytest.approx(1.0, abs=1e-14)
+    assert mean_dipole(ic, p, 0.0) == pytest.approx(0.6, abs=1e-14)
+    assert mean_inversion(ic, d, p, 0.0) == pytest.approx(0.8, abs=1e-14)
 
 
 def test_evolved_state_maximally_mixed_as_printed():
@@ -204,14 +206,12 @@ def test_evolved_state_maximally_mixed_as_printed():
     d = derive_params(p)
     assert d.a_const == 0.0 and d.c_sine == 0.0 and d.lambda_sq > 0
     t_q = (math.pi / 2) / math.sqrt(d.lambda_sq)
-    s = evolved_state(InitialCondition(0.0, 1.0), d, p, t_q, mode="as-printed")
-    assert s.m == 0.0
-    assert s.w == pytest.approx(0.0, abs=1e-14)
-    assert purity(s) == pytest.approx(0.5, abs=1e-14)
+    ic = InitialCondition(0.0, 1.0)
+    assert mean_dipole(ic, p, t_q) == 0.0
+    assert mean_inversion(ic, d, p, t_q, mode="as-printed") == pytest.approx(0.0, abs=1e-14)
     # the exact closure keeps a sine remnant there
-    s2 = evolved_state(InitialCondition(0.0, 1.0), d, p, t_q, mode="derived")
     expected = math.exp(-d.gamma * t_q) * d.gamma / math.sqrt(d.lambda_sq)
-    assert s2.w == pytest.approx(expected, rel=1e-12)
+    assert mean_inversion(ic, d, p, t_q, mode="derived") == pytest.approx(expected, rel=1e-12)
 
 
 def test_evolved_state_ball_membership_inversion_axis():
@@ -222,26 +222,20 @@ def test_evolved_state_ball_membership_inversion_axis():
         d = derive_params(p)
         ic = InitialCondition(0.0, rng.uniform(-1, 1))
         t = rng.uniform(0, 20.0 / d.gamma)
-        s = evolved_state(ic, d, p, t)
-        worst = max(worst, s.m**2 + s.w**2 - 1.0)
+        m, w = mean_dipole(ic, p, t), mean_inversion(ic, d, p, t)
+        worst = max(worst, m**2 + w**2 - 1.0)
     assert worst <= 1e-12
 
 
-def test_evolved_state_coherent_breach_is_an_error():
+def test_evolved_state_coherent_breach_leaves_the_ball():
     # coherence never damps while the population relaxes, so a coherent
     # initial state genuinely leaves the ball at a full dipole revival
     p = SystemParams(omega=5.0, kappa=1.0, beta_s=0.2, i0=0.1 / math.pi, beta=1.0)
     d = derive_params(p)
     ic = InitialCondition(1.0, 0.0)
     t = 8 * math.pi / p.omega  # cos(omega t) = 1, inversion well relaxed
-    with pytest.raises(ValueError, match="Bloch"):
-        evolved_state(ic, d, p, t)
-
-
-def test_purity_spot_values():
-    assert purity(BlochState(1.0, 0.0)) == 1.0
-    assert purity(BlochState(0.0, 0.0)) == 0.5
-    assert purity(BlochState(0.6, 0.8)) == pytest.approx(1.0)
+    m, w = mean_dipole(ic, p, t), mean_inversion(ic, d, p, t)
+    assert m**2 + w**2 > 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -321,3 +315,6 @@ def test_write_timeseries(tmp_path):
     assert w3 == pytest.approx(mean_inversion(ic, d, p, t3), rel=1e-10)
     pur3 = float(rows[3][3])
     assert pur3 == pytest.approx(0.5 * (1 + w3 * w3), rel=1e-9)
+    # the dipole enters too: a pure coherent state starts at purity 1
+    write_timeseries(path, InitialCondition(0.6, 0.8), d, p, [0.0])
+    assert path.read_text().splitlines()[1] == "0,0.6,0.8,1"

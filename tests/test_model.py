@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from dipolefield.model import (
-    BlochState,
     ConfigError,
+    DerivedParams,
     DimensionlessConfig,
     SystemParams,
     derive_params,
@@ -161,10 +161,14 @@ def test_oscillatory_follows_lambda_hat_and_cannot_be_set():
     assert not DimensionlessConfig(0.0, 1.0, 5.0).oscillatory
 
 
-def test_bloch_state_ball():
-    BlochState(m=0.6, w=0.8)  # boundary is fine
-    with pytest.raises(ValueError):
-        BlochState(m=0.8, w=0.7)
+def test_derived_oscillatory_follows_lambda_sq_and_cannot_be_set():
+    # a flag stored beside lambda_sq could contradict it
+    fields = dict(a_const=0.0, b_const=None, gamma=1.0, c_sine=0.0)
+    assert not DerivedParams(**fields, lambda_sq=-1.0).oscillatory
+    assert not DerivedParams(**fields, lambda_sq=0.0).oscillatory
+    assert DerivedParams(**fields, lambda_sq=2.0).oscillatory
+    with pytest.raises(TypeError):
+        DerivedParams(**fields, lambda_sq=-1.0, oscillatory=True)
 
 
 def test_read_params_roundtrip(tmp_path):

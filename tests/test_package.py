@@ -16,7 +16,8 @@ DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("0*.py"))
 
 #: entry points that no longer exist; nothing may export them again
 DELETED = ("estimate_spectrum", "simulate_trajectory", "TrajectoryState", "n_measure_physical",
-           "FieldRealization", "sample_field", "SpectrumEstimate")
+           "FieldRealization", "sample_field", "SpectrumEstimate", "branch_integrand_omega",
+           "branch_integrand_lambda", "evolved_state", "purity", "BlochState", "derive_seed")
 
 
 @pytest.mark.parametrize("name", ["dipolefield"] + [

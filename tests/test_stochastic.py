@@ -14,7 +14,6 @@ from dipolefield.model import SystemParams, derive_params
 from dipolefield.stochastic import (
     SpectrumFitError,
     TrajectoryDivergenceError,
-    derive_seed,
     derive_seeds,
     ensemble_average,
     field_variance,
@@ -96,7 +95,6 @@ def test_derive_seeds_equal_seed_sequence(master, indices):
     expected = [int(np.random.SeedSequence([master, i]).generate_state(1, np.uint64)[0])
                 for i in indices]
     assert derive_seeds(master, indices) == expected
-    assert derive_seed(master, indices[0]) == expected[0]
 
 
 def _draw_normals(seeds, n_steps):
@@ -119,8 +117,8 @@ def test_seed_edges_and_negative_seeds():
     edges = [0, 2**32 - 1, 2**32, 2**64 - 1]
     expected = [np.random.default_rng(s).standard_normal((2, 5)) for s in edges]
     np.testing.assert_array_equal(_draw_normals(edges, 4), expected)
-    assert derive_seeds(7, range(3)) == [derive_seed(7, i) for i in range(3)]
-    for call in (lambda: derive_seed(-1, 0), lambda: derive_seed(0, -1),
+    assert derive_seeds(7, range(3)) == [derive_seeds(7, [i])[0] for i in range(3)]
+    for call in (lambda: derive_seeds(-1, [0]), lambda: derive_seeds(0, [-1]),
                  lambda: derive_seeds(-5, range(4)), lambda: _draw_normals([3, -1], 4),
                  lambda: sample_fields(WEAK, 0.05, 10, [-1])):
         with pytest.raises(ValueError):
@@ -159,7 +157,7 @@ def test_sample_fields_match_per_seed_sampling(monkeypatch):
     dt, n_steps = max_field_dt(p), 100
     # blocks of 3 realizations, so 7 seeds leave a partial last block
     monkeypatch.setattr(stochastic, "FIELD_BLOCK_BYTES", 3 * 2 * 8 * (n_steps + 1))
-    seeds = [derive_seed(17, i) for i in range(7)]
+    seeds = derive_seeds(17, range(7))
     fields = sample_fields(p, dt, n_steps, seeds)
     assert fields.shape == (n_steps + 1, len(seeds))
     t = dt * np.arange(n_steps + 1)
@@ -545,8 +543,7 @@ def test_ensemble_energy_bound_weak_coupling():
     p = WEAK
     ic = InitialCondition(m0=0.0, w0=1.0)
     worst = 0.0
-    for i in range(50):
-        seed = derive_seed(123, i)
+    for seed in derive_seeds(123, range(50)):
         _, _, w = trajectory(ic, p, one_field(p, 0.05, 170, seed), 0.05, seed)
         worst = max(worst, float(np.max(np.abs(w))))
     assert worst <= 1.05
