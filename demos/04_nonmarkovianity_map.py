@@ -34,13 +34,25 @@ for t_max in (1.0, 2.0, 3.0, 4.0, 5.0):
 print("the sharp-spectrum column tracks omega*T/pi; the broad one saturates")
 print()
 
-# closed form for the coherence branch
-print("coherence branch has a closed form (completed half-periods + partial rise):")
+# closed forms for both branches: each is a sum over the rises of its distance
+print("coherence branch, D = |cos(omega_hat tau)|: completed half-periods + partial rise")
 for om, t_max in ((1.0, math.pi), (8.0, 5.0)):
     intervals = backflow_integral(BranchKind.OMEGA, DimensionlessConfig(0.1, om, t_max)).intervals
     rises = sum(abs(math.cos(om * b)) - abs(math.cos(om * a)) for a, b in intervals)
     print(f"  omega_hat={om}, T={t_max:.4f}: {len(intervals)} rise(s) of |cos| add up to "
           f"{rises:.6f}, closed form {analytic_n_omega(om, t_max):.6f}")
+print("inversion branch, D = exp(-tau)|cos(lambda_hat tau)|: a geometric sum of rises that")
+print("saturates at sin(phi) exp(-(phi + pi/2)/lambda_hat) / (1 - exp(-pi/lambda_hat)),")
+print("phi = atan2(lambda_hat, 1)")
+for lam in (1.0, 4.0):
+    phi = math.atan2(lam, 1.0)
+    saturation = math.sin(phi) * math.exp(-(phi + math.pi / 2) / lam) / -math.expm1(-math.pi / lam)
+    for t_max in (5.0, 20.0):
+        res = backflow_integral(BranchKind.LAMBDA, DimensionlessConfig(lam, 0.1, t_max))
+        rises = sum(math.exp(-b) * abs(math.cos(lam * b)) - math.exp(-a) * abs(math.cos(lam * a))
+                    for a, b in res.intervals)
+        print(f"  lambda_hat={lam}, T={t_max:.4f}: {len(res.intervals)} rise(s) add up to "
+              f"{rises:.6f}, closed form {res.n_value:.6f}, saturation {saturation:.6f}")
 print()
 
 # regime map

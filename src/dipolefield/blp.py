@@ -15,10 +15,11 @@ integral is exactly D(b) - D(a), so the engine telescopes wherever the
 rate is the derivative of D. The maximum splits into two physical branches:
 
 * omega branch  -- coherence pair: D = |cos(omega_hat tau)|, undamped;
-  every completed rise adds 1 (closed form ``analytic_n_omega``);
+  every completed rise adds 1 (``analytic_n_omega``);
 * lambda branch -- inversion pair: D = env(tau) * |cos(lambda_hat tau)|;
   each rise starts at a zero of the cosine and ends after
-  atan2(lambda_hat, c)/lambda_hat (c = 1 or 1/2, the envelope rate).
+  atan2(lambda_hat, c)/lambda_hat (c = 1 or 1/2, the envelope rate), and
+  the rises form a geometric series; one closed form sums both branches.
 
 All interior angles are scanned in one array computation: the positivity
 intervals of the rate are bracketed on the quarter-period grid of both
@@ -219,29 +220,39 @@ def sigma_rate(
 
 
 # ---------------------------------------------------------------------------
-# branch integrands (positive parts of the endpoint-branch rates)
+# branch rises: exp(-decay tau)|cos(freq tau)|, decay 0 (omega) or the envelope rate (lambda)
 # ---------------------------------------------------------------------------
 
-def _rise_rate(tau: ArrayLike, freq: float, decay: float) -> ArrayLike:
-    """Positive part of d/dtau of exp(-decay tau)|cos(freq tau)|, right-sided at its zeros.
-
-    The branch integrands: freq = omega_hat with decay 0 for the omega branch,
-    freq = lambda_hat with the envelope rate for the lambda branch.
-    """
-    tau = np.asarray(tau, dtype=float)
-    x = freq * tau
-    s, c = np.sin(x), np.cos(x)
-    body = np.maximum(-freq * s * np.sign(c) - decay * np.abs(c), 0.0)  # x first: -0.0 -> 0.0
-    body = np.where(c == 0.0, freq * np.abs(s), body)
-    out = np.exp(-decay * tau) * body
-    return out if out.ndim else float(out)
-
-
 def _check_quarters(freq: float, t_max: float) -> None:
-    quarters = t_max / (math.pi / (2.0 * freq))
+    quarters = 2.0 * freq * t_max / math.pi
     if not quarters <= MAX_QUARTER_PERIODS:
         raise ValueError(f"frequency {freq:.6g} up to T = {t_max:.6g} spans {quarters:.3g} quarter "
                          f"periods, over the cap of {MAX_QUARTER_PERIODS}")
+
+
+def _branch_value(freq: ArrayLike, decay: ArrayLike, t_max: ArrayLike) -> np.ndarray:
+    """Total rise of exp(-c tau)|cos(f tau)| over [0, T], elementwise over broadcast arrays.
+
+    With x = f T, k = floor(x/pi), r = x - k pi and phi = atan2(f, c), the
+    rises that end by T number K = k + [r >= pi/2 + phi]; rise j adds
+    sin(phi) e^{-c((j + 1/2) pi + phi)/f}, so they sum to
+    sin(phi) e^{-c(phi + pi/2)/f} (1 - q^K)/(1 - q), q = e^{-c pi/f}, or to K
+    when c = 0. A rise that T cuts short (pi/2 < r < pi/2 + phi) adds
+    e^{-c T}|cos x|. At c = 0 this is floor(x/pi) plus the partial rise.
+    """
+    f, c, t = (np.asarray(v, dtype=float) for v in (freq, decay, t_max))
+    x = f * t
+    k = np.floor(x / np.pi)
+    r = x - k * np.pi
+    phi = np.arctan2(f, c)
+    done = k + (r >= np.pi / 2 + phi)
+    partial = np.where((np.pi / 2 < r) & (r < np.pi / 2 + phi),
+                       np.exp(-c * t) * np.abs(np.cos(x)), 0.0)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # f = 0 or c = 0
+        a = c * np.pi / f
+        geometric = (np.sin(phi) * np.exp(-c * (phi + np.pi / 2) / f)
+                     * np.expm1(-a * done) / np.expm1(-a))
+    return np.where((c > 0.0) & (done > 0.0), geometric, done) + partial
 
 
 def _rise_intervals(freq: float, decay: float, t_max: float) -> tuple[tuple[float, float], ...]:
@@ -430,20 +441,12 @@ def _chandrupatla(fn: Callable, lo: np.ndarray, hi: np.ndarray, k: np.ndarray) -
 # ---------------------------------------------------------------------------
 
 def _branch_result(branch: BranchKind, cfg: DimensionlessConfig, mode: str) -> BackflowResult:
-    lam, om, t_max = cfg.lambda_hat, cfg.omega_hat, cfg.t_max
-    if branch is BranchKind.OMEGA:
-        intervals = _rise_intervals(om, 0.0, t_max)
-        value = analytic_n_omega(om, t_max)
-    else:
-        intervals = _rise_intervals(lam, _envelope_decay(mode), t_max)
-        value = 0.0
-        if intervals:  # D(b) - D(a) over each rise
-            d = _pair_distance(1.0, _envelope_decay(mode), lam * lam, om, np.asarray(intervals))
-            value = max(float(np.sum(d[:, 1] - d[:, 0])), 0.0)
+    freq, decay = ((cfg.omega_hat, 0.0) if branch is BranchKind.OMEGA
+                   else (cfg.lambda_hat, _envelope_decay(mode)))
     theta_star = 0.0 if _ENDPOINT_BRANCHES[mode][0] is branch else math.pi / 2
-    return BackflowResult(
-        n_value=value, winning_branch=branch, theta_star=theta_star, intervals=intervals
-    )
+    return BackflowResult(n_value=float(_branch_value(freq, decay, cfg.t_max)),
+                          winning_branch=branch, theta_star=theta_star,
+                          intervals=_rise_intervals(freq, decay, cfg.t_max))
 
 
 def _interior_scan(
@@ -507,18 +510,11 @@ def analytic_n_omega(omega_hat: float, t_max: float) -> float:
 
     Counts the completed half-periods of |cos| plus the current partial
     rise: floor(x/pi) + |cos x| if x mod pi > pi/2 else floor(x/pi), with
-    x = omega_hat * t_max. This equals
-    floor(x/pi) + (|cos x| - |sin x| cot x)/2 away from the removable
-    singularities, with exact limits taken at multiples of pi/2.
+    x = omega_hat * t_max. Both arguments go through ``DimensionlessConfig``,
+    so a negative or non-finite one raises ValueError.
     """
-    x = omega_hat * t_max
-    if x <= 0.0:
-        return 0.0
-    k = math.floor(x / math.pi)
-    r = x - k * math.pi
-    if r > math.pi / 2:
-        return k + abs(math.cos(x))
-    return float(k)
+    cfg = DimensionlessConfig(0.0, omega_hat, t_max)
+    return float(_branch_value(cfg.omega_hat, 0.0, cfg.t_max))
 
 
 # ---------------------------------------------------------------------------
@@ -579,12 +575,12 @@ def literal_pointwise_max(cfg: DimensionlessConfig, mode: FormulaSource = "deriv
     matching the two-surface figures. Both are exposed so they can be
     compared; this one is always >= max of the branch integrals.
 
-    The larger integrand is the rate of the faster-rising branch distance,
-    so the integral telescopes. [0, t_max] is cut at the quarter-period
-    grid, the lambda-rise ends, and the sign changes of the squared rates'
+    The integral telescopes. [0, t_max] is cut at the quarter-period grid,
+    the lambda-rise ends, and the sign changes of the squared rates'
     difference h = om^2 sin^2(om tau) - e^{-2c tau}(lam sin lam tau + c cos lam tau)^2
-    (located as in the theta scan). Each piece adds the rise D(b) - D(a) of
-    the branch with the larger rate at its midpoint, if that rate is positive.
+    (located as in the theta scan). On each piece neither branch rate
+    changes sign and the larger |rate| stays with one branch, so the piece
+    adds max(D_omega(b) - D_omega(a), D_lambda(b) - D_lambda(a), 0).
     """
     _check_mode(mode)
     lam, om, t_max, c = cfg.lambda_hat, cfg.omega_hat, cfg.t_max, _envelope_decay(mode)
@@ -601,13 +597,10 @@ def literal_pointwise_max(cfg: DimensionlessConfig, mode: FormulaSource = "deriv
     a, b, _ = _sign_intervals(h, terms, grid)
     rise_ends = np.reshape(_rise_intervals(lam, c, t_max), (-1, 2))[:, 1]
     cuts = np.unique(np.concatenate((grid, rise_ends, a, b)))
-    lo, hi = cuts[:-1], cuts[1:]
-    mid = 0.5 * (lo + hi)
-    rate_om, rate_lam = _rise_rate(mid, om, 0.0), _rise_rate(mid, lam, c)
-    # u = 1 selects the lambda-branch distance, u = 0 the omega one
-    d = _pair_distance((rate_lam > rate_om).astype(float), c, lam * lam, om, np.stack((lo, hi)))
-    rises = np.where(np.maximum(rate_om, rate_lam) > 0.0, d[1] - d[0], 0.0)
-    return max(float(np.sum(rises)), 0.0)
+    # u = 0 selects the omega-branch distance, u = 1 the lambda one
+    d = _pair_distance(np.array([[[0.0]], [[1.0]]]), c, lam * lam, om,
+                       np.stack((cuts[:-1], cuts[1:])))
+    return float(np.sum(np.maximum(np.max(d[:, 1] - d[:, 0], axis=0), 0.0)))
 
 
 def dominant_regime(
@@ -621,9 +614,10 @@ def dominant_regime(
     Returns the lambda branch iff its integral strictly exceeds the omega
     branch by more than 1e-10; ties resolve to the omega branch.
     """
+    _check_mode(mode)
     cfg = DimensionlessConfig(lambda_hat=lambda_hat, omega_hat=omega_hat, t_max=t_max)
-    res_omega, res_lambda = (_branch_result(b, cfg, mode) for b in BranchKind)
-    return _winner(res_omega.n_value, res_lambda.n_value)
+    return _winner(float(_branch_value(cfg.omega_hat, 0.0, cfg.t_max)),
+                   float(_branch_value(cfg.lambda_hat, _envelope_decay(mode), cfg.t_max)))
 
 
 # ---------------------------------------------------------------------------
@@ -647,17 +641,16 @@ class SweepPoint:
 
 @dataclass(frozen=True, eq=False)
 class SweepGrid(Sequence[SweepPoint]):
-    """A sweep as its axes and two branch tables, value and intervals per (omega, T)
-    and per (lambda, T); as a sequence, its cells as read-only ``SweepPoint`` rows,
-    lambda outermost and T innermost, built when indexed by an integer."""
+    """A sweep as its axes, the value tables per (omega, T) and per (lambda, T), and the
+    lambda envelope rate; as a sequence, its cells as read-only ``SweepPoint`` rows, lambda
+    outermost and T innermost, built with their rise intervals when indexed by an integer."""
 
     lambdas: tuple[float, ...]
     omegas: tuple[float, ...]
     ts: tuple[float, ...]
     n_omega: np.ndarray  # [omega, T]
-    intervals_omega: tuple  # [omega][T]
     n_lambda: np.ndarray  # [lambda, T]
-    intervals_lambda: tuple  # [lambda][T]
+    lambda_decay: float
 
     def __len__(self) -> int:
         return len(self.lambdas) * len(self.omegas) * len(self.ts)
@@ -665,10 +658,10 @@ class SweepGrid(Sequence[SweepPoint]):
     def __getitem__(self, index: int) -> SweepPoint:
         rest, k = divmod(range(len(self))[index], len(self.ts))
         i, j = divmod(rest, len(self.omegas))
+        lam, om, t = self.lambdas[i], self.omegas[j], self.ts[k]
         n_om, n_lam = float(self.n_omega[j, k]), float(self.n_lambda[i, k])
-        return SweepPoint(self.lambdas[i], self.omegas[j], self.ts[k], n_om, n_lam,
-                          max(n_om, n_lam), _winner(n_om, n_lam).value,
-                          self.intervals_omega[j][k], self.intervals_lambda[i][k])
+        return SweepPoint(lam, om, t, n_om, n_lam, max(n_om, n_lam), _winner(n_om, n_lam).value,
+                          _rise_intervals(om, 0.0, t), _rise_intervals(lam, self.lambda_decay, t))
 
 
 def sweep_grid(lambdas: Sequence[float], omegas: Sequence[float], ts: Sequence[float],
@@ -676,30 +669,28 @@ def sweep_grid(lambdas: Sequence[float], omegas: Sequence[float], ts: Sequence[f
     """Evaluate both branch integrals on the full grid, as its two branch tables.
 
     The branches separate: N_omega depends only on (omega_hat, T) and
-    N_lambda only on (lambda_hat, T). Each branch is therefore evaluated
-    once per (frequency, T) pair, and no per-cell object is built. Every
-    axis value goes through ``DimensionlessConfig``; the first invalid cell
-    in row order raises. A grid with an empty axis is empty. More than
-    ``MAX_SWEEP_CELLS`` cells raise ValueError before any is evaluated.
+    N_lambda only on (lambda_hat, T), so each table is one ``_branch_value``
+    call. The first invalid cell in row order raises its ``DimensionlessConfig``
+    error, and an axis whose largest frequency spans over ``MAX_QUARTER_PERIODS``
+    up to the largest T raises ValueError. A grid with an empty axis is empty.
+    More than ``MAX_SWEEP_CELLS`` cells raise ValueError before any is evaluated.
     """
     _check_mode(mode)
     lambdas, omegas, ts = (tuple(map(float, axis)) for axis in (lambdas, omegas, ts))
     _check_sweep(len(lambdas), len(omegas), len(ts))
     if not (lambdas and omegas and ts):
         lambdas = omegas = ts = ()
-
-    def table(kind: BranchKind, rows: list) -> tuple[np.ndarray, tuple]:
-        res = [[_branch_result(kind, DimensionlessConfig(lambda_hat=lam, omega_hat=om, t_max=t),
-                               mode) for t in ts] for lam, om in rows]
-        values = np.array([[r.n_value for r in row] for row in res]).reshape(len(res), len(ts))
-        return values, tuple(tuple(r.intervals for r in row) for row in res)
-
-    # the omega table walks the first lambda's cells, so it meets an invalid
-    # omega or T where a cell-by-cell loop would; omega_hat = 0 keeps the
-    # lambda branch free of the omega term that u = 1 multiplies by zero
-    omega_table = table(BranchKind.OMEGA, [(lambdas[0], om) for om in omegas])
-    lambda_table = table(BranchKind.LAMBDA, [(lam, 0.0) for lam in lambdas])
-    return SweepGrid(lambdas, omegas, ts, *omega_table, *lambda_table)
+    else:  # T varies fastest, so a bad T shows first, then a bad omega, then a bad lambda
+        lam0, om0, t0 = lambdas[0], omegas[0], ts[0]
+        for cell in [*((lam0, om0, t) for t in ts), *((lam0, om, t0) for om in omegas),
+                     *((lam, om0, t0) for lam in lambdas)]:
+            DimensionlessConfig(*cell)
+        for axis in (omegas, lambdas):
+            _check_quarters(max(axis), max(ts))
+    decay = _envelope_decay(mode)
+    t = np.array(ts)
+    return SweepGrid(lambdas, omegas, ts, _branch_value(np.array(omegas)[:, None], 0.0, t),
+                     _branch_value(np.array(lambdas)[:, None], decay, t), decay)
 
 
 #: format(value, spec) per element, into an object array; spec "" gives repr
@@ -745,19 +736,20 @@ def write_sweep_json(grid: SweepGrid, path: str | Path) -> None:
     lam, om, t, n_om, n_lam = (_format(v, "") for v in
                                (grid.lambdas, grid.omegas, grid.ts, grid.n_omega, grid.n_lambda))
 
-    def intervals(table: tuple) -> np.ndarray:
+    def intervals(freqs: tuple, decay: float) -> np.ndarray:
         texts = [["[\n" + ",\n".join(f"      [\n        {a!r},\n        {b!r}\n      ]"
-                                     for a, b in ivs) + "\n    ]" if ivs else "[]" for ivs in row]
-                 for row in table]
-        return np.array(texts, dtype=object).reshape(len(table), len(grid.ts))
+                                     for a, b in ivs) + "\n    ]" if ivs else "[]"
+                  for ivs in (_rise_intervals(f, decay, t) for t in grid.ts)] for f in freqs]
+        return np.array(texts, dtype=object).reshape(len(freqs), len(grid.ts))
 
     lead = (('  {\n    "lambda": ' + lam + ',\n    "omega": ')[:, None, None],
             om[:, None] + ',\n    "T": ' + t + ',\n    "n_omega_branch": ' + n_om
             + ',\n    "n_lambda_branch": ', (n_lam + ',\n    "n_max": ')[:, None])
     winners = tuple(f',\n    "winning_branch": "{b.value}",\n    "intervals_omega": '
                     for b in BranchKind)
-    tail = (intervals(grid.intervals_omega) + ',\n    "intervals_lambda": ',
-            (intervals(grid.intervals_lambda) + "\n  }")[:, None], np.array(",\n", dtype=object))
+    tail = (intervals(grid.omegas, 0.0) + ',\n    "intervals_lambda": ',
+            (intervals(grid.lambdas, grid.lambda_decay) + "\n  }")[:, None],
+            np.array(",\n", dtype=object))
     cells = _cells(grid, lead, (n_om, n_lam), winners, tail)
     # every cell ends in the ",\n" separator; the last one is left out
     Path(path).write_text("".join(["[\n", *cells[:-1], "\n]\n"]) if cells else "[]\n")

@@ -470,13 +470,6 @@ def sweep_files_reference(rows: list) -> tuple[bytes, bytes]:
     return text.getvalue().encode(), (json.dumps(payload, indent=2) + "\n").encode()
 
 
-def positive_part_trapezoid(fn, a: float, b: float, n: int = 200_001) -> float:
-    """Brute-force trapezoid integral of a nonnegative integrand."""
-    xs = np.linspace(a, b, n)
-    ys = np.asarray([fn(x) for x in xs])
-    return float(np.trapezoid(ys, xs))
-
-
 def richardson_derivative(f, t: float, h: float) -> float:
     """Fourth-order central difference (five-point Richardson form)."""
     return (8.0 * (f(t + h) - f(t - h)) - (f(t + 2 * h) - f(t - 2 * h))) / (12.0 * h)

@@ -13,8 +13,8 @@ import dipolefield.blp as blp
 from dipolefield.blp import (
     BranchKind,
     KinkWarning,
+    _branch_value,
     _interior_scan,
-    _rise_rate,
     analytic_n_omega,
     backflow_integral,
     dominant_regime,
@@ -35,7 +35,6 @@ from oracles import (
     omega_branch_quadrature,
     omega_rises,
     params_for_rates,
-    positive_part_trapezoid,
     printed_interior_integral,
     printed_log_slope_reference,
     printed_numerator,
@@ -163,12 +162,14 @@ def test_sigma_rate_scaling_identity():
 
 
 # ---------------------------------------------------------------------------
-# branch integrands: _rise_rate with decay 0 (omega) or the envelope rate (lambda)
+# branch integrands: positive parts of the derived rate at theta = pi/2 (omega)
+# and theta = 0 (lambda)
 # ---------------------------------------------------------------------------
 
 def test_branch_integrand_omega_spot_values():
-    assert _rise_rate(math.pi / 4, 1.0, 0.0) == 0.0     # |cos| falling
-    assert _rise_rate(3 * math.pi / 4, 1.0, 0.0) == pytest.approx(
+    cfg = cfg_of(1.0, 1.0)
+    assert max(0.0, sigma_rate(math.pi / 2, cfg, math.pi / 4)) == 0.0     # |cos| falling
+    assert max(0.0, sigma_rate(math.pi / 2, cfg, 3 * math.pi / 4)) == pytest.approx(
         math.sin(3 * math.pi / 4), rel=1e-14
     )
 
@@ -183,30 +184,29 @@ def test_branch_integrand_omega_quotient_form():
         if abs(c) < 1e-3:
             continue
         quotient = (om / 4) * (abs(math.sin(2 * om * tau)) - math.sin(2 * om * tau)) / abs(c)
-        assert _rise_rate(tau, om, 0.0) == pytest.approx(quotient, abs=1e-12)
+        rate = max(0.0, sigma_rate(math.pi / 2, cfg_of(1.0, om), tau))
+        assert rate == pytest.approx(quotient, abs=1e-12)
 
 
 def test_branch_integrand_omega_unit_integral():
-    # one full rise of |cos| integrates to exactly 1; the brute trapezoid
-    # carries an O(h) error from the kink at pi/2
-    brute = positive_part_trapezoid(lambda t: _rise_rate(t, 1.0, 0.0), 0.0, math.pi)
-    assert brute == pytest.approx(1.0, abs=2e-5)
+    # one full rise of |cos| adds exactly 1
     res = backflow_integral(BranchKind.OMEGA, cfg_of(1.0, 1.0, math.pi))
     assert res.n_value == pytest.approx(1.0, abs=1e-8)
 
 
 def test_branch_integrand_lambda_spot_values():
-    assert _rise_rate(math.pi / 4, 1.0, 1.0) == 0.0
+    assert max(0.0, sigma_rate(0.0, cfg_of(1.0, 1.0), math.pi / 4)) == 0.0
     # monotone envelope: no backflow at zero frequency (and tiny frequency)
     taus = np.linspace(0, 20, 500)
-    assert np.all(np.asarray(_rise_rate(taus, 0.0, 1.0)) == 0.0)
-    assert np.all(np.asarray(_rise_rate(taus, 1e-4, 1.0)) == 0.0)
+    for lam in (0.0, 1e-4):
+        assert all(max(0.0, sigma_rate(0.0, cfg_of(lam, 1.0), tau)) == 0.0 for tau in taus)
 
 
 def test_branch_integrand_lambda_onset_and_integral():
     # first positive stretch opens at the first cosine zero (pi/2 for lam=1)
-    assert _rise_rate(math.pi / 2 - 1e-6, 1.0, 1.0) == 0.0
-    assert _rise_rate(math.pi / 2 + 1e-6, 1.0, 1.0) > 0.0
+    cfg = cfg_of(1.0, 1.0)
+    assert max(0.0, sigma_rate(0.0, cfg, math.pi / 2 - 1e-6)) == 0.0
+    assert max(0.0, sigma_rate(0.0, cfg, math.pi / 2 + 1e-6)) > 0.0
     res = backflow_integral(BranchKind.LAMBDA, cfg_of(1.0, 1.0, math.pi))
     oracle = lambda_rises(1.0, math.pi)          # e^{-3 pi/4} sin(pi/4)
     assert oracle == pytest.approx(math.exp(-3 * math.pi / 4) * math.sin(math.pi / 4), rel=1e-14)
@@ -217,36 +217,48 @@ def test_branch_integrand_lambda_onset_and_integral():
     assert res.intervals[0][1] == pytest.approx(3 * math.pi / 4, abs=1e-10)
 
 
-def test_branch_integrand_lambda_as_printed_quotient():
-    # half-rate envelope variant equals e^{-tau/2} max(0, -X) / (2 |cos|)
-    rng = np.random.default_rng(34)
-    for _ in range(200):
-        lam = rng.uniform(0.2, 4)
-        tau = rng.uniform(0, 8)
-        c = math.cos(lam * tau)
-        if abs(c) < 1e-3:
-            continue
-        x = c * c + lam * math.sin(2 * lam * tau)
-        quotient = math.exp(-tau / 2) * max(0.0, -x) / (2 * abs(c))
-        got = _rise_rate(tau, lam, 0.5)
-        assert got == pytest.approx(quotient, abs=1e-12)
+# ---------------------------------------------------------------------------
+# branch values: one closed form for both branches
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("decay", [0.0, 0.5, 1.0])
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(freq=st.floats(1e-3, 20.0), t_max=st.floats(0.0, 60.0))
+def test_branch_value_matches_the_sum_of_rises(decay, freq, t_max):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = float(_branch_value(freq, decay, t_max))
+    assert got == pytest.approx(lambda_rises(freq, t_max, decay), rel=1e-13, abs=1e-16)
 
 
-def test_branch_integrands_match_sigma_positive_part():
-    # endpoint integrands are the positive parts of the endpoint rates
-    rng = np.random.default_rng(35)
-    for _ in range(100):
-        lam, om = rng.uniform(0.2, 4, size=2)
-        cfg = cfg_of(lam, om)
-        tau = rng.uniform(0.01, 8)
-        if abs(math.cos(om * tau)) < 1e-6 or abs(math.cos(lam * tau)) < 1e-6:
-            continue
-        assert _rise_rate(tau, om, 0.0) == pytest.approx(
-            max(0.0, sigma_rate(math.pi / 2, cfg, tau)), abs=1e-12
-        )
-        assert _rise_rate(tau, lam, 1.0) == pytest.approx(
-            max(0.0, sigma_rate(0.0, cfg, tau)), abs=1e-12
-        )
+@pytest.mark.parametrize("decay", [0.0, 0.5, 1.0])
+def test_branch_value_edges(decay):
+    # zero and tiny frequencies, and T exactly on a cosine zero and on a rise end
+    cases = [(0.0, 5.0), (0.0, 0.0), (1e-300, 5.0), (1e-300, 1e300), (2e-300, 1e300),
+             (3.0, 0.0), (1.0, math.pi / 2)]
+    for freq in (0.3, 1.0, 7.0):
+        for k in range(4):
+            zero = (2 * k + 1) * math.pi / (2 * freq)
+            cases += [(freq, zero), (freq, zero + math.atan2(freq, decay) / freq)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = [float(_branch_value(f, decay, t)) for f, t in cases]
+    want = [lambda_rises(f, t, decay) for f, t in cases]
+    assert got == pytest.approx(want, rel=1e-13, abs=1e-16)
+    assert got[:4] == [0.0] * 4 and got[5] == 0.0
+
+
+@pytest.mark.parametrize("decay", [0.0, 0.5, 1.0])
+def test_branch_value_table_equals_its_scalar_calls(decay):
+    # a (frequency x T) table holds the digits of the per-cell calls
+    rng = np.random.default_rng(38)
+    freqs = np.concatenate(([0.0, 1e-300], rng.uniform(0.0, 10.0, 40)))
+    ts = np.concatenate(([0.0, math.pi / 2], rng.uniform(0.0, 50.0, 9)))
+    table = _branch_value(freqs[:, None], decay, ts)
+    cells = [[float(_branch_value(f, decay, t)) for t in ts.tolist()] for f in freqs.tolist()]
+    assert table.tolist() == cells
+    if decay == 0.0:
+        assert cells == [[analytic_n_omega(f, t) for t in ts.tolist()] for f in freqs.tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -640,6 +652,17 @@ def test_analytic_n_omega_spot_values():
     assert analytic_n_omega(0.0, 5.0) == 0.0
 
 
+@pytest.mark.parametrize("omega_hat, t_max, message", [
+    (-2.0, 3.0, "omega_hat must be nonnegative"),
+    (math.nan, 1.0, "omega_hat must be finite"),
+    (1.0, math.inf, "t_max must be finite"),
+    (1.0, -1.0, "t_max must be nonnegative"),
+])
+def test_analytic_n_omega_rejects_what_the_config_rejects(omega_hat, t_max, message):
+    with pytest.raises(ValueError, match=message):
+        analytic_n_omega(omega_hat, t_max)
+
+
 def test_analytic_n_omega_continuity():
     # continuous across the piecewise boundaries (multiples of pi/2)
     for x0 in (math.pi / 2, math.pi, 3 * math.pi / 2, 2 * math.pi):
@@ -755,6 +778,8 @@ def test_dominant_regime():
     assert dominant_regime(2.0, 0.2, 2.0) is BranchKind.LAMBDA
     # exact tie resolves to omega
     assert dominant_regime(0.0, 0.0, 5.0) is BranchKind.OMEGA
+    # the closed forms build no rise intervals, so no quarter-period cap applies
+    assert dominant_regime(1.0, 1e12, 1.0) is BranchKind.OMEGA
 
 
 def test_no_threshold_property():
@@ -874,11 +899,11 @@ def test_sweep_writers_keep_the_per_cell_tie_rule(monkeypatch, tmp_path):
     edge = 0.25 + blp.TIE_TOL
     values = [1.5, 0.25, edge, float(np.nextafter(edge, np.inf)), 0.0, -0.0]
 
-    def branch_result(kind, cfg, mode):
-        index = cfg.omega_hat if kind is BranchKind.OMEGA else cfg.lambda_hat
-        return blp.BackflowResult(values[int(index)], kind, 0.0, ((0.0, index),))
+    def branch_value(freq, decay, t_max):
+        return np.broadcast_arrays(np.take(values, np.asarray(freq, dtype=int)), t_max)[0]
 
-    monkeypatch.setattr(blp, "_branch_result", branch_result)
+    monkeypatch.setattr(blp, "_branch_value", branch_value)
+    monkeypatch.setattr(blp, "_rise_intervals", lambda freq, decay, t_max: ((0.0, freq),))
     axis = [float(i) for i in range(len(values))]
     grid = sweep_grid(axis, axis, [1.0])
     rows = [(lam, om, 1.0, values[int(om)], values[int(lam)],

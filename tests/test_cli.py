@@ -207,23 +207,23 @@ def test_nonmark_reports_measure(config, tmp_path, capsys):
 #: the reference config at --tmax 20, and the interior config above
 NONMARK_SHA256 = {
     ("commensurate", "derived"): (
-        "22e74cf78d48978d41cc07e752b7bbb3a02af2995cbe331cd3873f404ed100b6",
+        "4a931c957e82fea900965fa0ec527b5fcfbbeb27a88977c3ad4acdfdb22e3931",
         "95e9245ec124bb35a65eb9030e95f216e4875bbc4c2099be0da05f475b8f90ba",
     ),
     ("commensurate", "as-printed"): (
-        "7340dfad7ce8764a1f3b3e8a50245e887358d6d7ae30df846f853da3e6fd30e8",
+        "3c2beccee8536f7dd611a3d0acd5bf48d37dfa6c9e811affa2da431f879e05eb",
         "d2a1f7ec47b2765d7e5db049ab74c216f6e2cb91e3263f66b9ac71ca0298054d",
     ),
     ("tmax-20", "derived"): (
-        "b4d8538a70303250386afbe7479bb85e734f880fbd0cb209b772045ef9c9acb3",
+        "ae74453cee864c0cb877f0294a24ac4ab03a72a48ce86e9ffa78da89a1615cc5",
         "f49d2b470e8a19d39ce7cc0a78801b88a7d7e6822bd088270cca1b828707695c",
     ),
     ("tmax-20", "as-printed"): (
-        "0c1b0804691352b85deadb6ff86c9ca052a522a081db111912e073ffefc21d73",
+        "ecb5501ed98208787006a6e66dfd87f4a5c71bb62d2c51f481f3320ee2fa3a67",
         "aeeac97bc7bd08e4f95f6fcc87cf2e583c2c9fe9adb660385b614bd6f8410fb0",
     ),
     ("interior", "derived"): (
-        "a2f574f34a8246faaba52dddf471157b0fca8124e21161556ab492dc8b77eadd",
+        "6192c276714245b0977fbd01b1117015bcb1993e0e573cd7414619fcefd98c00",
         "044769d7a674e9e3787300c3218040d321f3a5a2c36fee54830ec25f2ff684c4",
     ),
     ("interior", "as-printed"): (
@@ -335,13 +335,13 @@ def test_sweep_json_variant(config, tmp_path):
 #: single-point lambda axis, omega = 0 and T = 0
 SWEEP_SHA256 = {
     ("rises", "derived", "csv"): "9da401af55f6474ef9a704f78a5f2c3d5a40737abd334d3f76d6126c60940411",
-    ("rises", "derived", "json"): "67483abaa50ea06a99a3f27c4305316a88a3e570b0d2e006c33c2556fc6d7136",
+    ("rises", "derived", "json"): "a8400c11bc7fc6eb0f9345eeec7eda47f418ded52231ef99bc8d80a16b6bbc93",
     ("rises", "as-printed", "csv"): "88f00fdc8024e26e2580a20c5363c83616441c11a01ac287275c7aae97f1b42f",
-    ("rises", "as-printed", "json"): "9554a29404eec96c33562718516be65b64b0bccfb35804c2636be3fd446e1ed9",
+    ("rises", "as-printed", "json"): "d7c7794727b076f6829e0432ffa8c5ce99b0006715ecbc906a904b73726c6943",
     ("edges", "derived", "csv"): "e07cc278e2ae1c4510acc988861041facdb8a30f401a0508278796064b692676",
-    ("edges", "derived", "json"): "68ab3fcd6dc80c81f30cc1d584d6beb21be4c97deccf87f269104986af07039e",
+    ("edges", "derived", "json"): "206eef14b28b96be57ba84916c75e04eee5e812c3fc26fd24f12ae415442954b",
     ("edges", "as-printed", "csv"): "46ff456a2987e1f4feed83598055e10bbb6b50acb48037fd4c6c8e59e0b710a1",
-    ("edges", "as-printed", "json"): "855df1de025daf628c3aa43f3f5d90ade6c669dacc672729b5b86864ce8d2fbc",
+    ("edges", "as-printed", "json"): "cfc763e98680245f919474af802dfe2e89670850c2061a3e8c47f56c0a9285bf",
 }
 SWEEP_GRIDS = {
     "rises": ["--lambda", "0:5:9", "--omega", "0:5:7", "--tmax", "1:5:3"],

@@ -3,6 +3,7 @@
 import importlib
 import os
 import pkgutil
+import re
 import shutil
 import subprocess
 import sys
@@ -11,6 +12,9 @@ from pathlib import Path
 import pytest
 
 import dipolefield
+from dipolefield import blp, dynamics
+from dipolefield.dynamics import MODES, InitialCondition, StatePair
+from dipolefield.model import DimensionlessConfig, SystemParams, derive_params
 
 DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("0*.py"))
 
@@ -46,3 +50,33 @@ def test_demo_runs(demo, tmp_path):
         env={**os.environ, "PYTHONPATH": path}, timeout=300,
     )
     assert result.returncode == 0, result.stderr
+
+
+_CFG = DimensionlessConfig(1.0, 1.0, 5.0)
+_P = SystemParams(omega=2.0, kappa=1.0, beta_s=0.1, i0=0.3, beta=1.0)
+
+#: every public entry point that takes a formula mode, called with that mode
+MODE_CALLS = {
+    "sigma_rate": lambda mode, _: blp.sigma_rate(0.3, _CFG, 1.0, mode=mode),
+    "backflow_integral": lambda mode, _: blp.backflow_integral(
+        blp.BranchKind.LAMBDA, _CFG, mode=mode),
+    "n_measure": lambda mode, _: blp.n_measure(_CFG, mode=mode),
+    "literal_pointwise_max": lambda mode, _: blp.literal_pointwise_max(_CFG, mode=mode),
+    "dominant_regime": lambda mode, _: blp.dominant_regime(1.0, 1.0, 5.0, mode=mode),
+    "sweep_grid": lambda mode, _: blp.sweep_grid([1.0], [1.0], [5.0], mode=mode),
+    "mean_inversion": lambda mode, _: dynamics.mean_inversion(
+        InitialCondition(0.0, 1.0), derive_params(_P), _P, 1.0, mode=mode),
+    "trace_distance": lambda mode, _: dynamics.trace_distance(
+        StatePair(0.3), derive_params(_P), _P, 1.0, mode=mode),
+    "write_timeseries": lambda mode, where: dynamics.write_timeseries(
+        where / "series.csv", InitialCondition(0.0, 1.0), derive_params(_P), _P,
+        [0.0, 1.0], mode=mode),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MODE_CALLS))
+def test_every_mode_entry_point_rejects_an_unknown_mode(name, tmp_path):
+    for mode in MODES:
+        MODE_CALLS[name](mode, tmp_path)
+    with pytest.raises(ValueError, match=re.escape(f"mode must be one of {MODES}, got 'bogus'")):
+        MODE_CALLS[name]("bogus", tmp_path)
