@@ -21,13 +21,19 @@ rate is the derivative of D. The maximum splits into two physical branches:
   atan2(lambda_hat, c)/lambda_hat (c = 1 or 1/2, the envelope rate), and
   the rises form a geometric series; one closed form sums both branches.
 
-All interior angles are scanned in one array computation: the positivity
-intervals of the rate are bracketed on the quarter-period grid of both
-cosines and refined by one vectorised Chandrupatla root solve: a kernel in
-this module that keeps the rule of scipy's ``find_root`` (steps, tolerances,
-stopping tests), so its roots equal scipy's bit for bit. The same
-locator finds where the two branch rates cross, so the pointwise maximum
-of ``literal_pointwise_max`` telescopes too.
+The interior angles are first certified in one array pass. Cut at the
+quarter-period grid and the lambda-rise ends, both parts of D are monotone
+on every piece, which bounds each angle's backflow from above
+(``_rise_bound``). An angle whose bound is below the larger branch value by
+more than ``_CERTIFY_MARGIN`` cannot win and is not scanned. The angles left
+are scanned in one array computation: the positivity intervals of the rate
+are bracketed on the quarter-period grid of both cosines and refined by one
+vectorised Chandrupatla root solve: a kernel in this module that keeps the
+rule of scipy's ``find_root`` (steps, tolerances, stopping tests), so its
+roots equal scipy's bit for bit. Each angle is scanned elementwise, so the
+result equals a scan of every angle bit for bit. The same locator finds
+where the two branch rates cross, so the pointwise maximum of
+``literal_pointwise_max`` telescopes too.
 
 Only "derived" mode scans interior angles. The printed interior rate is
 not the derivative of any printed distance, and its backflow has no
@@ -88,6 +94,11 @@ MAX_QUARTER_PERIODS = 2**20
 MAX_SCAN_SAMPLES = 2**21
 #: samples per gap of the breakpoint grid in a positivity-interval scan
 _SCAN_SAMPLES = 9
+#: an interior angle whose rise bound is below the larger branch value M by
+#: more than this times (1 + M) cannot win and is not scanned; the bound and
+#: the scan each sum a few ulps of rounding per piece or interval, some 1e-13
+#: of M at the scan cap, far inside this margin
+_CERTIFY_MARGIN = 1e-9
 #: cap on the cells of one sweep, checked before any is evaluated; a cell costs
 #: about 190 B of peak memory as CSV and 1.3 kB as JSON (0.35 GB at the cap)
 MAX_SWEEP_CELLS = 2**18
@@ -450,16 +461,42 @@ def _branch_result(branch: BranchKind, cfg: DimensionlessConfig, mode: str) -> B
 
 
 def _interior_scan(
-    thetas: np.ndarray, cfg: DimensionlessConfig
+    thetas: np.ndarray, cfg: DimensionlessConfig, grid: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Derived backflow at each interior angle, and the positivity intervals (a, b, angle index)."""
-    lam, om, t_max = cfg.lambda_hat, cfg.omega_hat, cfg.t_max
+    """Derived backflow at each interior angle, and the positivity intervals (a, b, angle index).
+
+    ``grid`` is ``_breakpoints`` of cfg. Each angle's value and intervals are
+    computed elementwise, so they do not depend on which other angles are scanned.
+    """
+    lam, om = cfg.lambda_hat, cfg.omega_hat
     u = np.cos(thetas) ** 2
     a, b, owner = _sign_intervals(lambda tau, k: _rate_numerator(u[k], tau, lam, om),
-                                  _numerator_terms(u, lam, om), _breakpoints(lam, om, t_max))
+                                  _numerator_terms(u, lam, om), grid)
     d = _pair_distance(u[owner], 1.0, lam * lam, om, np.stack((a, b)))
     totals = np.bincount(owner, d[1] - d[0], minlength=u.size)
     return np.maximum(totals, 0.0), a, b, owner
+
+
+def _rise_bound(thetas: np.ndarray, cfg: DimensionlessConfig, grid: np.ndarray) -> np.ndarray:
+    """Upper bound B >= N on the derived backflow at each interior angle.
+
+    D = |(sqrt(u) a, sqrt(1 - u) b)| with u = cos^2(theta), a = e^{-tau}|cos lam tau|
+    and b = |cos om tau|. Cut at ``grid`` (``_breakpoints`` of cfg) and at the
+    lambda-rise ends, a and b are monotone on every piece. Where they move
+    the same way, so does D, and the piece adds max(dD, 0). Elsewhere D varies
+    by at most sqrt(u)|da| + sqrt(1 - u)|db|, so it rises by at most half of
+    that plus dD/2.
+    """
+    lam, om, t_max = cfg.lambda_hat, cfg.omega_hat, cfg.t_max
+    ends = np.reshape(_rise_intervals(lam, 1.0, t_max), (-1, 2))[:, 1]
+    cuts = np.unique(np.concatenate((grid, ends)))
+    u = np.cos(thetas)[:, None] ** 2
+    # u = 1 gives a, u = 0 gives b
+    da, db = np.diff(_pair_distance(np.array([[1.0], [0.0]]), 1.0, lam * lam, om, cuts))
+    dd = np.diff(_pair_distance(u, 1.0, lam * lam, om, cuts))
+    rise = np.where(da * db >= 0.0, np.maximum(dd, 0.0),
+                    0.5 * (np.sqrt(u) * abs(da) + np.sqrt(1.0 - u) * abs(db) + dd))
+    return rise.sum(axis=1)
 
 
 def backflow_integral(
@@ -496,7 +533,8 @@ def backflow_integral(
                          "derivative of any printed distance, and its backflow has no "
                          "grid-independent maximum over theta; only theta = 0 and pi/2 "
                          "(the two branches) are defined in as-printed mode")
-    values, a, b, _ = _interior_scan(np.array([theta]), cfg)
+    values, a, b, _ = _interior_scan(np.array([theta]), cfg,
+                                     _breakpoints(cfg.lambda_hat, cfg.omega_hat, cfg.t_max))
     return BackflowResult(n_value=float(values[0]), winning_branch=None, theta_star=theta,
                           intervals=tuple(zip(a.tolist(), b.tolist())))
 
@@ -538,6 +576,12 @@ def n_measure(
     intervals of the winner. ``winning_branch`` compares the two branch
     surfaces, resolving ties within 1e-10 to the omega branch. A derived
     scan past ``MAX_SCAN_SAMPLES`` raises ValueError before its angles are built.
+
+    Only the interior angles that the rise bound cannot rule out are
+    scanned. An angle whose bound is below the larger branch value M by more
+    than 1e-9 (1 + M) (``_CERTIFY_MARGIN``, far above the rounding of the
+    bound and of the scan) cannot be a maximum. The other angles' values and
+    intervals do not depend on it, so the result is that of the full scan.
     """
     _check_mode(mode)
     if theta_grid_size < 2:
@@ -545,12 +589,19 @@ def n_measure(
     by_branch = {b: _branch_result(b, cfg, mode) for b in BranchKind}
     first, last = (by_branch[b] for b in _ENDPOINT_BRANCHES[mode])
     if mode == "derived":  # refuse a scan over the cap before its angles are built
-        gaps = _breakpoints(cfg.lambda_hat, cfg.omega_hat, cfg.t_max).size - 1
-        _check_scan(theta_grid_size - 2, max(gaps, 1))
+        grid = _breakpoints(cfg.lambda_hat, cfg.omega_hat, cfg.t_max)
+        _check_scan(theta_grid_size - 2, max(grid.size - 1, 1))
     thetas = np.linspace(0.0, math.pi / 2, theta_grid_size if mode == "derived" else 2)
-    inner, a, b, owner = (_interior_scan(thetas[1:-1], cfg) if thetas.size > 2
-                          else (np.empty(0),) * 4)
-    values = np.concatenate(([first.n_value], inner, [last.n_value]))
+    # a certified angle keeps -inf: its value is below the larger branch value
+    values = np.concatenate(([first.n_value], np.full(thetas.size - 2, -np.inf), [last.n_value]))
+    a = b = owner = np.empty(0)
+    if thetas.size > 2:
+        best = max(first.n_value, last.n_value)
+        bound = _rise_bound(thetas[1:-1], cfg, grid)
+        scan = np.flatnonzero(bound >= best - _CERTIFY_MARGIN * (1.0 + best))
+        if scan.size:
+            values[scan + 1], a, b, owner = _interior_scan(thetas[1:-1][scan], cfg, grid)
+            owner = scan[owner]
     k = int(np.argmax(values))  # first maximum
     sel = owner == k - 1
     intervals = {0: first.intervals, thetas.size - 1: last.intervals}.get(

@@ -207,9 +207,13 @@ def trace_distance(
     as-printed: sqrt(cos^2(theta) e^{-gamma t} cos^2(lambda t)
                      + sin^2(theta) cos^2(omega t))
 
-    Both variants start at 1, never exceed 1, and continue hyperbolically
-    for lambda_sq <= 0. Only the initial-value differences survive the
-    subtraction, so the steady-state offset and sine coefficient drop out.
+    Both variants start at 1 and continue hyperbolically for lambda_sq <= 0.
+    The steady-state offset and c_sine cancel in the pair's difference, but
+    the derived ``mean_inversion`` difference also keeps the initial-value
+    sine term (beta - beta_s)/2 * e^{-gamma t} sin(lambda t)/lambda times
+    the initial inversion difference. So the derived variant is the distance
+    of the derived ``mean_dipole``/``mean_inversion`` pair only when
+    beta = beta_s (see the README's "Known model limits").
     """
     _check_mode(mode)
     # single e^{-gamma t} on the squared cosine == squared half-rate envelope

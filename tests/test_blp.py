@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import dipolefield.blp as blp
@@ -509,7 +509,7 @@ def test_as_printed_intervals_are_shared_by_every_angle(lam, om, t_max):
 def test_batched_scan_matches_single_angles(mode):
     cfg = cfg_of(1.7, 2.3, 9.0)
     thetas = np.linspace(0.0, math.pi / 2, 17)[1:-1]
-    values, a, b, owner = _interior_scan(thetas, cfg)
+    values, a, b, owner = _interior_scan(thetas, cfg, blp._breakpoints(1.7, 2.3, 9.0))
     for k, theta in enumerate(thetas):
         alone = backflow_integral(float(theta), cfg, mode=mode)
         assert values[k] == pytest.approx(alone.n_value, abs=1e-13)
@@ -545,7 +545,8 @@ def test_chandrupatla_matches_scipy_on_located_brackets(mode, lam, om, t_max):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(blp, "_chandrupatla", recorded)
         if mode == "derived":
-            _interior_scan(np.linspace(0.0, math.pi / 2, 9)[1:-1], cfg)
+            _interior_scan(np.linspace(0.0, math.pi / 2, 9)[1:-1], cfg,
+                           blp._breakpoints(lam, om, t_max))
         else:
             printed_sign_intervals(lam, om, t_max)
         literal_pointwise_max(cfg, mode)
@@ -735,6 +736,89 @@ def test_n_measure_zero_before_first_cosine_zero(mode, lam, om, frac):
     # up to the first zero of both cosines every factor of D is decreasing
     t_max = frac * min(math.pi / (2 * lam), math.pi / (2 * om))
     assert n_measure(cfg_of(lam, om, t_max), mode=mode, theta_grid_size=17).n_value == 0.0
+
+
+# ---------------------------------------------------------------------------
+# the certified theta scan
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(theta=st.floats(1e-6, math.pi / 2 - 1e-6), lam=st.just(0.0) | st.floats(0.05, 4.0),
+       om=st.just(0.0) | st.floats(0.05, 6.0), t_max=st.floats(0.0, 2.0) | st.floats(2.0, 26.0),
+       ratio=st.sampled_from([None, 1.0, 3.0, 1.0 / 3.0]), nudge=st.floats(-1e-6, 1e-6))
+def test_rise_bound_is_at_least_the_backflow(theta, lam, om, t_max, ratio, nudge):
+    # the bound must hold at every angle, not only on the grid; lam = 0 is
+    # an overdamped config, and an odd ratio om/lam puts zeros of both
+    # cosines together, where D has a kink
+    if ratio is not None:
+        om = lam * ratio * (1.0 + nudge)
+    bound = blp._rise_bound(np.array([theta]), cfg_of(lam, om, t_max),
+                            blp._breakpoints(lam, om, t_max))
+    assert bound[0] >= distance_rises(theta, lam, om, t_max) - 1e-9
+
+
+def full_scan_measure(cfg, theta_grid_size):
+    """Derived n_measure with every interior angle scanned: the first maximum,
+    its angle and intervals, and the omega and lambda branch values."""
+    thetas = np.linspace(0.0, math.pi / 2, theta_grid_size)
+    first, last = (backflow_integral(b, cfg) for b in (BranchKind.LAMBDA, BranchKind.OMEGA))
+    inner, a, b, owner = (np.empty(0),) * 4
+    if theta_grid_size > 2:
+        grid = blp._breakpoints(cfg.lambda_hat, cfg.omega_hat, cfg.t_max)
+        inner, a, b, owner = _interior_scan(thetas[1:-1], cfg, grid)
+    values = np.concatenate(([first.n_value], inner, [last.n_value]))
+    k = int(np.argmax(values))
+    intervals = {0: first.intervals, theta_grid_size - 1: last.intervals}.get(
+        k, tuple(zip(a[owner == k - 1].tolist(), b[owner == k - 1].tolist())))
+    return float(values[k]), float(thetas[k]), intervals, last.n_value, first.n_value
+
+
+def assert_matches_full_scan(cfg, theta_grid_size):
+    res = n_measure(cfg, theta_grid_size=theta_grid_size)
+    got = (res.n_value, res.theta_star, res.intervals, res.n_omega_branch, res.n_lambda_branch)
+    assert repr(got) == repr(full_scan_measure(cfg, theta_grid_size))
+
+
+@pytest.fixture
+def scans(monkeypatch):
+    """The number of angles of each ``_interior_scan`` call."""
+    sizes, scan = [], blp._interior_scan
+
+    def counted(thetas, cfg, grid):
+        sizes.append(thetas.size)
+        return scan(thetas, cfg, grid)
+
+    monkeypatch.setattr(blp, "_interior_scan", counted)
+    return sizes
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(lam=st.just(0.0) | st.floats(0.05, 4.0), om=st.just(0.0) | st.floats(0.05, 6.0),
+       t_max=st.floats(0.0, 2.0) | st.floats(2.0, 30.0), size=st.sampled_from([2, 3, 9, 65]))
+@example(lam=2.0, om=1.0, t_max=5.0, size=2)
+@example(lam=2.0, om=1.0, t_max=5.0, size=3)
+def test_certified_scan_equals_the_full_scan(lam, om, t_max, size):
+    assert_matches_full_scan(cfg_of(lam, om, t_max), size)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(lam=st.floats(0.6, 2.7), om=st.floats(1.15, 5.6), t_max=st.floats(0.9, 26.0))
+def test_certified_scan_equals_the_full_scan_on_the_scan_workload(lam, om, t_max):
+    # the benchmark's nonmark box: lambda in [0.8, 1.2], omega in [1.5, 2.5],
+    # gamma in [0.45, 1.3] and tmax up to 20, in units of gamma
+    assert_matches_full_scan(cfg_of(lam, om, t_max), 65)
+
+
+def test_certified_scan_runs_no_scan_when_every_angle_is_certified(scans):
+    # the reference holds its own binding of _interior_scan, which is not counted
+    assert_matches_full_scan(cfg_of(0.1, 8.0, 5.0), 65)
+    assert scans == []
+
+
+def test_certified_scan_scans_only_the_uncertified_angles(scans):
+    n_measure(cfg_of(2.0, 1.0, 5.0))
+    assert len(scans) == 1 and 0 < scans[0] < 63
+    assert_matches_full_scan(cfg_of(2.0, 1.0, 5.0), 65)
 
 
 def test_literal_pointwise_max_bounds():

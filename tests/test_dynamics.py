@@ -270,6 +270,26 @@ def test_trace_distance_inversion_pair_derived():
     np.testing.assert_allclose(got, expected, atol=1e-14)
 
 
+def test_trace_distance_is_the_distance_of_the_derived_states_when_beta_equals_beta_s():
+    # half the Bloch-vector distance of the evolved pair (sin theta, cos theta)
+    # and its antipode; only at beta = beta_s does the inversion difference
+    # lose its sine term, as trace_distance assumes
+    rng = np.random.default_rng(31)
+    ts = np.linspace(0.0, 10.0, 201)
+    for k in range(20):
+        rate = rng.uniform(0.05, 3.0)
+        p = SystemParams(omega=rng.uniform(0.1, 10), kappa=rng.uniform(0.1, 2), beta_s=rate,
+                         i0=0.0 if k % 4 == 0 else rng.uniform(0, 5), beta=rate)
+        d = derive_params(p)
+        theta = rng.uniform(0, math.pi / 2)
+        one = InitialCondition(math.sin(theta), math.cos(theta))
+        two = InitialCondition(-one.m0, -one.w0)
+        dm = mean_dipole(one, p, ts) - mean_dipole(two, p, ts)
+        dw = mean_inversion(one, d, p, ts) - mean_inversion(two, d, p, ts)
+        np.testing.assert_allclose(0.5 * np.hypot(dm, dw),
+                                   trace_distance(StatePair(theta), d, p, ts), rtol=0, atol=1e-13)
+
+
 def test_trace_distance_contractive_from_origin():
     # derived mode is contractive for every parameter set; the fixed-
     # expression variant carries only half the damping rate, so its
