@@ -96,8 +96,8 @@ MAX_SCAN_SAMPLES = 2**21
 _SCAN_SAMPLES = 9
 #: an interior angle whose rise bound is below the larger branch value M by
 #: more than this times (1 + M) cannot win and is not scanned; the bound and
-#: the scan each sum a few ulps of rounding per piece or interval, some 1e-13
-#: of M at the scan cap, far inside this margin
+#: the scan each round by a few ulps per piece or interval, at most about
+#: 1e-10 (1 + M) over the 2**21 / 9 gaps the scan cap allows
 _CERTIFY_MARGIN = 1e-9
 #: cap on the cells of one sweep, checked before any is evaluated; a cell costs
 #: about 190 B of peak memory as CSV and 1.3 kB as JSON (0.35 GB at the cap)
