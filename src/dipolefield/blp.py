@@ -24,16 +24,19 @@ rate is the derivative of D. The maximum splits into two physical branches:
 The interior angles are first certified in one array pass. Cut at the
 quarter-period grid and the lambda-rise ends, both parts of D are monotone
 on every piece, which bounds each angle's backflow from above
-(``_rise_bound``). An angle whose bound is below the larger branch value by
-more than ``_CERTIFY_MARGIN`` cannot win and is not scanned. The angles left
-are scanned in one array computation: the positivity intervals of the rate
-are bracketed on the quarter-period grid of both cosines and refined by one
-vectorised Chandrupatla root solve: a kernel in this module that keeps the
-rule of scipy's ``find_root`` (steps, tolerances, stopping tests), so its
-roots equal scipy's bit for bit. Each angle is scanned elementwise, so the
-result equals a scan of every angle bit for bit. The same locator finds
-where the two branch rates cross, so the pointwise maximum of
-``literal_pointwise_max`` telescopes too.
+(``_rise_bound``: where the parts move apart, by the rise of D with the
+falling part held at its lower end). An angle whose bound is below the
+larger branch value by more than ``_CERTIFY_MARGIN`` cannot win and is not
+scanned. The angles left are scanned in one array computation: the
+positivity intervals of the rate are bracketed on the quarter-period grid
+of both cosines and refined by one vectorised Chandrupatla root solve: a
+kernel in this module that keeps the rule of scipy's ``find_root`` (steps,
+tolerances, stopping tests), so its roots equal scipy's bit for bit. Each
+angle is scanned elementwise, so the result equals a scan of every angle
+bit for bit. The same locator finds
+where the two branch rates cross on the pieces where both branches rise,
+the only ones where the faster branch can change, so the pointwise maximum
+of ``literal_pointwise_max`` telescopes too.
 
 Only "derived" mode scans interior angles. The printed interior rate is
 not the derivative of any printed distance, and its backflow has no
@@ -332,23 +335,23 @@ def _check_scan(owners: int, gaps: int) -> None:
                          f"{MAX_SCAN_SAMPLES} (blp.MAX_SCAN_SAMPLES)")
 
 
-def _sign_intervals(fn: Callable, terms: tuple,
-                    grid: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Intervals (a, b) of [grid[0], grid[-1]] where fn(tau, k) > 0, for every owner k at once.
+def _sign_changes(fn: Callable, terms: tuple, lo: np.ndarray,
+                  hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Points where fn(tau, k) changes sign or vanishes within the gaps [lo, hi], for every owner k.
 
     fn is a sum of terms a e^{-r tau} cos(f tau + phi), listed in ``terms``
-    as (a, r, f) with one amplitude a per owner. Returns the interval ends
-    and each interval's owner, sorted by owner, then by time. fn is sampled
-    at ``_SCAN_SAMPLES`` points per gap of ``grid``, for all owners in one array
-    call. A value within its rounding error of zero is a root. A gap whose
-    ends share a sign hides a root pair only if
+    as (a, r, f) with one amplitude a per owner. Returns the points and their
+    owners, unsorted. fn is sampled at ``_SCAN_SAMPLES`` points per gap, for
+    all owners in one array call. A value within its rounding error of zero
+    is a root. A gap whose ends share a sign hides a root pair only if
     min(|fn(lo)|, |fn(hi)|) <= max|fn''| (hi - lo)^2 / 8, so such gaps are
     halved until ``_numerator_curvature`` clears them or they are narrower
-    than 1e-7. All sign changes are refined in one Chandrupatla solve.
-    Raises ValueError past ``MAX_SCAN_SAMPLES`` owners x gaps x samples.
+    than 1e-7. All sign changes are refined in one Chandrupatla solve, which
+    runs even when there is none. Raises ValueError past ``MAX_SCAN_SAMPLES``
+    owners x gaps x samples.
     """
     size = terms[0][0].size
-    _check_scan(size, grid.size - 1)
+    _check_scan(size, lo.size)
 
     def h(tau: np.ndarray, k: np.ndarray) -> np.ndarray:
         # rounding: a few ulps of each term a e^{-r tau}, plus what the
@@ -357,7 +360,7 @@ def _sign_intervals(fn: Callable, terms: tuple,
         val = fn(tau, k)
         return np.where(abs(val) <= 16.0 * np.finfo(float).eps * noise, 0.0, val)
 
-    xs = np.linspace(grid[:-1], grid[1:], _SCAN_SAMPLES, axis=1)
+    xs = np.linspace(lo, hi, _SCAN_SAMPLES, axis=1)
     hs = h(xs, np.arange(size)[:, None, None])  # time factors once per (gap, sample)
     xs = np.broadcast_to(xs, hs.shape)
     k = np.broadcast_to(np.arange(size)[:, None, None], hs.shape)
@@ -383,10 +386,22 @@ def _sign_intervals(fn: Callable, terms: tuple,
         lo, hi, kk = np.concatenate((lo, mid)), np.concatenate((mid, hi)), np.concatenate((kk, kk))
         h_lo, h_hi = np.concatenate((h_lo, h_mid)), np.concatenate((h_mid, h_hi))
     lo, hi, kk = (np.concatenate(c) for c in zip(*brackets))
-    roots = _chandrupatla(fn, lo, hi, kk)
+    return (np.concatenate((_chandrupatla(fn, lo, hi, kk), *points)),
+            np.concatenate((kk, *owners)))
+
+
+def _sign_intervals(fn: Callable, terms: tuple,
+                    grid: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Intervals (a, b) of [grid[0], grid[-1]] where fn(tau, k) > 0, for every owner k at once.
+
+    The ends are those of the span and the ``_sign_changes`` in the gaps of
+    ``grid``; the intervals are sorted by owner, then by time.
+    """
+    size = terms[0][0].size
+    roots, kk = _sign_changes(fn, terms, grid[:-1], grid[1:])
     every = np.arange(size)
-    pts = np.concatenate((np.full(size, grid[0]), np.full(size, grid[-1]), roots, *points))
-    owner = np.concatenate((every, every, kk, *owners))
+    pts = np.concatenate((np.full(size, grid[0]), np.full(size, grid[-1]), roots))
+    owner = np.concatenate((every, every, kk))
     order = np.lexsort((pts, owner))
     pts, owner = pts[order], owner[order]
     keep = (owner[:-1] == owner[1:]) & (np.diff(pts) > 1e-14)
@@ -406,45 +421,57 @@ def _chandrupatla(fn: Callable, lo: np.ndarray, hi: np.ndarray, k: np.ndarray) -
     end. An element stops at the end with the smaller |f| once that |f| is at
     most tiny; with NaN once its ends share a sign, an end is not finite or
     both values are NaN; else once the bracket is narrower than
-    4 tiny + 4 eps |root|. Stopped elements leave the arrays. At most 2046
-    steps, scipy's cap: the bisections from the largest normal float down to
-    the smallest.
+    4 tiny + 4 eps |root|. Ends are tested for finiteness at step 0 only: each
+    new point lies between the ends, so finite ends stay finite (for any
+    bracket narrower than the largest float). Stopped elements leave the
+    arrays. At most 2046 steps, scipy's cap: the bisections from the largest
+    normal float down to the smallest.
     """
     tiny, eps = np.finfo(float).smallest_normal, np.finfo(float).eps
     x1, x2 = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     f1, f2 = fn(x1, k), fn(x2, k)
+    s1, s2 = np.sign(f1), np.sign(f2)
     ftol = tiny + 0.0 * np.minimum(abs(f1), abs(f2))  # NaN for an infinite end, as in scipy
     x3, f3, idx, t = x2, f2, np.arange(x1.size), 0.5
     out = np.empty(x1.size)
-    for step in range(2047):
-        near = abs(f1) < abs(f2)
-        xmin, fmin = np.where(near, x1, x2), np.where(near, f1, f2)
-        met = abs(fmin) <= ftol
-        failed = ~met & ((np.sign(f1) == np.sign(f2)) | ~(np.isfinite(x1) & np.isfinite(x2))
-                         | (np.isnan(f1) & np.isnan(f2)))
-        xmin[failed] = np.nan
-        dx, tol = abs(x2 - x1), abs(xmin) * (4.0 * eps) + 4.0 * tiny
-        go = ~(met | failed | (dx < tol))
-        out[idx] = xmin
-        if step == 2046 or not go.any():
-            return out
-        x1, f1, x2, f2, x3, f3, k, idx, ftol, dx, tol = (
-            v[go] for v in (x1, f1, x2, f2, x3, f3, k, idx, ftol, dx, tol))
-        if step:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                xi1, phi1 = (x1 - x2) / (x3 - x2), (f1 - f2) / (f3 - f2)
-                alpha = (x3 - x1) / (x2 - x1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for step in range(2047):
+            a1, a2 = abs(f1), abs(f2)
+            near = a1 < a2
+            xmin = np.where(near, x1, x2)
+            met = np.where(near, a1, a2) <= ftol
+            # ends of one sign, or two NaN values (fmax skips a single NaN)
+            bad = (s1 == s2) | np.isnan(np.fmax(f1, f2))
+            if not step:
+                bad |= ~(np.isfinite(x1) & np.isfinite(x2))
+            w = x2 - x1
+            dx, tol = abs(w), abs(xmin) * (4.0 * eps) + 4.0 * tiny
+            go = ~(met | bad | (dx < tol))
+            done = step == 2046 or not go.any()
+            if done or not go.all():
+                xmin[bad & ~met] = np.nan
+                out[idx] = xmin
+                if done:
+                    return out
+                x1, f1, s1, x2, f2, s2, x3, f3, k, idx, ftol, w, dx, tol = (
+                    v[go] for v in (x1, f1, s1, x2, f2, s2, x3, f3, k, idx, ftol, w, dx, tol))
+            if step:
+                # x1 - x2 is -w, and f2 - f3 is -(f3 - f2): the quotients below
+                # are scipy's bit for bit, as is a - (-b) = a + b
+                d12, d32 = f1 - f2, f3 - f2
+                xi1, phi1 = w / (x2 - x3), d12 / d32
                 iqi = ((1 - np.sqrt(1 - xi1)) < phi1) & (phi1 < np.sqrt(xi1))
-                t = np.where(iqi, f1 / (f1 - f2) * f3 / (f3 - f2)
-                             - alpha * f1 / (f3 - f1) * f2 / (f2 - f3), 0.5)
-            tl = 0.5 * tol / dx
-            t = np.clip(t, tl, 1 - tl)
-        x = x1 + t * (x2 - x1)
-        f = fn(x, k)
-        same = np.sign(f) == np.sign(f1)
-        x3, f3 = np.where(same, x1, x2), np.where(same, f1, f2)
-        x2, f2 = np.where(same, x2, x1), np.where(same, f2, f1)
-        x1, f1 = x, f
+                alpha = (x3 - x1) / w
+                t = np.where(iqi, f1 / d12 * f3 / d32 + alpha * f1 / (f3 - f1) * f2 / d32, 0.5)
+                tl = 0.5 * tol / dx
+                t = np.minimum(np.maximum(t, tl), 1 - tl)
+            x = x1 + t * w
+            f = fn(x, k)
+            s = np.sign(f)
+            same = s == s1
+            x3, f3 = np.where(same, x1, x2), np.where(same, f1, f2)
+            x2, f2, s2 = np.where(same, x2, x1), np.where(same, f2, f1), np.where(same, s2, s1)
+            x1, f1, s1 = x, f, s
 
 
 # ---------------------------------------------------------------------------
@@ -480,23 +507,24 @@ def _interior_scan(
 def _rise_bound(thetas: np.ndarray, cfg: DimensionlessConfig, grid: np.ndarray) -> np.ndarray:
     """Upper bound B >= N on the derived backflow at each interior angle.
 
-    D = |(sqrt(u) a, sqrt(1 - u) b)| with u = cos^2(theta), a = e^{-tau}|cos lam tau|
+    D = sqrt(u a^2 + (1 - u) b^2) with u = cos^2(theta), a = e^{-tau}|cos lam tau|
     and b = |cos om tau|. Cut at ``grid`` (``_breakpoints`` of cfg) and at the
-    lambda-rise ends, a and b are monotone on every piece. Where they move
-    the same way, so does D, and the piece adds max(dD, 0). Elsewhere D varies
-    by at most sqrt(u)|da| + sqrt(1 - u)|db|, so it rises by at most half of
-    that plus dD/2.
+    lambda-rise ends, a and b are monotone on every piece [p, q], and D
+    rises there by at most D_q - sqrt(u min(a)^2 + (1 - u) min(b)^2), with
+    the minima over the piece ends. Where a and b rise together that is
+    D_q - D_p, and where they fall together it is 0. Where a falls and b
+    rises, D >= F = sqrt(u a_q^2 + (1 - u) b^2), so D' <= (1 - u) b b'/D <= F'
+    and D rises by at most F_q - F_p, the same term; the mirror case swaps
+    a and b. The bound is exact at u = 0 and u = 1.
     """
     lam, om, t_max = cfg.lambda_hat, cfg.omega_hat, cfg.t_max
     ends = np.reshape(_rise_intervals(lam, 1.0, t_max), (-1, 2))[:, 1]
     cuts = np.unique(np.concatenate((grid, ends)))
     u = np.cos(thetas)[:, None] ** 2
     # u = 1 gives a, u = 0 gives b
-    da, db = np.diff(_pair_distance(np.array([[1.0], [0.0]]), 1.0, lam * lam, om, cuts))
-    dd = np.diff(_pair_distance(u, 1.0, lam * lam, om, cuts))
-    rise = np.where(da * db >= 0.0, np.maximum(dd, 0.0),
-                    0.5 * (np.sqrt(u) * abs(da) + np.sqrt(1.0 - u) * abs(db) + dd))
-    return rise.sum(axis=1)
+    a2, b2 = _pair_distance(np.array([[1.0], [0.0]]), 1.0, lam * lam, om, cuts) ** 2
+    low = np.sqrt(u * np.minimum(a2[:-1], a2[1:]) + (1.0 - u) * np.minimum(b2[:-1], b2[1:]))
+    return np.sum(np.sqrt(u * a2[1:] + (1.0 - u) * b2[1:]) - low, axis=1)
 
 
 def backflow_integral(
@@ -586,28 +614,34 @@ def n_measure(
     _check_mode(mode)
     if theta_grid_size < 2:
         raise ValueError("theta_grid_size must be at least 2")
-    by_branch = {b: _branch_result(b, cfg, mode) for b in BranchKind}
-    first, last = (by_branch[b] for b in _ENDPOINT_BRANCHES[mode])
+    lam, om, t_max, c = cfg.lambda_hat, cfg.omega_hat, cfg.t_max, _envelope_decay(mode)
+    for f in (om, lam):  # either branch's rise grid over the cap is refused, built or not
+        _check_quarters(f, t_max)
+    n_omega, n_lambda = _branch_value(np.array([om, lam]), np.array([0.0, c]), t_max).tolist()
+    value = {BranchKind.OMEGA: n_omega, BranchKind.LAMBDA: n_lambda}
+    rises = {BranchKind.OMEGA: (om, 0.0), BranchKind.LAMBDA: (lam, c)}
+    ends = _ENDPOINT_BRANCHES[mode]
     if mode == "derived":  # refuse a scan over the cap before its angles are built
-        grid = _breakpoints(cfg.lambda_hat, cfg.omega_hat, cfg.t_max)
+        grid = _breakpoints(lam, om, t_max)
         _check_scan(theta_grid_size - 2, max(grid.size - 1, 1))
     thetas = np.linspace(0.0, math.pi / 2, theta_grid_size if mode == "derived" else 2)
     # a certified angle keeps -inf: its value is below the larger branch value
-    values = np.concatenate(([first.n_value], np.full(thetas.size - 2, -np.inf), [last.n_value]))
+    values = np.concatenate(([value[ends[0]]], np.full(thetas.size - 2, -np.inf),
+                             [value[ends[1]]]))
     a = b = owner = np.empty(0)
     if thetas.size > 2:
-        best = max(first.n_value, last.n_value)
+        best = max(n_omega, n_lambda)
         bound = _rise_bound(thetas[1:-1], cfg, grid)
         scan = np.flatnonzero(bound >= best - _CERTIFY_MARGIN * (1.0 + best))
         if scan.size:
             values[scan + 1], a, b, owner = _interior_scan(thetas[1:-1][scan], cfg, grid)
             owner = scan[owner]
     k = int(np.argmax(values))  # first maximum
-    sel = owner == k - 1
-    intervals = {0: first.intervals, thetas.size - 1: last.intervals}.get(
-        k, tuple(zip(a[sel].tolist(), b[sel].tolist()))
-    )
-    n_omega, n_lambda = (by_branch[b].n_value for b in BranchKind)
+    if k in (0, thetas.size - 1):  # only the winner's intervals are built
+        intervals = _rise_intervals(*rises[ends[k > 0]], t_max)
+    else:
+        sel = owner == k - 1
+        intervals = tuple(zip(a[sel].tolist(), b[sel].tolist()))
     return BackflowResult(
         n_value=float(values[k]),
         winning_branch=_winner(n_omega, n_lambda),
@@ -626,32 +660,40 @@ def literal_pointwise_max(cfg: DimensionlessConfig, mode: FormulaSource = "deriv
     matching the two-surface figures. Both are exposed so they can be
     compared; this one is always >= max of the branch integrals.
 
-    The integral telescopes. [0, t_max] is cut at the quarter-period grid,
-    the lambda-rise ends, and the sign changes of the squared rates'
-    difference h = om^2 sin^2(om tau) - e^{-2c tau}(lam sin lam tau + c cos lam tau)^2
-    (located as in the theta scan). On each piece neither branch rate
-    changes sign and the larger |rate| stays with one branch, so the piece
-    adds max(D_omega(b) - D_omega(a), D_lambda(b) - D_lambda(a), 0).
+    The integral telescopes. Cut [0, t_max] at the quarter-period grid and
+    the lambda-rise ends: on each piece neither branch rate changes sign. A
+    piece where a branch distance falls adds the other's rise, or 0. Only
+    where both rise can the larger rate change hands, at a sign change of
+    the rates' difference
+    g = |om sin om tau| - e^{-c tau}|lam sin lam tau + c cos lam tau|,
+    so those pieces alone are searched for them (as in the theta scan) and
+    cut there. Then every piece adds
+    max(D_omega(b) - D_omega(a), D_lambda(b) - D_lambda(a), 0).
+    Where both rates are small, the difference of their squares is below
+    its rounding error, while g still locates the crossing to an ulp.
     """
     _check_mode(mode)
     lam, om, t_max, c = cfg.lambda_hat, cfg.omega_hat, cfg.t_max, _envelope_decay(mode)
     grid = _breakpoints(lam, om, t_max)
-    # h = w (1 - cos 2 om tau) - v e^{-2 c tau} (1 - cos(2 lam tau + phi))
-    w, v = 0.5 * om * om, 0.5 * (lam * lam + c * c)
+    _check_scan(1, grid.size - 1)  # the cap of a scan of every piece, before any is built
+    # within a piece, g = +-om sin(om tau) -+ hypot(lam, c) e^{-c tau} cos(lam tau - phi)
     terms = tuple((np.full(1, a), r, f) for a, r, f in
-                  ((w, 0.0, 0.0), (w, 0.0, 2.0 * om), (v, 2.0 * c, 0.0), (v, 2.0 * c, 2.0 * lam)))
+                  ((om, 0.0, om), (math.hypot(lam, c), c, lam)))
 
-    def h(tau: np.ndarray, _k: np.ndarray) -> np.ndarray:
-        lam_rate = np.exp(-c * tau) * (lam * np.sin(lam * tau) + c * np.cos(lam * tau))
-        return (om * np.sin(om * tau)) ** 2 - lam_rate**2
+    def g(tau: np.ndarray, _k: np.ndarray) -> np.ndarray:
+        lam_rate = np.exp(-c * tau) * abs(lam * np.sin(lam * tau) + c * np.cos(lam * tau))
+        return abs(om * np.sin(om * tau)) - lam_rate
 
-    a, b, _ = _sign_intervals(h, terms, grid)
+    def rises(cuts: np.ndarray) -> np.ndarray:
+        # u = 0 selects the omega-branch distance, u = 1 the lambda one
+        return np.diff(_pair_distance(np.array([[0.0], [1.0]]), c, lam * lam, om, cuts))
+
     rise_ends = np.reshape(_rise_intervals(lam, c, t_max), (-1, 2))[:, 1]
-    cuts = np.unique(np.concatenate((grid, rise_ends, a, b)))
-    # u = 0 selects the omega-branch distance, u = 1 the lambda one
-    d = _pair_distance(np.array([[[0.0]], [[1.0]]]), c, lam * lam, om,
-                       np.stack((cuts[:-1], cuts[1:])))
-    return float(np.sum(np.maximum(np.max(d[:, 1] - d[:, 0], axis=0), 0.0)))
+    cuts = np.unique(np.concatenate((grid, rise_ends)))
+    both = np.all(rises(cuts) > 0.0, axis=0)
+    crossings, _ = _sign_changes(g, terms, cuts[:-1][both], cuts[1:][both])
+    cuts = np.unique(np.concatenate((cuts, crossings)))
+    return float(np.sum(np.maximum(np.max(rises(cuts), axis=0), 0.0)))
 
 
 def dominant_regime(

@@ -757,6 +757,19 @@ def test_rise_bound_is_at_least_the_backflow(theta, lam, om, t_max, ratio, nudge
     assert bound[0] >= distance_rises(theta, lam, om, t_max) - 1e-9
 
 
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(lam=st.just(0.0) | st.floats(0.05, 4.0), om=st.just(0.0) | st.floats(0.05, 6.0),
+       t_max=st.floats(0.0, 26.0))
+@example(lam=2.0, om=1.0, t_max=5.0)
+@example(lam=1.0, om=3.0, t_max=math.pi / 2)  # zeros of both cosines meet at the horizon
+def test_rise_bound_at_the_endpoints_is_the_branch_backflow(lam, om, t_max):
+    # at u = 1 the bound keeps only the rises of a, at u = 0 those of b
+    bound = blp._rise_bound(np.array([0.0, math.pi / 2]), cfg_of(lam, om, t_max),
+                            blp._breakpoints(lam, om, t_max))
+    assert bound[0] == pytest.approx(lambda_rises(lam, t_max), rel=1e-12, abs=1e-12)
+    assert bound[1] == pytest.approx(omega_rises(om, t_max), rel=1e-12, abs=1e-12)
+
+
 def full_scan_measure(cfg, theta_grid_size):
     """Derived n_measure with every interior angle scanned: the first maximum,
     its angle and intervals, and the omega and lambda branch values."""
@@ -816,9 +829,9 @@ def test_certified_scan_runs_no_scan_when_every_angle_is_certified(scans):
 
 
 def test_certified_scan_scans_only_the_uncertified_angles(scans):
-    n_measure(cfg_of(2.0, 1.0, 5.0))
+    n_measure(cfg_of(4.0, 1.0, 3.0))
     assert len(scans) == 1 and 0 < scans[0] < 63
-    assert_matches_full_scan(cfg_of(2.0, 1.0, 5.0), 65)
+    assert_matches_full_scan(cfg_of(4.0, 1.0, 3.0), 65)
 
 
 def test_literal_pointwise_max_bounds():
@@ -846,6 +859,9 @@ def test_literal_pointwise_max_as_printed_regression():
 @pytest.mark.parametrize("mode", ["derived", "as-printed"])
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(lam=st.floats(0.0, 4.0), om=st.floats(0.05, 5.0), t_max=st.floats(0.3, 26.0))
+@example(lam=0.0, om=1.7, t_max=9.0)
+@example(lam=1.3, om=0.0, t_max=9.0)
+@example(lam=1.0, om=1.0, t_max=3.0)  # both branches rise on one piece, with no crossing
 def test_literal_pointwise_max_matches_oracle(mode, lam, om, t_max):
     cfg = cfg_of(lam, om, t_max)
     got = literal_pointwise_max(cfg, mode=mode)
@@ -853,6 +869,23 @@ def test_literal_pointwise_max_matches_oracle(mode, lam, om, t_max):
     assert got == pytest.approx(literal_max_reference(lam, om, t_max, decay), abs=1e-9)
     n_om, n_lam = (backflow_integral(b, cfg, mode=mode).n_value for b in BranchKind)
     assert max(n_om, n_lam) - 1e-12 <= got <= n_om + n_lam + 1e-12
+
+
+def test_literal_pointwise_max_locates_crossings_of_small_rates(monkeypatch):
+    # near tau = 14.362 the omega rate falls to zero at the end of a piece
+    # where the damped lambda rate is about 6e-7; they cross 1.6e-7 before
+    # that end, where the difference of their squares (~1e-13) is within its
+    # rounding. The crossing, from 40-digit arithmetic, is 14.36236651406196459
+    roots, kernel = [], blp._chandrupatla
+
+    def recorded(fn, lo, hi, k):
+        out = kernel(fn, lo, hi, k)
+        roots.extend(out.tolist())
+        return out
+
+    monkeypatch.setattr(blp, "_chandrupatla", recorded)
+    literal_pointwise_max(cfg_of(1.2109243079957042, 1.9686403026991368, 17.359899808544004))
+    assert min(abs(r - 14.36236651406196459) for r in roots) < 1e-13
 
 
 def test_dominant_regime():
