@@ -102,8 +102,9 @@ _SCAN_SAMPLES = 9
 #: the scan each round by a few ulps per piece or interval, at most about
 #: 1e-10 (1 + M) over the 2**21 / 9 gaps the scan cap allows
 _CERTIFY_MARGIN = 1e-9
-#: cap on the cells of one sweep, checked before any is evaluated; a cell costs
-#: about 190 B of peak memory as CSV and 1.3 kB as JSON (0.35 GB at the cap)
+#: cap on the cells of one sweep, checked before any is evaluated; written a chunk at
+#: a time, a 64 x 64 x 64 JSON sweep peaks 7 MB above a one-cell one, but the (omega, T)
+#: interval texts of a 1 x 512 x 512 one take it to 230 MB
 MAX_SWEEP_CELLS = 2**18
 
 ArrayLike = Union[float, np.ndarray]
@@ -269,20 +270,25 @@ def _branch_value(freq: ArrayLike, decay: ArrayLike, t_max: ArrayLike) -> np.nda
     return np.where((c > 0.0) & (done > 0.0), geometric, done) + partial
 
 
-def _rise_intervals(freq: float, decay: float, t_max: float) -> tuple[tuple[float, float], ...]:
-    """Rising stretches of exp(-decay tau)|cos(freq tau)| within [0, t_max].
+def _rises(freq: float, decay: float, t_max: float) -> tuple[np.ndarray, np.ndarray]:
+    """Starts and ends of the rises of exp(-decay tau)|cos(freq tau)| in [0, t_max], as arrays.
 
     Each starts exactly at a zero z of the cosine and ends where
     freq*cos(freq (tau-z)) = decay*sin(freq (tau-z)), i.e. at
     z + atan2(freq, decay)/freq: a quarter period for the undamped cosine.
     """
     if freq <= 0.0 or t_max <= 0.0:
-        return ()
+        return np.empty(0), np.empty(0)
     quarter = math.pi / (2.0 * freq)
     _check_quarters(freq, t_max)
     zeros = (2 * np.arange(int(t_max / (2.0 * quarter)) + 1) + 1) * quarter
     zeros = zeros[zeros < t_max]
-    ends = np.minimum(zeros + math.atan2(freq, decay) / freq, t_max)
+    return zeros, np.minimum(zeros + math.atan2(freq, decay) / freq, t_max)
+
+
+def _rise_intervals(freq: float, decay: float, t_max: float) -> tuple[tuple[float, float], ...]:
+    """``_rises`` as a tuple of (start, end) pairs."""
+    zeros, ends = _rises(freq, decay, t_max)
     return tuple(zip(zeros.tolist(), ends.tolist()))
 
 
@@ -518,8 +524,7 @@ def _rise_bound(thetas: np.ndarray, cfg: DimensionlessConfig, grid: np.ndarray) 
     a and b. The bound is exact at u = 0 and u = 1.
     """
     lam, om, t_max = cfg.lambda_hat, cfg.omega_hat, cfg.t_max
-    ends = np.reshape(_rise_intervals(lam, 1.0, t_max), (-1, 2))[:, 1]
-    cuts = np.unique(np.concatenate((grid, ends)))
+    cuts = np.unique(np.concatenate((grid, _rises(lam, 1.0, t_max)[1])))
     u = np.cos(thetas)[:, None] ** 2
     # u = 1 gives a, u = 0 gives b
     a2, b2 = _pair_distance(np.array([[1.0], [0.0]]), 1.0, lam * lam, om, cuts) ** 2
@@ -688,8 +693,7 @@ def literal_pointwise_max(cfg: DimensionlessConfig, mode: FormulaSource = "deriv
         # u = 0 selects the omega-branch distance, u = 1 the lambda one
         return np.diff(_pair_distance(np.array([[0.0], [1.0]]), c, lam * lam, om, cuts))
 
-    rise_ends = np.reshape(_rise_intervals(lam, c, t_max), (-1, 2))[:, 1]
-    cuts = np.unique(np.concatenate((grid, rise_ends)))
+    cuts = np.unique(np.concatenate((grid, _rises(lam, c, t_max)[1])))
     both = np.all(rises(cuts) > 0.0, axis=0)
     crossings, _ = _sign_changes(g, terms, cuts[:-1][both], cuts[1:][both])
     cuts = np.unique(np.concatenate((cuts, crossings)))
@@ -788,17 +792,40 @@ def sweep_grid(lambdas: Sequence[float], omegas: Sequence[float], ts: Sequence[f
 
 #: format(value, spec) per element, into an object array; spec "" gives repr
 _format = np.frompyfunc(format, 2, 1)
+#: cells the sweep writers join and write at a time. The peak grows with the chunk, and
+#: the array calls per chunk cost most in CSV: on a 2-vCPU Xeon, 40 x 40 x 4 sweeps peak at
+#: 38.3, 38.8, 39.6 and 42.1 MB with 160, 512, 1024 and 2048 cells (46.9 MB written whole),
+#: and from 512 cells up the CSV writer is within 30 % of a whole write
+_SWEEP_CHUNK = 512
 
 
-def _cells(grid: SweepGrid, lead: tuple, n_texts: tuple, winners: tuple, tail=()) -> list:
-    """Each cell's pieces in row order, broadcast to (lambda, omega, T): ``lead``, then n_max
-    and the winner picked from ``n_texts`` and ``winners`` (omega's, lambda's), then ``tail``."""
-    n_om, n_lam = grid.n_omega[None], grid.n_lambda[:, None]
-    # where(n_lam > n_om, n_lam, n_om) is Python's max(n_om, n_lam): a tie keeps
-    # the omega value, so a 0.0/-0.0 tie prints as a cell-by-cell max does
-    n_max = np.where(n_lam > n_om, n_texts[1][:, None], n_texts[0])
-    winner = np.take(np.array(winners, dtype=object), _lambda_wins(n_om, n_lam))
-    return np.stack(np.broadcast_arrays(*lead, n_max, winner, *tail), axis=-1).ravel().tolist()
+def _write_cells(path: str | Path, grid: SweepGrid, head: str, lead: tuple, n_texts: tuple,
+                 winners: tuple, tail: tuple = (), sep: str = "", foot: str = "") -> None:
+    """Write ``head``, the cells in row order with ``sep`` between them, then ``foot``.
+
+    A cell's pieces are ``lead``, then n_max and the winner picked from ``n_texts`` and
+    ``winners`` (omega's, lambda's), then ``tail``, each broadcast to (lambda, omega, T).
+    Each ``_SWEEP_CHUNK`` cells gather their pieces from those tables, compare their own
+    branch values and are written, so no text of the whole grid is held."""
+    shape = (len(grid.lambdas), len(grid.omegas), len(grid.ts))
+    lead, tail = ([np.broadcast_to(p, shape) for p in pieces]
+                  for pieces in (lead, (*tail, np.array(sep, dtype=object)) if sep else tail))
+    winners = np.array(winners, dtype=object)
+    with open(path, "w", newline="") as f:
+        f.write(head)
+        for start in range(0, len(grid), _SWEEP_CHUNK):
+            i, j, k = np.unravel_index(np.arange(start, min(start + _SWEEP_CHUNK, len(grid))),
+                                       shape)
+            n_om, n_lam = grid.n_omega[j, k], grid.n_lambda[i, k]
+            # where(n_lam > n_om, n_lam, n_om) is Python's max(n_om, n_lam): a tie keeps
+            # the omega value, so a 0.0/-0.0 tie prints as a cell-by-cell max does
+            n_max = np.where(n_lam > n_om, n_texts[1][i, k], n_texts[0][j, k])
+            cells = np.stack([*(p[i, j, k] for p in lead), n_max,
+                              np.take(winners, _lambda_wins(n_om, n_lam)),
+                              *(p[i, j, k] for p in tail)], axis=-1).ravel().tolist()
+            last = sep and start + _SWEEP_CHUNK >= len(grid)  # no sep after the last cell
+            f.write("".join(cells[:-1] if last else cells))
+        f.write(foot)
 
 
 def write_sweep_csv(grid: SweepGrid, path: str | Path) -> None:
@@ -806,15 +833,16 @@ def write_sweep_csv(grid: SweepGrid, path: str | Path) -> None:
 
     Values print as %.12g, lines end in \\r\\n (the csv module's default
     dialect, which never needs quoting for these fields). Each axis value
-    and table entry is formatted once; the rows are joined from those texts.
+    and table entry is formatted once, before the file is opened; the rows
+    are joined from those texts and written ``_SWEEP_CHUNK`` at a time.
     """
     lam, om, t, n_om, n_lam = (_format(v, ".12g") for v in
                                (grid.lambdas, grid.omegas, grid.ts, grid.n_omega, grid.n_lambda))
     lead = ((lam + ",")[:, None, None], om[:, None] + "," + t + "," + n_om + ",",
             (n_lam + ",")[:, None])
-    cells = _cells(grid, lead, (n_om, n_lam), tuple(f",{b.value}\r\n" for b in BranchKind))
     header = "lambda,omega,T,n_omega_branch,n_lambda_branch,n_max,winning_branch\r\n"
-    Path(path).write_text("".join([header, *cells]), newline="")
+    _write_cells(path, grid, header, lead, (n_om, n_lam),
+                 tuple(f",{b.value}\r\n" for b in BranchKind))
 
 
 def write_sweep_json(grid: SweepGrid, path: str | Path) -> None:
@@ -823,8 +851,9 @@ def write_sweep_json(grid: SweepGrid, path: str | Path) -> None:
     The text is that of ``json.dumps(payload, indent=2)`` plus a newline,
     written by hand: with ``indent`` set the json module falls back to its
     pure-Python encoder. Numbers print through ``float.__repr__`` as there
-    (every value of a sweep is finite); each axis value, table entry and
-    interval list is rendered once.
+    (every value of a sweep is finite). Each axis value, table entry and
+    interval list is rendered once, before the file is opened; the cells
+    are joined from those texts and written ``_SWEEP_CHUNK`` at a time.
     """
     lam, om, t, n_om, n_lam = (_format(v, "") for v in
                                (grid.lambdas, grid.omegas, grid.ts, grid.n_omega, grid.n_lambda))
@@ -841,8 +870,6 @@ def write_sweep_json(grid: SweepGrid, path: str | Path) -> None:
     winners = tuple(f',\n    "winning_branch": "{b.value}",\n    "intervals_omega": '
                     for b in BranchKind)
     tail = (intervals(grid.omegas, 0.0) + ',\n    "intervals_lambda": ',
-            (intervals(grid.lambdas, grid.lambda_decay) + "\n  }")[:, None],
-            np.array(",\n", dtype=object))
-    cells = _cells(grid, lead, (n_om, n_lam), winners, tail)
-    # every cell ends in the ",\n" separator; the last one is left out
-    Path(path).write_text("".join(["[\n", *cells[:-1], "\n]\n"]) if cells else "[]\n")
+            (intervals(grid.lambdas, grid.lambda_decay) + "\n  }")[:, None])
+    head, foot = ("[\n", "\n]\n") if len(grid) else ("[]\n", "")
+    _write_cells(path, grid, head, lead, (n_om, n_lam), winners, tail, ",\n", foot)

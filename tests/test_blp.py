@@ -1038,6 +1038,24 @@ def test_sweep_writers_keep_the_per_cell_tie_rule(monkeypatch, tmp_path):
     assert b",0,-0,0,omega" in ref_csv and b",-0,0,-0,omega" in ref_csv
 
 
+@pytest.mark.parametrize("chunk", [1, 2, 5])
+def test_sweep_writers_join_whole_cells_across_chunks(monkeypatch, tmp_path, chunk):
+    # the writers write blp._SWEEP_CHUNK cells at a time: 27 cells (not a
+    # multiple of 2 or 5), one cell and an empty axis give the bytes of the
+    # cell-by-cell reference, and so do the tie-rule edges
+    monkeypatch.setattr(blp, "_SWEEP_CHUNK", chunk)
+    for lams, oms, ts in (([0.0, 1.5, 3.0], [0.5, 2.0, 4.0], [1.0, 4.0, 7.5]),
+                          ([1.5], [2.0], [4.0]), ([1.0, 2.0], [], [3.0])):
+        for mode in ("derived", "as-printed"):
+            grid = sweep_grid(lams, oms, ts, mode=mode)
+            _, ref_csv, ref_json = sweep_payload_reference(lams, oms, ts, mode)
+            write_sweep_csv(grid, tmp_path / "sweep.csv")
+            write_sweep_json(grid, tmp_path / "sweep.json")
+            assert (tmp_path / "sweep.csv").read_bytes() == ref_csv
+            assert (tmp_path / "sweep.json").read_bytes() == ref_json
+    test_sweep_writers_keep_the_per_cell_tie_rule(monkeypatch, tmp_path)
+
+
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(lam=st.floats(0.05, 8.0), om=st.floats(0.05, 8.0),
        ts=st.lists(st.floats(0.0, 40.0), min_size=2, max_size=8, unique=True),

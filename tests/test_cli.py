@@ -620,15 +620,15 @@ def test_commands_do_not_import_scipy_signal(config, tmp_path):
     assert result.returncode == 0, result.stderr
 
 
-def _main_under_memory_limit(tmp_path, argv):
-    """Run ``main(argv)`` in a subprocess whose address space is capped at 1 GiB above
-    what it holds after import, so an unbounded allocation fails in numpy rather than
-    exhausting memory."""
+def _main_under_memory_limit(tmp_path, argv, allowance=2**30):
+    """Run ``main(argv)`` in a subprocess whose address space is capped at ``allowance``
+    bytes (1 GiB by default) above what it holds after import, so an unbounded
+    allocation fails in numpy rather than exhausting memory."""
     script = "\n".join([
         "import resource, sys",
         "from dipolefield.cli import main",
         "held = int(open('/proc/self/statm').read().split()[0]) * resource.getpagesize()",
-        "resource.setrlimit(resource.RLIMIT_AS, (held + 2**30, held + 2**30))",
+        f"resource.setrlimit(resource.RLIMIT_AS, (held + {allowance}, held + {allowance}))",
         f"sys.exit(main({argv!r}))",
     ])
     src = str(Path(dipolefield.__file__).resolve().parents[1])
@@ -662,6 +662,21 @@ def test_sweep_beyond_the_cell_cap_exits_2_under_a_memory_limit(tmp_path, axes):
     assert result.returncode == 2, result.stderr
     assert f"over the cap of {blp.MAX_SWEEP_CELLS}" in result.stderr
     assert not (tmp_path / "sweep.json").exists()
+
+
+def test_sweep_at_the_cell_cap_writes_its_json_under_a_memory_limit(tmp_path):
+    # 2**18 cells are 167 MB of JSON; the writer holds one chunk of cells at a
+    # time, so 64 MiB above the imported program is enough (a writer that
+    # joins the whole file first peaks near 376 MB and raises MemoryError)
+    result = _main_under_memory_limit(tmp_path, [
+        "sweep", "--mode", "as-printed", "--lambda", "0:5:64", "--omega", "0:5:64",
+        "--tmax", "1:5:64", "--format", "json", "--out", "sweep.json"], allowance=2**26)
+    assert result.returncode == 0, result.stderr
+    out = tmp_path / "sweep.json"
+    with out.open("rb") as f:
+        digest = hashlib.file_digest(f, "sha256").hexdigest()
+    out.unlink()
+    assert digest == "0df93ca3213f7eeb7feb4bc2b500cb47f65a3949d00fbfe4567d533f90664c78"
 
 
 @pytest.mark.parametrize("mode, tmax, extra", [("derived", "1e5", []),
