@@ -9,7 +9,9 @@ The library has four layers:
 * ``stochastic`` -- the Monte Carlo trajectory oracle validating the forms.
 
 The package namespace re-exports the entry points used in the demos;
-everything else is imported from its module.
+everything else is imported from its module. The ``stochastic`` ones load
+that module (and ``numpy.random`` and ``numpy.fft`` with it) on first use,
+so the commands that never run it do not import it.
 """
 
 from .model import DimensionlessConfig, SystemParams, derive_params, nondimensionalize
@@ -28,7 +30,6 @@ from .blp import (
     n_measure,
     sigma_rate,
 )
-from .stochastic import ensemble_average, fit_spectrum, sample_fields, sample_periodogram
 
 __version__ = "0.1.0"
 
@@ -54,3 +55,14 @@ __all__ = [
     "sample_periodogram",
     "__version__",
 ]
+
+#: names re-exported from ``stochastic``, which is imported when one is first read
+_STOCHASTIC = ("ensemble_average", "fit_spectrum", "sample_fields", "sample_periodogram")
+
+
+def __getattr__(name: str):
+    if name in _STOCHASTIC:
+        from . import stochastic
+
+        return getattr(stochastic, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -58,11 +58,11 @@ import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
+from itertools import accumulate
 from pathlib import Path
 from typing import Callable, Sequence, Union
 
 import numpy as np
-import numpy.ma  # noqa: F401  np.unique loads it on first use; load it with the module
 
 from .dynamics import FormulaSource, _check_mode, _check_theta, _pair_distance
 from .model import DimensionlessConfig
@@ -103,8 +103,9 @@ _SCAN_SAMPLES = 9
 #: 1e-10 (1 + M) over the 2**21 / 9 gaps the scan cap allows
 _CERTIFY_MARGIN = 1e-9
 #: cap on the cells of one sweep, checked before any is evaluated; written a chunk at
-#: a time, a 64 x 64 x 64 JSON sweep peaks 7 MB above a one-cell one, but the (omega, T)
-#: interval texts of a 1 x 512 x 512 one take it to 230 MB
+#: a time, a 64 x 64 x 64 JSON sweep peaks 6.5 MB above a one-cell one, but the
+#: (omega, T) interval texts, one per pair though each rise is rendered once, take a
+#: 1 x 512 x 512 one to 198 MB
 MAX_SWEEP_CELLS = 2**18
 
 ArrayLike = Union[float, np.ndarray]
@@ -286,6 +287,15 @@ def _rises(freq: float, decay: float, t_max: float) -> tuple[np.ndarray, np.ndar
     return zeros, np.minimum(zeros + math.atan2(freq, decay) / freq, t_max)
 
 
+def _sorted_unique(x: np.ndarray) -> np.ndarray:
+    """The distinct values of a float array without NaN, sorted: ``np.unique`` without
+    the ``numpy.ma`` import it makes on first use."""
+    x = np.sort(x)
+    keep = np.ones(x.size, dtype=bool)
+    keep[1:] = x[1:] != x[:-1]
+    return x[keep]
+
+
 def _rise_intervals(freq: float, decay: float, t_max: float) -> tuple[tuple[float, float], ...]:
     """``_rises`` as a tuple of (start, end) pairs."""
     zeros, ends = _rises(freq, decay, t_max)
@@ -304,7 +314,7 @@ def _breakpoints(lam: float, om: float, t_max: float) -> np.ndarray:
             step = math.pi / (2.0 * f)
             _check_quarters(f, t_max)
             pts.append(np.arange(1, int(t_max / step) + 2) * step)
-    grid = np.unique(np.concatenate(pts))
+    grid = _sorted_unique(np.concatenate(pts))
     return grid[grid <= t_max]
 
 
@@ -524,7 +534,7 @@ def _rise_bound(thetas: np.ndarray, cfg: DimensionlessConfig, grid: np.ndarray) 
     a and b. The bound is exact at u = 0 and u = 1.
     """
     lam, om, t_max = cfg.lambda_hat, cfg.omega_hat, cfg.t_max
-    cuts = np.unique(np.concatenate((grid, _rises(lam, 1.0, t_max)[1])))
+    cuts = _sorted_unique(np.concatenate((grid, _rises(lam, 1.0, t_max)[1])))
     u = np.cos(thetas)[:, None] ** 2
     # u = 1 gives a, u = 0 gives b
     a2, b2 = _pair_distance(np.array([[1.0], [0.0]]), 1.0, lam * lam, om, cuts) ** 2
@@ -693,10 +703,10 @@ def literal_pointwise_max(cfg: DimensionlessConfig, mode: FormulaSource = "deriv
         # u = 0 selects the omega-branch distance, u = 1 the lambda one
         return np.diff(_pair_distance(np.array([[0.0], [1.0]]), c, lam * lam, om, cuts))
 
-    cuts = np.unique(np.concatenate((grid, _rises(lam, c, t_max)[1])))
+    cuts = _sorted_unique(np.concatenate((grid, _rises(lam, c, t_max)[1])))
     both = np.all(rises(cuts) > 0.0, axis=0)
     crossings, _ = _sign_changes(g, terms, cuts[:-1][both], cuts[1:][both])
-    cuts = np.unique(np.concatenate((cuts, crossings)))
+    cuts = _sorted_unique(np.concatenate((cuts, crossings)))
     return float(np.sum(np.maximum(np.max(rises(cuts), axis=0), 0.0)))
 
 
@@ -792,10 +802,11 @@ def sweep_grid(lambdas: Sequence[float], omegas: Sequence[float], ts: Sequence[f
 
 #: format(value, spec) per element, into an object array; spec "" gives repr
 _format = np.frompyfunc(format, 2, 1)
-#: cells the sweep writers join and write at a time. The peak grows with the chunk, and
-#: the array calls per chunk cost most in CSV: on a 2-vCPU Xeon, 40 x 40 x 4 sweeps peak at
-#: 38.3, 38.8, 39.6 and 42.1 MB with 160, 512, 1024 and 2048 cells (46.9 MB written whole),
-#: and from 512 cells up the CSV writer is within 30 % of a whole write
+#: cells the sweep writers join and write at a time. The peak grows with the chunk: on a
+#: 2-vCPU Xeon, one 40 x 40 x 4 JSON sweep process peaks at 31.5, 32.4, 32.9 and 34.3 MB
+#: with 160, 512, 1024 and 2048 cells, 39.1 MB written whole; its CSV twin at 31.3 MB with
+#: any of them, 32.1 MB whole. Between them the writers' times differ by less than that
+#: host's run-to-run spread (about 30 %)
 _SWEEP_CHUNK = 512
 
 
@@ -803,28 +814,35 @@ def _write_cells(path: str | Path, grid: SweepGrid, head: str, lead: tuple, n_te
                  winners: tuple, tail: tuple = (), sep: str = "", foot: str = "") -> None:
     """Write ``head``, the cells in row order with ``sep`` between them, then ``foot``.
 
-    A cell's pieces are ``lead``, then n_max and the winner picked from ``n_texts`` and
-    ``winners`` (omega's, lambda's), then ``tail``, each broadcast to (lambda, omega, T).
-    Each ``_SWEEP_CHUNK`` cells gather their pieces from those tables, compare their own
+    A cell's pieces are ``lead``, one piece with n_max and the winner, then ``tail``, each
+    broadcast to (lambda, omega, T); the last tail piece ends in ``sep``, which the last
+    cell drops. The middle piece is an n_max text of ``n_texts`` followed by a text of
+    ``winners`` (both omega's, lambda's), picked by the case of the tie rule: lambda wins;
+    lambda leads by at most TIE_TOL (its value, omega wins); omega is not behind. Each
+    ``_SWEEP_CHUNK`` cells gather their pieces from those tables, compare their own
     branch values and are written, so no text of the whole grid is held."""
-    shape = (len(grid.lambdas), len(grid.omegas), len(grid.ts))
-    lead, tail = ([np.broadcast_to(p, shape) for p in pieces]
-                  for pieces in (lead, (*tail, np.array(sep, dtype=object)) if sep else tail))
-    winners = np.array(winners, dtype=object)
+    n_l, _, n_t = shape = (len(grid.lambdas), len(grid.omegas), len(grid.ts))
+    lead, tail = ([np.broadcast_to(p, shape) for p in pieces] for pieces in (lead, tail))
+    # n_max and winner texts: [lambda, T] where lambda wins, [lambda, T] where it leads
+    # by at most TIE_TOL, then [omega, T]
+    picks = np.concatenate([(n_texts[1] + winners[1]).ravel(), (n_texts[1] + winners[0]).ravel(),
+                            (n_texts[0] + winners[0]).ravel()])
     with open(path, "w", newline="") as f:
         f.write(head)
         for start in range(0, len(grid), _SWEEP_CHUNK):
             i, j, k = np.unravel_index(np.arange(start, min(start + _SWEEP_CHUNK, len(grid))),
                                        shape)
             n_om, n_lam = grid.n_omega[j, k], grid.n_lambda[i, k]
-            # where(n_lam > n_om, n_lam, n_om) is Python's max(n_om, n_lam): a tie keeps
-            # the omega value, so a 0.0/-0.0 tie prints as a cell-by-cell max does
-            n_max = np.where(n_lam > n_om, n_texts[1][i, k], n_texts[0][j, k])
-            cells = np.stack([*(p[i, j, k] for p in lead), n_max,
-                              np.take(winners, _lambda_wins(n_om, n_lam)),
-                              *(p[i, j, k] for p in tail)], axis=-1).ravel().tolist()
-            last = sep and start + _SWEEP_CHUNK >= len(grid)  # no sep after the last cell
-            f.write("".join(cells[:-1] if last else cells))
+            # n_max is where(n_lam > n_om, n_lam, n_om), Python's max(n_om, n_lam): a tie
+            # keeps the omega value, so a 0.0/-0.0 tie prints as a cell-by-cell max does
+            at = i * n_t + k
+            pick = np.where(n_lam > n_om, np.where(_lambda_wins(n_om, n_lam), at, at + n_l * n_t),
+                            j * n_t + k + 2 * n_l * n_t)
+            text = "".join(np.stack([*(p[i, j, k] for p in lead), picks[pick],
+                                     *(p[i, j, k] for p in tail)], axis=-1).ravel().tolist())
+            if start + _SWEEP_CHUNK >= len(grid):  # no sep after the last cell
+                text = text[:len(text) - len(sep)]
+            f.write(text)
         f.write(foot)
 
 
@@ -845,31 +863,58 @@ def write_sweep_csv(grid: SweepGrid, path: str | Path) -> None:
                  tuple(f",{b.value}\r\n" for b in BranchKind))
 
 
+def _interval_texts(freqs: tuple, decay: float, ts: tuple, close: str) -> np.ndarray:
+    """JSON texts of the rise intervals of each (frequency, T), each followed by ``close``.
+
+    The rises of one frequency up to a T are a prefix of its rises up to the largest T,
+    and a rise that T cuts short ends at T. So each frequency's rises up to the largest T
+    (one ``_rises`` call) are rendered once and joined once; a (frequency, T) text is a
+    prefix of that join, followed by the rises T cuts, which end at T.
+    """
+    t, top = np.array(ts, dtype=float), max(ts, default=0.0)
+    texts = np.empty((len(freqs), t.size), dtype=object)
+    for row, freq in enumerate(freqs):
+        zeros, ends = _rises(freq, decay, top)
+        z = zeros.tolist()
+        pieces = [f"      [\n        {a!r},\n        {b!r}\n      ]"
+                  for a, b in zip(z, ends.tolist())]
+        body = ",\n".join(pieces)
+        at = [0, *accumulate(len(p) + 2 for p in pieces)]  # each piece's start in body
+        begun = np.searchsorted(zeros, t, "left")  # rises that start before T
+        # rises that end by T; a rise starting at T whose reach rounds to 0 has not begun
+        done = np.minimum(np.searchsorted(ends, t, "right"), begun)
+        for col, (n, m, t_max) in enumerate(zip(begun.tolist(), done.tolist(), ts)):
+            if not n:
+                texts[row, col] = "[]" + close
+            elif n == m:
+                texts[row, col] = f"[\n{body[:at[m] - 2]}\n    ]{close}"
+            else:
+                cut = ",\n".join(f"      [\n        {a!r},\n        {t_max!r}\n      ]"
+                                 for a in z[m:n])
+                texts[row, col] = f"[\n{body[:at[m]]}{cut}\n    ]{close}"
+    return texts
+
+
 def write_sweep_json(grid: SweepGrid, path: str | Path) -> None:
     """JSON variant of the sweep: same fields plus the positivity intervals.
 
     The text is that of ``json.dumps(payload, indent=2)`` plus a newline,
     written by hand: with ``indent`` set the json module falls back to its
     pure-Python encoder. Numbers print through ``float.__repr__`` as there
-    (every value of a sweep is finite). Each axis value, table entry and
-    interval list is rendered once, before the file is opened; the cells
-    are joined from those texts and written ``_SWEEP_CHUNK`` at a time.
+    (every value of a sweep is finite). Each axis value and table entry is
+    formatted once, and each rise of each axis frequency rendered once
+    (``_interval_texts``), before the file is opened; the cells are joined
+    from those texts and written ``_SWEEP_CHUNK`` at a time.
     """
     lam, om, t, n_om, n_lam = (_format(v, "") for v in
                                (grid.lambdas, grid.omegas, grid.ts, grid.n_omega, grid.n_lambda))
-
-    def intervals(freqs: tuple, decay: float) -> np.ndarray:
-        texts = [["[\n" + ",\n".join(f"      [\n        {a!r},\n        {b!r}\n      ]"
-                                     for a, b in ivs) + "\n    ]" if ivs else "[]"
-                  for ivs in (_rise_intervals(f, decay, t) for t in grid.ts)] for f in freqs]
-        return np.array(texts, dtype=object).reshape(len(freqs), len(grid.ts))
-
     lead = (('  {\n    "lambda": ' + lam + ',\n    "omega": ')[:, None, None],
             om[:, None] + ',\n    "T": ' + t + ',\n    "n_omega_branch": ' + n_om
             + ',\n    "n_lambda_branch": ', (n_lam + ',\n    "n_max": ')[:, None])
     winners = tuple(f',\n    "winning_branch": "{b.value}",\n    "intervals_omega": '
                     for b in BranchKind)
-    tail = (intervals(grid.omegas, 0.0) + ',\n    "intervals_lambda": ',
-            (intervals(grid.lambdas, grid.lambda_decay) + "\n  }")[:, None])
+    sep = ",\n"
+    tail = (_interval_texts(grid.omegas, 0.0, grid.ts, ',\n    "intervals_lambda": '),
+            _interval_texts(grid.lambdas, grid.lambda_decay, grid.ts, "\n  }" + sep)[:, None])
     head, foot = ("[\n", "\n]\n") if len(grid) else ("[]\n", "")
-    _write_cells(path, grid, head, lead, (n_om, n_lam), winners, tail, ",\n", foot)
+    _write_cells(path, grid, head, lead, (n_om, n_lam), winners, tail, sep, foot)

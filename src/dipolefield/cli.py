@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import blp, dynamics, stochastic
+from . import blp, dynamics
 from .model import ConfigError, SystemParams, derive_params, nondimensionalize, read_params
 
 EXIT_OK = 0
@@ -141,9 +141,9 @@ def _time_grid(args) -> np.ndarray:
     """The ``--steps`` + 1 uniform times of [0, ``--tmax``], checked before they are built."""
     if not (math.isfinite(args.tmax) and args.tmax >= 0):
         raise ValueError(f"--tmax {args.tmax}: must be finite and nonnegative")
-    if not 0 <= args.steps < stochastic.MAX_FIELD_SAMPLES:
+    if not 0 <= args.steps < dynamics.MAX_FIELD_SAMPLES:
         raise ValueError(f"--steps {args.steps}: must be nonnegative, with at most "
-                         f"{stochastic.MAX_FIELD_SAMPLES} times in all")
+                         f"{dynamics.MAX_FIELD_SAMPLES} times in all")
     return np.linspace(0.0, args.tmax, args.steps + 1)
 
 
@@ -222,6 +222,7 @@ def _weak_coupling(p: SystemParams) -> bool:
 
 
 def _cmd_mc_verify(args) -> int:
+    from . import stochastic  # only mc-verify and spectrum load it, with numpy.random
     p = read_params(args.config)
     if not _weak_coupling(p) and not args.force:
         print(
@@ -261,6 +262,7 @@ def _cmd_mc_verify(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
+    from . import stochastic  # only mc-verify and spectrum load it, with numpy.random
     p = read_params(args.config)
     if args.n < 2:
         raise ValueError(f"--n {args.n}: need at least 2 realizations")

@@ -48,6 +48,12 @@ ArrayLike = Union[float, np.ndarray]
 #: tolerance on Bloch-ball membership; larger violations are hard errors
 BALL_ATOL = 1e-9
 
+#: cap on the samples of one time grid, checked before it is allocated: the times of
+#: an ``evolve`` or ``distance`` series, and the n_realizations * (n_steps + 1) field
+#: samples of a ``stochastic`` run, which holds one array of that many doubles, the
+#: field (about 0.17 GB at the cap)
+MAX_FIELD_SAMPLES = 2**24
+
 
 def _check_mode(mode: str) -> str:
     if mode not in MODES:

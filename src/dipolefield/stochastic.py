@@ -37,7 +37,7 @@ import numpy as np
 import numpy.fft  # noqa: F401  numpy loads these on first use; loading them here
 import numpy.random  # noqa: F401  keeps that out of the first command's time
 
-from .dynamics import InitialCondition, mean_dipole, mean_inversion
+from .dynamics import MAX_FIELD_SAMPLES, InitialCondition, mean_dipole, mean_inversion
 from .model import SystemParams, derive_params
 
 __all__ = [
@@ -66,11 +66,6 @@ FIELD_BLOCK_BYTES = 4 * 2**20
 
 #: records drawn contiguously before they are transposed into a time-major block
 _TRANSPOSE_SEEDS = 16
-
-#: cap on n_realizations * (n_steps + 1) field samples per call, checked
-#: before anything is allocated; an ensemble run holds one array of that
-#: many doubles, the field (about 0.17 GB at the cap)
-MAX_FIELD_SAMPLES = 2**24
 
 #: cap on the field variance pi*beta*i0, far from overflow in the periodogram's
 #: squared sums of field samples and in the field's fourth power in an RK4 step

@@ -3,6 +3,7 @@ import math
 import tempfile
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -1020,13 +1021,13 @@ def test_sweep_writers_keep_the_per_cell_tie_rule(monkeypatch, tmp_path):
         return np.broadcast_arrays(np.take(values, np.asarray(freq, dtype=int)), t_max)[0]
 
     monkeypatch.setattr(blp, "_branch_value", branch_value)
-    monkeypatch.setattr(blp, "_rise_intervals", lambda freq, decay, t_max: ((0.0, freq),))
+    # the frequencies 0-5 up to T = 1 have no rise, whole rises and rises cut at T
     axis = [float(i) for i in range(len(values))]
     grid = sweep_grid(axis, axis, [1.0])
     rows = [(lam, om, 1.0, values[int(om)], values[int(lam)],
              max(values[int(om)], values[int(lam)]),
              "lambda" if values[int(lam)] > values[int(om)] + 1e-10 else "omega",
-             ((0.0, om),), ((0.0, lam),))
+             blp._rise_intervals(om, 0.0, 1.0), blp._rise_intervals(lam, 1.0, 1.0))
             for lam in axis for om in axis]
     assert {r[6] for r in rows} == {"omega", "lambda"}
     assert [dataclasses.astuple(r) for r in grid] == rows
@@ -1054,6 +1055,41 @@ def test_sweep_writers_join_whole_cells_across_chunks(monkeypatch, tmp_path, chu
             assert (tmp_path / "sweep.csv").read_bytes() == ref_csv
             assert (tmp_path / "sweep.json").read_bytes() == ref_json
     test_sweep_writers_keep_the_per_cell_tie_rule(monkeypatch, tmp_path)
+
+
+_frequencies = st.lists(st.just(0.0) | st.floats(0.1, 6.0), max_size=4)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(lams=_frequencies, oms=_frequencies,
+       ts=st.lists(st.just(0.0) | st.floats(0.0, 10.0), max_size=3),
+       cuts=st.lists(st.tuples(st.integers(0, 3), st.floats(0.05, 0.95)), max_size=2),
+       repeat=st.booleans(), mode=st.sampled_from(["derived", "as-printed"]),
+       chunk=st.sampled_from([1, 7, 512]))
+@example(lams=[0.0, 2.0], oms=[3.0, 0.0], ts=[1.0, 0.0, 1.0], cuts=[(0, 0.5)], repeat=True,
+         mode="as-printed", chunk=7)
+@example(lams=[1e-17], oms=[0.0], ts=[3 * (math.pi / 2e-17), 5 * (math.pi / 2e-17)], cuts=[],
+         repeat=False, mode="derived", chunk=512)  # a rise starts at T, its reach rounds to 0
+def test_sweep_writers_equal_the_per_cell_reference(lams, oms, ts, cuts, repeat, mode, chunk):
+    # the writers render each rise of an axis frequency once, up to the largest
+    # T, and take the rises up to each T as a prefix; on unsorted and repeated
+    # T, T = 0, zero frequencies and last rises cut at T, in any chunking, their
+    # bytes are those of a cell-by-cell evaluation
+    c = 1.0 if mode == "derived" else 0.5
+    for freqs, decay in ((oms, 0.0), (lams, c)):
+        if max(freqs, default=0.0) > 0.0:  # T inside rise k of the largest frequency
+            f = max(freqs)
+            ts = ts + [(2 * k + 1) * math.pi / (2.0 * f) + s * math.atan2(f, decay) / f
+                       for k, s in cuts]
+    if repeat:
+        ts = ts + ts[:1]
+    _, ref_csv, ref_json = sweep_payload_reference(lams, oms, ts, mode)
+    grid = sweep_grid(lams, oms, ts, mode=mode)
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(blp, "_SWEEP_CHUNK", chunk):
+        write_sweep_csv(grid, Path(tmp) / "sweep.csv")
+        write_sweep_json(grid, Path(tmp) / "sweep.json")
+        assert (Path(tmp) / "sweep.csv").read_bytes() == ref_csv
+        assert (Path(tmp) / "sweep.json").read_bytes() == ref_json
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)

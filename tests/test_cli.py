@@ -753,3 +753,38 @@ def test_commands_do_not_import_scipy(config, tmp_path):
         env={**os.environ, "PYTHONPATH": path}, timeout=300,
     )
     assert result.returncode == 0, result.stderr
+
+
+def test_only_the_stochastic_commands_import_the_stochastic_layer(config, tmp_path):
+    # importing the cli and running every other command loads neither the
+    # stochastic module nor the numpy submodules it uses (numpy.ma is what
+    # np.unique loads); the package's stochastic names load it on first use
+    ref = config(REFERENCE, "r.cfg")
+    runs = [
+        ["derive", "--config", ref],
+        ["evolve", "--config", ref, "--tmax", "2", "--out", "e.csv"],
+        ["distance", "--config", ref, "--tmax", "2", "--out", "d.csv"],
+        *(["nonmark", "--config", ref, "--mode", mode, "--tmax", "5", "--theta-grid", "9",
+           "--literal-eq-nt", "--out", "n.json"] for mode in ("derived", "as-printed")),
+        *(["sweep", "--lambda", "0:2:3", "--omega", "0:2:3", "--tmax", "1:5:2", "--format", fmt,
+           "--out", f"s.{fmt}"] for fmt in ("csv", "json")),
+    ]
+    script = "\n".join([
+        "import sys",
+        "lazy = ('dipolefield.stochastic', 'numpy.random', 'numpy.fft', 'numpy.ma')",
+        "from dipolefield.cli import main",
+        "assert not [m for m in lazy if m in sys.modules], 'loaded on import'",
+        f"for argv in {runs!r}:",
+        "    assert main(argv) == 0, argv",
+        "    assert not [m for m in lazy if m in sys.modules], argv",
+        "import dipolefield",
+        "assert dipolefield.sample_fields.__module__ == 'dipolefield.stochastic'",
+        "assert all(m in sys.modules for m in lazy[:3])",
+    ])
+    src = str(Path(dipolefield.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", script], cwd=tmp_path, capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": path}, timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
