@@ -787,11 +787,15 @@ def sweep_grid(lambdas: Sequence[float], omegas: Sequence[float], ts: Sequence[f
     _check_sweep(len(lambdas), len(omegas), len(ts))
     if not (lambdas and omegas and ts):
         lambdas = omegas = ts = ()
-    else:  # T varies fastest, so a bad T shows first, then a bad omega, then a bad lambda
-        lam0, om0, t0 = lambdas[0], omegas[0], ts[0]
-        for cell in [*((lam0, om0, t) for t in ts), *((lam0, om, t0) for om in omegas),
-                     *((lam, om0, t0) for lam in lambdas)]:
-            DimensionlessConfig(*cell)
+    else:
+        values = np.array((*lambdas, *omegas, *ts))
+        if not np.all(np.isfinite(values) & (values >= 0.0)):
+            # the cells DimensionlessConfig rejects, in row order: T varies fastest, so
+            # a bad T shows first, then a bad omega, then a bad lambda
+            lam0, om0, t0 = lambdas[0], omegas[0], ts[0]
+            for cell in [*((lam0, om0, t) for t in ts), *((lam0, om, t0) for om in omegas),
+                         *((lam, om0, t0) for lam in lambdas)]:
+                DimensionlessConfig(*cell)
         for axis in (omegas, lambdas):
             _check_quarters(max(axis), max(ts))
     decay = _envelope_decay(mode)

@@ -197,9 +197,31 @@ def _cmd_nonmark(args) -> int:
     if args.literal_eq_nt:
         print(f"literal_pointwise_max = {payload['literal_pointwise_max']:.12g}")
     if args.out:
-        Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")
+        Path(args.out).write_text(_nonmark_json(payload))
         print(f"wrote {args.out}")
     return EXIT_OK
+
+
+def _nonmark_json(payload: dict) -> str:
+    """The text of ``json.dumps(payload, indent=2)`` plus a newline, written by hand.
+
+    With ``indent`` set the json module falls back to its pure-Python
+    encoder. Numbers print through ``float.__repr__`` as there (every
+    number of a ``nonmark`` payload is a finite float), string values
+    through ``json.dumps``, keys (plain names) in quotes, and ``intervals``
+    as its list of (a, b) pairs.
+    """
+    num = float.__repr__
+
+    def text(value) -> str:
+        if isinstance(value, str):
+            return json.dumps(value)
+        if isinstance(value, list):
+            pairs = ",\n".join(f"    [\n      {num(a)},\n      {num(b)}\n    ]" for a, b in value)
+            return f"[\n{pairs}\n  ]" if value else "[]"
+        return num(value)
+
+    return "{\n" + ",\n".join(f'  "{key}": {text(v)}' for key, v in payload.items()) + "\n}\n"
 
 
 def _cmd_sweep(args) -> int:

@@ -274,15 +274,23 @@ def _quadrature_paths(normals: np.ndarray, rho: float, sigma_st: float) -> np.nd
     ``normals[0]`` seeds the stationary initial value; subsequent rows are
     the innovations, and trailing axes are independent lanes. Each step
     rounds ``rho * x_k`` and ``s_inn * z_{k+1}`` and then their sum, on one
-    contiguous row of lanes.
+    contiguous row of lanes. A step does only a row's few multiply-adds, so
+    its cost is the ufunc calls and the row views: the array's iterator makes
+    each row view once, the previous row is carried rather than indexed
+    again, and ``rho`` is passed as a 0-d array, which a call takes without
+    converting a Python float. A 1-D record walks as a (K+1, 1) view, since
+    its iterator yields scalars that cannot be written to.
     """
     s_inn = sigma_st * math.sqrt(max(0.0, 1.0 - rho * rho))
     normals[0] *= sigma_st
     normals[1:] *= s_inn
-    step = np.empty(normals.shape[1:])
-    for k in range(normals.shape[0] - 1):
-        np.multiply(normals[k], rho, out=step)
-        normals[k + 1] += step
+    rows = iter(normals if normals.ndim > 1 else normals[:, None])
+    prev, factor = next(rows), np.array(rho)
+    step = np.empty(prev.shape)
+    for row in rows:
+        np.multiply(prev, factor, step)
+        np.add(row, step, row)
+        prev = row
     return normals
 
 

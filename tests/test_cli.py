@@ -202,6 +202,19 @@ def test_nonmark_reports_measure(config, tmp_path, capsys):
     assert payload["winning_branch"] in ("omega", "lambda")
 
 
+@pytest.mark.parametrize("tmax, extra", [("0", []), ("5", []), ("3.4", ["--literal-eq-nt"])])
+def test_nonmark_json_is_the_json_modules_text(config, tmp_path, tmax, extra):
+    # the hand-written --out text is json.dumps(payload, indent=2) plus a newline, with
+    # no intervals, without the literal key and with it
+    out = tmp_path / "n.json"
+    assert main(["nonmark", "--config", config(INTERIOR), "--tmax", tmax, *extra,
+                 "--out", str(out)]) == 0
+    text = out.read_text()
+    assert text == json.dumps(json.loads(text), indent=2) + "\n"
+    assert ("literal_pointwise_max" in text) == bool(extra)
+    assert ('"intervals": []' in text) == (tmax == "0")
+
+
 #: SHA-256 of nonmark's --out JSON and stdout with --literal-eq-nt, computed
 #: with blp's own Chandrupatla kernel refining the sign changes (its roots
 #: equal scipy's find_root bit for bit): the commensurate config, the

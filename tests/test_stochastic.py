@@ -152,6 +152,19 @@ def test_quadrature_paths_match_stepwise_reference_on_any_shape(n_steps, lanes, 
     )
 
 
+@pytest.mark.parametrize("c", [1, 3, 5])
+def test_quadrature_paths_on_a_column_slice(c):
+    # the partial last block of _field_blocks: the first c of b columns of a
+    # (K+1, b, 2) buffer, a view that is not contiguous though each of its rows is
+    buf = np.random.default_rng(c).standard_normal((201, 6, 2))
+    rest = buf[:, c:].copy()
+    rho, sigma_st = math.exp(-0.03), 0.9
+    expected = np.moveaxis(ar1_reference(np.moveaxis(buf[:, :c], 0, -1), rho, sigma_st), -1, 0)
+    assert stochastic._quadrature_paths(buf[:, :c], rho, sigma_st).base is buf
+    np.testing.assert_array_equal(buf[:, :c], expected)
+    np.testing.assert_array_equal(buf[:, c:], rest)
+
+
 def test_sample_fields_match_per_seed_sampling(monkeypatch):
     p = SystemParams(omega=10.0, kappa=1.0, beta_s=0.0, i0=1.0, beta=1.0)
     dt, n_steps = max_field_dt(p), 100
