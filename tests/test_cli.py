@@ -259,6 +259,35 @@ def test_nonmark_output_bytes_pinned(config, tmp_path, monkeypatch, capsys, run,
     assert tuple(hashlib.sha256(b).hexdigest() for b in got) == NONMARK_SHA256[run, mode]
 
 
+#: SHA-256 of the closed-form CSVs (evolve with m0 != 0 and beta != beta_s, so the
+#: modes differ; distance at theta 0.5) and of nonmark's stdout without
+#: --literal-eq-nt; a change of line ends or number format moves them
+TEXT_SHA256 = {
+    ("evolve", "derived"): "9c9167111a609301cb62d8ef8bcca2ddef097a410fe4f9363b69610af498f5c3",
+    ("evolve", "as-printed"): "13f0cb683047deed5a542aa9e7b09e8d9018ebb55cde6449b537c793cb0630b8",
+    ("distance", "derived"): "226c708fcae9af2982d4016ce6e9b868ec144f38adffd2548ee5b7504c30b7d8",
+    ("distance", "as-printed"): "a72341e4d59429a6fc2c555098363a4f2ffebc8d3cf6888bb7666c35944aff90",
+    ("nonmark", "derived"): "d65cbc8a3c70c4537597b17310c94848420e173a1ac75ef55bb520446401fa3f",
+    ("nonmark", "as-printed"): "869e02ce9282dfc82d2c43b071ff0e52b892eff732d4ecb9d0b9e12ac4e3a47a",
+}
+TEXT_RUNS = {
+    "evolve": (WEAK, ["--m0", "0.6", "--w0", "-0.8", "--tmax", "6", "--steps", "300",
+                      "--out", "out.csv"]),
+    "distance": (WEAK, ["--theta", "0.5", "--tmax", "6", "--steps", "300", "--out", "out.csv"]),
+    "nonmark": (REFERENCE, ["--tmax", "20"]),
+}
+
+
+@pytest.mark.parametrize("command, mode", sorted(TEXT_SHA256))
+def test_closed_form_text_bytes_pinned(config, tmp_path, monkeypatch, capsys, command, mode):
+    text, argv = TEXT_RUNS[command]
+    monkeypatch.chdir(tmp_path)
+    assert main([command, "--config", config(text), "--mode", mode, *argv]) == 0
+    got = (capsys.readouterr().out.encode() if command == "nonmark"
+           else Path("out.csv").read_bytes())
+    assert hashlib.sha256(got).hexdigest() == TEXT_SHA256[command, mode]
+
+
 def test_nonmark_long_horizon_sign_tests_do_not_overflow(config, capsys):
     # a long horizon end to end: the branch closed forms and the pointwise-max
     # locator run without a warning (the locator's own overflow test, on the
