@@ -64,7 +64,7 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .dynamics import FormulaSource, _check_mode, _check_theta, _pair_distance
+from .dynamics import FormulaSource, _check_mode, _check_theta, _envelope_decay, _pair_distance
 from .model import DimensionlessConfig
 
 __all__ = [
@@ -147,10 +147,6 @@ class BackflowResult:
     intervals: tuple[tuple[float, float], ...]
     n_omega_branch: float | None = None
     n_lambda_branch: float | None = None
-
-
-def _envelope_decay(mode: str) -> float:
-    return 1.0 if mode == "derived" else 0.5
 
 
 def _lambda_wins(n_omega: ArrayLike, n_lambda: ArrayLike) -> ArrayLike:

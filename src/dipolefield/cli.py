@@ -163,10 +163,7 @@ def _cmd_distance(args) -> int:
     pair = dynamics.StatePair(theta=args.theta)
     times = _time_grid(args)
     dist = np.asarray(dynamics.trace_distance(pair, d, p, times, mode=args.mode))
-    with open(args.out, "w") as fh:
-        fh.write("t,distance\n")
-        for t, v in zip(times, dist):
-            fh.write(f"{t:.12g},{v:.12g}\n")
+    dynamics._write_csv(args.out, "t,distance", (times, dist), "\n")
     print(f"wrote {args.out}")
     return EXIT_OK
 
@@ -189,39 +186,13 @@ def _cmd_nonmark(args) -> int:
     }
     if args.literal_eq_nt:
         payload["literal_pointwise_max"] = blp.literal_pointwise_max(cfg, mode=args.mode)
-    for key in ("lambda_hat", "omega_hat", "T", "n_value", "theta_star"):
-        print(f"{key} = {payload[key]:.12g}")
-    print(f"winning_branch = {payload['winning_branch']}")
-    print(f"n_omega_branch = {payload['n_omega_branch']:.12g}")
-    print(f"n_lambda_branch = {payload['n_lambda_branch']:.12g}")
-    if args.literal_eq_nt:
-        print(f"literal_pointwise_max = {payload['literal_pointwise_max']:.12g}")
+    for key, value in payload.items():
+        if key not in ("mode", "intervals"):
+            print(f"{key} = {value if isinstance(value, str) else format(value, '.12g')}")
     if args.out:
-        Path(args.out).write_text(_nonmark_json(payload))
+        Path(args.out).write_text(json.dumps(payload, indent=2) + "\n", newline="")
         print(f"wrote {args.out}")
     return EXIT_OK
-
-
-def _nonmark_json(payload: dict) -> str:
-    """The text of ``json.dumps(payload, indent=2)`` plus a newline, written by hand.
-
-    With ``indent`` set the json module falls back to its pure-Python
-    encoder. Numbers print through ``float.__repr__`` as there (every
-    number of a ``nonmark`` payload is a finite float), string values
-    through ``json.dumps``, keys (plain names) in quotes, and ``intervals``
-    as its list of (a, b) pairs.
-    """
-    num = float.__repr__
-
-    def text(value) -> str:
-        if isinstance(value, str):
-            return json.dumps(value)
-        if isinstance(value, list):
-            pairs = ",\n".join(f"    [\n      {num(a)},\n      {num(b)}\n    ]" for a, b in value)
-            return f"[\n{pairs}\n  ]" if value else "[]"
-        return num(value)
-
-    return "{\n" + ",\n".join(f'  "{key}": {text(v)}' for key, v in payload.items()) + "\n}\n"
 
 
 def _cmd_sweep(args) -> int:
@@ -309,10 +280,7 @@ def _cmd_spectrum(args) -> int:
         print(f"spectrum fit failed: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write("omega,power\n")
-            for w_val, p_val in zip(omega, power):
-                fh.write(f"{w_val:.12g},{p_val:.12g}\n")
+        dynamics._write_csv(args.out, "omega,power", (omega, power), "\n")
         print(f"wrote {args.out}")
     if fit is None:
         print("no fit: zero spectrum; no peak to fit")

@@ -8,7 +8,6 @@ pure pairs come in two formula variants (see ``FormulaSource`` below).
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -42,6 +41,12 @@ __all__ = [
 #:                 exp(-gamma*t) envelope.
 FormulaSource = Literal["derived", "as-printed"]
 MODES: tuple[str, ...] = ("derived", "as-printed")
+
+
+def _envelope_decay(mode: str) -> float:
+    """The distance envelope's rate in gamma: as-printed's single e^{-gamma t} halves it."""
+    return 1.0 if mode == "derived" else 0.5
+
 
 ArrayLike = Union[float, np.ndarray]
 
@@ -222,8 +227,7 @@ def trace_distance(
     beta = beta_s (see the README's "Known model limits").
     """
     _check_mode(mode)
-    # single e^{-gamma t} on the squared cosine == squared half-rate envelope
-    decay = d.gamma if mode == "derived" else 0.5 * d.gamma
+    decay = _envelope_decay(mode) * d.gamma
     return _pair_distance(math.cos(pair.theta) ** 2, decay, d.lambda_sq, p.omega, t)
 
 
@@ -246,8 +250,12 @@ def write_timeseries(
     m = np.asarray(mean_dipole(ic, p, times))
     w = np.asarray(mean_inversion(ic, d, p, times, mode=mode))
     pur = 0.5 * (1.0 + m * m + w * w)  # Tr[rho^2] of rho = (I + w sigma_3 + m sigma_1)/2
+    _write_csv(path, "t,m,w,purity", (times, m, w, pur), "\r\n")
+
+
+def _write_csv(path: str | Path, header: str, columns, end: str) -> None:
+    """``header``, then one ``%.12g`` row per row of ``columns``; each line ends in ``end``,
+    untranslated (``newline=""``), so the bytes do not depend on the platform."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "m", "w", "purity"])
-        for row in zip(times, m, w, pur):
-            writer.writerow([f"{v:.12g}" for v in row])
+        fh.write(header + end)
+        fh.writelines(",".join(f"{v:.12g}" for v in row) + end for row in zip(*columns))

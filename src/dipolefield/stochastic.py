@@ -25,7 +25,6 @@ coupling only through that product.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import operator
@@ -37,7 +36,7 @@ import numpy as np
 import numpy.fft  # noqa: F401  numpy loads these on first use; loading them here
 import numpy.random  # noqa: F401  keeps that out of the first command's time
 
-from .dynamics import MAX_FIELD_SAMPLES, InitialCondition, mean_dipole, mean_inversion
+from .dynamics import MAX_FIELD_SAMPLES, InitialCondition, _write_csv, mean_dipole, mean_inversion
 from .model import SystemParams, derive_params
 
 __all__ = [
@@ -126,7 +125,7 @@ class EnsembleReport:
         return out
 
     def write_json(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), indent=2) + "\n")
+        Path(path).write_text(json.dumps(self.to_dict(), indent=2) + "\n", newline="")
 
 
 @dataclass(frozen=True)
@@ -341,11 +340,7 @@ def sample_fields(p: SystemParams, dt: float, n_steps: int, seeds: Sequence[int]
 
 def write_field_csv(values: np.ndarray, dt: float, path: str | Path) -> None:
     """Dump one realization, sampled at t = k dt, as CSV with header ``t,E``."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "E"])
-        for t, e in zip(dt * np.arange(len(values)), values):
-            writer.writerow([f"{t:.12g}", f"{e:.12g}"])
+    _write_csv(path, "t,E", (dt * np.arange(len(values)), values), "\r\n")
 
 
 # ---------------------------------------------------------------------------
