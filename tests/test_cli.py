@@ -288,6 +288,38 @@ def test_closed_form_text_bytes_pinned(config, tmp_path, monkeypatch, capsys, co
     assert hashlib.sha256(got).hexdigest() == TEXT_SHA256[command, mode]
 
 
+#: SHA-256 of the stdout of derive (the reference config; an overdamped one;
+#: beta_s = i0 = 0, which prints B = undefined), of a sweep and of a small mc-verify
+STDOUT_SHA256 = {
+    "derive-reference": "39f1b8d7fa0b014b090ee90e51d69fc5d5b29b6c21c536d0f12c53cad5149b27",
+    "derive-overdamped": "651bc95ab9c2b7a2aa3aa6eb35060078b593976a5109af3a408538d4d9ef753b",
+    "derive-undefined-ratio": "b6c6e6e6607b7d19a776b450fac92d5861acf765ef3c206fd559796911bc7d4c",
+    "sweep": "5347237bad1218b6a16381124a850228c37eb7ae54bed5ff6651f1ae3cbb4626",
+    "mc-verify": "40dd38bab85887272ae7f4339c4c0033f41c817464af5e69ac90662d5599c8df",
+}
+#: (config text or None, argv); a config goes in as --config after the command
+STDOUT_RUNS = {
+    "derive-reference": (REFERENCE, ["derive"]),
+    "derive-overdamped": ("omega = 3.0\nkappa = 1.0\nbeta_s = 0.2\ni0 = 0.05\nbeta = 1.8\n",
+                          ["derive"]),
+    "derive-undefined-ratio": ("omega=1\nkappa=1\nbeta_s=0\ni0=0\nbeta=2\n", ["derive"]),
+    "sweep": (None, ["sweep", "--lambda", "0:5:9", "--omega", "0:5:7", "--tmax", "1:5:3",
+                     "--out", "s.csv"]),
+    "mc-verify": (WEAK, ["mc-verify", "--n", "40", "--seed", str(2**40 + 7), "--m0", "0.3",
+                         "--w0", "0.5", "--horizon", "2", "--out", "r.json"]),
+}
+
+
+@pytest.mark.parametrize("run", sorted(STDOUT_SHA256))
+def test_stdout_bytes_pinned(config, tmp_path, monkeypatch, capsys, run):
+    text, argv = STDOUT_RUNS[run]
+    monkeypatch.chdir(tmp_path)
+    if text is not None:
+        argv = [argv[0], "--config", config(text), *argv[1:]]
+    assert main(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == STDOUT_SHA256[run]
+
+
 def test_nonmark_long_horizon_sign_tests_do_not_overflow(config, capsys):
     # a long horizon end to end: the branch closed forms and the pointwise-max
     # locator run without a warning (the locator's own overflow test, on the
