@@ -183,14 +183,6 @@ def _printed_factors(tau: ArrayLike, lam: float, om: float) -> tuple:
     return p, np.exp(tau) * np.cos(om * tau) ** 2, np.cos(lam * tau) ** 2
 
 
-def _rate_parts(u: ArrayLike, tau: ArrayLike, lam: float, om: float, mode: str) -> tuple:
-    """Numerator and denominator of the rate num / den; ``u`` and ``tau`` broadcast."""
-    if mode == "derived":
-        return _rate_numerator(u, tau, lam, om), 2.0 * _pair_distance(u, 1.0, lam * lam, om, tau)
-    p, q, r = _printed_factors(tau, lam, om)
-    return u * p, 2.0 * np.sqrt(u * q + (1.0 - u) * r)
-
-
 def sigma_rate(
     theta: float,
     cfg: DimensionlessConfig,
@@ -213,7 +205,12 @@ def sigma_rate(
         raise ValueError(f"tau must be finite, got {tau}")
     lam, om = cfg.lambda_hat, cfg.omega_hat
     u = math.cos(theta) ** 2
-    num, den = _rate_parts(u, tau, lam, om, mode)
+    if mode == "derived":
+        num = _rate_numerator(u, tau, lam, om)
+        den = 2.0 * _pair_distance(u, 1.0, lam * lam, om, tau)
+    else:
+        p, q, r = _printed_factors(tau, lam, om)
+        num, den = u * p, 2.0 * np.sqrt(u * q + (1.0 - u) * r)
     if den > 2.0 * _KINK_TOL:
         return float(num / den)
     warnings.warn(
@@ -433,57 +430,45 @@ def _chandrupatla(fn: Callable, lo: np.ndarray, hi: np.ndarray, k: np.ndarray) -
     end. An element stops at the end with the smaller |f| once that |f| is at
     most tiny; with NaN once its ends share a sign, an end is not finite or
     both values are NaN; else once the bracket is narrower than
-    4 tiny + 4 eps |root|. Ends are tested for finiteness at step 0 only: each
-    new point lies between the ends, so finite ends stay finite (for any
-    bracket narrower than the largest float). Stopped elements leave the
-    arrays. At most 2046 steps, scipy's cap: the bisections from the largest
-    normal float down to the smallest.
+    4 tiny + 4 eps |root|. Stopped elements leave the arrays. At most 2046
+    steps, scipy's cap: the bisections from the largest normal float down to
+    the smallest.
     """
     tiny, eps = np.finfo(float).smallest_normal, np.finfo(float).eps
     x1, x2 = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     f1, f2 = fn(x1, k), fn(x2, k)
-    s1, s2 = np.sign(f1), np.sign(f2)
     ftol = tiny + 0.0 * np.minimum(abs(f1), abs(f2))  # NaN for an infinite end, as in scipy
     x3, f3, idx, t = x2, f2, np.arange(x1.size), 0.5
     out = np.empty(x1.size)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for step in range(2047):
-            a1, a2 = abs(f1), abs(f2)
-            near = a1 < a2
-            xmin = np.where(near, x1, x2)
-            met = np.where(near, a1, a2) <= ftol
-            # ends of one sign, or two NaN values (fmax skips a single NaN)
-            bad = (s1 == s2) | np.isnan(np.fmax(f1, f2))
-            if not step:
-                bad |= ~(np.isfinite(x1) & np.isfinite(x2))
-            w = x2 - x1
-            dx, tol = abs(w), abs(xmin) * (4.0 * eps) + 4.0 * tiny
-            go = ~(met | bad | (dx < tol))
-            done = step == 2046 or not go.any()
-            if done or not go.all():
-                xmin[bad & ~met] = np.nan
-                out[idx] = xmin
-                if done:
-                    return out
-                x1, f1, s1, x2, f2, s2, x3, f3, k, idx, ftol, w, dx, tol = (
-                    v[go] for v in (x1, f1, s1, x2, f2, s2, x3, f3, k, idx, ftol, w, dx, tol))
-            if step:
-                # x1 - x2 is -w, and f2 - f3 is -(f3 - f2): the quotients below
-                # are scipy's bit for bit, as is a - (-b) = a + b
-                d12, d32 = f1 - f2, f3 - f2
-                xi1, phi1 = w / (x2 - x3), d12 / d32
+    for step in range(2047):
+        near = abs(f1) < abs(f2)
+        xmin, fmin = np.where(near, x1, x2), np.where(near, f1, f2)
+        met = abs(fmin) <= ftol
+        failed = ~met & ((np.sign(f1) == np.sign(f2)) | ~(np.isfinite(x1) & np.isfinite(x2))
+                         | (np.isnan(f1) & np.isnan(f2)))
+        xmin[failed] = np.nan
+        dx, tol = abs(x2 - x1), abs(xmin) * (4.0 * eps) + 4.0 * tiny
+        go = ~(met | failed | (dx < tol))
+        out[idx] = xmin
+        if step == 2046 or not go.any():
+            return out
+        x1, f1, x2, f2, x3, f3, k, idx, ftol, dx, tol = (
+            v[go] for v in (x1, f1, x2, f2, x3, f3, k, idx, ftol, dx, tol))
+        if step:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                xi1, phi1 = (x1 - x2) / (x3 - x2), (f1 - f2) / (f3 - f2)
+                alpha = (x3 - x1) / (x2 - x1)
                 iqi = ((1 - np.sqrt(1 - xi1)) < phi1) & (phi1 < np.sqrt(xi1))
-                alpha = (x3 - x1) / w
-                t = np.where(iqi, f1 / d12 * f3 / d32 + alpha * f1 / (f3 - f1) * f2 / d32, 0.5)
-                tl = 0.5 * tol / dx
-                t = np.minimum(np.maximum(t, tl), 1 - tl)
-            x = x1 + t * w
-            f = fn(x, k)
-            s = np.sign(f)
-            same = s == s1
-            x3, f3 = np.where(same, x1, x2), np.where(same, f1, f2)
-            x2, f2, s2 = np.where(same, x2, x1), np.where(same, f2, f1), np.where(same, s2, s1)
-            x1, f1, s1 = x, f, s
+                t = np.where(iqi, f1 / (f1 - f2) * f3 / (f3 - f2)
+                             - alpha * f1 / (f3 - f1) * f2 / (f2 - f3), 0.5)
+            tl = 0.5 * tol / dx
+            t = np.clip(t, tl, 1 - tl)
+        x = x1 + t * (x2 - x1)
+        f = fn(x, k)
+        same = np.sign(f) == np.sign(f1)
+        x3, f3 = np.where(same, x1, x2), np.where(same, f1, f2)
+        x2, f2 = np.where(same, x2, x1), np.where(same, f2, f1)
+        x1, f1 = x, f
 
 
 # ---------------------------------------------------------------------------
@@ -783,15 +768,11 @@ def sweep_grid(lambdas: Sequence[float], omegas: Sequence[float], ts: Sequence[f
     _check_sweep(len(lambdas), len(omegas), len(ts))
     if not (lambdas and omegas and ts):
         lambdas = omegas = ts = ()
-    else:
-        values = np.array((*lambdas, *omegas, *ts))
-        if not np.all(np.isfinite(values) & (values >= 0.0)):
-            # the cells DimensionlessConfig rejects, in row order: T varies fastest, so
-            # a bad T shows first, then a bad omega, then a bad lambda
-            lam0, om0, t0 = lambdas[0], omegas[0], ts[0]
-            for cell in [*((lam0, om0, t) for t in ts), *((lam0, om, t0) for om in omegas),
-                         *((lam, om0, t0) for lam in lambdas)]:
-                DimensionlessConfig(*cell)
+    else:  # T varies fastest, so a bad T shows first, then a bad omega, then a bad lambda
+        lam0, om0, t0 = lambdas[0], omegas[0], ts[0]
+        for cell in [*((lam0, om0, t) for t in ts), *((lam0, om, t0) for om in omegas),
+                     *((lam, om0, t0) for lam in lambdas)]:
+            DimensionlessConfig(*cell)
         for axis in (omegas, lambdas):
             _check_quarters(max(axis), max(ts))
     decay = _envelope_decay(mode)
@@ -821,12 +802,10 @@ def _write_cells(path: str | Path, grid: SweepGrid, head: str, lead: tuple, n_te
     lambda leads by at most TIE_TOL (its value, omega wins); omega is not behind. Each
     ``_SWEEP_CHUNK`` cells gather their pieces from those tables, compare their own
     branch values and are written, so no text of the whole grid is held."""
-    n_l, _, n_t = shape = (len(grid.lambdas), len(grid.omegas), len(grid.ts))
+    shape = (len(grid.lambdas), len(grid.omegas), len(grid.ts))
     lead, tail = ([np.broadcast_to(p, shape) for p in pieces] for pieces in (lead, tail))
-    # n_max and winner texts: [lambda, T] where lambda wins, [lambda, T] where it leads
-    # by at most TIE_TOL, then [omega, T]
-    picks = np.concatenate([(n_texts[1] + winners[1]).ravel(), (n_texts[1] + winners[0]).ravel(),
-                            (n_texts[0] + winners[0]).ravel()])
+    lambda_wins, lambda_ties = n_texts[1] + winners[1], n_texts[1] + winners[0]  # [lambda, T]
+    omega_wins = n_texts[0] + winners[0]  # [omega, T]
     with open(path, "w", newline="") as f:
         f.write(head)
         for start in range(0, len(grid), _SWEEP_CHUNK):
@@ -835,10 +814,9 @@ def _write_cells(path: str | Path, grid: SweepGrid, head: str, lead: tuple, n_te
             n_om, n_lam = grid.n_omega[j, k], grid.n_lambda[i, k]
             # n_max is where(n_lam > n_om, n_lam, n_om), Python's max(n_om, n_lam): a tie
             # keeps the omega value, so a 0.0/-0.0 tie prints as a cell-by-cell max does
-            at = i * n_t + k
-            pick = np.where(n_lam > n_om, np.where(_lambda_wins(n_om, n_lam), at, at + n_l * n_t),
-                            j * n_t + k + 2 * n_l * n_t)
-            text = "".join(np.stack([*(p[i, j, k] for p in lead), picks[pick],
+            pick = np.where(n_lam > n_om, np.where(_lambda_wins(n_om, n_lam), lambda_wins[i, k],
+                                                   lambda_ties[i, k]), omega_wins[j, k])
+            text = "".join(np.stack([*(p[i, j, k] for p in lead), pick,
                                      *(p[i, j, k] for p in tail)], axis=-1).ravel().tolist())
             if start + _SWEEP_CHUNK >= len(grid):  # no sep after the last cell
                 text = text[:len(text) - len(sep)]

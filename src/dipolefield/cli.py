@@ -43,12 +43,6 @@ def _parse_range(text: str) -> tuple[float, float, int]:
     return lo, hi, n
 
 
-def _add_common(sub: argparse.ArgumentParser, config: bool = True) -> None:
-    if config:
-        sub.add_argument("--config", required=True, help="key=value parameter file")
-    sub.add_argument("--mode", choices=dynamics.MODES, default="derived")
-
-
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process.
@@ -61,35 +55,37 @@ def build_parser() -> argparse.ArgumentParser:
         "two-level system in a fluctuating classical field.",
     )
     sub = ap.add_subparsers(dest="command", required=True)
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--config", required=True, help="key=value parameter file")
+    mode = argparse.ArgumentParser(add_help=False)  # only the commands that read args.mode
+    mode.add_argument("--mode", choices=dynamics.MODES, default="derived")
 
-    p = sub.add_parser("derive", help="print the derived closed-form constants")
-    _add_common(p)
+    sub.add_parser("derive", parents=[config], help="print the derived closed-form constants")
 
-    p = sub.add_parser("evolve", help="emit the closed-form evolution as CSV")
-    _add_common(p)
+    p = sub.add_parser("evolve", parents=[config, mode],
+                       help="emit the closed-form evolution as CSV")
     p.add_argument("--m0", type=float, default=0.0)
     p.add_argument("--w0", type=float, default=1.0)
     p.add_argument("--tmax", type=float, required=True)
     p.add_argument("--steps", type=int, default=200)
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("distance", help="trace distance of an antipodal pair vs time")
-    _add_common(p)
+    p = sub.add_parser("distance", parents=[config, mode],
+                       help="trace distance of an antipodal pair vs time")
     p.add_argument("--theta", type=float, default=0.0, help="pair mixing angle in [0, pi/2]")
     p.add_argument("--tmax", type=float, required=True)
     p.add_argument("--steps", type=int, default=200)
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("nonmark", help="backflow measure maximized over pair angles")
-    _add_common(p)
+    p = sub.add_parser("nonmark", parents=[config, mode],
+                       help="backflow measure maximized over pair angles")
     p.add_argument("--tmax", type=float, required=True, help="physical horizon")
     p.add_argument("--theta-grid", type=int, default=65)
     p.add_argument("--literal-eq-nt", action="store_true",
                    help="also report the pointwise-max single-integral variant")
     p.add_argument("--out", help="write the result as JSON")
 
-    p = sub.add_parser("sweep", help="branch integrals over a dimensionless grid")
-    _add_common(p, config=False)
+    p = sub.add_parser("sweep", parents=[mode], help="branch integrals over a dimensionless grid")
     p.add_argument("--lambda", dest="lam", type=_parse_range, required=True,
                    metavar="MIN:MAX:N")
     p.add_argument("--omega", type=_parse_range, required=True, metavar="MIN:MAX:N")
@@ -97,8 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
 
-    p = sub.add_parser("mc-verify", help="Monte Carlo check of the closed forms")
-    _add_common(p)
+    p = sub.add_parser("mc-verify", parents=[config], help="Monte Carlo check of the closed forms")
     p.add_argument("--n", type=int, default=10000, help="number of trajectories")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--m0", type=float, default=0.0)
@@ -109,8 +104,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--force", action="store_true",
                    help="run outside the weak-coupling guard")
 
-    p = sub.add_parser("spectrum", help="periodogram and Lorentzian fit of the field")
-    _add_common(p)
+    p = sub.add_parser("spectrum", parents=[config],
+                       help="periodogram and Lorentzian fit of the field")
     p.add_argument("--n", type=int, default=200, help="number of realizations")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--duration", type=float, help="record length (default: 200/beta)")

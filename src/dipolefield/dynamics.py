@@ -77,7 +77,8 @@ class InitialCondition:
     """Initial Bloch data: dipole m0, inversion w0, and the dipole rate.
 
     ``mdot0`` only matters to the stochastic integrator; the ensemble
-    closed forms assume a stationary initial dipole (mdot0 = 0).
+    closed forms assume a stationary initial dipole (mdot0 = 0). Raises
+    ValueError for a non-finite value or a point outside the Bloch ball.
     """
 
     m0: float
@@ -85,6 +86,9 @@ class InitialCondition:
     mdot0: float = 0.0
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.m0, self.w0, self.mdot0))):
+            raise ValueError(f"initial condition (m0={self.m0}, w0={self.w0}, "
+                             f"mdot0={self.mdot0}) must be finite")
         r2 = self.m0 * self.m0 + self.w0 * self.w0
         if r2 > 1.0 + BALL_ATOL:
             raise ValueError(

@@ -674,6 +674,25 @@ def test_invalid_step_count_or_length_exits_2(config, tmp_path, capsys, argv):
     assert not dump.exists() and not out.exists()
 
 
+@pytest.mark.parametrize("command", ["evolve", "mc-verify"])
+@pytest.mark.parametrize("flag", ["--m0", "--w0"])
+def test_non_finite_initial_condition_exits_2(config, tmp_path, capsys, command, flag):
+    out = tmp_path / "out"
+    extra = ["--tmax", "4"] if command == "evolve" else ["--n", "4"]
+    assert main([command, "--config", config(WEAK), flag, "nan", *extra,
+                  "--out", str(out)]) == 2
+    assert "invalid input: initial condition" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["derive", "mc-verify", "spectrum"])
+def test_mode_is_refused_where_no_formula_reads_it(config, capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", config(WEAK), "--mode", "as-printed"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --mode as-printed" in capsys.readouterr().err
+
+
 def test_commands_do_not_import_scipy_signal(config, tmp_path):
     # scipy.signal costs about 0.6 s of import and 23 MB of memory per process
     script = "\n".join([

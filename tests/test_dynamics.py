@@ -189,6 +189,11 @@ def test_initial_condition_ball():
     InitialCondition(m0=0.6, w0=0.8)  # boundary is fine
     with pytest.raises(ValueError, match="outside the Bloch ball"):
         InitialCondition(m0=0.8, w0=0.7)
+    # m0^2 + w0^2 > 1 is false for NaN, so a non-finite value is refused on its own
+    for bad in ({"m0": math.nan}, {"w0": math.nan}, {"m0": math.inf}, {"w0": -math.inf},
+                {"mdot0": math.nan}, {"mdot0": math.inf}):
+        with pytest.raises(ValueError, match="must be finite"):
+            InitialCondition(**{"m0": 0.0, "w0": 1.0, **bad})
 
 
 def test_evolved_state_identity_at_zero():

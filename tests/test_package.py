@@ -1,5 +1,6 @@
 """The public surface of the package, and the demos run as scripts."""
 
+import ast
 import importlib
 import os
 import pkgutil
@@ -16,7 +17,8 @@ from dipolefield import blp, dynamics
 from dipolefield.dynamics import MODES, InitialCondition, StatePair
 from dipolefield.model import DimensionlessConfig, SystemParams, derive_params
 
-DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("0*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("0*.py"))
 
 #: entry points that no longer exist; nothing may export them again
 DELETED = ("estimate_spectrum", "simulate_trajectory", "TrajectoryState", "n_measure_physical",
@@ -80,3 +82,12 @@ def test_every_mode_entry_point_rejects_an_unknown_mode(name, tmp_path):
         MODE_CALLS[name](mode, tmp_path)
     with pytest.raises(ValueError, match=re.escape(f"mode must be one of {MODES}, got 'bogus'")):
         MODE_CALLS[name]("bogus", tmp_path)
+
+
+def test_every_source_parses_at_the_oldest_supported_python():
+    # a newer interpreter accepts newer syntax, so parse with the grammar of the floor
+    assert 'requires-python = ">=3.10"' in (ROOT / "pyproject.toml").read_text()
+    files = sorted(f for d in ("src", "tests", "demos") for f in (ROOT / d).rglob("*.py"))
+    assert len(files) > 15
+    for path in files:
+        ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
