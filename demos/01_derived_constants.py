@@ -8,7 +8,7 @@ the steady-state offset A, the damping rate gamma, the squared transient
 frequency lambda^2, and the combined sine coefficient.
 """
 
-from dipolefield import SystemParams, derive_params, nondimensionalize
+from dipolefield.model import SystemParams, derive_params, nondimensionalize
 
 import math
 

@@ -12,13 +12,8 @@ from pathlib import Path
 
 import numpy as np
 
-from dipolefield import (
-    InitialCondition,
-    SystemParams,
-    derive_params,
-    mean_inversion,
-    write_timeseries,
-)
+from dipolefield.dynamics import InitialCondition, mean_inversion, write_timeseries
+from dipolefield.model import SystemParams, derive_params
 
 p = SystemParams(omega=2.0, kappa=1.0, beta_s=1.0, i0=2 / np.pi, beta=1.0)
 d = derive_params(p)

@@ -11,16 +11,9 @@ import math
 
 import numpy as np
 
-from dipolefield import (
-    BranchKind,
-    DimensionlessConfig,
-    StatePair,
-    backflow_integral,
-    derive_params,
-    sigma_rate,
-    trace_distance,
-)
-from dipolefield.model import SystemParams
+from dipolefield.blp import BranchKind, backflow_integral, sigma_rate
+from dipolefield.dynamics import StatePair, trace_distance
+from dipolefield.model import DimensionlessConfig, SystemParams, derive_params
 
 p = SystemParams(omega=4.0, kappa=1.0, beta_s=1.0, i0=2 / math.pi, beta=1.0)
 d = derive_params(p)

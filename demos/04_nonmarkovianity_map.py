@@ -14,15 +14,16 @@ from pathlib import Path
 
 import numpy as np
 
-from dipolefield import (
+from dipolefield.blp import (
     BranchKind,
-    DimensionlessConfig,
     analytic_n_omega,
     backflow_integral,
     dominant_regime,
     n_measure,
+    sweep_grid,
+    write_sweep_csv,
 )
-from dipolefield.blp import sweep_grid, write_sweep_csv
+from dipolefield.model import DimensionlessConfig
 
 # growth with the horizon
 print("growth of the measure with the horizon T (theta-maximized):")

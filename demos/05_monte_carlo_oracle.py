@@ -13,7 +13,9 @@ from pathlib import Path
 
 import numpy as np
 
-from dipolefield import InitialCondition, SystemParams, ensemble_average
+from dipolefield.dynamics import InitialCondition
+from dipolefield.model import SystemParams
+from dipolefield.stochastic import ensemble_average
 
 # exact limit: no field, pure spontaneous decay
 p0 = SystemParams(omega=5.0, kappa=1.0, beta_s=0.5, i0=0.0, beta=1.0)

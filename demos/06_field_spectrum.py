@@ -15,8 +15,15 @@ from pathlib import Path
 
 import numpy as np
 
-from dipolefield import SystemParams, fit_spectrum, sample_fields, sample_periodogram
-from dipolefield.stochastic import derive_seeds, field_variance, max_field_dt
+from dipolefield.model import SystemParams
+from dipolefield.stochastic import (
+    derive_seeds,
+    field_variance,
+    fit_spectrum,
+    max_field_dt,
+    sample_fields,
+    sample_periodogram,
+)
 
 p = SystemParams(omega=10.0, kappa=1.0, beta_s=0.0, i0=1.0, beta=1.0)
 dt = max_field_dt(p)

@@ -64,7 +64,8 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .dynamics import FormulaSource, _check_mode, _check_theta, _envelope_decay, _pair_distance
+from .dynamics import (ArrayLike, FormulaSource, _check_mode, _check_theta, _envelope_decay,
+                       _pair_distance)
 from .model import DimensionlessConfig
 
 __all__ = [
@@ -107,8 +108,6 @@ _CERTIFY_MARGIN = 1e-9
 #: (omega, T) interval texts, one per pair though each rise is rendered once, take a
 #: 1 x 512 x 512 one to 198 MB
 MAX_SWEEP_CELLS = 2**18
-
-ArrayLike = Union[float, np.ndarray]
 
 
 class BranchKind(str, Enum):

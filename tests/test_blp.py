@@ -626,6 +626,18 @@ def test_n_measure_without_interior_angles(mode):
     assert res.n_value == max(res.n_omega_branch, res.n_lambda_branch)
 
 
+def test_n_measure_interior_winner_is_that_angles_backflow(monkeypatch):
+    # no derived config is known whose maximum lies inside (0, pi/2), so branch
+    # values below every interior one force the interior winner's path
+    monkeypatch.setattr(blp, "_branch_value", lambda freq, *_: np.full(np.shape(freq), -1.0))
+    cfg = DimensionlessConfig(1.0, 2.0, 6.0)
+    res = n_measure(cfg, theta_grid_size=9)
+    assert res.theta_star == pytest.approx(1.3744, abs=1e-4) and len(res.intervals) == 4
+    ref = backflow_integral(res.theta_star, cfg)
+    assert res.n_value == ref.n_value
+    assert res.intervals == ref.intervals
+
+
 def test_reported_intervals_are_merged_positivity_intervals():
     # the locator brackets sign changes on the quarter-period grid, but the
     # reported intervals are cut only at roots of the rate

@@ -115,6 +115,11 @@ def test_derive_undefined_ratio(config, capsys):
     assert "oscillatory = false" in out
 
 
+def test_missing_config_file_exits_2(tmp_path, capsys):
+    assert main(["derive", "--config", str(tmp_path / "missing.cfg")]) == 2
+    assert "cannot read config" in capsys.readouterr().err
+
+
 def test_missing_key_exits_2(config, capsys):
     cfg = config("kappa=1\nbeta_s=0\ni0=0\nbeta=1\n")
     assert main(["derive", "--config", cfg]) == 2
@@ -320,6 +325,14 @@ def test_stdout_bytes_pinned(config, tmp_path, monkeypatch, capsys, run):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == STDOUT_SHA256[run]
 
 
+def test_nonmark_single_angle_grid_exits_2(config, tmp_path, capsys):
+    out = tmp_path / "n.json"
+    assert main(["nonmark", "--config", config(REFERENCE), "--tmax", "5", "--theta-grid", "1",
+                 "--out", str(out)]) == 2
+    assert "theta_grid_size must be at least 2" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_nonmark_long_horizon_sign_tests_do_not_overflow(config, capsys):
     # a long horizon end to end: the branch closed forms and the pointwise-max
     # locator run without a warning (the locator's own overflow test, on the
@@ -433,10 +446,12 @@ def test_sweep_output_bytes_pinned(tmp_path, grid, mode, fmt):
 
 
 def test_sweep_bad_range_exits_2(config, capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["sweep", "--lambda", "0:2", "--omega", "1:1:1", "--tmax", "1:1:1",
-              "--out", "x.csv"])
-    assert exc.value.code == 2
+    # two fields, a non-number, MIN > MAX, non-finite ends and no points
+    for bad in ("0:2", "a:1:2", "1:0:2", "nan:1:2", "0:inf:2", "0:1:0"):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--lambda", bad, "--omega", "1:1:1", "--tmax", "1:1:1",
+                  "--out", "x.csv"])
+        assert exc.value.code == 2, bad
 
 
 @pytest.mark.parametrize("axes", [["--lambda=-1:2:4", "--omega", "0:2:3"],
@@ -488,6 +503,15 @@ def test_mc_verify_force_overrides_guard(config, tmp_path):
          "--horizon", "0.5", "--out", str(tmp_path / "r.json")]
     )
     assert code in (0, 4)  # runs; band outcome is not guaranteed out here
+
+
+def test_mc_verify_band_failure_exits_4_and_keeps_its_report(config, tmp_path, capsys):
+    cfg = config(f"omega = 5.0\nkappa = 1.0\nbeta_s = 0.2\ni0 = {4.0 / math.pi!r}\nbeta = 1.0\n")
+    out = tmp_path / "r.json"
+    assert main(["mc-verify", "--config", cfg, "--force", "--n", "100", "--seed", "3",
+                 "--m0", "0.6", "--w0", "0.8", "--out", str(out)]) == 4
+    assert "acceptance bands: FAIL" in capsys.readouterr().err
+    assert json.loads(out.read_text())["n_realizations"] == 100
 
 
 def test_mc_verify_reports_are_byte_identical(config, tmp_path):
@@ -853,7 +877,7 @@ def test_commands_do_not_import_scipy(config, tmp_path):
 def test_only_the_stochastic_commands_import_the_stochastic_layer(config, tmp_path):
     # importing the cli and running every other command loads neither the
     # stochastic module nor the numpy submodules it uses (numpy.ma is what
-    # np.unique loads); the package's stochastic names load it on first use
+    # np.unique loads); only importing dipolefield.stochastic itself loads them
     ref = config(REFERENCE, "r.cfg")
     runs = [
         ["derive", "--config", ref],
@@ -872,8 +896,7 @@ def test_only_the_stochastic_commands_import_the_stochastic_layer(config, tmp_pa
         f"for argv in {runs!r}:",
         "    assert main(argv) == 0, argv",
         "    assert not [m for m in lazy if m in sys.modules], argv",
-        "import dipolefield",
-        "assert dipolefield.sample_fields.__module__ == 'dipolefield.stochastic'",
+        "import dipolefield.stochastic",
         "assert all(m in sys.modules for m in lazy[:3])",
     ])
     src = str(Path(dipolefield.__file__).resolve().parents[1])

@@ -14,7 +14,7 @@ from dipolefield.dynamics import (
 )
 from dipolefield.model import SystemParams, derive_params
 
-from oracles import closure_inversion_ode, params_for_rates
+from oracles import closure_inversion_ode, hierarchy_means, params_for_rates
 
 
 def random_params(rng, beta_s_min=0.0):
@@ -241,6 +241,49 @@ def test_evolved_state_coherent_breach_leaves_the_ball():
     t = 8 * math.pi / p.omega  # cos(omega t) = 1, inversion well relaxed
     m, w = mean_dipole(ic, p, t), mean_inversion(ic, d, p, t)
     assert m**2 + w**2 > 1.0
+
+
+def test_exact_means_stay_in_the_ball_where_the_closed_forms_leave_it():
+    # the escape above is the closure's undamped dipole: the exact means of the
+    # model (the Ornstein-Uhlenbeck hierarchy, L = 16 agrees to 1e-10) stay inside
+    p = SystemParams(omega=5.0, kappa=1.0, beta_s=0.5, i0=0.25 / math.pi, beta=1.0)
+    ic = InitialCondition(0.6, 0.8)
+    t = np.linspace(0.0, 40.0, 4001)
+    closed = mean_dipole(ic, p, t) ** 2 + mean_inversion(ic, derive_params(p), p, t) ** 2
+    m, _, w = hierarchy_means(p, (ic.m0, ic.mdot0, ic.w0), t, 12)
+    outside = closed > 1.0
+    assert outside.any()
+    assert np.max((m**2 + w**2)[outside]) <= 1.0 + 1e-9
+
+
+# ---------------------------------------------------------------------------
+# the closed forms against the exact hierarchy of the field's moments
+# ---------------------------------------------------------------------------
+
+#: acceptance criterion 09's weak-coupling config
+_WEAK = SystemParams(omega=5.0, kappa=1.0, beta_s=0.2, i0=0.1 / math.pi, beta=1.0)
+
+
+def test_hierarchy_converges_in_its_truncation():
+    t = np.linspace(0.0, 10.0, 401)
+    coarse, fine = (hierarchy_means(_WEAK, (0.6, 0.0, 0.8), t, L) for L in (8, 12))
+    assert np.max(np.abs(coarse - fine)) <= 1e-9
+
+
+def test_hierarchy_zero_field_is_free_precession_and_decay():
+    p = SystemParams(omega=5.0, kappa=1.0, beta_s=0.5, i0=0.0, beta=1.0)
+    t = np.linspace(0.0, 10.0, 401)
+    m, _, w = hierarchy_means(p, (0.5, 0.0, 0.3), t, 4)
+    np.testing.assert_allclose(w, -1.0 + 1.3 * np.exp(-0.5 * t), rtol=0, atol=1e-8)
+    np.testing.assert_allclose(m, 0.5 * np.cos(5.0 * t), rtol=0, atol=1e-8)
+
+
+def test_weak_coupling_inversion_matches_the_exact_mean():
+    # the closure is exact to second order in the field; here it is off by 7.5e-4
+    t = np.linspace(0.0, 10.0, 401)
+    ic = InitialCondition(0.6, 0.8)
+    _, _, w = hierarchy_means(_WEAK, (ic.m0, ic.mdot0, ic.w0), t, 12)
+    assert np.max(np.abs(w - mean_inversion(ic, derive_params(_WEAK), _WEAK, t))) <= 2e-3
 
 
 # ---------------------------------------------------------------------------

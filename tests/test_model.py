@@ -128,6 +128,14 @@ def test_params_validation(kwargs):
         SystemParams(**kwargs)
 
 
+@pytest.mark.parametrize("name", ["kappa", "beta_s", "i0"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_params_reject_non_finite_values(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        SystemParams(**{"omega": 1.0, "kappa": 1.0, "beta_s": 0.0, "i0": 0.0, "beta": 1.0,
+                        name: value})
+
+
 @pytest.mark.parametrize(
     "gamma,lam,omega,t_max,expected",
     [

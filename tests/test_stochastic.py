@@ -219,6 +219,11 @@ def test_streamed_periodogram_memory_does_not_grow_with_realizations():
     assert abs(peaks[1] - peaks[0]) < stochastic.FIELD_BLOCK_BYTES
 
 
+def test_periodogram_needs_two_realizations():
+    with pytest.raises(ValueError, match="need at least 2 realizations"):
+        sample_periodogram(WEAK, max_field_dt(WEAK), 100, derive_seeds(1, range(1)))
+
+
 def test_non_finite_field_variance_is_rejected_before_sampling():
     p = SystemParams(omega=1.0, kappa=1.0, beta_s=0.0, i0=1e308, beta=10.0)
     assert field_variance(p) == math.inf
