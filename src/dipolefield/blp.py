@@ -58,7 +58,6 @@ import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
-from itertools import accumulate
 from pathlib import Path
 from typing import Callable, Sequence, Union
 
@@ -845,8 +844,8 @@ def _interval_texts(freqs: tuple, decay: float, ts: tuple, close: str) -> np.nda
 
     The rises of one frequency up to a T are a prefix of its rises up to the largest T,
     and a rise that T cuts short ends at T. So each frequency's rises up to the largest T
-    (one ``_rises`` call) are rendered once and joined once; a (frequency, T) text is a
-    prefix of that join, followed by the rises T cuts, which end at T.
+    (one ``_rises`` call) are rendered once; a (frequency, T) text joins the rendered rises
+    that end by T and the rises T cuts, which end at T.
     """
     t, top = np.array(ts, dtype=float), max(ts, default=0.0)
     texts = np.empty((len(freqs), t.size), dtype=object)
@@ -855,20 +854,13 @@ def _interval_texts(freqs: tuple, decay: float, ts: tuple, close: str) -> np.nda
         z = zeros.tolist()
         pieces = [f"      [\n        {a!r},\n        {b!r}\n      ]"
                   for a, b in zip(z, ends.tolist())]
-        body = ",\n".join(pieces)
-        at = [0, *accumulate(len(p) + 2 for p in pieces)]  # each piece's start in body
         begun = np.searchsorted(zeros, t, "left")  # rises that start before T
         # rises that end by T; a rise starting at T whose reach rounds to 0 has not begun
         done = np.minimum(np.searchsorted(ends, t, "right"), begun)
         for col, (n, m, t_max) in enumerate(zip(begun.tolist(), done.tolist(), ts)):
-            if not n:
-                texts[row, col] = "[]" + close
-            elif n == m:
-                texts[row, col] = f"[\n{body[:at[m] - 2]}\n    ]{close}"
-            else:
-                cut = ",\n".join(f"      [\n        {a!r},\n        {t_max!r}\n      ]"
-                                 for a in z[m:n])
-                texts[row, col] = f"[\n{body[:at[m]]}{cut}\n    ]{close}"
+            body = ",\n".join(pieces[:m] + [f"      [\n        {a!r},\n        {t_max!r}\n      ]"
+                                            for a in z[m:n]])
+            texts[row, col] = f"[\n{body}\n    ]{close}" if n else "[]" + close
     return texts
 
 

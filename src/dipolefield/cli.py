@@ -157,7 +157,7 @@ def _cmd_distance(args) -> int:
     d = derive_params(p)
     pair = dynamics.StatePair(theta=args.theta)
     times = _time_grid(args)
-    dist = np.asarray(dynamics.trace_distance(pair, d, p, times, mode=args.mode))
+    dist = dynamics.trace_distance(pair, d, p, times, mode=args.mode)
     dynamics._write_csv(args.out, "t,distance", (times, dist), "\n")
     print(f"wrote {args.out}")
     return EXIT_OK

@@ -124,27 +124,21 @@ def _damped_cos(gamma: float, lambda_sq: float, t: ArrayLike) -> ArrayLike:
     exponentials (gamma >= sqrt(-lambda_sq) always holds for parameters
     coming from ``derive_params``), which cannot overflow.
     """
-    t = np.asarray(t, dtype=float)
     if lambda_sq > 0:
-        out = np.exp(-gamma * t) * np.cos(math.sqrt(lambda_sq) * t)
-    else:
-        nu = math.sqrt(-lambda_sq)
-        out = 0.5 * (np.exp(-(gamma - nu) * t) + np.exp(-(gamma + nu) * t))
-    return out if out.ndim else float(out)
+        return np.exp(-gamma * t) * np.cos(math.sqrt(lambda_sq) * t)
+    nu = math.sqrt(-lambda_sq)
+    return 0.5 * (np.exp(-(gamma - nu) * t) + np.exp(-(gamma + nu) * t))
 
 
 def _damped_sinc(gamma: float, lambda_sq: float, t: ArrayLike) -> ArrayLike:
     """exp(-gamma t) * sin(lambda t)/lambda, continued through lambda -> 0."""
-    t = np.asarray(t, dtype=float)
     if lambda_sq > 1e-300:
         lam = math.sqrt(lambda_sq)
-        out = np.exp(-gamma * t) * np.sin(lam * t) / lam
-    elif lambda_sq < -1e-300:
+        return np.exp(-gamma * t) * np.sin(lam * t) / lam
+    if lambda_sq < -1e-300:
         nu = math.sqrt(-lambda_sq)
-        out = (np.exp(-(gamma - nu) * t) - np.exp(-(gamma + nu) * t)) / (2.0 * nu)
-    else:
-        out = t * np.exp(-gamma * t)
-    return out if out.ndim else float(out)
+        return (np.exp(-(gamma - nu) * t) - np.exp(-(gamma + nu) * t)) / (2.0 * nu)
+    return t * np.exp(-gamma * t)
 
 
 def _pair_distance(
@@ -155,10 +149,8 @@ def _pair_distance(
     The one distance kernel: ``trace_distance`` calls it with physical rates,
     the backflow engine with rates in units of the damping rate.
     """
-    t = np.asarray(t, dtype=float)
     damped = _damped_cos(decay, lambda_sq, t)
-    out = np.sqrt(u * np.square(damped) + (1.0 - u) * np.square(np.cos(omega * t)))
-    return out if out.ndim else float(out)
+    return np.sqrt(u * np.square(damped) + (1.0 - u) * np.square(np.cos(omega * t)))
 
 
 # ---------------------------------------------------------------------------
@@ -197,6 +189,7 @@ def mean_inversion(
     through the overdamped regime.
     """
     _check_mode(mode)
+    t = np.asarray(t, dtype=float)
     w_big0 = 0.5 * p.omega * ic.w0
     ec = _damped_cos(d.gamma, d.lambda_sq, t)
     es = _damped_sinc(d.gamma, d.lambda_sq, t)
@@ -204,7 +197,7 @@ def mean_inversion(
     if mode == "derived":
         sine_coeff = d.c_sine + 0.5 * (p.beta - p.beta_s) * w_big0
     w_big = d.a_const * (ec - 1.0) + w_big0 * ec + sine_coeff * es
-    out = 2.0 * np.asarray(w_big) / p.omega
+    out = 2.0 * w_big / p.omega
     return out if out.ndim else float(out)
 
 
@@ -232,7 +225,9 @@ def trace_distance(
     """
     _check_mode(mode)
     decay = _envelope_decay(mode) * d.gamma
-    return _pair_distance(math.cos(pair.theta) ** 2, decay, d.lambda_sq, p.omega, t)
+    out = _pair_distance(math.cos(pair.theta) ** 2, decay, d.lambda_sq, p.omega,
+                         np.asarray(t, dtype=float))
+    return out if out.ndim else float(out)
 
 
 def write_timeseries(
@@ -249,10 +244,9 @@ def write_timeseries(
     file is usable even in the coherence-plus-relaxation regime where the
     model's purity transiently exceeds 1.
     """
-    _check_mode(mode)
     times = np.asarray(times, dtype=float)
-    m = np.asarray(mean_dipole(ic, p, times))
-    w = np.asarray(mean_inversion(ic, d, p, times, mode=mode))
+    m = mean_dipole(ic, p, times)
+    w = mean_inversion(ic, d, p, times, mode=mode)
     pur = 0.5 * (1.0 + m * m + w * w)  # Tr[rho^2] of rho = (I + w sigma_3 + m sigma_1)/2
     _write_csv(path, "t,m,w,purity", (times, m, w, pur), "\r\n")
 

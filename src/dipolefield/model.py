@@ -166,8 +166,6 @@ def nondimensionalize(p: SystemParams, t_max: float) -> DimensionlessConfig:
     ``oscillatory``); the damped envelope is then monotone and carries no
     backflow, so the dimensionless engine may treat it as frequency zero.
     """
-    if t_max < 0:
-        raise ValueError("t_max must be nonnegative")
     d = derive_params(p)
     return DimensionlessConfig(
         lambda_hat=d.lambda_value / d.gamma,

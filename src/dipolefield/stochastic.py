@@ -430,8 +430,8 @@ def ensemble_average(
     t = dt * np.arange(n_steps + 1)
     return EnsembleReport(
         t=t, mean_m=mean_m, mean_w=mean_w, se_m=se_m, se_w=se_w,
-        residual_m=mean_m - np.asarray(mean_dipole(ic, p, t)),
-        residual_w=mean_w - np.asarray(mean_inversion(ic, derive_params(p), p, t)),
+        residual_m=mean_m - mean_dipole(ic, p, t),
+        residual_w=mean_w - mean_inversion(ic, derive_params(p), p, t),
         n_realizations=n_realizations, dt=dt, master_seed=master_seed, seeds=seeds,
         params=p, ic=ic,
     )
