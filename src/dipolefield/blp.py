@@ -107,6 +107,10 @@ _CERTIFY_MARGIN = 1e-9
 #: (omega, T) interval texts, one per pair though each rise is rendered once, take a
 #: 1 x 512 x 512 one to 198 MB
 MAX_SWEEP_CELLS = 2**18
+#: cap on the rise intervals of one JSON sweep, counted before any is rendered; on a 2-vCPU
+#: Xeon, 1 x 1 x 4 cells (omega 1600, T 1000) list 2.04e6 and peak at 444 MB, 2 cells 1.02e6
+#: at 239 MB, and the 64 x 64 x 64 cells at the cell cap, which share texts, 1.25e6 at 37 MB
+MAX_SWEEP_INTERVALS = 2**21
 
 
 class BranchKind(str, Enum):
@@ -332,6 +336,18 @@ def _check_sweep(n_lambda: int, n_omega: int, n_t: int) -> None:
     if (cells := n_lambda * n_omega * n_t) > MAX_SWEEP_CELLS:
         raise ValueError(f"the sweep has {n_lambda} x {n_omega} x {n_t} = {cells} cells, over "
                          f"the cap of {MAX_SWEEP_CELLS} (blp.MAX_SWEEP_CELLS)")
+
+
+def _check_intervals(grid: SweepGrid) -> None:
+    """Reject a JSON sweep of more than ``MAX_SWEEP_INTERVALS`` rise intervals: each cell
+    lists the rises of its omega and of its lambda that start before its T, so each
+    (frequency, T) list repeats along the other frequency axis."""
+    t, top = np.array(grid.ts), max(grid.ts, default=0.0)  # the decay moves rise ends only
+    n = sum(len(other) * int(np.searchsorted(_rises(f, 0.0, top)[0], t).sum()) for freqs, other
+            in ((grid.omegas, grid.lambdas), (grid.lambdas, grid.omegas)) for f in freqs)
+    if n > MAX_SWEEP_INTERVALS:
+        raise ValueError(f"the JSON sweep lists {n} rise intervals, over the cap of "
+                         f"{MAX_SWEEP_INTERVALS} (blp.MAX_SWEEP_INTERVALS)")
 
 
 def _check_scan(owners: int, gaps: int) -> None:
@@ -873,8 +889,10 @@ def write_sweep_json(grid: SweepGrid, path: str | Path) -> None:
     (every value of a sweep is finite). Each axis value and table entry is
     formatted once, and each rise of each axis frequency rendered once
     (``_interval_texts``), before the file is opened; the cells are joined
-    from those texts and written ``_SWEEP_CHUNK`` at a time.
+    from those texts and written ``_SWEEP_CHUNK`` at a time. More than
+    ``MAX_SWEEP_INTERVALS`` intervals raise ValueError before any is rendered.
     """
+    _check_intervals(grid)
     lam, om, t, n_om, n_lam = (_format(v, "") for v in
                                (grid.lambdas, grid.omegas, grid.ts, grid.n_omega, grid.n_lambda))
     lead = (('  {\n    "lambda": ' + lam + ',\n    "omega": ')[:, None, None],

@@ -1003,6 +1003,27 @@ def test_sweep_grid_caps_its_cells(monkeypatch):
         sweep_grid([1.0, 2.0], [1.0], [1.0, 2.0, 3.0, 4.0])
 
 
+def test_json_sweep_caps_its_intervals(monkeypatch, tmp_path):
+    # the count is that of the intervals the file lists (rises cut at T included,
+    # none at T = 0 or at frequency 0), the cap is inclusive, a refused sweep opens
+    # no file, and a CSV sweep lists no intervals
+    lams, oms, ts = [0.0, 1.5, 3.0], [0.0, 2.0, 4.5], [0.0, 1.0, 4.0, 7.5, 1.0]
+    rows, ref_csv, ref_json = sweep_payload_reference(lams, oms, ts)
+    n = sum(len(row[7]) + len(row[8]) for row in rows)
+    grid = sweep_grid(lams, oms, ts)
+    monkeypatch.setattr(blp, "MAX_SWEEP_INTERVALS", n)
+    write_sweep_json(grid, tmp_path / "sweep.json")
+    assert (tmp_path / "sweep.json").read_bytes() == ref_json
+    monkeypatch.setattr(blp, "MAX_SWEEP_INTERVALS", n - 1)
+    with pytest.raises(ValueError, match=rf"lists {n} rise intervals, over the cap of {n - 1} "
+                                         r"\(blp\.MAX_SWEEP_INTERVALS\)"):
+        write_sweep_json(grid, tmp_path / "refused.json")
+    assert not (tmp_path / "refused.json").exists()
+    monkeypatch.setattr(blp, "MAX_SWEEP_INTERVALS", 0)
+    write_sweep_csv(grid, tmp_path / "sweep.csv")
+    assert (tmp_path / "sweep.csv").read_bytes() == ref_csv
+
+
 @pytest.mark.parametrize("mode", ["derived", "as-printed"])
 def test_sweep_grid_is_the_sequence_of_its_rows(mode):
     # indexing, negative indices and iteration give the rows of a

@@ -781,6 +781,18 @@ def test_sweep_beyond_the_cell_cap_exits_2_under_a_memory_limit(tmp_path, axes):
     assert not (tmp_path / "sweep.json").exists()
 
 
+def test_json_sweep_beyond_the_interval_cap_exits_2_under_a_memory_limit(tmp_path):
+    # 32 cells at omega 1600 and T 1000 list 16307648 rise intervals, about 1.1 GB
+    # of JSON; unchecked, the writer raised MemoryError under this limit (exit 1)
+    result = _main_under_memory_limit(tmp_path, [
+        "sweep", "--lambda", "1:1:1", "--omega", "1600:1600:1", "--tmax", "1000:1000:32",
+        "--format", "json", "--out", "sweep.json"])
+    assert result.returncode == 2, result.stderr
+    assert "16307648 rise intervals" in result.stderr
+    assert f"over the cap of {blp.MAX_SWEEP_INTERVALS} (blp.MAX_SWEEP_INTERVALS)" in result.stderr
+    assert not (tmp_path / "sweep.json").exists()
+
+
 def test_sweep_at_the_cell_cap_writes_its_json_under_a_memory_limit(tmp_path):
     # 2**18 cells are 167 MB of JSON; the writer holds one chunk of cells at a
     # time, so 64 MiB above the imported program is enough (a writer that
