@@ -33,8 +33,6 @@ from pathlib import Path
 from typing import Iterator, Sequence
 
 import numpy as np
-import numpy.fft  # noqa: F401  numpy loads these on first use; loading them here
-import numpy.random  # noqa: F401  keeps that out of the first command's time
 
 from .dynamics import MAX_FIELD_SAMPLES, InitialCondition, _write_csv, mean_dipole, mean_inversion
 from .model import SystemParams, derive_params

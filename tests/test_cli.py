@@ -889,7 +889,7 @@ def test_commands_do_not_import_scipy(config, tmp_path):
 def test_only_the_stochastic_commands_import_the_stochastic_layer(config, tmp_path):
     # importing the cli and running every other command loads neither the
     # stochastic module nor the numpy submodules it uses (numpy.ma is what
-    # np.unique loads); only importing dipolefield.stochastic itself loads them
+    # np.unique loads); only a stochastic computation loads them
     ref = config(REFERENCE, "r.cfg")
     runs = [
         ["derive", "--config", ref],
@@ -908,7 +908,9 @@ def test_only_the_stochastic_commands_import_the_stochastic_layer(config, tmp_pa
         f"for argv in {runs!r}:",
         "    assert main(argv) == 0, argv",
         "    assert not [m for m in lazy if m in sys.modules], argv",
-        "import dipolefield.stochastic",
+        "from dipolefield.model import SystemParams",
+        "from dipolefield.stochastic import sample_periodogram",
+        "sample_periodogram(SystemParams(5.0, 1.0, 0.2, 0.1, 1.0), 0.05, 16, [1, 2])",
         "assert all(m in sys.modules for m in lazy[:3])",
     ])
     src = str(Path(dipolefield.__file__).resolve().parents[1])
