@@ -333,6 +333,18 @@ def test_nonmark_single_angle_grid_exits_2(config, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("tmax, message", [("-1", "t_max must be nonnegative"),
+                                           ("-inf", "t_max must be finite"),
+                                           ("nan", "t_max must be finite")])
+def test_nonmark_bad_horizon_exits_2(config, tmp_path, capsys, tmax, message):
+    # the horizon is checked once, by DimensionlessConfig, after scaling by gamma
+    out = tmp_path / "n.json"
+    assert main(["nonmark", "--config", config(REFERENCE), f"--tmax={tmax}",
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", f"invalid input: {message}\n")
+    assert not out.exists()
+
+
 def test_nonmark_long_horizon_sign_tests_do_not_overflow(config, capsys):
     # a long horizon end to end: the branch closed forms and the pointwise-max
     # locator run without a warning (the locator's own overflow test, on the

@@ -233,8 +233,8 @@ def test_evolved_state_ball_membership_inversion_axis():
 
 
 def test_evolved_state_coherent_breach_leaves_the_ball():
-    # coherence never damps while the population relaxes, so a coherent
-    # initial state genuinely leaves the ball at a full dipole revival
+    # the closure's dipole never damps while the population relaxes, so the closed
+    # forms carry a coherent initial state out of the ball at a full dipole revival
     p = SystemParams(omega=5.0, kappa=1.0, beta_s=0.2, i0=0.1 / math.pi, beta=1.0)
     d = derive_params(p)
     ic = InitialCondition(1.0, 0.0)
