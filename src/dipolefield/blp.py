@@ -107,9 +107,8 @@ _CERTIFY_MARGIN = 1e-9
 #: (omega, T) interval texts, one per pair though each rise is rendered once, take a
 #: 1 x 512 x 512 one to 198 MB
 MAX_SWEEP_CELLS = 2**18
-#: cap on the rise intervals of one JSON sweep, counted before any is rendered; on a 2-vCPU
-#: Xeon, 1 x 1 x 4 cells (omega 1600, T 1000) list 2.04e6 and peak at 444 MB, 2 cells 1.02e6
-#: at 239 MB, and the 64 x 64 x 64 cells at the cell cap, which share texts, 1.25e6 at 37 MB
+#: cap on the rise intervals of one JSON sweep, counted before any is rendered: on a 2-vCPU
+#: Xeon, 1 x 1 x 4 cells at omega 1600 and T 1000 list 2.04e6 and peak at 444 MB
 MAX_SWEEP_INTERVALS = 2**21
 
 
@@ -339,12 +338,15 @@ def _check_sweep(n_lambda: int, n_omega: int, n_t: int) -> None:
 
 
 def _check_intervals(grid: SweepGrid) -> None:
-    """Reject a JSON sweep of more than ``MAX_SWEEP_INTERVALS`` rise intervals: each cell
-    lists the rises of its omega and of its lambda that start before its T, so each
-    (frequency, T) list repeats along the other frequency axis."""
-    t, top = np.array(grid.ts), max(grid.ts, default=0.0)  # the decay moves rise ends only
-    n = sum(len(other) * int(np.searchsorted(_rises(f, 0.0, top)[0], t).sum()) for freqs, other
-            in ((grid.omegas, grid.lambdas), (grid.lambdas, grid.omegas)) for f in freqs)
+    """Reject a JSON sweep of more than ``MAX_SWEEP_INTERVALS`` rise intervals. A cell lists
+    the rises of its omega and its lambda that start before its T, each (frequency, T) list
+    once per value of the other axis. They are counted only if f T / pi + 1 a list passes it."""
+    t, top = np.array(grid.ts), max(grid.ts, default=0.0)
+    axes = ((grid.omegas, grid.lambdas), (grid.lambdas, grid.omegas))
+    n = sum(len(o) * t.size * (sum(fs) * top / math.pi + len(fs)) for fs, o in axes)
+    if n > MAX_SWEEP_INTERVALS:  # the rise starts, which the decay does not move, below each T
+        n = sum(len(o) * int(np.searchsorted(_rises(f, 0.0, top)[0], t).sum())
+                for fs, o in axes for f in fs)
     if n > MAX_SWEEP_INTERVALS:
         raise ValueError(f"the JSON sweep lists {n} rise intervals, over the cap of "
                          f"{MAX_SWEEP_INTERVALS} (blp.MAX_SWEEP_INTERVALS)")
@@ -790,9 +792,8 @@ def sweep_grid(lambdas: Sequence[float], omegas: Sequence[float], ts: Sequence[f
         for axis in (omegas, lambdas):
             _check_quarters(max(axis), max(ts))
     decay = _envelope_decay(mode)
-    t = np.array(ts)
-    return SweepGrid(lambdas, omegas, ts, _branch_value(np.array(omegas)[:, None], 0.0, t),
-                     _branch_value(np.array(lambdas)[:, None], decay, t), decay)
+    return SweepGrid(lambdas, omegas, ts, _branch_value(np.array(omegas)[:, None], 0.0, ts),
+                     _branch_value(np.array(lambdas)[:, None], decay, ts), decay)
 
 
 #: format(value, spec) per element, into an object array; spec "" gives repr

@@ -244,7 +244,6 @@ def write_timeseries(
     file is usable even in the coherence-plus-relaxation regime where the
     model's purity transiently exceeds 1.
     """
-    times = np.asarray(times, dtype=float)
     m = mean_dipole(ic, p, times)
     w = mean_inversion(ic, d, p, times, mode=mode)
     pur = 0.5 * (1.0 + m * m + w * w)  # Tr[rho^2] of rho = (I + w sigma_3 + m sigma_1)/2
