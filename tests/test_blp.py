@@ -1019,6 +1019,10 @@ def test_json_sweep_caps_its_intervals(monkeypatch, tmp_path):
                                          r"\(blp\.MAX_SWEEP_INTERVALS\)"):
         write_sweep_json(grid, tmp_path / "refused.json")
     assert not (tmp_path / "refused.json").exists()
+    # one cell of 318 rises, where the bound f T / pi + 1 per list (321.3) is nearly tight
+    monkeypatch.setattr(blp, "MAX_SWEEP_INTERVALS", 317)
+    with pytest.raises(ValueError, match="lists 318 rise intervals"):
+        write_sweep_json(sweep_grid([0.0], [100.0], [10.0]), tmp_path / "refused.json")
     monkeypatch.setattr(blp, "MAX_SWEEP_INTERVALS", 0)
     write_sweep_csv(grid, tmp_path / "sweep.csv")
     assert (tmp_path / "sweep.csv").read_bytes() == ref_csv
