@@ -338,9 +338,9 @@ def _check_sweep(n_lambda: int, n_omega: int, n_t: int) -> None:
 
 
 def _check_intervals(grid: SweepGrid) -> None:
-    """Reject a JSON sweep of more than ``MAX_SWEEP_INTERVALS`` rise intervals. A cell lists
-    the rises of its omega and its lambda that start before its T, each (frequency, T) list
-    once per value of the other axis. They are counted only if f T / pi + 1 a list passes it."""
+    """Reject a JSON sweep of over ``MAX_SWEEP_INTERVALS`` rise intervals: each (frequency, T)
+    list, the rises begun before T, appears once per value of the other axis. A list has at
+    most f T / pi + 1 rises, and a sweep that bound keeps under the cap is not counted."""
     t, top = np.array(grid.ts), max(grid.ts, default=0.0)
     axes = ((grid.omegas, grid.lambdas), (grid.lambdas, grid.omegas))
     n = sum(len(o) * t.size * (sum(fs) * top / math.pi + len(fs)) for fs, o in axes)
