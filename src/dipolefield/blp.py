@@ -59,7 +59,7 @@ import warnings
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Sequence, Union
+from typing import Callable, Iterator, Sequence, Union
 
 import numpy as np
 
@@ -103,12 +103,12 @@ _SCAN_SAMPLES = 9
 #: 1e-10 (1 + M) over the 2**21 / 9 gaps the scan cap allows
 _CERTIFY_MARGIN = 1e-9
 #: cap on the cells of one sweep, checked before any is evaluated; written a chunk at
-#: a time, a 64 x 64 x 64 JSON sweep peaks 6.5 MB above a one-cell one, but the
+#: a time, a 64 x 64 x 64 JSON sweep peaks 7.1 MB above a one-cell one, but the
 #: (omega, T) interval texts, one per pair though each rise is rendered once, take a
-#: 1 x 512 x 512 one to 198 MB
+#: 1 x 512 x 512 one to 201 MB
 MAX_SWEEP_CELLS = 2**18
 #: cap on the rise intervals of one JSON sweep, counted before any is rendered: on a 2-vCPU
-#: Xeon, 1 x 1 x 4 cells at omega 1600 and T 1000 list 2.04e6 and peak at 444 MB
+#: Xeon, 1 x 1 x 4 cells at omega 1600 and T 1000 list 2.04e6 and peak at 442 MB
 MAX_SWEEP_INTERVALS = 2**21
 
 
@@ -281,6 +281,29 @@ def _rises(freq: float, decay: float, t_max: float) -> tuple[np.ndarray, np.ndar
     return zeros, np.minimum(zeros + math.atan2(freq, decay) / freq, t_max)
 
 
+def _all_rises(freqs: Sequence[float], decay: float, ts: Sequence[float]) -> tuple:
+    """``_rises(f, decay, max(ts))`` of every f in ``freqs`` in one array pass, by the same float
+    operations: all starts and all ends, frequency by frequency, the index of each one's first
+    rise (and of the end), and [frequency, T] tables of the rises begun before T and ended by T."""
+    f, top = np.array(freqs, dtype=float) + 0.0, max(ts, default=0.0)  # -0.0 becomes 0.0
+    _check_quarters(f.max(initial=0.0), top)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # f = 0 or subnormal:
+        quarter = math.pi / (2.0 * f)  # an infinite quarter period, so no rise
+        reach = np.array([math.atan2(x, decay) for x in f.tolist()]) / f
+    n = (top / (2.0 * quarter)).astype(np.int64) + 1
+    zeros = (2 * (np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)) + 1) * np.repeat(quarter, n)
+    keep = zeros < top
+    zeros, ends = zeros[keep], np.minimum(zeros + np.repeat(reach, n), top)[keep]
+    row = np.repeat(np.arange(f.size), n)[keep]
+    first = np.searchsorted(row, np.arange(f.size + 1))
+    # complex numbers sort as (real, imaginary) pairs: here (frequency, time)
+    at = np.arange(f.size)[:, None] + 1j * np.array(ts, dtype=float)
+    begun, done = (np.searchsorted(row + 1j * v, at, side) - first[:-1, None]
+                   for v, side in ((zeros, "left"), (ends, "right")))  # < T, <= T
+    # a rise starting at T whose reach rounds to 0 has not begun
+    return zeros, ends, first, begun, np.minimum(done, begun)
+
+
 def _sorted_unique(x: np.ndarray) -> np.ndarray:
     """The distinct values of a float array without NaN, sorted: ``np.unique`` without
     the ``numpy.ma`` import it makes on first use."""
@@ -335,21 +358,6 @@ def _check_sweep(n_lambda: int, n_omega: int, n_t: int) -> None:
     if (cells := n_lambda * n_omega * n_t) > MAX_SWEEP_CELLS:
         raise ValueError(f"the sweep has {n_lambda} x {n_omega} x {n_t} = {cells} cells, over "
                          f"the cap of {MAX_SWEEP_CELLS} (blp.MAX_SWEEP_CELLS)")
-
-
-def _check_intervals(grid: SweepGrid) -> None:
-    """Reject a JSON sweep of over ``MAX_SWEEP_INTERVALS`` rise intervals: each (frequency, T)
-    list, the rises begun before T, appears once per value of the other axis. A list has at
-    most f T / pi + 1 rises, and a sweep that bound keeps under the cap is not counted."""
-    t, top = np.array(grid.ts), max(grid.ts, default=0.0)
-    axes = ((grid.omegas, grid.lambdas), (grid.lambdas, grid.omegas))
-    n = sum(len(o) * t.size * (sum(fs) * top / math.pi + len(fs)) for fs, o in axes)
-    if n > MAX_SWEEP_INTERVALS:  # the rise starts, which the decay does not move, below each T
-        n = sum(len(o) * int(np.searchsorted(_rises(f, 0.0, top)[0], t).sum())
-                for fs, o in axes for f in fs)
-    if n > MAX_SWEEP_INTERVALS:
-        raise ValueError(f"the JSON sweep lists {n} rise intervals, over the cap of "
-                         f"{MAX_SWEEP_INTERVALS} (blp.MAX_SWEEP_INTERVALS)")
 
 
 def _check_scan(owners: int, gaps: int) -> None:
@@ -798,11 +806,10 @@ def sweep_grid(lambdas: Sequence[float], omegas: Sequence[float], ts: Sequence[f
 
 #: format(value, spec) per element, into an object array; spec "" gives repr
 _format = np.frompyfunc(format, 2, 1)
-#: cells the sweep writers join and write at a time. The peak grows with the chunk: on a
-#: 2-vCPU Xeon, one 40 x 40 x 4 JSON sweep process peaks at 31.5, 32.4, 32.9 and 34.3 MB
-#: with 160, 512, 1024 and 2048 cells, 39.1 MB written whole; its CSV twin at 31.3 MB with
-#: any of them, 32.1 MB whole. Between them the writers' times differ by less than that
-#: host's run-to-run spread (about 30 %)
+#: most cells the sweep writers join and write at a time. On a 2-vCPU Xeon a 40 x 40 x 4 JSON
+#: sweep process peaks at 30.0, 30.1, 30.9 and 32.4 MB in blocks of 1, 3, 6 and 12 lambda rows
+#: (chunks of 160, 512, 1024 and 2048), 37.3 MB written whole, its CSV twin at 29.2-29.6 MB,
+#: 30.3 MB whole; between those chunks the writers' times differ by under 10 %
 _SWEEP_CHUNK = 512
 
 
@@ -813,27 +820,30 @@ def _write_cells(path: str | Path, grid: SweepGrid, head: str, lead: tuple, n_te
     A cell's pieces are ``lead``, one piece with n_max and the winner, then ``tail``, each
     broadcast to (lambda, omega, T); the last tail piece ends in ``sep``, which the last
     cell drops. The middle piece is an n_max text of ``n_texts`` followed by a text of
-    ``winners`` (both omega's, lambda's), picked by the case of the tie rule: lambda wins;
-    lambda leads by at most TIE_TOL (its value, omega wins); omega is not behind. Each
-    ``_SWEEP_CHUNK`` cells gather their pieces from those tables, compare their own
-    branch values and are written, so no text of the whole grid is held."""
+    ``winners`` (both omega's, lambda's), picked by the case of the tie rule, one int8 per
+    cell: omega is not behind; lambda leads by at most TIE_TOL (its value, omega wins);
+    lambda wins. Row-order blocks of at most ``_SWEEP_CHUNK`` cells, basic slices of
+    those tables, are joined and written in turn, so no text of the whole grid is held."""
     shape = (len(grid.lambdas), len(grid.omegas), len(grid.ts))
     lead, tail = ([np.broadcast_to(p, shape) for p in pieces] for pieces in (lead, tail))
-    lambda_wins, lambda_ties = n_texts[1] + winners[1], n_texts[1] + winners[0]  # [lambda, T]
-    omega_wins = n_texts[0] + winners[0]  # [omega, T]
+    # n_max is where(n_lam > n_om, n_lam, n_om), Python's max(n_om, n_lam): a tie keeps
+    # the omega value, so a 0.0/-0.0 tie prints as a cell-by-cell max does
+    n_om, n_lam = grid.n_omega, grid.n_lambda[:, None]
+    case = np.add(n_lam > n_om, _lambda_wins(n_om, n_lam), dtype=np.int8)  # [lambda, omega, T]
+    picks = [np.broadcast_to(p, shape) for p in
+             (n_texts[0] + winners[0], *((n_texts[1] + w)[:, None] for w in winners))]
+    # the axis a block runs along: lambda when whole rows fit, else omega, else T
+    axis = 2 - (shape[2] <= _SWEEP_CHUNK) - (shape[1] * shape[2] <= _SWEEP_CHUNK)
+    step = _SWEEP_CHUNK // max(math.prod(shape[axis + 1:]), 1)
+    blocks = [(*(slice(i, i + 1) for i in outer), slice(at, at + step))
+              for outer in np.ndindex(shape[:axis]) for at in range(0, shape[axis], step)]
     with open(path, "w", newline="") as f:
         f.write(head)
-        for start in range(0, len(grid), _SWEEP_CHUNK):
-            i, j, k = np.unravel_index(np.arange(start, min(start + _SWEEP_CHUNK, len(grid))),
-                                       shape)
-            n_om, n_lam = grid.n_omega[j, k], grid.n_lambda[i, k]
-            # n_max is where(n_lam > n_om, n_lam, n_om), Python's max(n_om, n_lam): a tie
-            # keeps the omega value, so a 0.0/-0.0 tie prints as a cell-by-cell max does
-            pick = np.where(n_lam > n_om, np.where(_lambda_wins(n_om, n_lam), lambda_wins[i, k],
-                                                   lambda_ties[i, k]), omega_wins[j, k])
-            text = "".join(np.stack([*(p[i, j, k] for p in lead), pick,
-                                     *(p[i, j, k] for p in tail)], axis=-1).ravel().tolist())
-            if start + _SWEEP_CHUNK >= len(grid):  # no sep after the last cell
+        for b in blocks:
+            pick = np.choose(case[b], [p[b] for p in picks])
+            text = "".join(np.stack([*(p[b] for p in lead), pick, *(p[b] for p in tail)],
+                                    axis=-1).ravel().tolist())
+            if b is blocks[-1]:  # no sep after the last cell
                 text = text[:len(text) - len(sep)]
             f.write(text)
         f.write(foot)
@@ -845,7 +855,7 @@ def write_sweep_csv(grid: SweepGrid, path: str | Path) -> None:
     Values print as %.12g, lines end in \\r\\n (the csv module's default
     dialect, which never needs quoting for these fields). Each axis value
     and table entry is formatted once, before the file is opened; the rows
-    are joined from those texts and written ``_SWEEP_CHUNK`` at a time.
+    are joined from those texts and written in blocks of at most ``_SWEEP_CHUNK``.
     """
     lam, om, t, n_om, n_lam = (_format(v, ".12g") for v in
                                (grid.lambdas, grid.omegas, grid.ts, grid.n_omega, grid.n_lambda))
@@ -856,29 +866,36 @@ def write_sweep_csv(grid: SweepGrid, path: str | Path) -> None:
                  tuple(f",{b.value}\r\n" for b in BranchKind))
 
 
-def _interval_texts(freqs: tuple, decay: float, ts: tuple, close: str) -> np.ndarray:
-    """JSON texts of the rise intervals of each (frequency, T), each followed by ``close``.
+def _interval_texts(grid: SweepGrid, closes: tuple) -> Iterator[np.ndarray]:
+    """Yield the JSON texts of the rise intervals of each (omega, T), then of each (lambda, T),
+    each followed by its axis's text of ``closes``.
 
-    The rises of one frequency up to a T are a prefix of its rises up to the largest T,
-    and a rise that T cuts short ends at T. So each frequency's rises up to the largest T
-    (one ``_rises`` call) are rendered once; a (frequency, T) text joins the rendered rises
-    that end by T and the rises T cuts, which end at T.
+    A (frequency, T) list, the rises begun before T, appears once per value of the other
+    axis; over ``MAX_SWEEP_INTERVALS`` in all raise ValueError before any is rendered, or
+    before any rise is built if the lists at the largest T, at least f T / pi - 1 rises of
+    each f, are over it. Each rise is rendered once (the rises up to a T are a prefix of
+    those up to the largest T), and a list joins those that end by T and the rises T cuts.
     """
-    t, top = np.array(ts, dtype=float), max(ts, default=0.0)
-    texts = np.empty((len(freqs), t.size), dtype=object)
-    for row, freq in enumerate(freqs):
-        zeros, ends = _rises(freq, decay, top)
+    top = max(grid.ts, default=0.0)
+    axes = ((grid.omegas, 0.0, grid.lambdas), (grid.lambdas, grid.lambda_decay, grid.omegas))
+    low = sum(len(o) * (sum(fs) * top / math.pi - len(fs)) for fs, _, o in axes)
+    rises = [_all_rises(fs, c, grid.ts) for fs, c, _ in axes] if low <= MAX_SWEEP_INTERVALS else []
+    listed = sum(len(o) * int(r[3].sum()) for (*_, o), r in zip(axes, rises))
+    if not rises or listed > MAX_SWEEP_INTERVALS:
+        count = listed if rises else f"at least {math.floor(low)}"
+        raise ValueError(f"the JSON sweep lists {count} rise intervals, over the cap of "
+                         f"{MAX_SWEEP_INTERVALS} (blp.MAX_SWEEP_INTERVALS)")
+    for (zeros, ends, first, begun, done), close in zip(rises, closes):
         z = zeros.tolist()
         pieces = [f"      [\n        {a!r},\n        {b!r}\n      ]"
                   for a, b in zip(z, ends.tolist())]
-        begun = np.searchsorted(zeros, t, "left")  # rises that start before T
-        # rises that end by T; a rise starting at T whose reach rounds to 0 has not begun
-        done = np.minimum(np.searchsorted(ends, t, "right"), begun)
-        for col, (n, m, t_max) in enumerate(zip(begun.tolist(), done.tolist(), ts)):
-            body = ",\n".join(pieces[:m] + [f"      [\n        {a!r},\n        {t_max!r}\n      ]"
-                                            for a in z[m:n]])
-            texts[row, col] = f"[\n{body}\n    ]{close}" if n else "[]" + close
-    return texts
+        texts = np.empty(begun.shape, dtype=object)
+        for r, (o, ns, ms) in enumerate(zip(first.tolist(), begun.tolist(), done.tolist())):
+            for col, (n, m, t_max) in enumerate(zip(ns, ms, grid.ts)):
+                body = ",\n".join(pieces[o:o + m] + [f"      [\n        {a!r},\n        "
+                                                    f"{t_max!r}\n      ]" for a in z[o + m:o + n]])
+                texts[r, col] = f"[\n{body}\n    ]{close}" if n else "[]" + close
+        yield texts
 
 
 def write_sweep_json(grid: SweepGrid, path: str | Path) -> None:
@@ -890,10 +907,11 @@ def write_sweep_json(grid: SweepGrid, path: str | Path) -> None:
     (every value of a sweep is finite). Each axis value and table entry is
     formatted once, and each rise of each axis frequency rendered once
     (``_interval_texts``), before the file is opened; the cells are joined
-    from those texts and written ``_SWEEP_CHUNK`` at a time. More than
+    from those texts and written in blocks of at most ``_SWEEP_CHUNK``. More than
     ``MAX_SWEEP_INTERVALS`` intervals raise ValueError before any is rendered.
     """
-    _check_intervals(grid)
+    sep = ",\n"
+    om_texts, lam_texts = _interval_texts(grid, (',\n    "intervals_lambda": ', "\n  }" + sep))
     lam, om, t, n_om, n_lam = (_format(v, "") for v in
                                (grid.lambdas, grid.omegas, grid.ts, grid.n_omega, grid.n_lambda))
     lead = (('  {\n    "lambda": ' + lam + ',\n    "omega": ')[:, None, None],
@@ -901,8 +919,6 @@ def write_sweep_json(grid: SweepGrid, path: str | Path) -> None:
             + ',\n    "n_lambda_branch": ', (n_lam + ',\n    "n_max": ')[:, None])
     winners = tuple(f',\n    "winning_branch": "{b.value}",\n    "intervals_omega": '
                     for b in BranchKind)
-    sep = ",\n"
-    tail = (_interval_texts(grid.omegas, 0.0, grid.ts, ',\n    "intervals_lambda": '),
-            _interval_texts(grid.lambdas, grid.lambda_decay, grid.ts, "\n  }" + sep)[:, None])
+    tail = (om_texts, lam_texts[:, None])
     head, foot = ("[\n", "\n]\n") if len(grid) else ("[]\n", "")
     _write_cells(path, grid, head, lead, (n_om, n_lam), winners, tail, sep, foot)

@@ -1,4 +1,5 @@
 import dataclasses
+import io
 import math
 import tempfile
 import warnings
@@ -1028,6 +1029,66 @@ def test_json_sweep_caps_its_intervals(monkeypatch, tmp_path):
     assert (tmp_path / "sweep.csv").read_bytes() == ref_csv
 
 
+def test_json_sweep_far_over_the_interval_cap_is_refused_before_its_rises_are_built(
+        monkeypatch, tmp_path):
+    # the lists at the largest T hold at least f T / pi - 1 rises of each f; a sweep
+    # they alone put over the cap is refused on that bound, before any rise is built:
+    # 4096 omegas up to 1600 at T = 1000 have about 1e9 rises
+    monkeypatch.setattr(blp, "_all_rises", mock.Mock(side_effect=AssertionError("built")))
+    grid = sweep_grid([1.0], np.linspace(1.0, 1600.0, 4096), [1000.0])
+    with pytest.raises(ValueError, match=rf"lists at least \d+ rise intervals, over the cap "
+                                         rf"of {blp.MAX_SWEEP_INTERVALS} "):
+        write_sweep_json(grid, tmp_path / "refused.json")
+    # one cell of 318 rises, whose bound is 100 * 10 / pi - 1 - 1 = 316.3
+    monkeypatch.setattr(blp, "MAX_SWEEP_INTERVALS", 316)
+    with pytest.raises(ValueError, match="lists at least 316 rise intervals, over the cap of 316"):
+        write_sweep_json(sweep_grid([0.0], [100.0], [10.0]), tmp_path / "refused.json")
+    assert not (tmp_path / "refused.json").exists()
+
+
+# frequency 3 up to this T spans half a quarter period less than MAX_QUARTER_PERIODS
+_quarter_cap_t = (blp.MAX_QUARTER_PERIODS - 0.5) * math.pi / 6.0
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(freqs=st.lists(st.sampled_from([0.0, 1e-17]) | st.floats(1e-3, 50.0), max_size=5),
+       decay=st.sampled_from([0.0, 0.5, 1.0]),
+       ts=st.lists(st.just(0.0) | st.floats(0.0, 30.0), max_size=4),
+       starts=st.lists(st.tuples(st.integers(0, 4), st.integers(0, 40)), max_size=2))
+@example(freqs=[3.0, 0.0, 1e-17, 1.5], decay=0.5, ts=[_quarter_cap_t, 1.0], starts=[(3, 7)])
+@example(freqs=[1e-17, 0.0], decay=0.0, ts=[3 * (math.pi / 2e-17), 0.0], starts=[(0, 2)])
+@example(freqs=[2.0, 0.0], decay=1.0, ts=[], starts=[])
+# at these frequencies numpy's arctan2 and math.atan2 round apart
+@example(freqs=[1.6802451796979123, 20.228187439236592], decay=1.0, ts=[30.0], starts=[])
+@example(freqs=[1.6802451796979123], decay=0.5, ts=[30.0], starts=[])
+def test_all_rises_are_each_frequencys_rises(freqs, decay, ts, starts):
+    # one pass over every frequency gives each one's _rises(f, decay, max T) bit for bit,
+    # and the rises begun before each T and ended by it as searchsorted counts them on
+    # those arrays; at zero and 1e-17 frequencies, T = 0, no T, T exactly on a rise start
+    # and a largest T just under the quarter-period cap (over it, both refuse)
+    for i, k in starts:
+        if i < len(freqs) and freqs[i] > 0.0:
+            ts = ts + [(2 * k + 1) * (math.pi / (2.0 * freqs[i]))]  # the start _rises builds
+    top = max(ts, default=0.0)
+    if 2.0 * max(freqs, default=0.0) * top / math.pi > blp.MAX_QUARTER_PERIODS:
+        with pytest.raises(ValueError, match="quarter periods, over the cap"):
+            blp._rises(max(freqs), decay, top)
+        with pytest.raises(ValueError, match="quarter periods, over the cap"):
+            blp._all_rises(freqs, decay, ts)  # before any rise is built, as _rises
+        return
+    zeros, ends, first, begun, done = blp._all_rises(freqs, decay, ts)
+    assert first.size == len(freqs) + 1 and first[-1] == zeros.size == ends.size
+    assert begun.shape == done.shape == (len(freqs), len(ts))
+    for i, f in enumerate(freqs):
+        want_zeros, want_ends = blp._rises(f, decay, top)
+        assert zeros[first[i]:first[i + 1]].tobytes() == want_zeros.tobytes()
+        assert ends[first[i]:first[i + 1]].tobytes() == want_ends.tobytes()
+        want_begun = np.searchsorted(want_zeros, ts, "left")
+        assert begun[i].tolist() == want_begun.tolist()
+        assert done[i].tolist() == np.minimum(np.searchsorted(want_ends, ts, "right"),
+                                              want_begun).tolist()
+
+
 @pytest.mark.parametrize("mode", ["derived", "as-printed"])
 def test_sweep_grid_is_the_sequence_of_its_rows(mode):
     # indexing, negative indices and iteration give the rows of a
@@ -1092,6 +1153,38 @@ def test_sweep_writers_join_whole_cells_across_chunks(monkeypatch, tmp_path, chu
             assert (tmp_path / "sweep.csv").read_bytes() == ref_csv
             assert (tmp_path / "sweep.json").read_bytes() == ref_json
     test_sweep_writers_keep_the_per_cell_tie_rule(monkeypatch, tmp_path)
+
+
+@pytest.mark.parametrize("chunk, axes, block", [
+    (7, ([0.0, 1.5, 3.0], [0.5, 2.0], [1.0, 4.0, 7.5]), 6),  # whole lambda rows of 6
+    (7, ([1.5, 3.0], [0.5, 2.0, 4.0, 6.0], [1.0, 2.0, 4.0]), 6),  # rows of 12: omega-runs of 2
+    (7, ([1.5], [0.5, 2.0], np.linspace(0.5, 9.0, 10).tolist()), 7),  # T-runs of 10: 7 and 3
+    (512, ([1.0], [0.5, 4.0], np.linspace(0.0, 6.0, 600).tolist()), 512),  # a T-run of 600
+    (512, ([0.5, 1.0], np.linspace(0.0, 5.0, 40).tolist(), [1.0, 2.5, 4.0] * 7),
+     504),  # rows of 840: omega-runs of 24
+])
+def test_sweep_writers_write_at_most_a_chunk_of_cells_at_a_time(monkeypatch, tmp_path, chunk,
+                                                                axes, block):
+    # each write of either writer holds at most blp._SWEEP_CHUNK cells, also where one
+    # lambda row or one (lambda, omega) T-run is longer, and the writes join into the file
+    monkeypatch.setattr(blp, "_SWEEP_CHUNK", chunk)
+    grid = sweep_grid(*axes)
+    writes = []
+
+    class Spy(io.StringIO):
+        def write(self, text):
+            writes.append(text)
+            return len(text)
+
+    for writer, cell in ((write_sweep_csv, "\r\n"), (write_sweep_json, '"lambda": ')):
+        writer(grid, tmp_path / "sweep")
+        writes.clear()
+        with mock.patch.object(blp, "open", lambda *args, **kwargs: Spy(), create=True):
+            writer(grid, tmp_path / "spied")
+        assert "".join(writes).encode() == (tmp_path / "sweep").read_bytes()
+        cells = [w.count(cell) for w in writes]
+        assert sum(cells) == len(grid) + (writer is write_sweep_csv)  # the CSV header
+        assert max(cells) == block <= chunk
 
 
 _frequencies = st.lists(st.just(0.0) | st.floats(0.1, 6.0), max_size=4)
