@@ -17,26 +17,27 @@ rate is the derivative of D. The maximum splits into two physical branches:
 * omega branch  -- coherence pair: D = |cos(omega_hat tau)|, undamped;
   every completed rise adds 1 (``analytic_n_omega``);
 * lambda branch -- inversion pair: D = env(tau) * |cos(lambda_hat tau)|;
-  each rise starts at a zero of the cosine and ends after
-  atan2(lambda_hat, c)/lambda_hat (c = 1 or 1/2, the envelope rate), and
-  the rises form a geometric series; one closed form sums both branches.
+  its rises form a geometric series.
+
+Both are exp(-c tau)|cos(f tau)|, the branch (f, c) = (omega_hat, 0) or
+(lambda_hat, c), c = 1 or 1/2 the envelope rate. Each rise starts at a zero
+of the cosine and ends after atan2(f, c)/f. One kernel lists the rises of
+any list of branches (``_rises``), one closed form sums them
+(``_branch_value``), and one form gives a branch's rate (``_branch_rate``).
 
 The interior angles are first certified in one array pass. Cut at the
-quarter-period grid and the lambda-rise ends, both parts of D are monotone
-on every piece, which bounds each angle's backflow from above
-(``_rise_bound``: where the parts move apart, by the rise of D with the
-falling part held at its lower end). An angle whose bound is below the
-larger branch value by more than ``_CERTIFY_MARGIN`` cannot win and is not
-scanned. The angles left are scanned in one array computation: the
-positivity intervals of the rate are bracketed on the quarter-period grid
-of both cosines and refined by one vectorised Chandrupatla root solve: a
-kernel in this module that keeps the rule of scipy's ``find_root`` (steps,
-tolerances, stopping tests), so its roots equal scipy's bit for bit. Each
-angle is scanned elementwise, so the result equals a scan of every angle
-bit for bit. The same locator finds
-where the two branch rates cross on the pieces where both branches rise,
-the only ones where the faster branch can change, so the pointwise maximum
-of ``literal_pointwise_max`` telescopes too.
+quarter-period grid and the lambda-rise ends (``_cut_distances``), both
+parts of D are monotone on every piece, which bounds each angle's backflow
+from above (``_rise_bound``). An angle whose bound is below the larger
+branch value by more than ``_CERTIFY_MARGIN`` cannot win and is not
+scanned. The angles left are scanned elementwise in one array computation,
+so the result equals a scan of every angle bit for bit: the positivity
+intervals of the rate are bracketed on the quarter-period grid of both
+cosines and refined by one vectorised root solve (``_chandrupatla``, whose
+roots equal those of scipy's ``find_root`` bit for bit). The same locator
+finds where the two branch rates cross on the pieces where both rise, the
+only ones where the faster branch can change, so the pointwise maximum of
+``literal_pointwise_max`` telescopes too.
 
 Only "derived" mode scans interior angles. The printed interior rate is
 not the derivative of any printed distance, and its backflow has no
@@ -54,6 +55,7 @@ by ``BranchKind`` (physical pair), never by theta.
 
 from __future__ import annotations
 
+import bisect
 import math
 import warnings
 from dataclasses import dataclass
@@ -173,6 +175,18 @@ def _rate_numerator(u: ArrayLike, tau: ArrayLike, lam: float, om: float) -> Arra
     return u * da + (1.0 - u) * db
 
 
+def _branch_rate(freq: float, decay: float) -> tuple[Callable, tuple]:
+    """|d/dtau| of exp(-decay tau)|cos(freq tau)| as a function of tau, and its term (a, r, f):
+    between zeros it is +-hypot(freq, decay) e^{-decay tau} cos(freq tau - phi)."""
+    def rate(tau: np.ndarray) -> np.ndarray:
+        slope = freq * np.sin(freq * tau)
+        if decay == 0.0:  # the bits of the general form, without the envelope's cost
+            return abs(slope)
+        return np.exp(-decay * tau) * abs(slope + decay * np.cos(freq * tau))
+
+    return rate, (math.hypot(freq, decay), decay, freq)
+
+
 def _printed_factors(tau: ArrayLike, lam: float, om: float) -> tuple:
     """(P, Q, R) of the printed rate u P / (2 sqrt(u Q + (1 - u) R)), u = cos^2(theta).
 
@@ -219,11 +233,9 @@ def sigma_rate(
         KinkWarning,
         stacklevel=2,
     )
-    if mode == "derived":
-        return math.sqrt(
-            u * math.exp(-2.0 * tau) * lam**2 * math.sin(lam * tau) ** 2
-            + (1.0 - u) * om**2 * math.sin(om * tau) ** 2
-        )
+    if mode == "derived":  # the branch rates, combined as the distance combines the branches
+        lam_rate, om_rate = (_branch_rate(f, c)[0](tau) for f, c in ((lam, 1.0), (om, 0.0)))
+        return math.sqrt(u * lam_rate**2 + (1.0 - u) * om_rate**2)
     if num == 0.0:
         return 0.0
     return math.copysign(math.inf, num)
@@ -265,43 +277,27 @@ def _branch_value(freq: ArrayLike, decay: ArrayLike, t_max: ArrayLike) -> np.nda
     return np.where((c > 0.0) & (done > 0.0), geometric, done) + partial
 
 
-def _rises(freq: float, decay: float, t_max: float) -> tuple[np.ndarray, np.ndarray]:
-    """Starts and ends of the rises of exp(-decay tau)|cos(freq tau)| in [0, t_max], as arrays.
+def _rises(branches: Sequence[tuple[float, float]], t_max: float) -> tuple:
+    """Starts and ends of the rises in [0, t_max] of exp(-c tau)|cos(f tau)| for each branch
+    (f, c), branch after branch, and the index of each branch's first rise (and of the end).
 
-    Each starts exactly at a zero z of the cosine and ends where
-    freq*cos(freq (tau-z)) = decay*sin(freq (tau-z)), i.e. at
-    z + atan2(freq, decay)/freq: a quarter period for the undamped cosine.
+    Each starts at a zero z of the cosine and ends at z + atan2(f, c)/f (a quarter period if
+    c = 0). A branch over ``MAX_QUARTER_PERIODS`` raises ValueError before any rise is built.
     """
-    if freq <= 0.0 or t_max <= 0.0:
-        return np.empty(0), np.empty(0)
-    quarter = math.pi / (2.0 * freq)
-    _check_quarters(freq, t_max)
-    zeros = (2 * np.arange(int(t_max / (2.0 * quarter)) + 1) + 1) * quarter
-    zeros = zeros[zeros < t_max]
-    return zeros, np.minimum(zeros + math.atan2(freq, decay) / freq, t_max)
-
-
-def _all_rises(freqs: Sequence[float], decay: float, ts: Sequence[float]) -> tuple:
-    """``_rises(f, decay, max(ts))`` of every f in ``freqs`` in one array pass, by the same float
-    operations: all starts and all ends, frequency by frequency, the index of each one's first
-    rise (and of the end), and [frequency, T] tables of the rises begun before T and ended by T."""
-    f, top = np.array(freqs, dtype=float) + 0.0, max(ts, default=0.0)  # -0.0 becomes 0.0
-    _check_quarters(f.max(initial=0.0), top)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # f = 0 or subnormal:
-        quarter = math.pi / (2.0 * f)  # an infinite quarter period, so no rise
-        reach = np.array([math.atan2(x, decay) for x in f.tolist()]) / f
-    n = (top / (2.0 * quarter)).astype(np.int64) + 1
-    zeros = (2 * (np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)) + 1) * np.repeat(quarter, n)
-    keep = zeros < top
-    zeros, ends = zeros[keep], np.minimum(zeros + np.repeat(reach, n), top)[keep]
-    row = np.repeat(np.arange(f.size), n)[keep]
-    first = np.searchsorted(row, np.arange(f.size + 1))
-    # complex numbers sort as (real, imaginary) pairs: here (frequency, time)
-    at = np.arange(f.size)[:, None] + 1j * np.array(ts, dtype=float)
-    begun, done = (np.searchsorted(row + 1j * v, at, side) - first[:-1, None]
-                   for v, side in ((zeros, "left"), (ends, "right")))  # < T, <= T
-    # a rise starting at T whose reach rounds to 0 has not begun
-    return zeros, ends, first, begun, np.minimum(done, begun)
+    quarter, reach, n, first = [], [], [], [0]
+    for f, c in branches:
+        _check_quarters(f, t_max)
+        q = math.pi / (2.0 * f) if f > 0.0 else math.inf  # f = 0 or subnormal: no rise
+        k = int(t_max / (2.0 * q)) + 1  # the zeros (2 j + 1) q, j < k; under the quarter
+        k -= (2 * k - 1) * q >= t_max  # cap only the last can reach t_max
+        quarter.append(q)
+        reach.append(math.atan2(f, c) / f if k else 0.0)
+        n.append(k)
+        first.append(first[-1] + k)
+    # one row per rise: its branch's quarter period, reach and first index (an exact integer)
+    q, r, off = np.repeat(np.array([quarter, reach, first[:-1]]), n, axis=1)
+    zeros = (np.arange(1, 2 * first[-1], 2) - 2 * off) * q  # (2 j + 1) q
+    return zeros, np.minimum(zeros + r, t_max), first
 
 
 def _sorted_unique(x: np.ndarray) -> np.ndarray:
@@ -314,9 +310,16 @@ def _sorted_unique(x: np.ndarray) -> np.ndarray:
 
 
 def _rise_intervals(freq: float, decay: float, t_max: float) -> tuple[tuple[float, float], ...]:
-    """``_rises`` as a tuple of (start, end) pairs."""
-    zeros, ends = _rises(freq, decay, t_max)
+    """The ``_rises`` of one branch as a tuple of (start, end) pairs."""
+    zeros, ends, _ = _rises([(freq, decay)], t_max)
     return tuple(zip(zeros.tolist(), ends.tolist()))
+
+
+def _cut_distances(cfg: DimensionlessConfig, decay: float, *cuts: np.ndarray) -> tuple:
+    """The distinct ``cuts``, sorted, and the omega and lambda branch distances there (rows 0, 1;
+    lambda envelope rate ``decay``), monotone between quarter-period grid and lambda-rise ends."""
+    cuts, lam = _sorted_unique(np.concatenate(cuts)), cfg.lambda_hat
+    return cuts, _pair_distance(np.array([[0.0], [1.0]]), decay, lam * lam, cfg.omega_hat, cuts)
 
 
 # ---------------------------------------------------------------------------
@@ -525,12 +528,13 @@ def _interior_scan(
     return np.maximum(totals, 0.0), a, b, owner
 
 
-def _rise_bound(thetas: np.ndarray, cfg: DimensionlessConfig, grid: np.ndarray) -> np.ndarray:
+def _rise_bound(thetas: np.ndarray, cfg: DimensionlessConfig, grid: np.ndarray,
+                lam_ends: np.ndarray) -> np.ndarray:
     """Upper bound B >= N on the derived backflow at each interior angle.
 
     D = sqrt(u a^2 + (1 - u) b^2) with u = cos^2(theta), a = e^{-tau}|cos lam tau|
     and b = |cos om tau|. Cut at ``grid`` (``_breakpoints`` of cfg) and at the
-    lambda-rise ends, a and b are monotone on every piece [p, q], and D
+    lambda-rise ends ``lam_ends``, a and b are monotone on every piece [p, q], and D
     rises there by at most D_q - sqrt(u min(a)^2 + (1 - u) min(b)^2), with
     the minima over the piece ends. Where a and b rise together that is
     D_q - D_p, and where they fall together it is 0. Where a falls and b
@@ -538,11 +542,8 @@ def _rise_bound(thetas: np.ndarray, cfg: DimensionlessConfig, grid: np.ndarray) 
     and D rises by at most F_q - F_p, the same term; the mirror case swaps
     a and b. The bound is exact at u = 0 and u = 1.
     """
-    lam, om, t_max = cfg.lambda_hat, cfg.omega_hat, cfg.t_max
-    cuts = _sorted_unique(np.concatenate((grid, _rises(lam, 1.0, t_max)[1])))
+    b2, a2 = _cut_distances(cfg, 1.0, grid, lam_ends)[1] ** 2
     u = np.cos(thetas)[:, None] ** 2
-    # u = 1 gives a, u = 0 gives b
-    a2, b2 = _pair_distance(np.array([[1.0], [0.0]]), 1.0, lam * lam, om, cuts) ** 2
     low = np.sqrt(u * np.minimum(a2[:-1], a2[1:]) + (1.0 - u) * np.minimum(b2[:-1], b2[1:]))
     return np.sum(np.sqrt(u * a2[1:] + (1.0 - u) * b2[1:]) - low, axis=1)
 
@@ -635,11 +636,10 @@ def n_measure(
     if theta_grid_size < 2:
         raise ValueError("theta_grid_size must be at least 2")
     lam, om, t_max, c = cfg.lambda_hat, cfg.omega_hat, cfg.t_max, _envelope_decay(mode)
-    for f in (om, lam):  # either branch's rise grid over the cap is refused, built or not
-        _check_quarters(f, t_max)
+    starts, stops, first = _rises(((om, 0.0), (lam, c)), t_max)  # in BranchKind order
     n_omega, n_lambda = _branch_value(np.array([om, lam]), np.array([0.0, c]), t_max).tolist()
     value = {BranchKind.OMEGA: n_omega, BranchKind.LAMBDA: n_lambda}
-    rises = {BranchKind.OMEGA: (om, 0.0), BranchKind.LAMBDA: (lam, c)}
+    rises = {BranchKind.OMEGA: slice(first[1]), BranchKind.LAMBDA: slice(first[1], first[2])}
     ends = _ENDPOINT_BRANCHES[mode]
     if mode == "derived":  # refuse a scan over the cap before its angles are built
         grid = _breakpoints(lam, om, t_max)
@@ -651,14 +651,15 @@ def n_measure(
     a = b = owner = np.empty(0)
     if thetas.size > 2:
         best = max(n_omega, n_lambda)
-        bound = _rise_bound(thetas[1:-1], cfg, grid)
+        bound = _rise_bound(thetas[1:-1], cfg, grid, stops[rises[BranchKind.LAMBDA]])
         scan = np.flatnonzero(bound >= best - _CERTIFY_MARGIN * (1.0 + best))
         if scan.size:
             values[scan + 1], a, b, owner = _interior_scan(thetas[1:-1][scan], cfg, grid)
             owner = scan[owner]
     k = int(np.argmax(values))  # first maximum
     if k in (0, thetas.size - 1):  # only the winner's intervals are built
-        intervals = _rise_intervals(*rises[ends[k > 0]], t_max)
+        own = rises[ends[k > 0]]
+        intervals = tuple(zip(starts[own].tolist(), stops[own].tolist()))
     else:
         sel = owner == k - 1
         intervals = tuple(zip(a[sel].tolist(), b[sel].tolist()))
@@ -696,23 +697,14 @@ def literal_pointwise_max(cfg: DimensionlessConfig, mode: FormulaSource = "deriv
     lam, om, t_max, c = cfg.lambda_hat, cfg.omega_hat, cfg.t_max, _envelope_decay(mode)
     grid = _breakpoints(lam, om, t_max)
     _check_scan(1, grid.size - 1)  # the cap of a scan of every piece, before any is built
-    # within a piece, g = +-om sin(om tau) -+ hypot(lam, c) e^{-c tau} cos(lam tau - phi)
-    terms = tuple((np.full(1, a), r, f) for a, r, f in
-                  ((om, 0.0, om), (math.hypot(lam, c), c, lam)))
-
-    def g(tau: np.ndarray, _k: np.ndarray) -> np.ndarray:
-        lam_rate = np.exp(-c * tau) * abs(lam * np.sin(lam * tau) + c * np.cos(lam * tau))
-        return abs(om * np.sin(om * tau)) - lam_rate
-
-    def rises(cuts: np.ndarray) -> np.ndarray:
-        # u = 0 selects the omega-branch distance, u = 1 the lambda one
-        return np.diff(_pair_distance(np.array([[0.0], [1.0]]), c, lam * lam, om, cuts))
-
-    cuts = _sorted_unique(np.concatenate((grid, _rises(lam, c, t_max)[1])))
-    both = np.all(rises(cuts) > 0.0, axis=0)
-    crossings, _ = _sign_changes(g, terms, cuts[:-1][both], cuts[1:][both])
-    cuts = _sorted_unique(np.concatenate((cuts, crossings)))
-    return float(np.sum(np.maximum(np.max(rises(cuts), axis=0), 0.0)))
+    (om_rate, om_term), (lam_rate, lam_term) = _branch_rate(om, 0.0), _branch_rate(lam, c)
+    cuts, d = _cut_distances(cfg, c, grid, _rises([(lam, c)], t_max)[1])
+    both = np.all(np.diff(d) > 0.0, axis=0)
+    crossings, _ = _sign_changes(lambda tau, _k: om_rate(tau) - lam_rate(tau),
+                                 tuple((np.full(1, a), r, f) for a, r, f in (om_term, lam_term)),
+                                 cuts[:-1][both], cuts[1:][both])
+    _, d = _cut_distances(cfg, c, cuts, crossings)
+    return float(np.sum(np.maximum(np.max(np.diff(d), axis=0), 0.0)))
 
 
 def dominant_regime(
@@ -879,21 +871,28 @@ def _interval_texts(grid: SweepGrid, closes: tuple) -> Iterator[np.ndarray]:
     top = max(grid.ts, default=0.0)
     axes = ((grid.omegas, 0.0, grid.lambdas), (grid.lambdas, grid.lambda_decay, grid.omegas))
     low = sum(len(o) * (sum(fs) * top / math.pi - len(fs)) for fs, _, o in axes)
-    rises = [_all_rises(fs, c, grid.ts) for fs, c, _ in axes] if low <= MAX_SWEEP_INTERVALS else []
+    rises = []
+    for fs, c, _ in axes if low <= MAX_SWEEP_INTERVALS else ():
+        zeros, ends, first = _rises([(f, c) for f in fs], top)
+        row, first = np.repeat(np.arange(len(fs)), np.diff(first)), np.array(first)
+        # complex numbers sort as (real, imaginary) pairs: here (frequency, time), so one
+        # searchsorted gives the [frequency, T] table of the rises begun before T
+        at = np.arange(len(fs))[:, None] + 1j * np.array(grid.ts)
+        rises.append((zeros, ends, first, np.searchsorted(row + 1j * zeros, at) - first[:-1, None]))
     listed = sum(len(o) * int(r[3].sum()) for (*_, o), r in zip(axes, rises))
     if not rises or listed > MAX_SWEEP_INTERVALS:
         count = listed if rises else f"at least {math.floor(low)}"
         raise ValueError(f"the JSON sweep lists {count} rise intervals, over the cap of "
                          f"{MAX_SWEEP_INTERVALS} (blp.MAX_SWEEP_INTERVALS)")
-    for (zeros, ends, first, begun, done), close in zip(rises, closes):
-        z = zeros.tolist()
-        pieces = [f"      [\n        {a!r},\n        {b!r}\n      ]"
-                  for a, b in zip(z, ends.tolist())]
+    for (zeros, ends, first, begun), close in zip(rises, closes):
+        z, e = zeros.tolist(), ends.tolist()
+        pieces = [f"      [\n        {a!r},\n        {b!r}\n      ]" for a, b in zip(z, e)]
         texts = np.empty(begun.shape, dtype=object)
-        for r, (o, ns, ms) in enumerate(zip(first.tolist(), begun.tolist(), done.tolist())):
-            for col, (n, m, t_max) in enumerate(zip(ns, ms, grid.ts)):
-                body = ",\n".join(pieces[o:o + m] + [f"      [\n        {a!r},\n        "
-                                                    f"{t_max!r}\n      ]" for a in z[o + m:o + n]])
+        for r, (o, ns) in enumerate(zip(first.tolist(), begun.tolist())):
+            for col, (n, t_max) in enumerate(zip(ns, grid.ts)):
+                m = bisect.bisect_right(e, t_max, o, o + n)  # after the begun rises ended by T
+                body = ",\n".join(pieces[o:m] + [f"      [\n        {a!r},\n        "
+                                                f"{t_max!r}\n      ]" for a in z[m:o + n]])
                 texts[r, col] = f"[\n{body}\n    ]{close}" if n else "[]" + close
         yield texts
 

@@ -1,18 +1,20 @@
 """Independent oracles used to freeze expected values in the test suite.
 
-These deliberately avoid the library's own evaluation paths: the inversion
-oracle integrates the memory-kernel closure as a small ODE system, the
-backflow oracles enumerate envelope rises analytically, integrate their
-own coherence-branch rate by adaptive quadrature, or walk the critical
-points of the trace distance, the AR(1) oracle steps the field recurrence
-one sample at a time, the periodogram reference transforms one
-realization at a time, the ensemble oracle steps each trajectory's RK4 in
-Python floats and reduces the stacked trajectories with numpy's axis
-statistics, the exact ensemble means solve the moment hierarchy of the
-Ornstein-Uhlenbeck field, the sweep reference evaluates every grid cell
-on its own and writes with the standard-library encoders, the Lorentzian
-fit is scipy's trust-region least squares on complex-step derivatives
-polished by a root solve of its gradient, and derivatives come from
+These deliberately avoid the library's own evaluation paths: the
+inversion oracle integrates the memory-kernel closure as a small ODE
+system, the backflow oracles enumerate envelope rises analytically,
+sample them on a dense grid, integrate their own coherence-branch rate
+by adaptive quadrature, or walk the critical points of the trace
+distance, the pair distance is half the distance of the derived ensemble
+means, the AR(1) oracle steps the field recurrence one sample at a time,
+the periodogram reference transforms one realization at a time, the
+ensemble oracle steps each trajectory's RK4 in Python floats and reduces
+the stacked trajectories with numpy's axis statistics, the exact
+ensemble means solve the moment hierarchy of the Ornstein-Uhlenbeck
+field, the sweep reference evaluates every grid cell on its own and
+writes with the standard-library encoders, the Lorentzian fit is scipy's
+trust-region least squares on complex-step derivatives polished by a
+root solve of its gradient, and derivatives come from
 Richardson-extrapolated finite differences.
 """
 
@@ -28,7 +30,8 @@ from scipy.integrate import quad, solve_ivp
 from scipy.optimize import brentq, least_squares, root
 
 from dipolefield.blp import BranchKind, backflow_integral
-from dipolefield.model import DimensionlessConfig, SystemParams
+from dipolefield.dynamics import InitialCondition, mean_dipole, mean_inversion
+from dipolefield.model import DimensionlessConfig, SystemParams, derive_params
 
 
 def closure_inversion_ode(
@@ -102,6 +105,19 @@ def lambda_rises(lambda_hat: float, t_max: float, decay: float = 1.0) -> float:
         total += env(min(z + rise_len, t_max))
         k += 1
     return total
+
+
+def sampled_rises(freq: float, decay: float, t_max: float, n: int) -> tuple:
+    """Starts and ends of the rises of exp(-decay tau)|cos(freq tau)| on [0, t_max], sampled.
+
+    The function is sampled at n uniform points, and each maximal run of increasing
+    samples is one rise, from its first to its last sample. A rise longer than a few
+    spacings then starts and ends within one spacing of the true ones.
+    """
+    t = np.linspace(0.0, t_max, n)
+    up = np.diff(np.exp(-decay * t) * np.abs(np.cos(freq * t))) > 0.0
+    edges = np.flatnonzero(np.diff(np.concatenate(([0], up.astype(int), [0]))))
+    return t[edges[::2]], t[edges[1::2]]
 
 
 def omega_branch_quadrature(omega_hat: float, t_max: float) -> float:
@@ -526,6 +542,21 @@ def sweep_files_reference(rows: list) -> tuple[bytes, bytes]:
 def richardson_derivative(f, t: float, h: float) -> float:
     """Fourth-order central difference (five-point Richardson form)."""
     return (8.0 * (f(t + h) - f(t - h)) - (f(t + 2 * h) - f(t - 2 * h))) / (12.0 * h)
+
+
+def pair_distance_from_means(theta: float, p: SystemParams, t: np.ndarray) -> np.ndarray:
+    """Trace distance of the antipodal pair from its derived ensemble means.
+
+    The pair is (m, w) = (sin theta, cos theta) and its antipode. The trace
+    distance of two qubit states is half the distance of their Bloch vectors,
+    here the differences of ``mean_dipole`` and of ``mean_inversion``.
+    """
+    d = derive_params(p)
+    one = InitialCondition(math.sin(theta), math.cos(theta))
+    two = InitialCondition(-one.m0, -one.w0)
+    dm = mean_dipole(one, p, t) - mean_dipole(two, p, t)
+    dw = mean_inversion(one, d, p, t) - mean_inversion(two, d, p, t)
+    return 0.5 * np.hypot(dm, dw)
 
 
 def params_for_rates(

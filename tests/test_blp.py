@@ -1,5 +1,6 @@
 import dataclasses
 import io
+import json
 import math
 import tempfile
 import warnings
@@ -41,6 +42,7 @@ from oracles import (
     printed_log_slope_reference,
     printed_numerator,
     printed_rate,
+    sampled_rises,
     sweep_files_reference,
     sweep_payload_reference,
     tangency_angle,
@@ -767,7 +769,7 @@ def test_rise_bound_is_at_least_the_backflow(theta, lam, om, t_max, ratio, nudge
     if ratio is not None:
         om = lam * ratio * (1.0 + nudge)
     bound = blp._rise_bound(np.array([theta]), cfg_of(lam, om, t_max),
-                            blp._breakpoints(lam, om, t_max))
+                            blp._breakpoints(lam, om, t_max), blp._rises([(lam, 1.0)], t_max)[1])
     assert bound[0] >= distance_rises(theta, lam, om, t_max) - 1e-9
 
 
@@ -779,7 +781,7 @@ def test_rise_bound_is_at_least_the_backflow(theta, lam, om, t_max, ratio, nudge
 def test_rise_bound_at_the_endpoints_is_the_branch_backflow(lam, om, t_max):
     # at u = 1 the bound keeps only the rises of a, at u = 0 those of b
     bound = blp._rise_bound(np.array([0.0, math.pi / 2]), cfg_of(lam, om, t_max),
-                            blp._breakpoints(lam, om, t_max))
+                            blp._breakpoints(lam, om, t_max), blp._rises([(lam, 1.0)], t_max)[1])
     assert bound[0] == pytest.approx(lambda_rises(lam, t_max), rel=1e-12, abs=1e-12)
     assert bound[1] == pytest.approx(omega_rises(om, t_max), rel=1e-12, abs=1e-12)
 
@@ -1020,7 +1022,8 @@ def test_json_sweep_caps_its_intervals(monkeypatch, tmp_path):
                                          r"\(blp\.MAX_SWEEP_INTERVALS\)"):
         write_sweep_json(grid, tmp_path / "refused.json")
     assert not (tmp_path / "refused.json").exists()
-    # one cell of 318 rises, where the bound f T / pi + 1 per list (321.3) is nearly tight
+    # one cell of 318 rises, one over the cap; the lower bound f T / pi - 1 per list
+    # (100 * 10 / pi - 1 - 1 = 316.3 for its two lists) is under it, so the rises are counted
     monkeypatch.setattr(blp, "MAX_SWEEP_INTERVALS", 317)
     with pytest.raises(ValueError, match="lists 318 rise intervals"):
         write_sweep_json(sweep_grid([0.0], [100.0], [10.0]), tmp_path / "refused.json")
@@ -1034,7 +1037,7 @@ def test_json_sweep_far_over_the_interval_cap_is_refused_before_its_rises_are_bu
     # the lists at the largest T hold at least f T / pi - 1 rises of each f; a sweep
     # they alone put over the cap is refused on that bound, before any rise is built:
     # 4096 omegas up to 1600 at T = 1000 have about 1e9 rises
-    monkeypatch.setattr(blp, "_all_rises", mock.Mock(side_effect=AssertionError("built")))
+    monkeypatch.setattr(blp, "_rises", mock.Mock(side_effect=AssertionError("built")))
     grid = sweep_grid([1.0], np.linspace(1.0, 1600.0, 4096), [1000.0])
     with pytest.raises(ValueError, match=rf"lists at least \d+ rise intervals, over the cap "
                                          rf"of {blp.MAX_SWEEP_INTERVALS} "):
@@ -1058,35 +1061,66 @@ _quarter_cap_t = (blp.MAX_QUARTER_PERIODS - 0.5) * math.pi / 6.0
 @example(freqs=[3.0, 0.0, 1e-17, 1.5], decay=0.5, ts=[_quarter_cap_t, 1.0], starts=[(3, 7)])
 @example(freqs=[1e-17, 0.0], decay=0.0, ts=[3 * (math.pi / 2e-17), 0.0], starts=[(0, 2)])
 @example(freqs=[2.0, 0.0], decay=1.0, ts=[], starts=[])
-# at these frequencies numpy's arctan2 and math.atan2 round apart
+# at these frequencies numpy's arctan2 and math.atan2 round apart; the rises take math.atan2
 @example(freqs=[1.6802451796979123, 20.228187439236592], decay=1.0, ts=[30.0], starts=[])
 @example(freqs=[1.6802451796979123], decay=0.5, ts=[30.0], starts=[])
-def test_all_rises_are_each_frequencys_rises(freqs, decay, ts, starts):
-    # one pass over every frequency gives each one's _rises(f, decay, max T) bit for bit,
-    # and the rises begun before each T and ended by it as searchsorted counts them on
-    # those arrays; at zero and 1e-17 frequencies, T = 0, no T, T exactly on a rise start
-    # and a largest T just under the quarter-period cap (over it, both refuse)
+def test_one_rise_kernel_gives_each_branchs_rises(freqs, decay, ts, starts):
+    # one call over every frequency, damped by decay and undamped, gives each branch's
+    # own call bit for bit; the JSON sweep lists, for each (frequency, T), the rises begun
+    # before T and ended by it as searchsorted counts them on those arrays, with T for the
+    # end of a rise T cuts; at zero and 1e-17 frequencies, T = 0, no T, T exactly on a
+    # rise start and a largest T just under the quarter-period cap (over it, both refuse)
     for i, k in starts:
         if i < len(freqs) and freqs[i] > 0.0:
             ts = ts + [(2 * k + 1) * (math.pi / (2.0 * freqs[i]))]  # the start _rises builds
     top = max(ts, default=0.0)
+    branches = [(f, c) for c in (decay, 0.0) for f in freqs]
     if 2.0 * max(freqs, default=0.0) * top / math.pi > blp.MAX_QUARTER_PERIODS:
         with pytest.raises(ValueError, match="quarter periods, over the cap"):
-            blp._rises(max(freqs), decay, top)
+            blp._rises([(max(freqs), decay)], top)
         with pytest.raises(ValueError, match="quarter periods, over the cap"):
-            blp._all_rises(freqs, decay, ts)  # before any rise is built, as _rises
+            blp._rises(branches, top)  # before any rise is built, as for one branch
         return
-    zeros, ends, first, begun, done = blp._all_rises(freqs, decay, ts)
-    assert first.size == len(freqs) + 1 and first[-1] == zeros.size == ends.size
-    assert begun.shape == done.shape == (len(freqs), len(ts))
-    for i, f in enumerate(freqs):
-        want_zeros, want_ends = blp._rises(f, decay, top)
+    zeros, ends, first = blp._rises(branches, top)
+    assert len(first) == len(branches) + 1 and first[0] == 0
+    assert first[-1] == zeros.size == ends.size
+    lists = []  # per branch: the lists of each T
+    for i, branch in enumerate(branches):
+        want_zeros, want_ends, want_first = blp._rises([branch], top)
+        assert want_first == [0, want_zeros.size]
         assert zeros[first[i]:first[i + 1]].tobytes() == want_zeros.tobytes()
         assert ends[first[i]:first[i + 1]].tobytes() == want_ends.tobytes()
-        want_begun = np.searchsorted(want_zeros, ts, "left")
-        assert begun[i].tolist() == want_begun.tolist()
-        assert done[i].tolist() == np.minimum(np.searchsorted(want_ends, ts, "right"),
-                                              want_begun).tolist()
+        begun = np.searchsorted(want_zeros, ts, "left")
+        done = np.minimum(np.searchsorted(want_ends, ts, "right"), begun)
+        lists.append([[[z, e] for z, e in zip(want_zeros[:m].tolist(), want_ends.tolist())]
+                      + [[z, t] for z in want_zeros[m:n].tolist()]
+                      for n, m, t in zip(begun.tolist(), done.tolist(), ts)])
+    # the lambda axis takes the damped branches and the omega axis the undamped ones
+    grid = blp.SweepGrid(tuple(freqs), tuple(freqs), tuple(ts), None, None, decay)
+    listed = len(freqs) * sum(len(iv) for per_t in lists for iv in per_t)
+    if listed > blp.MAX_SWEEP_INTERVALS:  # the texts are not rendered, but refused
+        with pytest.raises(ValueError, match=rf"lists ({listed}|at least \d+) rise intervals"):
+            list(blp._interval_texts(grid, ("", "")))
+        return
+    lam_texts, om_texts = reversed(list(blp._interval_texts(grid, ("", ""))))
+    texts = [*lam_texts.tolist(), *om_texts.tolist()]
+    assert [[json.loads(text) for text in row] for row in texts] == lists
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(freq=st.floats(0.2, 5.0), decay=st.sampled_from([0.0, 0.5, 1.0]),
+       t_max=st.floats(0.0, 20.0))
+def test_rises_match_a_sampled_oracle(freq, decay, t_max):
+    # every rise is at least atan2(5, 1)/5 = 0.27 long, over 500 spacings; a rise that T
+    # cuts within a few spacings of its start may or may not show in the samples
+    h = t_max / 40_000
+    offset = (t_max - math.pi / (2.0 * freq)) % (math.pi / freq)
+    assume(min(offset, math.pi / freq - offset) > 3.0 * h)
+    zeros, ends, _ = blp._rises([(freq, decay)], t_max)
+    want_zeros, want_ends = sampled_rises(freq, decay, t_max, 40_001)
+    assert zeros.size == want_zeros.size
+    np.testing.assert_allclose(zeros, want_zeros, rtol=0, atol=1.001 * h)
+    np.testing.assert_allclose(ends, want_ends, rtol=0, atol=1.001 * h)
 
 
 @pytest.mark.parametrize("mode", ["derived", "as-printed"])
