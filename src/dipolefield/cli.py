@@ -212,6 +212,7 @@ def _weak_coupling(p: SystemParams) -> bool:
 def _cmd_mc_verify(args) -> int:
     from . import stochastic  # only mc-verify and spectrum load it, with numpy.random
     p = read_params(args.config)
+    d = derive_params(p)
     if not _weak_coupling(p) and not args.force:
         print(
             "refusing to run outside the weak-coupling regime "
@@ -220,7 +221,6 @@ def _cmd_mc_verify(args) -> int:
             file=sys.stderr,
         )
         return EXIT_USAGE
-    d = derive_params(p)
     dt = args.dt if args.dt is not None else stochastic.max_field_dt(p)
     horizon = args.horizon if args.horizon is not None else 5.0 / d.gamma
     ic = dynamics.InitialCondition(m0=args.m0, w0=args.w0)

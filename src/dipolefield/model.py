@@ -137,9 +137,14 @@ def derive_params(p: SystemParams) -> DerivedParams:
     The denominators involve ``2*beta_s + pi*i0*kappa**2``; when that sum
     vanishes the offset constant is exactly 0 and the ratio constant is
     undefined (returned as None). The combined sine coefficient is computed
-    in a single fraction so it never suffers the 0/0 of its factors.
+    in a single fraction so it never suffers the 0/0 of its factors. Raises
+    ValueError when a square of kappa or of beta - beta_s overflows.
     """
-    weight = p.coupling_weight
+    try:
+        weight, spread_sq = p.coupling_weight, (p.beta - p.beta_s) ** 2
+    except OverflowError:
+        raise ValueError(f"kappa={p.kappa:g}, beta={p.beta:g}, beta_s={p.beta_s:g}: "
+                         "a squared parameter overflows the derived constants") from None
     den = 2.0 * p.beta_s + weight
     if p.beta_s == 0.0:
         a_const = 0.0
@@ -149,7 +154,7 @@ def derive_params(p: SystemParams) -> DerivedParams:
         c_sine = p.beta_s * p.omega * (p.beta - weight - p.beta_s) / (2.0 * den)
     b_const = None if den == 0.0 else p.omega * (p.beta - weight) / den
     gamma = 0.5 * (p.beta + p.beta_s)
-    lambda_sq = 0.5 * p.kappa**2 * math.pi * p.beta * p.i0 - 0.25 * (p.beta - p.beta_s) ** 2
+    lambda_sq = 0.5 * p.kappa**2 * math.pi * p.beta * p.i0 - 0.25 * spread_sq
     return DerivedParams(
         a_const=a_const,
         b_const=b_const,

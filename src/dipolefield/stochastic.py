@@ -243,23 +243,23 @@ def _draw_normals(seeds: Sequence[int], out: np.ndarray) -> np.ndarray:
     """Fill a time-major (K+1, len(seeds), 2) array with standard normals, one stream per seed.
 
     ``out[:, i].T`` equals ``np.random.default_rng(seeds[i]).standard_normal((2, K + 1))``
-    for seeds in [0, 2**64): PCG64 states seeded in bulk, loaded into one
-    generator, which fills ``_TRANSPOSE_SEEDS`` records at a time that are
-    then transposed into place.
+    for seeds in [0, 2**64): PCG64 states seeded in bulk, loaded through one
+    reused state dict into one generator, which fills ``_TRANSPOSE_SEEDS``
+    records at a time that are then transposed into place.
     """
-    states = _seed_state(_words(seeds), 2, 4)
+    states = _seed_state(_words(seeds), 2, 4).tolist()
     bits = np.random.PCG64(0)
     gen = np.random.Generator(bits)
+    pcg = {}
+    state = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
     records = np.empty((min(_TRANSPOSE_SEEDS, len(states)), 2, out.shape[0]))
     for start in range(0, len(states), _TRANSPOSE_SEEDS):
         rows = records[:len(states) - start]
-        for row, words in zip(rows, states[start:start + _TRANSPOSE_SEEDS]):
-            s0, s1, q0, q1 = words.tolist()
+        for row, (s0, s1, q0, q1) in zip(rows, states[start:start + _TRANSPOSE_SEEDS]):
             # inc = 2 initseq + 1; two LCG steps from state 0, adding initstate between them
-            inc = ((q0 << 64 | q1) << 1 | 1) & _MASK128
-            state = ((inc + (s0 << 64 | s1)) * _PCG64_MULT + inc) & _MASK128
-            bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                          "has_uint32": 0, "uinteger": 0}
+            pcg["inc"] = inc = ((q0 << 64 | q1) << 1 | 1) & _MASK128
+            pcg["state"] = ((inc + (s0 << 64 | s1)) * _PCG64_MULT + inc) & _MASK128
+            bits.state = state
             gen.standard_normal(out=row)
         out[:, start:start + len(rows)] = rows.transpose(2, 0, 1)
     return out
@@ -347,37 +347,53 @@ def write_field_csv(values: np.ndarray, dt: float, path: str | Path) -> None:
 
 def _rk4_paths(
     ic: InitialCondition, p: SystemParams, field: np.ndarray, dt: float, seeds: Sequence[int]
-) -> Iterator[tuple]:
-    """Fixed-step RK4 of (m, mdot, w) driven by sampled fields, one time row at a time.
+) -> Iterator[np.ndarray]:
+    """Fixed-step RK4 of the stacked state (m, mdot, w) driven by sampled fields.
 
     ``field`` is time-major, shape (K+1, n); column j drives the trajectory
-    of ``seeds[j]``, which a divergence reports. Yields the state (m, mdot, w)
-    at t = 0, dt, ..., K dt, each of shape (n,); nothing else is stored.
-    Field values at half-steps are linear interpolants.
+    of ``seeds[j]``, which a divergence reports. Yields the state at
+    t = 0, dt, ..., K dt, each a new (3, n) array with rows (m, mdot, w);
+    nothing else is stored. Field values at half-steps are linear
+    interpolants. The four stages and each stage input are written in place
+    into (3, n) buffers made once per call, so a stage input, the final
+    combination and the divergence test are each one call over all 3n lanes.
     """
-    om, kap, bs = p.omega, p.kappa, p.beta_s
-    k_fast, k_slow, om2 = kap * om, kap / om, om * om
+    neg_om2, neg_bs = -(p.omega * p.omega), -p.beta_s
+    # -k_fast w E and k_slow mdot E in one product; negation is exact, so
+    # adding the first equals subtracting k_fast w E
+    coef = np.array([[-(p.kappa * p.omega)], [p.kappa / p.omega]])
+    n = field.shape[1]
+    a, b, c, d = np.empty((4, 3, n))
+    y, pair, eh = np.empty((3, n)), np.empty((2, n)), np.empty(n)
 
-    def rhs(x, ee):
-        mm, pp, ww = x
-        return pp, -om2 * mm - k_fast * ww * ee, -bs * (ww + 1.0) + k_slow * pp * ee
+    def rhs(x, e, out):  # (mdot, -om^2 m - k_fast w E, -beta_s (w + 1) + k_slow mdot E)
+        np.multiply(np.multiply(coef, x[2:0:-1], pair), e, pair)
+        out[0] = x[1]
+        np.multiply(x[0], neg_om2, out[1])
+        np.add(x[2], 1.0, out[2])
+        out[2] *= neg_bs
+        out[1:] += pair
 
-    x = tuple(np.full(field.shape[1], float(v)) for v in (ic.m0, ic.mdot0, ic.w0))
+    def stage(x, k, h):  # the stage input x + h k, in y
+        return np.add(np.multiply(k, h, y), x, y)
+
+    x = np.repeat(np.array([[ic.m0], [ic.mdot0], [ic.w0]], dtype=float), n, axis=1)
     yield x
 
-    for k in range(field.shape[0] - 1):
-        e0, e1 = field[k], field[k + 1]
-        eh = 0.5 * (e0 + e1)
-        a = rhs(x, e0)
-        b = rhs([xi + 0.5 * dt * di for xi, di in zip(x, a)], eh)
-        c = rhs([xi + 0.5 * dt * di for xi, di in zip(x, b)], eh)
-        d = rhs([xi + dt * di for xi, di in zip(x, c)], e1)
-        x = tuple(xi + (dt / 6.0) * (ai + 2.0 * bi + 2.0 * ci + di)
-                  for xi, ai, bi, ci, di in zip(x, a, b, c, d))
+    for step, (e0, e1) in enumerate(zip(field[:-1], field[1:]), 1):
+        np.multiply(np.add(e0, e1, eh), 0.5, eh)
+        rhs(x, e0, a)
+        rhs(stage(x, a, 0.5 * dt), eh, b)
+        rhs(stage(x, b, 0.5 * dt), eh, c)
+        rhs(stage(x, c, dt), e1, d)
+        # ((a + 2b) + 2c) + d, summed into b
+        np.add(a, np.multiply(b, 2.0, b), b)
+        np.add(b, np.multiply(c, 2.0, c), b)
+        x = x + np.multiply(np.add(b, d, b), dt / 6.0, b)
 
-        if not (max(np.max(np.abs(xi)) for xi in x) <= DIVERGENCE_LIMIT):
-            t_bad = dt * (k + 1)
-            seed = int(seeds[int(np.argmax(np.nanmax(np.abs(np.stack(x)), axis=0)))])
+        if not (np.abs(x, out=y).max() <= DIVERGENCE_LIMIT):
+            t_bad = dt * step
+            seed = int(seeds[int(np.argmax(np.nanmax(y, axis=0)))])
             raise TrajectoryDivergenceError(
                 f"trajectory diverged at t={t_bad:.6g} (|state| > {DIVERGENCE_LIMIT:g}, "
                 f"seed={seed})", seed=seed, time=t_bad)

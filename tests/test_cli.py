@@ -669,6 +669,30 @@ def test_overflowing_field_variance_exits_2_without_warnings(config, tmp_path, c
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key", ["kappa", "beta"])
+@pytest.mark.parametrize("argv", [
+    ["derive"],
+    ["evolve", "--tmax", "4"],
+    ["distance", "--tmax", "4"],
+    ["nonmark", "--tmax", "4"],
+    ["mc-verify", "--n", "4", "--force"],
+], ids=lambda argv: argv[0])
+def test_overflowing_squared_parameter_exits_2_without_a_traceback(config, tmp_path, capsys,
+                                                                  argv, key):
+    # kappa**2 or (beta - beta_s)**2 overflows a Python float, which raises
+    text = WEAK.replace(f"{key} = 1.0", f"{key} = 1e160")
+    assert text != WEAK
+    out = tmp_path / "out"
+    extra = [] if argv[0] in ("derive", "nonmark") else ["--out", str(out)]
+    assert main([*argv, "--config", config(text), *extra]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("invalid input: ")
+    assert "overflows the derived constants" in err[0] and "Traceback" not in captured.err
+    assert not out.exists()
+
+
 def test_spectrum_fit_failure_exits_3(config, tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(stochastic, "FIT_MAX_ITER", 0)
     out = tmp_path / "p.csv"

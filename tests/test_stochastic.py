@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import curve_fit
 
@@ -452,6 +452,44 @@ def test_trajectory_divergence_error():
     assert err.value.time is not None
 
 
+def test_divergence_in_a_middle_lane_is_reported_as_when_run_alone():
+    # lane 3 of 5 crosses the limit first; every other lane runs through or crosses later
+    p = SystemParams(omega=5.0, kappa=60.0, beta_s=0.0, i0=10.0, beta=1.0)
+    ic, dt, n_steps = InitialCondition(m0=0.0, w0=1.0), max_field_dt(p), 2000
+    seeds = [12, 10, 11, 8, 14]
+    field = sample_fields(p, dt, n_steps, seeds)
+    field[:, 1] *= 1e-3
+
+    def divergence_time(lane):
+        try:
+            trajectory(ic, p, field[:, lane], dt, seeds[lane])
+        except TrajectoryDivergenceError as err:
+            assert err.seed == seeds[lane]
+            return err.time
+        return math.inf
+
+    alone = [divergence_time(lane) for lane in range(len(seeds))]
+    assert alone[3] < min(alone[:3] + alone[4:])
+    with pytest.raises(TrajectoryDivergenceError) as err:
+        for _ in stochastic._rk4_paths(ic, p, field, dt, seeds):
+            pass
+    assert (err.value.time, err.value.seed) == (alone[3], 8)
+    assert str(err.value) == (f"trajectory diverged at t={alone[3]:.6g} (|state| > "
+                              f"{stochastic.DIVERGENCE_LIMIT:g}, seed=8)")
+
+
+def test_rk4_paths_yield_a_new_array_every_step():
+    # the stage buffers are reused, so a kept state must never be one of them
+    ic, dt, seeds = InitialCondition(m0=0.3, w0=0.5, mdot0=1.0), max_field_dt(WEAK), [4, 5, 6]
+    kept = [(x, x.copy()) for x in stochastic._rk4_paths(
+        ic, WEAK, sample_fields(WEAK, dt, 8, seeds), dt, seeds)]
+    assert len(kept) == 9 and kept[0][0].shape == (3, 3)
+    for (prev, _), (cur, _) in zip(kept, kept[1:]):
+        assert not np.shares_memory(prev, cur)
+    for x, copy in kept:  # untouched by the steps after it
+        np.testing.assert_array_equal(x, copy)
+
+
 # ---------------------------------------------------------------------------
 # ensemble averaging
 # ---------------------------------------------------------------------------
@@ -503,6 +541,29 @@ def test_streamed_statistics_equal_stacked_reference(n, n_steps, radius, angle, 
     p = SystemParams(omega=omega, kappa=kappa, beta_s=beta_s,
                      i0=weight / (math.pi * kappa**2), beta=1.0)
     ic = InitialCondition(m0=radius * math.cos(angle), w0=radius * math.sin(angle))
+    dt = dt_frac * max_field_dt(p)
+    report = ensemble_average(ic, p, n, dt, n_steps * dt, seed)
+    assert report.t.size == n_steps + 1
+    expected = ensemble_reference(ic, p, sample_fields(p, dt, n_steps, report.seeds).T, dt)
+    for got, want in zip((report.mean_m, report.mean_w, report.se_m, report.se_w), expected):
+        np.testing.assert_array_equal(got, want)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(2, 24), n_steps=st.integers(1, 20), mdot0=st.floats(-3.0, 3.0),
+       radius=st.floats(0.0, 1.0), angle=st.floats(0.0, 2.0 * math.pi),
+       omega=st.floats(5.0, 20.0), kappa=st.floats(0.1, 2.0), beta_s=st.floats(0.0, 1.0),
+       weight=st.floats(0.0, 0.25), dt_frac=st.floats(0.1, 1.0), seed=st.integers(0, 2**32 - 1))
+@example(n=2, n_steps=1, mdot0=-3.0, radius=0.6, angle=1.0, omega=5.0, kappa=1.0, beta_s=0.2,
+         weight=0.1, dt_frac=1.0, seed=7)
+@example(n=2, n_steps=1, mdot0=2.5, radius=0.0, angle=0.0, omega=20.0, kappa=2.0, beta_s=0.0,
+         weight=0.25, dt_frac=0.1, seed=0)
+def test_streamed_statistics_with_a_dipole_rate_equal_stacked_reference(
+        n, n_steps, mdot0, radius, angle, omega, kappa, beta_s, weight, dt_frac, seed):
+    # as above with mdot0 != 0, which feeds the w equation from the first stage on
+    p = SystemParams(omega=omega, kappa=kappa, beta_s=beta_s,
+                     i0=weight / (math.pi * kappa**2), beta=1.0)
+    ic = InitialCondition(m0=radius * math.cos(angle), w0=radius * math.sin(angle), mdot0=mdot0)
     dt = dt_frac * max_field_dt(p)
     report = ensemble_average(ic, p, n, dt, n_steps * dt, seed)
     assert report.t.size == n_steps + 1
