@@ -19,11 +19,13 @@ rate is the derivative of D. The maximum splits into two physical branches:
 * lambda branch -- inversion pair: D = env(tau) * |cos(lambda_hat tau)|;
   its rises form a geometric series.
 
-Both are exp(-c tau)|cos(f tau)|, the branch (f, c) = (omega_hat, 0) or
-(lambda_hat, c), c = 1 or 1/2 the envelope rate. Each rise starts at a zero
-of the cosine and ends after atan2(f, c)/f. One kernel lists the rises of
-any list of branches (``_rises``), one closed form sums them
-(``_branch_value``), and one form gives a branch's rate (``_branch_rate``).
+Both are exp(-c tau)|cos(f tau)|, listed in one table that every branch
+quantity reads (``_branches``): (f, c) = (omega_hat, 0) and (lambda_hat, c),
+c = 1 or 1/2 the envelope rate. Each rise starts at a zero of the cosine and
+ends after atan2(f, c)/f. One kernel lists the rises of any list of branches
+(``_rises``), one closed form sums them (``_branch_value``), and one form each
+gives a branch's rate (``_branch_rate``), distance (``_distances``, combined
+by ``dynamics._mix``) and share of the derived rate's numerator.
 
 The interior angles are first certified in one array pass. Cut at the
 quarter-period grid and the lambda-rise ends (``_cut_distances``), both
@@ -65,8 +67,7 @@ from typing import Callable, Iterator, Sequence, Union
 
 import numpy as np
 
-from .dynamics import (ArrayLike, FormulaSource, _check_mode, _check_theta, _envelope_decay,
-                       _pair_distance)
+from .dynamics import ArrayLike, FormulaSource, _check_mode, _check_theta, _envelope_decay, _mix
 from .model import DimensionlessConfig
 
 __all__ = [
@@ -152,6 +153,11 @@ class BackflowResult:
     n_lambda_branch: float | None = None
 
 
+def _branches(cfg: DimensionlessConfig, decay: float = _envelope_decay("derived")) -> tuple:
+    """The branch table, (f, c) in ``BranchKind`` order: (omega_hat, 0), (lambda_hat, decay)."""
+    return (cfg.omega_hat, 0.0), (cfg.lambda_hat, decay)
+
+
 def _lambda_wins(n_omega: ArrayLike, n_lambda: ArrayLike) -> ArrayLike:
     """The winner rule, on floats or arrays: the lambda branch wins iff it
     beats the omega branch by more than TIE_TOL."""
@@ -166,23 +172,23 @@ def _winner(n_omega: float, n_lambda: float) -> BranchKind:
 # rate of change of the trace distance
 # ---------------------------------------------------------------------------
 
-def _rate_numerator(u: ArrayLike, tau: ArrayLike, lam: float, om: float) -> ArrayLike:
-    """Numerator d(D^2)/dtau of the derived rate num / den; it carries the
-    rate's sign. ``u`` and ``tau`` broadcast."""
-    cl = np.cos(lam * tau)
-    da = -np.exp(-2.0 * tau) * (2.0 * cl * cl + lam * np.sin(2.0 * lam * tau))
-    db = -om * np.sin(2.0 * om * tau)
-    return u * da + (1.0 - u) * db
+def _rate_numerator(u: ArrayLike, tau: ArrayLike, branches: tuple) -> ArrayLike:
+    """Numerator d(D^2)/dtau of the derived rate num / den; it carries the rate's sign. Each
+    branch adds d/dtau (e^{-c tau} cos f tau)^2 = -e^{-2c tau}(2c cos^2 f tau + f sin 2f tau),
+    weighted 1 - u and u in table order. ``u`` and ``tau`` broadcast."""
+    def part(f: float, c: float) -> ArrayLike:
+        cos = np.cos(f * tau)
+        return -np.exp(-2.0 * c * tau) * (2.0 * c * cos * cos + f * np.sin(2.0 * f * tau))
+
+    om, lam = (part(f, c) for f, c in branches)
+    return (1.0 - u) * om + u * lam
 
 
 def _branch_rate(freq: float, decay: float) -> tuple[Callable, tuple]:
     """|d/dtau| of exp(-decay tau)|cos(freq tau)| as a function of tau, and its term (a, r, f):
     between zeros it is +-hypot(freq, decay) e^{-decay tau} cos(freq tau - phi)."""
     def rate(tau: np.ndarray) -> np.ndarray:
-        slope = freq * np.sin(freq * tau)
-        if decay == 0.0:  # the bits of the general form, without the envelope's cost
-            return abs(slope)
-        return np.exp(-decay * tau) * abs(slope + decay * np.cos(freq * tau))
+        return np.exp(-decay * tau) * abs(freq * np.sin(freq * tau) + decay * np.cos(freq * tau))
 
     return rate, (math.hypot(freq, decay), decay, freq)
 
@@ -218,13 +224,12 @@ def sigma_rate(
     _check_theta(theta)
     if not math.isfinite(tau):
         raise ValueError(f"tau must be finite, got {tau}")
-    lam, om = cfg.lambda_hat, cfg.omega_hat
-    u = math.cos(theta) ** 2
+    u, branches = math.cos(theta) ** 2, _branches(cfg)
     if mode == "derived":
-        num = _rate_numerator(u, tau, lam, om)
-        den = 2.0 * _pair_distance(u, 1.0, lam * lam, om, tau)
+        num = _rate_numerator(u, tau, branches)
+        den = 2.0 * _mix(u, *_distances(branches, tau))
     else:
-        p, q, r = _printed_factors(tau, lam, om)
+        p, q, r = _printed_factors(tau, cfg.lambda_hat, cfg.omega_hat)
         num, den = u * p, 2.0 * np.sqrt(u * q + (1.0 - u) * r)
     if den > 2.0 * _KINK_TOL:
         return float(num / den)
@@ -234,8 +239,7 @@ def sigma_rate(
         stacklevel=2,
     )
     if mode == "derived":  # the branch rates, combined as the distance combines the branches
-        lam_rate, om_rate = (_branch_rate(f, c)[0](tau) for f, c in ((lam, 1.0), (om, 0.0)))
-        return math.sqrt(u * lam_rate**2 + (1.0 - u) * om_rate**2)
+        return float(_mix(u, *(_branch_rate(f, c)[0](tau) for f, c in branches)))
     if num == 0.0:
         return 0.0
     return math.copysign(math.inf, num)
@@ -309,27 +313,33 @@ def _sorted_unique(x: np.ndarray) -> np.ndarray:
     return x[keep]
 
 
-def _rise_intervals(freq: float, decay: float, t_max: float) -> tuple[tuple[float, float], ...]:
-    """The ``_rises`` of one branch as a tuple of (start, end) pairs."""
-    zeros, ends, _ = _rises([(freq, decay)], t_max)
-    return tuple(zip(zeros.tolist(), ends.tolist()))
+def _rise_intervals(branches: Sequence[tuple[float, float]], t_max: float) -> tuple:
+    """The ``_rises`` of each branch as a tuple of (start, end) pairs, from one call."""
+    zeros, ends, first = _rises(branches, t_max)
+    pairs = list(zip(zeros.tolist(), ends.tolist()))
+    return tuple(tuple(pairs[i:j]) for i, j in zip(first, first[1:]))
 
 
-def _cut_distances(cfg: DimensionlessConfig, decay: float, *cuts: np.ndarray) -> tuple:
-    """The distinct ``cuts``, sorted, and the omega and lambda branch distances there (rows 0, 1;
-    lambda envelope rate ``decay``), monotone between quarter-period grid and lambda-rise ends."""
-    cuts, lam = _sorted_unique(np.concatenate(cuts)), cfg.lambda_hat
-    return cuts, _pair_distance(np.array([[0.0], [1.0]]), decay, lam * lam, cfg.omega_hat, cuts)
+def _distances(branches: Sequence[tuple[float, float]], tau: ArrayLike) -> np.ndarray:
+    """Each branch's distance e^{-c tau}|cos(f tau)| at ``tau``, one row per branch."""
+    return np.array([np.exp(-c * tau) * np.abs(np.cos(f * tau)) for f, c in branches])
+
+
+def _cut_distances(branches: tuple, t_max: float, *cuts: np.ndarray) -> tuple:
+    """The distinct ``cuts`` and lambda-rise ends up to t_max, sorted, and the ``_distances``
+    there; with the quarter-period grid among the cuts both are monotone between them."""
+    cuts = _sorted_unique(np.concatenate((*cuts, _rises(branches[1:], t_max)[1])))
+    return cuts, _distances(branches, cuts)
 
 
 # ---------------------------------------------------------------------------
 # positivity-interval location
 # ---------------------------------------------------------------------------
 
-def _breakpoints(lam: float, om: float, t_max: float) -> np.ndarray:
-    """Quarter-period grid of both frequencies, bounding every sign change."""
+def _breakpoints(branches: Sequence[tuple[float, float]], t_max: float) -> np.ndarray:
+    """Quarter-period grid of every branch frequency, bounding every sign change."""
     pts = [np.array([0.0, t_max])]
-    for f in (lam, om):
+    for f, _ in branches:
         if f > 0.0:
             step = math.pi / (2.0 * f)
             _check_quarters(f, t_max)
@@ -338,11 +348,12 @@ def _breakpoints(lam: float, om: float, t_max: float) -> np.ndarray:
     return grid[grid <= t_max]
 
 
-def _numerator_terms(u: np.ndarray, lam: float, om: float) -> tuple:
-    """(a, r, f) of the terms a e^{-r tau} cos(f tau + phi) summing to ``_rate_numerator``."""
-    # -u e^{-2 tau} (1 + cos 2 lam tau + lam sin 2 lam tau) - (1 - u) om sin 2 om tau
-    return ((u, 2.0, 0.0), (u * math.hypot(1.0, lam), 2.0, 2.0 * lam),
-            ((1.0 - u) * om, 0.0, 2.0 * om))
+def _numerator_terms(u: np.ndarray, branches: tuple) -> tuple:
+    """(a, r, f) of the terms a e^{-r tau} cos(f tau + phi) summing to ``_rate_numerator``: a
+    branch of weight w adds (w c, 2c, 0) and (w hypot(c, f), 2c, 2f). Lambda's come first, so
+    sums over the terms add as in the hand-expanded form (omega's constant term adds +0)."""
+    return tuple(term for w, (f, c) in reversed(tuple(zip((1.0 - u, u), branches)))
+                 for term in ((w * c, 2.0 * c, 0.0), (w * math.hypot(c, f), 2.0 * c, 2.0 * f)))
 
 
 def _numerator_curvature(terms: tuple, k: np.ndarray, lo: np.ndarray,
@@ -503,12 +514,11 @@ def _chandrupatla(fn: Callable, lo: np.ndarray, hi: np.ndarray, k: np.ndarray) -
 # ---------------------------------------------------------------------------
 
 def _branch_result(branch: BranchKind, cfg: DimensionlessConfig, mode: str) -> BackflowResult:
-    freq, decay = ((cfg.omega_hat, 0.0) if branch is BranchKind.OMEGA
-                   else (cfg.lambda_hat, _envelope_decay(mode)))
+    freq, decay = dict(zip(BranchKind, _branches(cfg, _envelope_decay(mode))))[branch]
     theta_star = 0.0 if _ENDPOINT_BRANCHES[mode][0] is branch else math.pi / 2
     return BackflowResult(n_value=float(_branch_value(freq, decay, cfg.t_max)),
                           winning_branch=branch, theta_star=theta_star,
-                          intervals=_rise_intervals(freq, decay, cfg.t_max))
+                          intervals=_rise_intervals([(freq, decay)], cfg.t_max)[0])
 
 
 def _interior_scan(
@@ -519,22 +529,20 @@ def _interior_scan(
     ``grid`` is ``_breakpoints`` of cfg. Each angle's value and intervals are
     computed elementwise, so they do not depend on which other angles are scanned.
     """
-    lam, om = cfg.lambda_hat, cfg.omega_hat
-    u = np.cos(thetas) ** 2
-    a, b, owner = _sign_intervals(lambda tau, k: _rate_numerator(u[k], tau, lam, om),
-                                  _numerator_terms(u, lam, om), grid)
-    d = _pair_distance(u[owner], 1.0, lam * lam, om, np.stack((a, b)))
+    branches, u = _branches(cfg), np.cos(thetas) ** 2
+    a, b, owner = _sign_intervals(lambda tau, k: _rate_numerator(u[k], tau, branches),
+                                  _numerator_terms(u, branches), grid)
+    d = _mix(u[owner], *_distances(branches, np.stack((a, b))))
     totals = np.bincount(owner, d[1] - d[0], minlength=u.size)
     return np.maximum(totals, 0.0), a, b, owner
 
 
-def _rise_bound(thetas: np.ndarray, cfg: DimensionlessConfig, grid: np.ndarray,
-                lam_ends: np.ndarray) -> np.ndarray:
+def _rise_bound(thetas: np.ndarray, cfg: DimensionlessConfig, grid: np.ndarray) -> np.ndarray:
     """Upper bound B >= N on the derived backflow at each interior angle.
 
     D = sqrt(u a^2 + (1 - u) b^2) with u = cos^2(theta), a = e^{-tau}|cos lam tau|
     and b = |cos om tau|. Cut at ``grid`` (``_breakpoints`` of cfg) and at the
-    lambda-rise ends ``lam_ends``, a and b are monotone on every piece [p, q], and D
+    lambda-rise ends (``_cut_distances``), a and b are monotone on every piece [p, q], and D
     rises there by at most D_q - sqrt(u min(a)^2 + (1 - u) min(b)^2), with
     the minima over the piece ends. Where a and b rise together that is
     D_q - D_p, and where they fall together it is 0. Where a falls and b
@@ -542,10 +550,9 @@ def _rise_bound(thetas: np.ndarray, cfg: DimensionlessConfig, grid: np.ndarray,
     and D rises by at most F_q - F_p, the same term; the mirror case swaps
     a and b. The bound is exact at u = 0 and u = 1.
     """
-    b2, a2 = _cut_distances(cfg, 1.0, grid, lam_ends)[1] ** 2
+    d = _cut_distances(_branches(cfg), cfg.t_max, grid)[1]
     u = np.cos(thetas)[:, None] ** 2
-    low = np.sqrt(u * np.minimum(a2[:-1], a2[1:]) + (1.0 - u) * np.minimum(b2[:-1], b2[1:]))
-    return np.sum(np.sqrt(u * a2[1:] + (1.0 - u) * b2[1:]) - low, axis=1)
+    return np.sum(_mix(u, *d[:, 1:]) - _mix(u, *np.minimum(d[:, :-1], d[:, 1:])), axis=1)
 
 
 def backflow_integral(
@@ -582,8 +589,8 @@ def backflow_integral(
                          "derivative of any printed distance, and its backflow has no "
                          "grid-independent maximum over theta; only theta = 0 and pi/2 "
                          "(the two branches) are defined in as-printed mode")
-    values, a, b, _ = _interior_scan(np.array([theta]), cfg,
-                                     _breakpoints(cfg.lambda_hat, cfg.omega_hat, cfg.t_max))
+    grid = _breakpoints(_branches(cfg), cfg.t_max)
+    values, a, b, _ = _interior_scan(np.array([theta]), cfg, grid)
     return BackflowResult(n_value=float(values[0]), winning_branch=None, theta_star=theta,
                           intervals=tuple(zip(a.tolist(), b.tolist())))
 
@@ -635,14 +642,13 @@ def n_measure(
     _check_mode(mode)
     if theta_grid_size < 2:
         raise ValueError("theta_grid_size must be at least 2")
-    lam, om, t_max, c = cfg.lambda_hat, cfg.omega_hat, cfg.t_max, _envelope_decay(mode)
-    starts, stops, first = _rises(((om, 0.0), (lam, c)), t_max)  # in BranchKind order
-    n_omega, n_lambda = _branch_value(np.array([om, lam]), np.array([0.0, c]), t_max).tolist()
-    value = {BranchKind.OMEGA: n_omega, BranchKind.LAMBDA: n_lambda}
-    rises = {BranchKind.OMEGA: slice(first[1]), BranchKind.LAMBDA: slice(first[1], first[2])}
+    branches, t_max = _branches(cfg, _envelope_decay(mode)), cfg.t_max
+    rises = dict(zip(BranchKind, _rise_intervals(branches, t_max)))
+    n_omega, n_lambda = _branch_value(*np.array(branches).T, t_max).tolist()
+    value = dict(zip(BranchKind, (n_omega, n_lambda)))
     ends = _ENDPOINT_BRANCHES[mode]
     if mode == "derived":  # refuse a scan over the cap before its angles are built
-        grid = _breakpoints(lam, om, t_max)
+        grid = _breakpoints(branches, t_max)
         _check_scan(theta_grid_size - 2, max(grid.size - 1, 1))
     thetas = np.linspace(0.0, math.pi / 2, theta_grid_size if mode == "derived" else 2)
     # a certified angle keeps -inf: its value is below the larger branch value
@@ -651,15 +657,14 @@ def n_measure(
     a = b = owner = np.empty(0)
     if thetas.size > 2:
         best = max(n_omega, n_lambda)
-        bound = _rise_bound(thetas[1:-1], cfg, grid, stops[rises[BranchKind.LAMBDA]])
+        bound = _rise_bound(thetas[1:-1], cfg, grid)
         scan = np.flatnonzero(bound >= best - _CERTIFY_MARGIN * (1.0 + best))
         if scan.size:
             values[scan + 1], a, b, owner = _interior_scan(thetas[1:-1][scan], cfg, grid)
             owner = scan[owner]
     k = int(np.argmax(values))  # first maximum
-    if k in (0, thetas.size - 1):  # only the winner's intervals are built
-        own = rises[ends[k > 0]]
-        intervals = tuple(zip(starts[own].tolist(), stops[own].tolist()))
+    if k in (0, thetas.size - 1):
+        intervals = rises[ends[k > 0]]
     else:
         sel = owner == k - 1
         intervals = tuple(zip(a[sel].tolist(), b[sel].tolist()))
@@ -694,16 +699,16 @@ def literal_pointwise_max(cfg: DimensionlessConfig, mode: FormulaSource = "deriv
     its rounding error, while g still locates the crossing to an ulp.
     """
     _check_mode(mode)
-    lam, om, t_max, c = cfg.lambda_hat, cfg.omega_hat, cfg.t_max, _envelope_decay(mode)
-    grid = _breakpoints(lam, om, t_max)
+    branches, t_max = _branches(cfg, _envelope_decay(mode)), cfg.t_max
+    grid = _breakpoints(branches, t_max)
     _check_scan(1, grid.size - 1)  # the cap of a scan of every piece, before any is built
-    (om_rate, om_term), (lam_rate, lam_term) = _branch_rate(om, 0.0), _branch_rate(lam, c)
-    cuts, d = _cut_distances(cfg, c, grid, _rises([(lam, c)], t_max)[1])
+    (om_rate, om_term), (lam_rate, lam_term) = (_branch_rate(f, c) for f, c in branches)
+    cuts, d = _cut_distances(branches, t_max, grid)
     both = np.all(np.diff(d) > 0.0, axis=0)
     crossings, _ = _sign_changes(lambda tau, _k: om_rate(tau) - lam_rate(tau),
                                  tuple((np.full(1, a), r, f) for a, r, f in (om_term, lam_term)),
                                  cuts[:-1][both], cuts[1:][both])
-    _, d = _cut_distances(cfg, c, cuts, crossings)
+    _, d = _cut_distances(branches, t_max, cuts, crossings)
     return float(np.sum(np.maximum(np.max(np.diff(d), axis=0), 0.0)))
 
 
@@ -720,8 +725,8 @@ def dominant_regime(
     """
     _check_mode(mode)
     cfg = DimensionlessConfig(lambda_hat=lambda_hat, omega_hat=omega_hat, t_max=t_max)
-    return _winner(float(_branch_value(cfg.omega_hat, 0.0, cfg.t_max)),
-                   float(_branch_value(cfg.lambda_hat, _envelope_decay(mode), cfg.t_max)))
+    return _winner(*(float(_branch_value(f, c, cfg.t_max))
+                     for f, c in _branches(cfg, _envelope_decay(mode))))
 
 
 # ---------------------------------------------------------------------------
@@ -764,8 +769,9 @@ class SweepGrid(Sequence[SweepPoint]):
         i, j = divmod(rest, len(self.omegas))
         lam, om, t = self.lambdas[i], self.omegas[j], self.ts[k]
         n_om, n_lam = float(self.n_omega[j, k]), float(self.n_lambda[i, k])
+        branches = _branches(DimensionlessConfig(lam, om, t), self.lambda_decay)
         return SweepPoint(lam, om, t, n_om, n_lam, max(n_om, n_lam), _winner(n_om, n_lam).value,
-                          _rise_intervals(om, 0.0, t), _rise_intervals(lam, self.lambda_decay, t))
+                          *_rise_intervals(branches, t))
 
 
 def sweep_grid(lambdas: Sequence[float], omegas: Sequence[float], ts: Sequence[float],

@@ -141,16 +141,10 @@ def _damped_sinc(gamma: float, lambda_sq: float, t: ArrayLike) -> ArrayLike:
     return t * np.exp(-gamma * t)
 
 
-def _pair_distance(
-    u: float, decay: float, lambda_sq: float, omega: float, t: ArrayLike
-) -> ArrayLike:
-    """sqrt(u (e^{-decay t} cos(lambda t))^2 + (1 - u) cos^2(omega t)), u = cos^2(theta).
-
-    The one distance kernel: ``trace_distance`` calls it with physical rates,
-    the backflow engine with rates in units of the damping rate.
-    """
-    damped = _damped_cos(decay, lambda_sq, t)
-    return np.sqrt(u * np.square(damped) + (1.0 - u) * np.square(np.cos(omega * t)))
+def _mix(u: ArrayLike, coherence: ArrayLike, inversion: ArrayLike) -> ArrayLike:
+    """sqrt(u x^2 + (1 - u) y^2), u = cos^2(theta): the pair distance from its inversion part
+    x and coherence part y, taken in ``blp.BranchKind`` order (y first). The one distance form."""
+    return np.sqrt(u * np.square(inversion) + (1.0 - u) * np.square(coherence))
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +209,8 @@ def trace_distance(
     as-printed: sqrt(cos^2(theta) e^{-gamma t} cos^2(lambda t)
                      + sin^2(theta) cos^2(omega t))
 
-    Both variants start at 1 and continue hyperbolically for lambda_sq <= 0.
+    Both are the one distance form ``_mix`` of cos(omega t) and ``_damped_cos``,
+    start at 1, and continue hyperbolically for lambda_sq <= 0.
     The steady-state offset and c_sine cancel in the pair's difference, but
     the derived ``mean_inversion`` difference also keeps the initial-value
     sine term (beta - beta_s)/2 * e^{-gamma t} sin(lambda t)/lambda times
@@ -224,9 +219,9 @@ def trace_distance(
     beta = beta_s (see the README's "Known model limits").
     """
     _check_mode(mode)
-    decay = _envelope_decay(mode) * d.gamma
-    out = _pair_distance(math.cos(pair.theta) ** 2, decay, d.lambda_sq, p.omega,
-                         np.asarray(t, dtype=float))
+    t = np.asarray(t, dtype=float)
+    out = _mix(math.cos(pair.theta) ** 2, np.cos(p.omega * t),
+               _damped_cos(_envelope_decay(mode) * d.gamma, d.lambda_sq, t))
     return out if out.ndim else float(out)
 
 

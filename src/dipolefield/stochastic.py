@@ -220,23 +220,17 @@ def _check_step(p: SystemParams, dt: float) -> None:
 
 
 def _check_size(n_realizations: int, n_steps: int) -> None:
-    """Reject runs of more than ``MAX_FIELD_SAMPLES`` samples in all.
+    """Reject n_steps < 1 and runs of more than ``MAX_FIELD_SAMPLES`` samples in all.
 
     Callers clamp ``n_steps`` at the cap, so a step count there stands for
     any longer record.
     """
+    if n_steps < 1:
+        raise ValueError("n_steps must be at least 1")
     if n_realizations * (n_steps + 1) > MAX_FIELD_SAMPLES:
         per = n_steps + 1 if n_steps < MAX_FIELD_SAMPLES else f"over {MAX_FIELD_SAMPLES}"
         raise ValueError(f"{n_realizations} realizations x {per} samples exceed the cap of "
                          f"{MAX_FIELD_SAMPLES} field samples")
-
-
-def _check_fields(p: SystemParams, dt: float, n_steps: int, n_realizations: int) -> None:
-    """Reject a field grid or run size before anything is allocated."""
-    if n_steps < 1:
-        raise ValueError("n_steps must be at least 1")
-    _check_step(p, dt)
-    _check_size(n_realizations, n_steps)
 
 
 def _draw_normals(seeds: Sequence[int], out: np.ndarray) -> np.ndarray:
@@ -327,7 +321,8 @@ def sample_fields(p: SystemParams, dt: float, n_steps: int, seeds: Sequence[int]
     ``max_field_dt``, a non-finite field variance, and more than
     ``MAX_FIELD_SAMPLES`` samples in all, before anything is allocated.
     """
-    _check_fields(p, dt, n_steps, len(seeds))
+    _check_step(p, dt)
+    _check_size(len(seeds), n_steps)
     field = np.empty((n_steps + 1, len(seeds)))
     start = 0
     for block in _field_blocks(p, dt, n_steps, seeds):
@@ -434,12 +429,13 @@ def ensemble_average(
 
     n = n_realizations
     mean_m, mean_w, se_m, se_w = np.empty((4, n_steps + 1))
-    for k, (m, _, w) in enumerate(_rk4_paths(ic, p, field, dt, seeds)):
-        # cumsum adds in index order, as mean(axis=0) and std(axis=0, ddof=1)
-        # of the record-major trajectories do; np.sum would add pairwise
-        for x, mean, se in ((m, mean_m, se_m), (w, mean_w, se_w)):
-            mean[k] = np.cumsum(x)[-1] / n
-            se[k] = math.sqrt(np.cumsum((x - mean[k]) ** 2)[-1] / (n - 1)) / math.sqrt(n)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN raise divergence, unwarned
+        for k, (m, _, w) in enumerate(_rk4_paths(ic, p, field, dt, seeds)):
+            # cumsum adds in index order, as mean(axis=0) and std(axis=0, ddof=1)
+            # of the record-major trajectories do; np.sum would add pairwise
+            for x, mean, se in ((m, mean_m, se_m), (w, mean_w, se_w)):
+                mean[k] = np.cumsum(x)[-1] / n
+                se[k] = math.sqrt(np.cumsum((x - mean[k]) ** 2)[-1] / (n - 1)) / math.sqrt(n)
 
     t = dt * np.arange(n_steps + 1)
     return EnsembleReport(
@@ -483,7 +479,8 @@ def sample_periodogram(
     """
     if len(seeds) < 2:
         raise ValueError("need at least 2 realizations")
-    _check_fields(p, dt, n_steps, len(seeds))
+    _check_step(p, dt)
+    _check_size(len(seeds), n_steps)
     power = np.zeros((n_steps + 1) // 2 + 1)
     first = None
     for block in _field_blocks(p, dt, n_steps, seeds):

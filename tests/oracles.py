@@ -183,6 +183,22 @@ def distance_rises(
     return float(np.sum(np.maximum(np.diff(dist(crit)), 0.0)))
 
 
+def derived_numerator(u, t, lambda_hat: float, omega_hat: float):
+    """d(D^2)/dt of the derived distance, expanded by hand: the numerator of the derived rate
+    for the branches (omega_hat, 0) and (lambda_hat, 1). ``u`` and ``t`` broadcast."""
+    cl = np.cos(lambda_hat * t)
+    da = -np.exp(-2.0 * t) * (2.0 * cl * cl + lambda_hat * np.sin(2.0 * lambda_hat * t))
+    db = -omega_hat * np.sin(2.0 * omega_hat * t)
+    return u * da + (1.0 - u) * db
+
+
+def derived_numerator_terms(u: np.ndarray, lambda_hat: float, omega_hat: float) -> tuple:
+    """(a, r, f) of the terms a e^{-r t} cos(f t + phi) summing to ``derived_numerator``."""
+    # -u e^{-2 t} (1 + cos 2 lam t + lam sin 2 lam t) - (1 - u) om sin 2 om t
+    return ((u, 2.0, 0.0), (u * math.hypot(1.0, lambda_hat), 2.0, 2.0 * lambda_hat),
+            ((1.0 - u) * omega_hat, 0.0, 2.0 * omega_hat))
+
+
 def printed_numerator(t, u: float, lambda_hat: float, omega_hat: float):
     """Numerator of ``printed_rate`` at u = cos^2(theta); it carries the rate's sign."""
     return -u * (np.exp(0.5 * t) * omega_hat * np.sin(2.0 * omega_hat * t)

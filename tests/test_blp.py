@@ -32,6 +32,8 @@ from dipolefield.dynamics import StatePair, trace_distance
 from dipolefield.model import DimensionlessConfig, derive_params
 
 from oracles import (
+    derived_numerator,
+    derived_numerator_terms,
     distance_rises,
     lambda_rises,
     literal_max_reference,
@@ -447,7 +449,7 @@ def printed_sign_intervals(lam, om, t_max, u=np.ones(1)):
     terms = ((u * om, -0.5, 2.0 * om), (0.5 * u, 0.5, 0.0),
              (u * math.hypot(0.5, lam), 0.5, 2.0 * lam))
     return blp._sign_intervals(lambda tau, k: u[k] * blp._printed_factors(tau, lam, om)[0],
-                               terms, blp._breakpoints(lam, om, t_max))
+                               terms, blp._breakpoints(((om, 0.0), (lam, 0.5)), t_max))
 
 
 def test_rounding_level_zeros_need_no_halving(monkeypatch):
@@ -513,11 +515,39 @@ def test_as_printed_intervals_are_shared_by_every_angle(lam, om, t_max):
 def test_batched_scan_matches_single_angles(mode):
     cfg = cfg_of(1.7, 2.3, 9.0)
     thetas = np.linspace(0.0, math.pi / 2, 17)[1:-1]
-    values, a, b, owner = _interior_scan(thetas, cfg, blp._breakpoints(1.7, 2.3, 9.0))
+    values, a, b, owner = _interior_scan(thetas, cfg, blp._breakpoints(blp._branches(cfg), 9.0))
     for k, theta in enumerate(thetas):
         alone = backflow_integral(float(theta), cfg, mode=mode)
         assert values[k] == pytest.approx(alone.n_value, abs=1e-13)
         assert alone.intervals == tuple(zip(a[owner == k].tolist(), b[owner == k].tolist()))
+
+
+_FREQS = st.sampled_from([0.0, 1e-17]) | st.floats(0.0, 6.0)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(lam=_FREQS, om=_FREQS, u=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+       tau=st.just(0.0) | st.floats(0.0, 900.0), width=st.floats(0.0, 2.0))
+def test_rate_numerator_and_its_terms_equal_the_hand_form(lam, om, u, tau, width):
+    # the numerator summed over the branch table, and its term table's rounding-noise
+    # sum and curvature bound, equal the hand-expanded derived forms bit for bit
+    def bits(x):
+        return np.asarray(x, dtype=float).tobytes()
+
+    def noise(terms, k, t):  # the rounding scale of a numerator value in _sign_changes
+        return sum(a[k] * np.exp(-r * t) * (1.0 + f * t) for a, r, f in terms)
+
+    branches = blp._branches(cfg_of(lam, om))
+    us, k = np.array([u, 0.0, 1.0, 0.5]), np.arange(4)
+    taus = np.array([tau, tau + width, 0.0])
+    assert bits(blp._rate_numerator(u, tau, branches)) == bits(derived_numerator(u, tau, lam, om))
+    assert (bits(blp._rate_numerator(us[:, None], taus, branches))
+            == bits(derived_numerator(us[:, None], taus, lam, om)))
+    mine, ref = blp._numerator_terms(us, branches), derived_numerator_terms(us, lam, om)
+    lo, hi = np.full(4, tau), np.full(4, tau + width)
+    assert bits(noise(mine, k, tau)) == bits(noise(ref, k, tau))
+    assert (bits(blp._numerator_curvature(mine, k, lo, hi))
+            == bits(blp._numerator_curvature(ref, k, lo, hi)))
 
 
 # ---------------------------------------------------------------------------
@@ -550,7 +580,7 @@ def test_chandrupatla_matches_scipy_on_located_brackets(mode, lam, om, t_max):
         mp.setattr(blp, "_chandrupatla", recorded)
         if mode == "derived":
             _interior_scan(np.linspace(0.0, math.pi / 2, 9)[1:-1], cfg,
-                           blp._breakpoints(lam, om, t_max))
+                           blp._breakpoints(blp._branches(cfg), t_max))
         else:
             printed_sign_intervals(lam, om, t_max)
         literal_pointwise_max(cfg, mode)
@@ -569,7 +599,9 @@ def test_chandrupatla_matches_scipy_on_edge_brackets(mode, lam, om, theta, start
         return u[k] * blp._printed_factors(tau, lam, om)[0]
 
     def fn(tau, k):
-        return blp._rate_numerator(u[k], tau, lam, om) if mode == "derived" else printed(tau, k)
+        if mode == "derived":
+            return blp._rate_numerator(u[k], tau, ((om, 0.0), (lam, 1.0)))
+        return printed(tau, k)
 
     # sign changes on a grid of [start, start + 10]: near tau = 700 the
     # as-printed numerator is ~1e150
@@ -728,6 +760,36 @@ def test_n_measure_as_printed_labels():
     assert res.n_omega_branch == pytest.approx(12.667, abs=1e-3)
 
 
+#: (lambda_hat, omega_hat, T) past tau ~ 354, where a lambda-branch distance's square
+#: underflows: repr of n_measure's value, then literal_pointwise_max's, derived and as-printed
+LONG_HORIZON_PINS = {
+    (0.05, 0.02, 450.0): ("2.911130261884677", "2.9111302618846766",
+                          "2.911130261884677", "2.911130267419478"),
+    (0.2, 0.01, 640.0): ("2.0", "2.000028374844807", "2.0", "2.002827480587432"),
+    (0.01, 0.003, 900.0): ("0.9040721420170612", "0.9040721420170611",
+                           "0.9040721420170612", "0.9040721420170611"),
+    (0.12, 0.0, 777.0): ("9.098031898990645e-08", "9.098031898990638e-08",
+                         "0.00012570942067203562", "0.0001257094206720355"),
+}
+
+
+@pytest.mark.parametrize("lam, om, t_max", list(LONG_HORIZON_PINS))
+def test_long_horizon_values_are_pinned(lam, om, t_max):
+    cfg = cfg_of(lam, om, t_max)
+    assert tuple(repr(v) for mode in ("derived", "as-printed")
+                 for v in (n_measure(cfg, mode).n_value, literal_pointwise_max(cfg, mode))
+                 ) == LONG_HORIZON_PINS[lam, om, t_max]
+
+
+def test_literal_pointwise_max_sees_a_rise_past_the_squares_underflow():
+    # the one lambda rise starts at tau = pi / (2 lam) ~ 416, where e^{-2 tau} is below the
+    # smallest normal float; the pointwise maximum still adds up to the lambda branch value
+    cfg = cfg_of(0.0037756485290864525, 1e-17, 638.7664842269052)
+    res = n_measure(cfg)
+    assert res.n_lambda_branch > res.n_omega_branch
+    assert literal_pointwise_max(cfg) == pytest.approx(res.n_lambda_branch, rel=1e-12)
+
+
 def test_n_measure_monotone_in_horizon():
     values = [n_measure(cfg_of(1.2, 2.4, t), theta_grid_size=9).n_value
               for t in (1.0, 2.0, 3.5, 5.0)]
@@ -768,8 +830,8 @@ def test_rise_bound_is_at_least_the_backflow(theta, lam, om, t_max, ratio, nudge
     # cosines together, where D has a kink
     if ratio is not None:
         om = lam * ratio * (1.0 + nudge)
-    bound = blp._rise_bound(np.array([theta]), cfg_of(lam, om, t_max),
-                            blp._breakpoints(lam, om, t_max), blp._rises([(lam, 1.0)], t_max)[1])
+    cfg = cfg_of(lam, om, t_max)
+    bound = blp._rise_bound(np.array([theta]), cfg, blp._breakpoints(blp._branches(cfg), t_max))
     assert bound[0] >= distance_rises(theta, lam, om, t_max) - 1e-9
 
 
@@ -780,8 +842,9 @@ def test_rise_bound_is_at_least_the_backflow(theta, lam, om, t_max, ratio, nudge
 @example(lam=1.0, om=3.0, t_max=math.pi / 2)  # zeros of both cosines meet at the horizon
 def test_rise_bound_at_the_endpoints_is_the_branch_backflow(lam, om, t_max):
     # at u = 1 the bound keeps only the rises of a, at u = 0 those of b
-    bound = blp._rise_bound(np.array([0.0, math.pi / 2]), cfg_of(lam, om, t_max),
-                            blp._breakpoints(lam, om, t_max), blp._rises([(lam, 1.0)], t_max)[1])
+    cfg = cfg_of(lam, om, t_max)
+    bound = blp._rise_bound(np.array([0.0, math.pi / 2]), cfg,
+                            blp._breakpoints(blp._branches(cfg), t_max))
     assert bound[0] == pytest.approx(lambda_rises(lam, t_max), rel=1e-12, abs=1e-12)
     assert bound[1] == pytest.approx(omega_rises(om, t_max), rel=1e-12, abs=1e-12)
 
@@ -793,7 +856,7 @@ def full_scan_measure(cfg, theta_grid_size):
     first, last = (backflow_integral(b, cfg) for b in (BranchKind.LAMBDA, BranchKind.OMEGA))
     inner, a, b, owner = (np.empty(0),) * 4
     if theta_grid_size > 2:
-        grid = blp._breakpoints(cfg.lambda_hat, cfg.omega_hat, cfg.t_max)
+        grid = blp._breakpoints(blp._branches(cfg), cfg.t_max)
         inner, a, b, owner = _interior_scan(thetas[1:-1], cfg, grid)
     values = np.concatenate(([first.n_value], inner, [last.n_value]))
     k = int(np.argmax(values))
@@ -1159,7 +1222,7 @@ def test_sweep_writers_keep_the_per_cell_tie_rule(monkeypatch, tmp_path):
     rows = [(lam, om, 1.0, values[int(om)], values[int(lam)],
              max(values[int(om)], values[int(lam)]),
              "lambda" if values[int(lam)] > values[int(om)] + 1e-10 else "omega",
-             blp._rise_intervals(om, 0.0, 1.0), blp._rise_intervals(lam, 1.0, 1.0))
+             *blp._rise_intervals(((om, 0.0), (lam, 1.0)), 1.0))
             for lam in axis for om in axis]
     assert {r[6] for r in rows} == {"omega", "lambda"}
     assert [dataclasses.astuple(r) for r in grid] == rows

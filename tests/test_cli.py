@@ -547,6 +547,22 @@ def test_mc_verify_divergence_exits_3_with_seed_and_time(config, tmp_path, capsy
     assert not out.exists()
 
 
+def test_mc_verify_overflowing_trajectory_prints_only_its_exit_3_line(config, tmp_path):
+    # kappa**2 is finite, so the config is accepted, but the RK4 steps overflow to inf and
+    # NaN: the divergence test reports that as its one line, with no numpy warning before it
+    cfg = config(WEAK.replace("kappa = 1.0", "kappa = 1e154"))
+    src = str(Path(dipolefield.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-m", "dipolefield.cli", "mc-verify", "--config", cfg, "--force",
+         "--n", "4", "--out", str(tmp_path / "r.json")], cwd=tmp_path, capture_output=True,
+        text=True, env={**os.environ, "PYTHONPATH": path}, timeout=300,
+    )
+    assert result.returncode == 3
+    err = result.stderr.splitlines()
+    assert len(err) == 1 and err[0].startswith("divergent trajectory: "), result.stderr
+
+
 #: SHA-256 of mc-verify reports, computed with one SeedSequence and one
 #: default_rng per trajectory: criterion 09's config, and a small run whose
 #: master seed of 2**40 + 7 takes two entropy words
