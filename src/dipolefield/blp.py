@@ -22,10 +22,10 @@ rate is the derivative of D. The maximum splits into two physical branches:
 Both are exp(-c tau)|cos(f tau)|, listed in one table that every branch
 quantity reads (``_branches``): (f, c) = (omega_hat, 0) and (lambda_hat, c),
 c = 1 or 1/2 the envelope rate. Each rise starts at a zero of the cosine and
-ends after atan2(f, c)/f. One kernel lists the rises of any list of branches
-(``_rises``), one closed form sums them (``_branch_value``), and one form each
-gives a branch's rate (``_branch_rate``), distance (``_distances``, combined
-by ``dynamics._mix``) and share of the derived rate's numerator.
+ends after atan2(f, c)/f. ``_rise_count`` counts those begun before a time,
+``_rises`` lists them and ``_branch_value`` sums them in closed form. One form
+each gives the branch rates (``_rates``), distances (``_distances``, mixed by
+``dynamics._mix``) and parts of the derived rate's numerator.
 
 The interior angles are first certified in one array pass. Cut at the
 quarter-period grid and the lambda-rise ends (``_cut_distances``), both
@@ -110,8 +110,8 @@ _CERTIFY_MARGIN = 1e-9
 #: (omega, T) interval texts, one per pair though each rise is rendered once, take a
 #: 1 x 512 x 512 one to 201 MB
 MAX_SWEEP_CELLS = 2**18
-#: cap on the rise intervals of one JSON sweep, counted before any is rendered: on a 2-vCPU
-#: Xeon, 1 x 1 x 4 cells at omega 1600 and T 1000 list 2.04e6 and peak at 442 MB
+#: cap on the rise intervals of one JSON sweep, counted (``_rise_count``) before any rise is built:
+#: on a 2-vCPU Xeon, 1 x 1 x 4 cells at omega 1600 and T 1000 list 2.04e6 and peak at 442 MB
 MAX_SWEEP_INTERVALS = 2**21
 
 
@@ -184,13 +184,11 @@ def _rate_numerator(u: ArrayLike, tau: ArrayLike, branches: tuple) -> ArrayLike:
     return (1.0 - u) * om + u * lam
 
 
-def _branch_rate(freq: float, decay: float) -> tuple[Callable, tuple]:
-    """|d/dtau| of exp(-decay tau)|cos(freq tau)| as a function of tau, and its term (a, r, f):
-    between zeros it is +-hypot(freq, decay) e^{-decay tau} cos(freq tau - phi)."""
-    def rate(tau: np.ndarray) -> np.ndarray:
-        return np.exp(-decay * tau) * abs(freq * np.sin(freq * tau) + decay * np.cos(freq * tau))
-
-    return rate, (math.hypot(freq, decay), decay, freq)
+def _rates(branches: Sequence[tuple[float, float]], tau: ArrayLike) -> np.ndarray:
+    """Each branch's |d/dtau e^{-c tau} cos(f tau)| = e^{-c tau}|f sin(f tau) + c cos(f tau)| at
+    ``tau``, one row per branch; between zeros it is hypot(f, c) e^{-c tau}|cos(f tau - phi)|."""
+    return np.array([np.exp(-c * tau) * abs(f * np.sin(f * tau) + c * np.cos(f * tau))
+                     for f, c in branches])
 
 
 def _printed_factors(tau: ArrayLike, lam: float, om: float) -> tuple:
@@ -239,7 +237,7 @@ def sigma_rate(
         stacklevel=2,
     )
     if mode == "derived":  # the branch rates, combined as the distance combines the branches
-        return float(_mix(u, *(_branch_rate(f, c)[0](tau) for f, c in branches)))
+        return float(_mix(u, *_rates(branches, tau)))
     if num == 0.0:
         return 0.0
     return math.copysign(math.inf, num)
@@ -281,6 +279,16 @@ def _branch_value(freq: ArrayLike, decay: ArrayLike, t_max: ArrayLike) -> np.nda
     return np.where((c > 0.0) & (done > 0.0), geometric, done) + partial
 
 
+def _rise_count(freq: float, t_max: float) -> int:
+    """How many rises of exp(-c tau)|cos(freq tau)|, any c, begin before t_max: the zeros
+    (2 j + 1) q of the cosine below it, q = pi/(2 freq). Over ``MAX_QUARTER_PERIODS`` raises
+    ValueError."""
+    _check_quarters(freq, t_max)
+    q = math.pi / (2.0 * freq) if freq > 0.0 else math.inf  # f = 0 or subnormal: no rise
+    k = int(t_max / (2.0 * q)) + 1  # the zeros (2 j + 1) q, j < k; under the quarter
+    return k - ((2 * k - 1) * q >= t_max)  # cap only the last can reach t_max
+
+
 def _rises(branches: Sequence[tuple[float, float]], t_max: float) -> tuple:
     """Starts and ends of the rises in [0, t_max] of exp(-c tau)|cos(f tau)| for each branch
     (f, c), branch after branch, and the index of each branch's first rise (and of the end).
@@ -290,13 +298,9 @@ def _rises(branches: Sequence[tuple[float, float]], t_max: float) -> tuple:
     """
     quarter, reach, n, first = [], [], [], [0]
     for f, c in branches:
-        _check_quarters(f, t_max)
-        q = math.pi / (2.0 * f) if f > 0.0 else math.inf  # f = 0 or subnormal: no rise
-        k = int(t_max / (2.0 * q)) + 1  # the zeros (2 j + 1) q, j < k; under the quarter
-        k -= (2 * k - 1) * q >= t_max  # cap only the last can reach t_max
-        quarter.append(q)
+        n.append(k := _rise_count(f, t_max))
+        quarter.append(math.pi / (2.0 * f) if k else 0.0)
         reach.append(math.atan2(f, c) / f if k else 0.0)
-        n.append(k)
         first.append(first[-1] + k)
     # one row per rise: its branch's quarter period, reach and first index (an exact integer)
     q, r, off = np.repeat(np.array([quarter, reach, first[:-1]]), n, axis=1)
@@ -643,7 +647,6 @@ def n_measure(
     if theta_grid_size < 2:
         raise ValueError("theta_grid_size must be at least 2")
     branches, t_max = _branches(cfg, _envelope_decay(mode)), cfg.t_max
-    rises = dict(zip(BranchKind, _rise_intervals(branches, t_max)))
     n_omega, n_lambda = _branch_value(*np.array(branches).T, t_max).tolist()
     value = dict(zip(BranchKind, (n_omega, n_lambda)))
     ends = _ENDPOINT_BRANCHES[mode]
@@ -664,7 +667,7 @@ def n_measure(
             owner = scan[owner]
     k = int(np.argmax(values))  # first maximum
     if k in (0, thetas.size - 1):
-        intervals = rises[ends[k > 0]]
+        intervals = _rise_intervals([dict(zip(BranchKind, branches))[ends[k > 0]]], t_max)[0]
     else:
         sel = owner == k - 1
         intervals = tuple(zip(a[sel].tolist(), b[sel].tolist()))
@@ -702,11 +705,10 @@ def literal_pointwise_max(cfg: DimensionlessConfig, mode: FormulaSource = "deriv
     branches, t_max = _branches(cfg, _envelope_decay(mode)), cfg.t_max
     grid = _breakpoints(branches, t_max)
     _check_scan(1, grid.size - 1)  # the cap of a scan of every piece, before any is built
-    (om_rate, om_term), (lam_rate, lam_term) = (_branch_rate(f, c) for f, c in branches)
     cuts, d = _cut_distances(branches, t_max, grid)
     both = np.all(np.diff(d) > 0.0, axis=0)
-    crossings, _ = _sign_changes(lambda tau, _k: om_rate(tau) - lam_rate(tau),
-                                 tuple((np.full(1, a), r, f) for a, r, f in (om_term, lam_term)),
+    crossings, _ = _sign_changes(lambda tau, _k: np.subtract(*_rates(branches, tau)),
+                                 tuple((np.full(1, math.hypot(f, c)), c, f) for f, c in branches),
                                  cuts[:-1][both], cuts[1:][both])
     _, d = _cut_distances(branches, t_max, cuts, crossings)
     return float(np.sum(np.maximum(np.max(np.diff(d), axis=0), 0.0)))
@@ -868,37 +870,30 @@ def _interval_texts(grid: SweepGrid, closes: tuple) -> Iterator[np.ndarray]:
     """Yield the JSON texts of the rise intervals of each (omega, T), then of each (lambda, T),
     each followed by its axis's text of ``closes``.
 
-    A (frequency, T) list, the rises begun before T, appears once per value of the other
-    axis; over ``MAX_SWEEP_INTERVALS`` in all raise ValueError before any is rendered, or
-    before any rise is built if the lists at the largest T, at least f T / pi - 1 rises of
-    each f, are over it. Each rise is rendered once (the rises up to a T are a prefix of
-    those up to the largest T), and a list joins those that end by T and the rises T cuts.
+    A (frequency, T) list holds the rises begun before T (``_rise_count``): those that end by
+    T, then at most one that T cuts short, ending at T (rises are disjoint, so only the last
+    begun can be cut). Each list appears once per value of the other axis; over
+    ``MAX_SWEEP_INTERVALS`` in all raise ValueError before any rise is built. Each frequency's
+    rises are built once, up to the largest T (those up to a T are a prefix), and each rise
+    start, rise end and T is rendered once.
     """
-    top = max(grid.ts, default=0.0)
     axes = ((grid.omegas, 0.0, grid.lambdas), (grid.lambdas, grid.lambda_decay, grid.omegas))
-    low = sum(len(o) * (sum(fs) * top / math.pi - len(fs)) for fs, _, o in axes)
-    rises = []
-    for fs, c, _ in axes if low <= MAX_SWEEP_INTERVALS else ():
-        zeros, ends, first = _rises([(f, c) for f in fs], top)
-        row, first = np.repeat(np.arange(len(fs)), np.diff(first)), np.array(first)
-        # complex numbers sort as (real, imaginary) pairs: here (frequency, time), so one
-        # searchsorted gives the [frequency, T] table of the rises begun before T
-        at = np.arange(len(fs))[:, None] + 1j * np.array(grid.ts)
-        rises.append((zeros, ends, first, np.searchsorted(row + 1j * zeros, at) - first[:-1, None]))
-    listed = sum(len(o) * int(r[3].sum()) for (*_, o), r in zip(axes, rises))
-    if not rises or listed > MAX_SWEEP_INTERVALS:
-        count = listed if rises else f"at least {math.floor(low)}"
-        raise ValueError(f"the JSON sweep lists {count} rise intervals, over the cap of "
+    begun = [[[_rise_count(f, t) for t in grid.ts] for f in fs] for fs, _, _ in axes]
+    listed = sum(len(o) * sum(map(sum, n)) for (*_, o), n in zip(axes, begun))
+    if listed > MAX_SWEEP_INTERVALS:
+        raise ValueError(f"the JSON sweep lists {listed} rise intervals, over the cap of "
                          f"{MAX_SWEEP_INTERVALS} (blp.MAX_SWEEP_INTERVALS)")
-    for (zeros, ends, first, begun), close in zip(rises, closes):
-        z, e = zeros.tolist(), ends.tolist()
-        pieces = [f"      [\n        {a!r},\n        {b!r}\n      ]" for a, b in zip(z, e)]
-        texts = np.empty(begun.shape, dtype=object)
-        for r, (o, ns) in enumerate(zip(first.tolist(), begun.tolist())):
-            for col, (n, t_max) in enumerate(zip(ns, grid.ts)):
+    t_ends = [f"{t!r}\n      ]" for t in grid.ts]
+    for (fs, c, _), counts, close in zip(axes, begun, closes):
+        zeros, ends, first = _rises([(f, c) for f in fs], max(grid.ts, default=0.0))
+        e = ends.tolist()
+        starts = [f"      [\n        {a!r},\n        " for a in zeros.tolist()]
+        pieces = [a + f"{b!r}\n      ]" for a, b in zip(starts, e)]
+        texts = np.empty((len(fs), len(grid.ts)), dtype=object)
+        for r, (o, ns) in enumerate(zip(first, counts)):
+            for col, (n, t_max, t_end) in enumerate(zip(ns, grid.ts, t_ends)):
                 m = bisect.bisect_right(e, t_max, o, o + n)  # after the begun rises ended by T
-                body = ",\n".join(pieces[o:m] + [f"      [\n        {a!r},\n        "
-                                                f"{t_max!r}\n      ]" for a in z[m:o + n]])
+                body = ",\n".join(pieces[o:m] + [a + t_end for a in starts[m:o + n]])
                 texts[r, col] = f"[\n{body}\n    ]{close}" if n else "[]" + close
         yield texts
 
@@ -913,7 +908,7 @@ def write_sweep_json(grid: SweepGrid, path: str | Path) -> None:
     formatted once, and each rise of each axis frequency rendered once
     (``_interval_texts``), before the file is opened; the cells are joined
     from those texts and written in blocks of at most ``_SWEEP_CHUNK``. More than
-    ``MAX_SWEEP_INTERVALS`` intervals raise ValueError before any is rendered.
+    ``MAX_SWEEP_INTERVALS`` intervals raise ValueError before any rise is built.
     """
     sep = ",\n"
     om_texts, lam_texts = _interval_texts(grid, (',\n    "intervals_lambda": ', "\n  }" + sep))

@@ -1085,11 +1085,12 @@ def test_json_sweep_caps_its_intervals(monkeypatch, tmp_path):
                                          r"\(blp\.MAX_SWEEP_INTERVALS\)"):
         write_sweep_json(grid, tmp_path / "refused.json")
     assert not (tmp_path / "refused.json").exists()
-    # one cell of 318 rises, one over the cap; the lower bound f T / pi - 1 per list
-    # (100 * 10 / pi - 1 - 1 = 316.3 for its two lists) is under it, so the rises are counted
+    # one cell of 318 rises, one over the cap: counted exactly, before any rise is built
     monkeypatch.setattr(blp, "MAX_SWEEP_INTERVALS", 317)
-    with pytest.raises(ValueError, match="lists 318 rise intervals"):
-        write_sweep_json(sweep_grid([0.0], [100.0], [10.0]), tmp_path / "refused.json")
+    with monkeypatch.context() as m:
+        m.setattr(blp, "_rises", mock.Mock(side_effect=AssertionError("built")))
+        with pytest.raises(ValueError, match="lists 318 rise intervals"):
+            write_sweep_json(sweep_grid([0.0], [100.0], [10.0]), tmp_path / "refused.json")
     monkeypatch.setattr(blp, "MAX_SWEEP_INTERVALS", 0)
     write_sweep_csv(grid, tmp_path / "sweep.csv")
     assert (tmp_path / "sweep.csv").read_bytes() == ref_csv
@@ -1097,17 +1098,17 @@ def test_json_sweep_caps_its_intervals(monkeypatch, tmp_path):
 
 def test_json_sweep_far_over_the_interval_cap_is_refused_before_its_rises_are_built(
         monkeypatch, tmp_path):
-    # the lists at the largest T hold at least f T / pi - 1 rises of each f; a sweep
-    # they alone put over the cap is refused on that bound, before any rise is built:
-    # 4096 omegas up to 1600 at T = 1000 have about 1e9 rises
+    # every (frequency, T) list is counted by _rise_count, so a sweep over the cap is
+    # refused with its exact count before any rise is built: 4096 omegas up to 1600 at
+    # T = 1000 list about 1e9 rises
     monkeypatch.setattr(blp, "_rises", mock.Mock(side_effect=AssertionError("built")))
     grid = sweep_grid([1.0], np.linspace(1.0, 1600.0, 4096), [1000.0])
-    with pytest.raises(ValueError, match=rf"lists at least \d+ rise intervals, over the cap "
+    with pytest.raises(ValueError, match=rf"lists 1044992261 rise intervals, over the cap "
                                          rf"of {blp.MAX_SWEEP_INTERVALS} "):
         write_sweep_json(grid, tmp_path / "refused.json")
-    # one cell of 318 rises, whose bound is 100 * 10 / pi - 1 - 1 = 316.3
+    # one cell of 318 rises, two over the cap
     monkeypatch.setattr(blp, "MAX_SWEEP_INTERVALS", 316)
-    with pytest.raises(ValueError, match="lists at least 316 rise intervals, over the cap of 316"):
+    with pytest.raises(ValueError, match="lists 318 rise intervals, over the cap of 316"):
         write_sweep_json(sweep_grid([0.0], [100.0], [10.0]), tmp_path / "refused.json")
     assert not (tmp_path / "refused.json").exists()
 
@@ -1162,12 +1163,28 @@ def test_one_rise_kernel_gives_each_branchs_rises(freqs, decay, ts, starts):
     grid = blp.SweepGrid(tuple(freqs), tuple(freqs), tuple(ts), None, None, decay)
     listed = len(freqs) * sum(len(iv) for per_t in lists for iv in per_t)
     if listed > blp.MAX_SWEEP_INTERVALS:  # the texts are not rendered, but refused
-        with pytest.raises(ValueError, match=rf"lists ({listed}|at least \d+) rise intervals"):
+        with pytest.raises(ValueError, match=rf"lists {listed} rise intervals"):
             list(blp._interval_texts(grid, ("", "")))
         return
     lam_texts, om_texts = reversed(list(blp._interval_texts(grid, ("", ""))))
     texts = [*lam_texts.tolist(), *om_texts.tolist()]
     assert [[json.loads(text) for text in row] for row in texts] == lists
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(freq=st.sampled_from([0.0, 1e-17, 5e-324]) | st.floats(1e-3, 50.0),
+       decay=st.sampled_from([0.0, 0.5, 1.0]), top=st.floats(0.0, 30.0),
+       shares=st.lists(st.floats(0.0, 1.0), max_size=6))
+@example(freq=2.0, decay=1.0, top=0.0, shares=[])
+@example(freq=1e-17, decay=0.0, top=3 * (math.pi / 2e-17), shares=[0.3, 0.34])
+@example(freq=5e-324, decay=1.0, top=1e300, shares=[0.5])
+def test_rise_count_counts_the_rises_begun_before_t(freq, decay, top, shares):
+    # for every T up to top, _rise_count(f, T) is the number of the rises _rises builds up
+    # to top that begin before T: at T = 0, T = top, T exactly on each rise start, and
+    # frequencies 0, 1e-17 and 5e-324 (the pi / (2 f) quarter period overflows)
+    zeros = blp._rises([(freq, decay)], top)[0]
+    ts = [0.0, top, *(top * s for s in shares), *zeros.tolist()]
+    assert [blp._rise_count(freq, t) for t in ts] == np.searchsorted(zeros, ts, "left").tolist()
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)

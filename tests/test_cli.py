@@ -183,6 +183,14 @@ def test_bad_time_grid_exits_2(config, tmp_path, capsys, command, grid):
     assert not out.exists()
 
 
+def test_unwritable_out_exits_2_with_one_i_o_error_line(config, tmp_path, capsys):
+    out = tmp_path / "missing" / "x.csv"
+    assert main(["evolve", "--config", config(REFERENCE), "--tmax", "4", "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("i/o error:")
+    assert [p.name for p in tmp_path.iterdir()] == ["params.cfg"]  # no file, no directory
+
+
 @pytest.mark.parametrize("command", ["evolve", "distance"])
 def test_single_time_grid_is_accepted(config, tmp_path, command):
     out = tmp_path / "out.csv"

@@ -92,6 +92,10 @@ _INDICES = st.lists(st.one_of(st.integers(0, 2**32 + 8), st.integers(2**32 - 4, 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(master=st.one_of(st.integers(0, 2**32 + 2), st.integers(0, 2**130 - 1)), indices=_INDICES)
+# masters of 3 to 5 words with 2-word indices: entropy past the 4-word pool is mixed in
+@example(master=2**64, indices=[2**32, 2**64 - 1])
+@example(master=2**96 + 5, indices=[2**32 + 7, 0])
+@example(master=2**130 - 1, indices=[2**63, 2**32])
 def test_derive_seeds_equal_seed_sequence(master, indices):
     expected = [int(np.random.SeedSequence([master, i]).generate_state(1, np.uint64)[0])
                 for i in indices]
