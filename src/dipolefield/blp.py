@@ -59,6 +59,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from enum import Enum
@@ -216,12 +217,15 @@ def sigma_rate(
     In "as-printed" mode the rate expression is evaluated verbatim
     (including its swapped theta labels), and its kink limits can be
     infinite because numerator and denominator vanish at different points.
-    Raises ValueError for theta outside [0, pi/2] and for a non-finite tau.
+    Raises ValueError for theta outside [0, pi/2], for a non-finite tau,
+    and in "as-printed" mode for tau > log(DBL_MAX), where e^tau overflows.
     """
     _check_mode(mode)
     _check_theta(theta)
     if not math.isfinite(tau):
         raise ValueError(f"tau must be finite, got {tau}")
+    if mode == "as-printed" and tau > math.log(sys.float_info.max):
+        raise ValueError(f"as-printed tau={tau} exceeds log(DBL_MAX), where e^tau overflows")
     u, branches = math.cos(theta) ** 2, _branches(cfg)
     if mode == "derived":
         num = _rate_numerator(u, tau, branches)

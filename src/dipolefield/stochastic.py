@@ -28,7 +28,7 @@ from __future__ import annotations
 import json
 import math
 import operator
-from dataclasses import asdict, dataclass, fields, is_dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -108,22 +108,13 @@ class EnsembleReport:
     params: SystemParams
     ic: InitialCondition
 
-    def to_dict(self) -> dict:
-        """JSON-ready fields in declaration order, ``ic`` under the key ``initial_condition``."""
-        out = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, np.ndarray):
-                value = value.tolist()
-            elif isinstance(value, tuple):
-                value = list(value)
-            elif is_dataclass(value):
-                value = asdict(value)
-            out["initial_condition" if f.name == "ic" else f.name] = value
-        return out
-
     def write_json(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), indent=2) + "\n", newline="")
+        """Write the fields as JSON lists, objects and numbers, ``ic`` as ``initial_condition``."""
+        report = {"initial_condition" if f.name == "ic" else f.name: getattr(self, f.name)
+                  for f in fields(self)}
+        text = json.dumps(report, indent=2,
+                          default=lambda v: v.tolist() if isinstance(v, np.ndarray) else asdict(v))
+        Path(path).write_text(text + "\n", newline="")
 
 
 @dataclass(frozen=True)
@@ -263,19 +254,18 @@ def _quadrature_paths(normals: np.ndarray, rho: float, sigma_st: float) -> np.nd
     """Exact-discretization AR(1) paths from time-major unit normals, overwriting them.
 
     ``normals[0]`` seeds the stationary initial value; subsequent rows are
-    the innovations, and trailing axes are independent lanes. Each step
-    rounds ``rho * x_k`` and ``s_inn * z_{k+1}`` and then their sum, on one
-    contiguous row of lanes. A step does only a row's few multiply-adds, so
-    its cost is the ufunc calls and the row views: the array's iterator makes
-    each row view once, the previous row is carried rather than indexed
-    again, and ``rho`` is passed as a 0-d array, which a call takes without
-    converting a Python float. A 1-D record walks as a (K+1, 1) view, since
-    its iterator yields scalars that cannot be written to.
+    the innovations, and the trailing axes, one or more, are independent
+    lanes. Each step rounds ``rho * x_k`` and ``s_inn * z_{k+1}`` and then
+    their sum, on one contiguous row of lanes. A step does only a row's few
+    multiply-adds, so its cost is the ufunc calls and the row views: the
+    array's iterator makes each row view once, the previous row is carried
+    rather than indexed again, and ``rho`` is passed as a 0-d array, which
+    a call takes without converting a Python float.
     """
     s_inn = sigma_st * math.sqrt(max(0.0, 1.0 - rho * rho))
     normals[0] *= sigma_st
     normals[1:] *= s_inn
-    rows = iter(normals if normals.ndim > 1 else normals[:, None])
+    rows = iter(normals)
     prev, factor = next(rows), np.array(rho)
     step = np.empty(prev.shape)
     for row in rows:
@@ -286,15 +276,17 @@ def _quadrature_paths(normals: np.ndarray, rho: float, sigma_st: float) -> np.nd
 
 
 def _field_blocks(
-    p: SystemParams, dt: float, n_steps: int, seeds: Sequence[int]
+    p: SystemParams, dt: float, n_steps: int, seeds: Sequence[int], out: np.ndarray | None = None
 ) -> Iterator[np.ndarray]:
     """Field samples E(k dt) of one realization per seed, as time-major (K+1, b) blocks.
 
     Column j of the blocks, in order, is the realization of ``seeds[j]``.
-    The blocks are views into one buffer of about ``FIELD_BLOCK_BYTES`` of
-    normals, which the AR(1) recurrence and the carrier modulation
-    overwrite in place, so a block is valid only until the next one is
-    drawn. Callers check the grid and the run size first.
+    The AR(1) recurrence runs in place in one buffer of about
+    ``FIELD_BLOCK_BYTES`` of normals. Each block is modulated into its own
+    columns of ``out``, a (K+1, len(seeds)) array, and yielded as that view;
+    without ``out`` it is modulated inside the buffer, so a block is valid
+    only until the next one is drawn. Callers check the grid and the run
+    size first.
     """
     sigma_st = math.sqrt(field_variance(p))
     rho = math.exp(-p.beta * dt)
@@ -305,10 +297,9 @@ def _field_blocks(
     for start in range(0, len(seeds), block):
         chunk = seeds[start:start + block]
         paths = _quadrature_paths(_draw_normals(chunk, normals[:, :len(chunk)]), rho, sigma_st)
-        field, quad = paths[..., 0], paths[..., 1]
-        field *= cos
-        quad *= sin
-        field += quad
+        field = paths[..., 0] if out is None else out[:, start:start + len(chunk)]
+        np.multiply(paths[..., 0], cos, field)
+        field += np.multiply(paths[..., 1], sin, paths[..., 1])
         yield field
 
 
@@ -316,7 +307,8 @@ def sample_fields(p: SystemParams, dt: float, n_steps: int, seeds: Sequence[int]
     """Field samples E(k dt), k = 0..n_steps, one realization per seed, as a (K+1, n) array.
 
     Column j is the realization of ``seeds[j]``, bit-identical to sampling
-    that seed alone; the columns are synthesized in blocks (``_field_blocks``).
+    that seed alone; the columns are synthesized in blocks, each written
+    straight into its columns (``_field_blocks``).
     Rejects n_steps < 1, a step that is not finite and positive or exceeds
     ``max_field_dt``, a non-finite field variance, and more than
     ``MAX_FIELD_SAMPLES`` samples in all, before anything is allocated.
@@ -324,10 +316,8 @@ def sample_fields(p: SystemParams, dt: float, n_steps: int, seeds: Sequence[int]
     _check_step(p, dt)
     _check_size(len(seeds), n_steps)
     field = np.empty((n_steps + 1, len(seeds)))
-    start = 0
-    for block in _field_blocks(p, dt, n_steps, seeds):
-        field[:, start:start + block.shape[1]] = block
-        start += block.shape[1]
+    for _ in _field_blocks(p, dt, n_steps, seeds, field):
+        pass
     return field
 
 

@@ -2,6 +2,7 @@ import dataclasses
 import io
 import json
 import math
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -113,6 +114,33 @@ def test_sigma_rate_kink_one_sided():
 def test_sigma_rate_as_printed_is_the_printed_rate(theta, tau, lam, om):
     got = sigma_rate(theta, cfg_of(lam, om), tau, mode="as-printed")
     assert got == pytest.approx(printed_rate(tau, theta, lam, om), rel=1e-12)
+
+
+_LOG_MAX = math.log(sys.float_info.max)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(tau=st.floats(0.0, _LOG_MAX), theta=st.floats(0.0, math.pi / 2),
+       lam=st.floats(0.1, 4.0), om=st.floats(0.1, 4.0))
+@example(tau=709.0, theta=0.7, lam=1.0, om=2.0)
+@example(tau=_LOG_MAX, theta=0.7, lam=1.0, om=2.0)
+def test_sigma_rate_as_printed_is_the_printed_rate_up_to_overflow(tau, theta, lam, om):
+    # e^tau is a float up to log(DBL_MAX); away from the kinks the rate is the printed one
+    u = math.cos(theta) ** 2
+    assume(2.0 * math.sqrt(u * math.exp(tau) * math.cos(om * tau) ** 2
+                           + (1.0 - u) * math.cos(lam * tau) ** 2) > 1e-6)
+    got = sigma_rate(theta, cfg_of(lam, om), tau, mode="as-printed")
+    assert got == pytest.approx(printed_rate(tau, theta, lam, om), rel=1e-12)
+
+
+def test_sigma_rate_as_printed_rejects_tau_past_overflow():
+    cfg = cfg_of(1.0, 2.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for tau in (math.nextafter(_LOG_MAX, math.inf), 1500.0):
+            with pytest.raises(ValueError, match="exceeds log"):
+                sigma_rate(0.7, cfg, tau, mode="as-printed")
+        assert math.isfinite(sigma_rate(0.7, cfg, 1500.0))  # derived mode has no such bound
 
 
 def test_sigma_rate_as_printed_kink_limit_is_infinite():
