@@ -613,9 +613,11 @@ def analytic_n_omega(omega_hat: float, t_max: float) -> float:
     Counts the completed half-periods of |cos| plus the current partial
     rise: floor(x/pi) + |cos x| if x mod pi > pi/2 else floor(x/pi), with
     x = omega_hat * t_max. Both arguments go through ``DimensionlessConfig``,
-    so a negative or non-finite one raises ValueError.
+    so a negative or non-finite one raises ValueError, as does an x over
+    ``MAX_QUARTER_PERIODS`` quarter periods.
     """
     cfg = DimensionlessConfig(0.0, omega_hat, t_max)
+    _check_quarters(cfg.omega_hat, cfg.t_max)
     return float(_branch_value(cfg.omega_hat, 0.0, cfg.t_max))
 
 
@@ -638,8 +640,9 @@ def n_measure(
     result carries the maximum (the first one, so a tie keeps theta = 0),
     the maximizing angle, both endpoint-branch values, and the positivity
     intervals of the winner. ``winning_branch`` compares the two branch
-    surfaces, resolving ties within 1e-10 to the omega branch. A derived
-    scan past ``MAX_SCAN_SAMPLES`` raises ValueError before its angles are built.
+    surfaces, resolving ties within 1e-10 to the omega branch. A branch over
+    ``MAX_QUARTER_PERIODS`` raises ValueError before any value is computed, and a
+    derived scan past ``MAX_SCAN_SAMPLES`` before its angles are built.
 
     Only the interior angles that the rise bound cannot rule out are
     scanned. An angle whose bound is below the larger branch value M by more
@@ -651,6 +654,8 @@ def n_measure(
     if theta_grid_size < 2:
         raise ValueError("theta_grid_size must be at least 2")
     branches, t_max = _branches(cfg, _envelope_decay(mode)), cfg.t_max
+    for f, _ in branches:  # an overlong horizon raises before any branch value overflows
+        _check_quarters(f, t_max)
     n_omega, n_lambda = _branch_value(*np.array(branches).T, t_max).tolist()
     value = dict(zip(BranchKind, (n_omega, n_lambda)))
     ends = _ENDPOINT_BRANCHES[mode]

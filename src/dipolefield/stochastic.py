@@ -30,7 +30,7 @@ import math
 import operator
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -57,12 +57,17 @@ DIVERGENCE_LIMIT = 1e3
 
 #: bytes of unit normals synthesized at once, the one memory budget of field
 #: synthesis: 41 realizations at the 6367-sample records of the spectrum
-#: check, whose streamed periodogram then peaks under two blocks (the
-#: normals and their transform) whatever the number of realizations
+#: check, whose pipelined periodogram then holds the normals, one reused
+#: field buffer of half their size (the block its helper thread transforms)
+#: and a few transformed columns, under 2.25 blocks whatever the number of
+#: realizations
 FIELD_BLOCK_BYTES = 4 * 2**20
 
 #: records drawn contiguously before they are transposed into a time-major block
 _TRANSPOSE_SEEDS = 16
+
+#: columns of a field block the periodogram transforms at once
+_TRANSFORM_COLUMNS = 8
 
 #: cap on the field variance pi*beta*i0, far from overflow in the periodogram's
 #: squared sums of field samples and in the field's fourth power in an RK4 step
@@ -275,29 +280,35 @@ def _quadrature_paths(normals: np.ndarray, rho: float, sigma_st: float) -> np.nd
     return normals
 
 
+def _block_columns(n_steps: int) -> int:
+    """Realizations per block: as many (K+1, 2) records of normals as fit ``FIELD_BLOCK_BYTES``."""
+    return max(1, FIELD_BLOCK_BYTES // (2 * 8 * (n_steps + 1)))
+
+
 def _field_blocks(
-    p: SystemParams, dt: float, n_steps: int, seeds: Sequence[int], out: np.ndarray | None = None
+    p: SystemParams, dt: float, n_steps: int, seeds: Sequence[int],
+    out: Callable[[int, int], np.ndarray],
 ) -> Iterator[np.ndarray]:
     """Field samples E(k dt) of one realization per seed, as time-major (K+1, b) blocks.
 
     Column j of the blocks, in order, is the realization of ``seeds[j]``.
     The AR(1) recurrence runs in place in one buffer of about
-    ``FIELD_BLOCK_BYTES`` of normals. Each block is modulated into its own
-    columns of ``out``, a (K+1, len(seeds)) array, and yielded as that view;
-    without ``out`` it is modulated inside the buffer, so a block is valid
-    only until the next one is drawn. Callers check the grid and the run
-    size first.
+    ``FIELD_BLOCK_BYTES`` of normals. The block of ``seeds[start:stop]`` is
+    then modulated into ``out(start, stop)``, a (K+1, stop - start) array,
+    and yielded as that array. ``out`` is called only once the block's
+    paths are filtered, so a caller may wait there until its destination is
+    free to overwrite. Callers check the grid and the run size first.
     """
     sigma_st = math.sqrt(field_variance(p))
     rho = math.exp(-p.beta * dt)
     t = dt * np.arange(n_steps + 1)
     cos, sin = np.cos(p.omega * t)[:, None], np.sin(p.omega * t)[:, None]
-    block = max(1, FIELD_BLOCK_BYTES // (2 * 8 * (n_steps + 1)))
+    block = _block_columns(n_steps)
     normals = np.empty((n_steps + 1, min(block, len(seeds)), 2))
     for start in range(0, len(seeds), block):
         chunk = seeds[start:start + block]
         paths = _quadrature_paths(_draw_normals(chunk, normals[:, :len(chunk)]), rho, sigma_st)
-        field = paths[..., 0] if out is None else out[:, start:start + len(chunk)]
+        field = out(start, start + len(chunk))
         np.multiply(paths[..., 0], cos, field)
         field += np.multiply(paths[..., 1], sin, paths[..., 1])
         yield field
@@ -316,7 +327,7 @@ def sample_fields(p: SystemParams, dt: float, n_steps: int, seeds: Sequence[int]
     _check_step(p, dt)
     _check_size(len(seeds), n_steps)
     field = np.empty((n_steps + 1, len(seeds)))
-    for _ in _field_blocks(p, dt, n_steps, seeds, field):
+    for _ in _field_blocks(p, dt, n_steps, seeds, lambda start, stop: field[:, start:stop]):
         pass
     return field
 
@@ -446,10 +457,22 @@ def _lorentzian(omega, height, center, hwhm):
 
 
 def _add_periodograms(power: np.ndarray, block: np.ndarray, dt: float) -> None:
-    """Add dt |FFT|^2 / N of each column of a time-major (N, b) block to ``power``, in order."""
-    terms = (dt / block.shape[0]) * np.abs(np.fft.rfft(block, axis=0)) ** 2
-    for term in terms.T:
-        power += term
+    """Add dt |FFT|^2 / N of each column of a time-major (N, b) block to ``power``, in order.
+
+    ``_TRANSFORM_COLUMNS`` columns are transformed at a time, into buffers
+    made once per block, so the block's transform is never held whole.
+    """
+    n, width = block.shape[0], min(_TRANSFORM_COLUMNS, block.shape[1])
+    spectra, terms = np.empty((width, power.size), complex), np.empty((width, power.size))
+    for start in range(0, block.shape[1], width):
+        columns = block[:, start:start + width]
+        k = columns.shape[1]
+        np.fft.rfft(columns, axis=0, out=spectra[:k].T)
+        np.abs(spectra[:k], out=terms[:k])
+        terms[:k] **= 2  # squared, then scaled: the roundings of (dt / N) * |X| ** 2
+        terms[:k] *= dt / n
+        for term in terms[:k]:
+            power += term
 
 
 def sample_periodogram(
@@ -461,22 +484,43 @@ def sample_periodogram(
     comes back as a 1-D array of its n_steps + 1 samples. The power uses the
     convention P(omega) = dt |FFT|^2 / N, under which the expected peak
     height is C(0)/beta = pi * i0; the periodograms are summed in seed order
-    and then divided by the number of seeds. Each block of realizations is
-    transformed as it is synthesized and then dropped, so memory is set by
-    the block (``FIELD_BLOCK_BYTES`` of normals and their transform), not by
-    the number of seeds. ``fit_spectrum`` fits the Lorentzian peak. Rejects
-    what ``sample_fields`` rejects, and fewer than 2 seeds.
+    and then divided by the number of seeds. ``fit_spectrum`` fits the
+    Lorentzian peak. Rejects what ``sample_fields`` rejects, and fewer than
+    2 seeds.
+
+    The blocks are pipelined over two threads. While the calling thread
+    draws, filters and modulates block i + 1, one helper thread transforms
+    block i and adds its periodograms to the sum; numpy's FFT releases the
+    interpreter lock, so the two overlap. One transform is in flight at a
+    time, and the calling thread modulates into the one (K+1, b) field
+    buffer only after the transform reading it has returned, so the columns
+    are added in seed order and every bit equals the serial sum. Memory is
+    set by the block, not by the number of seeds: ``FIELD_BLOCK_BYTES`` of
+    normals, the field buffer of half that, and ``_TRANSFORM_COLUMNS``
+    columns of transform. A failure in either thread is raised here, after
+    the helper thread has ended.
     """
+    from concurrent.futures import ThreadPoolExecutor
+
     if len(seeds) < 2:
         raise ValueError("need at least 2 realizations")
     _check_step(p, dt)
     _check_size(len(seeds), n_steps)
     power = np.zeros((n_steps + 1) // 2 + 1)
-    first = None
-    for block in _field_blocks(p, dt, n_steps, seeds):
-        if first is None:
-            first = block[:, 0].copy()
-        _add_periodograms(power, block, dt)
+    field = np.empty((n_steps + 1, min(_block_columns(n_steps), len(seeds))))
+    pending = first = None
+
+    def free_field(start: int, stop: int) -> np.ndarray:  # once no transform reads it
+        if pending is not None:
+            pending.result()
+        return field[:, :stop - start]
+
+    with ThreadPoolExecutor(1) as helper:
+        for block in _field_blocks(p, dt, n_steps, seeds, free_field):
+            if first is None:
+                first = block[:, 0].copy()
+            pending = helper.submit(_add_periodograms, power, block, dt)
+        pending.result()
     power /= len(seeds)
     return 2.0 * math.pi * np.fft.rfftfreq(n_steps + 1, d=dt), power, first
 

@@ -154,6 +154,15 @@ def test_sigma_rate_as_printed_kink_limit_is_infinite():
         assert sigma_rate(0.0, cfg_of(lam, om), tau, mode="as-printed") == -math.inf
 
 
+def test_sigma_rate_as_printed_kink_limit_is_zero_where_the_numerator_is():
+    # with lambda_hat = omega_hat = 0 the printed numerator is -0.0 at every tau,
+    # and at tau = -100 the denominator 2 e^{tau/2} is under the kink tolerance:
+    # the limit is +0.0, not copysign(inf, -0.0)
+    with pytest.warns(KinkWarning):
+        got = sigma_rate(0.0, cfg_of(0.0, 0.0), -100.0, mode="as-printed")
+    assert got == 0.0 and math.copysign(1.0, got) == 1.0
+
+
 @pytest.mark.parametrize("mode", ["derived", "as-printed"])
 @pytest.mark.parametrize("theta, tau", [
     (-1.0, 1.0), (5.0, 1.0), (math.nan, 1.0), (0.7, math.nan), (0.7, math.inf), (0.7, -math.inf),
@@ -734,8 +743,10 @@ def test_analytic_n_omega_spot_values():
     (math.nan, 1.0, "omega_hat must be finite"),
     (1.0, math.inf, "t_max must be finite"),
     (1.0, -1.0, "t_max must be nonnegative"),
+    (2.0, 1e308, "quarter periods, over the cap"),
 ])
 def test_analytic_n_omega_rejects_what_the_config_rejects(omega_hat, t_max, message):
+    # the quarter cap is checked before omega_hat * t_max overflows, with no RuntimeWarning
     with pytest.raises(ValueError, match=message):
         analytic_n_omega(omega_hat, t_max)
 

@@ -353,6 +353,21 @@ def test_nonmark_bad_horizon_exits_2(config, tmp_path, capsys, tmax, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("mode", ["derived", "as-printed"])
+def test_nonmark_horizon_over_the_period_cap_exits_2_before_any_overflow(config, tmp_path,
+                                                                         capsys, mode):
+    # the quarter cap is checked before any branch value is computed, so no numpy
+    # RuntimeWarning (an error in this suite) comes before the one exit-2 line
+    out = tmp_path / "n.json"
+    assert main(["nonmark", "--config", config(REFERENCE), "--mode", mode, "--tmax", "1e308",
+                 "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert f"quarter periods, over the cap of {blp.MAX_QUARTER_PERIODS}" in captured.err
+    assert not out.exists()
+
+
 def test_nonmark_long_horizon_sign_tests_do_not_overflow(config, capsys):
     # a long horizon end to end: the branch closed forms and the pointwise-max
     # locator run without a warning (the locator's own overflow test, on the

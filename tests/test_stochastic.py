@@ -1,4 +1,7 @@
 import math
+import sys
+import threading
+import time
 import tracemalloc
 import warnings
 
@@ -227,6 +230,112 @@ def test_streamed_periodogram_memory_does_not_grow_with_realizations():
         finally:
             tracemalloc.stop()
     assert abs(peaks[1] - peaks[0]) < stochastic.FIELD_BLOCK_BYTES
+
+
+def test_streamed_periodogram_peak_is_under_two_and_a_quarter_blocks():
+    # criterion 10's run: the normals block, the one field buffer the helper
+    # thread transforms (half a block), _draw_normals' transpose tile and the
+    # transform's column groups; a whole-block transform would add half a block more
+    p = SystemParams(omega=10.0, kappa=1.0, beta_s=0.0, i0=1.0, beta=1.0)
+    dt = max_field_dt(p)
+    n_steps = int(round(200.0 / p.beta / dt))
+    sample_periodogram(p, dt, 16, [1, 2])  # the modules the first call imports are not counted
+    tracemalloc.start()
+    try:
+        sample_periodogram(p, dt, n_steps, derive_seeds(42, range(200)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.25 * stochastic.FIELD_BLOCK_BYTES
+
+
+class _Failure(Exception):
+    pass
+
+
+def _three_record_blocks(monkeypatch, n_steps):
+    monkeypatch.setattr(stochastic, "FIELD_BLOCK_BYTES", 3 * 2 * 8 * (n_steps + 1))
+
+
+def test_a_failing_transform_is_raised_and_the_helper_thread_ended(monkeypatch):
+    n_steps, transform, widths = 100, stochastic._add_periodograms, []
+    _three_record_blocks(monkeypatch, n_steps)
+
+    def fail_on_second_block(power, block, dt):
+        widths.append(block.shape[1])
+        if len(widths) == 2:
+            raise _Failure("transform failed")
+        transform(power, block, dt)
+
+    monkeypatch.setattr(stochastic, "_add_periodograms", fail_on_second_block)
+    before = threading.active_count()
+    with pytest.raises(_Failure, match="transform failed"):
+        sample_periodogram(WEAK, max_field_dt(WEAK), n_steps, derive_seeds(5, range(7)))
+    assert widths == [3, 3]  # the third block is drawn but never submitted
+    assert threading.active_count() == before
+
+
+def test_a_main_thread_failure_waits_for_the_transform_in_flight(monkeypatch):
+    n_steps, transform, draw = 100, stochastic._add_periodograms, stochastic._draw_normals
+    _three_record_blocks(monkeypatch, n_steps)
+    started, done, draws = threading.Event(), threading.Event(), []
+
+    def slow_transform(power, block, dt):
+        started.set()
+        time.sleep(0.2)
+        transform(power, block, dt)
+        done.set()
+
+    def fail_on_second_draw(seeds, out):
+        draws.append(len(seeds))
+        if len(draws) == 2:
+            assert started.wait(10) and not done.is_set()  # block 0's transform is in flight
+            raise _Failure("draw failed")
+        return draw(seeds, out)
+
+    monkeypatch.setattr(stochastic, "_add_periodograms", slow_transform)
+    monkeypatch.setattr(stochastic, "_draw_normals", fail_on_second_draw)
+    before = threading.active_count()
+    with pytest.raises(_Failure, match="draw failed"):
+        sample_periodogram(WEAK, max_field_dt(WEAK), n_steps, derive_seeds(5, range(7)))
+    assert done.is_set()  # the helper finished its transform before the failure came out
+    assert threading.active_count() == before
+
+
+def test_pipelined_periodogram_is_exact_with_late_transforms_and_fast_switching(monkeypatch):
+    # three callers at once, each with a helper thread whose transforms start late,
+    # switching threads every microsecond: a block modulated into the field buffer
+    # before the transform of the one before returned would change the sum
+    dt, n_steps, interval = max_field_dt(WEAK), 200, sys.getswitchinterval()
+    _three_record_blocks(monkeypatch, n_steps)
+    transform = stochastic._add_periodograms
+
+    def late_transform(power, block, dt):
+        time.sleep(0.01)
+        transform(power, block, dt)
+
+    runs = {s: derive_seeds(s, range(8)) for s in (21, 22, 23)}
+    expected = {s: periodogram_reference(sample_fields(WEAK, dt, n_steps, seeds).T, dt)
+                for s, seeds in runs.items()}
+    monkeypatch.setattr(stochastic, "_add_periodograms", late_transform)
+    got = {}
+
+    def run(s):
+        got[s] = sample_periodogram(WEAK, dt, n_steps, runs[s])[1]
+
+    callers = [threading.Thread(target=run, args=(s,)) for s in runs]
+    sys.setswitchinterval(1e-6)
+    try:
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(caller.is_alive() for caller in callers)
+    assert got.keys() == expected.keys()
+    for s in runs:
+        np.testing.assert_array_equal(got[s], expected[s])
 
 
 def test_periodogram_needs_two_realizations():
