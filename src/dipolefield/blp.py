@@ -59,7 +59,6 @@ from __future__ import annotations
 
 import bisect
 import math
-import sys
 import warnings
 from dataclasses import dataclass
 from enum import Enum
@@ -218,23 +217,27 @@ def sigma_rate(
     (including its swapped theta labels), and its kink limits can be
     infinite because numerator and denominator vanish at different points.
     Raises ValueError for theta outside [0, pi/2], for a non-finite tau,
-    and in "as-printed" mode for tau > log(DBL_MAX), where e^tau overflows.
+    and wherever the rate overflows (derived e^{-2 tau} below -log(DBL_MAX)/2,
+    printed e^tau above log(DBL_MAX) and e^{-tau/2} below -2 log(DBL_MAX)).
     """
     _check_mode(mode)
     _check_theta(theta)
     if not math.isfinite(tau):
         raise ValueError(f"tau must be finite, got {tau}")
-    if mode == "as-printed" and tau > math.log(sys.float_info.max):
-        raise ValueError(f"as-printed tau={tau} exceeds log(DBL_MAX), where e^tau overflows")
     u, branches = math.cos(theta) ** 2, _branches(cfg)
-    if mode == "derived":
-        num = _rate_numerator(u, tau, branches)
-        den = 2.0 * _mix(u, *_distances(branches, tau))
-    else:
-        p, q, r = _printed_factors(tau, cfg.lambda_hat, cfg.omega_hat)
-        num, den = u * p, 2.0 * np.sqrt(u * q + (1.0 - u) * r)
-    if den > 2.0 * _KINK_TOL:
-        return float(num / den)
+    try:
+        with np.errstate(over="raise"):
+            if mode == "derived":
+                num = _rate_numerator(u, tau, branches)
+                den = 2.0 * _mix(u, *_distances(branches, tau))
+            else:
+                p, q, r = _printed_factors(tau, cfg.lambda_hat, cfg.omega_hat)
+                num, den = u * p, 2.0 * np.sqrt(u * q + (1.0 - u) * r)
+            if den > 2.0 * _KINK_TOL:
+                return float(num / den)
+    except FloatingPointError:
+        raise ValueError(f"the {mode} rate overflows at tau={tau}: an exponent exceeds "
+                         "log(DBL_MAX) or a product DBL_MAX") from None
     warnings.warn(
         f"rate denominator vanishes at tau={tau}; returning the right-sided limit",
         KinkWarning,
@@ -521,14 +524,6 @@ def _chandrupatla(fn: Callable, lo: np.ndarray, hi: np.ndarray, k: np.ndarray) -
 # backflow values: telescoped rises
 # ---------------------------------------------------------------------------
 
-def _branch_result(branch: BranchKind, cfg: DimensionlessConfig, mode: str) -> BackflowResult:
-    freq, decay = dict(zip(BranchKind, _branches(cfg, _envelope_decay(mode))))[branch]
-    theta_star = 0.0 if _ENDPOINT_BRANCHES[mode][0] is branch else math.pi / 2
-    return BackflowResult(n_value=float(_branch_value(freq, decay, cfg.t_max)),
-                          winning_branch=branch, theta_star=theta_star,
-                          intervals=_rise_intervals([(freq, decay)], cfg.t_max)[0])
-
-
 def _interior_scan(
     thetas: np.ndarray, cfg: DimensionlessConfig, grid: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -571,11 +566,12 @@ def backflow_integral(
     """Integral of the positive part of the distance rate over [0, cfg.t_max].
 
     ``target`` selects a physical branch (``BranchKind``) or a mixing angle
-    theta in [0, pi/2]. The branch values are closed forms. Interior
-    positivity intervals are bracketed on the quarter-period grid of both
-    cosines and refined by root-finding, in the computation ``n_measure``
-    runs over all its angles at once, and each interval contributes
-    D(b) - D(a) exactly.
+    theta in [0, pi/2]; every single-angle result is built here. A branch
+    value is its closed form, evaluated after its rises are listed, so a
+    horizon over ``MAX_QUARTER_PERIODS`` raises ValueError before it. An
+    interior angle runs the scan ``n_measure`` runs over all its angles:
+    positivity intervals bracketed on the quarter-period grid of both
+    cosines, refined by root-finding, each adding D(b) - D(a) exactly.
 
     Endpoint angles are routed to the branch integrands: in "derived" mode
     theta = 0 is the inversion (lambda) pair and theta = pi/2 the coherence
@@ -585,22 +581,24 @@ def backflow_integral(
     interior rate is not the derivative of any printed distance.
     """
     _check_mode(mode)
-    if isinstance(target, BranchKind):
-        return _branch_result(target, cfg, mode)
-    theta = _check_theta(float(target))
-    eps = 1e-12
-    if theta < eps or theta > math.pi / 2 - eps:
-        branch = _ENDPOINT_BRANCHES[mode][int(theta > eps)]
-        return _branch_result(branch, cfg, mode)
-    if mode != "derived":
-        raise ValueError(f"theta = {theta} is interior: the as-printed interior rate is not the "
-                         "derivative of any printed distance, and its backflow has no "
-                         "grid-independent maximum over theta; only theta = 0 and pi/2 "
-                         "(the two branches) are defined in as-printed mode")
-    grid = _breakpoints(_branches(cfg), cfg.t_max)
-    values, a, b, _ = _interior_scan(np.array([theta]), cfg, grid)
-    return BackflowResult(n_value=float(values[0]), winning_branch=None, theta_star=theta,
-                          intervals=tuple(zip(a.tolist(), b.tolist())))
+    ends, eps = _ENDPOINT_BRANCHES[mode], 1e-12
+    if not isinstance(target, BranchKind):
+        theta = _check_theta(float(target))
+        if eps <= theta <= math.pi / 2 - eps:
+            if mode != "derived":
+                raise ValueError(f"theta = {theta} is interior: the as-printed interior rate is "
+                                 "not the derivative of any printed distance, and its backflow "
+                                 "has no grid-independent maximum over theta; only theta = 0 "
+                                 "and pi/2 (the two branches) are defined in as-printed mode")
+            values, a, b, _ = _interior_scan(np.array([theta]), cfg,
+                                             _breakpoints(_branches(cfg), cfg.t_max))
+            return BackflowResult(n_value=float(values[0]), winning_branch=None, theta_star=theta,
+                                  intervals=tuple(zip(a.tolist(), b.tolist())))
+        target = ends[theta > eps]
+    branch = dict(zip(BranchKind, _branches(cfg, _envelope_decay(mode))))[target]
+    intervals = _rise_intervals([branch], cfg.t_max)[0]  # refuses an overlong horizon first
+    return BackflowResult(n_value=float(_branch_value(*branch, cfg.t_max)), winning_branch=target,
+                          theta_star=math.pi / 2 * ends.index(target), intervals=intervals)
 
 
 # ---------------------------------------------------------------------------
@@ -644,11 +642,11 @@ def n_measure(
     ``MAX_QUARTER_PERIODS`` raises ValueError before any value is computed, and a
     derived scan past ``MAX_SCAN_SAMPLES`` before its angles are built.
 
-    Only the interior angles that the rise bound cannot rule out are
-    scanned. An angle whose bound is below the larger branch value M by more
-    than 1e-9 (1 + M) (``_CERTIFY_MARGIN``, far above the rounding of the
-    bound and of the scan) cannot be a maximum. The other angles' values and
-    intervals do not depend on it, so the result is that of the full scan.
+    Only the interior angles that the rise bound cannot rule out are scanned,
+    for their values: an angle whose bound is below the larger branch value M
+    by more than 1e-9 (1 + M) (``_CERTIFY_MARGIN``) cannot be a maximum. The
+    scan is elementwise, so an interior winner's intervals are those of
+    ``backflow_integral`` at its angle. An interior angle can win (README).
     """
     _check_mode(mode)
     if theta_grid_size < 2:
@@ -666,20 +664,17 @@ def n_measure(
     # a certified angle keeps -inf: its value is below the larger branch value
     values = np.concatenate(([value[ends[0]]], np.full(thetas.size - 2, -np.inf),
                              [value[ends[1]]]))
-    a = b = owner = np.empty(0)
     if thetas.size > 2:
         best = max(n_omega, n_lambda)
         bound = _rise_bound(thetas[1:-1], cfg, grid)
         scan = np.flatnonzero(bound >= best - _CERTIFY_MARGIN * (1.0 + best))
         if scan.size:
-            values[scan + 1], a, b, owner = _interior_scan(thetas[1:-1][scan], cfg, grid)
-            owner = scan[owner]
+            values[scan + 1] = _interior_scan(thetas[1:-1][scan], cfg, grid)[0]
     k = int(np.argmax(values))  # first maximum
     if k in (0, thetas.size - 1):
         intervals = _rise_intervals([dict(zip(BranchKind, branches))[ends[k > 0]]], t_max)[0]
-    else:
-        sel = owner == k - 1
-        intervals = tuple(zip(a[sel].tolist(), b[sel].tolist()))
+    else:  # the scan is elementwise, so one angle rescanned gives the same bits
+        intervals = backflow_integral(float(thetas[k]), cfg).intervals
     return BackflowResult(
         n_value=float(values[k]),
         winning_branch=_winner(n_omega, n_lambda),
@@ -732,10 +727,14 @@ def dominant_regime(
     """Which branch dominates the backflow over [0, t_max].
 
     Returns the lambda branch iff its integral strictly exceeds the omega
-    branch by more than 1e-10; ties resolve to the omega branch.
+    branch by more than 1e-10; ties resolve to the omega branch. The closed
+    forms list no rises, so no quarter-period cap applies, but a branch phase
+    f T that is not finite raises ValueError before any value is computed.
     """
     _check_mode(mode)
     cfg = DimensionlessConfig(lambda_hat=lambda_hat, omega_hat=omega_hat, t_max=t_max)
+    if not math.isfinite(max(cfg.lambda_hat, cfg.omega_hat) * cfg.t_max):
+        raise ValueError(f"a branch phase f T is not finite at T = {cfg.t_max:.6g}")
     return _winner(*(float(_branch_value(f, c, cfg.t_max))
                      for f, c in _branches(cfg, _envelope_decay(mode))))
 

@@ -3,18 +3,18 @@
 These deliberately avoid the library's own evaluation paths: the
 inversion oracle integrates the memory-kernel closure as a small ODE
 system, the backflow oracles enumerate envelope rises analytically,
-sample them on a dense grid, integrate their own coherence-branch rate
-by adaptive quadrature, or walk the critical points of the trace
-distance, the pair distance is half the distance of the derived ensemble
-means, the AR(1) oracle steps the field recurrence one sample at a time,
-the periodogram reference transforms one realization at a time, the
-ensemble oracle steps each trajectory's RK4 in Python floats and reduces
-the stacked trajectories with numpy's axis statistics, the exact
-ensemble means solve the moment hierarchy of the Ornstein-Uhlenbeck
-field, the sweep reference evaluates every grid cell on its own and
-writes with the standard-library encoders, the Lorentzian fit is scipy's
-trust-region least squares on complex-step derivatives polished by a
-root solve of its gradient, and derivatives come from
+sample them or the distance on a dense grid, integrate their own
+coherence-branch rate by adaptive quadrature, or walk the critical
+points of the trace distance, the pair distance is half the distance of
+the derived ensemble means, the AR(1) oracle steps the field recurrence
+one sample at a time, the periodogram reference transforms one
+realization at a time, the ensemble oracle steps each trajectory's RK4
+in Python floats and reduces the stacked trajectories with numpy's axis
+statistics, the exact ensemble means solve the moment hierarchy of the
+Ornstein-Uhlenbeck field, the sweep reference evaluates every grid cell
+on its own and writes with the standard-library encoders, the Lorentzian
+fit is scipy's trust-region least squares on complex-step derivatives
+polished by a root solve of its gradient, and derivatives come from
 Richardson-extrapolated finite differences.
 """
 
@@ -181,6 +181,26 @@ def distance_rises(
         lo, hi = np.where(left, mid, lo), np.where(left, hi, mid)
     crit = np.sort(np.concatenate(([0.0, t_max], 0.5 * (lo + hi), ts[g == 0.0])))
     return float(np.sum(np.maximum(np.diff(dist(crit)), 0.0)))
+
+
+def sampled_distance_rises(theta: float, lambda_hat: float, omega_hat: float, t_max: float,
+                           n: int, chunk: int = 2**18) -> float:
+    """Sum of the positive increments of the derived distance at angle theta over n uniform
+    points of [0, t_max], a lower bound of its total rise.
+
+    D^2 = u e^{-2 tau} cos^2(lambda tau) + (1-u) cos^2(omega tau), u = cos^2(theta). The
+    points are taken chunk at a time, each chunk starting from the last value of the one
+    before, so memory stays bounded. Any partition's positive increments sum to at most
+    the total rise, so no sampling error can push the sum above it.
+    """
+    u, step, total, last = math.cos(theta) ** 2, t_max / (n - 1), 0.0, np.empty(0)
+    for start in range(0, n, chunk):
+        t = np.arange(start, min(start + chunk, n)) * step
+        d = np.sqrt(u * np.exp(-2.0 * t) * np.cos(lambda_hat * t) ** 2
+                    + (1.0 - u) * np.cos(omega_hat * t) ** 2)
+        total += float(np.sum(np.maximum(np.diff(np.concatenate((last, d))), 0.0)))
+        last = d[-1:]
+    return total
 
 
 def derived_numerator(u, t, lambda_hat: float, omega_hat: float):

@@ -45,6 +45,7 @@ from oracles import (
     printed_log_slope_reference,
     printed_numerator,
     printed_rate,
+    sampled_distance_rises,
     sampled_rises,
     sweep_files_reference,
     sweep_payload_reference,
@@ -141,6 +142,31 @@ def test_sigma_rate_as_printed_rejects_tau_past_overflow():
             with pytest.raises(ValueError, match="exceeds log"):
                 sigma_rate(0.7, cfg, tau, mode="as-printed")
         assert math.isfinite(sigma_rate(0.7, cfg, 1500.0))  # derived mode has no such bound
+
+
+@pytest.mark.parametrize("mode, exp_limit, finite, over", [
+    ("derived", -_LOG_MAX / 2.0, -354.0, -355.0),  # e^{-2 tau} overflows past -354.89
+    ("as-printed", -2.0 * _LOG_MAX, -1418.0, -1420.0),  # e^{-tau/2} past -1419.57
+], ids=["derived", "as-printed"])
+def test_sigma_rate_refuses_negative_times_where_the_rate_overflows(mode, exp_limit, finite,
+                                                                    over):
+    # past the exponential's limit the rate raises; before it a product of exponentials
+    # can overflow first, so every tau of the band either is finite or raises, unwarned
+    cfg = cfg_of(1.0, 2.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert math.isfinite(sigma_rate(0.7, cfg, finite, mode=mode))
+        for theta in (0.0, 0.7, math.pi / 2):
+            for tau in (over, math.nextafter(exp_limit, -math.inf)):
+                with pytest.raises(ValueError, match="rate overflows"):
+                    sigma_rate(theta, cfg, tau, mode=mode)
+        outcomes = set()
+        for tau in np.linspace(over, finite, 401).tolist():
+            try:
+                outcomes.add(math.isfinite(sigma_rate(0.7, cfg, tau, mode=mode)))
+            except ValueError:
+                outcomes.add("raised")
+        assert outcomes == {True, "raised"}
 
 
 def test_sigma_rate_as_printed_kink_limit_is_infinite():
@@ -699,8 +725,9 @@ def test_n_measure_without_interior_angles(mode):
 
 
 def test_n_measure_interior_winner_is_that_angles_backflow(monkeypatch):
-    # no derived config is known whose maximum lies inside (0, pi/2), so branch
-    # values below every interior one force the interior winner's path
+    # no derived config inside the scan cap is known whose maximum lies inside
+    # (0, pi/2), so branch values below every interior one force the interior
+    # winner's path
     monkeypatch.setattr(blp, "_branch_value", lambda freq, *_: np.full(np.shape(freq), -1.0))
     cfg = DimensionlessConfig(1.0, 2.0, 6.0)
     res = n_measure(cfg, theta_grid_size=9)
@@ -708,6 +735,42 @@ def test_n_measure_interior_winner_is_that_angles_backflow(monkeypatch):
     ref = backflow_integral(res.theta_star, cfg)
     assert res.n_value == ref.n_value
     assert res.intervals == ref.intervals
+
+
+def test_an_interior_angle_beats_both_branches_beyond_the_scan_cap():
+    # the maximizing pair need not be an endpoint: at the default grid's angle
+    # 55 pi/128 a sampled lower bound of the derived backflow beats the larger
+    # branch value (636.120) by more than 0.5. The config spans 849 164 gaps,
+    # so both the theta scan and the single angle refuse it at the scan cap
+    cfg = cfg_of(2000.0, 3.0, 666.0)
+    theta = float(np.linspace(0.0, math.pi / 2, 65)[55])
+    best = max(backflow_integral(b, cfg).n_value for b in BranchKind)
+    assert best == pytest.approx(636.11998, abs=1e-5)
+    assert sampled_distance_rises(theta, 2000.0, 3.0, 666.0, 8 * 10**6) >= best + 0.5
+    for call in (lambda: n_measure(cfg), lambda: backflow_integral(theta, cfg)):
+        with pytest.raises(ValueError, match="MAX_SCAN_SAMPLES"):
+            call()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(mode=_MODES, lam=st.just(0.0) | st.floats(0.05, 4.0),
+       om=st.just(0.0) | st.floats(0.05, 6.0), t_max=st.floats(0.0, 2.0) | st.floats(2.0, 20.0),
+       size=st.sampled_from([2, 3, 5, 9, 17]))
+@example(mode="derived", lam=2.0, om=1.0, t_max=5.0, size=17)
+def test_n_measure_is_the_grid_maximum_of_backflow_integral(mode, lam, om, t_max, size):
+    # every field of the measure is read off the single-angle results on its
+    # grid (as-printed mode scores only the two endpoints), bit for bit
+    cfg = cfg_of(lam, om, t_max)
+    res = n_measure(cfg, mode, size)
+    thetas = np.linspace(0.0, math.pi / 2, size if mode == "derived" else 2).tolist()
+    each = [backflow_integral(theta, cfg, mode) for theta in thetas]
+    values = [r.n_value for r in each]
+    k = values.index(max(values))  # the first maximum
+    assert repr(res.n_value) == repr(values[k])
+    assert res.theta_star == thetas[k]
+    assert res.intervals == backflow_integral(res.theta_star, cfg, mode).intervals
+    assert repr((res.n_omega_branch, res.n_lambda_branch)) == repr(
+        tuple(backflow_integral(b, cfg, mode).n_value for b in BranchKind))
 
 
 def test_reported_intervals_are_merged_positivity_intervals():
@@ -1015,6 +1078,16 @@ def test_dominant_regime():
     assert dominant_regime(0.0, 0.0, 5.0) is BranchKind.OMEGA
     # the closed forms build no rise intervals, so no quarter-period cap applies
     assert dominant_regime(1.0, 1e12, 1.0) is BranchKind.OMEGA
+
+
+@pytest.mark.parametrize("mode", ["derived", "as-printed"])
+def test_dominant_regime_and_a_branch_refuse_a_phase_that_overflows(mode):
+    # omega_hat T = 2e308 is not a float: both raise before any branch value is
+    # evaluated, so the suite's RuntimeWarning-as-error filter sees no warning
+    with pytest.raises(ValueError, match="branch phase f T is not finite"):
+        dominant_regime(1.0, 2.0, 1e308, mode)
+    with pytest.raises(ValueError, match="quarter periods, over the cap"):
+        backflow_integral(BranchKind.OMEGA, cfg_of(1.0, 2.0, 1e308), mode)
 
 
 def test_no_threshold_property():
