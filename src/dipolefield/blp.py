@@ -218,7 +218,8 @@ def sigma_rate(
     infinite because numerator and denominator vanish at different points.
     Raises ValueError for theta outside [0, pi/2], for a non-finite tau,
     and wherever the rate overflows (derived e^{-2 tau} below -log(DBL_MAX)/2,
-    printed e^tau above log(DBL_MAX) and e^{-tau/2} below -2 log(DBL_MAX)).
+    printed e^tau above log(DBL_MAX) and e^{-tau/2} below -2 log(DBL_MAX))
+    or a phase f tau exceeds DBL_MAX.
     """
     _check_mode(mode)
     _check_theta(theta)
@@ -226,7 +227,7 @@ def sigma_rate(
         raise ValueError(f"tau must be finite, got {tau}")
     u, branches = math.cos(theta) ** 2, _branches(cfg)
     try:
-        with np.errstate(over="raise"):
+        with np.errstate(over="raise", invalid="raise"):  # invalid: the cosine of an inf phase
             if mode == "derived":
                 num = _rate_numerator(u, tau, branches)
                 den = 2.0 * _mix(u, *_distances(branches, tau))
@@ -237,7 +238,7 @@ def sigma_rate(
                 return float(num / den)
     except FloatingPointError:
         raise ValueError(f"the {mode} rate overflows at tau={tau}: an exponent exceeds "
-                         "log(DBL_MAX) or a product DBL_MAX") from None
+                         "log(DBL_MAX) or a product or phase DBL_MAX") from None
     warnings.warn(
         f"rate denominator vanishes at tau={tau}; returning the right-sided limit",
         KinkWarning,

@@ -25,9 +25,12 @@ coupling only through that product.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
+import mmap
 import operator
+import os
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
@@ -314,21 +317,60 @@ def _field_blocks(
         yield field
 
 
+def _fill(p: SystemParams, dt: float, n_steps: int, seeds: Sequence[int], out: np.ndarray) -> None:
+    """Synthesize the realization of ``seeds[j]`` into column j of ``out``, block by block."""
+    for _ in _field_blocks(p, dt, n_steps, seeds, lambda start, stop: out[:, start:stop]):
+        pass
+
+
+def _usable_cpus() -> int:
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
 def sample_fields(p: SystemParams, dt: float, n_steps: int, seeds: Sequence[int]) -> np.ndarray:
     """Field samples E(k dt), k = 0..n_steps, one realization per seed, as a (K+1, n) array.
 
     Column j is the realization of ``seeds[j]``, bit-identical to sampling
     that seed alone; the columns are synthesized in blocks, each written
-    straight into its columns (``_field_blocks``).
+    straight into its columns (``_field_blocks``). A run of at least two
+    blocks, where ``os.fork`` exists and more than one CPU is usable, is
+    split in two processes: the array is then an anonymous shared mapping,
+    a forked child synthesizes ``seeds[n//2:]`` into its columns while the
+    caller does ``seeds[:n//2]``, and the caller then reaps the child. The
+    child always leaves through ``os._exit``; if the fork fails, or the
+    child exits nonzero or unseen (SIGCHLD ignored), the caller synthesizes
+    the child's columns itself, so a failure is raised here, and every byte
+    is the same either way.
     Rejects n_steps < 1, a step that is not finite and positive or exceeds
     ``max_field_dt``, a non-finite field variance, and more than
     ``MAX_FIELD_SAMPLES`` samples in all, before anything is allocated.
     """
     _check_step(p, dt)
-    _check_size(len(seeds), n_steps)
-    field = np.empty((n_steps + 1, len(seeds)))
-    for _ in _field_blocks(p, dt, n_steps, seeds, lambda start, stop: field[:, start:stop]):
-        pass
+    _check_size(n := len(seeds), n_steps)
+    half, pid = n, 0
+    if n >= 2 * _block_columns(n_steps) and hasattr(os, "fork") and _usable_cpus() > 1:
+        field = np.ndarray((n_steps + 1, n), buffer=mmap.mmap(-1, 8 * (n_steps + 1) * n))
+        half, pid = n // 2, -1
+        with contextlib.suppress(OSError):
+            pid = os.fork()
+        if pid == 0:  # the child: its share, then out, whatever happens
+            status = 1
+            try:
+                _fill(p, dt, n_steps, seeds[half:], field[:, half:])
+                status = 0
+            finally:
+                os._exit(status)
+    else:  # private pages fault faster than shared ones
+        field = np.empty((n_steps + 1, n))
+    try:
+        _fill(p, dt, n_steps, seeds[:half], field[:, :half])
+    finally:
+        status = pid
+        if pid > 0:  # with SIGCHLD ignored the child is reaped unseen, and its status lost
+            with contextlib.suppress(ChildProcessError):
+                status = os.waitpid(pid, 0)[1]
+    if status:  # no child, or a failed or unseen one: its columns are synthesized here
+        _fill(p, dt, n_steps, seeds[half:], field[:, half:])
     return field
 
 
@@ -412,9 +454,11 @@ def ensemble_average(
     time row of m and w is reduced as RK4 yields it, by index-ordered sums
     that equal ``mean(axis=0)`` and ``std(axis=0, ddof=1)`` of the
     stacked trajectories bit for bit, so the run holds only the n x (K+1)
-    field of ``sample_fields``. Residuals are taken against the closed-form
-    dipole and inversion on the same grid. Runs of more than
-    ``MAX_FIELD_SAMPLES`` samples in all are rejected before any seed is derived.
+    field of ``sample_fields`` (which a forked child may help synthesize;
+    RK4 and the reduction run in the calling process). Residuals are taken
+    against the closed-form dipole and inversion on the same grid. Runs of
+    more than ``MAX_FIELD_SAMPLES`` samples in all are rejected before any
+    seed is derived.
     """
     if n_realizations < 2:
         raise ValueError("n_realizations must be at least 2")

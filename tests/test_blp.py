@@ -203,6 +203,16 @@ def test_sigma_rate_rejects_bad_theta_and_tau(mode, theta, tau):
         assert math.isfinite(sigma_rate(0.7, cfg, -1.0, mode=mode))  # a negative time is fine
 
 
+@pytest.mark.parametrize("mode", ["derived", "as-printed"])
+@pytest.mark.parametrize("lam, om", [(1.0, 1e308), (1e308, 1.0)], ids=["omega", "lambda"])
+def test_sigma_rate_raises_where_a_phase_overflows(mode, lam, om):
+    # f tau = 2e308 is inf in float arithmetic, and cos(inf) is invalid: an error, not a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="rate overflows at tau=2.0"):
+            sigma_rate(0.7, DimensionlessConfig(lam, om, 1.0), 2.0, mode=mode)
+
+
 def test_sigma_rate_scaling_identity():
     # sigma(t; gamma, lambda, omega, theta) = gamma * sigma(gamma t; 1, ...)
     # with the left side obtained from the dimensionful trace distance

@@ -1,8 +1,12 @@
 import math
+import mmap
+import os
+import signal
 import sys
 import threading
 import time
 import tracemalloc
+import types
 import warnings
 
 import numpy as np
@@ -214,6 +218,85 @@ def test_streams_do_not_depend_on_block_size(monkeypatch, tmp_path):
         np.testing.assert_array_equal(first, fields[0])
         np.testing.assert_array_equal(sample_fields(WEAK, dt, n_steps, seeds), np.stack(fields, 1))
         assert report_bytes() == report
+
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="os.fork is not available")
+
+
+def _split_run(monkeypatch):
+    """(p, dt, n_steps, seeds) of a run that ``sample_fields`` splits inside a block: 14
+    seeds in blocks of 4, so the child's share starts at seed 7."""
+    n_steps = 60
+    monkeypatch.setattr(stochastic, "FIELD_BLOCK_BYTES", 4 * 2 * 8 * (n_steps + 1))
+    monkeypatch.setattr(stochastic, "_usable_cpus", lambda: 2)
+    return WEAK, max_field_dt(WEAK), n_steps, derive_seeds(23, range(14))
+
+
+@needs_fork
+def test_split_fields_equal_per_seed_sampling(monkeypatch, forks):
+    p, dt, n_steps, seeds = _split_run(monkeypatch)
+    fields = sample_fields(p, dt, n_steps, seeds)
+    assert forks == [os.getpid()]
+    for column, seed in zip(fields.T, seeds):
+        np.testing.assert_array_equal(column, one_field(p, dt, n_steps, seed))
+    assert forks == [os.getpid()]  # a single seed is never split
+
+
+@needs_fork
+@pytest.mark.parametrize("failure", ["child", "fork"])
+def test_the_parent_synthesizes_the_share_of_a_failed_child_or_fork(monkeypatch, forks,
+                                                                     failure):
+    p, dt, n_steps, seeds = _split_run(monkeypatch)
+    expected = np.stack([one_field(p, dt, n_steps, s) for s in seeds], 1)
+    parent, draw = os.getpid(), stochastic._draw_normals
+
+    def fail_in_child(chunk, out):
+        if os.getpid() != parent:
+            raise _Failure("child")
+        return draw(chunk, out)
+
+    def no_fork():
+        forks.append(os.getpid())
+        raise OSError("fork failed")
+
+    if failure == "child":
+        monkeypatch.setattr(stochastic, "_draw_normals", fail_in_child)
+    else:
+        monkeypatch.setattr(os, "fork", no_fork)
+    np.testing.assert_array_equal(sample_fields(p, dt, n_steps, seeds), expected)
+    assert forks == [parent]
+
+
+@needs_fork
+def test_a_child_reaped_unseen_under_an_ignored_sigchld_is_redone(monkeypatch, forks):
+    # waitpid then waits for the child and fails with ECHILD: the status is lost
+    p, dt, n_steps, seeds = _split_run(monkeypatch)
+    expected = np.stack([one_field(p, dt, n_steps, s) for s in seeds], 1)
+    previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+    try:
+        fields = sample_fields(p, dt, n_steps, seeds)
+    finally:
+        signal.signal(signal.SIGCHLD, previous)
+    np.testing.assert_array_equal(fields, expected)
+    assert forks == [os.getpid()]
+
+
+@needs_fork
+def test_a_failure_in_the_parent_share_is_raised_and_leaves_no_child(monkeypatch, forks):
+    p, dt, n_steps, seeds = _split_run(monkeypatch)
+    parent, draw = os.getpid(), stochastic._draw_normals
+
+    def fail_in_parent(chunk, out):
+        if os.getpid() == parent:
+            raise _Failure("parent")
+        return draw(chunk, out)
+
+    monkeypatch.setattr(stochastic, "_draw_normals", fail_in_parent)
+    with pytest.raises(_Failure, match="parent"):
+        sample_fields(p, dt, n_steps, seeds)
+    assert forks == [parent]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_streamed_periodogram_memory_does_not_grow_with_realizations():
@@ -690,18 +773,28 @@ def test_streamed_statistics_with_a_dipole_rate_equal_stacked_reference(
         np.testing.assert_array_equal(got, want)
 
 
-def test_ensemble_memory_grows_only_by_the_field():
+def test_ensemble_memory_grows_only_by_the_field(monkeypatch):
     # the trajectories are reduced as they are integrated: only the n x (K+1)
-    # field grows with n, not stored m and w paths or their transposes
+    # field grows with n, not stored m and w paths or their transposes. The
+    # field of a split run is an anonymous mapping, which tracemalloc does not
+    # see, so the bytes mapped are recorded and added to the traced peak
     ic, dt, n_steps = InitialCondition(0.0, 1.0), max_field_dt(WEAK), 167
-    sizes, peaks = (2000, 10000), []
+    sizes, peaks, mapped = (2000, 10000), [], []
+
+    def recording_mmap(fileno, length, *args, **kwargs):
+        mapped.append(length)
+        return mmap.mmap(fileno, length, *args, **kwargs)
+
+    monkeypatch.setattr(stochastic, "mmap", types.SimpleNamespace(mmap=recording_mmap))
     for n in sizes:
+        mapped.clear()
         tracemalloc.start()
         try:
             ensemble_average(ic, WEAK, n, dt, n_steps * dt, 99)
-            peaks.append(tracemalloc.get_traced_memory()[1])
+            peaks.append(tracemalloc.get_traced_memory()[1] + sum(mapped))
         finally:
             tracemalloc.stop()
+        assert len(mapped) <= 1
     field_bytes = 8 * (n_steps + 1) * (sizes[1] - sizes[0])
     assert peaks[1] - peaks[0] < 1.5 * field_bytes
 
