@@ -324,6 +324,7 @@ def _fill(p: SystemParams, dt: float, n_steps: int, seeds: Sequence[int], out: n
 
 
 def _usable_cpus() -> int:
+    """CPUs this process may run on; a cgroup CPU quota is not seen."""
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
@@ -348,6 +349,7 @@ def sample_fields(p: SystemParams, dt: float, n_steps: int, seeds: Sequence[int]
     _check_step(p, dt)
     _check_size(n := len(seeds), n_steps)
     half, pid = n, 0
+    # under two blocks the fork and the shared pages cost about what the second CPU saves
     if n >= 2 * _block_columns(n_steps) and hasattr(os, "fork") and _usable_cpus() > 1:
         field = np.ndarray((n_steps + 1, n), buffer=mmap.mmap(-1, 8 * (n_steps + 1) * n))
         half, pid = n // 2, -1

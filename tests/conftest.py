@@ -23,7 +23,9 @@ def no_child_process_is_left():
 @pytest.fixture
 def forks(monkeypatch):
     """The pid of every caller of ``os.fork`` during the test, recorded by a wrapper."""
-    calls, fork = [], os.fork
+    calls, fork = [], getattr(os, "fork", None)
+    if fork is None:  # nothing can fork here
+        return calls
 
     def counting_fork():
         calls.append(os.getpid())

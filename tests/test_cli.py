@@ -601,20 +601,14 @@ MC_REPORT_ARGS = {
 
 
 @pytest.mark.parametrize("run", sorted(MC_REPORT_SHA256))
-def test_mc_verify_report_bytes_pinned(config, tmp_path, run):
+def test_mc_verify_report_bytes_pinned(config, tmp_path, run, forks):
     out = tmp_path / "report.json"
     assert main(["mc-verify", "--config", config(WEAK), *MC_REPORT_ARGS[run],
                  "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == MC_REPORT_SHA256[run]
-
-
-def test_the_pinned_criterion_09_report_is_synthesized_in_two_processes(config, tmp_path,
-                                                                        forks):
-    # the pin above holds for the field split between the caller and one forked child
-    if not hasattr(os, "fork") or stochastic._usable_cpus() < 2:
-        pytest.skip("the field is split only where os.fork exists and two CPUs are usable")
-    test_mc_verify_report_bytes_pinned(config, tmp_path, "criterion-09")
-    assert forks == [os.getpid()]
+    if run == "criterion-09" and hasattr(os, "fork") and stochastic._usable_cpus() > 1:
+        # the pin holds for the field split between the caller and one forked child
+        assert forks == [os.getpid()]
 
 
 def test_spectrum_command(config, tmp_path, capsys):

@@ -243,6 +243,15 @@ def test_split_fields_equal_per_seed_sampling(monkeypatch, forks):
 
 
 @needs_fork
+def test_only_a_run_of_two_blocks_or_more_is_split(monkeypatch, forks):
+    p, dt, n_steps, seeds = _split_run(monkeypatch)
+    sample_fields(p, dt, n_steps, seeds[:7])
+    assert forks == []
+    sample_fields(p, dt, n_steps, seeds[:8])
+    assert forks == [os.getpid()]
+
+
+@needs_fork
 @pytest.mark.parametrize("failure", ["child", "fork"])
 def test_the_parent_synthesizes_the_share_of_a_failed_child_or_fork(monkeypatch, forks,
                                                                      failure):
