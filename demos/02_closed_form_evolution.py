@@ -20,7 +20,7 @@ d = derive_params(p)
 ic = InitialCondition(m0=0.0, w0=1.0)
 
 times = np.linspace(0.0, 8.0, 161)
-w = np.asarray(mean_inversion(ic, d, p, times))
+w = np.asarray(mean_inversion(ic, p, times))
 purity = 0.5 * (1.0 + w * w)
 
 print("excited-state relaxation (m0 = 0, w0 = 1):")
@@ -32,5 +32,5 @@ print(f"minimum purity along the path: {purity.min():.5f} "
       f"at t = {times[np.argmin(purity)]:.2f}")
 
 out = Path(__file__).with_name("evolution.csv")
-write_timeseries(out, ic, d, p, times)
+write_timeseries(out, ic, p, times)
 print(f"wrote {out}")

@@ -21,7 +21,7 @@ print(f"rates: gamma = {d.gamma}, lambda = {d.lambda_value}, omega = {p.omega}")
 
 ts = np.linspace(0.0, 4.0, 9)
 for theta, label in ((0.0, "inversion pair"), (math.pi / 4, "mixed"), (math.pi / 2, "coherence pair")):
-    dist = np.asarray(trace_distance(StatePair(theta), d, p, ts))
+    dist = np.asarray(trace_distance(StatePair(theta), p, ts))
     row = " ".join(f"{v:.4f}" for v in dist)
     print(f"D(t) {label:15s}: {row}")
 

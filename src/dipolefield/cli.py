@@ -144,20 +144,18 @@ def _time_grid(args) -> np.ndarray:
 
 def _cmd_evolve(args) -> int:
     p = read_params(args.config)
-    d = derive_params(p)
     ic = dynamics.InitialCondition(m0=args.m0, w0=args.w0)
     times = _time_grid(args)
-    dynamics.write_timeseries(args.out, ic, d, p, times, mode=args.mode)
+    dynamics.write_timeseries(args.out, ic, p, times, mode=args.mode)
     print(f"wrote {args.out}")
     return EXIT_OK
 
 
 def _cmd_distance(args) -> int:
     p = read_params(args.config)
-    d = derive_params(p)
     pair = dynamics.StatePair(theta=args.theta)
     times = _time_grid(args)
-    dist = dynamics.trace_distance(pair, d, p, times, mode=args.mode)
+    dist = dynamics.trace_distance(pair, p, times, mode=args.mode)
     dynamics._write_csv(args.out, "t,distance", (times, dist), "\n")
     print(f"wrote {args.out}")
     return EXIT_OK

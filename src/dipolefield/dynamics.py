@@ -15,7 +15,7 @@ from typing import Literal, Union
 
 import numpy as np
 
-from .model import DerivedParams, SystemParams
+from .model import SystemParams, derive_params
 
 __all__ = [
     "FormulaSource",
@@ -117,28 +117,22 @@ class StatePair:
 # damped envelopes with hyperbolic continuation
 # ---------------------------------------------------------------------------
 
-def _damped_cos(gamma: float, lambda_sq: float, t: ArrayLike) -> ArrayLike:
-    """exp(-gamma t) * cos(lambda t), continued to cosh for lambda_sq <= 0.
+def _damped(gamma: float, lambda_sq: float, t: ArrayLike) -> tuple[ArrayLike, ArrayLike]:
+    """exp(-gamma t) * (cos(lambda t), sin(lambda t)/lambda), continued through lambda -> 0.
 
-    The overdamped branch is evaluated as a sum of two decaying
-    exponentials (gamma >= sqrt(-lambda_sq) always holds for parameters
-    coming from ``derive_params``), which cannot overflow.
+    For lambda_sq <= 0 the pair turns into (cosh, sinh/nu) of nu = sqrt(-lambda_sq),
+    evaluated through the two decaying exponentials exp(-(gamma -/+ nu) t)
+    (gamma >= nu always holds for parameters coming from ``derive_params``),
+    which cannot overflow.
     """
     if lambda_sq > 0:
-        return np.exp(-gamma * t) * np.cos(math.sqrt(lambda_sq) * t)
+        lam, decay = math.sqrt(lambda_sq), np.exp(-gamma * t)
+        es = decay * np.sin(lam * t) / lam if lambda_sq > 1e-300 else t * decay
+        return decay * np.cos(lam * t), es
     nu = math.sqrt(-lambda_sq)
-    return 0.5 * (np.exp(-(gamma - nu) * t) + np.exp(-(gamma + nu) * t))
-
-
-def _damped_sinc(gamma: float, lambda_sq: float, t: ArrayLike) -> ArrayLike:
-    """exp(-gamma t) * sin(lambda t)/lambda, continued through lambda -> 0."""
-    if lambda_sq > 1e-300:
-        lam = math.sqrt(lambda_sq)
-        return np.exp(-gamma * t) * np.sin(lam * t) / lam
-    if lambda_sq < -1e-300:
-        nu = math.sqrt(-lambda_sq)
-        return (np.exp(-(gamma - nu) * t) - np.exp(-(gamma + nu) * t)) / (2.0 * nu)
-    return t * np.exp(-gamma * t)
+    slow, fast = np.exp(-(gamma - nu) * t), np.exp(-(gamma + nu) * t)
+    es = (slow - fast) / (2.0 * nu) if lambda_sq < -1e-300 else t * np.exp(-gamma * t)
+    return 0.5 * (slow + fast), es
 
 
 def _mix(u: ArrayLike, coherence: ArrayLike, inversion: ArrayLike) -> ArrayLike:
@@ -164,11 +158,7 @@ def mean_dipole(ic: InitialCondition, p: SystemParams, t: ArrayLike) -> ArrayLik
 
 
 def mean_inversion(
-    ic: InitialCondition,
-    d: DerivedParams,
-    p: SystemParams,
-    t: ArrayLike,
-    mode: FormulaSource = "derived",
+    ic: InitialCondition, p: SystemParams, t: ArrayLike, mode: FormulaSource = "derived"
 ) -> ArrayLike:
     """Ensemble inversion (dimensionless, in [-1, 1] for valid inputs).
 
@@ -177,16 +167,18 @@ def mean_inversion(
 
         W(t) = a*(-1 + Ec(t)) + W0*Ec(t) + (c_sine + (beta-beta_s)/2 * W0)*Es(t)
 
-    where Ec, Es are the damped cosine and sine envelopes. The
+    where Ec, Es are the damped cosine and sine envelopes and the constants
+    come from ``derive_params(p)``, which raises ValueError where a square
+    of kappa or of beta - beta_s overflows. The
     "as-printed" variant omits the W0-proportional sine contribution; the
     two coincide when beta == beta_s or w0 == 0. Both continue smoothly
     through the overdamped regime.
     """
     _check_mode(mode)
+    d = derive_params(p)
     t = np.asarray(t, dtype=float)
     w_big0 = 0.5 * p.omega * ic.w0
-    ec = _damped_cos(d.gamma, d.lambda_sq, t)
-    es = _damped_sinc(d.gamma, d.lambda_sq, t)
+    ec, es = _damped(d.gamma, d.lambda_sq, t)
     sine_coeff = d.c_sine
     if mode == "derived":
         sine_coeff = d.c_sine + 0.5 * (p.beta - p.beta_s) * w_big0
@@ -196,11 +188,7 @@ def mean_inversion(
 
 
 def trace_distance(
-    pair: StatePair,
-    d: DerivedParams,
-    p: SystemParams,
-    t: ArrayLike,
-    mode: FormulaSource = "derived",
+    pair: StatePair, p: SystemParams, t: ArrayLike, mode: FormulaSource = "derived"
 ) -> ArrayLike:
     """Trace distance between the evolved members of an antipodal pure pair.
 
@@ -209,7 +197,7 @@ def trace_distance(
     as-printed: sqrt(cos^2(theta) e^{-gamma t} cos^2(lambda t)
                      + sin^2(theta) cos^2(omega t))
 
-    Both are the one distance form ``_mix`` of cos(omega t) and ``_damped_cos``,
+    Both are the one distance form ``_mix`` of cos(omega t) and ``_damped``'s cosine,
     start at 1, and continue hyperbolically for lambda_sq <= 0.
     The steady-state offset and c_sine cancel in the pair's difference, but
     the derived ``mean_inversion`` difference also keeps the initial-value
@@ -219,18 +207,15 @@ def trace_distance(
     beta = beta_s (see the README's "Known model limits").
     """
     _check_mode(mode)
+    d = derive_params(p)
     t = np.asarray(t, dtype=float)
     out = _mix(math.cos(pair.theta) ** 2, np.cos(p.omega * t),
-               _damped_cos(_envelope_decay(mode) * d.gamma, d.lambda_sq, t))
+               _damped(_envelope_decay(mode) * d.gamma, d.lambda_sq, t)[0])
     return out if out.ndim else float(out)
 
 
 def write_timeseries(
-    path: str | Path,
-    ic: InitialCondition,
-    d: DerivedParams,
-    p: SystemParams,
-    times: np.ndarray,
+    path: str | Path, ic: InitialCondition, p: SystemParams, times: np.ndarray,
     mode: FormulaSource = "derived",
 ) -> None:
     """Emit the closed-form evolution as CSV with header ``t,m,w,purity``.
@@ -240,7 +225,7 @@ def write_timeseries(
     model's purity transiently exceeds 1.
     """
     m = mean_dipole(ic, p, times)
-    w = mean_inversion(ic, d, p, times, mode=mode)
+    w = mean_inversion(ic, p, times, mode=mode)
     pur = 0.5 * (1.0 + m * m + w * w)  # Tr[rho^2] of rho = (I + w sigma_3 + m sigma_1)/2
     _write_csv(path, "t,m,w,purity", (times, m, w, pur), "\r\n")
 

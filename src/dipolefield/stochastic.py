@@ -38,7 +38,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .dynamics import MAX_FIELD_SAMPLES, InitialCondition, _write_csv, mean_dipole, mean_inversion
-from .model import SystemParams, derive_params
+from .model import SystemParams
 
 __all__ = [
     "EnsembleReport",
@@ -488,7 +488,7 @@ def ensemble_average(
     return EnsembleReport(
         t=t, mean_m=mean_m, mean_w=mean_w, se_m=se_m, se_w=se_w,
         residual_m=mean_m - mean_dipole(ic, p, t),
-        residual_w=mean_w - mean_inversion(ic, derive_params(p), p, t),
+        residual_w=mean_w - mean_inversion(ic, p, t),
         n_realizations=n_realizations, dt=dt, master_seed=master_seed, seeds=seeds,
         params=p, ic=ic,
     )

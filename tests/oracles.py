@@ -31,7 +31,7 @@ from scipy.optimize import brentq, least_squares, root
 
 from dipolefield.blp import BranchKind, backflow_integral
 from dipolefield.dynamics import InitialCondition, mean_dipole, mean_inversion
-from dipolefield.model import DimensionlessConfig, SystemParams, derive_params
+from dipolefield.model import DimensionlessConfig, SystemParams
 
 
 def closure_inversion_ode(
@@ -587,11 +587,10 @@ def pair_distance_from_means(theta: float, p: SystemParams, t: np.ndarray) -> np
     distance of two qubit states is half the distance of their Bloch vectors,
     here the differences of ``mean_dipole`` and of ``mean_inversion``.
     """
-    d = derive_params(p)
     one = InitialCondition(math.sin(theta), math.cos(theta))
     two = InitialCondition(-one.m0, -one.w0)
     dm = mean_dipole(one, p, t) - mean_dipole(two, p, t)
-    dw = mean_inversion(one, d, p, t) - mean_inversion(two, d, p, t)
+    dw = mean_inversion(one, p, t) - mean_inversion(two, p, t)
     return 0.5 * np.hypot(dm, dw)
 
 

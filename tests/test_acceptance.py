@@ -289,12 +289,12 @@ def test_criterion_11_scaling_identity(tmp_path):
         p = params_for_rates(gamma, lam, om)
         d = derive_params(p)
         pair = StatePair(theta)
-        if trace_distance(pair, d, p, t) < 0.05:
+        if trace_distance(pair, p, t) < 0.05:
             continue
         h = 1e-4 / max(1.0, om, lam, gamma)
         lhs = (
-            8 * (trace_distance(pair, d, p, t + h) - trace_distance(pair, d, p, t - h))
-            - (trace_distance(pair, d, p, t + 2 * h) - trace_distance(pair, d, p, t - 2 * h))
+            8 * (trace_distance(pair, p, t + h) - trace_distance(pair, p, t - h))
+            - (trace_distance(pair, p, t + 2 * h) - trace_distance(pair, p, t - 2 * h))
         ) / (12 * h)
         cfg = DimensionlessConfig(lambda_hat=lam / gamma, omega_hat=om / gamma, t_max=10.0)
         rhs = gamma * sigma_rate(theta, cfg, gamma * t)
@@ -336,7 +336,7 @@ def test_criterion_12_state_validity():
         ic = InitialCondition(0.0, rng.uniform(-1, 1))
         ts = rng.uniform(0, 20.0 / d.gamma, size=100)
         m = np.asarray(mean_dipole(ic, p, ts))
-        w = np.asarray(mean_inversion(ic, d, p, ts))
+        w = np.asarray(mean_inversion(ic, p, ts))
         r2 = m * m + w * w
         pur = 0.5 * (1.0 + r2)
         worst_ball = max(worst_ball, float(np.max(r2)) - 1.0)
@@ -360,12 +360,12 @@ def test_criterion_12_state_validity():
         pair = StatePair(rng.uniform(0, math.pi / 2))
         ts = rng.uniform(0, 30.0 / d.gamma, size=50)
         worst_dist = max(
-            worst_dist, float(np.max(np.asarray(trace_distance(pair, d, p, ts)))) - 1.0
+            worst_dist, float(np.max(np.asarray(trace_distance(pair, p, ts)))) - 1.0
         )
         if -d.lambda_sq <= (0.5 * d.gamma) ** 2:
             worst_dist = max(
                 worst_dist,
-                float(np.max(np.asarray(trace_distance(pair, d, p, ts, "as-printed")))) - 1.0,
+                float(np.max(np.asarray(trace_distance(pair, p, ts, "as-printed")))) - 1.0,
             )
         n_points += ts.size
 

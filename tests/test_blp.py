@@ -30,7 +30,7 @@ from dipolefield.blp import (
     write_sweep_json,
 )
 from dipolefield.dynamics import StatePair, trace_distance
-from dipolefield.model import DimensionlessConfig, derive_params
+from dipolefield.model import DimensionlessConfig
 
 from oracles import (
     derived_numerator,
@@ -225,14 +225,13 @@ def test_sigma_rate_scaling_identity():
         theta = rng.uniform(0.1, math.pi / 2 - 0.1)
         t = rng.uniform(0.05, 3.0) / gamma
         p = params_for_rates(gamma, lam, om)
-        d = derive_params(p)
         pair = StatePair(theta)
-        if trace_distance(pair, d, p, t) < 0.05:
+        if trace_distance(pair, p, t) < 0.05:
             continue
         h = 1e-4 / max(1.0, om, lam, gamma)
         fd = (
-            8 * (trace_distance(pair, d, p, t + h) - trace_distance(pair, d, p, t - h))
-            - (trace_distance(pair, d, p, t + 2 * h) - trace_distance(pair, d, p, t - 2 * h))
+            8 * (trace_distance(pair, p, t + h) - trace_distance(pair, p, t - h))
+            - (trace_distance(pair, p, t + 2 * h) - trace_distance(pair, p, t - 2 * h))
         ) / (12 * h)
         cfg = DimensionlessConfig(lambda_hat=lam / gamma, omega_hat=om / gamma, t_max=10.0)
         rhs = gamma * sigma_rate(theta, cfg, gamma * t)

@@ -64,11 +64,10 @@ def test_mean_inversion_initial_value():
     rng = np.random.default_rng(22)
     for _ in range(50):
         p = random_params(rng)
-        d = derive_params(p)
         w0 = rng.uniform(-1, 1)
         ic = InitialCondition(0.0, w0)
         for mode in ("derived", "as-printed"):
-            assert mean_inversion(ic, d, p, 0.0, mode=mode) == pytest.approx(w0, abs=1e-14)
+            assert mean_inversion(ic, p, 0.0, mode=mode) == pytest.approx(w0, abs=1e-14)
 
 
 def test_mean_inversion_long_time_limit():
@@ -77,17 +76,16 @@ def test_mean_inversion_long_time_limit():
     assert d.lambda_sq > 0 and d.gamma > 0
     w_inf = -2 * d.a_const / p.omega
     ic = InitialCondition(0.0, 1.0)
-    assert mean_inversion(ic, d, p, 80.0) == pytest.approx(w_inf, abs=1e-12)
+    assert mean_inversion(ic, p, 80.0) == pytest.approx(w_inf, abs=1e-12)
 
 
 def test_mean_inversion_free_decay_exact():
     # zero field: the hyperbolic branch must reduce to pure relaxation
     p = SystemParams(omega=1.3, kappa=0.8, beta_s=1.0, i0=0.0, beta=2.0)
-    d = derive_params(p)
     ic = InitialCondition(0.0, 1.0)
     ts = np.linspace(0.0, 8.0, 400)
     expected = -1.0 + 2.0 * np.exp(-p.beta_s * ts)
-    got = np.asarray(mean_inversion(ic, d, p, ts))
+    got = np.asarray(mean_inversion(ic, p, ts))
     np.testing.assert_allclose(got, expected, atol=1e-10)
 
 
@@ -100,7 +98,7 @@ def test_mean_inversion_matches_closure_ode():
         w0 = rng.uniform(-1, 1)
         ts = np.linspace(0.0, 8.0 / d.gamma, 120)
         oracle = closure_inversion_ode(w0, p, ts)
-        got = np.asarray(mean_inversion(InitialCondition(0.0, w0), d, p, ts))
+        got = np.asarray(mean_inversion(InitialCondition(0.0, w0), p, ts))
         np.testing.assert_allclose(got, oracle, atol=5e-9)
 
 
@@ -114,7 +112,7 @@ def test_mean_inversion_at_critical_damping_matches_closure_ode():
     for w0 in (1.0, -0.6):
         assert d.c_sine + 0.5 * (p.beta - p.beta_s) * 0.5 * p.omega * w0 != 0.0
         ts = np.linspace(0.0, 8.0 / d.gamma, 120)
-        got = np.asarray(mean_inversion(InitialCondition(0.0, w0), d, p, ts))
+        got = np.asarray(mean_inversion(InitialCondition(0.0, w0), p, ts))
         np.testing.assert_allclose(got, closure_inversion_ode(w0, p, ts), rtol=0, atol=1e-9)
 
 def test_mean_inversion_modes_agree_when_symmetric():
@@ -125,18 +123,16 @@ def test_mean_inversion_modes_agree_when_symmetric():
         p = random_params(rng)
         sym = SystemParams(omega=p.omega, kappa=p.kappa, beta_s=p.beta,
                            i0=p.i0, beta=p.beta)
-        d = derive_params(sym)
         ic = InitialCondition(0.0, rng.uniform(-1, 1))
         np.testing.assert_allclose(
-            np.asarray(mean_inversion(ic, d, sym, ts, mode="derived")),
-            np.asarray(mean_inversion(ic, d, sym, ts, mode="as-printed")),
+            np.asarray(mean_inversion(ic, sym, ts, mode="derived")),
+            np.asarray(mean_inversion(ic, sym, ts, mode="as-printed")),
             atol=1e-14,
         )
         ic0 = InitialCondition(0.3, 0.0)
-        dfull = derive_params(p)
         np.testing.assert_allclose(
-            np.asarray(mean_inversion(ic0, dfull, p, ts, mode="derived")),
-            np.asarray(mean_inversion(ic0, dfull, p, ts, mode="as-printed")),
+            np.asarray(mean_inversion(ic0, p, ts, mode="derived")),
+            np.asarray(mean_inversion(ic0, p, ts, mode="as-printed")),
             atol=1e-14,
         )
 
@@ -151,8 +147,8 @@ def test_differencing_identity():
         d = derive_params(p)
         w1, w2 = rng.uniform(-1, 1, size=2)
         ts = np.linspace(0.0, 6.0 / d.gamma, 80)
-        diff = np.asarray(mean_inversion(InitialCondition(0, w1), d, p, ts)) - np.asarray(
-            mean_inversion(InitialCondition(0, w2), d, p, ts)
+        diff = np.asarray(mean_inversion(InitialCondition(0, w1), p, ts)) - np.asarray(
+            mean_inversion(InitialCondition(0, w2), p, ts)
         )
         delta = 0.5 * (p.beta - p.beta_s)
         if d.lambda_sq > 0:
@@ -175,8 +171,8 @@ def test_differencing_identity_symmetric_rates():
     p = params_for_rates(gamma=1.2, lam=0.9, omega=4.0)
     d = derive_params(p)
     ts = np.linspace(0.0, 8.0, 60)
-    diff = np.asarray(mean_inversion(InitialCondition(0, 0.9), d, p, ts)) - np.asarray(
-        mean_inversion(InitialCondition(0, -0.4), d, p, ts)
+    diff = np.asarray(mean_inversion(InitialCondition(0, 0.9), p, ts)) - np.asarray(
+        mean_inversion(InitialCondition(0, -0.4), p, ts)
     )
     expected = 1.3 * np.exp(-d.gamma * ts) * np.cos(math.sqrt(d.lambda_sq) * ts)
     np.testing.assert_allclose(diff, expected, atol=1e-12)
@@ -199,10 +195,9 @@ def test_initial_condition_ball():
 
 def test_evolved_state_identity_at_zero():
     p = SystemParams(omega=3.0, kappa=1.0, beta_s=0.4, i0=0.7, beta=1.2)
-    d = derive_params(p)
     ic = InitialCondition(0.6, 0.8)
     assert mean_dipole(ic, p, 0.0) == pytest.approx(0.6, abs=1e-14)
-    assert mean_inversion(ic, d, p, 0.0) == pytest.approx(0.8, abs=1e-14)
+    assert mean_inversion(ic, p, 0.0) == pytest.approx(0.8, abs=1e-14)
 
 
 def test_evolved_state_maximally_mixed_as_printed():
@@ -214,10 +209,10 @@ def test_evolved_state_maximally_mixed_as_printed():
     t_q = (math.pi / 2) / math.sqrt(d.lambda_sq)
     ic = InitialCondition(0.0, 1.0)
     assert mean_dipole(ic, p, t_q) == 0.0
-    assert mean_inversion(ic, d, p, t_q, mode="as-printed") == pytest.approx(0.0, abs=1e-14)
+    assert mean_inversion(ic, p, t_q, mode="as-printed") == pytest.approx(0.0, abs=1e-14)
     # the exact closure keeps a sine remnant there
     expected = math.exp(-d.gamma * t_q) * d.gamma / math.sqrt(d.lambda_sq)
-    assert mean_inversion(ic, d, p, t_q, mode="derived") == pytest.approx(expected, rel=1e-12)
+    assert mean_inversion(ic, p, t_q, mode="derived") == pytest.approx(expected, rel=1e-12)
 
 
 def test_evolved_state_ball_membership_inversion_axis():
@@ -228,7 +223,7 @@ def test_evolved_state_ball_membership_inversion_axis():
         d = derive_params(p)
         ic = InitialCondition(0.0, rng.uniform(-1, 1))
         t = rng.uniform(0, 20.0 / d.gamma)
-        m, w = mean_dipole(ic, p, t), mean_inversion(ic, d, p, t)
+        m, w = mean_dipole(ic, p, t), mean_inversion(ic, p, t)
         worst = max(worst, m**2 + w**2 - 1.0)
     assert worst <= 1e-12
 
@@ -237,10 +232,9 @@ def test_evolved_state_coherent_breach_leaves_the_ball():
     # the closure's dipole never damps while the population relaxes, so the closed
     # forms carry a coherent initial state out of the ball at a full dipole revival
     p = SystemParams(omega=5.0, kappa=1.0, beta_s=0.2, i0=0.1 / math.pi, beta=1.0)
-    d = derive_params(p)
     ic = InitialCondition(1.0, 0.0)
     t = 8 * math.pi / p.omega  # cos(omega t) = 1, inversion well relaxed
-    m, w = mean_dipole(ic, p, t), mean_inversion(ic, d, p, t)
+    m, w = mean_dipole(ic, p, t), mean_inversion(ic, p, t)
     assert m**2 + w**2 > 1.0
 
 
@@ -250,7 +244,7 @@ def test_exact_means_stay_in_the_ball_where_the_closed_forms_leave_it():
     p = SystemParams(omega=5.0, kappa=1.0, beta_s=0.5, i0=0.25 / math.pi, beta=1.0)
     ic = InitialCondition(0.6, 0.8)
     t = np.linspace(0.0, 40.0, 4001)
-    closed = mean_dipole(ic, p, t) ** 2 + mean_inversion(ic, derive_params(p), p, t) ** 2
+    closed = mean_dipole(ic, p, t) ** 2 + mean_inversion(ic, p, t) ** 2
     m, _, w = hierarchy_means(p, (ic.m0, ic.mdot0, ic.w0), t, 12)
     outside = closed > 1.0
     assert outside.any()
@@ -284,7 +278,7 @@ def test_weak_coupling_inversion_matches_the_exact_mean():
     t = np.linspace(0.0, 10.0, 401)
     ic = InitialCondition(0.6, 0.8)
     _, _, w = hierarchy_means(_WEAK, (ic.m0, ic.mdot0, ic.w0), t, 12)
-    assert np.max(np.abs(w - mean_inversion(ic, derive_params(_WEAK), _WEAK, t))) <= 2e-3
+    assert np.max(np.abs(w - mean_inversion(ic, _WEAK, t))) <= 2e-3
 
 
 # ---------------------------------------------------------------------------
@@ -295,18 +289,16 @@ def test_trace_distance_initial_value():
     rng = np.random.default_rng(27)
     for _ in range(20):
         p = random_params(rng)
-        d = derive_params(p)
         pair = StatePair(theta=rng.uniform(0, math.pi / 2))
         for mode in ("derived", "as-printed"):
-            assert trace_distance(pair, d, p, 0.0, mode=mode) == pytest.approx(1.0, abs=1e-14)
+            assert trace_distance(pair, p, 0.0, mode=mode) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_trace_distance_coherence_pair():
     p = SystemParams(omega=3.0, kappa=1.0, beta_s=0.5, i0=1.0, beta=1.0)
-    d = derive_params(p)
     ts = np.linspace(0, 5, 40)
     for mode in ("derived", "as-printed"):
-        got = np.asarray(trace_distance(StatePair(math.pi / 2), d, p, ts, mode=mode))
+        got = np.asarray(trace_distance(StatePair(math.pi / 2), p, ts, mode=mode))
         np.testing.assert_allclose(got, np.abs(np.cos(p.omega * ts)), atol=1e-14)
 
 
@@ -314,7 +306,7 @@ def test_trace_distance_inversion_pair_derived():
     p = params_for_rates(gamma=0.8, lam=1.5, omega=4.0)
     d = derive_params(p)
     ts = np.linspace(0, 6, 50)
-    got = np.asarray(trace_distance(StatePair(0.0), d, p, ts, mode="derived"))
+    got = np.asarray(trace_distance(StatePair(0.0), p, ts, mode="derived"))
     expected = np.exp(-d.gamma * ts) * np.abs(np.cos(math.sqrt(d.lambda_sq) * ts))
     np.testing.assert_allclose(got, expected, atol=1e-14)
 
@@ -331,7 +323,7 @@ def test_trace_distance_is_the_distance_of_the_derived_states_when_beta_equals_b
                          i0=0.0 if k % 4 == 0 else rng.uniform(0, 5), beta=rate)
         theta = rng.uniform(0, math.pi / 2)
         np.testing.assert_allclose(pair_distance_from_means(theta, p, ts),
-                                   trace_distance(StatePair(theta), derive_params(p), p, ts),
+                                   trace_distance(StatePair(theta), p, ts),
                                    rtol=0, atol=1e-13)
 
 
@@ -342,7 +334,7 @@ def test_trace_distance_is_the_distance_of_the_derived_states_when_beta_differs_
     p = SystemParams(omega=5.0, kappa=1.0, beta_s=0.2, i0=0.5, beta=1.0)
     ts = np.linspace(0.0, 10.0, 201)
     np.testing.assert_allclose(pair_distance_from_means(0.7, p, ts),
-                               trace_distance(StatePair(0.7), derive_params(p), p, ts),
+                               trace_distance(StatePair(0.7), p, ts),
                                rtol=0, atol=1e-13)
 
 
@@ -357,9 +349,9 @@ def test_trace_distance_contractive_from_origin():
         d = derive_params(p)
         pair = StatePair(theta=rng.uniform(0, math.pi / 2))
         t = rng.uniform(0, 30.0 / d.gamma)
-        assert trace_distance(pair, d, p, t, mode="derived") <= 1.0 + 1e-12
+        assert trace_distance(pair, p, t, mode="derived") <= 1.0 + 1e-12
         if -d.lambda_sq <= (0.5 * d.gamma) ** 2:
-            assert trace_distance(pair, d, p, t, mode="as-printed") <= 1.0 + 1e-12
+            assert trace_distance(pair, p, t, mode="as-printed") <= 1.0 + 1e-12
 
 
 def test_trace_distance_as_printed_overdamped_growth():
@@ -368,7 +360,7 @@ def test_trace_distance_as_printed_overdamped_growth():
     p = SystemParams(omega=8.5, kappa=1.78, beta_s=2.3, i0=0.16, beta=0.25)
     d = derive_params(p)
     assert -d.lambda_sq > (0.5 * d.gamma) ** 2
-    assert trace_distance(StatePair(0.0), d, p, 20.0, mode="as-printed") > 1.0
+    assert trace_distance(StatePair(0.0), p, 20.0, mode="as-printed") > 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -377,20 +369,19 @@ def test_trace_distance_as_printed_overdamped_growth():
 
 def test_write_timeseries(tmp_path):
     p = SystemParams(omega=2.0, kappa=1.0, beta_s=0.3, i0=0.5, beta=1.0)
-    d = derive_params(p)
     ic = InitialCondition(0.0, 1.0)
     path = tmp_path / "series.csv"
     ts = np.linspace(0, 4, 9)
-    write_timeseries(path, ic, d, p, ts)
+    write_timeseries(path, ic, p, ts)
     with open(path) as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["t", "m", "w", "purity"]
     assert len(rows) == 10
     t3 = float(rows[3][0])
     w3 = float(rows[3][2])
-    assert w3 == pytest.approx(mean_inversion(ic, d, p, t3), rel=1e-10)
+    assert w3 == pytest.approx(mean_inversion(ic, p, t3), rel=1e-10)
     pur3 = float(rows[3][3])
     assert pur3 == pytest.approx(0.5 * (1 + w3 * w3), rel=1e-9)
     # the dipole enters too: a pure coherent state starts at purity 1
-    write_timeseries(path, InitialCondition(0.6, 0.8), d, p, [0.0])
+    write_timeseries(path, InitialCondition(0.6, 0.8), p, [0.0])
     assert path.read_text().splitlines()[1] == "0,0.6,0.8,1"

@@ -15,7 +15,7 @@ import pytest
 import dipolefield
 from dipolefield import blp, dynamics
 from dipolefield.dynamics import MODES, InitialCondition, StatePair
-from dipolefield.model import DimensionlessConfig, SystemParams, derive_params
+from dipolefield.model import DimensionlessConfig, SystemParams
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("0*.py"))
@@ -67,11 +67,11 @@ MODE_CALLS = {
     "dominant_regime": lambda mode, _: blp.dominant_regime(1.0, 1.0, 5.0, mode=mode),
     "sweep_grid": lambda mode, _: blp.sweep_grid([1.0], [1.0], [5.0], mode=mode),
     "mean_inversion": lambda mode, _: dynamics.mean_inversion(
-        InitialCondition(0.0, 1.0), derive_params(_P), _P, 1.0, mode=mode),
+        InitialCondition(0.0, 1.0), _P, 1.0, mode=mode),
     "trace_distance": lambda mode, _: dynamics.trace_distance(
-        StatePair(0.3), derive_params(_P), _P, 1.0, mode=mode),
+        StatePair(0.3), _P, 1.0, mode=mode),
     "write_timeseries": lambda mode, where: dynamics.write_timeseries(
-        where / "series.csv", InitialCondition(0.0, 1.0), derive_params(_P), _P,
+        where / "series.csv", InitialCondition(0.0, 1.0), _P,
         [0.0, 1.0], mode=mode),
 }
 

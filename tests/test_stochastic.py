@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from scipy.optimize import curve_fit
 
 from dipolefield import stochastic
-from dipolefield.dynamics import InitialCondition, mean_inversion
+from dipolefield.dynamics import InitialCondition
 from dipolefield.model import SystemParams, derive_params
 from dipolefield.stochastic import (
     SpectrumFitError,
