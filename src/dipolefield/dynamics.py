@@ -123,7 +123,9 @@ def _damped(gamma: float, lambda_sq: float, t: ArrayLike) -> tuple[ArrayLike, Ar
     For lambda_sq <= 0 the pair turns into (cosh, sinh/nu) of nu = sqrt(-lambda_sq),
     evaluated through the two decaying exponentials exp(-(gamma -/+ nu) t)
     (gamma >= nu always holds for parameters coming from ``derive_params``),
-    which cannot overflow.
+    which cannot overflow. Their half-difference over nu, the sinh part, is
+    taken as exp(-(gamma - nu) t) (1 - exp(-2 nu t)) / (2 nu) through
+    ``expm1``, which does not cancel as nu -> 0 near critical damping.
     """
     if lambda_sq > 0:
         lam, decay = math.sqrt(lambda_sq), np.exp(-gamma * t)
@@ -131,7 +133,7 @@ def _damped(gamma: float, lambda_sq: float, t: ArrayLike) -> tuple[ArrayLike, Ar
         return decay * np.cos(lam * t), es
     nu = math.sqrt(-lambda_sq)
     slow, fast = np.exp(-(gamma - nu) * t), np.exp(-(gamma + nu) * t)
-    es = (slow - fast) / (2.0 * nu) if lambda_sq < -1e-300 else t * np.exp(-gamma * t)
+    es = slow * -np.expm1(-2.0 * nu * t) / (2.0 * nu) if lambda_sq < -1e-300 else t * slow
     return 0.5 * (slow + fast), es
 
 

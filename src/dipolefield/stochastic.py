@@ -61,9 +61,10 @@ DIVERGENCE_LIMIT = 1e3
 #: bytes of unit normals synthesized at once, the one memory budget of field
 #: synthesis: 41 realizations at the 6367-sample records of the spectrum
 #: check, whose pipelined periodogram then holds the normals, one reused
-#: field buffer of half their size (the block its helper thread transforms)
-#: and a few transformed columns, under 2.25 blocks whatever the number of
-#: realizations
+#: field buffer of half their size (the block its helper thread transforms),
+#: ``_draw_normals``' transpose tile of ``_TRANSPOSE_SEEDS`` records (1.55 MiB
+#: there) and a few transformed columns: a traced peak of 8.36 MiB, under 2.25
+#: blocks whatever the number of realizations
 FIELD_BLOCK_BYTES = 4 * 2**20
 
 #: records drawn contiguously before they are transposed into a time-major block
@@ -71,6 +72,10 @@ _TRANSPOSE_SEEDS = 16
 
 #: columns of a field block the periodogram transforms at once
 _TRANSFORM_COLUMNS = 8
+
+#: the cgroup directory whose CPU quota caps the CPUs ``sample_fields`` counts, the
+#: process's own cgroup where it runs in a container
+_CGROUP = Path("/sys/fs/cgroup")
 
 #: cap on the field variance pi*beta*i0, far from overflow in the periodogram's
 #: squared sums of field samples and in the field's fourth power in an RK4 step
@@ -324,8 +329,17 @@ def _fill(p: SystemParams, dt: float, n_steps: int, seeds: Sequence[int], out: n
 
 
 def _usable_cpus() -> int:
-    """CPUs this process may run on; a cgroup CPU quota is not seen."""
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    """CPUs this process may run on: its affinity mask, capped by the CPU quota of the
+    cgroup at ``_CGROUP`` (v2 ``cpu.max``, else v1 ``cpu/cpu.cfs_quota_us`` over
+    ``cpu.cfs_period_us``) rounded down to at least 1. No quota (``max`` or -1) and a
+    file that cannot be read leave the count alone."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    for files in (("cpu.max",), ("cpu/cpu.cfs_quota_us", "cpu/cpu.cfs_period_us")):
+        with contextlib.suppress(OSError, ValueError):  # no file, or no quota ("max")
+            quota, period = map(int, " ".join((_CGROUP / f).read_text() for f in files).split())
+            if quota > 0 and period > 0:
+                return max(1, min(cpus, quota // period))
+    return cpus
 
 
 def sample_fields(p: SystemParams, dt: float, n_steps: int, seeds: Sequence[int]) -> np.ndarray:
@@ -334,14 +348,15 @@ def sample_fields(p: SystemParams, dt: float, n_steps: int, seeds: Sequence[int]
     Column j is the realization of ``seeds[j]``, bit-identical to sampling
     that seed alone; the columns are synthesized in blocks, each written
     straight into its columns (``_field_blocks``). A run of at least two
-    blocks, where ``os.fork`` exists and more than one CPU is usable, is
-    split in two processes: the array is then an anonymous shared mapping,
-    a forked child synthesizes ``seeds[n//2:]`` into its columns while the
-    caller does ``seeds[:n//2]``, and the caller then reaps the child. The
-    child always leaves through ``os._exit``; if the fork fails, or the
-    child exits nonzero or unseen (SIGCHLD ignored), the caller synthesizes
-    the child's columns itself, so a failure is raised here, and every byte
-    is the same either way.
+    blocks, where ``os.fork`` exists and more than one CPU is usable
+    (``_usable_cpus``, which counts a cgroup CPU quota), is split in two
+    processes: the array is then an anonymous shared mapping, a forked
+    child synthesizes ``seeds[n//2:]`` into its columns while the caller
+    does ``seeds[:n//2]``, and the caller then reaps the child. The child
+    always leaves through ``os._exit``; if the fork fails, or the child
+    exits nonzero or unseen (SIGCHLD ignored), the caller synthesizes the
+    child's columns itself, so a failure is raised here, and every byte is
+    the same either way.
     Rejects n_steps < 1, a step that is not finite and positive or exceeds
     ``max_field_dt``, a non-finite field variance, and more than
     ``MAX_FIELD_SAMPLES`` samples in all, before anything is allocated.
@@ -542,7 +557,8 @@ def sample_periodogram(
     buffer only after the transform reading it has returned, so the columns
     are added in seed order and every bit equals the serial sum. Memory is
     set by the block, not by the number of seeds: ``FIELD_BLOCK_BYTES`` of
-    normals, the field buffer of half that, and ``_TRANSFORM_COLUMNS``
+    normals, the field buffer of half that, ``_draw_normals``' transpose
+    tile of ``_TRANSPOSE_SEEDS`` records, and ``_TRANSFORM_COLUMNS``
     columns of transform. A failure in either thread is raised here, after
     the helper thread has ended.
     """

@@ -590,8 +590,8 @@ def test_mc_verify_overflowing_trajectory_prints_only_its_exit_3_line(config, tm
 #: default_rng per trajectory: criterion 09's config, and a small run whose
 #: master seed of 2**40 + 7 takes two entropy words
 MC_REPORT_SHA256 = {
-    "criterion-09": "9535269e8fb73b97059d9930c6387185acd8c10a852260530bcf5a00a31b95a7",
-    "wide-seed": "f6fec4b2d3a682ef0214d71833f84842e2f75bf698474a9bb0fec891b4703ded",
+    "criterion-09": "6f4c31238f5b6d25ad8c10e41beddf689c4d276ee276eb9250fb3b06f78756f1",
+    "wide-seed": "3a8ac8717fcaad84edf18e7d820e1ac867d8e118d0fed7182c4244158ab9cd2c",
 }
 MC_REPORT_ARGS = {
     "criterion-09": ["--n", "10000", "--seed", "99"],

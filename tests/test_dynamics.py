@@ -115,6 +115,23 @@ def test_mean_inversion_at_critical_damping_matches_closure_ode():
         got = np.asarray(mean_inversion(InitialCondition(0.0, w0), p, ts))
         np.testing.assert_allclose(got, closure_inversion_ode(w0, p, ts), rtol=0, atol=1e-9)
 
+
+@pytest.mark.parametrize("beta_s, i0", [
+    (0.0, 0.15915494309189532),  # one ulp below critical: lambda_sq = -2.8e-17
+    (1.0 - 1e-8, 1.5915494469132586e-17),  # lambda_sq = -6.2e-33
+])
+def test_mean_inversion_just_below_critical_damping_matches_closure_ode(beta_s, i0):
+    # the sinh envelope's two exponentials nearly cancel here; a plain difference
+    # of them lost up to 7e-9 to the oracle and let the envelope peak at 1.06
+    p = SystemParams(omega=5.0, kappa=1.0, beta_s=beta_s, i0=i0, beta=1.0)
+    d = derive_params(p)
+    assert -1e-16 < d.lambda_sq < 0.0
+    for w0 in (1.0, -0.6):
+        ts = np.linspace(0.0, 8.0 / d.gamma, 120)
+        got = np.asarray(mean_inversion(InitialCondition(0.0, w0), p, ts))
+        np.testing.assert_allclose(got, closure_inversion_ode(w0, p, ts), rtol=0, atol=1e-10)
+
+
 def test_mean_inversion_modes_agree_when_symmetric():
     # the variants differ only through the (beta - beta_s) * w0 sine term
     rng = np.random.default_rng(24)

@@ -251,6 +251,47 @@ def test_only_a_run_of_two_blocks_or_more_is_split(monkeypatch, forks):
     assert forks == [os.getpid()]
 
 
+def _quota_tree(monkeypatch, root, files):
+    """Point ``_usable_cpus`` at a cgroup tree of ``files`` (path: text) under ``root``,
+    on four CPUs of affinity."""
+    for name, text in files.items():
+        (root / name).parent.mkdir(parents=True, exist_ok=True)
+        (root / name).write_text(text)
+    monkeypatch.setattr(stochastic, "_CGROUP", root)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+
+
+@pytest.mark.parametrize("files, cpus", [
+    ({"cpu.max": "100000 100000\n"}, 1),
+    ({"cpu.max": "50000 100000\n"}, 1),  # at least one
+    ({"cpu.max": "199999 100000\n"}, 1),  # rounded down
+    ({"cpu.max": "250000 100000\n"}, 2),
+    ({"cpu.max": "800000 100000\n"}, 4),  # never more than the affinity mask
+    ({"cpu.max": "max 100000\n"}, 4),
+    ({"cpu/cpu.cfs_quota_us": "150000\n", "cpu/cpu.cfs_period_us": "100000\n"}, 1),
+    ({"cpu/cpu.cfs_quota_us": "300000", "cpu/cpu.cfs_period_us": "100000"}, 3),
+    ({"cpu/cpu.cfs_quota_us": "-1\n", "cpu/cpu.cfs_period_us": "100000\n"}, 4),
+    ({"cpu/cpu.cfs_quota_us": "150000\n"}, 4),  # no period to read
+    ({}, 4),
+])
+def test_usable_cpus_are_capped_by_a_cgroup_cpu_quota(monkeypatch, tmp_path, files, cpus):
+    _quota_tree(monkeypatch, tmp_path, files)
+    assert stochastic._usable_cpus() == cpus
+
+
+@needs_fork
+def test_a_run_under_a_one_cpu_quota_is_not_split(monkeypatch, tmp_path, forks):
+    n_steps = 60  # 8 seeds in blocks of 4: two blocks
+    monkeypatch.setattr(stochastic, "FIELD_BLOCK_BYTES", 4 * 2 * 8 * (n_steps + 1))
+    _quota_tree(monkeypatch, tmp_path, {"cpu.max": "100000 100000\n"})
+    seeds = derive_seeds(23, range(8))
+    sample_fields(WEAK, max_field_dt(WEAK), n_steps, seeds)
+    assert forks == []
+    (tmp_path / "cpu.max").write_text("max 100000\n")  # without the quota the run is split
+    sample_fields(WEAK, max_field_dt(WEAK), n_steps, seeds)
+    assert forks == [os.getpid()]
+
+
 @needs_fork
 @pytest.mark.parametrize("failure", ["child", "fork"])
 def test_the_parent_synthesizes_the_share_of_a_failed_child_or_fork(monkeypatch, forks,
@@ -394,12 +435,16 @@ def test_a_main_thread_failure_waits_for_the_transform_in_flight(monkeypatch):
     assert threading.active_count() == before
 
 
-def test_pipelined_periodogram_is_exact_with_late_transforms_and_fast_switching(monkeypatch):
+def test_pipelined_periodogram_is_exact_with_late_transforms_and_fast_switching(monkeypatch,
+                                                                                forks):
     # three callers at once, each with a helper thread whose transforms start late,
     # switching threads every microsecond: a block modulated into the field buffer
-    # before the transform of the one before returned would change the sum
+    # before the transform of the one before returned would change the sum. None
+    # forks, though its three blocks would split sample_fields: a fork would copy a
+    # process whose helper threads are running
     dt, n_steps, interval = max_field_dt(WEAK), 200, sys.getswitchinterval()
     _three_record_blocks(monkeypatch, n_steps)
+    monkeypatch.setattr(stochastic, "_usable_cpus", lambda: 2)
     transform = stochastic._add_periodograms
 
     def late_transform(power, block, dt):
@@ -407,7 +452,7 @@ def test_pipelined_periodogram_is_exact_with_late_transforms_and_fast_switching(
         transform(power, block, dt)
 
     runs = {s: derive_seeds(s, range(8)) for s in (21, 22, 23)}
-    expected = {s: periodogram_reference(sample_fields(WEAK, dt, n_steps, seeds).T, dt)
+    expected = {s: periodogram_reference([one_field(WEAK, dt, n_steps, x) for x in seeds], dt)
                 for s, seeds in runs.items()}
     monkeypatch.setattr(stochastic, "_add_periodograms", late_transform)
     got = {}
@@ -428,6 +473,7 @@ def test_pipelined_periodogram_is_exact_with_late_transforms_and_fast_switching(
     assert got.keys() == expected.keys()
     for s in runs:
         np.testing.assert_array_equal(got[s], expected[s])
+    assert forks == []
 
 
 def test_periodogram_needs_two_realizations():
