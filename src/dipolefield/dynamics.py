@@ -171,10 +171,10 @@ def mean_inversion(
 
     where Ec, Es are the damped cosine and sine envelopes and the constants
     come from ``derive_params(p)``, which raises ValueError where a square
-    of kappa or of beta - beta_s overflows. The
-    "as-printed" variant omits the W0-proportional sine contribution; the
-    two coincide when beta == beta_s or w0 == 0. Both continue smoothly
-    through the overdamped regime.
+    of kappa or of beta - beta_s overflows. The "as-printed" variant omits
+    the W0-proportional sine contribution; the two coincide when
+    beta == beta_s or w0 == 0. Both continue smoothly through the
+    overdamped regime.
     """
     _check_mode(mode)
     d = derive_params(p)
