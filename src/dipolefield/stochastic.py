@@ -73,8 +73,8 @@ _TRANSPOSE_SEEDS = 16
 #: columns of a field block the periodogram transforms at once
 _TRANSFORM_COLUMNS = 8
 
-#: the cgroup directory whose CPU quota caps the CPUs ``sample_fields`` counts, the
-#: process's own cgroup where it runs in a container
+#: the cgroup directory whose CPU quota caps the CPUs ``sample_fields`` counts: a
+#: container's own cgroup where one is mounted there; an ancestor's quota is not read
 _CGROUP = Path("/sys/fs/cgroup")
 
 #: cap on the field variance pi*beta*i0, far from overflow in the periodogram's
@@ -331,14 +331,15 @@ def _fill(p: SystemParams, dt: float, n_steps: int, seeds: Sequence[int], out: n
 def _usable_cpus() -> int:
     """CPUs this process may run on: its affinity mask, capped by the CPU quota of the
     cgroup at ``_CGROUP`` (v2 ``cpu.max``, else v1 ``cpu/cpu.cfs_quota_us`` over
-    ``cpu.cfs_period_us``) rounded down to at least 1. No quota (``max`` or -1) and a
-    file that cannot be read leave the count alone."""
+    ``cpu.cfs_period_us``) rounded up, so that only a quota of at most one CPU stops
+    the split. No quota (``max`` or -1) and a file that cannot be read leave the count
+    alone."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     for files in (("cpu.max",), ("cpu/cpu.cfs_quota_us", "cpu/cpu.cfs_period_us")):
         with contextlib.suppress(OSError, ValueError):  # no file, or no quota ("max")
             quota, period = map(int, " ".join((_CGROUP / f).read_text() for f in files).split())
             if quota > 0 and period > 0:
-                return max(1, min(cpus, quota // period))
+                return min(cpus, -(-quota // period))
     return cpus
 
 

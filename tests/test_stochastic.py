@@ -263,12 +263,13 @@ def _quota_tree(monkeypatch, root, files):
 
 @pytest.mark.parametrize("files, cpus", [
     ({"cpu.max": "100000 100000\n"}, 1),
-    ({"cpu.max": "50000 100000\n"}, 1),  # at least one
-    ({"cpu.max": "199999 100000\n"}, 1),  # rounded down
-    ({"cpu.max": "250000 100000\n"}, 2),
+    ({"cpu.max": "50000 100000\n"}, 1),
+    ({"cpu.max": "100001 100000\n"}, 2),  # rounded up
+    ({"cpu.max": "199999 100000\n"}, 2),
+    ({"cpu.max": "250000 100000\n"}, 3),
     ({"cpu.max": "800000 100000\n"}, 4),  # never more than the affinity mask
     ({"cpu.max": "max 100000\n"}, 4),
-    ({"cpu/cpu.cfs_quota_us": "150000\n", "cpu/cpu.cfs_period_us": "100000\n"}, 1),
+    ({"cpu/cpu.cfs_quota_us": "150000\n", "cpu/cpu.cfs_period_us": "100000\n"}, 2),
     ({"cpu/cpu.cfs_quota_us": "300000", "cpu/cpu.cfs_period_us": "100000"}, 3),
     ({"cpu/cpu.cfs_quota_us": "-1\n", "cpu/cpu.cfs_period_us": "100000\n"}, 4),
     ({"cpu/cpu.cfs_quota_us": "150000\n"}, 4),  # no period to read
