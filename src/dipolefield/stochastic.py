@@ -73,7 +73,7 @@ _TRANSPOSE_SEEDS = 16
 #: columns of a field block the periodogram transforms at once
 _TRANSFORM_COLUMNS = 8
 
-#: the cgroup directory whose CPU quota caps the CPUs ``sample_fields`` counts: a
+#: the cgroup directory whose CPU quota caps the CPUs ``ensemble_average`` counts: a
 #: container's own cgroup where one is mounted there; an ancestor's quota is not read
 _CGROUP = Path("/sys/fs/cgroup")
 
@@ -322,12 +322,6 @@ def _field_blocks(
         yield field
 
 
-def _fill(p: SystemParams, dt: float, n_steps: int, seeds: Sequence[int], out: np.ndarray) -> None:
-    """Synthesize the realization of ``seeds[j]`` into column j of ``out``, block by block."""
-    for _ in _field_blocks(p, dt, n_steps, seeds, lambda start, stop: out[:, start:stop]):
-        pass
-
-
 def _usable_cpus() -> int:
     """CPUs this process may run on: its affinity mask, capped by the CPU quota of the
     cgroup at ``_CGROUP`` (v2 ``cpu.max``, else v1 ``cpu/cpu.cfs_quota_us`` over
@@ -348,47 +342,16 @@ def sample_fields(p: SystemParams, dt: float, n_steps: int, seeds: Sequence[int]
 
     Column j is the realization of ``seeds[j]``, bit-identical to sampling
     that seed alone; the columns are synthesized in blocks, each written
-    straight into its columns (``_field_blocks``). A run of at least two
-    blocks, where ``os.fork`` exists and more than one CPU is usable
-    (``_usable_cpus``, which counts a cgroup CPU quota), is split in two
-    processes: the array is then an anonymous shared mapping, a forked
-    child synthesizes ``seeds[n//2:]`` into its columns while the caller
-    does ``seeds[:n//2]``, and the caller then reaps the child. The child
-    always leaves through ``os._exit``; if the fork fails, or the child
-    exits nonzero or unseen (SIGCHLD ignored), the caller synthesizes the
-    child's columns itself, so a failure is raised here, and every byte is
-    the same either way.
+    straight into its columns (``_field_blocks``), in the calling process.
     Rejects n_steps < 1, a step that is not finite and positive or exceeds
     ``max_field_dt``, a non-finite field variance, and more than
     ``MAX_FIELD_SAMPLES`` samples in all, before anything is allocated.
     """
     _check_step(p, dt)
-    _check_size(n := len(seeds), n_steps)
-    half, pid = n, 0
-    # under two blocks the fork and the shared pages cost about what the second CPU saves
-    if n >= 2 * _block_columns(n_steps) and hasattr(os, "fork") and _usable_cpus() > 1:
-        field = np.ndarray((n_steps + 1, n), buffer=mmap.mmap(-1, 8 * (n_steps + 1) * n))
-        half, pid = n // 2, -1
-        with contextlib.suppress(OSError):
-            pid = os.fork()
-        if pid == 0:  # the child: its share, then out, whatever happens
-            status = 1
-            try:
-                _fill(p, dt, n_steps, seeds[half:], field[:, half:])
-                status = 0
-            finally:
-                os._exit(status)
-    else:  # private pages fault faster than shared ones
-        field = np.empty((n_steps + 1, n))
-    try:
-        _fill(p, dt, n_steps, seeds[:half], field[:, :half])
-    finally:
-        status = pid
-        if pid > 0:  # with SIGCHLD ignored the child is reaped unseen, and its status lost
-            with contextlib.suppress(ChildProcessError):
-                status = os.waitpid(pid, 0)[1]
-    if status:  # no child, or a failed or unseen one: its columns are synthesized here
-        _fill(p, dt, n_steps, seeds[half:], field[:, half:])
+    _check_size(len(seeds), n_steps)
+    field = np.empty((n_steps + 1, len(seeds)))
+    for _ in _field_blocks(p, dt, n_steps, seeds, lambda start, stop: field[:, start:stop]):
+        pass
     return field
 
 
@@ -456,6 +419,25 @@ def _rk4_paths(
         yield x
 
 
+def _moments(
+    ic: InitialCondition, p: SystemParams, dt: float, n_steps: int, seeds: Sequence[int],
+    out: np.ndarray,
+) -> None:
+    """Sums and sums of squared deviations of m and of w over the trajectories of ``seeds``.
+
+    ``out`` is (2, 2, K+1): the sums of m and of w, then their M2, at t = k dt. The
+    field is synthesized here, and each time row is reduced as RK4 yields
+    it, by index-ordered sums: cumsum adds in index order, as ``sum(axis=0)``
+    of the record-major trajectories does, where np.sum would add pairwise.
+    """
+    field = sample_fields(p, dt, n_steps, seeds)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN raise divergence, unwarned
+        for k, (m, _, w) in enumerate(_rk4_paths(ic, p, field, dt, seeds)):
+            for x, total, m2 in zip((m, w), *out):
+                total[k] = np.cumsum(x)[-1]
+                m2[k] = np.cumsum((x - total[k] / len(seeds)) ** 2)[-1]
+
+
 def ensemble_average(
     ic: InitialCondition,
     p: SystemParams,
@@ -468,15 +450,23 @@ def ensemble_average(
 
     Per-trajectory seeds derive deterministically from (master_seed,
     index), so the report is bit-identical across runs and independent of
-    any execution interleaving. The trajectories are never stored: each
-    time row of m and w is reduced as RK4 yields it, by index-ordered sums
-    that equal ``mean(axis=0)`` and ``std(axis=0, ddof=1)`` of the
-    stacked trajectories bit for bit, so the run holds only the n x (K+1)
-    field of ``sample_fields`` (which a forked child may help synthesize;
-    RK4 and the reduction run in the calling process). Residuals are taken
-    against the closed-form dipole and inversion on the same grid. Runs of
-    more than ``MAX_FIELD_SAMPLES`` samples in all are rejected before any
-    seed is derived.
+    any execution interleaving. The seeds are cut in two halves at n // 2;
+    ``_moments`` synthesizes, integrates and reduces each half on its own,
+    so a process holds one half's field at a time, and Chan's formula joins
+    the two (sum, M2) pairs into the mean and the standard error
+    sqrt(M2 / (n - 1) / n). A run of at least two field blocks, where
+    ``os.fork`` exists and more than one CPU is usable (``_usable_cpus``),
+    computes the second half in a forked child, into an anonymous shared
+    mapping of the moments, while the caller does the first; otherwise the
+    caller does both in turn. The child always leaves through ``os._exit``,
+    and the caller always reaps it; if the fork fails, or the child exits
+    nonzero or unseen (SIGCHLD ignored), the caller computes the second
+    half itself, so every byte is the same either way and a failure is
+    raised here. A divergence in either half is raised as one run of all
+    the trajectories reports it. Residuals are taken against the
+    closed-form dipole and inversion on the same grid. Runs of more than
+    ``MAX_FIELD_SAMPLES`` samples in all are rejected before any seed is
+    derived.
     """
     if n_realizations < 2:
         raise ValueError("n_realizations must be at least 2")
@@ -488,18 +478,38 @@ def ensemble_average(
     _check_size(n_realizations, n_steps)
 
     seeds = tuple(derive_seeds(master_seed, range(n_realizations)))
-    field = sample_fields(p, dt, n_steps, seeds)
+    n, half, pid = n_realizations, n_realizations // 2, -1
+    moments = np.ndarray((2, 2, 2, n_steps + 1), buffer=mmap.mmap(-1, 64 * (n_steps + 1)))
+    try:
+        # split from two blocks on (3120 seeds at criterion 09's grid); runs from a quarter
+        # block on also ran 19-32 % faster split, but the cut-off stays until benchmarked
+        if n >= 2 * _block_columns(n_steps) and hasattr(os, "fork") and _usable_cpus() > 1:
+            with contextlib.suppress(OSError):
+                pid = os.fork()
+            if pid == 0:  # the child: the second half, then out, whatever happens
+                status = 1
+                try:
+                    _moments(ic, p, dt, n_steps, seeds[half:], moments[1])
+                    status = 0
+                finally:
+                    os._exit(status)
+        try:
+            _moments(ic, p, dt, n_steps, seeds[:half], moments[0])
+        finally:
+            status = pid
+            if pid > 0:  # with SIGCHLD ignored the child is reaped unseen, and its status lost
+                with contextlib.suppress(ChildProcessError):
+                    status = os.waitpid(pid, 0)[1]
+        if status:  # unsplit, or no child, or a failed or unseen one
+            _moments(ic, p, dt, n_steps, seeds[half:], moments[1])
+    except TrajectoryDivergenceError:  # raise the earliest divergence of all trajectories at once
+        _moments(ic, p, dt, n_steps, seeds, np.empty((2, 2, n_steps + 1)))
+        raise
 
-    n = n_realizations
-    mean_m, mean_w, se_m, se_w = np.empty((4, n_steps + 1))
-    with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN raise divergence, unwarned
-        for k, (m, _, w) in enumerate(_rk4_paths(ic, p, field, dt, seeds)):
-            # cumsum adds in index order, as mean(axis=0) and std(axis=0, ddof=1)
-            # of the record-major trajectories do; np.sum would add pairwise
-            for x, mean, se in ((m, mean_m, se_m), (w, mean_w, se_w)):
-                mean[k] = np.cumsum(x)[-1] / n
-                se[k] = math.sqrt(np.cumsum((x - mean[k]) ** 2)[-1] / (n - 1)) / math.sqrt(n)
-
+    (sum_1, m2_1), (sum_2, m2_2) = moments
+    mean_m, mean_w = (sum_1 + sum_2) / n
+    m2 = m2_1 + m2_2 + (sum_2 / (n - half) - sum_1 / half) ** 2 * (half * (n - half) / n)
+    se_m, se_w = np.sqrt(m2 / (n - 1)) / math.sqrt(n)
     t = dt * np.arange(n_steps + 1)
     return EnsembleReport(
         t=t, mean_m=mean_m, mean_w=mean_w, se_m=se_m, se_w=se_w,

@@ -424,8 +424,8 @@ def periodogram_reference(values, dt: float) -> np.ndarray:
     return power / len(values)
 
 
-def ensemble_reference(ic, p: SystemParams, fields: list, dt: float) -> tuple:
-    """(mean_m, mean_w, se_m, se_w) of RK4 trajectories, one plain loop per field.
+def ensemble_paths(ic, p: SystemParams, fields: list, dt: float) -> tuple:
+    """(m, w) of RK4 trajectories, one plain loop per field, stacked record-major.
 
     Each field's trajectory steps
 
@@ -434,8 +434,8 @@ def ensemble_reference(ic, p: SystemParams, fields: list, dt: float) -> tuple:
 
     in Python floats by classic RK4, the field at a half step being the
     mean of its ends, with the operations grouped as the stochastic
-    module groups them. The trajectories are stacked record-major and
-    reduced by ``mean(axis=0)`` and ``std(axis=0, ddof=1) / sqrt(n)``.
+    module groups them. Row i of each array is the trajectory of
+    ``fields[i]``, sampled at t = k dt.
     """
     om2, k_fast, k_slow, bs = p.omega * p.omega, p.kappa * p.omega, p.kappa / p.omega, p.beta_s
 
@@ -459,7 +459,13 @@ def ensemble_reference(ic, p: SystemParams, fields: list, dt: float) -> tuple:
             path_w.append(w)
         ms.append(path_m)
         ws.append(path_w)
-    m, w = np.array(ms), np.array(ws)
+    return np.array(ms), np.array(ws)
+
+
+def ensemble_reference(ic, p: SystemParams, fields: list, dt: float) -> tuple:
+    """(mean_m, mean_w, se_m, se_w) of the ``ensemble_paths`` trajectories: their
+    ``mean(axis=0)`` and ``std(axis=0, ddof=1) / sqrt(n)``."""
+    m, w = ensemble_paths(ic, p, fields, dt)
     root_n = math.sqrt(len(fields))
     return (m.mean(axis=0), w.mean(axis=0),
             m.std(axis=0, ddof=1) / root_n, w.std(axis=0, ddof=1) / root_n)

@@ -590,8 +590,8 @@ def test_mc_verify_overflowing_trajectory_prints_only_its_exit_3_line(config, tm
 #: default_rng per trajectory: criterion 09's config, and a small run whose
 #: master seed of 2**40 + 7 takes two entropy words
 MC_REPORT_SHA256 = {
-    "criterion-09": "6f4c31238f5b6d25ad8c10e41beddf689c4d276ee276eb9250fb3b06f78756f1",
-    "wide-seed": "3a8ac8717fcaad84edf18e7d820e1ac867d8e118d0fed7182c4244158ab9cd2c",
+    "criterion-09": "17534ad549db4880af9f65db4935da42e91d80914251a0b45468a0512f6a7b63",
+    "wide-seed": "9114f6896fc9cf2c42e46de4f0b9c05efee163f0b6b041c5d5533a531ac44ab9",
 }
 MC_REPORT_ARGS = {
     "criterion-09": ["--n", "10000", "--seed", "99"],
@@ -607,7 +607,7 @@ def test_mc_verify_report_bytes_pinned(config, tmp_path, run, forks):
                  "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == MC_REPORT_SHA256[run]
     if run == "criterion-09" and hasattr(os, "fork") and stochastic._usable_cpus() > 1:
-        # the pin holds for the field split between the caller and one forked child
+        # the pin holds for the ensemble split between the caller and one forked child
         assert forks == [os.getpid()]
 
 

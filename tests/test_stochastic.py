@@ -1,12 +1,10 @@
 import math
-import mmap
 import os
 import signal
 import sys
 import threading
 import time
 import tracemalloc
-import types
 import warnings
 
 import numpy as np
@@ -30,8 +28,8 @@ from dipolefield.stochastic import (
     sample_periodogram,
     write_field_csv,
 )
-from oracles import (ar1_reference, ensemble_reference, hierarchy_means, lorentzian_lsq,
-                     periodogram_reference)
+from oracles import (ar1_reference, ensemble_paths, ensemble_reference, hierarchy_means,
+                     lorentzian_lsq, periodogram_reference)
 
 
 WEAK = SystemParams(omega=5.0, kappa=1.0, beta_s=0.2, i0=0.1 / math.pi, beta=1.0)
@@ -222,32 +220,58 @@ def test_streams_do_not_depend_on_block_size(monkeypatch, tmp_path):
 
 needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="os.fork is not available")
 
+#: test_cli's DIVERGENT config: strong coupling, where some trajectories diverge
+DIVERGENT = SystemParams(omega=2.0, kappa=12.0, beta_s=1.0, i0=2.0, beta=1.0)
 
-def _split_run(monkeypatch):
-    """(p, dt, n_steps, seeds) of a run that ``sample_fields`` splits inside a block: 14
-    seeds in blocks of 4, so the child's share starts at seed 7."""
+
+def _split_run(monkeypatch, p=WEAK, n=15, master_seed=23):
+    """``ensemble_average`` arguments of a run that splits inside a field block: 15 seeds in
+    blocks of 4, so the child's half, 8 seeds, starts at seed 7."""
     n_steps = 60
     monkeypatch.setattr(stochastic, "FIELD_BLOCK_BYTES", 4 * 2 * 8 * (n_steps + 1))
     monkeypatch.setattr(stochastic, "_usable_cpus", lambda: 2)
-    return WEAK, max_field_dt(WEAK), n_steps, derive_seeds(23, range(14))
+    dt = max_field_dt(p)
+    return InitialCondition(0.3, 0.5, mdot0=1.0), p, n, dt, n_steps * dt, master_seed
+
+
+def _report_bytes(tmp_path, run):
+    """Every field of the report of ``ensemble_average(*run)``, as write_json writes it."""
+    path = tmp_path / "report.json"
+    ensemble_average(*run).write_json(path)
+    return path.read_bytes()
+
+
+def _unsplit_bytes(monkeypatch, tmp_path, run):
+    """``_report_bytes`` of a run kept in one process (one usable CPU); two CPUs after it."""
+    monkeypatch.setattr(stochastic, "_usable_cpus", lambda: 1)
+    unsplit = _report_bytes(tmp_path, run)
+    monkeypatch.setattr(stochastic, "_usable_cpus", lambda: 2)
+    return unsplit
 
 
 @needs_fork
-def test_split_fields_equal_per_seed_sampling(monkeypatch, forks):
-    p, dt, n_steps, seeds = _split_run(monkeypatch)
-    fields = sample_fields(p, dt, n_steps, seeds)
-    assert forks == [os.getpid()]
-    for column, seed in zip(fields.T, seeds):
-        np.testing.assert_array_equal(column, one_field(p, dt, n_steps, seed))
-    assert forks == [os.getpid()]  # a single seed is never split
+def test_a_split_run_integrates_each_half_in_its_own_process(monkeypatch, tmp_path, forks):
+    # the caller's _rk4_paths calls are recorded; the child's land in its own copy of the list
+    run, lanes, rk4 = _split_run(monkeypatch), [], stochastic._rk4_paths
+
+    def recording_rk4(ic, p, field, dt, seeds):
+        lanes.append(len(seeds))
+        return rk4(ic, p, field, dt, seeds)
+
+    monkeypatch.setattr(stochastic, "_rk4_paths", recording_rk4)
+    unsplit = _unsplit_bytes(monkeypatch, tmp_path, run)
+    assert (forks, lanes) == ([], [7, 8])  # one process, both halves in turn
+    lanes.clear()
+    assert _report_bytes(tmp_path, run) == unsplit
+    assert (forks, lanes) == ([os.getpid()], [7])
 
 
 @needs_fork
-def test_only_a_run_of_two_blocks_or_more_is_split(monkeypatch, forks):
-    p, dt, n_steps, seeds = _split_run(monkeypatch)
-    sample_fields(p, dt, n_steps, seeds[:7])
+def test_only_a_run_of_two_blocks_or_more_is_split(monkeypatch, tmp_path, forks):
+    run = _split_run(monkeypatch)
+    ensemble_average(*run[:2], 7, *run[3:])
     assert forks == []
-    sample_fields(p, dt, n_steps, seeds[:8])
+    ensemble_average(*run[:2], 8, *run[3:])
     assert forks == [os.getpid()]
 
 
@@ -285,20 +309,21 @@ def test_a_run_under_a_one_cpu_quota_is_not_split(monkeypatch, tmp_path, forks):
     n_steps = 60  # 8 seeds in blocks of 4: two blocks
     monkeypatch.setattr(stochastic, "FIELD_BLOCK_BYTES", 4 * 2 * 8 * (n_steps + 1))
     _quota_tree(monkeypatch, tmp_path, {"cpu.max": "100000 100000\n"})
-    seeds = derive_seeds(23, range(8))
-    sample_fields(WEAK, max_field_dt(WEAK), n_steps, seeds)
+    dt = max_field_dt(WEAK)
+    run = (InitialCondition(0.0, 1.0), WEAK, 8, dt, n_steps * dt, 23)
+    ensemble_average(*run)
     assert forks == []
     (tmp_path / "cpu.max").write_text("max 100000\n")  # without the quota the run is split
-    sample_fields(WEAK, max_field_dt(WEAK), n_steps, seeds)
+    ensemble_average(*run)
     assert forks == [os.getpid()]
 
 
 @needs_fork
 @pytest.mark.parametrize("failure", ["child", "fork"])
-def test_the_parent_synthesizes_the_share_of_a_failed_child_or_fork(monkeypatch, forks,
+def test_the_parent_synthesizes_the_share_of_a_failed_child_or_fork(monkeypatch, tmp_path, forks,
                                                                      failure):
-    p, dt, n_steps, seeds = _split_run(monkeypatch)
-    expected = np.stack([one_field(p, dt, n_steps, s) for s in seeds], 1)
+    run = _split_run(monkeypatch)
+    unsplit = _unsplit_bytes(monkeypatch, tmp_path, run)
     parent, draw = os.getpid(), stochastic._draw_normals
 
     def fail_in_child(chunk, out):
@@ -314,27 +339,27 @@ def test_the_parent_synthesizes_the_share_of_a_failed_child_or_fork(monkeypatch,
         monkeypatch.setattr(stochastic, "_draw_normals", fail_in_child)
     else:
         monkeypatch.setattr(os, "fork", no_fork)
-    np.testing.assert_array_equal(sample_fields(p, dt, n_steps, seeds), expected)
+    assert _report_bytes(tmp_path, run) == unsplit
     assert forks == [parent]
 
 
 @needs_fork
-def test_a_child_reaped_unseen_under_an_ignored_sigchld_is_redone(monkeypatch, forks):
+def test_a_child_reaped_unseen_under_an_ignored_sigchld_is_redone(monkeypatch, tmp_path, forks):
     # waitpid then waits for the child and fails with ECHILD: the status is lost
-    p, dt, n_steps, seeds = _split_run(monkeypatch)
-    expected = np.stack([one_field(p, dt, n_steps, s) for s in seeds], 1)
+    run = _split_run(monkeypatch)
+    unsplit = _unsplit_bytes(monkeypatch, tmp_path, run)
     previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
     try:
-        fields = sample_fields(p, dt, n_steps, seeds)
+        split = _report_bytes(tmp_path, run)
     finally:
         signal.signal(signal.SIGCHLD, previous)
-    np.testing.assert_array_equal(fields, expected)
+    assert split == unsplit
     assert forks == [os.getpid()]
 
 
 @needs_fork
 def test_a_failure_in_the_parent_share_is_raised_and_leaves_no_child(monkeypatch, forks):
-    p, dt, n_steps, seeds = _split_run(monkeypatch)
+    run = _split_run(monkeypatch)
     parent, draw = os.getpid(), stochastic._draw_normals
 
     def fail_in_parent(chunk, out):
@@ -344,10 +369,28 @@ def test_a_failure_in_the_parent_share_is_raised_and_leaves_no_child(monkeypatch
 
     monkeypatch.setattr(stochastic, "_draw_normals", fail_in_parent)
     with pytest.raises(_Failure, match="parent"):
-        sample_fields(p, dt, n_steps, seeds)
+        ensemble_average(*run)
     assert forks == [parent]
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+@needs_fork
+def test_a_divergence_in_the_child_half_is_raised_as_all_trajectories_report_it(monkeypatch,
+                                                                                 forks):
+    # 9 seeds, the child's half from seed 4: the caller's half first diverges at t = 1.9,
+    # the child's at t = 0.75, so only the run of all trajectories reports the earliest
+    ic, p, n, dt, horizon, master_seed = _split_run(monkeypatch, DIVERGENT, 9, 17)
+    seeds, n_steps = derive_seeds(master_seed, range(n)), round(horizon / dt)
+    with pytest.raises(TrajectoryDivergenceError) as alone:
+        for _ in stochastic._rk4_paths(ic, p, sample_fields(p, dt, n_steps, seeds), dt, seeds):
+            pass
+    assert alone.value.seed in seeds[n // 2:]
+    with pytest.raises(TrajectoryDivergenceError) as err:
+        ensemble_average(ic, p, n, dt, horizon, master_seed)
+    assert forks == [os.getpid()]
+    assert (err.value.time, err.value.seed) == (alone.value.time, alone.value.seed)
+    assert str(err.value) == str(alone.value)
 
 
 def test_streamed_periodogram_memory_does_not_grow_with_realizations():
@@ -441,8 +484,8 @@ def test_pipelined_periodogram_is_exact_with_late_transforms_and_fast_switching(
     # three callers at once, each with a helper thread whose transforms start late,
     # switching threads every microsecond: a block modulated into the field buffer
     # before the transform of the one before returned would change the sum. None
-    # forks, though its three blocks would split sample_fields: a fork would copy a
-    # process whose helper threads are running
+    # forks, though three blocks on two CPUs would split an ensemble: a fork would
+    # copy a process whose helper threads are running
     dt, n_steps, interval = max_field_dt(WEAK), 200, sys.getswitchinterval()
     _three_record_blocks(monkeypatch, n_steps)
     monkeypatch.setattr(stochastic, "_usable_cpus", lambda: 2)
@@ -786,6 +829,28 @@ def test_ensemble_reproducible_and_matches_single(tmp_path):
     assert path.read_bytes() == again.read_bytes()
 
 
+def _assert_statistics_of_the_joined_halves(ic, p, n, dt, n_steps, seed):
+    """The report's means and standard errors equal, bit for bit, the stacked sums of each
+    half of the seeds (cut at n // 2) joined by Chan's formula, and are close to the
+    stacked statistics of all the trajectories."""
+    report = ensemble_average(ic, p, n, dt, n_steps * dt, seed)
+    assert report.t.size == n_steps + 1
+    fields = sample_fields(p, dt, n_steps, report.seeds).T
+    h = n // 2
+    halves = [ensemble_paths(ic, p, part, dt) for part in (fields[:h], fields[h:])]
+    for got_mean, got_se, first, second in zip((report.mean_m, report.mean_w),
+                                                (report.se_m, report.se_w), *halves):
+        # per half: the sum, by index-ordered sum(axis=0), and the sum of squared deviations
+        s1, s2 = first.sum(axis=0), second.sum(axis=0)
+        m2_1, m2_2 = ((first - s1 / h) ** 2).sum(axis=0), ((second - s2 / (n - h)) ** 2).sum(axis=0)
+        m2 = m2_1 + m2_2 + (s2 / (n - h) - s1 / h) ** 2 * (h * (n - h) / n)
+        np.testing.assert_array_equal(got_mean, (s1 + s2) / n)
+        np.testing.assert_array_equal(got_se, np.sqrt(m2 / (n - 1)) / math.sqrt(n))
+    stacked = ensemble_reference(ic, p, fields, dt)
+    for got, want in zip((report.mean_m, report.mean_w, report.se_m, report.se_w), stacked):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
+
+
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(n=st.integers(2, 40), n_steps=st.integers(1, 30),
        radius=st.floats(0.0, 1.0), angle=st.floats(0.0, 2.0 * math.pi),
@@ -794,16 +859,12 @@ def test_ensemble_reproducible_and_matches_single(tmp_path):
 def test_streamed_statistics_equal_stacked_reference(n, n_steps, radius, angle, omega, kappa,
                                                      beta_s, weight, dt_frac, seed):
     # weak coupling, pi i0 kappa^2 <= beta / 4 with beta = 1: the statistics are
-    # reduced row by row as RK4 runs, and equal those of the stacked trajectories
+    # reduced row by row as RK4 runs, one half of the seeds at a time
     p = SystemParams(omega=omega, kappa=kappa, beta_s=beta_s,
                      i0=weight / (math.pi * kappa**2), beta=1.0)
     ic = InitialCondition(m0=radius * math.cos(angle), w0=radius * math.sin(angle))
     dt = dt_frac * max_field_dt(p)
-    report = ensemble_average(ic, p, n, dt, n_steps * dt, seed)
-    assert report.t.size == n_steps + 1
-    expected = ensemble_reference(ic, p, sample_fields(p, dt, n_steps, report.seeds).T, dt)
-    for got, want in zip((report.mean_m, report.mean_w, report.se_m, report.se_w), expected):
-        np.testing.assert_array_equal(got, want)
+    _assert_statistics_of_the_joined_halves(ic, p, n, dt, n_steps, seed)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -822,37 +883,28 @@ def test_streamed_statistics_with_a_dipole_rate_equal_stacked_reference(
                      i0=weight / (math.pi * kappa**2), beta=1.0)
     ic = InitialCondition(m0=radius * math.cos(angle), w0=radius * math.sin(angle), mdot0=mdot0)
     dt = dt_frac * max_field_dt(p)
-    report = ensemble_average(ic, p, n, dt, n_steps * dt, seed)
-    assert report.t.size == n_steps + 1
-    expected = ensemble_reference(ic, p, sample_fields(p, dt, n_steps, report.seeds).T, dt)
-    for got, want in zip((report.mean_m, report.mean_w, report.se_m, report.se_w), expected):
-        np.testing.assert_array_equal(got, want)
+    _assert_statistics_of_the_joined_halves(ic, p, n, dt, n_steps, seed)
 
 
 def test_ensemble_memory_grows_only_by_the_field(monkeypatch):
-    # the trajectories are reduced as they are integrated: only the n x (K+1)
-    # field grows with n, not stored m and w paths or their transposes. The
-    # field of a split run is an anonymous mapping, which tracemalloc does not
-    # see, so the bytes mapped are recorded and added to the traced peak
+    # the trajectories are reduced as they are integrated, and the caller synthesizes
+    # and integrates one half of the seeds at a time, split (10^4 seeds on two CPUs) or
+    # not: only half of the n x (K+1) field grows with n, not the whole field or stored
+    # m and w paths. Every field is private memory, which tracemalloc sees
     ic, dt, n_steps = InitialCondition(0.0, 1.0), max_field_dt(WEAK), 167
-    sizes, peaks, mapped = (2000, 10000), [], []
-
-    def recording_mmap(fileno, length, *args, **kwargs):
-        mapped.append(length)
-        return mmap.mmap(fileno, length, *args, **kwargs)
-
-    monkeypatch.setattr(stochastic, "mmap", types.SimpleNamespace(mmap=recording_mmap))
-    for n in sizes:
-        mapped.clear()
-        tracemalloc.start()
-        try:
-            ensemble_average(ic, WEAK, n, dt, n_steps * dt, 99)
-            peaks.append(tracemalloc.get_traced_memory()[1] + sum(mapped))
-        finally:
-            tracemalloc.stop()
-        assert len(mapped) <= 1
+    sizes = (2000, 10000)
     field_bytes = 8 * (n_steps + 1) * (sizes[1] - sizes[0])
-    assert peaks[1] - peaks[0] < 1.5 * field_bytes
+    for cpus in (1, 2):
+        monkeypatch.setattr(stochastic, "_usable_cpus", lambda: cpus)
+        peaks = []
+        for n in sizes:
+            tracemalloc.start()
+            try:
+                ensemble_average(ic, WEAK, n, dt, n_steps * dt, 99)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 0.75 * field_bytes, cpus
 
 
 def test_ensemble_weak_coupling_band():
