@@ -59,21 +59,23 @@ __all__ = [
 DIVERGENCE_LIMIT = 1e3
 
 #: bytes of unit normals synthesized at once, the one memory budget of field
-#: synthesis: 41 realizations at the 6367-sample records of the spectrum
-#: check, whose pipelined periodogram then holds the normals, one reused
-#: field buffer of half their size (the block its helper thread transforms),
-#: ``_draw_normals``' transpose tile of ``_TRANSPOSE_SEEDS`` records (1.55 MiB
-#: there) and a few transformed columns: a traced peak of 8.36 MiB, under 2.25
-#: blocks whatever the number of realizations
+#: synthesis: 40 realizations at the 6367-sample records of the spectrum check,
+#: whose periodogram then holds the normals, one reused field buffer of half
+#: their size, ``_draw_normals``' transpose tile of ``_TRANSPOSE_SEEDS`` records
+#: (1.55 MiB there) and ``_TRANSFORM_PAIRS`` pairs of transform: a traced peak
+#: of 7.60 MiB in the caller, under 2.25 blocks whatever the number of realizations
 FIELD_BLOCK_BYTES = 4 * 2**20
 
 #: records drawn contiguously before they are transposed into a time-major block
 _TRANSPOSE_SEEDS = 16
 
-#: columns of a field block the periodogram transforms at once
-_TRANSFORM_COLUMNS = 8
+#: pairs of field columns the periodogram transforms at once
+_TRANSFORM_PAIRS = 8
 
-#: the cgroup directory whose CPU quota caps the CPUs ``ensemble_average`` counts: a
+#: samples of an AR(1) segment, at least (``_quadrature_paths``)
+_SEGMENT = 512
+
+#: the cgroup directory whose CPU quota caps the CPUs both stochastic commands count: a
 #: container's own cgroup where one is mounted there; an ancestor's quota is not read
 _CGROUP = Path("/sys/fs/cgroup")
 
@@ -263,56 +265,68 @@ def _draw_normals(seeds: Sequence[int], out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _quadrature_paths(normals: np.ndarray, rho: float, sigma_st: float) -> np.ndarray:
-    """Exact-discretization AR(1) paths from time-major unit normals, overwriting them.
-
-    ``normals[0]`` seeds the stationary initial value; subsequent rows are
-    the innovations, and the trailing axes, one or more, are independent
-    lanes. Each step rounds ``rho * x_k`` and ``s_inn * z_{k+1}`` and then
-    their sum, on one contiguous row of lanes. A step does only a row's few
-    multiply-adds, so its cost is the ufunc calls and the row views: the
-    array's iterator makes each row view once, the previous row is carried
-    rather than indexed again, and ``rho`` is passed as a 0-d array, which
-    a call takes without converting a Python float.
-    """
-    s_inn = sigma_st * math.sqrt(max(0.0, 1.0 - rho * rho))
-    normals[0] *= sigma_st
-    normals[1:] *= s_inn
-    rows = iter(normals)
-    prev, factor = next(rows), np.array(rho)
+def _steps(rows: Iterator[np.ndarray], factor: np.ndarray) -> None:
+    """x_k = factor x_(k-1) + z_k in place over rows z_0, z_1, ...: a product, then a sum."""
+    prev = next(rows)
     step = np.empty(prev.shape)
     for row in rows:
         np.multiply(prev, factor, step)
         np.add(row, step, row)
         prev = row
+
+
+def _quadrature_paths(normals: np.ndarray, rho: float, sigma_st: float) -> np.ndarray:
+    """Exact-discretization AR(1) paths from time-major unit normals, overwriting them.
+
+    ``normals[0]`` seeds the stationary initial value; subsequent rows are
+    the innovations, and the trailing axes, one or more, are independent
+    lanes. A record of n samples is cut into s = max(1, n // ``_SEGMENT``)
+    segments of L = n // s samples and a tail of n - s L < s. The segments
+    are stepped side by side from their own first innovations; then each
+    later one in turn adds rho^(k+1) times the end of the one before to its
+    k-th sample, and the tail is stepped on (a two-level scan: Blelloch,
+    CMU-CS-90-190, 1990). A step is two ufunc calls on a row of s x lanes,
+    each row view made once and rho a 0-d array, which a call takes as it
+    is. s depends on n alone, so lanes are independent; s = 1 under 1024 samples.
+    """
+    s_inn = sigma_st * math.sqrt(max(0.0, 1.0 - rho * rho))
+    normals[0] *= sigma_st
+    normals[1:] *= s_inn
+    segments = max(1, len(normals) // _SEGMENT)
+    length, factor = len(normals) // segments, np.array(rho)
+    head = normals[:segments * length].reshape(segments, length, *normals.shape[1:], copy=False)
+    _steps(iter(np.moveaxis(head, 1, 0)), factor)
+    carry = rho ** np.arange(1.0, length + 1).reshape(-1, *(1,) * (normals.ndim - 1))
+    for prev, segment in zip(head[:-1], head[1:]):
+        segment += carry * prev[-1]
+    _steps(iter(normals[segments * length - 1:]), factor)
     return normals
 
 
 def _block_columns(n_steps: int) -> int:
-    """Realizations per block: as many (K+1, 2) records of normals as fit ``FIELD_BLOCK_BYTES``."""
-    return max(1, FIELD_BLOCK_BYTES // (2 * 8 * (n_steps + 1)))
+    """Realizations per block: an even count, at least 2, of (K+1, 2) records of normals that
+    fit ``FIELD_BLOCK_BYTES``, so that the periodogram's pairs never straddle a block."""
+    return max(1, FIELD_BLOCK_BYTES // (2 * 8 * (n_steps + 1)) // 2) * 2
 
 
 def _field_blocks(
     p: SystemParams, dt: float, n_steps: int, seeds: Sequence[int],
-    out: Callable[[int, int], np.ndarray],
+    out: Callable[[int, int], np.ndarray], run: int,
 ) -> Iterator[np.ndarray]:
     """Field samples E(k dt) of one realization per seed, as time-major (K+1, b) blocks.
 
     Column j of the blocks, in order, is the realization of ``seeds[j]``.
-    The AR(1) recurrence runs in place in one buffer of about
-    ``FIELD_BLOCK_BYTES`` of normals. The block of ``seeds[start:stop]`` is
+    The AR(1) recurrence runs in place in one buffer of normals, a block of
+    a run of ``run`` realizations. The block of ``seeds[start:stop]`` is
     then modulated into ``out(start, stop)``, a (K+1, stop - start) array,
-    and yielded as that array. ``out`` is called only once the block's
-    paths are filtered, so a caller may wait there until its destination is
-    free to overwrite. Callers check the grid and the run size first.
+    and yielded as that array. Callers check the grid and the run size first.
     """
     sigma_st = math.sqrt(field_variance(p))
     rho = math.exp(-p.beta * dt)
     t = dt * np.arange(n_steps + 1)
     cos, sin = np.cos(p.omega * t)[:, None], np.sin(p.omega * t)[:, None]
     block = _block_columns(n_steps)
-    normals = np.empty((n_steps + 1, min(block, len(seeds)), 2))
+    normals = np.empty((n_steps + 1, min(block, run), 2))
     for start in range(0, len(seeds), block):
         chunk = seeds[start:start + block]
         paths = _quadrature_paths(_draw_normals(chunk, normals[:, :len(chunk)]), rho, sigma_st)
@@ -337,6 +351,43 @@ def _usable_cpus() -> int:
     return cpus
 
 
+def _in_halves(half: Callable[[Sequence[int], np.ndarray], None], seeds: Sequence[int],
+               split: int, n_steps: int, shape: tuple[int, ...]) -> np.ndarray:
+    """``half(seeds[:split], out[0])`` and ``half(seeds[split:], out[1])`` into ``out``, a new
+    (2, *shape) array of zeros in an anonymous shared mapping, which is returned.
+
+    With two field blocks of ``n_steps`` or more, ``os.fork`` and a second
+    usable CPU (``_usable_cpus``), a forked child, leaving by ``os._exit``,
+    does the second half while the caller does the first and then reaps it.
+    If it is unsplit, or the fork fails, or the child exits nonzero or
+    unseen (SIGCHLD ignored), the caller zeroes ``out[1]`` and computes it
+    itself: the bytes are the same either way, and a failure is raised here.
+    """
+    out, pid = np.ndarray((2, *shape), buffer=mmap.mmap(-1, 16 * math.prod(shape))), -1
+    # split from two blocks on (3120 seeds at criterion 09's grid); ensembles from a quarter
+    # block on also ran 19-32 % faster split, but the cut-off stays until benchmarked
+    if len(seeds) >= 2 * _block_columns(n_steps) and hasattr(os, "fork") and _usable_cpus() > 1:
+        with contextlib.suppress(OSError):
+            pid = os.fork()
+        if pid == 0:  # the child: the second half, then out, whatever happens
+            try:
+                half(seeds[split:], out[1])
+                os._exit(0)
+            finally:
+                os._exit(1)
+    try:
+        half(seeds[:split], out[0])
+    finally:
+        status = pid
+        if pid > 0:  # with SIGCHLD ignored the child is reaped unseen, and its status lost
+            with contextlib.suppress(ChildProcessError):
+                status = os.waitpid(pid, 0)[1]
+    if status:  # unsplit, or no child, or a failed or unseen one, which may have written out[1]
+        out[1] = 0.0
+        half(seeds[split:], out[1])
+    return out
+
+
 def sample_fields(p: SystemParams, dt: float, n_steps: int, seeds: Sequence[int]) -> np.ndarray:
     """Field samples E(k dt), k = 0..n_steps, one realization per seed, as a (K+1, n) array.
 
@@ -350,7 +401,7 @@ def sample_fields(p: SystemParams, dt: float, n_steps: int, seeds: Sequence[int]
     _check_step(p, dt)
     _check_size(len(seeds), n_steps)
     field = np.empty((n_steps + 1, len(seeds)))
-    for _ in _field_blocks(p, dt, n_steps, seeds, lambda start, stop: field[:, start:stop]):
+    for _ in _field_blocks(p, dt, n_steps, seeds, lambda i, j: field[:, i:j], len(seeds)):
         pass
     return field
 
@@ -454,19 +505,12 @@ def ensemble_average(
     ``_moments`` synthesizes, integrates and reduces each half on its own,
     so a process holds one half's field at a time, and Chan's formula joins
     the two (sum, M2) pairs into the mean and the standard error
-    sqrt(M2 / (n - 1) / n). A run of at least two field blocks, where
-    ``os.fork`` exists and more than one CPU is usable (``_usable_cpus``),
-    computes the second half in a forked child, into an anonymous shared
-    mapping of the moments, while the caller does the first; otherwise the
-    caller does both in turn. The child always leaves through ``os._exit``,
-    and the caller always reaps it; if the fork fails, or the child exits
-    nonzero or unseen (SIGCHLD ignored), the caller computes the second
-    half itself, so every byte is the same either way and a failure is
-    raised here. A divergence in either half is raised as one run of all
-    the trajectories reports it. Residuals are taken against the
+    sqrt(M2 / (n - 1) / n). ``_in_halves`` runs the halves, the second in a
+    forked child where it can, into a shared mapping of the moments, with
+    the same bytes either way. A divergence in either half is raised as one
+    run of all the trajectories reports it. Residuals are taken against the
     closed-form dipole and inversion on the same grid. Runs of more than
-    ``MAX_FIELD_SAMPLES`` samples in all are rejected before any seed is
-    derived.
+    ``MAX_FIELD_SAMPLES`` samples in all are rejected before any seed is derived.
     """
     if n_realizations < 2:
         raise ValueError("n_realizations must be at least 2")
@@ -478,30 +522,10 @@ def ensemble_average(
     _check_size(n_realizations, n_steps)
 
     seeds = tuple(derive_seeds(master_seed, range(n_realizations)))
-    n, half, pid = n_realizations, n_realizations // 2, -1
-    moments = np.ndarray((2, 2, 2, n_steps + 1), buffer=mmap.mmap(-1, 64 * (n_steps + 1)))
+    n, half = n_realizations, n_realizations // 2
     try:
-        # split from two blocks on (3120 seeds at criterion 09's grid); runs from a quarter
-        # block on also ran 19-32 % faster split, but the cut-off stays until benchmarked
-        if n >= 2 * _block_columns(n_steps) and hasattr(os, "fork") and _usable_cpus() > 1:
-            with contextlib.suppress(OSError):
-                pid = os.fork()
-            if pid == 0:  # the child: the second half, then out, whatever happens
-                status = 1
-                try:
-                    _moments(ic, p, dt, n_steps, seeds[half:], moments[1])
-                    status = 0
-                finally:
-                    os._exit(status)
-        try:
-            _moments(ic, p, dt, n_steps, seeds[:half], moments[0])
-        finally:
-            status = pid
-            if pid > 0:  # with SIGCHLD ignored the child is reaped unseen, and its status lost
-                with contextlib.suppress(ChildProcessError):
-                    status = os.waitpid(pid, 0)[1]
-        if status:  # unsplit, or no child, or a failed or unseen one
-            _moments(ic, p, dt, n_steps, seeds[half:], moments[1])
+        moments = _in_halves(lambda part, out: _moments(ic, p, dt, n_steps, part, out),
+                             seeds, half, n_steps, (2, 2, n_steps + 1))
     except TrajectoryDivergenceError:  # raise the earliest divergence of all trajectories at once
         _moments(ic, p, dt, n_steps, seeds, np.empty((2, 2, n_steps + 1)))
         raise
@@ -529,21 +553,22 @@ def _lorentzian(omega, height, center, hwhm):
 
 
 def _add_periodograms(power: np.ndarray, block: np.ndarray, dt: float) -> None:
-    """Add dt |FFT|^2 / N of each column of a time-major (N, b) block to ``power``, in order.
+    """Add dt |FFT|^2 / N of each column of a time-major (N, b) block to ``power``, by pairs.
 
-    ``_TRANSFORM_COLUMNS`` columns are transformed at a time, into buffers
-    made once per block, so the block's transform is never held whole.
+    Columns 2j and 2j + 1, adjacent in each row, are read in place as one
+    complex record z = a + i b and transformed once; their periodograms sum
+    to dt (|Z_k|^2 + |Z_(N-k)|^2) / 2N, added as one term. An odd last
+    column goes alone, with a zero imaginary part. ``_TRANSFORM_PAIRS``
+    pairs are transformed at a time: the block's transform is never whole.
     """
-    n, width = block.shape[0], min(_TRANSFORM_COLUMNS, block.shape[1])
-    spectra, terms = np.empty((width, power.size), complex), np.empty((width, power.size))
-    for start in range(0, block.shape[1], width):
-        columns = block[:, start:start + width]
-        k = columns.shape[1]
-        np.fft.rfft(columns, axis=0, out=spectra[:k].T)
-        np.abs(spectra[:k], out=terms[:k])
-        terms[:k] **= 2  # squared, then scaled: the roundings of (dt / N) * |X| ** 2
-        terms[:k] *= dt / n
-        for term in terms[:k]:
+    n, h = block.shape[0], power.size
+    pairs = block[:, :block.shape[1] - block.shape[1] % 2].view(complex)
+    records = [pairs[:, i:i + _TRANSFORM_PAIRS] for i in range(0, pairs.shape[1], _TRANSFORM_PAIRS)]
+    for z in records + [block[:, -1:]] * (block.shape[1] % 2):
+        sq = np.abs(np.fft.fft(z, axis=0)) ** 2
+        terms = np.add(sq[:h], sq[-np.arange(h)], sq[:h])
+        terms *= dt / (2 * n)
+        for term in terms.T:
             power += term
 
 
@@ -555,47 +580,32 @@ def sample_periodogram(
     The realizations are the columns of ``sample_fields``; realization 0
     comes back as a 1-D array of its n_steps + 1 samples. The power uses the
     convention P(omega) = dt |FFT|^2 / N, under which the expected peak
-    height is C(0)/beta = pi * i0; the periodograms are summed in seed order
-    and then divided by the number of seeds. ``fit_spectrum`` fits the
-    Lorentzian peak. Rejects what ``sample_fields`` rejects, and fewer than
-    2 seeds.
+    height is C(0)/beta = pi * i0. ``fit_spectrum`` fits the Lorentzian
+    peak. Rejects what ``sample_fields`` rejects, and fewer than 2 seeds.
 
-    The blocks are pipelined over two threads. While the calling thread
-    draws, filters and modulates block i + 1, one helper thread transforms
-    block i and adds its periodograms to the sum; numpy's FFT releases the
-    interpreter lock, so the two overlap. One transform is in flight at a
-    time, and the calling thread modulates into the one (K+1, b) field
-    buffer only after the transform reading it has returned, so the columns
-    are added in seed order and every bit equals the serial sum. Memory is
-    set by the block, not by the number of seeds: ``FIELD_BLOCK_BYTES`` of
-    normals, the field buffer of half that, ``_draw_normals``' transpose
-    tile of ``_TRANSPOSE_SEEDS`` records, and ``_TRANSFORM_COLUMNS``
-    columns of transform. A failure in either thread is raised here, after
-    the helper thread has ended.
+    The seeds are cut in two halves at 2 (n // 4), so that the pairs of
+    ``_add_periodograms`` stay whole. Each half draws, filters, modulates
+    and transforms its blocks in turn into its own sum, in seed order, and
+    the sums are added. ``_in_halves`` runs the second half in a forked
+    child where it can, with the same bytes either way. A process's memory
+    is set by the whole run's block, not by the number of seeds.
     """
-    from concurrent.futures import ThreadPoolExecutor
-
     if len(seeds) < 2:
         raise ValueError("need at least 2 realizations")
     _check_step(p, dt)
     _check_size(len(seeds), n_steps)
-    power = np.zeros((n_steps + 1) // 2 + 1)
-    field = np.empty((n_steps + 1, min(_block_columns(n_steps), len(seeds))))
-    pending = first = None
+    width, first = min(_block_columns(n_steps), len(seeds)), []
 
-    def free_field(start: int, stop: int) -> np.ndarray:  # once no transform reads it
-        if pending is not None:
-            pending.result()
-        return field[:, :stop - start]
+    def add_half(half: Sequence[int], power: np.ndarray) -> None:
+        field = np.empty((n_steps + 1, -(-width // 2)), complex).view(float)  # rows of whole pairs
+        for block in _field_blocks(p, dt, n_steps, half, lambda i, j: field[:, :j - i], len(seeds)):
+            if not first:
+                first.append(block[:, 0].copy())
+            _add_periodograms(power, block, dt)
 
-    with ThreadPoolExecutor(1) as helper:
-        for block in _field_blocks(p, dt, n_steps, seeds, free_field):
-            if first is None:
-                first = block[:, 0].copy()
-            pending = helper.submit(_add_periodograms, power, block, dt)
-        pending.result()
-    power /= len(seeds)
-    return 2.0 * math.pi * np.fft.rfftfreq(n_steps + 1, d=dt), power, first
+    halves = _in_halves(add_half, seeds, 2 * (len(seeds) // 4), n_steps, ((n_steps + 1) // 2 + 1,))
+    omega = 2.0 * math.pi * np.fft.rfftfreq(n_steps + 1, d=dt)
+    return omega, np.add(*halves) / len(seeds), first[0]
 
 
 def _lorentzian_derivatives(omega, height, center, hwhm):

@@ -623,12 +623,12 @@ def test_spectrum_command(config, tmp_path, capsys):
     assert "peak_omega" in text
     assert out.read_text().splitlines()[0] == "omega,power"
     assert dump.read_text().splitlines()[0] == "t,E"
-    # pinned bytes, produced by sampling one realization at a time
+    # pinned bytes of the segmented AR(1) (1911 samples: three segments) and the paired transform
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
         "de88d80209c64b085dc9f7830b7288dc012717df1eeadf968a3c9b0c7663293b"
     )
     assert hashlib.sha256(dump.read_bytes()).hexdigest() == (
-        "da2608ffc8acf04962658b5f10d2c750b7779988fbb57b7080d7384cb1d341a0"
+        "6fc37e14a732b328b53ffe44521a10e363a89b894c38eca0881a16f6d536921e"
     )
     assert text.splitlines()[2:] == [
         "peak_omega = 10.1198 (target 10)",
@@ -638,19 +638,20 @@ def test_spectrum_command(config, tmp_path, capsys):
 
 
 #: SHA-256 of the --out and --dump-field files of ``spectrum --n 45 --seed 7``
-#: at the default record length (6367 samples, several synthesis blocks),
-#: computed with every realization held in memory before the periodogram
+#: at the default record length (6367 samples: 12 AR(1) segments and a tail,
+#: several synthesis blocks), with the realizations transformed in pairs
 SPECTRUM_45_SHA256 = (
-    "715a7e1519db9409402a2379ac1b15f841a6c32bb0cf4217dfa22c439ef04880",
-    "ceb609e932382336c4928b641d80deb62ac9d72048a36365f6a0b327b30e69c2",
+    "45842f2b8664e61ce71a8b869f996a41b0d1cb644932013528c6c880d2a7d663",
+    "11e3de049540f8f03d7ecffb8907cd4c013b56b1d30b5c8ecb82584d92f2107b",
 )
 
 
 def test_spectrum_bytes_do_not_depend_on_block_size(config, tmp_path, capsys, monkeypatch):
     cfg = config(SPECTRUM)
     record = 2 * 8 * 6367  # bytes of normals per realization
-    # the default budget, then blocks of 1 and of 3 records (a partial last block)
-    for budget in (stochastic.FIELD_BLOCK_BYTES, record, 3 * record):
+    # the default budget, then blocks of 2 (one record, rounded up to a pair) and of 4
+    # records (an odd partial last block)
+    for budget in (stochastic.FIELD_BLOCK_BYTES, record, 5 * record):
         monkeypatch.setattr(stochastic, "FIELD_BLOCK_BYTES", budget)
         where = tmp_path / str(budget)
         where.mkdir()
@@ -667,6 +668,25 @@ def test_spectrum_bytes_do_not_depend_on_block_size(config, tmp_path, capsys, mo
         digests = tuple(hashlib.sha256((where / f).read_bytes()).hexdigest()
                         for f in ("p.csv", "f.csv"))
         assert digests == SPECTRUM_45_SHA256
+
+
+def test_spectrum_bytes_do_not_depend_on_the_cpu_count(config, tmp_path, capsys, monkeypatch,
+                                                       forks):
+    # 15 records of 1911 samples (three AR(1) segments) in blocks of 4: the run is split
+    # at 6 where two CPUs are usable, and the child's half ends in an unpaired record
+    monkeypatch.setattr(stochastic, "FIELD_BLOCK_BYTES", 4 * 2 * 8 * 1911)
+    cfg, outputs = config(SPECTRUM), []
+    for cpus in (1, 2):
+        monkeypatch.setattr(stochastic, "_usable_cpus", lambda: cpus)
+        where = tmp_path / str(cpus)
+        where.mkdir()
+        monkeypatch.chdir(where)
+        assert main(["spectrum", "--config", cfg, "--n", "15", "--seed", "3", "--duration", "60",
+                     "--out", "p.csv", "--dump-field", "f.csv"]) == 0
+        outputs.append((capsys.readouterr().out, (where / "p.csv").read_bytes(),
+                        (where / "f.csv").read_bytes()))
+        assert forks == ([] if cpus == 1 else [os.getpid()])
+    assert outputs[1] == outputs[0]
 
 
 def test_spectrum_zero_field_has_no_fit(config, tmp_path, capsys):

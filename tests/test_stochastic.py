@@ -1,9 +1,6 @@
 import math
 import os
 import signal
-import sys
-import threading
-import time
 import tracemalloc
 import warnings
 
@@ -174,11 +171,79 @@ def test_quadrature_paths_on_a_column_slice(c):
     np.testing.assert_array_equal(buf[:, c:], rest)
 
 
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1024, 8000),
+       lanes=st.one_of(st.tuples(st.integers(1, 9)), st.tuples(st.integers(1, 9), st.just(2))),
+       beta_dt=st.floats(1e-4, 0.05), seed=st.integers(0, 2**32 - 1))
+@example(n=1024, lanes=(1,), beta_dt=1e-4, seed=0)  # the shortest record of two segments
+@example(n=6367, lanes=(9, 2), beta_dt=0.0314, seed=1)  # criterion 10's record: 12 and a tail
+def test_segmented_quadrature_paths_match_the_stepwise_reference(n, lanes, beta_dt, seed):
+    """Records of two or more segments, against ``ar1_reference``, within a derived bound.
+
+    Let u = 2^-53 and M the largest |x| of either result. The reference
+    rounds rho x_(k-1) and its sum with the innovation w_k = s z_k (both
+    compute w_k alike), an error of at most 2uM a step. A later segment
+    steps its own path y from w, whose |y| <= 2M rounds by at most 4uM a
+    step, and then adds rho^(k+1) c, the end c of the segment before: the
+    power, product and sum round by at most 4uM. Errors made k steps back
+    are damped by rho^k, so within a segment of L samples the two differ by
+    at most E = 8uM (G + 1) plus rho^(k+1) times the difference in c, with
+    G = sum of rho^i for i < L. Each segment's end so carries the earlier
+    ones' errors damped by rho^L, and every sample, the tail's too, is
+    within 2E / (1 - rho^L): a few ulps of M per step of G, damped by the
+    segments' rho^L (L >= 512). The first segment is computed as the
+    reference computes it, bit for bit.
+    """
+    normals = np.random.default_rng(seed).standard_normal((n, *lanes))
+    rho, sigma_st = math.exp(-beta_dt), 1.7
+    expected = np.moveaxis(ar1_reference(np.moveaxis(normals, 0, -1), rho, sigma_st), -1, 0)
+    got = stochastic._quadrature_paths(normals.copy(), rho, sigma_st)
+    length = n // (n // stochastic._SEGMENT)
+    np.testing.assert_array_equal(got[:length], expected[:length])
+    u, big = 2.0**-53, max(np.abs(got).max(), np.abs(expected).max())
+    bound = 2 * 8 * u * big * ((1 - rho**length) / (1 - rho) + 1) / (1 - rho**length)
+    assert np.abs(got - expected).max() <= bound
+
+
+def _periodogram_bound(fields, dt):
+    """Largest |difference| of two averaged periodograms of ``fields`` that transform differently.
+
+    A transform of N points in floating point is off by at most eps = c u log2 N
+    of its norm, normwise (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, 2nd ed., Thm 24.2), with c = 10 taken for the mixed-radix and
+    Bluestein transforms. A squared magnitude dt |X_k|^2 / N is then off by at
+    most eps (2 + eps) dt ||x||^2, since ||X||^2 = N ||x||^2; a packed pair
+    (|Z_k|^2 + |Z_(N-k)|^2) dt / 2N by at most that of its two records. The n
+    in-order additions and the scalings round by at most (n + 4) u of the
+    largest sum.
+    """
+    n, u = len(fields), 2.0**-53
+    eps = 10 * u * math.log2(len(fields[0]))
+    sq_norms = sum(float(f @ f) for f in fields)
+    largest = np.max(periodogram_reference(fields, dt)) * n
+    return (2 * eps * (2 + eps) * dt * sq_norms + (n + 4) * u * largest) / n
+
+
+@pytest.mark.parametrize("n_samples", [301, 1021])
+@pytest.mark.parametrize("columns", [1, 2, 3, 4, 5, 17, 18])
+def test_packed_transform_matches_a_per_record_rfft(n_samples, columns):
+    # pairs of columns share one complex transform; an odd last column goes alone.
+    # 17 and 18 columns take more than one group of _TRANSFORM_PAIRS pairs
+    dt = 0.05
+    block = np.empty((n_samples, -(-columns // 2)), complex).view(float)[:, :columns]
+    block[:] = np.random.default_rng(columns).standard_normal(block.shape)
+    power = np.zeros(n_samples // 2 + 1)
+    stochastic._add_periodograms(power, block, dt)
+    fields = list(block.T)
+    expected = periodogram_reference(fields, dt) * columns
+    assert np.abs(power / columns - expected / columns).max() <= _periodogram_bound(fields, dt)
+
+
 def test_sample_fields_match_per_seed_sampling(monkeypatch):
     p = SystemParams(omega=10.0, kappa=1.0, beta_s=0.0, i0=1.0, beta=1.0)
     dt, n_steps = max_field_dt(p), 100
-    # blocks of 3 realizations, so 7 seeds leave a partial last block
-    monkeypatch.setattr(stochastic, "FIELD_BLOCK_BYTES", 3 * 2 * 8 * (n_steps + 1))
+    # blocks of 4 realizations, so 7 seeds leave a partial last block
+    monkeypatch.setattr(stochastic, "FIELD_BLOCK_BYTES", 4 * 2 * 8 * (n_steps + 1))
     seeds = derive_seeds(17, range(7))
     fields = sample_fields(p, dt, n_steps, seeds)
     assert fields.shape == (n_steps + 1, len(seeds))
@@ -198,24 +263,28 @@ def test_streams_do_not_depend_on_block_size(monkeypatch, tmp_path):
     ic, dt, n_steps = InitialCondition(0.3, 0.5), max_field_dt(WEAK), 300
     seeds = derive_seeds(17, range(7))
     fields = [one_field(WEAK, dt, n_steps, s) for s in seeds]
-    reference = periodogram_reference(fields, dt)
+    reference, bound = periodogram_reference(fields, dt), _periodogram_bound(fields, dt)
 
     def report_bytes():  # every field of the report, as write_json writes it
         path = tmp_path / "report.json"
         ensemble_average(ic, WEAK, 7, dt, n_steps * dt, 17).write_json(path)
         return path.read_bytes()
 
-    report = report_bytes()
-    # blocks of 1 and of 3 records (a partial last block), then the default
+    report, powers = report_bytes(), []
+    # blocks of 2 (a budget of one record, rounded up to a pair) and of 4 records (an odd
+    # partial last block), then the default
     record = 2 * 8 * (n_steps + 1)
-    for budget in (record, 3 * record, stochastic.FIELD_BLOCK_BYTES):
+    for budget in (record, 5 * record, stochastic.FIELD_BLOCK_BYTES):
         monkeypatch.setattr(stochastic, "FIELD_BLOCK_BYTES", budget)
         omega, power, first = sample_periodogram(WEAK, dt, n_steps, seeds)
         np.testing.assert_array_equal(omega, 2.0 * math.pi * np.fft.rfftfreq(n_steps + 1, d=dt))
-        np.testing.assert_array_equal(power, reference)
+        assert np.abs(power - reference).max() <= bound
+        powers.append(power)
         np.testing.assert_array_equal(first, fields[0])
         np.testing.assert_array_equal(sample_fields(WEAK, dt, n_steps, seeds), np.stack(fields, 1))
         assert report_bytes() == report
+    np.testing.assert_array_equal(powers[1], powers[0])
+    np.testing.assert_array_equal(powers[2], powers[0])
 
 
 needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="os.fork is not available")
@@ -430,94 +499,95 @@ class _Failure(Exception):
     pass
 
 
-def _three_record_blocks(monkeypatch, n_steps):
-    monkeypatch.setattr(stochastic, "FIELD_BLOCK_BYTES", 3 * 2 * 8 * (n_steps + 1))
-
-
-def test_a_failing_transform_is_raised_and_the_helper_thread_ended(monkeypatch):
-    n_steps, transform, widths = 100, stochastic._add_periodograms, []
-    _three_record_blocks(monkeypatch, n_steps)
-
-    def fail_on_second_block(power, block, dt):
-        widths.append(block.shape[1])
-        if len(widths) == 2:
-            raise _Failure("transform failed")
-        transform(power, block, dt)
-
-    monkeypatch.setattr(stochastic, "_add_periodograms", fail_on_second_block)
-    before = threading.active_count()
-    with pytest.raises(_Failure, match="transform failed"):
-        sample_periodogram(WEAK, max_field_dt(WEAK), n_steps, derive_seeds(5, range(7)))
-    assert widths == [3, 3]  # the third block is drawn but never submitted
-    assert threading.active_count() == before
-
-
-def test_a_main_thread_failure_waits_for_the_transform_in_flight(monkeypatch):
-    n_steps, transform, draw = 100, stochastic._add_periodograms, stochastic._draw_normals
-    _three_record_blocks(monkeypatch, n_steps)
-    started, done, draws = threading.Event(), threading.Event(), []
-
-    def slow_transform(power, block, dt):
-        started.set()
-        time.sleep(0.2)
-        transform(power, block, dt)
-        done.set()
-
-    def fail_on_second_draw(seeds, out):
-        draws.append(len(seeds))
-        if len(draws) == 2:
-            assert started.wait(10) and not done.is_set()  # block 0's transform is in flight
-            raise _Failure("draw failed")
-        return draw(seeds, out)
-
-    monkeypatch.setattr(stochastic, "_add_periodograms", slow_transform)
-    monkeypatch.setattr(stochastic, "_draw_normals", fail_on_second_draw)
-    before = threading.active_count()
-    with pytest.raises(_Failure, match="draw failed"):
-        sample_periodogram(WEAK, max_field_dt(WEAK), n_steps, derive_seeds(5, range(7)))
-    assert done.is_set()  # the helper finished its transform before the failure came out
-    assert threading.active_count() == before
-
-
-def test_pipelined_periodogram_is_exact_with_late_transforms_and_fast_switching(monkeypatch,
-                                                                                forks):
-    # three callers at once, each with a helper thread whose transforms start late,
-    # switching threads every microsecond: a block modulated into the field buffer
-    # before the transform of the one before returned would change the sum. None
-    # forks, though three blocks on two CPUs would split an ensemble: a fork would
-    # copy a process whose helper threads are running
-    dt, n_steps, interval = max_field_dt(WEAK), 200, sys.getswitchinterval()
-    _three_record_blocks(monkeypatch, n_steps)
+def _periodogram_run(monkeypatch, n=15):
+    """``sample_periodogram`` arguments of a run that splits: 15 seeds in blocks of 4, cut at
+    2 (15 // 4) = 6, so the child's half of 9 seeds ends in an odd, unpaired record."""
+    n_steps = 60
+    monkeypatch.setattr(stochastic, "FIELD_BLOCK_BYTES", 4 * 2 * 8 * (n_steps + 1))
     monkeypatch.setattr(stochastic, "_usable_cpus", lambda: 2)
-    transform = stochastic._add_periodograms
+    return WEAK, max_field_dt(WEAK), n_steps, derive_seeds(23, range(n))
 
-    def late_transform(power, block, dt):
-        time.sleep(0.01)
+
+def _periodogram_bytes(run):
+    """The omega, power and realization-0 bytes of ``sample_periodogram(*run)``."""
+    return b"".join(a.tobytes() for a in sample_periodogram(*run))
+
+
+@needs_fork
+@pytest.mark.parametrize("failure", [None, "child", "fork", "sigchld"])
+def test_a_split_periodogram_gives_the_unsplit_bytes(monkeypatch, forks, failure):
+    # the caller's transform calls are recorded; the child's land in its own copy of the list
+    run, widths, transform = _periodogram_run(monkeypatch), [], stochastic._add_periodograms
+    parent, draw = os.getpid(), stochastic._draw_normals
+
+    def recording_transform(power, block, dt):
+        widths.append(block.shape[1])
         transform(power, block, dt)
 
-    runs = {s: derive_seeds(s, range(8)) for s in (21, 22, 23)}
-    expected = {s: periodogram_reference([one_field(WEAK, dt, n_steps, x) for x in seeds], dt)
-                for s, seeds in runs.items()}
-    monkeypatch.setattr(stochastic, "_add_periodograms", late_transform)
-    got = {}
+    def fail_in_child(chunk, out):  # after the child has added its first block
+        if os.getpid() != parent and widths[-1:] == [4]:
+            raise _Failure("child")
+        return draw(chunk, out)
 
-    def run(s):
-        got[s] = sample_periodogram(WEAK, dt, n_steps, runs[s])[1]
+    def no_fork():
+        forks.append(os.getpid())
+        raise OSError("fork failed")
 
-    callers = [threading.Thread(target=run, args=(s,)) for s in runs]
-    sys.setswitchinterval(1e-6)
+    monkeypatch.setattr(stochastic, "_add_periodograms", recording_transform)
+    monkeypatch.setattr(stochastic, "_usable_cpus", lambda: 1)
+    unsplit = _periodogram_bytes(run)
+    assert (forks, widths) == ([], [4, 2, 4, 4, 1])  # one process, both halves in turn
+    monkeypatch.setattr(stochastic, "_usable_cpus", lambda: 2)
+    widths.clear()
+    if failure == "child":
+        monkeypatch.setattr(stochastic, "_draw_normals", fail_in_child)
+    elif failure == "fork":
+        monkeypatch.setattr(os, "fork", no_fork)
+    # with SIGCHLD ignored waitpid waits for the child and fails with ECHILD: the status is lost
+    ignored = failure == "sigchld"
+    previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN) if ignored else None
     try:
-        for caller in callers:
-            caller.start()
-        for caller in callers:
-            caller.join(timeout=60)
+        assert _periodogram_bytes(run) == unsplit
     finally:
-        sys.setswitchinterval(interval)
-    assert not any(caller.is_alive() for caller in callers)
-    assert got.keys() == expected.keys()
-    for s in runs:
-        np.testing.assert_array_equal(got[s], expected[s])
+        if ignored:
+            signal.signal(signal.SIGCHLD, previous)
+    assert forks == [parent]
+    assert widths == ([4, 2] if failure is None else [4, 2, 4, 4, 1])
+
+
+@needs_fork
+def test_only_a_periodogram_of_two_blocks_or_more_outside_a_one_cpu_quota_is_split(
+        monkeypatch, tmp_path, forks):
+    usable_cpus, run = stochastic._usable_cpus, _periodogram_run(monkeypatch)
+    seeds = run[3][:8]  # two blocks of 4
+    sample_periodogram(*run[:3], seeds[:7])
     assert forks == []
+    monkeypatch.setattr(stochastic, "_usable_cpus", usable_cpus)  # the count under a quota
+    _quota_tree(monkeypatch, tmp_path, {"cpu.max": "100000 100000\n"})
+    sample_periodogram(*run[:3], seeds)
+    assert forks == []
+    (tmp_path / "cpu.max").write_text("max 100000\n")  # without the quota the run is split
+    sample_periodogram(*run[:3], seeds)
+    assert forks == [os.getpid()]
+
+
+@needs_fork
+def test_a_failure_in_the_caller_half_of_a_periodogram_is_raised_and_leaves_no_child(monkeypatch,
+                                                                                     forks):
+    run = _periodogram_run(monkeypatch)
+    parent, draw = os.getpid(), stochastic._draw_normals
+
+    def fail_in_parent(chunk, out):
+        if os.getpid() == parent:
+            raise _Failure("parent")
+        return draw(chunk, out)
+
+    monkeypatch.setattr(stochastic, "_draw_normals", fail_in_parent)
+    with pytest.raises(_Failure, match="parent"):
+        sample_periodogram(*run)
+    assert forks == [parent]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_periodogram_needs_two_realizations():
