@@ -67,7 +67,8 @@ from typing import Callable, Iterator, Sequence, Union
 
 import numpy as np
 
-from .dynamics import ArrayLike, FormulaSource, _check_mode, _check_theta, _envelope_decay, _mix
+from .dynamics import (MAX_QUARTER_PERIODS, ArrayLike, FormulaSource, _check_mode, _check_quarters,
+                       _check_theta, _envelope_decay, _mix)
 from .model import DimensionlessConfig
 
 __all__ = [
@@ -91,9 +92,6 @@ __all__ = [
 TIE_TOL = 1e-10
 #: distances below this are treated as exact zeros (kinks) of D
 _KINK_TOL = 1e-12
-#: cap on the quarter periods of one frequency up to the horizon, checked
-#: before the rise and breakpoint grids (8 bytes a quarter period) are built
-MAX_QUARTER_PERIODS = 2**20
 #: cap on the (owner, gap, sample) values of one positivity-interval scan,
 #: checked before they are allocated; each value costs about 80 bytes of
 #: peak memory (a 65-angle derived scan of 2**21 values peaks near 250 MB)
@@ -254,13 +252,6 @@ def sigma_rate(
 # ---------------------------------------------------------------------------
 # branch rises: exp(-decay tau)|cos(freq tau)|, decay 0 (omega) or the envelope rate (lambda)
 # ---------------------------------------------------------------------------
-
-def _check_quarters(freq: float, t_max: float) -> None:
-    quarters = 2.0 * freq * t_max / math.pi
-    if not quarters <= MAX_QUARTER_PERIODS:
-        raise ValueError(f"frequency {freq:.6g} up to T = {t_max:.6g} spans {quarters:.3g} quarter "
-                         f"periods, over the cap of {MAX_QUARTER_PERIODS}")
-
 
 def _branch_value(freq: ArrayLike, decay: ArrayLike, t_max: ArrayLike) -> np.ndarray:
     """Total rise of exp(-c tau)|cos(f tau)| over [0, T], elementwise over broadcast arrays.

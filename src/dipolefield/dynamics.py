@@ -59,11 +59,36 @@ BALL_ATOL = 1e-9
 #: field (about 0.17 GB at the cap)
 MAX_FIELD_SAMPLES = 2**24
 
+#: cap on the quarter periods of one frequency up to a time: a closed form's largest
+#: phase, and ``blp``'s rise and breakpoint grids (8 bytes a quarter period), checked
+#: before they are computed or built
+MAX_QUARTER_PERIODS = 2**20
+
 
 def _check_mode(mode: str) -> str:
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     return mode
+
+
+def _check_quarters(freq: float, t_max: float) -> None:
+    quarters = 2.0 * freq * t_max / math.pi
+    if not quarters <= MAX_QUARTER_PERIODS:
+        raise ValueError(f"frequency {freq:.6g} up to T = {t_max:.6g} spans {quarters:.3g} quarter "
+                         f"periods, over the cap of {MAX_QUARTER_PERIODS}")
+
+
+def _times(t: ArrayLike, freq: float) -> np.ndarray:
+    """``t`` as a float array, refused with ValueError if a time is NaN, infinite or
+    negative, or if ``freq`` spans more than ``MAX_QUARTER_PERIODS`` quarter periods up to
+    the latest time. Callers pass the carrier omega, or lambda where larger, so that the
+    closed forms share one time domain and ``blp``'s cap on horizons."""
+    t = np.asarray(t, dtype=float)
+    bad = ~((t >= 0.0) & (t < math.inf))  # NaN fails both
+    if bad.any():
+        raise ValueError(f"time {t[bad].flat[0]} must be finite and nonnegative")
+    _check_quarters(freq, float(np.max(t, initial=0.0)))
+    return t
 
 
 def _check_theta(theta: float) -> float:
@@ -152,9 +177,9 @@ def mean_dipole(ic: InitialCondition, p: SystemParams, t: ArrayLike) -> ArrayLik
 
     Depends only on the initial dipole and the level splitting; the noise
     and the emission rate never enter. The initial dipole rate is taken as
-    zero, matching the ensemble closed form.
+    zero, matching the ensemble closed form. Refuses what ``_times`` refuses.
     """
-    t = np.asarray(t, dtype=float)
+    t = _times(t, p.omega)
     out = ic.m0 * np.cos(p.omega * t)
     return out if out.ndim else float(out)
 
@@ -174,11 +199,11 @@ def mean_inversion(
     of kappa or of beta - beta_s overflows. The "as-printed" variant omits
     the W0-proportional sine contribution; the two coincide when
     beta == beta_s or w0 == 0. Both continue smoothly through the
-    overdamped regime.
+    overdamped regime. Refuses what ``_times`` refuses.
     """
     _check_mode(mode)
     d = derive_params(p)
-    t = np.asarray(t, dtype=float)
+    t = _times(t, max(p.omega, d.lambda_value))
     w_big0 = 0.5 * p.omega * ic.w0
     ec, es = _damped(d.gamma, d.lambda_sq, t)
     sine_coeff = d.c_sine
@@ -206,11 +231,11 @@ def trace_distance(
     sine term (beta - beta_s)/2 * e^{-gamma t} sin(lambda t)/lambda times
     the initial inversion difference. So the derived variant is the distance
     of the derived ``mean_dipole``/``mean_inversion`` pair only when
-    beta = beta_s (see the README's "Known model limits").
+    beta = beta_s (see the README's "Known model limits"). Refuses what ``_times`` refuses.
     """
     _check_mode(mode)
     d = derive_params(p)
-    t = np.asarray(t, dtype=float)
+    t = _times(t, max(p.omega, d.lambda_value))
     out = _mix(math.cos(pair.theta) ** 2, np.cos(p.omega * t),
                _damped(_envelope_decay(mode) * d.gamma, d.lambda_sq, t)[0])
     return out if out.ndim else float(out)

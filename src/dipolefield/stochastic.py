@@ -61,13 +61,15 @@ DIVERGENCE_LIMIT = 1e3
 #: bytes of unit normals synthesized at once, the one memory budget of field
 #: synthesis: 40 realizations at the 6367-sample records of the spectrum check,
 #: whose periodogram then holds the normals, one reused field buffer of half
-#: their size, ``_draw_normals``' transpose tile of ``_TRANSPOSE_SEEDS`` records
-#: (1.55 MiB there) and ``_TRANSFORM_PAIRS`` pairs of transform: a traced peak
-#: of 7.60 MiB in the caller, under 2.25 blocks whatever the number of realizations
+#: their size, ``_draw_normals``' transpose tile (16 records there, 1.55 MiB)
+#: and ``_TRANSFORM_PAIRS`` pairs of transform: a traced peak of 7.60 MiB in
+#: the caller, under 2.25 blocks whatever the number of realizations
 FIELD_BLOCK_BYTES = 4 * 2**20
 
-#: records drawn contiguously before they are transposed into a time-major block
-_TRANSPOSE_SEEDS = 16
+#: records drawn contiguously before they are transposed into a time-major block: at
+#: least ``_TRANSPOSE_SEEDS``, and as many as fit ``_TRANSPOSE_BYTES`` (97 at criterion
+#: 09's 168 samples, where 16 records a tile took 8 % longer per block)
+_TRANSPOSE_SEEDS, _TRANSPOSE_BYTES = 16, 2**18
 
 #: pairs of field columns the periodogram transforms at once
 _TRANSFORM_PAIRS = 8
@@ -124,12 +126,20 @@ class EnsembleReport:
     ic: InitialCondition
 
     def write_json(self, path: str | Path) -> None:
-        """Write the fields as JSON lists, objects and numbers, ``ic`` as ``initial_condition``."""
-        report = {"initial_condition" if f.name == "ic" else f.name: getattr(self, f.name)
-                  for f in fields(self)}
-        text = json.dumps(report, indent=2,
-                          default=lambda v: v.tolist() if isinstance(v, np.ndarray) else asdict(v))
-        Path(path).write_text(text + "\n", newline="")
+        """Write the fields as JSON lists, objects and numbers, ``ic`` as ``initial_condition``.
+
+        The text is json's ``indent=2`` text plus a newline, written by hand: with ``indent``
+        set the json module encodes in pure Python. A list (never empty) is its items as
+        json's C encoder writes them, one a line, so a non-finite value, which no report
+        holds since a divergence raises, would be written as json writes it (``NaN``).
+        """
+        def field(f):  # "name": value, nested one level as in the report
+            key, v = "initial_condition" if f.name == "ic" else f.name, getattr(self, f.name)
+            if isinstance(v, (np.ndarray, tuple)):
+                items = json.dumps(v, separators=(",\n    ", ""), default=np.ndarray.tolist)
+                return f'  "{key}": [\n    {items[1:-1]}\n  ]'
+            return f'  "{key}": ' + json.dumps(v, indent=2, default=asdict).replace("\n", "\n  ")
+        Path(path).write_text("{\n" + ",\n".join(map(field, fields(self))) + "\n}\n", newline="")
 
 
 @dataclass(frozen=True)
@@ -244,18 +254,20 @@ def _draw_normals(seeds: Sequence[int], out: np.ndarray) -> np.ndarray:
 
     ``out[:, i].T`` equals ``np.random.default_rng(seeds[i]).standard_normal((2, K + 1))``
     for seeds in [0, 2**64): PCG64 states seeded in bulk, loaded through one
-    reused state dict into one generator, which fills ``_TRANSPOSE_SEEDS``
-    records at a time that are then transposed into place.
+    reused state dict into one generator, which fills a tile of records at a
+    time (``_TRANSPOSE_SEEDS``, or ``_TRANSPOSE_BYTES`` of them if more) that
+    is then transposed into place.
     """
     states = _seed_state(_words(seeds), 2, 4).tolist()
     bits = np.random.PCG64(0)
     gen = np.random.Generator(bits)
     pcg = {}
     state = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
-    records = np.empty((min(_TRANSPOSE_SEEDS, len(states)), 2, out.shape[0]))
-    for start in range(0, len(states), _TRANSPOSE_SEEDS):
+    tile = max(_TRANSPOSE_SEEDS, _TRANSPOSE_BYTES // (16 * out.shape[0]))
+    records = np.empty((min(tile, len(states)), 2, out.shape[0]))
+    for start in range(0, len(states), tile):
         rows = records[:len(states) - start]
-        for row, (s0, s1, q0, q1) in zip(rows, states[start:start + _TRANSPOSE_SEEDS]):
+        for row, (s0, s1, q0, q1) in zip(rows, states[start:start + tile]):
             # inc = 2 initseq + 1; two LCG steps from state 0, adding initstate between them
             pcg["inc"] = inc = ((q0 << 64 | q1) << 1 | 1) & _MASK128
             pcg["state"] = ((inc + (s0 << 64 | s1)) * _PCG64_MULT + inc) & _MASK128
@@ -478,15 +490,14 @@ def _moments(
 
     ``out`` is (2, 2, K+1): the sums of m and of w, then their M2, at t = k dt. The
     field is synthesized here, and each time row is reduced as RK4 yields
-    it, by index-ordered sums: cumsum adds in index order, as ``sum(axis=0)``
-    of the record-major trajectories does, where np.sum would add pairwise.
+    it, through one (2, n) view of its m and w rows, by numpy's pairwise
+    sums: more accurate than adding in index order, and under half the calls.
     """
     field = sample_fields(p, dt, n_steps, seeds)
     with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN raise divergence, unwarned
-        for k, (m, _, w) in enumerate(_rk4_paths(ic, p, field, dt, seeds)):
-            for x, total, m2 in zip((m, w), *out):
-                total[k] = np.cumsum(x)[-1]
-                m2[k] = np.cumsum((x - total[k] / len(seeds)) ** 2)[-1]
+        for k, mw in enumerate(x[::2] for x in _rk4_paths(ic, p, field, dt, seeds)):  # m and w
+            out[0, :, k] = total = mw.sum(axis=1)
+            out[1, :, k] = ((mw - total[:, None] / len(seeds)) ** 2).sum(axis=1)
 
 
 def ensemble_average(
@@ -509,8 +520,12 @@ def ensemble_average(
     forked child where it can, into a shared mapping of the moments, with
     the same bytes either way. A divergence in either half is raised as one
     run of all the trajectories reports it. Residuals are taken against the
-    closed-form dipole and inversion on the same grid. Runs of more than
-    ``MAX_FIELD_SAMPLES`` samples in all are rejected before any seed is derived.
+    closed-form dipole and inversion on the same grid. The dipole is evaluated
+    first, so a horizon past its phase cap is refused before any trajectory
+    runs; lambda passes that cap only beyond the weak-coupling guard, and the
+    inversion checks it after the trajectories, so that a divergence is still
+    reported as one. Runs of more than ``MAX_FIELD_SAMPLES`` samples in all are
+    rejected before any seed is derived.
     """
     if n_realizations < 2:
         raise ValueError("n_realizations must be at least 2")
@@ -520,6 +535,8 @@ def ensemble_average(
     # a ratio beyond the cap (even an overflowing one) is clamped, then rejected
     n_steps = max(1, math.ceil(min(horizon / dt, MAX_FIELD_SAMPLES) - 1e-12))
     _check_size(n_realizations, n_steps)
+    t = dt * np.arange(n_steps + 1)
+    closed_m = mean_dipole(ic, p, t)
 
     seeds = tuple(derive_seeds(master_seed, range(n_realizations)))
     n, half = n_realizations, n_realizations // 2
@@ -534,11 +551,9 @@ def ensemble_average(
     mean_m, mean_w = (sum_1 + sum_2) / n
     m2 = m2_1 + m2_2 + (sum_2 / (n - half) - sum_1 / half) ** 2 * (half * (n - half) / n)
     se_m, se_w = np.sqrt(m2 / (n - 1)) / math.sqrt(n)
-    t = dt * np.arange(n_steps + 1)
     return EnsembleReport(
         t=t, mean_m=mean_m, mean_w=mean_w, se_m=se_m, se_w=se_w,
-        residual_m=mean_m - mean_dipole(ic, p, t),
-        residual_w=mean_w - mean_inversion(ic, p, t),
+        residual_m=mean_m - closed_m, residual_w=mean_w - mean_inversion(ic, p, t),
         n_realizations=n_realizations, dt=dt, master_seed=master_seed, seeds=seeds,
         params=p, ic=ic,
     )

@@ -198,6 +198,23 @@ def test_single_time_grid_is_accepted(config, tmp_path, command):
                  "--out", str(out)]) == 0
     assert len(out.read_text().splitlines()) == 2
 
+
+@pytest.mark.parametrize("mode", ["derived", "as-printed"])
+@pytest.mark.parametrize("command", ["evolve", "distance"])
+def test_a_time_grid_past_the_phase_cap_exits_2_before_any_overflow(config, tmp_path, capsys,
+                                                                    command, mode):
+    # the phase cap is checked before any closed form is evaluated, so no numpy
+    # RuntimeWarning (an error in this suite) comes before the one exit-2 line
+    out = tmp_path / "out.csv"
+    assert main([command, "--config", config(REFERENCE), "--mode", mode, "--tmax", "1e308",
+                 "--steps", "3", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("invalid input: frequency 2 up to T = 1e+308 spans inf quarter "
+                            f"periods, over the cap of {blp.MAX_QUARTER_PERIODS}\n")
+    assert not out.exists()
+
+
 def test_nonmark_reports_measure(config, tmp_path, capsys):
     out = tmp_path / "nonmark.json"
     code = main(
@@ -590,8 +607,8 @@ def test_mc_verify_overflowing_trajectory_prints_only_its_exit_3_line(config, tm
 #: default_rng per trajectory: criterion 09's config, and a small run whose
 #: master seed of 2**40 + 7 takes two entropy words
 MC_REPORT_SHA256 = {
-    "criterion-09": "17534ad549db4880af9f65db4935da42e91d80914251a0b45468a0512f6a7b63",
-    "wide-seed": "9114f6896fc9cf2c42e46de4f0b9c05efee163f0b6b041c5d5533a531ac44ab9",
+    "criterion-09": "e195365aca4fcdcb8043ad5ce2adb23555c29b44fcdfab0ac41138f6cf3b1e45",
+    "wide-seed": "69415b7e486834892c53ff6ef036ade05547ade8ed86fbeef5ac3fa8d2fb7318",
 }
 MC_REPORT_ARGS = {
     "criterion-09": ["--n", "10000", "--seed", "99"],

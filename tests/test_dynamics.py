@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from dipolefield.dynamics import (
+    MAX_QUARTER_PERIODS,
     InitialCondition,
     StatePair,
     mean_dipole,
@@ -402,3 +403,47 @@ def test_write_timeseries(tmp_path):
     # the dipole enters too: a pure coherent state starts at purity 1
     write_timeseries(path, InitialCondition(0.6, 0.8), p, [0.0])
     assert path.read_text().splitlines()[1] == "0,0.6,0.8,1"
+
+
+# ---------------------------------------------------------------------------
+# the time domain
+# ---------------------------------------------------------------------------
+
+_TIME_CALLS = {
+    "mean_dipole": lambda p, t: mean_dipole(InitialCondition(0.6, 0.8), p, t),
+    "mean_inversion": lambda p, t: mean_inversion(InitialCondition(0.6, 0.8), p, t),
+    "mean_inversion-as-printed": lambda p, t: mean_inversion(
+        InitialCondition(0.6, 0.8), p, t, mode="as-printed"),
+    "trace_distance": lambda p, t: trace_distance(StatePair(0.7), p, t),
+    "trace_distance-as-printed": lambda p, t: trace_distance(StatePair(0.7), p, t, "as-printed"),
+}
+_OSCILLATORY = SystemParams(omega=2.0, kappa=1.0, beta_s=1.0, i0=2.0 / math.pi, beta=1.0)
+
+
+@pytest.mark.parametrize("name", sorted(_TIME_CALLS))
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, -1.0, -5e-324,
+                               [0.0, 1.0, math.nan], np.array([2.0, -1.0])])
+def test_closed_forms_refuse_a_time_that_is_not_finite_and_nonnegative(name, t):
+    with pytest.raises(ValueError, match="must be finite and nonnegative"):
+        _TIME_CALLS[name](_OSCILLATORY, t)
+
+
+@pytest.mark.parametrize("name", sorted(_TIME_CALLS))
+def test_closed_forms_refuse_a_phase_past_the_quarter_cap(name):
+    # omega = 2 > lambda = 1: the carrier sets the cap; at 1e308 nothing overflows first
+    cap = MAX_QUARTER_PERIODS * math.pi / (2.0 * _OSCILLATORY.omega)
+    assert np.all(np.isfinite(_TIME_CALLS[name](_OSCILLATORY, [0.0, cap])))
+    for t in (np.nextafter(cap, math.inf), 1e308, [0.0, 1e308]):
+        with pytest.raises(ValueError, match=f"over the cap of {MAX_QUARTER_PERIODS}"):
+            _TIME_CALLS[name](_OSCILLATORY, t)
+
+
+def test_a_lambda_above_omega_sets_the_cap_of_the_inversion_and_distance():
+    p = SystemParams(omega=0.5, kappa=2.0, beta_s=1.0, i0=2.0 / math.pi, beta=1.0)
+    lam = derive_params(p).lambda_value
+    assert lam > p.omega
+    t = 1.01 * MAX_QUARTER_PERIODS * math.pi / (2.0 * lam)
+    assert math.isfinite(mean_dipole(InitialCondition(0.6, 0.8), p, t))
+    for name in ("mean_inversion", "trace_distance"):
+        with pytest.raises(ValueError, match=f"frequency {lam:.6g} up to T"):
+            _TIME_CALLS[name](p, t)

@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 import os
 import signal
@@ -84,6 +86,15 @@ def test_sample_fields_and_ensemble_cap_their_size(monkeypatch):
         ensemble_average(ic, WEAK, 2, dt, 51 * dt, 0)
 
 
+def test_ensemble_refuses_a_horizon_past_the_phase_cap_before_any_trajectory(monkeypatch):
+    # 8e6 steps of two trajectories fit the sample cap, but omega t spans over 2**20
+    # quarter periods: refused by the closed-form dipole before any field is drawn
+    monkeypatch.setattr(stochastic, "_in_halves", None)
+    dt = max_field_dt(WEAK)
+    with pytest.raises(ValueError, match="quarter periods, over the cap"):
+        ensemble_average(InitialCondition(0.6, 0.8), WEAK, 2, dt, 8e6 * dt, 0)
+
+
 # ---------------------------------------------------------------------------
 # seeding: bulk SeedSequence and PCG64 against numpy itself
 # ---------------------------------------------------------------------------
@@ -110,14 +121,17 @@ def _draw_normals(seeds, n_steps):
     return out.transpose(1, 2, 0)
 
 
-# lists longer than the transposition tile of 16 records, with partial last tiles
+# lists longer than the transposition tile of 16 records or more (a budget of up to 4 KiB
+# at these short records), with partial last tiles
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(seeds=st.lists(st.one_of(st.integers(0, 2**32 + 2), st.integers(0, 2**64 - 1)),
                       min_size=1, max_size=40),
-       n_steps=st.integers(1, 40))
-def test_draw_normals_equal_default_rng(seeds, n_steps):
+       n_steps=st.integers(1, 40), tile_bytes=st.integers(0, 2**12))
+def test_draw_normals_equal_default_rng(seeds, n_steps, tile_bytes):
     expected = [np.random.default_rng(s).standard_normal((2, n_steps + 1)) for s in seeds]
-    np.testing.assert_array_equal(_draw_normals(seeds, n_steps), expected)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(stochastic, "_TRANSPOSE_BYTES", tile_bytes)
+        np.testing.assert_array_equal(_draw_normals(seeds, n_steps), expected)
 
 
 def test_seed_edges_and_negative_seeds():
@@ -899,20 +913,41 @@ def test_ensemble_reproducible_and_matches_single(tmp_path):
     assert path.read_bytes() == again.read_bytes()
 
 
+def test_report_json_is_the_json_module_text(tmp_path):
+    # n = 2, a dipole rate and a master seed of two entropy words; then -0.0 and the
+    # non-finite values no report holds, which are written as json writes them
+    ic = InitialCondition(m0=0.3, w0=0.5, mdot0=-1.5)
+    report = ensemble_average(ic, WEAK, 2, 0.05, 0.15, 2**40 + 7)
+    edges = np.array([-0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324, 1e300, 0.1])
+    for rep in (report, dataclasses.replace(report, residual_w=edges, dt=-0.0)):
+        rep.write_json(tmp_path / "report.json")
+        fields = {"initial_condition" if f.name == "ic" else f.name: getattr(rep, f.name)
+                  for f in dataclasses.fields(rep)}
+        fields.update((k, v.tolist()) for k, v in fields.items() if isinstance(v, np.ndarray))
+        fields.update(params=dataclasses.asdict(rep.params),
+                      initial_condition=dataclasses.asdict(rep.ic))
+        expected = json.dumps(fields, indent=2) + "\n"
+        assert (tmp_path / "report.json").read_bytes() == expected.encode()
+
+
 def _assert_statistics_of_the_joined_halves(ic, p, n, dt, n_steps, seed):
-    """The report's means and standard errors equal, bit for bit, the stacked sums of each
-    half of the seeds (cut at n // 2) joined by Chan's formula, and are close to the
-    stacked statistics of all the trajectories."""
+    """The report's means and standard errors equal, bit for bit, the pairwise sums over
+    each half of the seeds (cut at n // 2) of the stacked trajectories, joined by Chan's
+    formula, and are close to the stacked statistics of all the trajectories."""
     report = ensemble_average(ic, p, n, dt, n_steps * dt, seed)
     assert report.t.size == n_steps + 1
     fields = sample_fields(p, dt, n_steps, report.seeds).T
     h = n // 2
     halves = [ensemble_paths(ic, p, part, dt) for part in (fields[:h], fields[h:])]
+
+    def row_sums(x):  # each time row of record-major trajectories, summed pairwise
+        return np.ascontiguousarray(x.T).sum(axis=1)
+
     for got_mean, got_se, first, second in zip((report.mean_m, report.mean_w),
                                                 (report.se_m, report.se_w), *halves):
-        # per half: the sum, by index-ordered sum(axis=0), and the sum of squared deviations
-        s1, s2 = first.sum(axis=0), second.sum(axis=0)
-        m2_1, m2_2 = ((first - s1 / h) ** 2).sum(axis=0), ((second - s2 / (n - h)) ** 2).sum(axis=0)
+        # per half: the sum and the sum of squared deviations
+        s1, s2 = row_sums(first), row_sums(second)
+        m2_1, m2_2 = row_sums((first - s1 / h) ** 2), row_sums((second - s2 / (n - h)) ** 2)
         m2 = m2_1 + m2_2 + (s2 / (n - h) - s1 / h) ** 2 * (h * (n - h) / n)
         np.testing.assert_array_equal(got_mean, (s1 + s2) / n)
         np.testing.assert_array_equal(got_se, np.sqrt(m2 / (n - 1)) / math.sqrt(n))
@@ -954,6 +989,65 @@ def test_streamed_statistics_with_a_dipole_rate_equal_stacked_reference(
     ic = InitialCondition(m0=radius * math.cos(angle), w0=radius * math.sin(angle), mdot0=mdot0)
     dt = dt_frac * max_field_dt(p)
     _assert_statistics_of_the_joined_halves(ic, p, n, dt, n_steps, seed)
+
+
+def _gamma(k):
+    """Higham's gamma_k = k u / (1 - k u), u = 2**-53."""
+    return k * 2.0**-53 / (1.0 - k * 2.0**-53)
+
+
+def _pairwise_roundings(n):
+    """The most roundings on any term's path through numpy's pairwise sum of n terms."""
+    if n < 8:  # added one by one
+        return n
+    if n <= 128:  # n // 8 terms into each of 8 accumulators, 3 levels joining them, the rest
+        return n // 8 - 1 + 3 + n % 8
+    half = n // 2 - n // 2 % 8
+    return 1 + max(_pairwise_roundings(half), _pairwise_roundings(n - half))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(2, 40000), offset=st.floats(1e-3, 1e3), negative=st.booleans(),
+       log_spread=st.floats(-12.0, -2.0), seed=st.integers(0, 2**32 - 1))
+@example(n=40000, offset=1.0, negative=False, log_spread=-2.0, seed=0)
+def test_moments_are_within_the_pairwise_bound_of_exact_sums(n, offset, negative, log_spread, seed):
+    """S and M2 of rows x_i = c (1 + s r_i), |r_i| <= 1, s <= 1e-2, as ``_moments`` writes them,
+    lie within the pairwise-summation bound of ``math.fsum`` over the same rows.
+
+    A sum whose terms each pass through at most d roundings is within
+    gamma_d sum |x_i| of the exact sum s (Higham, SIAM J. Sci. Comput. 14,
+    783, 1993). numpy adds n terms one by one under 8; up to 128 it fills 8
+    accumulators with n // 8 terms each, joins them in 3 levels and adds the
+    n % 8 left one by one; above 128 it halves at a multiple of 8 and adds
+    the halves, one rounding a level. So d = _pairwise_roundings(n), plus one
+    for the reduction's first term: 22 at n = 40000, where index order
+    allows n - 1. fsum F is s correctly rounded, so |S - F| <= gamma_(d+1) A,
+    A = sum |x_i| >= |F|.
+
+    Every x_i lies within a factor 2 of the means mu' = S / n and c' = F / n,
+    so x_i - mu' and x_i - c' are exact (Sterbenz). The squares and fsum
+    make the reference M2_F = T (1 +- gamma_2), T = M2 + n (mu - c')^2; the
+    squares and d + 1 pairwise roundings make M2 as written T' (1 +-
+    gamma_(d+2)), T' = M2 + n (mu - mu')^2, mu = s / n the exact mean.
+    |mu - mu'| and |mu - c'| are both under gamma_(d+2) A / n, so
+    |M2' - M2_F| <= gamma_(d+3) (M2' + M2_F) + 2 n (gamma_(d+2) A / n)^2.
+    """
+    rng = np.random.default_rng(seed)
+    scale = (-offset if negative else offset) * rng.uniform(0.5, 2.0, (4, 3, 1))
+    states = scale * (1.0 + 10.0**log_spread * rng.uniform(-1.0, 1.0, (4, 3, n)))
+    out = np.full((2, 2, 4), np.nan)
+    with pytest.MonkeyPatch.context() as patch:  # the rows stand in for RK4's
+        patch.setattr(stochastic, "sample_fields", lambda *args: None)
+        patch.setattr(stochastic, "_rk4_paths", lambda *args: iter(states))
+        stochastic._moments(None, WEAK, 0.01, 3, range(n), out)
+    d = 1 + _pairwise_roundings(n)
+    for k, state in enumerate(states):
+        for row, x in enumerate(state[::2]):
+            total, size = math.fsum(x), math.fsum(np.abs(x))
+            m2 = math.fsum((x - total / n) ** 2)
+            assert abs(out[0, row, k] - total) <= _gamma(d + 1) * size
+            slack = _gamma(d + 3) * (out[1, row, k] + m2) + 2 * (_gamma(d + 2) * size) ** 2 / n
+            assert abs(out[1, row, k] - m2) <= slack
 
 
 def test_ensemble_memory_grows_only_by_the_field(monkeypatch):
