@@ -423,7 +423,10 @@ def _sign_changes(fn: Callable, terms: tuple, lo: np.ndarray,
         change = sign < 0.0
         brackets.append((lo[change], hi[change], kk[change]))
         width = hi - lo
-        bound = _numerator_curvature(terms, kk, lo, hi) * width**2 / 8.0
+        # an overflowing bound (inf) keeps its gap hidden; a NaN one, an infinite curvature
+        # times an underflowed width**2, falls on a gap too narrow to split anyway
+        with np.errstate(over="ignore", invalid="ignore"):
+            bound = _numerator_curvature(terms, kk, lo, hi) * width**2 / 8.0
         hidden = np.minimum(abs(h_lo), abs(h_hi)) <= bound
         split = (sign > 0.0) & hidden & (width > 1e-7)
         lo, hi, h_lo, h_hi, kk = (x[split] for x in (lo, hi, h_lo, h_hi, kk))

@@ -121,6 +121,10 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_derive(args) -> int:
     p = read_params(args.config)
     d = derive_params(p)
+    constants = {k: v for k, v in vars(d).items() if v is not None}
+    if not all(map(math.isfinite, constants.values())):
+        raise ValueError("a derived constant overflows: " + ", ".join(
+            f"{k} = {v:g}" for k, v in constants.items()))
     print(f"gamma = {d.gamma:.12g}")
     print(f"lambda_sq = {d.lambda_sq:.12g}")
     if d.oscillatory:

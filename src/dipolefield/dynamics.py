@@ -150,7 +150,9 @@ def _damped(gamma: float, lambda_sq: float, t: ArrayLike) -> tuple[ArrayLike, Ar
     (gamma >= nu always holds for parameters coming from ``derive_params``),
     which cannot overflow. Their half-difference over nu, the sinh part, is
     taken as exp(-(gamma - nu) t) (1 - exp(-2 nu t)) / (2 nu) through
-    ``expm1``, which does not cancel as nu -> 0 near critical damping.
+    ``expm1``, which does not cancel as nu -> 0 near critical damping. The
+    as-printed distance passes gamma / 2, which can be below nu: its envelope
+    then grows, and can overflow.
     """
     if lambda_sq > 0:
         lam, decay = math.sqrt(lambda_sq), np.exp(-gamma * t)
@@ -160,6 +162,13 @@ def _damped(gamma: float, lambda_sq: float, t: ArrayLike) -> tuple[ArrayLike, Ar
     slow, fast = np.exp(-(gamma - nu) * t), np.exp(-(gamma + nu) * t)
     es = slow * -np.expm1(-2.0 * nu * t) / (2.0 * nu) if lambda_sq < -1e-300 else t * slow
     return 0.5 * (slow + fast), es
+
+
+def _finite(out: np.ndarray, what: str) -> ArrayLike:
+    """``out``, a float if 0-d, or ValueError where a constant or an envelope overflowed it."""
+    if not np.isfinite(out).all():
+        raise ValueError(f"the {what} overflows: a derived constant or its envelope is too large")
+    return out if out.ndim else float(out)
 
 
 def _mix(u: ArrayLike, coherence: ArrayLike, inversion: ArrayLike) -> ArrayLike:
@@ -199,19 +208,21 @@ def mean_inversion(
     of kappa or of beta - beta_s overflows. The "as-printed" variant omits
     the W0-proportional sine contribution; the two coincide when
     beta == beta_s or w0 == 0. Both continue smoothly through the
-    overdamped regime. Refuses what ``_times`` refuses.
+    overdamped regime. Refuses what ``_times`` refuses, and an inversion
+    that overflows.
     """
     _check_mode(mode)
     d = derive_params(p)
     t = _times(t, max(p.omega, d.lambda_value))
     w_big0 = 0.5 * p.omega * ic.w0
-    ec, es = _damped(d.gamma, d.lambda_sq, t)
     sine_coeff = d.c_sine
     if mode == "derived":
         sine_coeff = d.c_sine + 0.5 * (p.beta - p.beta_s) * w_big0
-    w_big = d.a_const * (ec - 1.0) + w_big0 * ec + sine_coeff * es
-    out = 2.0 * w_big / p.omega
-    return out if out.ndim else float(out)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        ec, es = _damped(d.gamma, d.lambda_sq, t)
+        w_big = d.a_const * (ec - 1.0) + w_big0 * ec + sine_coeff * es
+        out = 2.0 * w_big / p.omega
+    return _finite(out, "inversion")
 
 
 def trace_distance(
@@ -231,14 +242,16 @@ def trace_distance(
     sine term (beta - beta_s)/2 * e^{-gamma t} sin(lambda t)/lambda times
     the initial inversion difference. So the derived variant is the distance
     of the derived ``mean_dipole``/``mean_inversion`` pair only when
-    beta = beta_s (see the README's "Known model limits"). Refuses what ``_times`` refuses.
+    beta = beta_s (see the README's "Known model limits"). Refuses what ``_times`` refuses,
+    and a distance that overflows, as the growing as-printed envelope can.
     """
     _check_mode(mode)
     d = derive_params(p)
     t = _times(t, max(p.omega, d.lambda_value))
-    out = _mix(math.cos(pair.theta) ** 2, np.cos(p.omega * t),
-               _damped(_envelope_decay(mode) * d.gamma, d.lambda_sq, t)[0])
-    return out if out.ndim else float(out)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        out = _mix(math.cos(pair.theta) ** 2, np.cos(p.omega * t),
+                   _damped(_envelope_decay(mode) * d.gamma, d.lambda_sq, t)[0])
+    return _finite(out, "trace distance")
 
 
 def write_timeseries(

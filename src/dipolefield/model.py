@@ -138,7 +138,10 @@ def derive_params(p: SystemParams) -> DerivedParams:
     vanishes the offset constant is exactly 0 and the ratio constant is
     undefined (returned as None). The combined sine coefficient is computed
     in a single fraction so it never suffers the 0/0 of its factors. Raises
-    ValueError when a square of kappa or of beta - beta_s overflows.
+    ValueError when a square of kappa or of beta - beta_s overflows. Other
+    constants may overflow to inf or NaN: callers that print or evaluate
+    them refuse that, and ``mc-verify``, which reads gamma alone, refuses
+    the overflowing field variance instead.
     """
     try:
         weight, spread_sq = p.coupling_weight, (p.beta - p.beta_s) ** 2
@@ -170,8 +173,12 @@ def nondimensionalize(p: SystemParams, t_max: float) -> DimensionlessConfig:
     In the overdamped regime the oscillation frequency is reported as 0 (not
     ``oscillatory``); the damped envelope is then monotone and carries no
     backflow, so the dimensionless engine may treat it as frequency zero.
+    Raises ValueError when the damping rate underflows to 0.
     """
     d = derive_params(p)
+    if d.gamma == 0.0:
+        raise ValueError(f"beta={p.beta:g}, beta_s={p.beta_s:g}: the damping rate "
+                         "(beta + beta_s)/2 underflows to 0")
     return DimensionlessConfig(
         lambda_hat=d.lambda_value / d.gamma,
         omega_hat=p.omega / d.gamma,

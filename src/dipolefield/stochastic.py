@@ -85,9 +85,7 @@ _CGROUP = Path("/sys/fs/cgroup")
 #: squared sums of field samples and in the field's fourth power in an RK4 step
 MAX_FIELD_VARIANCE = 1e100
 
-_MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
-#: multiplier of PCG64's 128-bit linear congruential step
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32 = 2**32 - 1
 
 #: steps of the Lorentzian fit before it fails, and the relative parameter
 #: step at which it has converged
@@ -249,30 +247,30 @@ def _check_size(n_realizations: int, n_steps: int) -> None:
                          f"{MAX_FIELD_SAMPLES} field samples")
 
 
+class _Preset(np.random.bit_generator.ISeedSequence):
+    """Hands over ``words``: numpy's ``PCG64`` takes a seed only through this interface."""
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        return self.words
+
+
 def _draw_normals(seeds: Sequence[int], out: np.ndarray) -> np.ndarray:
     """Fill a time-major (K+1, len(seeds), 2) array with standard normals, one stream per seed.
 
     ``out[:, i].T`` equals ``np.random.default_rng(seeds[i]).standard_normal((2, K + 1))``
-    for seeds in [0, 2**64): PCG64 states seeded in bulk, loaded through one
-    reused state dict into one generator, which fills a tile of records at a
-    time (``_TRANSPOSE_SEEDS``, or ``_TRANSPOSE_BYTES`` of them if more) that
-    is then transposed into place.
+    for seeds in [0, 2**64): the ``SeedSequence`` words of all seeds are computed
+    at once, numpy seeds each stream's PCG64 from its seed's words, and each
+    generator fills one record of a tile (``_TRANSPOSE_SEEDS``, or
+    ``_TRANSPOSE_BYTES`` of them if more) that is then transposed into place.
     """
-    states = _seed_state(_words(seeds), 2, 4).tolist()
-    bits = np.random.PCG64(0)
-    gen = np.random.Generator(bits)
-    pcg = {}
-    state = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
+    states = _seed_state(_words(seeds), 2, 4)
     tile = max(_TRANSPOSE_SEEDS, _TRANSPOSE_BYTES // (16 * out.shape[0]))
     records = np.empty((min(tile, len(states)), 2, out.shape[0]))
+    preset = _Preset()
     for start in range(0, len(states), tile):
         rows = records[:len(states) - start]
-        for row, (s0, s1, q0, q1) in zip(rows, states[start:start + tile]):
-            # inc = 2 initseq + 1; two LCG steps from state 0, adding initstate between them
-            pcg["inc"] = inc = ((q0 << 64 | q1) << 1 | 1) & _MASK128
-            pcg["state"] = ((inc + (s0 << 64 | s1)) * _PCG64_MULT + inc) & _MASK128
-            bits.state = state
-            gen.standard_normal(out=row)
+        for row, preset.words in zip(rows, states[start:start + tile]):
+            np.random.Generator(np.random.PCG64(preset)).standard_normal(out=row)
         out[:, start:start + len(rows)] = rows.transpose(2, 0, 1)
     return out
 

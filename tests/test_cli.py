@@ -1,13 +1,18 @@
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import dipolefield
 import dipolefield.blp as blp
@@ -1035,3 +1040,65 @@ def test_only_the_stochastic_commands_import_the_stochastic_layer(config, tmp_pa
         env={**os.environ, "PYTHONPATH": path}, timeout=300,
     )
     assert result.returncode == 0, result.stderr
+
+
+#: a finite float or a nan or inf token, as stdout, CSV and JSON write them
+_NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|\b(?:nan|inf(?:inity)?)\b",
+                     re.IGNORECASE)
+
+
+def _log_uniform(zero: bool):
+    """Floats log-uniform over [5e-324, 1e308], and 0 as well where ``zero`` is set."""
+    values = st.floats(math.log(5e-324), math.log(1e308)).map(math.exp)
+    return st.just(0.0) | values if zero else values
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(omega=_log_uniform(False), kappa=_log_uniform(True), beta_s=_log_uniform(True),
+       i0=_log_uniform(True), beta=_log_uniform(False), tmax=_log_uniform(True))
+# each of these once failed: a NaN inversion from an overflowing constant, an infinite
+# as-printed distance, a damping rate underflowing to 0, warnings in the scan's curvature
+# bound at huge and at tiny T, and a printed inf
+@example(omega=2.3e281, kappa=0.0, beta_s=2.3e281, i0=0.0, beta=2.3e281, tmax=0.0)
+@example(omega=5.6e-186, kappa=5.6e-186, beta_s=2.3e-228, i0=1.0, beta=1.0, tmax=5.3e161)
+@example(omega=1.0, kappa=0.0, beta_s=0.0, i0=0.0, beta=5e-324, tmax=1.0)
+@example(omega=4.3e252, kappa=1.0, beta_s=8.1e-287, i0=1.0, beta=1.65, tmax=9.2e-288)
+@example(omega=1.0, kappa=1.0, beta_s=0.0, i0=1e308, beta=10.0, tmax=1.0)
+def test_closed_form_commands_exit_0_with_finite_numbers_or_2_with_one_line(
+        tmp_path_factory, omega, kappa, beta_s, i0, beta, tmax):
+    # the domain contract of every command without a random field: any valid
+    # config and horizon either succeeds with finite output or is refused on
+    # one line, never with a warning, a traceback or a non-finite number; the
+    # sweep's dimensionless axes run from 0 to kappa, omega and tmax
+    work = tmp_path_factory.mktemp("domain")
+    cfg = work / "p.cfg"
+    cfg.write_text("".join(f"{k} = {v!r}\n" for k, v in zip(
+        ("omega", "kappa", "beta_s", "i0", "beta"), (omega, kappa, beta_s, i0, beta))))
+    out = str(work / "out")
+    config, horizon = ["--config", str(cfg)], ["--tmax", repr(tmax)]
+    runs = [["derive", *config]]
+    for mode in ("derived", "as-printed"):
+        modal = [*config, "--mode", mode, *horizon]
+        runs += [["evolve", *modal, "--steps", "4", "--out", out],
+                 ["distance", *modal, "--steps", "4", "--out", out],
+                 ["nonmark", *modal, "--theta-grid", "5", "--out", out],
+                 ["nonmark", *modal, "--theta-grid", "5", "--literal-eq-nt", "--out", out]]
+        runs += [["sweep", "--mode", mode, "--lambda", f"0:{kappa!r}:3", "--omega",
+                  f"0:{omega!r}:3", "--tmax", f"0:{tmax!r}:3", "--format", fmt, "--out", out]
+                 for fmt in ("csv", "json")]
+    for argv in runs:
+        Path(out).unlink(missing_ok=True)
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stdout(stdout), \
+                contextlib.redirect_stderr(stderr):
+            warnings.simplefilter("error")
+            code = main(argv)
+        if code == 2:
+            assert len(stderr.getvalue().splitlines()) == 1, (argv, stderr.getvalue())
+            continue
+        assert code == 0, (argv, code, stderr.getvalue())
+        printed = "".join(line for line in stdout.getvalue().splitlines(keepends=True)
+                          if not line.startswith("wrote "))
+        written = Path(out).read_text() if Path(out).exists() else ""
+        for token in _NUMBER.findall(printed + written):
+            assert math.isfinite(float(token)), (argv, token)
