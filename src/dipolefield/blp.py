@@ -176,7 +176,7 @@ def _rate_numerator(u: ArrayLike, tau: ArrayLike, branches: tuple) -> ArrayLike:
     weighted 1 - u and u in table order. ``u`` and ``tau`` broadcast."""
     def part(f: float, c: float) -> ArrayLike:
         cos = np.cos(f * tau)
-        return -np.exp(-2.0 * c * tau) * (2.0 * c * cos * cos + f * np.sin(2.0 * f * tau))
+        return -np.exp(-2.0 * c * tau) * (2.0 * c * cos * cos + f * np.sin(2.0 * (f * tau)))
 
     om, lam = (part(f, c) for f, c in branches)
     return (1.0 - u) * om + u * lam
@@ -195,8 +195,8 @@ def _printed_factors(tau: ArrayLike, lam: float, om: float) -> tuple:
     P is minus the printed bracket; the printed denominator attaches the
     damping to the coherence cosine, Q = e^tau cos^2(om tau), R = cos^2(lam tau).
     """
-    p = -(np.exp(0.5 * tau) * om * np.sin(2.0 * om * tau)
-          + np.exp(-0.5 * tau) * (np.sin(lam * tau) ** 2 + lam * np.sin(2.0 * lam * tau)))
+    p = -(np.exp(0.5 * tau) * om * np.sin(2.0 * (om * tau))
+          + np.exp(-0.5 * tau) * (np.sin(lam * tau) ** 2 + lam * np.sin(2.0 * (lam * tau))))
     return p, np.exp(tau) * np.cos(om * tau) ** 2, np.cos(lam * tau) ** 2
 
 
@@ -234,16 +234,16 @@ def sigma_rate(
                 num, den = u * p, 2.0 * np.sqrt(u * q + (1.0 - u) * r)
             if den > 2.0 * _KINK_TOL:
                 return float(num / den)
+            warnings.warn(
+                f"rate denominator vanishes at tau={tau}; returning the right-sided limit",
+                KinkWarning,
+                stacklevel=2,
+            )
+            if mode == "derived":  # the branch rates, combined as the distance combines them
+                return float(_mix(u, *_rates(branches, tau)))
     except FloatingPointError:
         raise ValueError(f"the {mode} rate overflows at tau={tau}: an exponent exceeds "
                          "log(DBL_MAX) or a product or phase DBL_MAX") from None
-    warnings.warn(
-        f"rate denominator vanishes at tau={tau}; returning the right-sided limit",
-        KinkWarning,
-        stacklevel=2,
-    )
-    if mode == "derived":  # the branch rates, combined as the distance combines the branches
-        return float(_mix(u, *_rates(branches, tau)))
     if num == 0.0:
         return 0.0
     return math.copysign(math.inf, num)
@@ -432,7 +432,7 @@ def _sign_changes(fn: Callable, terms: tuple, lo: np.ndarray,
         lo, hi, h_lo, h_hi, kk = (x[split] for x in (lo, hi, h_lo, h_hi, kk))
         if not lo.size:
             break
-        mid = 0.5 * (lo + hi)
+        mid = 0.5 * lo + 0.5 * hi  # halves, so that lo + hi past DBL_MAX does not overflow
         h_mid = h(mid, kk)
         points.append(mid[h_mid == 0.0])
         owners.append(kk[h_mid == 0.0])
@@ -459,7 +459,7 @@ def _sign_intervals(fn: Callable, terms: tuple,
     pts, owner = pts[order], owner[order]
     keep = (owner[:-1] == owner[1:]) & (np.diff(pts) > 1e-14)
     a, b, owner = pts[:-1][keep], pts[1:][keep], owner[:-1][keep]
-    keep = fn(0.5 * (a + b), owner) > 0.0
+    keep = fn(0.5 * a + 0.5 * b, owner) > 0.0
     return a[keep], b[keep], owner[keep]
 
 
@@ -528,8 +528,9 @@ def _interior_scan(
     computed elementwise, so they do not depend on which other angles are scanned.
     """
     branches, u = _branches(cfg), np.cos(thetas) ** 2
-    a, b, owner = _sign_intervals(lambda tau, k: _rate_numerator(u[k], tau, branches),
-                                  _numerator_terms(u, branches), grid)
+    with np.errstate(over="ignore"):  # e^{-2 c tau} with 2 c tau past DBL_MAX: 0, its limit
+        a, b, owner = _sign_intervals(lambda tau, k: _rate_numerator(u[k], tau, branches),
+                                      _numerator_terms(u, branches), grid)
     d = _mix(u[owner], *_distances(branches, np.stack((a, b))))
     totals = np.bincount(owner, d[1] - d[0], minlength=u.size)
     return np.maximum(totals, 0.0), a, b, owner

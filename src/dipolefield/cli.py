@@ -59,23 +59,20 @@ def build_parser() -> argparse.ArgumentParser:
     config.add_argument("--config", required=True, help="key=value parameter file")
     mode = argparse.ArgumentParser(add_help=False)  # only the commands that read args.mode
     mode.add_argument("--mode", choices=dynamics.MODES, default="derived")
+    initial = argparse.ArgumentParser(add_help=False)  # evolve and mc-verify
+    initial.add_argument("--m0", type=float, default=0.0)
+    initial.add_argument("--w0", type=float, default=1.0)
+    series = argparse.ArgumentParser(add_help=False)  # evolve and distance
+    series.add_argument("--tmax", type=float, required=True)
+    series.add_argument("--steps", type=int, default=200)
+    series.add_argument("--out", required=True)
 
     sub.add_parser("derive", parents=[config], help="print the derived closed-form constants")
-
-    p = sub.add_parser("evolve", parents=[config, mode],
-                       help="emit the closed-form evolution as CSV")
-    p.add_argument("--m0", type=float, default=0.0)
-    p.add_argument("--w0", type=float, default=1.0)
-    p.add_argument("--tmax", type=float, required=True)
-    p.add_argument("--steps", type=int, default=200)
-    p.add_argument("--out", required=True)
-
-    p = sub.add_parser("distance", parents=[config, mode],
+    sub.add_parser("evolve", parents=[config, mode, initial, series],
+                   help="emit the closed-form evolution as CSV")
+    p = sub.add_parser("distance", parents=[config, mode, series],
                        help="trace distance of an antipodal pair vs time")
     p.add_argument("--theta", type=float, default=0.0, help="pair mixing angle in [0, pi/2]")
-    p.add_argument("--tmax", type=float, required=True)
-    p.add_argument("--steps", type=int, default=200)
-    p.add_argument("--out", required=True)
 
     p = sub.add_parser("nonmark", parents=[config, mode],
                        help="backflow measure maximized over pair angles")
@@ -93,11 +90,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
 
-    p = sub.add_parser("mc-verify", parents=[config], help="Monte Carlo check of the closed forms")
+    p = sub.add_parser("mc-verify", parents=[config, initial],
+                       help="Monte Carlo check of the closed forms")
     p.add_argument("--n", type=int, default=10000, help="number of trajectories")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--m0", type=float, default=0.0)
-    p.add_argument("--w0", type=float, default=1.0)
     p.add_argument("--dt", type=float, help="integration step (default: finest allowed)")
     p.add_argument("--horizon", type=float, help="default: 5 / gamma")
     p.add_argument("--out", default="mc_report.json")
@@ -118,8 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
 # subcommand implementations
 # ---------------------------------------------------------------------------
 
-def _cmd_derive(args) -> int:
-    p = read_params(args.config)
+def _cmd_derive(args, p: SystemParams) -> int:
     d = derive_params(p)
     constants = {k: v for k, v in vars(d).items() if v is not None}
     if not all(map(math.isfinite, constants.values())):
@@ -146,8 +141,7 @@ def _time_grid(args) -> np.ndarray:
     return np.linspace(0.0, args.tmax, args.steps + 1)
 
 
-def _cmd_evolve(args) -> int:
-    p = read_params(args.config)
+def _cmd_evolve(args, p: SystemParams) -> int:
     ic = dynamics.InitialCondition(m0=args.m0, w0=args.w0)
     times = _time_grid(args)
     dynamics.write_timeseries(args.out, ic, p, times, mode=args.mode)
@@ -155,8 +149,7 @@ def _cmd_evolve(args) -> int:
     return EXIT_OK
 
 
-def _cmd_distance(args) -> int:
-    p = read_params(args.config)
+def _cmd_distance(args, p: SystemParams) -> int:
     pair = dynamics.StatePair(theta=args.theta)
     times = _time_grid(args)
     dist = dynamics.trace_distance(pair, p, times, mode=args.mode)
@@ -165,8 +158,7 @@ def _cmd_distance(args) -> int:
     return EXIT_OK
 
 
-def _cmd_nonmark(args) -> int:
-    p = read_params(args.config)
+def _cmd_nonmark(args, p: SystemParams) -> int:
     cfg = nondimensionalize(p, args.tmax)
     result = blp.n_measure(cfg, mode=args.mode, theta_grid_size=args.theta_grid)
     payload = {
@@ -192,7 +184,7 @@ def _cmd_nonmark(args) -> int:
     return EXIT_OK
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args, _p) -> int:
     blp._check_sweep(args.lam[2], args.omega[2], args.tmax[2])
     grid = blp.sweep_grid(np.linspace(*args.lam), np.linspace(*args.omega),
                           np.linspace(*args.tmax), mode=args.mode)
@@ -211,9 +203,8 @@ def _weak_coupling(p: SystemParams) -> bool:
     )
 
 
-def _cmd_mc_verify(args) -> int:
+def _cmd_mc_verify(args, p: SystemParams) -> int:
     from . import stochastic  # only mc-verify and spectrum load it, with numpy.random
-    p = read_params(args.config)
     d = derive_params(p)
     if not _weak_coupling(p) and not args.force:
         print(
@@ -224,6 +215,8 @@ def _cmd_mc_verify(args) -> int:
         )
         return EXIT_USAGE
     dt = args.dt if args.dt is not None else stochastic.max_field_dt(p)
+    if args.horizon is None and d.gamma == 0.0:
+        raise ValueError("the damping rate (beta + beta_s)/2 underflows to 0: give --horizon")
     horizon = args.horizon if args.horizon is not None else 5.0 / d.gamma
     ic = dynamics.InitialCondition(m0=args.m0, w0=args.w0)
     try:
@@ -251,9 +244,8 @@ def _cmd_mc_verify(args) -> int:
     return EXIT_ACCEPTANCE
 
 
-def _cmd_spectrum(args) -> int:
+def _cmd_spectrum(args, p: SystemParams) -> int:
     from . import stochastic  # only mc-verify and spectrum load it, with numpy.random
-    p = read_params(args.config)
     if args.n < 2:
         raise ValueError(f"--n {args.n}: need at least 2 realizations")
     if args.duration is not None and not (math.isfinite(args.duration) and args.duration > 0):
@@ -269,7 +261,7 @@ def _cmd_spectrum(args) -> int:
     seeds = stochastic.derive_seeds(args.seed, range(args.n))
     omega, power, first = stochastic.sample_periodogram(p, dt, n_steps, seeds)
     if args.dump_field:
-        stochastic.write_field_csv(first, dt, args.dump_field)
+        dynamics._write_csv(args.dump_field, "t,E", (dt * np.arange(first.size), first), "\r\n")
         print(f"wrote {args.dump_field}")
     try:
         fit = stochastic.fit_spectrum(omega, power)
@@ -303,7 +295,8 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        p = read_params(args.config) if hasattr(args, "config") else None
+        return _COMMANDS[args.command](args, p)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE

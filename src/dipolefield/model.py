@@ -156,7 +156,7 @@ def derive_params(p: SystemParams) -> DerivedParams:
         a_const = p.omega * p.beta_s / den
         c_sine = p.beta_s * p.omega * (p.beta - weight - p.beta_s) / (2.0 * den)
     b_const = None if den == 0.0 else p.omega * (p.beta - weight) / den
-    gamma = 0.5 * (p.beta + p.beta_s)
+    gamma = 0.5 * p.beta + 0.5 * p.beta_s  # halves, so that a sum past DBL_MAX does not overflow
     lambda_sq = 0.5 * p.kappa**2 * math.pi * p.beta * p.i0 - 0.25 * spread_sq
     return DerivedParams(
         a_const=a_const,

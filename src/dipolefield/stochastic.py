@@ -37,7 +37,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .dynamics import MAX_FIELD_SAMPLES, InitialCondition, _write_csv, mean_dipole, mean_inversion
+from .dynamics import MAX_FIELD_SAMPLES, InitialCondition, mean_dipole, mean_inversion
 from .model import SystemParams
 
 __all__ = [
@@ -52,7 +52,6 @@ __all__ = [
     "ensemble_average",
     "sample_periodogram",
     "fit_spectrum",
-    "write_field_csv",
 ]
 
 #: state magnitude beyond which a trajectory is declared divergent
@@ -152,13 +151,17 @@ class LorentzianFit:
 # ---------------------------------------------------------------------------
 
 def field_variance(p: SystemParams) -> float:
-    """Stationary field variance C(0) = pi * beta * i0."""
+    """Stationary field variance C(0) = pi * beta * i0; inf where that overflows, which
+    every sampler refuses."""
     return math.pi * p.beta * p.i0
 
 
 def max_field_dt(p: SystemParams) -> float:
-    """Largest step resolving both the noise envelope and the carrier."""
-    return min(0.05 / p.beta, 0.05 * 2.0 * math.pi / p.omega)
+    """Largest step resolving both the noise envelope and the carrier. Raises ValueError
+    where both overflow."""
+    if not math.isfinite(dt := min(0.05 / p.beta, 0.05 * 2.0 * math.pi / p.omega)):
+        raise ValueError(f"beta={p.beta:g}, omega={p.omega:g}: the field step overflows")
+    return dt
 
 
 def _seed_state(words: np.ndarray, lengths, n_out: int) -> np.ndarray:
@@ -416,11 +419,6 @@ def sample_fields(p: SystemParams, dt: float, n_steps: int, seeds: Sequence[int]
     return field
 
 
-def write_field_csv(values: np.ndarray, dt: float, path: str | Path) -> None:
-    """Dump one realization, sampled at t = k dt, as CSV with header ``t,E``."""
-    _write_csv(path, "t,E", (dt * np.arange(len(values)), values), "\r\n")
-
-
 # ---------------------------------------------------------------------------
 # trajectory integration
 # ---------------------------------------------------------------------------
@@ -671,8 +669,8 @@ def fit_spectrum(omega: np.ndarray, power: np.ndarray) -> LorentzianFit | None:
     error, and is cut tenfold when a step is taken. The fit stops once a
     step moves no parameter by more than ``FIT_XTOL`` of its value: at the
     minimiser to rounding, where a cost tolerance stops ~sqrt(eps) short.
-    Non-finite power, ``FIT_MAX_ITER`` steps without that, and a negative
-    height or center raise ``SpectrumFitError``; the half-width is
+    Non-finite power or parameters, ``FIT_MAX_ITER`` steps without that,
+    and a negative height or center raise ``SpectrumFitError``; the half-width is
     reported as |hwhm|. A zero spectrum has no peak to fit: it returns None.
     """
     if not np.all(np.isfinite(power)):
@@ -687,8 +685,11 @@ def fit_spectrum(omega: np.ndarray, power: np.ndarray) -> LorentzianFit | None:
     lo = max(1, ipk - 8 * width_bins)
     hi = min(omega.size, ipk + 8 * width_bins + 1)
     hwhm_guess = max(width_bins * (omega[1] - omega[0]), omega[1] - omega[0])
-    height, center, hwhm = _fit_lorentzian(omega[lo:hi], power[lo:hi],
-                                           [power[ipk], omega[ipk], hwhm_guess])
+    with np.errstate(all="ignore"):  # a trial step that overflows costs inf or NaN: rejected
+        fitted = _fit_lorentzian(omega[lo:hi], power[lo:hi], [power[ipk], omega[ipk], hwhm_guess])
+    if not np.all(np.isfinite(fitted)):
+        raise SpectrumFitError("Lorentzian fit failed: a parameter overflows")
+    height, center, hwhm = fitted
     if height < 0.0 or center < 0.0:
         raise SpectrumFitError(f"Lorentzian fit failed: negative height {height:.6g} "
                                f"or center {center:.6g}")

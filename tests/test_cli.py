@@ -777,6 +777,33 @@ def test_overflowing_squared_parameter_exits_2_without_a_traceback(config, tmp_p
     assert not out.exists()
 
 
+def test_a_damping_rate_past_half_of_dbl_max_does_not_overflow(config, tmp_path, capsys):
+    # beta = beta_s = 1e308: gamma is finite, but (beta + beta_s)/2 overflowed in the sum
+    cfg = config("omega = 5.0\nkappa = 1.0\nbeta_s = 1e308\ni0 = 0.1\nbeta = 1e308\n")
+    out = tmp_path / "d.csv"
+    assert main(["distance", "--config", cfg, "--tmax", "0", "--steps", "2",
+                 "--out", str(out)]) == 0
+    assert out.read_text().splitlines() == ["t,distance", "0,1", "0,1", "0,1"]
+    assert main(["nonmark", "--config", cfg, "--tmax", "1e-300"]) == 0
+    assert "T = 100000000\n" in capsys.readouterr().out
+    # A, B and c_sine still overflow through 2 beta_s + pi i0 kappa^2
+    evolve = ["evolve", "--tmax", "0", "--out", str(tmp_path / "e.csv")]
+    for argv in (["derive"], evolve):
+        assert main([*argv, "--config", cfg]) == 2
+        assert "overflows" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("beta_s", ["0", "5e-324"])
+def test_mc_verify_refuses_a_damping_rate_that_underflows_to_0(config, tmp_path, capsys, beta_s):
+    # the default horizon 5 / gamma divided by a gamma of 0
+    cfg = config(f"omega = 1.0\nkappa = 1.0\nbeta_s = {beta_s}\ni0 = 0.0\nbeta = 5e-324\n")
+    out = tmp_path / "mc.json"
+    assert main(["mc-verify", "--config", cfg, "--n", "4", "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "underflows to 0" in err[0]
+    assert not out.exists()
+
+
 def test_spectrum_fit_failure_exits_3(config, tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(stochastic, "FIT_MAX_ITER", 0)
     out = tmp_path / "p.csv"
@@ -1064,6 +1091,8 @@ def _log_uniform(zero: bool):
 @example(omega=1.0, kappa=0.0, beta_s=0.0, i0=0.0, beta=5e-324, tmax=1.0)
 @example(omega=4.3e252, kappa=1.0, beta_s=8.1e-287, i0=1.0, beta=1.65, tmax=9.2e-288)
 @example(omega=1.0, kappa=1.0, beta_s=0.0, i0=1e308, beta=10.0, tmax=1.0)
+# and overflows in the scan's exponents and midpoints at T = 1.7e308
+@example(omega=5e-324, kappa=1.0, beta_s=1.0, i0=0.0, beta=1.0, tmax=1.7e308)
 def test_closed_form_commands_exit_0_with_finite_numbers_or_2_with_one_line(
         tmp_path_factory, omega, kappa, beta_s, i0, beta, tmax):
     # the domain contract of every command without a random field: any valid

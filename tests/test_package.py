@@ -1,21 +1,28 @@
 """The public surface of the package, and the demos run as scripts."""
 
 import ast
+import dataclasses
 import importlib
+import math
 import os
 import pkgutil
 import re
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import dipolefield
-from dipolefield import blp, dynamics
+from dipolefield import blp, dynamics, model, stochastic
 from dipolefield.dynamics import MODES, InitialCondition, StatePair
 from dipolefield.model import DimensionlessConfig, SystemParams
+from test_cli import _NUMBER
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("0*.py"))
@@ -23,7 +30,8 @@ DEMOS = sorted((ROOT / "demos").glob("0*.py"))
 #: entry points that no longer exist; nothing may export them again
 DELETED = ("estimate_spectrum", "simulate_trajectory", "TrajectoryState", "n_measure_physical",
            "FieldRealization", "sample_field", "SpectrumEstimate", "branch_integrand_omega",
-           "branch_integrand_lambda", "evolved_state", "purity", "BlochState", "derive_seed")
+           "branch_integrand_lambda", "evolved_state", "purity", "BlochState", "derive_seed",
+           "write_field_csv")
 
 
 @pytest.mark.parametrize("name", ["dipolefield"] + [
@@ -91,3 +99,120 @@ def test_every_source_parses_at_the_oldest_supported_python():
     assert len(files) > 15
     for path in files:
         ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
+
+
+#: finite inputs from zero and the smallest subnormal up to near DBL_MAX
+_EXTREMES = (0.0, 5e-324, 1e-300, 1e-150, 1e-8, 0.5, 1.0, 5.0, 1e8, 1e150, 1e300, 1.7e308)
+_ANGLES = (0.0, 5e-324, 1e-8, math.pi / 8, math.pi / 4, math.pi / 2 - 1e-8, math.pi / 2)
+
+
+def _public_calls(x, theta, mode, where):
+    """One call of every public callable of ``model``, ``dynamics`` and ``blp``, and of the
+    cheap ones of ``stochastic``, on the six floats ``x``: each thunk returns its result,
+    or for a writer the path it wrote."""
+    a, b, c, d, e, f = x
+    params = lambda: SystemParams(a, b, c, d, e)  # omega, kappa, beta_s, i0, beta
+    cfg = lambda: DimensionlessConfig(a, b, c)  # lambda_hat, omega_hat, t_max
+    ic, times = InitialCondition(math.sin(theta), math.cos(theta)), np.array([0.0, f])
+
+    def written(write):
+        write(where)
+        return where
+
+    def config_file():
+        where.write_text("".join(f"{k} = {v!r}\n" for k, v in zip(model.CONFIG_KEYS, x)))
+        return model.read_params(where)
+
+    grid = lambda: blp.sweep_grid([0.0, a], [b], [0.0, c], mode=mode)
+    return {
+        "SystemParams": params,
+        "DimensionlessConfig": cfg,
+        "InitialCondition": lambda: InitialCondition(d, e, f),
+        "StatePair": lambda: StatePair(theta),
+        "derive_params": lambda: model.derive_params(params()),
+        "nondimensionalize": lambda: model.nondimensionalize(params(), f),
+        "read_params": config_file,
+        "mean_dipole": lambda: dynamics.mean_dipole(ic, params(), times),
+        "mean_inversion": lambda: dynamics.mean_inversion(ic, params(), times, mode=mode),
+        "trace_distance": lambda: dynamics.trace_distance(StatePair(theta), params(), times,
+                                                          mode=mode),
+        "write_timeseries": lambda: written(
+            lambda path: dynamics.write_timeseries(path, ic, params(), times, mode=mode)),
+        "sigma_rate": lambda: blp.sigma_rate(theta, cfg(), d, mode=mode),
+        "backflow_integral": lambda: blp.backflow_integral(theta, cfg(), mode=mode),
+        "analytic_n_omega": lambda: blp.analytic_n_omega(b, c),
+        "n_measure": lambda: blp.n_measure(cfg(), mode=mode, theta_grid_size=5),
+        "literal_pointwise_max": lambda: blp.literal_pointwise_max(cfg(), mode=mode),
+        "dominant_regime": lambda: blp.dominant_regime(a, b, c, mode=mode),
+        "sweep_grid": grid,
+        "write_sweep_csv": lambda: written(lambda path: blp.write_sweep_csv(grid(), path)),
+        "write_sweep_json": lambda: written(lambda path: blp.write_sweep_json(grid(), path)),
+        "derive_seeds": lambda: stochastic.derive_seeds(int(a), [int(b) % 2**64]),
+        "field_variance": lambda: stochastic.field_variance(params()),
+        "max_field_dt": lambda: stochastic.max_field_dt(params()),
+        "fit_spectrum": lambda: stochastic.fit_spectrum(
+            a * np.linspace(0.0, 1.0, 16), np.concatenate((np.zeros(5), [d, e, f], np.zeros(8)))),
+    }
+
+
+#: public names that take no numbers (errors, enums, type aliases) or hold what they are
+#: given (result records)
+_NOT_CALLED = {"ConfigError", "KinkWarning", "BranchKind", "FormulaSource", "DerivedParams",
+               "BackflowResult", "SweepPoint", "SweepGrid"}
+#: callables documented to return inf or NaN, which their callers refuse
+_UNBOUNDED = {"derive_params", "field_variance"}
+
+
+def _numbers(value):
+    """Every float a result holds, or that a file it names holds as text."""
+    if isinstance(value, Path):
+        yield from map(float, _NUMBER.findall(value.read_text()))
+    elif isinstance(value, np.ndarray):
+        yield from value.ravel().tolist()
+    elif isinstance(value, float):
+        yield value
+    elif dataclasses.is_dataclass(value):
+        for field in dataclasses.fields(value):
+            yield from _numbers(getattr(value, field.name))
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            yield from _numbers(item)
+
+
+def test_the_domain_property_calls_every_public_callable(tmp_path):
+    calls = set(_public_calls((1.0,) * 6, 0.0, "derived", tmp_path / "out"))
+    public = {name for m in (model, dynamics, blp) for name in m.__all__
+              if callable(getattr(m, name))}
+    assert calls.isdisjoint(_NOT_CALLED) and calls | _NOT_CALLED >= public
+    assert calls - public == {"derive_seeds", "field_variance", "max_field_dt", "fit_spectrum"}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(x=st.tuples(*[st.sampled_from(_EXTREMES)] * 6), theta=st.sampled_from(_ANGLES),
+       mode=st.sampled_from(MODES))
+# each of these once failed: warnings from the scan's exponent -2 c tau and the midpoints of
+# its gaps at T = 1.7e308, an overflowing square in the derived kink limit, a phase 2 f tau
+# of inf times 0 in both modes, an infinite field step, and a spectrum fit that overflowed
+@example(x=(0.0, 5e-324, 1.7e308, 1.0, 1.0, 1.0), theta=math.pi / 8, mode="derived")
+@example(x=(0.0, 1e300, 1e6, 1e6, 1.0, 1.0), theta=0.0, mode="derived")
+@example(x=(0.0, 1.7e308, 0.0, 0.0, 1.0, 1.0), theta=0.0, mode="derived")
+@example(x=(1.7e308, 1e300, 1e300, 0.0, 1e150, 5.0), theta=math.pi / 2, mode="as-printed")
+@example(x=(5e-324, 1.0, 0.0, 0.5, 5e-324, 0.0), theta=0.0, mode="derived")
+@example(x=(0.5, 1.0, 0.5, 1e150, 1e300, 1e-150), theta=math.pi / 4, mode="derived")
+def test_every_public_callable_returns_finite_numbers_or_raises_value_error(
+        tmp_path_factory, x, theta, mode):
+    # the domain contract below the CLI: finite inputs give finite results or one
+    # ValueError (a spectrum fit may also refuse with its own error), never a warning
+    # other than the documented KinkWarning
+    where = tmp_path_factory.mktemp("calls") / "out"
+    for name, call in _public_calls(x, theta, mode, where).items():
+        where.unlink(missing_ok=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            warnings.simplefilter("ignore", blp.KinkWarning)
+            try:
+                result = call()
+            except (ValueError, stochastic.SpectrumFitError):
+                continue
+        assert name in _UNBOUNDED or all(map(math.isfinite, _numbers(result))), (
+            name, x, theta, mode, result)

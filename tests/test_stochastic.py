@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from scipy.optimize import curve_fit
 
 from dipolefield import stochastic
-from dipolefield.dynamics import InitialCondition
+from dipolefield.dynamics import InitialCondition, _write_csv
 from dipolefield.model import SystemParams, derive_params
 from dipolefield.stochastic import (
     SpectrumFitError,
@@ -25,7 +25,6 @@ from dipolefield.stochastic import (
     max_field_dt,
     sample_fields,
     sample_periodogram,
-    write_field_csv,
 )
 from oracles import (ar1_reference, ensemble_paths, ensemble_reference, hierarchy_means,
                      lorentzian_lsq, periodogram_reference)
@@ -660,7 +659,7 @@ def test_field_reproducible_and_csv(tmp_path):
     f2 = one_field(p, 0.05, 50, 9)
     np.testing.assert_array_equal(f1, f2)
     path = tmp_path / "field.csv"
-    write_field_csv(f1, 0.05, path)
+    _write_csv(path, "t,E", (0.05 * np.arange(len(f1)), f1), "\r\n")  # as spectrum --dump-field
     lines = path.read_text().splitlines()
     assert lines[0] == "t,E"
     assert len(lines) == 52
