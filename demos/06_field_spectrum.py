@@ -1,8 +1,9 @@
 """Sampling the fluctuating field and recovering its Lorentzian spectrum.
 
-The field is built from two exponentially correlated Gaussian quadratures
-riding the carrier, so its autocorrelation is a damped cosine and its
-spectrum a Lorentzian lobe at the transition frequency. Realizations are
+The field is the real part of a complex AR(1) that rotates at the carrier
+and decays at the linewidth, one normal a sample, so its autocorrelation is
+a damped cosine and its spectrum a Lorentzian lobe at the transition
+frequency. Realizations are
 plain arrays: ``sample_fields`` returns one column per seed on the time
 grid k*dt. An averaged periodogram over many realizations recovers the
 peak position and width.

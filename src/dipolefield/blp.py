@@ -98,6 +98,9 @@ _KINK_TOL = 1e-12
 MAX_SCAN_SAMPLES = 2**21
 #: samples per gap of the breakpoint grid in a positivity-interval scan
 _SCAN_SAMPLES = 9
+#: halvings of a sampled gap that may hide a root pair: 24, the first count that leaves
+#: it narrower than 1e-7 of its width
+_HALVINGS = 24
 #: an interior angle whose rise bound is below the larger branch value M by
 #: more than this times (1 + M) cannot win and is not scanned; the bound and
 #: the scan each round by a few ulps per piece or interval, at most about
@@ -176,7 +179,10 @@ def _rate_numerator(u: ArrayLike, tau: ArrayLike, branches: tuple) -> ArrayLike:
     weighted 1 - u and u in table order. ``u`` and ``tau`` broadcast."""
     def part(f: float, c: float) -> ArrayLike:
         cos = np.cos(f * tau)
-        return -np.exp(-2.0 * c * tau) * (2.0 * c * cos * cos + f * np.sin(2.0 * (f * tau)))
+        # the phase (2 f) tau of the term table, which differs from 2 (f tau) where f tau is
+        # subnormal; 2 (f tau) where 2 f overflows
+        phase = 2.0 * f * tau if 2.0 * f < math.inf else 2.0 * (f * tau)
+        return -np.exp(-2.0 * c * tau) * (2.0 * c * cos * cos + f * np.sin(phase))
 
     om, lam = (part(f, c) for f, c in branches)
     return (1.0 - u) * om + u * lam
@@ -396,9 +402,11 @@ def _sign_changes(fn: Callable, terms: tuple, lo: np.ndarray,
     is a root. A gap whose ends share a sign hides a root pair only if
     min(|fn(lo)|, |fn(hi)|) <= max|fn''| (hi - lo)^2 / 8, so such gaps are
     halved until ``_numerator_curvature`` clears them or they are narrower
-    than 1e-7. All sign changes are refined in one Chandrupatla solve, which
-    runs even when there is none. Raises ValueError past ``MAX_SCAN_SAMPLES``
-    owners x gaps x samples.
+    than 1e-7 of the sampled gap they came from (``_HALVINGS`` halvings,
+    whatever the time scale); a gap whose bound overflows is not halved,
+    since no width clears it. All sign changes are refined in one
+    Chandrupatla solve, which runs even when there is none. Raises
+    ValueError past ``MAX_SCAN_SAMPLES`` owners x gaps x samples.
     """
     size = terms[0][0].size
     _check_scan(size, lo.size)
@@ -418,17 +426,17 @@ def _sign_changes(fn: Callable, terms: tuple, lo: np.ndarray,
     lo, hi, kk = xs[..., :-1].ravel(), xs[..., 1:].ravel(), k[..., 1:].ravel()
     h_lo, h_hi = hs[..., :-1].ravel(), hs[..., 1:].ravel()
     brackets = []
-    while True:
+    for depth in range(_HALVINGS + 1):  # every gap left has been halved depth times
         sign = np.sign(h_lo) * np.sign(h_hi)  # h_lo * h_hi can overflow
         change = sign < 0.0
         brackets.append((lo[change], hi[change], kk[change]))
         width = hi - lo
-        # an overflowing bound (inf) keeps its gap hidden; a NaN one, an infinite curvature
-        # times an underflowed width**2, falls on a gap too narrow to split anyway
+        # an overflowing bound (inf) is inf at any width, so no halving clears its gap; a
+        # NaN one, an infinite curvature times an underflowed width**2, clears nothing either
         with np.errstate(over="ignore", invalid="ignore"):
             bound = _numerator_curvature(terms, kk, lo, hi) * width**2 / 8.0
         hidden = np.minimum(abs(h_lo), abs(h_hi)) <= bound
-        split = (sign > 0.0) & hidden & (width > 1e-7)
+        split = (sign > 0.0) & hidden & (bound < np.inf) & (depth < _HALVINGS)
         lo, hi, h_lo, h_hi, kk = (x[split] for x in (lo, hi, h_lo, h_hi, kk))
         if not lo.size:
             break
@@ -448,7 +456,9 @@ def _sign_intervals(fn: Callable, terms: tuple,
     """Intervals (a, b) of [grid[0], grid[-1]] where fn(tau, k) > 0, for every owner k at once.
 
     The ends are those of the span and the ``_sign_changes`` in the gaps of
-    ``grid``; the intervals are sorted by owner, then by time.
+    ``grid``; the intervals are sorted by owner, then by time. An interval no
+    wider than 1e-14 of its end, a root found twice, is dropped: a tolerance
+    relative to tau, so that it holds at every time scale.
     """
     size = terms[0][0].size
     roots, kk = _sign_changes(fn, terms, grid[:-1], grid[1:])
@@ -457,7 +467,7 @@ def _sign_intervals(fn: Callable, terms: tuple,
     owner = np.concatenate((every, every, kk))
     order = np.lexsort((pts, owner))
     pts, owner = pts[order], owner[order]
-    keep = (owner[:-1] == owner[1:]) & (np.diff(pts) > 1e-14)
+    keep = (owner[:-1] == owner[1:]) & (np.diff(pts) > 1e-14 * pts[1:])
     a, b, owner = pts[:-1][keep], pts[1:][keep], owner[:-1][keep]
     keep = fn(0.5 * a + 0.5 * b, owner) > 0.0
     return a[keep], b[keep], owner[keep]

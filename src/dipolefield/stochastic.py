@@ -1,8 +1,7 @@
 """Brute-force stochastic oracle for the ensemble closed forms.
 
-Field realizations are quadrature-modulated colored noise: two independent
-stationary Gaussian processes with exponential autocorrelation ride the
-cosine and sine of the carrier, so the field autocorrelation is
+Field realizations are samples of the stationary Gaussian process with the
+Lorentzian autocorrelation
 
     C(tau) = C(0) * exp(-beta |tau|) * cos(omega tau),   C(0) = pi*beta*i0.
 
@@ -11,6 +10,14 @@ trajectory equations reproduce the closed-form constants exactly, which is
 what the ensemble comparison validates. The counter-rotating spectral lobe
 at -omega is an O(beta/omega) artifact of any real stationary field;
 validation regimes therefore keep omega well above beta.
+
+On the grid t_k = k dt the field is E_k = sqrt(C(0)) Re W_k, with the complex
+AR(1) W_k = a W_(k-1) + c e_k, a = exp(-beta dt - i omega dt), driven by one
+real unit normal e_k a sample; c makes Re W exactly the unit-variance process
+of that covariance, and W_0 is drawn from its stationary law
+(``_ar1_factors``). The realization of seed s is built from
+``np.random.default_rng(s).standard_normal(K + 2)``: the first two normals
+give W_0, the other K are e_1..e_K.
 
 Per-realization dynamics integrate, in dimensionless variables
 (m = dipole / max dipole, w = inversion in units of half the splitting):
@@ -57,23 +64,23 @@ __all__ = [
 #: state magnitude beyond which a trajectory is declared divergent
 DIVERGENCE_LIMIT = 1e3
 
-#: bytes of unit normals synthesized at once, the one memory budget of field
+#: bytes of complex samples synthesized at once, the one memory budget of field
 #: synthesis: 40 realizations at the 6367-sample records of the spectrum check,
-#: whose periodogram then holds the normals, one reused field buffer of half
-#: their size, ``_draw_normals``' transpose tile (16 records there, 1.55 MiB)
-#: and ``_TRANSFORM_PAIRS`` pairs of transform: a traced peak of 7.60 MiB in
-#: the caller, under 2.25 blocks whatever the number of realizations
+#: whose periodogram then holds the complex block, one reused field buffer of half
+#: its size, ``_draw_normals``' tile of normals (16 records there, 0.78 MiB) and
+#: ``_TRANSFORM_PAIRS`` pairs of transform: a traced peak of 7.45 MiB in the
+#: caller, under 2.25 blocks whatever the number of realizations
 FIELD_BLOCK_BYTES = 4 * 2**20
 
-#: records drawn contiguously before they are transposed into a time-major block: at
-#: least ``_TRANSPOSE_SEEDS``, and as many as fit ``_TRANSPOSE_BYTES`` (97 at criterion
-#: 09's 168 samples, where 16 records a tile took 8 % longer per block)
+#: records drawn contiguously before they are scaled and transposed into a time-major
+#: block: at least ``_TRANSPOSE_SEEDS``, and as many as fit ``_TRANSPOSE_BYTES`` (193 at
+#: criterion 09's 168 samples, where 16 records a tile took 19 % longer per block)
 _TRANSPOSE_SEEDS, _TRANSPOSE_BYTES = 16, 2**18
 
 #: pairs of field columns the periodogram transforms at once
 _TRANSFORM_PAIRS = 8
 
-#: samples of an AR(1) segment, at least (``_quadrature_paths``)
+#: samples of an AR(1) segment, at least (``_ar1_paths``)
 _SEGMENT = 512
 
 #: the cgroup directory whose CPU quota caps the CPUs both stochastic commands count: a
@@ -257,68 +264,96 @@ class _Preset(np.random.bit_generator.ISeedSequence):
         return self.words
 
 
-def _draw_normals(seeds: Sequence[int], out: np.ndarray) -> np.ndarray:
-    """Fill a time-major (K+1, len(seeds), 2) array with standard normals, one stream per seed.
+def _ar1_factors(beta_dt: float, theta: float) -> tuple[complex, complex, float]:
+    """(a, c, lift) of the unit-variance field Re W_k: W_k = a W_(k-1) + c e_k, and
+    W_0 = z_0 + i lift z_1, from real unit normals e_k and z.
 
-    ``out[:, i].T`` equals ``np.random.default_rng(seeds[i]).standard_normal((2, K + 1))``
-    for seeds in [0, 2**64): the ``SeedSequence`` words of all seeds are computed
-    at once, numpy seeds each stream's PCG64 from its seed's words, and each
-    generator fills one record of a tile (``_TRANSPOSE_SEEDS``, or
-    ``_TRANSPOSE_BYTES`` of them if more) that is then transposed into place.
+    a = rho e^(-i theta), with rho = e^(-beta dt) and theta = omega dt. Re W
+    is an ARMA(2,1) (Box & Jenkins, *Time Series Analysis*, 1970), and c is
+    its minimum-phase factor. With q = 1 - rho^2 = -expm1(-2 beta dt),
+    s = 1 + rho^2, r = -rho cos(theta) / s and D = hypot(q, 2 rho sin(theta)) / s,
+    the moving-average coefficient is b = 2r / (1 + D). Then Re c = sigma =
+    sqrt(q s / (1 + b^2)) and Im c = g sigma, with g = 4 rho^2 cos(theta)
+    sin(theta) / (s (1 + D) (s D + q)), or 0 where that is 0 / 0. So
+    E|W|^2 = |c|^2 / q = s (1 + g^2) / (1 + b^2) = P, and E[W^2] = c^2 / (1 - a^2)
+    = 2 - P is real. The covariance of (Re W_0, Im W_0) is diag(1, P - 1), and
+    its Cholesky factor is diag(1, lift), lift = sqrt(P - 1). Every factor is
+    finite at theta = 0 and at rho = 1, where q = 0 and c = 0.
+    """
+    rho, q = math.exp(-beta_dt), -math.expm1(-2.0 * beta_dt)
+    s, cos, sin = 1.0 + rho * rho, math.cos(theta), math.sin(theta)
+    d = math.hypot(q, 2.0 * rho * sin) / s
+    b = -2.0 * rho * cos / s / (1.0 + d)
+    sigma = math.sqrt(q * s / (1.0 + b * b))
+    g = 4.0 * rho * rho * cos * sin
+    g = g / (s * (1.0 + d) * (s * d + q)) if g else 0.0
+    lift = math.sqrt(max(0.0, s * (1.0 + g * g) / (1.0 + b * b) - 1.0))
+    return rho * complex(cos, -sin), complex(sigma, g * sigma), lift
+
+
+def _draw_normals(seeds: Sequence[int], out: np.ndarray, lift: float, c: complex) -> np.ndarray:
+    """Fill a time-major complex (K+1, len(seeds)) array from K+2 standard normals a seed.
+
+    With z = ``np.random.default_rng(seeds[i]).standard_normal(K + 2)``, for
+    seeds in [0, 2**64), column i is z_0 + i lift z_1, then c z_2, ...,
+    c z_(K+1): W_0 and the innovations of ``_ar1_factors``. The
+    ``SeedSequence`` words of all seeds are computed at once, numpy seeds
+    each stream's PCG64 from its seed's words, and each generator fills one
+    record of a tile (``_TRANSPOSE_SEEDS``, or ``_TRANSPOSE_BYTES`` of them
+    if more) that is then scaled and transposed into place.
     """
     states = _seed_state(_words(seeds), 2, 4)
-    tile = max(_TRANSPOSE_SEEDS, _TRANSPOSE_BYTES // (16 * out.shape[0]))
-    records = np.empty((min(tile, len(states)), 2, out.shape[0]))
+    tile = max(_TRANSPOSE_SEEDS, _TRANSPOSE_BYTES // (8 * (len(out) + 1)))
+    records = np.empty((min(tile, len(states)), len(out) + 1))
     preset = _Preset()
     for start in range(0, len(states), tile):
         rows = records[:len(states) - start]
         for row, preset.words in zip(rows, states[start:start + tile]):
             np.random.Generator(np.random.PCG64(preset)).standard_normal(out=row)
-        out[:, start:start + len(rows)] = rows.transpose(2, 0, 1)
+        part = out[:, start:start + len(rows)]
+        part.real[0] = rows[:, 0]
+        np.multiply(rows[:, 1], lift, part.imag[0])
+        np.multiply(rows[:, 2:].T, c, part[1:])
     return out
 
 
 def _steps(rows: Iterator[np.ndarray], factor: np.ndarray) -> None:
     """x_k = factor x_(k-1) + z_k in place over rows z_0, z_1, ...: a product, then a sum."""
     prev = next(rows)
-    step = np.empty(prev.shape)
+    step = np.empty(prev.shape, prev.dtype)
     for row in rows:
         np.multiply(prev, factor, step)
         np.add(row, step, row)
         prev = row
 
 
-def _quadrature_paths(normals: np.ndarray, rho: float, sigma_st: float) -> np.ndarray:
-    """Exact-discretization AR(1) paths from time-major unit normals, overwriting them.
+def _ar1_paths(w: np.ndarray, a: complex) -> np.ndarray:
+    """W_k = a W_(k-1) + w_k in place over the time-major complex rows w_0, w_1, ... of ``w``.
 
-    ``normals[0]`` seeds the stationary initial value; subsequent rows are
-    the innovations, and the trailing axes, one or more, are independent
-    lanes. A record of n samples is cut into s = max(1, n // ``_SEGMENT``)
-    segments of L = n // s samples and a tail of n - s L < s. The segments
-    are stepped side by side from their own first innovations; then each
-    later one in turn adds rho^(k+1) times the end of the one before to its
-    k-th sample, and the tail is stepped on (a two-level scan: Blelloch,
-    CMU-CS-90-190, 1990). A step is two ufunc calls on a row of s x lanes,
-    each row view made once and rho a 0-d array, which a call takes as it
-    is. s depends on n alone, so lanes are independent; s = 1 under 1024 samples.
+    The trailing axes, one or more, are independent lanes. A record of n
+    samples is cut into s = max(1, n // ``_SEGMENT``) segments of L = n // s
+    samples and a tail of n - s L < s. The segments are stepped side by side
+    from their own first rows; then each later one in turn adds a^(k+1),
+    a running product, times the end of the one before to its k-th sample,
+    and the tail is stepped on (a two-level scan: Blelloch, CMU-CS-90-190,
+    1990). A step is two ufunc calls on a row of s x lanes, each row view
+    made once and a a 0-d array, which a call takes as it is. s depends on n
+    alone, so lanes are independent; s = 1 under 1024 samples.
     """
-    s_inn = sigma_st * math.sqrt(max(0.0, 1.0 - rho * rho))
-    normals[0] *= sigma_st
-    normals[1:] *= s_inn
-    segments = max(1, len(normals) // _SEGMENT)
-    length, factor = len(normals) // segments, np.array(rho)
-    head = normals[:segments * length].reshape(segments, length, *normals.shape[1:], copy=False)
+    segments = max(1, len(w) // _SEGMENT)
+    length, factor = len(w) // segments, np.array(a)
+    head = w[:segments * length].reshape(segments, length, *w.shape[1:], copy=False)
     _steps(iter(np.moveaxis(head, 1, 0)), factor)
-    carry = rho ** np.arange(1.0, length + 1).reshape(-1, *(1,) * (normals.ndim - 1))
+    carry = np.cumprod(np.full(length, factor)).reshape(-1, *(1,) * (w.ndim - 1))
     for prev, segment in zip(head[:-1], head[1:]):
         segment += carry * prev[-1]
-    _steps(iter(normals[segments * length - 1:]), factor)
-    return normals
+    _steps(iter(w[segments * length - 1:]), factor)
+    return w
 
 
 def _block_columns(n_steps: int) -> int:
-    """Realizations per block: an even count, at least 2, of (K+1, 2) records of normals that
-    fit ``FIELD_BLOCK_BYTES``, so that the periodogram's pairs never straddle a block."""
+    """Realizations per block: an even count, at least 2, of K+1 complex samples that fit
+    ``FIELD_BLOCK_BYTES``, so that the periodogram's pairs never straddle a block."""
     return max(1, FIELD_BLOCK_BYTES // (2 * 8 * (n_steps + 1)) // 2) * 2
 
 
@@ -329,23 +364,21 @@ def _field_blocks(
     """Field samples E(k dt) of one realization per seed, as time-major (K+1, b) blocks.
 
     Column j of the blocks, in order, is the realization of ``seeds[j]``.
-    The AR(1) recurrence runs in place in one buffer of normals, a block of
-    a run of ``run`` realizations. The block of ``seeds[start:stop]`` is
-    then modulated into ``out(start, stop)``, a (K+1, stop - start) array,
-    and yielded as that array. Callers check the grid and the run size first.
+    The complex AR(1) runs in place in one complex buffer, a block of a run
+    of ``run`` realizations. sqrt(C(0)) Re W of the block of
+    ``seeds[start:stop]`` is then written into ``out(start, stop)``, a
+    (K+1, stop - start) array, and yielded as that array. Callers check the
+    grid and the run size first.
     """
-    sigma_st = math.sqrt(field_variance(p))
-    rho = math.exp(-p.beta * dt)
-    t = dt * np.arange(n_steps + 1)
-    cos, sin = np.cos(p.omega * t)[:, None], np.sin(p.omega * t)[:, None]
+    a, c, lift = _ar1_factors(p.beta * dt, p.omega * dt)
+    scale = math.sqrt(field_variance(p))
     block = _block_columns(n_steps)
-    normals = np.empty((n_steps + 1, min(block, run), 2))
+    w = np.empty((n_steps + 1, min(block, run)), complex)
     for start in range(0, len(seeds), block):
         chunk = seeds[start:start + block]
-        paths = _quadrature_paths(_draw_normals(chunk, normals[:, :len(chunk)]), rho, sigma_st)
+        paths = _ar1_paths(_draw_normals(chunk, w[:, :len(chunk)], lift, c), a)
         field = out(start, start + len(chunk))
-        np.multiply(paths[..., 0], cos, field)
-        field += np.multiply(paths[..., 1], sin, paths[..., 1])
+        np.multiply(paths.real, scale, field)
         yield field
 
 
@@ -471,7 +504,8 @@ def _rk4_paths(
 
         if not (np.abs(x, out=y).max() <= DIVERGENCE_LIMIT):
             t_bad = dt * step
-            seed = int(seeds[int(np.argmax(np.nanmax(y, axis=0)))])
+            # the largest |state| per lane; fmax skips NaN without nanmax's all-NaN warning
+            seed = int(seeds[int(np.argmax(np.fmax.reduce(y, axis=0)))])
             raise TrajectoryDivergenceError(
                 f"trajectory diverged at t={t_bad:.6g} (|state| > {DIVERGENCE_LIMIT:g}, "
                 f"seed={seed})", seed=seed, time=t_bad)
@@ -592,12 +626,13 @@ def sample_periodogram(
     comes back as a 1-D array of its n_steps + 1 samples. The power uses the
     convention P(omega) = dt |FFT|^2 / N, under which the expected peak
     height is C(0)/beta = pi * i0. ``fit_spectrum`` fits the Lorentzian
-    peak. Rejects what ``sample_fields`` rejects, and fewer than 2 seeds.
+    peak. Rejects what ``sample_fields`` rejects, fewer than 2 seeds, and a step
+    so small that the angular frequencies, up to pi/dt, overflow.
 
     The seeds are cut in two halves at 2 (n // 4), so that the pairs of
-    ``_add_periodograms`` stay whole. Each half draws, filters, modulates
-    and transforms its blocks in turn into its own sum, in seed order, and
-    the sums are added. ``_in_halves`` runs the second half in a forked
+    ``_add_periodograms`` stay whole. Each half draws, filters and
+    transforms its blocks in turn into its own sum, in seed order, and the
+    sums are added. ``_in_halves`` runs the second half in a forked
     child where it can, with the same bytes either way. A process's memory
     is set by the whole run's block, not by the number of seeds.
     """
@@ -605,6 +640,8 @@ def sample_periodogram(
         raise ValueError("need at least 2 realizations")
     _check_step(p, dt)
     _check_size(len(seeds), n_steps)
+    if not 2.0 * math.pi / dt < math.inf:
+        raise ValueError(f"dt={dt:g}: the periodogram's angular frequencies overflow")
     width, first = min(_block_columns(n_steps), len(seeds)), []
 
     def add_half(half: Sequence[int], power: np.ndarray) -> None:

@@ -6,8 +6,9 @@ system, the backflow oracles enumerate envelope rises analytically,
 sample them or the distance on a dense grid, integrate their own
 coherence-branch rate by adaptive quadrature, or walk the critical
 points of the trace distance, the pair distance is half the distance of
-the derived ensemble means, the AR(1) oracle steps the field recurrence
-one sample at a time, the periodogram reference transforms one
+the derived ensemble means, the AR(1) oracle steps the complex field
+recurrence one sample at a time, the field covariance is the Lorentzian
+autocorrelation on the grid, the periodogram reference transforms one
 realization at a time, the ensemble oracle steps each trajectory's RK4
 in Python floats and reduces the stacked trajectories with numpy's axis
 statistics, the exact ensemble means solve the moment hierarchy of the
@@ -398,18 +399,27 @@ def tangency_angle(
     return None
 
 
-def ar1_reference(normals: np.ndarray, rho: float, sigma_st: float) -> np.ndarray:
-    """Exact-discretization AR(1) paths along the last axis, one step at a time.
+def ar1_steps(w: np.ndarray, a: complex) -> np.ndarray:
+    """W_0 = w_0 and W_k = a W_(k-1) + w_k, one step at a time along the first axis.
 
-    x_0 = sigma_st z_0 and x_{k+1} = rho x_k + sigma_st sqrt(1 - rho^2) z_{k+1}
-    (Gillespie, PRE 54, 2084 (1996)), written into a new array.
+    The complex recurrence of the field synthesis, on rows of any lanes,
+    written into a new array.
     """
-    s_inn = sigma_st * math.sqrt(max(0.0, 1.0 - rho * rho))
-    paths = np.empty_like(normals)
-    paths[..., 0] = sigma_st * normals[..., 0]
-    for k in range(normals.shape[-1] - 1):
-        paths[..., k + 1] = rho * paths[..., k] + s_inn * normals[..., k + 1]
+    paths = np.empty_like(w)
+    paths[0] = w[0]
+    for k in range(1, len(w)):
+        paths[k] = a * paths[k - 1] + w[k]
     return paths
+
+
+def field_covariance(c0: float, beta: float, omega: float, dt: float, n_steps: int) -> np.ndarray:
+    """The (K+1, K+1) covariance C(t_j - t_k) of the field on the grid t_k = k dt.
+
+    C(tau) = c0 exp(-beta |tau|) cos(omega tau), the Lorentzian autocorrelation
+    the field realizations are to have, taken from the formula alone.
+    """
+    tau = dt * np.abs(np.subtract.outer(np.arange(n_steps + 1), np.arange(n_steps + 1)))
+    return c0 * np.exp(-beta * tau) * np.cos(omega * tau)
 
 
 def periodogram_reference(values, dt: float) -> np.ndarray:

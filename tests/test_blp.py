@@ -761,6 +761,18 @@ def test_an_interior_angle_beats_both_branches_beyond_the_scan_cap():
             call()
 
 
+@pytest.mark.parametrize("s", [1e20, 1e100])
+def test_an_interior_angle_keeps_its_backflow_at_any_time_scale(s):
+    # (s, s, 3/s) has the phases of (1, 1, 3) and tends to the undamped limit 0.98999 as s
+    # grows; with tolerances absolute in tau, every positivity interval past s = 1e14 was
+    # dropped as narrower than 1e-14 and pi/8 returned 0.0. The endpoints are closed forms
+    cfg = cfg_of(s, s, 3.0 / s)
+    res = backflow_integral(math.pi / 8, cfg)
+    assert res.n_value == pytest.approx(0.9899924966004, rel=1e-12)
+    assert len(res.intervals) == 1
+    assert backflow_integral(0.0, cfg).n_value == pytest.approx(res.n_value, rel=1e-12)
+
+
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(mode=_MODES, lam=st.just(0.0) | st.floats(0.05, 4.0),
        om=st.just(0.0) | st.floats(0.05, 6.0), t_max=st.floats(0.0, 2.0) | st.floats(2.0, 20.0),

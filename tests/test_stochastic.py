@@ -26,8 +26,8 @@ from dipolefield.stochastic import (
     sample_fields,
     sample_periodogram,
 )
-from oracles import (ar1_reference, ensemble_paths, ensemble_reference, hierarchy_means,
-                     lorentzian_lsq, periodogram_reference)
+from oracles import (ar1_steps, ensemble_paths, ensemble_reference, field_covariance,
+                     hierarchy_means, lorentzian_lsq, periodogram_reference)
 
 
 WEAK = SystemParams(omega=5.0, kappa=1.0, beta_s=0.2, i0=0.1 / math.pi, beta=1.0)
@@ -114,10 +114,20 @@ def test_derive_seeds_equal_seed_sequence(master, indices):
     assert derive_seeds(master, indices) == expected
 
 
-def _draw_normals(seeds, n_steps):
-    """Draws of ``stochastic._draw_normals`` as (len(seeds), 2, n_steps + 1) records."""
-    out = stochastic._draw_normals(seeds, np.empty((n_steps + 1, len(seeds), 2)))
-    return out.transpose(1, 2, 0)
+def _draw_normals(seeds, n_steps, lift=1.0, c=1.0 + 1.0j):
+    """Draws of ``stochastic._draw_normals`` into a new (n_steps + 1, len(seeds)) complex array."""
+    return stochastic._draw_normals(seeds, np.empty((n_steps + 1, len(seeds)), complex), lift, c)
+
+
+def _default_rng_draws(seeds, n_steps, lift=1.0, c=1.0 + 1.0j):
+    """The stream contract: column i from ``default_rng(seeds[i]).standard_normal(K + 2)`` z,
+    as z_0 + i lift z_1, then c z_2, ..., c z_(K+1), each part one real product."""
+    out = np.empty((n_steps + 1, len(seeds)), complex)
+    for column, seed in zip(out.T, seeds):
+        z = np.random.default_rng(seed).standard_normal(n_steps + 2)
+        column[0] = complex(z[0], lift * z[1])
+        column.real[1:], column.imag[1:] = c.real * z[2:], c.imag * z[2:]
+    return out
 
 
 # lists longer than the transposition tile of 16 records or more (a budget of up to 4 KiB
@@ -125,18 +135,18 @@ def _draw_normals(seeds, n_steps):
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(seeds=st.lists(st.one_of(st.integers(0, 2**32 + 2), st.integers(0, 2**64 - 1)),
                       min_size=1, max_size=40),
-       n_steps=st.integers(1, 40), tile_bytes=st.integers(0, 2**12))
-def test_draw_normals_equal_default_rng(seeds, n_steps, tile_bytes):
-    expected = [np.random.default_rng(s).standard_normal((2, n_steps + 1)) for s in seeds]
+       n_steps=st.integers(1, 40), tile_bytes=st.integers(0, 2**12),
+       lift=st.floats(0.0, 1.0), c=st.complex_numbers(max_magnitude=1.0))
+def test_draw_normals_equal_default_rng(seeds, n_steps, tile_bytes, lift, c):
+    expected = _default_rng_draws(seeds, n_steps, lift, c)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(stochastic, "_TRANSPOSE_BYTES", tile_bytes)
-        np.testing.assert_array_equal(_draw_normals(seeds, n_steps), expected)
+        np.testing.assert_array_equal(_draw_normals(seeds, n_steps, lift, c), expected)
 
 
 def test_seed_edges_and_negative_seeds():
     edges = [0, 2**32 - 1, 2**32, 2**64 - 1]
-    expected = [np.random.default_rng(s).standard_normal((2, 5)) for s in edges]
-    np.testing.assert_array_equal(_draw_normals(edges, 4), expected)
+    np.testing.assert_array_equal(_draw_normals(edges, 4), _default_rng_draws(edges, 4))
     assert derive_seeds(7, range(3)) == [derive_seeds(7, [i])[0] for i in range(3)]
     for call in (lambda: derive_seeds(-1, [0]), lambda: derive_seeds(0, [-1]),
                  lambda: derive_seeds(-5, range(4)), lambda: _draw_normals([3, -1], 4),
@@ -145,77 +155,119 @@ def test_seed_edges_and_negative_seeds():
             call()
 
 
-@pytest.mark.parametrize("shape", [(2, 301), (3, 2, 301)])
-def test_quadrature_paths_match_stepwise_reference(shape):
-    # the records are drawn record-major, then laid out time-major as the sampler uses them
-    normals = np.random.default_rng(21).standard_normal(shape)
-    rho, sigma_st = math.exp(-0.05), 1.7
-    expected = np.moveaxis(ar1_reference(normals, rho, sigma_st), -1, 0)
-    time_major = np.ascontiguousarray(np.moveaxis(normals, -1, 0))
-    np.testing.assert_array_equal(
-        stochastic._quadrature_paths(time_major, rho, sigma_st), expected
-    )
+def _complex_rows(seed, shape):
+    """Time-major complex rows of standard normal parts."""
+    return np.random.default_rng(seed).standard_normal((*shape, 2)).view(complex)[..., 0]
 
 
+def _scan_bound(rho, n, big):
+    """Largest |difference| of ``stochastic._ar1_paths`` and ``ar1_steps`` over n samples.
+
+    Let u = 2^-53, M = ``big`` the largest |W| of either result, rho = |a|
+    and G = sum of rho^i for i < L, L the segment length. A complex product
+    rounds by at most sqrt(5) u of its magnitude (Brent, Percival &
+    Zimmermann, Math. Comp. 76, 1469, 2007; 2u with a fused multiply-add),
+    a complex sum by at most u of its magnitude. So a step of the reference
+    rounds by at most 4uM, and errors made k steps back are damped by
+    rho^k. A record of one segment is stepped as the reference steps it:
+    the two differ by at most 8uMG. A later segment steps its own path y
+    from its rows, whose |y| <= 2M rounds by at most 8uM a step, and then
+    adds a^(k+1) c, the end c of the segment before. The running product
+    a^(k+1) is within 3(k+1)u rho^(k+1) of the power, and (k+1) rho^(k+1)
+    <= G since each of the first k+1 terms of G is at least rho^k; the
+    product with c and the sum round by at most 4uM. Within a segment the
+    two so differ by at most E = 16uM (G + 1) plus rho^(k+1) times the
+    difference in c. Each segment's end carries the earlier ones' errors
+    damped by rho^L, and every sample, the tail's too, is within
+    2E / (1 - rho^L).
+    """
+    u, length = 2.0**-53, n // max(1, n // stochastic._SEGMENT)
+    g = math.fsum(rho**i for i in range(length))
+    if length == n:
+        return 8 * u * big * g
+    return 2 * 16 * u * big * (g + 1) / (1 - rho**length)
+
+
+def _assert_scan_matches_the_steps(rows, beta_dt, theta):
+    """``_ar1_paths`` of ``rows`` in place, within ``_scan_bound`` of ``ar1_steps``."""
+    a = math.exp(-beta_dt) * complex(math.cos(theta), -math.sin(theta))
+    expected = ar1_steps(rows, a)
+    got = stochastic._ar1_paths(rows, a)
+    big = max(np.abs(got).max(), np.abs(expected).max())
+    assert np.abs(got - expected).max() <= _scan_bound(math.exp(-beta_dt), len(rows), big)
+
+
+# time-major (K+1, ...) rows, one lane or several, each row of lanes a step; records of
+# one segment, then of two or more
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(n_steps=st.integers(1, 400),
+@given(n=st.integers(1, 400),
        lanes=st.one_of(st.tuples(st.integers(1, 9)), st.tuples(st.integers(1, 9), st.just(2))),
-       beta_dt=st.floats(1e-4, 0.05), seed=st.integers(0, 2**32 - 1))
-def test_quadrature_paths_match_stepwise_reference_on_any_shape(n_steps, lanes, beta_dt, seed):
-    # time-major (K+1, ...) normals, one lane or several, each row of lanes a step
-    normals = np.random.default_rng(seed).standard_normal((n_steps + 1, *lanes))
-    rho, sigma_st = math.exp(-beta_dt), 1.7
-    expected = np.moveaxis(ar1_reference(np.moveaxis(normals, 0, -1), rho, sigma_st), -1, 0)
-    np.testing.assert_array_equal(
-        stochastic._quadrature_paths(normals.copy(), rho, sigma_st), expected
-    )
-
-
-@pytest.mark.parametrize("c", [1, 3, 5])
-def test_quadrature_paths_on_a_column_slice(c):
-    # the partial last block of _field_blocks: the first c of b columns of a
-    # (K+1, b, 2) buffer, a view that is not contiguous though each of its rows is
-    buf = np.random.default_rng(c).standard_normal((201, 6, 2))
-    rest = buf[:, c:].copy()
-    rho, sigma_st = math.exp(-0.03), 0.9
-    expected = np.moveaxis(ar1_reference(np.moveaxis(buf[:, :c], 0, -1), rho, sigma_st), -1, 0)
-    assert stochastic._quadrature_paths(buf[:, :c], rho, sigma_st).base is buf
-    np.testing.assert_array_equal(buf[:, :c], expected)
-    np.testing.assert_array_equal(buf[:, c:], rest)
+       beta_dt=st.floats(1e-4, 0.05), theta=st.floats(0.0, 0.1 * math.pi),
+       seed=st.integers(0, 2**32 - 1))
+def test_ar1_paths_match_the_stepwise_loop_on_any_shape(n, lanes, beta_dt, theta, seed):
+    _assert_scan_matches_the_steps(_complex_rows(seed, (n, *lanes)), beta_dt, theta)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(n=st.integers(1024, 8000),
        lanes=st.one_of(st.tuples(st.integers(1, 9)), st.tuples(st.integers(1, 9), st.just(2))),
-       beta_dt=st.floats(1e-4, 0.05), seed=st.integers(0, 2**32 - 1))
-@example(n=1024, lanes=(1,), beta_dt=1e-4, seed=0)  # the shortest record of two segments
-@example(n=6367, lanes=(9, 2), beta_dt=0.0314, seed=1)  # criterion 10's record: 12 and a tail
-def test_segmented_quadrature_paths_match_the_stepwise_reference(n, lanes, beta_dt, seed):
-    """Records of two or more segments, against ``ar1_reference``, within a derived bound.
+       beta_dt=st.floats(1e-4, 0.05), theta=st.floats(0.0, 0.1 * math.pi),
+       seed=st.integers(0, 2**32 - 1))
+@example(n=1024, lanes=(1,), beta_dt=1e-4, theta=0.0, seed=0)  # the shortest of two segments
+@example(n=6367, lanes=(9, 2), beta_dt=0.0314, theta=0.314, seed=1)  # criterion 10's record
+def test_segmented_ar1_paths_match_the_stepwise_loop(n, lanes, beta_dt, theta, seed):
+    _assert_scan_matches_the_steps(_complex_rows(seed, (n, *lanes)), beta_dt, theta)
 
-    Let u = 2^-53 and M the largest |x| of either result. The reference
-    rounds rho x_(k-1) and its sum with the innovation w_k = s z_k (both
-    compute w_k alike), an error of at most 2uM a step. A later segment
-    steps its own path y from w, whose |y| <= 2M rounds by at most 4uM a
-    step, and then adds rho^(k+1) c, the end c of the segment before: the
-    power, product and sum round by at most 4uM. Errors made k steps back
-    are damped by rho^k, so within a segment of L samples the two differ by
-    at most E = 8uM (G + 1) plus rho^(k+1) times the difference in c, with
-    G = sum of rho^i for i < L. Each segment's end so carries the earlier
-    ones' errors damped by rho^L, and every sample, the tail's too, is
-    within 2E / (1 - rho^L): a few ulps of M per step of G, damped by the
-    segments' rho^L (L >= 512). The first segment is computed as the
-    reference computes it, bit for bit.
-    """
-    normals = np.random.default_rng(seed).standard_normal((n, *lanes))
-    rho, sigma_st = math.exp(-beta_dt), 1.7
-    expected = np.moveaxis(ar1_reference(np.moveaxis(normals, 0, -1), rho, sigma_st), -1, 0)
-    got = stochastic._quadrature_paths(normals.copy(), rho, sigma_st)
-    length = n // (n // stochastic._SEGMENT)
-    np.testing.assert_array_equal(got[:length], expected[:length])
-    u, big = 2.0**-53, max(np.abs(got).max(), np.abs(expected).max())
-    bound = 2 * 8 * u * big * ((1 - rho**length) / (1 - rho) + 1) / (1 - rho**length)
-    assert np.abs(got - expected).max() <= bound
+
+@pytest.mark.parametrize("c", [1, 3, 5])
+def test_ar1_paths_on_a_column_slice(c):
+    # the partial last block of _field_blocks: the first c of b columns of a
+    # (K+1, b) buffer, a view that is not contiguous though each of its rows is
+    buf = _complex_rows(c, (201, 6)).copy()
+    rest = buf[:, c:].copy()
+    a = math.exp(-0.03) * complex(math.cos(0.2), -math.sin(0.2))
+    expected = ar1_steps(buf[:, :c], a)
+    assert stochastic._ar1_paths(buf[:, :c], a).base is buf
+    bound = _scan_bound(math.exp(-0.03), 201, np.abs(expected).max() * 2)
+    assert np.abs(buf[:, :c] - expected).max() <= bound
+    np.testing.assert_array_equal(buf[:, c:], rest)
+
+
+def _unit_responses(p, dt, n_steps):
+    """The (K+1, K+2) map L from a realization's K+2 normals to its samples: ``sample_fields``
+    of K+2 seeds whose j-th stream, in draw order, is the unit vector e_j."""
+    drawn = iter(range(n_steps + 2))
+
+    class Unit:  # stands in for numpy's Generator
+        def __init__(self, bit_generator):
+            pass
+
+        def standard_normal(self, out):
+            out[:] = 0.0
+            out[next(drawn)] = 1.0
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(np.random, "Generator", Unit)
+        return sample_fields(p, dt, n_steps, range(n_steps + 2))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(n_steps=st.integers(1, 256), log_beta=st.floats(-300.0, 90.0),
+       log_omega=st.floats(-323.3, 300.0), log_i0=st.floats(-3.0, 3.0),
+       dt_frac=st.floats(1e-6, 1.0))
+@example(n_steps=40, log_beta=0.0, log_omega=1.0, log_i0=0.0, dt_frac=1.0)  # criterion 10
+@example(n_steps=40, log_beta=0.0, log_omega=-12.0, log_i0=0.0, dt_frac=1.0)  # omega -> 0
+@example(n_steps=40, log_beta=0.0, log_omega=-323.3, log_i0=0.0, dt_frac=1.0)  # theta = 0
+@example(n_steps=40, log_beta=-30.0, log_omega=300.0, log_i0=0.0, dt_frac=1.0)  # rho = 1, c = 0
+@example(n_steps=1100, log_beta=0.0, log_omega=0.7, log_i0=0.0, dt_frac=1.0)  # two segments
+def test_field_covariance_is_exact(n_steps, log_beta, log_omega, log_i0, dt_frac):
+    """L L^T, pushed through ``sample_fields``, is the Lorentzian covariance on the grid."""
+    p = SystemParams(omega=10.0**log_omega, kappa=1.0, beta_s=0.0, i0=10.0**log_i0,
+                     beta=10.0**log_beta)
+    dt, c0 = dt_frac * max_field_dt(p), field_variance(p)
+    unit = _unit_responses(p, dt, n_steps)
+    expected = field_covariance(c0, p.beta, p.omega, dt, n_steps)
+    assert np.abs(unit @ unit.T - expected).max() <= 1e-13 * c0
 
 
 def _periodogram_bound(fields, dt):
@@ -260,16 +312,15 @@ def test_sample_fields_match_per_seed_sampling(monkeypatch):
     seeds = derive_seeds(17, range(7))
     fields = sample_fields(p, dt, n_steps, seeds)
     assert fields.shape == (n_steps + 1, len(seeds))
-    t = dt * np.arange(n_steps + 1)
-    rho = math.exp(-p.beta * dt)
-    for column, seed in zip(fields.T, seeds):
+    a, c, lift = stochastic._ar1_factors(p.beta * dt, p.omega * dt)
+    scale = math.sqrt(field_variance(p))
+    # the same fields from each seed's default_rng stream, stepped by the plain loop
+    paths = ar1_steps(_default_rng_draws(seeds, n_steps, lift, c), a)
+    big = 2 * np.abs(paths).max()  # the largest |W| of either, and then some
+    bound = scale * (_scan_bound(math.exp(-p.beta * dt), n_steps + 1, big) + 2**-52 * big)
+    for column, seed, path in zip(fields.T, seeds, paths.T):
         np.testing.assert_array_equal(column, one_field(p, dt, n_steps, seed))
-        # the same field built from the stepwise oracle
-        z = np.random.default_rng(seed).standard_normal((2, n_steps + 1))
-        x = ar1_reference(z, rho, math.sqrt(field_variance(p)))
-        np.testing.assert_array_equal(
-            column, x[0] * np.cos(p.omega * t) + x[1] * np.sin(p.omega * t)
-        )
+        assert np.abs(column - scale * path.real).max() <= bound
 
 
 def test_streams_do_not_depend_on_block_size(monkeypatch, tmp_path):
@@ -408,10 +459,10 @@ def test_the_parent_synthesizes_the_share_of_a_failed_child_or_fork(monkeypatch,
     unsplit = _unsplit_bytes(monkeypatch, tmp_path, run)
     parent, draw = os.getpid(), stochastic._draw_normals
 
-    def fail_in_child(chunk, out):
+    def fail_in_child(*args):
         if os.getpid() != parent:
             raise _Failure("child")
-        return draw(chunk, out)
+        return draw(*args)
 
     def no_fork():
         forks.append(os.getpid())
@@ -444,10 +495,10 @@ def test_a_failure_in_the_parent_share_is_raised_and_leaves_no_child(monkeypatch
     run = _split_run(monkeypatch)
     parent, draw = os.getpid(), stochastic._draw_normals
 
-    def fail_in_parent(chunk, out):
+    def fail_in_parent(*args):
         if os.getpid() == parent:
             raise _Failure("parent")
-        return draw(chunk, out)
+        return draw(*args)
 
     monkeypatch.setattr(stochastic, "_draw_normals", fail_in_parent)
     with pytest.raises(_Failure, match="parent"):
@@ -537,10 +588,10 @@ def test_a_split_periodogram_gives_the_unsplit_bytes(monkeypatch, forks, failure
         widths.append(block.shape[1])
         transform(power, block, dt)
 
-    def fail_in_child(chunk, out):  # after the child has added its first block
+    def fail_in_child(*args):  # after the child has added its first block
         if os.getpid() != parent and widths[-1:] == [4]:
             raise _Failure("child")
-        return draw(chunk, out)
+        return draw(*args)
 
     def no_fork():
         forks.append(os.getpid())
@@ -590,10 +641,10 @@ def test_a_failure_in_the_caller_half_of_a_periodogram_is_raised_and_leaves_no_c
     run = _periodogram_run(monkeypatch)
     parent, draw = os.getpid(), stochastic._draw_normals
 
-    def fail_in_parent(chunk, out):
+    def fail_in_parent(*args):
         if os.getpid() == parent:
             raise _Failure("parent")
-        return draw(chunk, out)
+        return draw(*args)
 
     monkeypatch.setattr(stochastic, "_draw_normals", fail_in_parent)
     with pytest.raises(_Failure, match="parent"):
