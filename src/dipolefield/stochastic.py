@@ -17,7 +17,12 @@ real unit normal e_k a sample; c makes Re W exactly the unit-variance process
 of that covariance, and W_0 is drawn from its stationary law
 (``_ar1_factors``). The realization of seed s is built from
 ``np.random.default_rng(s).standard_normal(K + 2)``: the first two normals
-give W_0, the other K are e_1..e_K.
+give W_0, the other K are e_1..e_K. The averaged periodogram builds no
+realization in time but the first: the DFT of a record's Re W is a filter
+of its innovations' DFT plus a boundary term, so the power of all records
+is summed in the frequency domain from their innovations' autocorrelation,
+one zero-padded FFT of smooth length a pair of records
+(``sample_periodogram``).
 
 Per-realization dynamics integrate, in dimensionless variables
 (m = dipole / max dipole, w = inversion in units of half the splitting):
@@ -66,19 +71,16 @@ DIVERGENCE_LIMIT = 1e3
 
 #: bytes of complex samples synthesized at once, the one memory budget of field
 #: synthesis: 40 realizations at the 6367-sample records of the spectrum check,
-#: whose periodogram then holds the complex block, one reused field buffer of half
-#: its size, ``_draw_normals``' tile of normals (16 records there, 0.78 MiB) and
-#: ``_TRANSFORM_PAIRS`` pairs of transform: a traced peak of 7.45 MiB in the
-#: caller, under 2.25 blocks whatever the number of realizations
+#: whose periodogram then holds a block of their normals as rows (half the budget)
+#: and their zero-padded 12800-point transforms in pairs (about one budget): a
+#: traced peak of 7.16 MiB in the caller, under 2.25 blocks whatever the number of
+#: realizations
 FIELD_BLOCK_BYTES = 4 * 2**20
 
 #: records drawn contiguously before they are scaled and transposed into a time-major
 #: block: at least ``_TRANSPOSE_SEEDS``, and as many as fit ``_TRANSPOSE_BYTES`` (193 at
 #: criterion 09's 168 samples, where 16 records a tile took 19 % longer per block)
 _TRANSPOSE_SEEDS, _TRANSPOSE_BYTES = 16, 2**18
-
-#: pairs of field columns the periodogram transforms at once
-_TRANSFORM_PAIRS = 8
 
 #: samples of an AR(1) segment, at least (``_ar1_paths``)
 _SEGMENT = 512
@@ -291,25 +293,33 @@ def _ar1_factors(beta_dt: float, theta: float) -> tuple[complex, complex, float]
     return rho * complex(cos, -sin), complex(sigma, g * sigma), lift
 
 
+def _normal_rows(states: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Row i of ``rows``, for i < len(states), filled with standard normals of the PCG64
+    stream that numpy seeds from the ``SeedSequence`` words ``states[i]``
+    (``_seed_state(_words(seeds), 2, 4)``): that of ``np.random.default_rng(seeds[i])``.
+    Returns ``rows``."""
+    preset = _Preset()
+    for row, preset.words in zip(rows, states):
+        np.random.Generator(np.random.PCG64(preset)).standard_normal(out=row)
+    return rows
+
+
 def _draw_normals(seeds: Sequence[int], out: np.ndarray, lift: float, c: complex) -> np.ndarray:
     """Fill a time-major complex (K+1, len(seeds)) array from K+2 standard normals a seed.
 
     With z = ``np.random.default_rng(seeds[i]).standard_normal(K + 2)``, for
     seeds in [0, 2**64), column i is z_0 + i lift z_1, then c z_2, ...,
     c z_(K+1): W_0 and the innovations of ``_ar1_factors``. The
-    ``SeedSequence`` words of all seeds are computed at once, numpy seeds
-    each stream's PCG64 from its seed's words, and each generator fills one
-    record of a tile (``_TRANSPOSE_SEEDS``, or ``_TRANSPOSE_BYTES`` of them
-    if more) that is then scaled and transposed into place.
+    ``SeedSequence`` words of all seeds are computed at once, and
+    ``_normal_rows`` draws a tile of records (``_TRANSPOSE_SEEDS``, or
+    ``_TRANSPOSE_BYTES`` of them if more) that is then scaled and transposed
+    into place.
     """
     states = _seed_state(_words(seeds), 2, 4)
     tile = max(_TRANSPOSE_SEEDS, _TRANSPOSE_BYTES // (8 * (len(out) + 1)))
     records = np.empty((min(tile, len(states)), len(out) + 1))
-    preset = _Preset()
     for start in range(0, len(states), tile):
-        rows = records[:len(states) - start]
-        for row, preset.words in zip(rows, states[start:start + tile]):
-            np.random.Generator(np.random.PCG64(preset)).standard_normal(out=row)
+        rows = _normal_rows(states[start:start + tile], records[:len(states) - start])
         part = out[:, start:start + len(rows)]
         part.real[0] = rows[:, 0]
         np.multiply(rows[:, 1], lift, part.imag[0])
@@ -355,31 +365,6 @@ def _block_columns(n_steps: int) -> int:
     """Realizations per block: an even count, at least 2, of K+1 complex samples that fit
     ``FIELD_BLOCK_BYTES``, so that the periodogram's pairs never straddle a block."""
     return max(1, FIELD_BLOCK_BYTES // (2 * 8 * (n_steps + 1)) // 2) * 2
-
-
-def _field_blocks(
-    p: SystemParams, dt: float, n_steps: int, seeds: Sequence[int],
-    out: Callable[[int, int], np.ndarray], run: int,
-) -> Iterator[np.ndarray]:
-    """Field samples E(k dt) of one realization per seed, as time-major (K+1, b) blocks.
-
-    Column j of the blocks, in order, is the realization of ``seeds[j]``.
-    The complex AR(1) runs in place in one complex buffer, a block of a run
-    of ``run`` realizations. sqrt(C(0)) Re W of the block of
-    ``seeds[start:stop]`` is then written into ``out(start, stop)``, a
-    (K+1, stop - start) array, and yielded as that array. Callers check the
-    grid and the run size first.
-    """
-    a, c, lift = _ar1_factors(p.beta * dt, p.omega * dt)
-    scale = math.sqrt(field_variance(p))
-    block = _block_columns(n_steps)
-    w = np.empty((n_steps + 1, min(block, run)), complex)
-    for start in range(0, len(seeds), block):
-        chunk = seeds[start:start + block]
-        paths = _ar1_paths(_draw_normals(chunk, w[:, :len(chunk)], lift, c), a)
-        field = out(start, start + len(chunk))
-        np.multiply(paths.real, scale, field)
-        yield field
 
 
 def _usable_cpus() -> int:
@@ -438,17 +423,23 @@ def sample_fields(p: SystemParams, dt: float, n_steps: int, seeds: Sequence[int]
     """Field samples E(k dt), k = 0..n_steps, one realization per seed, as a (K+1, n) array.
 
     Column j is the realization of ``seeds[j]``, bit-identical to sampling
-    that seed alone; the columns are synthesized in blocks, each written
-    straight into its columns (``_field_blocks``), in the calling process.
+    that seed alone. The complex AR(1) runs in place in one complex buffer
+    of a block of realizations (``_block_columns``), and sqrt(C(0)) Re W of
+    each block is written straight into its columns, in the calling process.
     Rejects n_steps < 1, a step that is not finite and positive or exceeds
     ``max_field_dt``, a non-finite field variance, and more than
     ``MAX_FIELD_SAMPLES`` samples in all, before anything is allocated.
     """
     _check_step(p, dt)
     _check_size(len(seeds), n_steps)
+    a, c, lift = _ar1_factors(p.beta * dt, p.omega * dt)
+    scale, block = math.sqrt(field_variance(p)), _block_columns(n_steps)
     field = np.empty((n_steps + 1, len(seeds)))
-    for _ in _field_blocks(p, dt, n_steps, seeds, lambda i, j: field[:, i:j], len(seeds)):
-        pass
+    w = np.empty((n_steps + 1, min(block, len(seeds))), complex)
+    for start in range(0, len(seeds), block):
+        chunk = seeds[start:start + block]
+        paths = _ar1_paths(_draw_normals(chunk, w[:, :len(chunk)], lift, c), a)
+        np.multiply(paths.real, scale, field[:, start:start + len(chunk)])
     return field
 
 
@@ -554,13 +545,17 @@ def ensemble_average(
     first, so a horizon past its phase cap is refused before any trajectory
     runs; lambda passes that cap only beyond the weak-coupling guard, and the
     inversion checks it after the trajectories, so that a divergence is still
-    reported as one. Runs of more than ``MAX_FIELD_SAMPLES`` samples in all are
-    rejected before any seed is derived.
+    reported as one. Runs of more than ``MAX_FIELD_SAMPLES`` samples in all, and
+    couplings kappa*omega or kappa/omega that overflow, are rejected before any
+    seed is derived.
     """
     if n_realizations < 2:
         raise ValueError("n_realizations must be at least 2")
     if not (math.isfinite(horizon) and horizon > 0):
         raise ValueError(f"horizon={horizon} must be finite and positive")
+    if not (math.isfinite(p.kappa * p.omega) and math.isfinite(p.kappa / p.omega)):
+        raise ValueError(f"kappa={p.kappa:g}, omega={p.omega:g}: the trajectory couplings "
+                         "kappa*omega and kappa/omega must be finite")
     _check_step(p, dt)
     # a ratio beyond the cap (even an overflowing one) is clamped, then rejected
     n_steps = max(1, math.ceil(min(horizon / dt, MAX_FIELD_SAMPLES) - 1e-12))
@@ -597,24 +592,42 @@ def _lorentzian(omega, height, center, hwhm):
     return height * hwhm**2 / ((omega - center) ** 2 + hwhm**2)
 
 
-def _add_periodograms(power: np.ndarray, block: np.ndarray, dt: float) -> None:
-    """Add dt |FFT|^2 / N of each column of a time-major (N, b) block to ``power``, by pairs.
+def _smooth_length(n: int) -> int:
+    """The smallest 2^a 3^b 5^c >= n, for n <= 2^25: pocketfft's radix passes alone."""
+    return min(f << (-(-n // f) - 1).bit_length()
+               for f in (3**i * 5**j for i in range(17) for j in range(12)))
 
-    Columns 2j and 2j + 1, adjacent in each row, are read in place as one
-    complex record z = a + i b and transformed once; their periodograms sum
-    to dt (|Z_k|^2 + |Z_(N-k)|^2) / 2N, added as one term. An odd last
-    column goes alone, with a zero imaginary part. ``_TRANSFORM_PAIRS``
-    pairs are transformed at a time: the block's transform is never whole.
+
+def _one_minus(decay, phi):
+    """1 - e^(-decay + i phi), as -expm1(-decay) + e^(-decay) (2 sin^2(phi/2) - i sin phi): to a
+    few ulps of its magnitude, however small that is."""
+    half = np.sin(0.5 * phi)
+    return -np.expm1(-decay) + np.exp(-decay) * (2.0 * half * half - 1j * np.sin(phi))
+
+
+def _add_pairs(s: np.ndarray, b: np.ndarray, pairs: np.ndarray, sums: np.ndarray,
+               mixed: np.ndarray) -> None:
+    """Add records to the running sums of a ``sample_periodogram`` half, a pair at a time.
+
+    Pair i of the records' innovations ``s`` (2h, N) and boundary terms
+    ``b`` adds Re and Im of b_2i s_2i + b_(2i+1) s_(2i+1) to ``mixed``
+    (2, N), by way of row i of ``pairs`` (h, M); that row then becomes
+    s_2i + i s_(2i+1), zero-padded, and the squared real and imaginary parts
+    of its M-point FFT, taken in place, are added to ``sums`` (2M). numpy
+    reduces over a leading axis row by row, so neither sum depends on how
+    the records fall into blocks.
     """
-    n, h = block.shape[0], power.size
-    pairs = block[:, :block.shape[1] - block.shape[1] % 2].view(complex)
-    records = [pairs[:, i:i + _TRANSFORM_PAIRS] for i in range(0, pairs.shape[1], _TRANSFORM_PAIRS)]
-    for z in records + [block[:, -1:]] * (block.shape[1] % 2):
-        sq = np.abs(np.fft.fft(z, axis=0)) ** 2
-        terms = np.add(sq[:h], sq[-np.arange(h)], sq[:h])
-        terms *= dt / (2 * n)
-        for term in terms.T:
-            power += term
+    h, n = len(s) // 2, s.shape[1]
+    two, pairs = s.reshape(h, 2, n), pairs[:h]
+    terms = pairs.view(float)[:, :2 * n].reshape(h, 2, n)
+    np.matmul(b.view(float).reshape(h, 2, 2).transpose(0, 2, 1), two, terms)
+    terms[0] += mixed
+    np.sum(terms, axis=0, out=mixed)
+    pairs.real[:, :n], pairs.imag[:, :n], pairs[:, n:] = two[:, 0], two[:, 1], 0.0
+    squares = np.fft.fft(pairs, axis=1, out=pairs).view(float)
+    np.multiply(squares, squares, squares)
+    squares[0] += sums
+    np.sum(squares, axis=0, out=sums)
 
 
 def sample_periodogram(
@@ -622,19 +635,44 @@ def sample_periodogram(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Averaged periodogram (omega, power) of one field realization per seed, and realization 0.
 
-    The realizations are the columns of ``sample_fields``; realization 0
-    comes back as a 1-D array of its n_steps + 1 samples. The power uses the
-    convention P(omega) = dt |FFT|^2 / N, under which the expected peak
-    height is C(0)/beta = pi * i0. ``fit_spectrum`` fits the Lorentzian
-    peak. Rejects what ``sample_fields`` rejects, fewer than 2 seeds, and a step
-    so small that the angular frequencies, up to pi/dt, overflow.
+    The realizations are the columns of ``sample_fields``, which builds
+    realization 0, returned as a 1-D array of its n_steps + 1 samples. The
+    power uses the convention P(omega) = dt |FFT|^2 / N, under which the
+    expected peak height is C(0)/beta = pi * i0. ``fit_spectrum`` fits the
+    Lorentzian peak. Rejects what ``sample_fields`` rejects, fewer than 2
+    seeds, and a step so small that the angular frequencies, up to pi/dt,
+    overflow.
 
-    The seeds are cut in two halves at 2 (n // 4), so that the pairs of
-    ``_add_periodograms`` stay whole. Each half draws, filters and
-    transforms its blocks in turn into its own sum, in seed order, and the
-    sums are added. ``_in_halves`` runs the second half in a forked
-    child where it can, with the same bytes either way. A process's memory
-    is set by the whole run's block, not by the number of seeds.
+    No other realization is built in time. Let s = (0, e_1, ..., e_K) be a
+    record's innovations, S = DFT(s), q = sum of a^(K-k) s_k (so that
+    W_K = a^K W_0 + c q) and B = W_0 - a c q / (1 - a^N). The circular form
+    of W_k = a W_(k-1) + c s_k gives the DFT of Re W on the bins z^j as
+    G_j S_j + (B g_j + conj(B) h_j)/2, with alpha = 1/(1 - a z^j), beta =
+    1/(1 - conj(a) z^j), G = (c alpha + conj(c) beta)/2 and the geometric
+    sums g = (1 - a^N) alpha and h = (1 - conj(a)^N) beta (N where 1 - a z^j
+    is 0). Summed over records, its |.|^2 needs sum |S_j|^2, the transform
+    of the record sum of B s, and the sums of |B|^2 and B^2. Each half draws
+    its records as rows, a block at a time, and adds them by pairs
+    (``_add_pairs``): one FFT of s_2i + i s_(2i+1), zero-padded to the
+    smallest M = 2^a 3^b 5^c >= 2N - 1, squares both transforms; an inverse
+    FFT, a fold and an N-point transform then give sum |S_j|^2 from the
+    summed circular autocorrelation of s (Wiener-Khinchin). Each 1 - a z^j
+    and 1 - a^N is formed by ``_one_minus``, each a^m as e^(-m beta dt)
+    (cos m theta - i sin m theta).
+
+    The terms cancel as a record falls short of the correlation time 1/beta.
+    Against the periodogram of ``sample_fields``' records, whose AR(1)
+    rounding drifts by about u G, the power is within 128 u (1 + 1/(N beta
+    dt) + G) of the expected peak (u = 2^-53, G = sum of rho^i over i < N;
+    tests/test_stochastic.py), and within 1e-13 of the peak at criterion 10.
+
+    The seeds are cut in two halves at 2 (n // 4), and blocks hold an even
+    count, so the pairs are the same whatever the blocks; a half's odd last
+    record is paired with a zero one. Each half adds its blocks in seed
+    order into its own sums and power, and the powers are added.
+    ``_in_halves`` runs the second half in a forked child where it can, with
+    the same bytes either way. A process's memory is set by the whole run's
+    block, not by the number of seeds.
     """
     if len(seeds) < 2:
         raise ValueError("need at least 2 realizations")
@@ -642,18 +680,48 @@ def sample_periodogram(
     _check_size(len(seeds), n_steps)
     if not 2.0 * math.pi / dt < math.inf:
         raise ValueError(f"dt={dt:g}: the periodogram's angular frequencies overflow")
-    width, first = min(_block_columns(n_steps), len(seeds)), []
+    n = n_steps + 1
+    h, m, block = n // 2 + 1, _smooth_length(2 * n - 1), _block_columns(n_steps)
+    decay, theta = p.beta * dt, p.omega * dt
+    a, c, lift = _ar1_factors(decay, theta)
+    kappa = complex(_one_minus(n * decay, -n * theta))  # 1 - a^N, 0 only where c is
+    tilt = a * c / kappa if c else 0.0
+    lags = np.arange(n_steps, -1, -1.0)  # a^(K-k) at k, as (real, imaginary) rows
+    powers = np.exp(-decay * lags)[:, None] * np.stack([np.cos(theta * lags),
+                                                        -np.sin(theta * lags)], axis=1)
+    t = (2.0 * math.pi / n) * np.arange(h)
+    d = _one_minus(decay, np.stack([-(theta + t), theta - t]))  # 1 - a z^j, 1 - conj(a) z^j
+    alpha = np.divide(1.0, d, out=np.zeros_like(d), where=d != 0)
+    g = np.where(d != 0, np.array([[kappa], [kappa.conjugate()]]) * alpha, n)
+    gain = 0.5 * (c * alpha[0] + c.conjugate() * alpha[1])
 
     def add_half(half: Sequence[int], power: np.ndarray) -> None:
-        field = np.empty((n_steps + 1, -(-width // 2)), complex).view(float)  # rows of whole pairs
-        for block in _field_blocks(p, dt, n_steps, half, lambda i, j: field[:, :j - i], len(seeds)):
-            if not first:
-                first.append(block[:, 0].copy())
-            _add_periodograms(power, block, dt)
+        tile = np.empty((min(block, len(seeds) + len(seeds) % 2), n + 1))
+        pairs = np.empty((len(tile) // 2, m), complex)
+        sums, mixed = np.zeros(2 * m), np.zeros((2, n))
+        b, states = np.empty(len(half) + 1, complex), _seed_state(_words(half), 2, 4)
+        for start in range(0, len(half), block):
+            rows = tile[:min(block, len(half) - start + 1) // 2 * 2]
+            rows[-1] = 0.0  # the partner of an odd last record: zero normals, so B = 0
+            _normal_rows(states[start:start + block], rows)
+            w0 = rows[:, 0] + 1j * lift * rows[:, 1]
+            rows[:, 1] = 0.0  # rows[:, 1:] are now the innovations s, with s_0 = 0
+            q = np.matmul(rows[:, None, 1:], powers)[:, 0].view(complex)[:, 0]
+            _add_pairs(rows[:, 1:], np.subtract(w0, tilt * q, b[start:start + len(rows)]), pairs,
+                       sums, mixed)
+        squares, b = sums[::2] + sums[1::2], b[:len(half)]  # the pairs' |Z_f|^2, and each B
+        auto = np.fft.irfft(squares[:m // 2 + 1] + squares[-np.arange(m // 2 + 1)], m)
+        auto[1:n] += auto[n - 1:0:-1]  # twice the summed circular autocorrelation of s
+        y = np.fft.fft(mixed[0] + 1j * mixed[1])  # the transform of the record sum of B s
+        total = (np.abs(gain) ** 2 * 0.5 * np.fft.rfft(auto[:n]).real
+                 + (gain * (g[0].conj() * y[-np.arange(h)].conj() + g[1].conj() * y[:h])).real
+                 + 0.25 * (np.abs(g[0]) ** 2 + np.abs(g[1]) ** 2) * np.sum(np.abs(b) ** 2)
+                 + 0.5 * (g[0] * g[1].conj() * np.sum(b * b)).real)
+        np.multiply(total, dt * field_variance(p) / n, power)
 
-    halves = _in_halves(add_half, seeds, 2 * (len(seeds) // 4), n_steps, ((n_steps + 1) // 2 + 1,))
-    omega = 2.0 * math.pi * np.fft.rfftfreq(n_steps + 1, d=dt)
-    return omega, np.add(*halves) / len(seeds), first[0]
+    halves = _in_halves(add_half, seeds, 2 * (len(seeds) // 4), n_steps, (h,))
+    omega = 2.0 * math.pi * np.fft.rfftfreq(n, d=dt)
+    return omega, np.add(*halves) / len(seeds), sample_fields(p, dt, n_steps, seeds[:1])[:, 0]
 
 
 def _lorentzian_derivatives(omega, height, center, hwhm):

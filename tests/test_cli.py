@@ -609,6 +609,22 @@ def test_mc_verify_overflowing_trajectory_prints_only_its_exit_3_line(config, tm
     assert len(err) == 1 and err[0].startswith("divergent trajectory: "), result.stderr
 
 
+@pytest.mark.parametrize("omega, kappa", [("5e-324", "1.0"), ("1e250", "1e100")])
+def test_mc_verify_refuses_overflowing_couplings_before_any_seed(config, tmp_path, capsys,
+                                                                 monkeypatch, omega, kappa):
+    # kappa/omega, then kappa*omega, is inf: every RK4 step would be NaN from the first, which
+    # was reported as a divergence at t = dt (exit 3); the config is refused up front instead
+    monkeypatch.setattr(stochastic, "derive_seeds", None)
+    cfg = config(f"omega = {omega}\nkappa = {kappa}\nbeta_s = 0.2\ni0 = 0.1\nbeta = 1.0\n")
+    out = tmp_path / "r.json"
+    assert main(["mc-verify", "--config", cfg, "--n", "2", "--force", "--horizon", "1",
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("invalid input: kappa="), err
+    assert err[0].endswith("the trajectory couplings kappa*omega and kappa/omega must be finite")
+    assert not out.exists()
+
+
 #: SHA-256 of mc-verify reports, computed with one SeedSequence and one
 #: default_rng of K + 2 normals per trajectory: criterion 09's config, and a small run whose
 #: master seed of 2**40 + 7 takes two entropy words
@@ -646,8 +662,8 @@ def test_spectrum_command(config, tmp_path, capsys):
     assert "peak_omega" in text
     assert out.read_text().splitlines()[0] == "omega,power"
     assert dump.read_text().splitlines()[0] == "t,E"
-    # pinned bytes of the segmented complex AR(1) (1911 samples: three segments) and the paired
-    # transform
+    # pinned bytes of realization 0 (1911 samples: three complex AR(1) segments) and of the power,
+    # whose 12 printed digits the frequency-domain sums left as the paired transforms had them
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
         "e6a67a779105402cff9428e232c01fac8e46cffa5fa1ffe7261dfc522e7b7bd7"
     )
@@ -662,10 +678,11 @@ def test_spectrum_command(config, tmp_path, capsys):
 
 
 #: SHA-256 of the --out and --dump-field files of ``spectrum --n 45 --seed 7``
-#: at the default record length (6367 samples: 12 complex AR(1) segments and a tail,
-#: several synthesis blocks), with the realizations transformed in pairs
+#: at the default record length (6367 samples, several blocks of records): the power
+#: averaged in the frequency domain, and realization 0 by its 12 complex AR(1) segments
+#: and a tail
 SPECTRUM_45_SHA256 = (
-    "2584ca8d00477715a6bbf4ab12de4446c07bc5a866578877b21e4e421600dc30",
+    "aa8870292e38e6845dd0a1ecb36b627772e1fc21a8f29b729b28beba8f5bd026",
     "d244f50289ff92e59be8348701c53fe7ccde409fb037bca773e4fb3aa61decf0",
 )
 

@@ -289,19 +289,111 @@ def _periodogram_bound(fields, dt):
     return (2 * eps * (2 + eps) * dt * sq_norms + (n + 4) * u * largest) / n
 
 
+def _paired_sums(records, b, block):
+    """(sums, mixed) of ``stochastic._add_pairs`` over ``records`` and their terms ``b``, fed
+    ``block`` rows at a time (an odd count ends with a zero record and a zero term)."""
+    n, m = records.shape[1], stochastic._smooth_length(2 * records.shape[1] - 1)
+    rows = np.vstack([records, np.zeros((len(records) % 2, n))])
+    b = np.concatenate([b, np.zeros(len(records) % 2, complex)])
+    pairs, sums, mixed = np.empty((block // 2, m), complex), np.zeros(2 * m), np.zeros((2, n))
+    for start in range(0, len(rows), block):
+        stochastic._add_pairs(rows[start:start + block], b[start:start + block], pairs, sums,
+                              mixed)
+    return sums, mixed
+
+
 @pytest.mark.parametrize("n_samples", [301, 1021])
-@pytest.mark.parametrize("columns", [1, 2, 3, 4, 5, 17, 18])
-def test_packed_transform_matches_a_per_record_rfft(n_samples, columns):
-    # pairs of columns share one complex transform; an odd last column goes alone.
-    # 17 and 18 columns take more than one group of _TRANSFORM_PAIRS pairs
-    dt = 0.05
-    block = np.empty((n_samples, -(-columns // 2)), complex).view(float)[:, :columns]
-    block[:] = np.random.default_rng(columns).standard_normal(block.shape)
-    power = np.zeros(n_samples // 2 + 1)
-    stochastic._add_periodograms(power, block, dt)
-    fields = list(block.T)
-    expected = periodogram_reference(fields, dt) * columns
-    assert np.abs(power / columns - expected / columns).max() <= _periodogram_bound(fields, dt)
+@pytest.mark.parametrize("records", [1, 2, 3, 4, 5, 17, 18])
+def test_paired_transforms_match_per_record_ffts(n_samples, records):
+    # records 2j and 2j + 1 share one zero-padded complex transform, and an odd last record
+    # goes with a zero one; the sums do not depend on the blocks they are fed in
+    rng = np.random.default_rng(records)
+    s, b = rng.standard_normal((records, n_samples)), _complex_rows(records, (records,))
+    m = stochastic._smooth_length(2 * n_samples - 1)  # the first 2^a 3^b 5^c from 2N - 1 on
+    assert m == next(k for k in range(2 * n_samples - 1, 4 * n_samples)
+                     if math.prod(f ** int(math.log(k, f) + 1) for f in (2, 3, 5)) % k == 0)
+    sums, mixed = _paired_sums(s, b, 2)
+    for block in (4, 20):
+        for got, want in zip(_paired_sums(s, b, block), (sums, mixed)):
+            np.testing.assert_array_equal(got, want)
+    # |Z_f|^2 + |Z_(M-f)|^2 = 2 (|A_f|^2 + |B_f|^2) for Z = A + iB, A and B real
+    squares = sums[::2] + sums[1::2]
+    folded = 0.5 * (squares[:m // 2 + 1] + squares[-np.arange(m // 2 + 1)])
+    expected = sum(np.abs(np.fft.rfft(x, m)) ** 2 for x in s)
+    # as _periodogram_bound: an M-point transform is off by eps of its norm, and each of the
+    # pairs' squared magnitudes by eps (2 + eps) M times the squared norm of its records
+    u = 2.0**-53
+    eps = 10 * u * math.log2(m)
+    bound = eps * (2 + eps) * m * float(np.sum(s * s)) + (records + 4) * u * expected.max()
+    assert np.abs(folded - expected).max() <= bound
+    # b_r s_r, two roundings each, added in order
+    weighted = np.stack([b.real @ s, b.imag @ s])
+    scale = np.stack([np.abs(b.real) @ np.abs(s), np.abs(b.imag) @ np.abs(s)])
+    assert np.all(np.abs(mixed - weighted) <= (records + 3) * u * scale)
+
+
+def _spectrum_bound(p, dt, n_steps):
+    """Largest |difference| of ``sample_periodogram``'s power and the averaged periodogram of
+    ``sample_fields``' records, at a step that ``max_field_dt`` allows.
+
+    Let u = 2^-53, N = K + 1, rho = e^(-beta dt) and P the peak of the
+    expected periodogram dt E|X_j|^2 / N, from ``field_covariance``. A bin's
+    power is a sum of terms, |G|^2 sum|S_j|^2, the cross terms and the
+    boundary terms, each at most about (1 + 2/(N beta dt)) P in expectation:
+    a record short against the correlation time 1/beta is nearly a turning
+    phasor, whose transform is a steady-state response and a boundary term
+    that cancel to it. Each term is computed to a few u log2 M (the
+    transforms, the fold, the sums). The reference's records are stepped
+    with a rounded factor a by the segmented scan, and drift from the exact
+    AR(1) by up to about u G of the field's scale, G = sum of rho^i over
+    i < N (``_scan_bound``); through a resonance as narrow as 1 - rho, that
+    moves the power by about u G of P. So the two differ by
+    c u (1 + 1/(N beta dt) + G) P. c = 128: the worst of 3000 scratch draws
+    over this property's ranges came to 30 u (1 + 1/(N beta dt) + G) P, at
+    omega dt = 0, where both resonances fall on bin 0. The expected peak
+    stands for the drawn one, which a few records can leave far below the
+    terms by chance.
+    """
+    n, u, rho = n_steps + 1, 2.0**-53, math.exp(-p.beta * dt)
+    cov = field_covariance(field_variance(p), p.beta, p.omega, dt, n_steps)
+    bins = np.arange(n // 2 + 1)
+    peak = dt / n * np.fft.fft2(cov)[bins, -bins].real.max()
+    g = math.fsum(rho**i for i in range(n))
+    return 128 * u * (1 + 1 / (n * p.beta * dt) + g) * peak
+
+
+# records of 2 to 301 samples, from far shorter than the correlation time (N beta dt = 1e-5)
+# to 15 times it, 2 to 9 of them, at omega dt from 0 (underflowing) to its cap of 0.1 pi
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(n_steps=st.integers(1, 300), count=st.integers(2, 9), log_nbd=st.floats(-5.0, 2.5),
+       theta_frac=st.floats(0.0, 1.0), log_i0=st.floats(-3.0, 3.0),
+       seed=st.integers(0, 2**32 - 1))
+@example(n_steps=300, count=2, log_nbd=-5.0, theta_frac=0.5, log_i0=0.0, seed=1)
+@example(n_steps=201, count=7, log_nbd=-2.0, theta_frac=0.0, log_i0=0.0, seed=2)  # omega dt = 0
+@example(n_steps=300, count=9, log_nbd=2.5, theta_frac=1.0, log_i0=0.0, seed=3)
+@example(n_steps=1, count=3, log_nbd=0.0, theta_frac=0.3, log_i0=0.0, seed=4)
+def test_power_is_the_periodogram_of_the_sampled_records(n_steps, count, log_nbd, theta_frac,
+                                                         log_i0, seed):
+    dt = min(0.05, 10.0**log_nbd / (n_steps + 1))
+    p = SystemParams(omega=max(theta_frac * 0.1 * math.pi / dt, 5e-324), kappa=1.0,
+                     beta_s=0.0, i0=10.0**log_i0, beta=1.0)
+    seeds = derive_seeds(seed, range(count))
+    omega, power, first = sample_periodogram(p, dt, n_steps, seeds)
+    fields = sample_fields(p, dt, n_steps, seeds)
+    np.testing.assert_array_equal(first, fields[:, 0])
+    reference = periodogram_reference(list(fields.T), dt)
+    assert np.abs(power - reference).max() <= _spectrum_bound(p, dt, n_steps)
+
+
+def test_criterion_10_power_is_the_reference_within_1e13_of_its_peak():
+    p = SystemParams(omega=10.0, kappa=1.0, beta_s=0.0, i0=1.0, beta=1.0)
+    dt = max_field_dt(p)
+    n_steps, seeds = int(round(200.0 / p.beta / dt)), derive_seeds(42, range(200))
+    omega, power, first = sample_periodogram(p, dt, n_steps, seeds)
+    fields = sample_fields(p, dt, n_steps, seeds)
+    np.testing.assert_array_equal(first, fields[:, 0])
+    reference = periodogram_reference(list(fields.T), dt)
+    assert np.abs(power - reference).max() <= 1e-13 * reference.max()
 
 
 def test_sample_fields_match_per_seed_sampling(monkeypatch):
@@ -543,9 +635,8 @@ def test_streamed_periodogram_memory_does_not_grow_with_realizations():
 
 
 def test_streamed_periodogram_peak_is_under_two_and_a_quarter_blocks():
-    # criterion 10's run: the normals block, the one field buffer the helper
-    # thread transforms (half a block), _draw_normals' transpose tile and the
-    # transform's column groups; a whole-block transform would add half a block more
+    # criterion 10's run: a block of normals as rows (half a block) and its pairs'
+    # zero-padded transforms (about one block), reused from block to block
     p = SystemParams(omega=10.0, kappa=1.0, beta_s=0.0, i0=1.0, beta=1.0)
     dt = max_field_dt(p)
     n_steps = int(round(200.0 / p.beta / dt))
@@ -565,7 +656,8 @@ class _Failure(Exception):
 
 def _periodogram_run(monkeypatch, n=15):
     """``sample_periodogram`` arguments of a run that splits: 15 seeds in blocks of 4, cut at
-    2 (15 // 4) = 6, so the child's half of 9 seeds ends in an odd, unpaired record."""
+    2 (15 // 4) = 6, so the child's half of 9 seeds ends in an odd record, paired with a zero
+    one."""
     n_steps = 60
     monkeypatch.setattr(stochastic, "FIELD_BLOCK_BYTES", 4 * 2 * 8 * (n_steps + 1))
     monkeypatch.setattr(stochastic, "_usable_cpus", lambda: 2)
@@ -580,13 +672,14 @@ def _periodogram_bytes(run):
 @needs_fork
 @pytest.mark.parametrize("failure", [None, "child", "fork", "sigchld"])
 def test_a_split_periodogram_gives_the_unsplit_bytes(monkeypatch, forks, failure):
-    # the caller's transform calls are recorded; the child's land in its own copy of the list
-    run, widths, transform = _periodogram_run(monkeypatch), [], stochastic._add_periodograms
-    parent, draw = os.getpid(), stochastic._draw_normals
+    # the caller's blocks of paired records are recorded; the child's land in its own copy of
+    # the list. Each half's odd last record is paired with a zero one
+    run, widths, add_pairs = _periodogram_run(monkeypatch), [], stochastic._add_pairs
+    parent, draw = os.getpid(), stochastic._normal_rows
 
-    def recording_transform(power, block, dt):
-        widths.append(block.shape[1])
-        transform(power, block, dt)
+    def recording_add_pairs(s, *args):
+        widths.append(len(s))
+        add_pairs(s, *args)
 
     def fail_in_child(*args):  # after the child has added its first block
         if os.getpid() != parent and widths[-1:] == [4]:
@@ -597,14 +690,14 @@ def test_a_split_periodogram_gives_the_unsplit_bytes(monkeypatch, forks, failure
         forks.append(os.getpid())
         raise OSError("fork failed")
 
-    monkeypatch.setattr(stochastic, "_add_periodograms", recording_transform)
+    monkeypatch.setattr(stochastic, "_add_pairs", recording_add_pairs)
     monkeypatch.setattr(stochastic, "_usable_cpus", lambda: 1)
     unsplit = _periodogram_bytes(run)
-    assert (forks, widths) == ([], [4, 2, 4, 4, 1])  # one process, both halves in turn
+    assert (forks, widths) == ([], [4, 2, 4, 4, 2])  # one process, both halves in turn
     monkeypatch.setattr(stochastic, "_usable_cpus", lambda: 2)
     widths.clear()
     if failure == "child":
-        monkeypatch.setattr(stochastic, "_draw_normals", fail_in_child)
+        monkeypatch.setattr(stochastic, "_normal_rows", fail_in_child)
     elif failure == "fork":
         monkeypatch.setattr(os, "fork", no_fork)
     # with SIGCHLD ignored waitpid waits for the child and fails with ECHILD: the status is lost
@@ -616,7 +709,7 @@ def test_a_split_periodogram_gives_the_unsplit_bytes(monkeypatch, forks, failure
         if ignored:
             signal.signal(signal.SIGCHLD, previous)
     assert forks == [parent]
-    assert widths == ([4, 2] if failure is None else [4, 2, 4, 4, 1])
+    assert widths == ([4, 2] if failure is None else [4, 2, 4, 4, 2])
 
 
 @needs_fork
@@ -639,14 +732,14 @@ def test_only_a_periodogram_of_two_blocks_or_more_outside_a_one_cpu_quota_is_spl
 def test_a_failure_in_the_caller_half_of_a_periodogram_is_raised_and_leaves_no_child(monkeypatch,
                                                                                      forks):
     run = _periodogram_run(monkeypatch)
-    parent, draw = os.getpid(), stochastic._draw_normals
+    parent, draw = os.getpid(), stochastic._normal_rows
 
     def fail_in_parent(*args):
         if os.getpid() == parent:
             raise _Failure("parent")
         return draw(*args)
 
-    monkeypatch.setattr(stochastic, "_draw_normals", fail_in_parent)
+    monkeypatch.setattr(stochastic, "_normal_rows", fail_in_parent)
     with pytest.raises(_Failure, match="parent"):
         sample_periodogram(*run)
     assert forks == [parent]
