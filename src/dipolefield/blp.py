@@ -47,8 +47,8 @@ grid-independent maximum over theta: it grows like c ln(1/theta) as
 theta -> 0, and where c = 0 its limit there is not the theta = 0 value
 (see the README's "Known model limits"). "as-printed" mode therefore
 reports the larger of its two branch values, as ``sweep_grid`` and
-``dominant_regime`` do; ``sigma_rate`` still evaluates the printed rate
-verbatim.
+``dominant_regime`` do, and ``sigma_rate`` is the derived rate alone. The
+printed rate is kept only as a test oracle (tests/oracles.py).
 
 The "as-printed" expressions keep the original theta labels, which attach
 theta = 0 to the coherence integrand; branch identity is therefore tracked
@@ -195,49 +195,26 @@ def _rates(branches: Sequence[tuple[float, float]], tau: ArrayLike) -> np.ndarra
                      for f, c in branches])
 
 
-def _printed_factors(tau: ArrayLike, lam: float, om: float) -> tuple:
-    """(P, Q, R) of the printed rate u P / (2 sqrt(u Q + (1 - u) R)), u = cos^2(theta).
-
-    P is minus the printed bracket; the printed denominator attaches the
-    damping to the coherence cosine, Q = e^tau cos^2(om tau), R = cos^2(lam tau).
-    """
-    p = -(np.exp(0.5 * tau) * om * np.sin(2.0 * (om * tau))
-          + np.exp(-0.5 * tau) * (np.sin(lam * tau) ** 2 + lam * np.sin(2.0 * (lam * tau))))
-    return p, np.exp(tau) * np.cos(om * tau) ** 2, np.cos(lam * tau) ** 2
-
-
-def sigma_rate(
-    theta: float,
-    cfg: DimensionlessConfig,
-    tau: float,
-    mode: FormulaSource = "derived",
-) -> float:
-    """dD/dtau of the pair distance at mixing angle theta (units of gamma).
+def sigma_rate(theta: float, cfg: DimensionlessConfig, tau: float) -> float:
+    """dD/dtau of the derived pair distance at mixing angle theta (units of gamma).
 
     At isolated zeros of D, which occur only along the endpoint branches,
     the two-sided derivative does not exist; the right-sided limit, the one
     the backflow integrates, is returned and a ``KinkWarning`` is issued.
-    In "as-printed" mode the rate expression is evaluated verbatim
-    (including its swapped theta labels), and its kink limits can be
-    infinite because numerator and denominator vanish at different points.
+    The printed interior rate is not the derivative of any printed distance
+    and is not evaluated here (see the module docstring).
     Raises ValueError for theta outside [0, pi/2], for a non-finite tau,
-    and wherever the rate overflows (derived e^{-2 tau} below -log(DBL_MAX)/2,
-    printed e^tau above log(DBL_MAX) and e^{-tau/2} below -2 log(DBL_MAX))
-    or a phase f tau exceeds DBL_MAX.
+    and wherever the rate overflows (e^{-2 tau} below -log(DBL_MAX)/2) or a
+    phase f tau exceeds DBL_MAX.
     """
-    _check_mode(mode)
     _check_theta(theta)
     if not math.isfinite(tau):
         raise ValueError(f"tau must be finite, got {tau}")
     u, branches = math.cos(theta) ** 2, _branches(cfg)
     try:
         with np.errstate(over="raise", invalid="raise"):  # invalid: the cosine of an inf phase
-            if mode == "derived":
-                num = _rate_numerator(u, tau, branches)
-                den = 2.0 * _mix(u, *_distances(branches, tau))
-            else:
-                p, q, r = _printed_factors(tau, cfg.lambda_hat, cfg.omega_hat)
-                num, den = u * p, 2.0 * np.sqrt(u * q + (1.0 - u) * r)
+            num = _rate_numerator(u, tau, branches)
+            den = 2.0 * _mix(u, *_distances(branches, tau))
             if den > 2.0 * _KINK_TOL:
                 return float(num / den)
             warnings.warn(
@@ -245,14 +222,11 @@ def sigma_rate(
                 KinkWarning,
                 stacklevel=2,
             )
-            if mode == "derived":  # the branch rates, combined as the distance combines them
-                return float(_mix(u, *_rates(branches, tau)))
+            # the branch rates, combined as the distance combines them
+            return float(_mix(u, *_rates(branches, tau)))
     except FloatingPointError:
-        raise ValueError(f"the {mode} rate overflows at tau={tau}: an exponent exceeds "
+        raise ValueError(f"the derived rate overflows at tau={tau}: an exponent exceeds "
                          "log(DBL_MAX) or a product or phase DBL_MAX") from None
-    if num == 0.0:
-        return 0.0
-    return math.copysign(math.inf, num)
 
 
 # ---------------------------------------------------------------------------

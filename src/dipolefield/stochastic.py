@@ -660,7 +660,8 @@ def sample_periodogram(
     and 1 - a^N is formed by ``_one_minus``, each a^m as e^(-m beta dt)
     (cos m theta - i sin m theta).
 
-    The terms cancel as a record falls short of the correlation time 1/beta.
+    The terms cancel as a record falls short of the correlation time 1/beta,
+    and a power that overflows there (or anywhere) raises ValueError.
     Against the periodogram of ``sample_fields``' records, whose AR(1)
     rounding drifts by about u G, the power is within 128 u (1 + 1/(N beta
     dt) + G) of the expected peak (u = 2^-53, G = sum of rho^i over i < N;
@@ -691,9 +692,6 @@ def sample_periodogram(
                                                         -np.sin(theta * lags)], axis=1)
     t = (2.0 * math.pi / n) * np.arange(h)
     d = _one_minus(decay, np.stack([-(theta + t), theta - t]))  # 1 - a z^j, 1 - conj(a) z^j
-    alpha = np.divide(1.0, d, out=np.zeros_like(d), where=d != 0)
-    g = np.where(d != 0, np.array([[kappa], [kappa.conjugate()]]) * alpha, n)
-    gain = 0.5 * (c * alpha[0] + c.conjugate() * alpha[1])
 
     def add_half(half: Sequence[int], power: np.ndarray) -> None:
         tile = np.empty((min(block, len(seeds) + len(seeds) % 2), n + 1))
@@ -719,9 +717,15 @@ def sample_periodogram(
                  + 0.5 * (g[0] * g[1].conj() * np.sum(b * b)).real)
         np.multiply(total, dt * field_variance(p) / n, power)
 
-    halves = _in_halves(add_half, seeds, 2 * (len(seeds) // 4), n_steps, (h,))
+    with np.errstate(over="ignore", invalid="ignore"):  # a filter that overflows: refused below
+        alpha = np.divide(1.0, d, out=np.zeros_like(d), where=d != 0)
+        g = np.where(d != 0, np.array([[kappa], [kappa.conjugate()]]) * alpha, n)
+        gain = 0.5 * (c * alpha[0] + c.conjugate() * alpha[1])
+        power = np.add(*_in_halves(add_half, seeds, 2 * (len(seeds) // 4), n_steps, (h,)))
+    if not np.isfinite(power).all():
+        raise ValueError(f"beta={p.beta:g}, i0={p.i0:g}: the periodogram or its filter overflows")
     omega = 2.0 * math.pi * np.fft.rfftfreq(n, d=dt)
-    return omega, np.add(*halves) / len(seeds), sample_fields(p, dt, n_steps, seeds[:1])[:, 0]
+    return omega, power / len(seeds), sample_fields(p, dt, n_steps, seeds[:1])[:, 0]
 
 
 def _lorentzian_derivatives(omega, height, center, hwhm):

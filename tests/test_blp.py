@@ -44,7 +44,6 @@ from oracles import (
     printed_interior_integral,
     printed_log_slope_reference,
     printed_numerator,
-    printed_rate,
     sampled_distance_rises,
     sampled_rises,
     sweep_files_reference,
@@ -108,109 +107,57 @@ def test_sigma_rate_kink_one_sided():
     assert right == pytest.approx(1.0, rel=1e-9)   # right-sided: omega_hat * |sin| = 1
 
 
-@pytest.mark.parametrize("theta, tau, lam, om", [
-    (0.7, 1.1, 1.3, 2.1), (0.2, 0.3, 0.5, 3.0), (1.3, 2.7, 2.2, 0.9), (math.pi / 2, 1.9, 1.7, 1.1),
-    (0.0, 0.4, 1.3, 2.1),
-])
-def test_sigma_rate_as_printed_is_the_printed_rate(theta, tau, lam, om):
-    got = sigma_rate(theta, cfg_of(lam, om), tau, mode="as-printed")
-    assert got == pytest.approx(printed_rate(tau, theta, lam, om), rel=1e-12)
-
-
 _LOG_MAX = math.log(sys.float_info.max)
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(tau=st.floats(0.0, _LOG_MAX), theta=st.floats(0.0, math.pi / 2),
-       lam=st.floats(0.1, 4.0), om=st.floats(0.1, 4.0))
-@example(tau=709.0, theta=0.7, lam=1.0, om=2.0)
-@example(tau=_LOG_MAX, theta=0.7, lam=1.0, om=2.0)
-def test_sigma_rate_as_printed_is_the_printed_rate_up_to_overflow(tau, theta, lam, om):
-    # e^tau is a float up to log(DBL_MAX); away from the kinks the rate is the printed one
-    u = math.cos(theta) ** 2
-    assume(2.0 * math.sqrt(u * math.exp(tau) * math.cos(om * tau) ** 2
-                           + (1.0 - u) * math.cos(lam * tau) ** 2) > 1e-6)
-    got = sigma_rate(theta, cfg_of(lam, om), tau, mode="as-printed")
-    assert got == pytest.approx(printed_rate(tau, theta, lam, om), rel=1e-12)
-
-
-def test_sigma_rate_as_printed_rejects_tau_past_overflow():
-    cfg = cfg_of(1.0, 2.0)
+def test_sigma_rate_is_finite_at_large_times():
+    # every exponential of the derived rate decays at positive times: no bound on tau
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for tau in (math.nextafter(_LOG_MAX, math.inf), 1500.0):
-            with pytest.raises(ValueError, match="exceeds log"):
-                sigma_rate(0.7, cfg, tau, mode="as-printed")
-        assert math.isfinite(sigma_rate(0.7, cfg, 1500.0))  # derived mode has no such bound
+        assert math.isfinite(sigma_rate(0.7, cfg_of(1.0, 2.0), 1500.0))
 
 
-@pytest.mark.parametrize("mode, exp_limit, finite, over", [
-    ("derived", -_LOG_MAX / 2.0, -354.0, -355.0),  # e^{-2 tau} overflows past -354.89
-    ("as-printed", -2.0 * _LOG_MAX, -1418.0, -1420.0),  # e^{-tau/2} past -1419.57
-], ids=["derived", "as-printed"])
-def test_sigma_rate_refuses_negative_times_where_the_rate_overflows(mode, exp_limit, finite,
-                                                                    over):
+def test_sigma_rate_refuses_negative_times_where_the_rate_overflows():
     # past the exponential's limit the rate raises; before it a product of exponentials
     # can overflow first, so every tau of the band either is finite or raises, unwarned
+    exp_limit, finite, over = -_LOG_MAX / 2.0, -354.0, -355.0  # e^{-2 tau} past -354.89
     cfg = cfg_of(1.0, 2.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert math.isfinite(sigma_rate(0.7, cfg, finite, mode=mode))
+        assert math.isfinite(sigma_rate(0.7, cfg, finite))
         for theta in (0.0, 0.7, math.pi / 2):
             for tau in (over, math.nextafter(exp_limit, -math.inf)):
                 with pytest.raises(ValueError, match="rate overflows"):
-                    sigma_rate(theta, cfg, tau, mode=mode)
+                    sigma_rate(theta, cfg, tau)
         outcomes = set()
         for tau in np.linspace(over, finite, 401).tolist():
             try:
-                outcomes.add(math.isfinite(sigma_rate(0.7, cfg, tau, mode=mode)))
+                outcomes.add(math.isfinite(sigma_rate(0.7, cfg, tau)))
             except ValueError:
                 outcomes.add("raised")
         assert outcomes == {True, "raised"}
 
 
-def test_sigma_rate_as_printed_kink_limit_is_infinite():
-    # at theta = 0 the printed denominator is 2 e^{tau/2} |cos(om tau)|, zero at
-    # tau = pi/(2 om), where the numerator is not: the limit is infinite,
-    # with the sign of the numerator
-    lam, om = 1.3, 2.1
-    tau = math.pi / (2.0 * om)
-    assert printed_numerator(tau, 1.0, lam, om) < 0.0
-    with pytest.warns(KinkWarning):
-        assert sigma_rate(0.0, cfg_of(lam, om), tau, mode="as-printed") == -math.inf
-
-
-def test_sigma_rate_as_printed_kink_limit_is_zero_where_the_numerator_is():
-    # with lambda_hat = omega_hat = 0 the printed numerator is -0.0 at every tau,
-    # and at tau = -100 the denominator 2 e^{tau/2} is under the kink tolerance:
-    # the limit is +0.0, not copysign(inf, -0.0)
-    with pytest.warns(KinkWarning):
-        got = sigma_rate(0.0, cfg_of(0.0, 0.0), -100.0, mode="as-printed")
-    assert got == 0.0 and math.copysign(1.0, got) == 1.0
-
-
-@pytest.mark.parametrize("mode", ["derived", "as-printed"])
 @pytest.mark.parametrize("theta, tau", [
     (-1.0, 1.0), (5.0, 1.0), (math.nan, 1.0), (0.7, math.nan), (0.7, math.inf), (0.7, -math.inf),
 ])
-def test_sigma_rate_rejects_bad_theta_and_tau(mode, theta, tau):
+def test_sigma_rate_rejects_bad_theta_and_tau(theta, tau):
     # a KinkWarning turned into an error would escape pytest.raises(ValueError)
     cfg = cfg_of(1.0, 1.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="theta must lie|tau must be finite"):
-            sigma_rate(theta, cfg, tau, mode=mode)
-        assert math.isfinite(sigma_rate(0.7, cfg, -1.0, mode=mode))  # a negative time is fine
+            sigma_rate(theta, cfg, tau)
+        assert math.isfinite(sigma_rate(0.7, cfg, -1.0))  # a negative time is fine
 
 
-@pytest.mark.parametrize("mode", ["derived", "as-printed"])
 @pytest.mark.parametrize("lam, om", [(1.0, 1e308), (1e308, 1.0)], ids=["omega", "lambda"])
-def test_sigma_rate_raises_where_a_phase_overflows(mode, lam, om):
+def test_sigma_rate_raises_where_a_phase_overflows(lam, om):
     # f tau = 2e308 is inf in float arithmetic, and cos(inf) is invalid: an error, not a warning
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="rate overflows at tau=2.0"):
-            sigma_rate(0.7, DimensionlessConfig(lam, om, 1.0), 2.0, mode=mode)
+            sigma_rate(0.7, DimensionlessConfig(lam, om, 1.0), 2.0)
 
 
 def test_sigma_rate_scaling_identity():
@@ -514,13 +461,13 @@ def printed_sign_intervals(lam, om, t_max, u=np.ones(1)):
     """Positivity intervals (a, b, owner) of u P on [0, t_max], by blp's locator, one owner per u.
 
     P = -(e^{tau/2} om sin 2 om tau + e^{-tau/2} (sin^2 lam tau + lam sin 2 lam tau))
-    is the printed numerator, with a term that grows like e^{tau/2};
-    ``sigma_rate`` evaluates it verbatim.
+    is the printed numerator (``oracles.printed_numerator`` at u = 1), with a term that grows
+    like e^{tau/2}.
     """
     # -e^{tau/2} om sin 2 om tau - e^{-tau/2} (1/2 - cos(2 lam tau)/2 + lam sin 2 lam tau)
     terms = ((u * om, -0.5, 2.0 * om), (0.5 * u, 0.5, 0.0),
              (u * math.hypot(0.5, lam), 0.5, 2.0 * lam))
-    return blp._sign_intervals(lambda tau, k: u[k] * blp._printed_factors(tau, lam, om)[0],
+    return blp._sign_intervals(lambda tau, k: u[k] * printed_numerator(tau, 1.0, lam, om),
                                terms, blp._breakpoints(((om, 0.0), (lam, 0.5)), t_max))
 
 
@@ -546,9 +493,9 @@ def test_rounding_level_zeros_need_no_halving(monkeypatch):
     # dense sample finds P positive inside them and nowhere else
     a, b, _ = printed_sign_intervals(2.0, 3.0, 5.0)
     ends = np.concatenate((a, b))
-    assert np.all(abs(blp._printed_factors(ends[ends < 5.0], 2.0, 3.0)[0]) < 1e-12)
+    assert np.all(abs(printed_numerator(ends[ends < 5.0], 1.0, 2.0, 3.0)) < 1e-12)
     ts = np.linspace(0.0, 5.0, 100_001)
-    p = blp._printed_factors(ts, 2.0, 3.0)[0]
+    p = printed_numerator(ts, 1.0, 2.0, 3.0)
     inside = ((a[:, None] < ts) & (ts < b[:, None])).any(axis=0)
     outside = ~((a[:, None] <= ts) & (ts <= b[:, None])).any(axis=0)
     assert np.all(p[inside] > 0.0) and np.all(p[outside] <= 1e-12)
@@ -668,7 +615,7 @@ def test_chandrupatla_matches_scipy_on_edge_brackets(mode, lam, om, theta, start
     u = np.array([math.cos(theta) ** 2])
 
     def printed(tau, k):
-        return u[k] * blp._printed_factors(tau, lam, om)[0]
+        return u[k] * printed_numerator(tau, 1.0, lam, om)
 
     def fn(tau, k):
         if mode == "derived":

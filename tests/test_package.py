@@ -67,7 +67,6 @@ _P = SystemParams(omega=2.0, kappa=1.0, beta_s=0.1, i0=0.3, beta=1.0)
 
 #: every public entry point that takes a formula mode, called with that mode
 MODE_CALLS = {
-    "sigma_rate": lambda mode, _: blp.sigma_rate(0.3, _CFG, 1.0, mode=mode),
     "backflow_integral": lambda mode, _: blp.backflow_integral(
         blp.BranchKind.LAMBDA, _CFG, mode=mode),
     "n_measure": lambda mode, _: blp.n_measure(_CFG, mode=mode),
@@ -108,8 +107,8 @@ _ANGLES = (0.0, 5e-324, 1e-8, math.pi / 8, math.pi / 4, math.pi / 2 - 1e-8, math
 
 def _public_calls(x, theta, mode, where):
     """One call of every public callable of ``model``, ``dynamics`` and ``blp``, and of the
-    cheap ones of ``stochastic``, on the six floats ``x``: each thunk returns its result,
-    or for a writer the path it wrote."""
+    cheap ones of ``stochastic`` (both samplers on short records), on the six floats ``x``:
+    each thunk returns its result, or for a writer the path it wrote."""
     a, b, c, d, e, f = x
     params = lambda: SystemParams(a, b, c, d, e)  # omega, kappa, beta_s, i0, beta
     cfg = lambda: DimensionlessConfig(a, b, c)  # lambda_hat, omega_hat, t_max
@@ -138,7 +137,7 @@ def _public_calls(x, theta, mode, where):
                                                           mode=mode),
         "write_timeseries": lambda: written(
             lambda path: dynamics.write_timeseries(path, ic, params(), times, mode=mode)),
-        "sigma_rate": lambda: blp.sigma_rate(theta, cfg(), d, mode=mode),
+        "sigma_rate": lambda: blp.sigma_rate(theta, cfg(), d),
         "backflow_integral": lambda: blp.backflow_integral(theta, cfg(), mode=mode),
         "analytic_n_omega": lambda: blp.analytic_n_omega(b, c),
         "n_measure": lambda: blp.n_measure(cfg(), mode=mode, theta_grid_size=5),
@@ -150,6 +149,10 @@ def _public_calls(x, theta, mode, where):
         "derive_seeds": lambda: stochastic.derive_seeds(int(a), [int(b) % 2**64]),
         "field_variance": lambda: stochastic.field_variance(params()),
         "max_field_dt": lambda: stochastic.max_field_dt(params()),
+        "sample_fields": lambda: stochastic.sample_fields(
+            params(), stochastic.max_field_dt(params()), 4, [1, 2]),
+        "sample_periodogram": lambda: stochastic.sample_periodogram(
+            params(), stochastic.max_field_dt(params()), 16, [1, 2]),
         "fit_spectrum": lambda: stochastic.fit_spectrum(
             a * np.linspace(0.0, 1.0, 16), np.concatenate((np.zeros(5), [d, e, f], np.zeros(8)))),
     }
@@ -184,7 +187,8 @@ def test_the_domain_property_calls_every_public_callable(tmp_path):
     public = {name for m in (model, dynamics, blp) for name in m.__all__
               if callable(getattr(m, name))}
     assert calls.isdisjoint(_NOT_CALLED) and calls | _NOT_CALLED >= public
-    assert calls - public == {"derive_seeds", "field_variance", "max_field_dt", "fit_spectrum"}
+    assert calls - public == {"derive_seeds", "field_variance", "max_field_dt", "sample_fields",
+                              "sample_periodogram", "fit_spectrum"}
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)

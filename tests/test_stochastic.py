@@ -765,6 +765,16 @@ def test_non_finite_field_variance_is_rejected_before_sampling():
                 call()
 
 
+def test_a_periodogram_whose_filter_overflows_is_refused():
+    # omega on Fourier bin 10 of N = 301 and beta = 1e-300: there 1 - a z^j is beta dt, and the
+    # filter terms that cancel overflow; the power is refused, not returned as NaN with a warning
+    p = SystemParams(2.0 * math.pi * 10 / (301 * 0.05), 1.0, 0.0, 1.0, 1e-300)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="periodogram or its filter overflows"):
+            sample_periodogram(p, 0.05, 300, [1, 2, 3, 4])
+
+
 def test_field_zero_mean():
     p = SystemParams(omega=5.0, kappa=1.0, beta_s=0.0, i0=2.0, beta=1.0)
     f = one_field(p, 0.05, 100_000, 2)
