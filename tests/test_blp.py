@@ -107,6 +107,60 @@ def test_sigma_rate_kink_one_sided():
     assert right == pytest.approx(1.0, rel=1e-9)   # right-sided: omega_hat * |sin| = 1
 
 
+@pytest.mark.parametrize("theta, lam, om, k", [
+    (0.0, 1.3, 2.1, 0), (0.0, 0.5, 2.1, 1), (math.pi / 2, 1.3, 2.1, 0), (math.pi / 2, 1.3, 0.9, 2),
+])
+def test_sigma_rate_kink_limit_is_the_branch_rate(theta, lam, om, k):
+    # at the k-th zero of an endpoint branch's cosine the right-sided limit is that branch's
+    # |d/dtau e^{-c tau} cos(f tau)|: lam e^{-tau} on the inversion pair, om on the coherence pair
+    f, c = (lam, 1.0) if theta == 0.0 else (om, 0.0)
+    tau = (k + 0.5) * math.pi / f
+    with pytest.warns(KinkWarning):
+        got = sigma_rate(theta, cfg_of(lam, om), tau)
+    assert got == pytest.approx(f * math.exp(-c * tau), rel=1e-9)
+
+
+def derived_distance(tau, theta, lam, om):
+    u = math.cos(theta) ** 2
+    return math.sqrt(u * math.exp(-2.0 * tau) * math.cos(lam * tau) ** 2
+                     + (1.0 - u) * math.cos(om * tau) ** 2)
+
+
+def derived_rate(tau, theta, lam, om):
+    """The hand-expanded derived rate: ``derived_numerator`` over twice the derived distance."""
+    return (float(derived_numerator(math.cos(theta) ** 2, tau, lam, om))
+            / (2.0 * derived_distance(tau, theta, lam, om)))
+
+
+@pytest.mark.parametrize("theta, tau, lam, om", [
+    (0.7, 1.1, 1.3, 2.1), (0.2, 0.3, 0.5, 3.0), (1.3, 2.7, 2.2, 0.9), (math.pi / 2, 1.9, 1.7, 1.1),
+    (0.0, 0.4, 1.3, 2.1),
+])
+def test_sigma_rate_is_the_hand_expanded_rate(theta, tau, lam, om):
+    assert sigma_rate(theta, cfg_of(lam, om), tau) == pytest.approx(
+        derived_rate(tau, theta, lam, om), rel=1e-12)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(tau=st.floats(0.0, 1500.0), theta=st.floats(0.0, math.pi / 2),
+       lam=st.floats(0.1, 4.0), om=st.floats(0.1, 4.0))
+@example(tau=709.0, theta=0.7, lam=1.0, om=2.0)
+@example(tau=1500.0, theta=0.7, lam=1.0, om=2.0)
+def test_sigma_rate_is_the_hand_expanded_rate_at_large_times(tau, theta, lam, om):
+    # away from the kinks the rate is the hand form, unwarned, where e^{-2 tau} underflows too
+    assume(2.0 * derived_distance(tau, theta, lam, om) > 1e-6)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert sigma_rate(theta, cfg_of(lam, om), tau) == pytest.approx(
+            derived_rate(tau, theta, lam, om), rel=1e-12)
+
+
+def test_sigma_rate_takes_no_mode():
+    # the printed interior rate is kept in tests/oracles.py only: sigma_rate has one form
+    with pytest.raises(TypeError, match="mode"):
+        sigma_rate(0.7, cfg_of(1.0, 2.0), 1.0, mode="as-printed")
+
+
 _LOG_MAX = math.log(sys.float_info.max)
 
 
